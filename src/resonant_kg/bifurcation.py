@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import spherical_basis as sb
-from .field_algebra import CoeffField, NormParams, field_multiply, project_kernel
+from .field_algebra import (CoeffField, NormParams, field_multiply, fold_entries,
+                            mult_matrix_stack, project_kernel)
 
 __all__ = [
     "KernelField",
@@ -129,17 +129,6 @@ def block_determinant(m: int, j: int) -> int:
     return -wj * (wm - wj) ** 2 * (4 * wm - wj)
 
 
-def _mult_matrix_stack(q: CoeffField, size: int, dmax: int) -> np.ndarray:
-    """Spatial multiplication matrices S_d of the time rows of q, d = 0..dmax."""
-    stack = np.zeros((dmax + 1, size, size))
-    top = min(dmax, q.L)
-    for d in range(top + 1):
-        row = q.u[d]
-        if np.any(row != 0.0):
-            stack[d] = sb.multiplication_matrix(row, size)
-    return stack
-
-
 def linearize_kernel(v: KernelField, w: CoeffField) -> np.ndarray:
     """Dense matrix of h -> A h - 3 Pi_V((v+w)^2 h) on the truncated kernel.
 
@@ -150,15 +139,10 @@ def linearize_kernel(v: KernelField, w: CoeffField) -> np.ndarray:
     q = field_multiply(u, u)
     n = v.J + 1
     wj = np.arange(n) + 1
-    stack = _mult_matrix_stack(q, n, 2 * n)
-    jj, kk = np.meshgrid(wj, wj, indexing="ij")
-    mat = np.diag(wj.astype(float) ** 2)
-    idx_diff = np.abs(jj - kk)
-    idx_sum = np.minimum(jj + kk, 2 * n)  # rows beyond q's truncation are zero
-    rows = np.arange(n)[:, None]
-    cols = np.arange(n)[None, :]
-    mat = mat - 3.0 * (stack[idx_diff, rows, cols] + stack[idx_sum, rows, cols])
-    return mat
+    stack = mult_matrix_stack(q, n, 2 * n)
+    modes = np.arange(n)
+    coupling = fold_entries(stack, wj[:, None], modes[:, None], wj[None, :], modes[None, :])
+    return np.diag(wj.astype(float) ** 2) - 3.0 * coupling
 
 
 @dataclass
@@ -252,14 +236,10 @@ def kernel_derivative_matrix(v: KernelField, w: CoeffField,
     q = field_multiply(u, u)
     n = v.J + 1
     size = int(max(js.max(initial=0) + 1, n))
-    dmax = int((np.arange(n) + 1).max() + ells.max(initial=0))
-    stack = _mult_matrix_stack(q, size, dmax)
+    dmax = int(n + ells.max(initial=0))
+    stack = mult_matrix_stack(q, size, dmax)
     wj = np.arange(n) + 1  # kernel time frequencies
-    rhs = np.zeros((n, len(ells)))
-    for c, (k, jc) in enumerate(zip(ells, js)):
-        blocks = stack[np.abs(wj - k), np.arange(n), jc]
-        if k >= 1:
-            blocks = blocks + stack[wj + k, np.arange(n), jc]
-        rhs[:, c] = 6.0 * blocks
+    rhs = 6.0 * fold_entries(stack, wj[:, None], np.arange(n)[:, None],
+                             ells[None, :], js[None, :])
     mat = linearize_kernel(v, w)
     return np.linalg.solve(mat, rhs)

@@ -36,6 +36,8 @@ __all__ = [
     "CoeffField",
     "CheckResult",
     "field_multiply",
+    "mult_matrix_stack",
+    "fold_entries",
     "project_kernel",
     "project_range",
     "time_cutoff",
@@ -203,24 +205,20 @@ class CoeffField:
         E = sb.evaluate_basis(self.J, x)                # (J+1, nx)
         return T.T @ (doubling[:, None] * self.u) @ E
 
-    def sup_estimate(self, n_grid: int = 2048, margin: float = 1.05) -> float:
-        """Grid sup-norm estimate with a safety margin (admissibility checks)."""
-        t = np.linspace(0.0, 2.0 * np.pi, max(4 * (self.L + 1), 64), endpoint=False)
-        x = np.linspace(0.0, np.pi, n_grid)
-        return margin * float(np.max(np.abs(self.evaluate(t, x))))
-
 
 def field_multiply(a: CoeffField, b: CoeffField) -> CoeffField:
     """Exact pointwise product; result truncations L_a + L_b, J_a + J_b.
 
     Time direction: convolution of the mirrored (exponential) coefficient
-    arrays.  Space direction: direct accumulation over the eigenbasis product
-    rule.  The inner time convolution runs as one small matmul per output
-    frequency; the space scatter adds each pair block along its admissible
-    mode range.
+    arrays, one small matmul per output frequency.  Space direction: the pair
+    blocks go through spherical_basis.product_rule in one matmul, the same
+    spatial kernel as profile_multiply and multiplication_matrix.  "Exact"
+    means no transform and no quadrature: every output coefficient is a plain
+    sum of its own products, so entries far below the field's largest keep
+    their value; only the summation order is the matmul's.
     """
     La, Ja, Lb, Jb = a.L, a.J, b.L, b.J
-    Lout, Jout = La + Lb, Ja + Jb
+    Lout = La + Lb
     afull = a.u[np.abs(np.arange(-La, La + 1))]  # (2La+1, Ja+1)
     bfull = b.u[np.abs(np.arange(-Lb, Lb + 1))]  # (2Lb+1, Jb+1)
     pair = np.empty((Lout + 1, Ja + 1, Jb + 1))
@@ -229,11 +227,36 @@ def field_multiply(a: CoeffField, b: CoeffField) -> CoeffField:
         arows = afull[plo + La : phi + La + 1]
         brows = bfull[m - phi + Lb : m - plo + Lb + 1][::-1]
         pair[m] = arows.T @ brows
-    out = np.zeros((Lout + 1, Jout + 1))
-    for j in range(Ja + 1):
-        for k in range(Jb + 1):
-            out[:, abs(j - k) : j + k + 1 : 2] += pair[:, j, k][:, None]
-    return CoeffField(out)
+    return CoeffField(pair.reshape(Lout + 1, -1) @ sb.product_rule(Ja, Jb))
+
+
+def mult_matrix_stack(q: CoeffField, size: int, dmax: int) -> np.ndarray:
+    """Spatial multiplication matrices S_d of the time rows of q, d = 0..dmax.
+
+    Rows beyond q's truncation are zero.  fold_entries reads the product by q
+    on stored coefficients from this stack.
+    """
+    stack = np.zeros((dmax + 1, size, size))
+    top = min(dmax, q.L)
+    stack[: top + 1] = sb.multiplication_matrix(q.u[: top + 1], size)
+    return stack
+
+
+def fold_entries(stack: np.ndarray, l_out, j_out, l_in, j_in) -> np.ndarray:
+    """Entries of the product by q on stored coefficients, gathered from its S_d stack.
+
+    Stored row l stands for the exponential frequencies +l and -l, so the
+    coefficient of (l_in, j_in) reaches (l_out, j_out) through
+    S_|l_out - l_in| and, for l_in >= 1, through the folded frequency
+    S_{l_out + l_in}.  This is the one place the cos-halfline fold is written;
+    every dense operator of the product (kernel linearization, kernel
+    derivative, range assembly) is this gather of multiplication_matrix
+    entries, so its entries are the exact sums of the product rule.  The index
+    arguments broadcast against each other; the stack must hold S_d up to
+    the largest l_out + l_in.
+    """
+    folded = np.where(l_in >= 1, stack[l_out + l_in, j_out, j_in], 0.0)
+    return stack[np.abs(l_out - l_in), j_out, j_in] + folded
 
 
 # -- Lyapunov-Schmidt projectors ---------------------------------------------

@@ -30,8 +30,9 @@ import scipy.linalg
 
 from . import spherical_basis as sb
 from .bifurcation import (KernelField, KernelSolveResult, kernel_derivative_matrix,
-                          solve_kernel, _mult_matrix_stack)
-from .field_algebra import CoeffField, NormParams, field_multiply
+                          solve_kernel)
+from .field_algebra import (CoeffField, NormParams, field_multiply, fold_entries,
+                            mult_matrix_stack)
 
 __all__ = [
     "WLattice",
@@ -73,10 +74,6 @@ class WLattice:
     def size(self) -> int:
         return len(self.ells)
 
-    def flat_kept(self) -> np.ndarray:
-        """Positions of kept lattice points inside the full (L+1)x(J+1) grid."""
-        return self.ells * (self.J + 1) + self.js
-
     def to_vector(self, f: CoeffField) -> np.ndarray:
         g = f.padded(self.L, self.J)
         return g.u[self.ells, self.js].copy()
@@ -111,25 +108,32 @@ class WLattice:
 def _convolution_matrix(stack: np.ndarray, lattice: WLattice) -> np.ndarray:
     """Dense matrix of h -> product-by-b on the lattice from the S_d stack.
 
-    Block (l, k) of the stored-coefficient action is S_|l-k| + S_{l+k} (the
-    second term only for k >= 1; it is the fold of the negative exponential
-    frequencies onto the cosine half-line).
+    Filled one l row-block at a time by the cos-halfline fold gather.
     """
-    Lp1 = lattice.L + 1
-    Jp1 = lattice.J + 1
-    dmax = len(stack) - 1
-    full = np.zeros((Lp1, Jp1, Lp1, Jp1))
-    ks = np.arange(Lp1)
-    for ell in range(Lp1):
-        blocks = stack[np.abs(ell - ks)]                       # (Lp1, Jp1, Jp1)
-        idx = np.minimum(ell + ks, dmax)
-        wsum = stack[idx]
-        wsum = np.where(((ell + ks) <= dmax)[:, None, None], wsum, 0.0)
-        wsum[0] = 0.0                                          # no fold for k = 0
-        full[ell] = np.moveaxis(blocks + wsum, 0, 1)           # -> (Jp1, Lp1, Jp1)
-    mat = full.reshape(Lp1 * Jp1, Lp1 * Jp1)
-    kept = lattice.flat_kept()
-    return mat[np.ix_(kept, kept)]
+    mat = np.empty((lattice.size, lattice.size))
+    for ell in range(lattice.L + 1):
+        rows = lattice.ells == ell
+        mat[rows] = fold_entries(stack, ell, lattice.js[rows][:, None],
+                                 lattice.ells[None, :], lattice.js[None, :])
+    return mat
+
+
+def _potential_parts(b: CoeffField, kernel: KernelField, dv: np.ndarray,
+                     lattice: WLattice):
+    """Dense product by b on the lattice and the kernel-correction term M2.
+
+    M2 = (product by b of the embedded kernel correction) @ dv: the gather
+    column of kernel mode j'' is the fold of S-blocks at time frequency
+    omega_j'', and the embedding stores v_j'' / 2.
+    """
+    n_k = kernel.J + 1
+    size = max(lattice.J + 1, n_k)
+    stack = mult_matrix_stack(b, size, max(2 * lattice.L, lattice.L + n_k))
+    mult = _convolution_matrix(stack, lattice)
+    modes = np.arange(n_k)
+    gath = fold_entries(stack, lattice.ells[:, None], lattice.js[:, None],
+                        modes[None, :] + 1, modes[None, :])
+    return mult, gath @ (0.5 * dv)
 
 
 @dataclass
@@ -144,8 +148,6 @@ class LinearizedOperator:
     b0: np.ndarray
     kernel: KernelField
     dv_matrix: np.ndarray
-    mult_matrix: np.ndarray
-    m2_matrix: np.ndarray
     _lu: tuple | None = None
 
     @property
@@ -225,29 +227,16 @@ def assemble_linearized(eps: float, w: CoeffField, m: int, L_n: int, J_max: int,
     u = kf.embed(L=max(w.L, kf.J + 1), J=max(w.J, kf.J)) + w
     q = field_multiply(u, u)
     b = 3.0 * q
-    n_k = kf.J + 1
-    size = max(J_max + 1, n_k)
-    stack = _mult_matrix_stack(b, size, max(2 * L_n, L_n + n_k))
-    mult = _convolution_matrix(stack[:, : J_max + 1, : J_max + 1], lattice)
     dv = kernel_derivative_matrix(kf, w, lattice.ells, lattice.js)
-    # b * embedded kernel correction: column c gets sum_j'' S-blocks * dv[j'', c]/2
-    wjk = np.arange(n_k) + 1  # kernel time frequencies
-    gath = np.zeros((lattice.size, n_k))
-    cols = np.arange(n_k)
-    for ell in range(L_n + 1):
-        rows = np.where(lattice.ells == ell)[0]
-        js = lattice.js[rows]
-        da = np.abs(ell - wjk)
-        ds = np.minimum(ell + wjk, len(stack) - 1)
-        blocks = stack[da, :, cols] + stack[ds, :, cols]   # (n_k, size): [j'', j]
-        gath[rows, :] = blocks.T[js, :]
-    m2 = gath @ (0.5 * dv)
-    ell = lattice.ells.astype(float)
-    wj = (lattice.js + 1).astype(float)
-    matrix = np.diag(omega ** 2 * ell ** 2 - wj ** 2) - eps * mult - eps * m2
-    return LinearizedOperator(eps=eps, omega=omega, lattice=lattice, matrix=matrix,
-                              b=b, b0=b.u[0].copy(), kernel=kf, dv_matrix=dv,
-                              mult_matrix=mult, m2_matrix=m2)
+    mult, m2 = _potential_parts(b, kf, dv, lattice)
+    op = LinearizedOperator(eps=eps, omega=omega, lattice=lattice, matrix=mult,
+                            b=b, b0=b.u[0].copy(), kernel=kf, dv_matrix=dv)
+    # diag(symbol) - eps * mult - eps * m2, formed in place in that order
+    mult *= -eps
+    mult[np.diag_indices_from(mult)] += op.symbol_diagonal()
+    m2 *= eps
+    mult -= m2
+    return op
 
 
 @dataclass
@@ -265,14 +254,12 @@ class SplitParts:
 def split_diagonal(op: LinearizedOperator) -> SplitParts:
     """Split into D (time-mean potential on each l block), M1 (zero-mean part), M2."""
     lattice = op.lattice
-    stack0 = np.zeros((1, op.J + 1, op.J + 1))
-    if np.any(op.b0 != 0.0):
-        stack0[0] = sb.multiplication_matrix(op.b0, op.J + 1)
+    B0 = sb.multiplication_matrix(op.b0, op.J + 1)
     same = lattice.ells[:, None] == lattice.ells[None, :]
-    bd = np.where(same, stack0[0][np.ix_(lattice.js, lattice.js)], 0.0)
+    bd = np.where(same, B0[np.ix_(lattice.js, lattice.js)], 0.0)
     D = np.diag(op.symbol_diagonal()) - op.eps * bd
-    M1 = op.mult_matrix - bd
-    return SplitParts(D=D, M1=M1, M2=op.m2_matrix.copy())
+    mult, m2 = _potential_parts(op.b, op.kernel, op.dv_matrix, lattice)
+    return SplitParts(D=D, M1=mult - bd, M2=m2)
 
 
 @dataclass
@@ -287,13 +274,41 @@ class SpectralBlock:
     J_max: int
 
 
-def _restricted_potential(ell: int, eps: float, b0: np.ndarray, J_max: int):
-    size = J_max + 1
-    kept = np.array([j for j in range(size) if j != abs(ell) - 1])
-    B = sb.multiplication_matrix(np.asarray(b0, dtype=float), size)
-    wj2 = (np.arange(size, dtype=float) + 1.0) ** 2
-    S = np.diag(wj2) + eps * B
-    return S[np.ix_(kept, kept)], kept
+def _kept_modes(ell: int, size: int) -> np.ndarray:
+    """Mode labels of an l-block: j < size except the resonant j = |l| - 1."""
+    js = np.arange(size)
+    return js[js != abs(ell) - 1]
+
+
+def _block_spectrum(ell: int, eps: float, B: np.ndarray, bw: int):
+    """Eigenvalues of omega_j^2 + eps B on the modes j != |l| - 1, and those modes.
+
+    B is the multiplication matrix of b0 and bw the half-bandwidth of eps B
+    (0 when it is diagonal or vanishes).  The restriction is written straight
+    into upper banded storage for eigvals_banded: deleting an index never
+    widens the band.  At small eps the ascending eigenvalues match the
+    ascending labels.
+    """
+    kept = _kept_modes(ell, len(B))
+    n = len(kept)
+    bands = np.zeros((bw + 1, n))
+    bands[bw] = (kept + 1.0) ** 2 + eps * B[kept, kept]
+    if bw == 0:
+        return bands[0], kept
+    for d in range(1, bw + 1):
+        bands[bw - d, d:] = eps * B[kept[: n - d], kept[d:]]
+    try:
+        return scipy.linalg.eigvals_banded(bands, lower=False), kept
+    except scipy.linalg.LinAlgError as exc:
+        raise ResonantSolveError(f"banded eigensolve failed at l={ell}") from exc
+
+
+def _band_width(eps: float, b0: np.ndarray, size: int) -> int:
+    """Half-bandwidth of eps B: the spatial support of b0, capped by the block size."""
+    support = np.nonzero(b0)[0]
+    if eps == 0.0 or len(support) == 0:
+        return 0
+    return min(int(support[-1]), size - 1)
 
 
 def diagonalize_block(ell: int, eps: float, b0: np.ndarray, J_max: int,
@@ -311,21 +326,12 @@ def diagonalize_block(ell: int, eps: float, b0: np.ndarray, J_max: int,
         if abs(eps) * sup >= 1.0:
             raise ValueError(
                 f"|eps| = {abs(eps)} beyond the Neumann threshold 1/sup|b0| = {1.0 / sup:.3e}")
-    Sk, kept = _restricted_potential(ell, eps, b0, J_max)
+    B = sb.multiplication_matrix(b0, J_max + 1)
     if not want_vectors:
-        bw = 0
-        if np.any(b0 != 0.0):
-            bw = min(int(np.nonzero(b0)[0][-1]), Sk.shape[0] - 1)
-        bands = np.zeros((bw + 1, Sk.shape[0]))
-        for d in range(bw + 1):
-            diag = np.diagonal(Sk, offset=d)
-            bands[bw - d, d:] = diag  # "upper" banded storage for eig_banded
-        try:
-            lam = scipy.linalg.eigvals_banded(bands, lower=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise ResonantSolveError(f"banded eigensolve failed at l={ell}") from exc
-        # small eps: eigenvalues stay in label order (gaps omega^2 ~ 2 j dominate)
+        lam, kept = _block_spectrum(ell, eps, B, _band_width(eps, b0, J_max + 1))
         return SpectralBlock(ell=ell, eps=eps, js=kept, lam=lam, vectors=None, J_max=J_max)
+    kept = _kept_modes(ell, J_max + 1)
+    Sk = np.diag((kept + 1.0) ** 2) + eps * B[np.ix_(kept, kept)]
     try:
         lam, vec = scipy.linalg.eigh(Sk)
     except scipy.linalg.LinAlgError as exc:
@@ -374,22 +380,31 @@ class DivisorReport:
                             int(self.ok[i])])
 
 
+def _divisor_report(eps: float, gamma: float, tau: float, ells: np.ndarray,
+                    spectra) -> DivisorReport:
+    """alpha_l = min_j |omega^2 l^2 - lambda_{l,j}| with its label, and the floor.
+
+    spectra yields one (eigenvalues, labels) pair per l in ells; the
+    admissibility floor is gamma / (20 max(l, 1)^(tau - 1)).
+    """
+    omega2 = 1.0 + eps
+    alphas = np.empty(len(ells))
+    jmins = np.empty(len(ells), dtype=int)
+    for i, (ell, (lam, js)) in enumerate(zip(ells, spectra)):
+        divisors = np.abs(omega2 * ell ** 2 - lam)
+        k = int(np.argmin(divisors))
+        alphas[i] = divisors[k]
+        jmins[i] = js[k]
+    floor = gamma / (20.0 * np.maximum(np.abs(ells), 1) ** (tau - 1.0))
+    return DivisorReport(eps=eps, gamma=gamma, tau=tau, ells=ells, alpha=alphas,
+                         j_min=jmins, floor=floor, ok=alphas >= floor)
+
+
 def small_divisors(eps: float, blocks: list[SpectralBlock], gamma: float,
                    tau: float) -> DivisorReport:
     """alpha_l = min_j |omega^2 l^2 - lambda_{l,j}(eps)| with argmin, per block."""
-    omega2 = 1.0 + eps
-    ells, alphas, jmins = [], [], []
-    for blk in blocks:
-        divisors = np.abs(omega2 * blk.ell ** 2 - blk.lam)
-        k = int(np.argmin(divisors))
-        ells.append(blk.ell)
-        alphas.append(float(divisors[k]))
-        jmins.append(int(blk.js[k]))
-    ells = np.array(ells)
-    alphas = np.array(alphas)
-    floor = gamma / (20.0 * np.maximum(np.abs(ells), 1) ** (tau - 1.0))
-    return DivisorReport(eps=eps, gamma=gamma, tau=tau, ells=ells, alpha=alphas,
-                         j_min=np.array(jmins), floor=floor, ok=alphas >= floor)
+    return _divisor_report(eps, gamma, tau, np.array([blk.ell for blk in blocks]),
+                           ((blk.lam, blk.js) for blk in blocks))
 
 
 def divisor_table(eps: float, b0: np.ndarray, L_n: int, J_max: int, gamma: float,
@@ -397,44 +412,14 @@ def divisor_table(eps: float, b0: np.ndarray, L_n: int, J_max: int, gamma: float
     """Divisor report over l = 0..L_n via eigenvalue-only banded solves.
 
     The multiplication matrix of b0 is built once; each block only deletes
-    its resonant row/column.  Deleting an index never widens the band, so
-    the banded solver sees at most the spatial support of b0.
+    its resonant row/column.
     """
     b0 = np.asarray(b0, dtype=float)
-    size = J_max + 1
-    omega2 = 1.0 + eps
-    wj2 = (np.arange(size, dtype=float) + 1.0) ** 2
-    bw = 0
-    B = None
-    if eps != 0.0 and np.any(b0 != 0.0):
-        bw = min(int(np.nonzero(b0)[0][-1]), size - 1)
-        B = sb.multiplication_matrix(b0, size)
+    B = sb.multiplication_matrix(b0, J_max + 1)
+    bw = _band_width(eps, b0, J_max + 1)
     ells = np.arange(L_n + 1)
-    alphas = np.empty(L_n + 1)
-    jmins = np.empty(L_n + 1, dtype=int)
-    for ell in ells:
-        kept = np.delete(np.arange(size), ell - 1) if 1 <= ell <= size else np.arange(size)
-        n = len(kept)
-        if B is None:
-            lam = wj2[kept]
-        elif bw == 0:
-            lam = wj2[kept] + eps * B[kept, kept]
-        else:
-            bands = np.zeros((bw + 1, n))
-            bands[bw] = wj2[kept] + eps * B[kept, kept]
-            for d in range(1, bw + 1):
-                bands[bw - d, d:] = eps * B[kept[: n - d], kept[d:]]
-            try:
-                lam = scipy.linalg.eigvals_banded(bands, lower=False)
-            except scipy.linalg.LinAlgError as exc:
-                raise ResonantSolveError(f"banded eigensolve failed at l={ell}") from exc
-        divisors = np.abs(omega2 * ell ** 2 - lam)
-        k = int(np.argmin(divisors))
-        alphas[ell] = divisors[k]
-        jmins[ell] = kept[k]  # ascending eigenvalues match ascending labels at small eps
-    floor = gamma / (20.0 * np.maximum(np.abs(ells), 1) ** (tau - 1.0))
-    return DivisorReport(eps=eps, gamma=gamma, tau=tau, ells=ells, alpha=alphas,
-                         j_min=jmins, floor=floor, ok=alphas >= floor)
+    return _divisor_report(eps, gamma, tau, ells,
+                           (_block_spectrum(ell, eps, B, bw) for ell in ells))
 
 
 def pairwise_divisor_constant(report: DivisorReport) -> float:

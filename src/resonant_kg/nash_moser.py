@@ -81,12 +81,9 @@ class SolverConfig:
     kernel_tol: float = 1e-12
     picard_tol: float = 1e-13
     picard_max: int = 50
-    stage_tol: float = 1e-9
     final_h_tol: float = 0.0
     check_melnikov: bool = True
     divisor_diagnostics: bool = True
-    kernel_resolve_per_step: bool = False
-    m_normalization: str = "half_period"
 
     def __post_init__(self):
         if self.eps < 0:
@@ -287,8 +284,7 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig):
     params_next = NormParams(sigmas[n + 1], config.s)
 
     ok, failures = check_stage_conditions(eps, w_n, kernel_n.kernel,
-                                          config.resonance_params(), L_next,
-                                          config.m_normalization)
+                                          config.resonance_params(), L_next)
     if not ok and config.check_melnikov:
         raise MelnikovExcludedError(n + 1, failures)
 
@@ -308,13 +304,7 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig):
     discard_max = disc_r
     iters = 0
     for iters in range(1, config.picard_max + 1):
-        if config.kernel_resolve_per_step:
-            kh = solve_kernel(w_n.padded(L_next, J) + h, config.m, tol=config.kernel_tol,
-                              sign=config.sign, J_V=J, params=params_next,
-                              start=kernel_n.kernel)
-            dv_corr = KernelField(kh.kernel.v - kernel_n.kernel.v)
-        else:
-            dv_corr = KernelField(op.dv_matrix @ op.lattice.to_vector(h))
+        dv_corr = KernelField(op.dv_matrix @ op.lattice.to_vector(h))
         u_h = (kernel_n.kernel.embed(L=L_next, J=J) + dv_corr.embed(L=L_next, J=J)
                + w_n.padded(L_next, J) + h)
         gam_h = field_multiply(field_multiply(u_h, u_h), u_h)

@@ -19,11 +19,14 @@ coefficients meaningful.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
     "omega",
     "eigen_product",
+    "product_rule",
     "profile_multiply",
     "profile_norm",
     "mean_integral",
@@ -51,24 +54,37 @@ def eigen_product(j: int, k: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=32)
+def product_rule(ja: int, jb: int) -> np.ndarray:
+    """Read-only 0/1 matrix of the product rule for modes j <= ja, k <= jb.
+
+    Row j (jb+1) + k is eigen_product(j, k) padded to ja + jb + 1 columns, so a
+    flattened block of pair products p[j, k] = a_j b_k maps to the coefficients
+    of the product by one matmul.  Every output is then a plain sum of its own
+    products (times 1, plus exact zeros); only the summation order is the
+    matmul's.  The array is cached and shared between callers.
+    """
+    out = np.zeros(((ja + 1) * (jb + 1), ja + jb + 1))
+    for j in range(ja + 1):
+        for k in range(jb + 1):
+            row = eigen_product(j, k)
+            out[j * (jb + 1) + k, : len(row)] = row
+    out.flags.writeable = False
+    return out
+
+
 def profile_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact product of two profiles, up to mode len(a)+len(b)-2.
 
-    Direct accumulation of a_j b_k over the product rule's support; every
-    output coefficient is a plain sum of the products that belong to it, so
-    tiny coefficients are not contaminated by cancellation artifacts.
+    The one-row case of the product kernel: the pair products a_j b_k go
+    through product_rule, the single spatial kernel that field_multiply uses
+    too.  "Exact" means no transform and no quadrature: each output
+    coefficient is a plain sum of the products that belong to it, so tiny
+    coefficients are not contaminated by cancellation artifacts.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    ja, jb = len(a) - 1, len(b) - 1
-    out = np.zeros(ja + jb + 1)
-    for j in range(ja + 1):
-        if a[j] == 0.0:
-            continue
-        row = a[j] * b
-        for k in range(jb + 1):
-            out[abs(j - k) : j + k + 1 : 2] += row[k]
-    return out
+    return np.outer(a, b).ravel() @ product_rule(len(a) - 1, len(b) - 1)
 
 
 def profile_norm(p: np.ndarray, r: float = 0.0) -> float:
@@ -104,29 +120,20 @@ def matrix_element(b: np.ndarray, j: int, k: int) -> float:
 def multiplication_matrix(b: np.ndarray, size: int) -> np.ndarray:
     """Dense symmetric matrix S with S[j,k] = <b e_k, e_j> for j,k < size.
 
-    Built from parity-split cumulative sums of b, so each entry is the exact
-    partial sum from the product rule.
+    The product rule read as a matrix: along diagonal d the entries are the
+    running sums S[i, i+d] = sum_{n <= i} b_{d+2n}.  Running sums only add
+    (a difference of prefix sums would cancel every entry far below the
+    largest b_n to rounding), so each entry is the exact partial sum of its
+    own coefficients.  b may also be a stack of profiles along its last axis;
+    the result then has shape b.shape[:-1] + (size, size).
     """
     b = np.asarray(b, dtype=float)
-    nb = len(b)
-    # csum[parity][i] = sum of b_n for n <= i with n of that parity
-    padded = np.zeros(max(nb, 2 * size))
-    padded[:nb] = b
-    ceven = np.cumsum(np.where(np.arange(len(padded)) % 2 == 0, padded, 0.0))
-    codd = np.cumsum(np.where(np.arange(len(padded)) % 2 == 1, padded, 0.0))
-    csum = (ceven, codd)
-    jj, kk = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-    lo = np.abs(jj - kk)
-    hi = np.minimum(jj + kk, len(padded) - 1)
-    par = (jj + kk) % 2
-    out = np.zeros((size, size))
-    for parity in (0, 1):
-        mask = par == parity
-        c = csum[parity]
-        total = c[hi[mask]]
-        below = np.where(lo[mask] >= 1, c[np.maximum(lo[mask] - 1, 0)], 0.0)
-        out[mask] = total - below
-    return out
+    padded = np.zeros(b.shape[:-1] + (max(b.shape[-1], 3 * size),))
+    padded[..., : b.shape[-1]] = b
+    n = np.arange(size)
+    # run[..., d, i] = sum_{n <= i} b_{d+2n}
+    run = np.cumsum(padded[..., n[:, None] + 2 * n[None, :]], axis=-1)
+    return run[..., np.abs(n[:, None] - n[None, :]), np.minimum.outer(n, n)]
 
 
 def to_circle_fourier(p: np.ndarray) -> np.ndarray:

@@ -4,8 +4,9 @@ import pytest
 from resonant_kg import CoeffField, NormParams
 from resonant_kg.bifurcation import (KernelField, KernelSolveError, bif_block,
                                      block_determinant, kernel_derivative,
-                                     kernel_residual, linearize_kernel,
-                                     one_mode_solution, solve_kernel)
+                                     kernel_derivative_matrix, kernel_residual,
+                                     linearize_kernel, one_mode_solution,
+                                     solve_kernel)
 
 from conftest import random_field
 
@@ -141,6 +142,22 @@ def test_kernel_derivative(rng):
     vm = solve_kernel(w + (-t) * h, m, J_V=J, tol=1e-14, start=res.kernel).kernel.v
     fd = (vp - vm) / (2 * t)
     assert np.max(np.abs(fd - dv.v)) < 1e-6 * max(1.0, np.abs(dv.v).max())
+
+
+def test_derivative_matrix_columns_match_kernel_derivative(rng):
+    # the fold gather against the product path: column c is the derivative
+    # in the direction of the unit field at lattice point c
+    from resonant_kg.linearized import WLattice
+    m, L, J = 1, 6, 5
+    w = random_field(rng, L, J, scale=0.05, decay=0.3)
+    v = solve_kernel(w, m, J_V=J).kernel
+    lattice = WLattice(L, J)
+    mat = kernel_derivative_matrix(v, w, lattice.ells, lattice.js)
+    assert mat.shape == (J + 1, lattice.size)
+    for c, (ell, j) in enumerate(zip(lattice.ells, lattice.js)):
+        unit = CoeffField.from_mode(int(ell), int(j), 1.0, L=L, J=J)
+        col = kernel_derivative(v, w, unit).v
+        assert np.abs(mat[:, c] - col).max() < 1e-12 * max(1.0, np.abs(col).max())
 
 
 def test_derivative_linear_response(rng):

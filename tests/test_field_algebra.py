@@ -65,6 +65,45 @@ def test_cube_of_one_mode():
         assert np.abs(cube.u[others]).max() < 1e-15
 
 
+def _scatter_product(a, b):
+    """Direct accumulation of the product rule, pair by pair (the oracle)."""
+    from resonant_kg.spherical_basis import eigen_product
+    La, Ja = a.shape[0] - 1, a.shape[1] - 1
+    Lb, Jb = b.shape[0] - 1, b.shape[1] - 1
+    out = np.zeros((La + Lb + 1, Ja + Jb + 1))
+    for p in range(-La, La + 1):
+        for q in range(-Lb, Lb + 1):
+            if p + q >= 0:
+                pair = np.outer(a[abs(p)], b[abs(q)])
+                for j in range(Ja + 1):
+                    for k in range(Jb + 1):
+                        e = eigen_product(j, k)
+                        out[p + q, : len(e)] += pair[j, k] * e
+    return out
+
+
+@pytest.mark.parametrize("L, J", [(16, 18), (8, 50)])
+def test_product_kernel_exact_on_tiny_rows(rng, L, J):
+    # non-negative fields whose upper half of time rows sits near 1e-200: the
+    # product is a plain sum of its own non-negative terms, so the kernel must
+    # match the scatter oracle entrywise in relative terms
+    from resonant_kg.spherical_basis import profile_multiply
+    fields = []
+    for Jf in (J, J // 2):
+        u = rng.random((L + 1, Jf + 1))
+        u[L // 2:] *= 1e-200
+        fields.append(u)
+    a, b = fields
+    ref = _scatter_product(a, b)
+    got = field_multiply(CoeffField(a), CoeffField(b)).u
+    assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+    assert np.count_nonzero((ref > 0) & (ref < 1e-150)) > 0
+    for la, lb in ((0, 0), (0, L), (L, L // 2 + 1), (L - 1, 1)):
+        ref = _scatter_product(a[la : la + 1], b[lb : lb + 1])[0]
+        got = profile_multiply(a[la], b[lb])
+        assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+
+
 def test_multiply_grid_oracle(rng):
     a = random_field(rng, 5, 4, scale=0.7, decay=0.1)
     b = random_field(rng, 4, 6, scale=0.7, decay=0.1)

@@ -126,6 +126,19 @@ def test_multiplication_matrix_matches_elements(rng):
     assert np.allclose(M, M.T)
 
 
+def test_multiplication_matrix_exact_on_steep_profiles():
+    # entries far below the largest coefficient keep their value: each entry
+    # is compared in relative terms with the direct partial sum
+    steep = np.exp(-2.0 * np.arange(41))
+    for b, size in ((np.array([1.0, 0.0, 1e-200]), 4), (steep, 30)):
+        M = multiplication_matrix(b, size)
+        for j in range(size):
+            for k in range(size):
+                ref = matrix_element(b, j, k)
+                assert abs(M[j, k] - ref) <= 1e-14 * abs(ref), (j, k, M[j, k], ref)
+    assert multiplication_matrix(np.array([1.0, 0.0, 1e-200]), 3)[0, 2] == 1e-200
+
+
 def test_diagonal_split_bound(rng):
     # <b e_j, e_j> = mean + r_j with |r_j| <= c(d) ||b||_{H^(r+1+d)} (2 omega_j)^-r
     delta = 0.5
