@@ -199,14 +199,18 @@ def cmd_measure(args) -> int:
     grid = np.linspace(1e-6, max(etas), args.solve_grid)
     mvals = _mean_curve(grid, args.m)
     m_of_eps = lambda e: np.interp(e, grid, mvals)
-    reports = [measure_scan(eta, args.samples, params, m_of_eps) for eta in etas]
+    try:
+        reports = [measure_scan(eta, args.samples, params, m_of_eps) for eta in etas]
+    except ValueError as exc:
+        print(f"invalid parameters: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     payload = {
         "gamma": args.gamma,
         "tau": args.tau,
         "m": args.m,
         "solve_grid": list(map(float, grid)),
         "mean_values": list(map(float, mvals)),
-        "reports": [json.loads(r.to_json()) for r in reports],
+        "reports": [r._payload() for r in reports],
         "fitted_exponent": fit_excluded_exponent(reports) if len(reports) >= 2 else None,
         "elapsed_s": time.perf_counter() - t0,
     }

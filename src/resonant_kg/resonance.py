@@ -13,14 +13,16 @@ time-averaged derivative of the nonlinearity along the solution branch.
 The measure scanner estimates how much of (0, eta] the conditions exclude,
 both by an exact union of per-pair excluded intervals (each f is strictly
 monotone in eps, slope >= l/4) and by Monte Carlo sampling of the same
-condition set.
+condition set.  The Monte Carlo searches each binding pair's near-integer
+window in the sorted samples and evaluates the conditions pointwise at the
+candidates, so it shares no end point, bisection or merge with the union.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -72,22 +74,15 @@ class ConditionRecord:
     ok: bool
 
 
-def mean_potential(w: CoeffField, v: KernelField,
-                   normalization: str = "half_period") -> float:
+def mean_potential(w: CoeffField, v: KernelField) -> float:
     """Spatial mean of the time average of 3 (w + v)^2.
 
-    'half_period' is (1/pi) * int_0^pi b0 dx (the version entering the
-    small-divisor analysis); 'normalized' uses the (2/pi) dx measure instead
-    and is exactly twice as large.  Exposed for sensitivity studies.
+    The mean is (1/pi) * int_0^pi b0 dx, the version entering the
+    small-divisor analysis.
     """
     u = v.embed(L=max(w.L, v.J + 1), J=max(w.J, v.J)) + w
     q = field_multiply(u, u)
-    m = 3.0 * mean_integral(q.u[0])
-    if normalization == "half_period":
-        return float(m)
-    if normalization == "normalized":
-        return float(2.0 * m)
-    raise ValueError(f"unknown normalization {normalization!r}")
+    return float(3.0 * mean_integral(q.u[0]))
 
 
 def _condition_failures(eps: float, mean_value: float, gamma: float, tau: float,
@@ -122,27 +117,25 @@ def _condition_failures(eps: float, mean_value: float, gamma: float, tau: float,
 
 
 def check_stage_conditions(eps: float, w: CoeffField, v: KernelField,
-                           params: ResonanceParams, L_n: int,
-                           normalization: str = "half_period"):
+                           params: ResonanceParams, L_n: int):
     """Stage admissibility: thresholds gamma/(l+omega_j)^tau over l <= L_n, omega_j <= 2 L_n.
 
     Returns (ok, failures); vacuously true when 1/(3 eps) > L_n.
     """
-    m = mean_potential(w, v, normalization)
+    m = mean_potential(w, v)
     failures = _condition_failures(eps, m, params.gamma, params.tau,
                                    L_n, 2 * L_n, factor=1.0, strict=True)
     return len(failures) == 0, failures
 
 
 def check_limit_conditions(eps: float, w: CoeffField, v: KernelField,
-                           params: ResonanceParams, L_max: int,
-                           normalization: str = "half_period"):
+                           params: ResonanceParams, L_max: int):
     """Limit-set membership up to l <= L_max with the doubled threshold.
 
     For l > L_max the conditions follow from the distance of omega(eps) l to
     the integers at this eps window; the cutoff is the caller's to report.
     """
-    m = mean_potential(w, v, normalization)
+    m = mean_potential(w, v)
     failures = _condition_failures(eps, m, params.gamma, params.tau,
                                    L_max, 2 * L_max, factor=2.0, strict=False)
     return len(failures) == 0, failures
@@ -214,12 +207,16 @@ class MeasureReport:
     n_pairs: int
     samples: int
 
-    def to_json(self, path=None) -> str:
-        payload = {k: v for k, v in asdict(self).items()}
+    def _payload(self) -> dict:
+        """The JSON object of this report; each interval becomes {lo, hi, ell, j}."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
         payload["excluded_intervals"] = [
             {"lo": lo, "hi": hi, "ell": ell, "j": j} for (lo, hi, ell, j) in self.excluded_intervals
         ]
-        text = json.dumps(payload, indent=1, sort_keys=True)
+        return payload
+
+    def to_json(self, path=None) -> str:
+        text = json.dumps(self._payload(), indent=1, sort_keys=True)
         if path is not None:
             with open(path, "w") as fh:
                 fh.write(text)
@@ -228,14 +225,11 @@ class MeasureReport:
 
 def _pair_arrays(eta: float, ell_max: int):
     """Binding pairs (l, d): omega_j = l + d, 1 <= d <= floor(4 eta l) + 2."""
-    ells, ds = [], []
-    ell_lo = max(int(np.ceil(1.0 / (3.0 * eta))), 1)
-    for ell in range(ell_lo, ell_max + 1):
-        dmax = int(np.floor(4.0 * eta * ell)) + 2
-        for d in range(1, dmax + 1):
-            ells.append(ell)
-            ds.append(d)
-    return np.array(ells, dtype=float), np.array(ds, dtype=float)
+    ell_grid = np.arange(max(int(np.ceil(1.0 / (3.0 * eta))), 1), ell_max + 1, dtype=float)
+    dmax = np.floor(4.0 * eta * ell_grid).astype(np.int64) + 2
+    first = np.cumsum(dmax) - dmax
+    ds = np.arange(1, int(dmax.sum()) + 1) - np.repeat(first, dmax)
+    return np.repeat(ell_grid, dmax), ds.astype(float)
 
 
 def _melnikov_values(e, ells, wjs, m_of_eps, shifted: bool):
@@ -245,47 +239,102 @@ def _melnikov_values(e, ells, wjs, m_of_eps, shifted: bool):
     return v
 
 
+def _union_length(lo, hi) -> float:
+    """Length of the union of the intervals [lo_i, hi_i], lo sorted ascending.
+
+    An interval joins the current run when it starts at or before the run's
+    reach (the running maximum of hi).  The run lengths are added left to
+    right, as a sequential merge would add them.
+    """
+    if len(lo) == 0:
+        return 0.0
+    reach = np.maximum.accumulate(hi)
+    starts = np.flatnonzero(np.r_[True, lo[1:] > reach[:-1]])
+    ends = np.r_[starts[1:], len(lo)] - 1
+    return float(np.cumsum(reach[ends] - lo[starts])[-1])
+
+
+def _excluded_samples(e_samples, ells, wjs, thr, cut, m_of_eps):
+    """Mask of the samples that violate either condition at some binding pair.
+
+    A sample e can violate a condition at pair (l, n = omega_j) only when
+    |sqrt(1 + e) l - n| < cut_l, that is inside the window
+    ((n - cut_l)^2 / l^2 - 1, (n + cut_l)^2 / l^2 - 1).  Each window, widened
+    by far more than the rounding of either side (a few ulp of 1 + e), is
+    found by binary search in the sorted samples; the per-element test then
+    runs on these candidates only.
+    """
+    order = np.argsort(e_samples)
+    e_sorted = e_samples[order]
+    pad = 1e-12 * (1.0 + e_sorted[-1])
+    first = np.searchsorted(e_sorted, ((wjs - cut) / ells) ** 2 - 1.0 - pad, side="left")
+    stop = np.searchsorted(e_sorted, ((wjs + cut) / ells) ** 2 - 1.0 + pad, side="right")
+    counts = stop - first
+    pair = np.repeat(np.arange(len(ells)), counts)
+    pos = np.arange(len(pair)) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+    e, ell, n = e_sorted[pos], ells[pair], wjs[pair]
+    x = np.sqrt(1.0 + e) * ell
+    keep = (np.abs(x - n) < cut[pair]) & (ell >= 1.0 / (3.0 * e))
+    e, n, x, pair, pos = e[keep], n[keep], x[keep], pair[keep], pos[keep]
+    th = thr[pair]
+    me = np.asarray(m_of_eps(e))
+    plain = np.abs(x - n) < th
+    shifted = np.abs(x - n - e * me / (2.0 * n)) < th
+    excluded = np.zeros(len(e_samples), dtype=bool)
+    excluded[order[pos[plain | shifted]]] = True
+    return excluded
+
+
 def measure_scan(eta: float, samples: int, params: ResonanceParams, m_of_eps,
-                 ell_max_factor: float = 64.0, rng_seed: int = 0,
-                 mc_chunk: int = 256) -> MeasureReport:
+                 ell_max_factor: float = 64.0, rng_seed: int = 0) -> MeasureReport:
     """Estimate |admissible set in (0, eta]| / eta.
 
-    (a) Exact union of per-pair excluded intervals, found by vectorized
-        bisection of the monotone condition functions; (b) Monte Carlo over
-        uniform samples of the same condition set.  Both use the identical
-        binding-pair enumeration (l <= ell_max ~ ell_max_factor/eta, the
-        reported tail bound covers the rest).
+    Both estimates use the identical binding-pair enumeration (l <= ell_max ~
+    ell_max_factor/eta; the reported tail bound covers the rest):
+
+    (a) the exact union of per-pair excluded intervals, whose end points are
+        found by vectorized bisection of the monotone condition functions;
+    (b) Monte Carlo over uniform samples of the same condition set, found
+        by a window search (see _excluded_samples) and evaluated pointwise;
+        it shares nothing with (a) but the pairs, so it checks the union.
     """
+    if eta <= 0.0:
+        raise ValueError("eta must be positive")
     if eta > params.eps0:
         raise ValueError("eta must not exceed eps0")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     gamma, tau = params.gamma, params.tau
     ell_max = int(np.ceil(ell_max_factor / eta))
     ells, ds = _pair_arrays(eta, ell_max)
     wjs = ells + ds
     thr = 2.0 * gamma / (ells + wjs) ** tau
+    # Only the integer nearest omega(eps) l can violate either condition: cut
+    # bounds threshold plus Melnikov shift, and while it stays far below 1/2
+    # farther integers are safe.
+    shift_cap = eta * float(np.max(np.abs(m_of_eps(np.linspace(0, eta, 64)))) + 1.0)
+    cut = 2.0 * gamma / (2.0 * ells) ** tau + shift_cap / (2.0 * ells)
+    if float(cut.max()) >= 0.4:
+        raise ValueError("threshold + shift too close to 1/2: nearest-integer "
+                         "reduction invalid at these parameters")
+
     lo = 1.0 / (3.0 * ells)
     hi = np.full_like(ells, eta)
-
-    intervals = []
-    total_mass = 0.0
-    merged: list[tuple[float, float]] = []
+    found = []
     for shifted in (True, False):
-        def f(e, mask=None):
-            if mask is None:
-                return _melnikov_values(e, ells, wjs, m_of_eps, shifted)
-            return _melnikov_values(e, ells[mask], wjs[mask], m_of_eps, shifted)
-
-        flo, fhi = f(lo), f(hi)
+        flo = _melnikov_values(lo, ells, wjs, m_of_eps, shifted)
+        fhi = _melnikov_values(hi, ells, wjs, m_of_eps, shifted)
         active = (flo < thr) & (fhi > -thr)
         if not np.any(active):
             continue
         a_lo, a_hi, t = lo[active], hi[active], thr[active]
+        a_ells, a_wjs = ells[active], wjs[active]
 
         def bisect(sign):
             a, b = a_lo.copy(), a_hi.copy()
             for _ in range(60):
                 mid = 0.5 * (a + b)
-                above = f(mid, active) > sign * t
+                above = _melnikov_values(mid, a_ells, a_wjs, m_of_eps, shifted) > sign * t
                 b = np.where(above, mid, b)
                 a = np.where(above, a, mid)
             return 0.5 * (a + b)
@@ -293,53 +342,19 @@ def measure_scan(eta: float, samples: int, params: ResonanceParams, m_of_eps,
         left = np.where(flo[active] >= -t, a_lo, bisect(-1.0))
         right = np.where(fhi[active] <= t, a_hi, bisect(+1.0))
         good = right > left
-        for L, R, el, d in zip(left[good], right[good], ells[active][good], ds[active][good]):
-            intervals.append((float(L), float(R), int(el), int(el + d) - 1))
+        found.append((left[good], right[good], a_ells[good], a_wjs[good]))
 
-    intervals.sort()
-    for L, R, _, _ in intervals:
-        if merged and L <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], R))
-        else:
-            merged.append((L, R))
-    total_mass = float(sum(R - L for L, R in merged))
+    left, right, el, wj = (np.concatenate(c) for c in zip(*found)) if found else np.empty((4, 0))
+    order = np.lexsort((wj, el, right, left))
+    left, right = left[order], right[order]
+    intervals = list(zip(left.tolist(), right.tolist(), el[order].astype(int).tolist(),
+                         (wj[order].astype(int) - 1).tolist()))
+    total_mass = _union_length(left, right)
     fraction_interval = 1.0 - total_mass / eta
 
-    # Monte Carlo over the identical condition set.  Only the integer nearest
-    # omega(eps) l can violate either condition: thresholds and the Melnikov
-    # shift together stay far below 1/2, so farther integers are safe.  A
-    # cheap distance pre-filter keeps the full evaluation sparse.
     rng = np.random.default_rng(rng_seed)
-    e_samples = rng.uniform(0.0, eta, size=samples)
-    excluded = np.zeros(samples, dtype=bool)
-    ell_grid = np.arange(max(int(np.ceil(1.0 / (3.0 * eta))), 1), ell_max + 1, dtype=float)
-    dwin = np.floor(4.0 * eta * ell_grid) + 2.0
-    shift_cap = eta * float(np.max(np.abs(m_of_eps(np.linspace(0, eta, 64)))) + 1.0)
-    cut = 2.0 * gamma / (2.0 * ell_grid) ** tau + shift_cap / (2.0 * ell_grid)
-    if float(cut.max()) >= 0.4:
-        raise ValueError("threshold + shift too close to 1/2: nearest-integer "
-                         "reduction invalid at these parameters")
-    for start in range(0, samples, mc_chunk):
-        e = e_samples[start : start + mc_chunk][:, None]
-        x = np.sqrt(1.0 + e) * ell_grid[None, :]
-        n = np.round(x)
-        near = np.abs(x - n) < cut[None, :]
-        rows, cols = np.nonzero(near)
-        if len(rows) == 0:
-            continue
-        ev = e[rows, 0]
-        ells_c = ell_grid[cols]
-        nv = n[rows, cols]
-        d = nv - ells_c
-        valid = (ells_c >= 1.0 / (3.0 * ev)) & (d >= 1.0) & (d <= dwin[cols])
-        th = 2.0 * gamma / (ells_c + nv) ** tau
-        me = np.asarray(m_of_eps(ev))
-        plain = np.abs(x[rows, cols] - nv) < th
-        shiftc = np.abs(x[rows, cols] - nv - ev * me / (2.0 * nv)) < th
-        bad = valid & (plain | shiftc)
-        if bad.any():
-            idx = start + rows[bad]
-            excluded[np.unique(idx)] = True
+    excluded = _excluded_samples(rng.uniform(0.0, eta, size=samples), ells, wjs, thr, cut,
+                                 m_of_eps)
     fraction_mc = 1.0 - float(np.mean(excluded))
     mc_stderr = float(np.std(excluded) / np.sqrt(samples))
 

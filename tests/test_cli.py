@@ -88,6 +88,17 @@ def test_measure_command(tmp_path):
                  "--out", str(tmp_path / "x.json")]) == 65
 
 
+def test_measure_bad_window_or_samples_exit_64(tmp_path, capsys):
+    out = tmp_path / "m.json"
+    assert main(["measure", "--eta", "0.04", "--eta", "0", "--solve-grid", "2",
+                 "--out", str(out)]) == 64
+    assert main(["measure", "--eta", "0.04", "--samples", "0", "--solve-grid", "2",
+                 "--out", str(out)]) == 64
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "eta must be positive" in err and "samples must be at least 1" in err
+
+
 def test_divisors_and_spectrum(tmp_path):
     out = tmp_path / "run"
     assert main(solve_args(out)) == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from resonant_kg import CoeffField
+from resonant_kg import CoeffField, resonance
 from resonant_kg.bifurcation import KernelField, one_mode_solution, solve_kernel
 from resonant_kg.resonance import (ConditionRecord, ResonanceParams,
                                    check_limit_conditions, check_stage_conditions,
@@ -22,12 +22,6 @@ def test_mean_potential_examples():
         assert abs(mean_potential(w, v) - 2.0 * (m + 1) ** 2) < 1e-12
     zero = KernelField(np.zeros(2))
     assert mean_potential(CoeffField.zeros(1, 1), zero) == 0.0
-    # the alternative normalization is exactly twice as large
-    v = one_mode_solution(0)
-    w = CoeffField.zeros(1, 0)
-    assert abs(mean_potential(w, v, "normalized") - 2 * mean_potential(w, v)) < 1e-14
-    with pytest.raises(ValueError):
-        mean_potential(w, v, "bogus")
 
 
 def test_mean_potential_lipschitz(rng):
@@ -207,3 +201,118 @@ def test_params_validation():
         ResonanceParams(0.05, 2.5)
     with pytest.raises(ValueError):
         measure_scan(0.2, 10, ResonanceParams(0.05, 1.5, eps0=0.1), _m_const())
+
+
+def test_measure_scan_rejects_bad_input():
+    params = ResonanceParams(0.05, 1.5, eps0=0.05)
+    for eta in (0.0, -0.01):
+        with pytest.raises(ValueError, match="eta"):
+            measure_scan(eta, 10, params, _m_const())
+    with pytest.raises(ValueError, match="samples"):
+        measure_scan(0.04, 0, params, _m_const())
+
+
+def test_measure_scan_nearest_integer_guard():
+    # threshold + shift near 1/2 at l = 1/(3 eta): the window search and the
+    # near-integer pre-filter would miss violations at farther integers
+    params = ResonanceParams(0.05, 1.5, eps0=0.05)
+    with pytest.raises(ValueError, match="1/2"):
+        measure_scan(0.04, 10, params, _m_const(1e3))
+
+
+def _interpolated_m_of_eps():
+    """A non-constant branch mean interpolated on a solve grid, as the CLI builds it."""
+    grid = np.linspace(1e-6, 0.04, 4)
+    return lambda e: np.interp(e, grid, [2.0, 2.4, 2.1, 2.7])
+
+
+def _dense_grid_excluded(e_samples, eta, params, m_of_eps, ell_max_factor=64.0, chunk=256):
+    """Oracle: the dense samples x ell Monte Carlo that the window search replaced."""
+    gamma, tau = params.gamma, params.tau
+    ell_max = int(np.ceil(ell_max_factor / eta))
+    excluded = np.zeros(len(e_samples), dtype=bool)
+    ell_grid = np.arange(max(int(np.ceil(1.0 / (3.0 * eta))), 1), ell_max + 1, dtype=float)
+    dwin = np.floor(4.0 * eta * ell_grid) + 2.0
+    shift_cap = eta * float(np.max(np.abs(m_of_eps(np.linspace(0, eta, 64)))) + 1.0)
+    cut = 2.0 * gamma / (2.0 * ell_grid) ** tau + shift_cap / (2.0 * ell_grid)
+    for start in range(0, len(e_samples), chunk):
+        e = e_samples[start : start + chunk][:, None]
+        x = np.sqrt(1.0 + e) * ell_grid[None, :]
+        n = np.round(x)
+        rows, cols = np.nonzero(np.abs(x - n) < cut[None, :])
+        ev = e[rows, 0]
+        ells_c = ell_grid[cols]
+        nv = n[rows, cols]
+        d = nv - ells_c
+        valid = (ells_c >= 1.0 / (3.0 * ev)) & (d >= 1.0) & (d <= dwin[cols])
+        th = 2.0 * gamma / (ells_c + nv) ** tau
+        me = np.asarray(m_of_eps(ev))
+        plain = np.abs(x[rows, cols] - nv) < th
+        shiftc = np.abs(x[rows, cols] - nv - ev * me / (2.0 * nv)) < th
+        excluded[start + rows[valid & (plain | shiftc)]] = True
+    return excluded
+
+
+def test_monte_carlo_matches_dense_grid_oracle(monkeypatch):
+    params = ResonanceParams(0.05, 1.5, eps0=0.04)
+    m_of_eps = _interpolated_m_of_eps()
+    seen = []
+    search = resonance._excluded_samples
+
+    def spy(e_samples, *args):
+        mask = search(e_samples, *args)
+        seen.append((e_samples, mask))
+        return mask
+
+    monkeypatch.setattr(resonance, "_excluded_samples", spy)
+    for eta in (0.04, 0.01):
+        for seed in (3, 2024):
+            rep = measure_scan(eta, 5000, params, m_of_eps, rng_seed=seed)
+            e_samples, mask = seen.pop()
+            oracle = _dense_grid_excluded(e_samples, eta, params, m_of_eps)
+            assert oracle.any()
+            np.testing.assert_array_equal(mask, oracle)
+            assert rep.fraction_mc == 1.0 - float(np.mean(oracle))
+
+
+def test_pair_arrays_match_double_loop():
+    for eta, ell_max in ((0.04, 1600), (0.013, 4924), (0.3, 5), (1e-3, 300)):
+        ells, ds = [], []
+        for ell in range(max(int(np.ceil(1.0 / (3.0 * eta))), 1), ell_max + 1):
+            for d in range(1, int(np.floor(4.0 * eta * ell)) + 3):
+                ells.append(ell)
+                ds.append(d)
+        got_ells, got_ds = resonance._pair_arrays(eta, ell_max)
+        assert got_ells.dtype == got_ds.dtype == np.float64
+        np.testing.assert_array_equal(got_ells, np.array(ells, dtype=float))
+        np.testing.assert_array_equal(got_ds, np.array(ds, dtype=float))
+
+
+def _merge_loop_mass(intervals):
+    merged = []
+    for lo, hi in sorted(intervals):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return float(sum(hi - lo for lo, hi in merged))
+
+
+def test_union_length_matches_merge_loop(rng):
+    lo = np.sort(rng.uniform(0.0, 1.0, 3000))
+    dup = np.arange(5, lo.size, 17)
+    lo[dup] = lo[dup - 1]  # shared left ends
+    hi = lo + rng.exponential(1e-3, lo.size)
+    hi[::7] = lo[::7]  # empty intervals
+    touch = np.arange(3, lo.size - 1, 11)
+    hi[touch] = lo[touch + 1]  # ends exactly where the next one starts
+    cases = [(lo, hi), (np.empty(0), np.empty(0))]
+    params = ResonanceParams(0.05, 1.5, eps0=0.04)
+    rep = measure_scan(0.04, 10, params, _interpolated_m_of_eps())
+    arr = np.array([(a, b) for a, b, _, _ in rep.excluded_intervals])
+    cases.append((arr[:, 0], arr[:, 1]))
+    for a, b in cases:
+        expected = _merge_loop_mass(list(zip(a.tolist(), b.tolist())))
+        got = resonance._union_length(a, b)
+        assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+    assert rep.excluded_mass == _merge_loop_mass([(a, b) for a, b, _, _ in rep.excluded_intervals])
