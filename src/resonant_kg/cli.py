@@ -6,7 +6,7 @@ plus artifact writing.  Data payloads are deterministic given the flags
 
 Exit codes: 0 success, 1 numeric failure, 2 amplitude excluded by a
 non-resonance condition, 64 usage error, 65 insufficient solve grid,
-66 missing artifact.
+66 missing or corrupt artifact.
 """
 
 from __future__ import annotations
@@ -224,17 +224,26 @@ def cmd_measure(args) -> int:
 
 
 def _load_run(run_dir):
+    """(range part, kernel data, config) of a run directory.
+
+    FileNotFoundError for a missing artifact, ValueError for a corrupt one.
+    """
     from .field_algebra import load_field
     needed = ["range_part.field", "kernel.json", "manifest.json"]
     for name in needed:
         if not os.path.exists(os.path.join(run_dir, name)):
             raise FileNotFoundError(f"missing artifact {name} in {run_dir}")
     w = load_field(os.path.join(run_dir, "range_part.field"))
-    with open(os.path.join(run_dir, "kernel.json")) as fh:
-        kernel_data = json.load(fh)
-    with open(os.path.join(run_dir, "manifest.json")) as fh:
-        config = json.load(fh)["config"]
-    return w, kernel_data, config
+    documents = []
+    for name in ("kernel.json", "manifest.json"):
+        path = os.path.join(run_dir, name)
+        with open(path) as fh:
+            try:
+                documents.append(json.load(fh))
+            except ValueError as exc:
+                raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    kernel_data, manifest = documents
+    return w, kernel_data, manifest["config"]
 
 
 def cmd_divisors(args) -> int:
@@ -245,7 +254,7 @@ def cmd_divisors(args) -> int:
 
     try:
         w, kernel_data, config = _load_run(args.run)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_MISSING
     v = KernelField(np.array(kernel_data["coefficients"]))
@@ -269,7 +278,7 @@ def cmd_spectrum(args) -> int:
 
     try:
         w, kernel_data, config = _load_run(args.run)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_MISSING
     v = KernelField(np.array(kernel_data["coefficients"]))
@@ -291,7 +300,11 @@ def cmd_verify(args) -> int:
     if not os.path.exists(args.field):
         print(f"missing field file {args.field}", file=sys.stderr)
         return EXIT_MISSING
-    u = load_field(args.field)
+    try:
+        u = load_field(args.field)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_MISSING
     report = verify_solution(u, args.eps)
     if args.out:
         report.to_json(args.out)

@@ -156,7 +156,7 @@ class CoeffField:
         """
         wj = (np.arange(self.J + 1, dtype=float) + 1.0) ** (2.0 * params.r)
         rmax = np.max(np.abs(self.u), axis=1)
-        mask = rmax > 0.0
+        mask = rmax != 0.0  # keeps NaN rows, so a non-finite field has a NaN norm
         if not mask.any():
             return 0.0
         scaled = self.u[mask] / rmax[mask, None]  # rescale so squaring cannot underflow
@@ -368,15 +368,38 @@ def save_field(f: CoeffField, path) -> None:
 
 
 def load_field(path) -> CoeffField:
+    """Read a save_field file; ValueError naming the file if it is malformed.
+
+    The header must carry the keys save_field writes, the dtype "<f8" and
+    non-negative sizes, and the payload must hold exactly (L+1)(J+1) values.
+    """
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError(f"{path}: not a coefficient-field file")
-        (n,) = np.frombuffer(fh.read(4), dtype=np.uint32)
-        header = json.loads(fh.read(int(n)).decode())
-        if header.get("convention") != "cos-halfline":
-            raise ValueError(f"{path}: unknown convention {header.get('convention')!r}")
-        L, J = int(header["L"]), int(header["J"])
-        data = np.frombuffer(fh.read(8 * (L + 1) * (J + 1)), dtype="<f8")
+        raw = fh.read()
+    if raw[:4] != _MAGIC:
+        raise ValueError(f"{path}: not a coefficient-field file")
+    if len(raw) < 8:
+        raise ValueError(f"{path}: truncated header")
+    end = 8 + int(np.frombuffer(raw[4:8], dtype=np.uint32)[0])
+    if len(raw) < end:
+        raise ValueError(f"{path}: truncated header")
+    try:
+        header = json.loads(raw[8:end].decode())
+    except ValueError as exc:  # includes UnicodeDecodeError and JSONDecodeError
+        raise ValueError(f"{path}: unreadable header ({exc})") from exc
+    if not isinstance(header, dict) or not {"L", "J", "convention", "dtype"} <= header.keys():
+        raise ValueError(f"{path}: header lacks L, J, convention or dtype")
+    if header["convention"] != "cos-halfline":
+        raise ValueError(f"{path}: unknown convention {header['convention']!r}")
+    if header["dtype"] != "<f8":
+        raise ValueError(f"{path}: unsupported dtype {header['dtype']!r}")
+    L, J = header["L"], header["J"]
+    if not all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in (L, J)):
+        raise ValueError(f"{path}: sizes L={L!r}, J={J!r} are not non-negative integers")
+    expected = 8 * (L + 1) * (J + 1)
+    if len(raw) - end != expected:
+        raise ValueError(f"{path}: payload holds {len(raw) - end} bytes, "
+                         f"expected {expected} for L={L}, J={J}")
+    data = np.frombuffer(raw, dtype="<f8", offset=end)
     return CoeffField(data.reshape(L + 1, J + 1).copy())
 
 

@@ -13,10 +13,16 @@ mean b0 and the oscillating part gives the diagonal family
     D_l = omega^2 l^2 - A - eps pi_l (b0 .) pi_l
 
 whose spectra (a Sturm-Liouville perturbation of omega_j^2) control the small
-divisors alpha_l = min_j |omega^2 l^2 - lambda_{l,j}(eps)|.  The production
-inverse is a dense LU factorization on the truncation; the sign/half-power
-preconditioner splitting and the Neumann series are kept as diagnostics that
-certify the expected bounds.
+divisors alpha_l = min_j |omega^2 l^2 - lambda_{l,j}(eps)|.  Every block is one
+matrix omega_j^2 + eps B with the row and column of e_{l-1} deleted, so the
+divisor table diagonalizes that matrix once and finds each block's
+eigenvalue nearest omega^2 l^2 from a secular equation; the per-block
+banded eigensolve stays for `diagonalize_block` and as the test oracle.  The
+production inverse is a dense LU factorization on the truncation, and its
+weighted norm is the square root of the top eigenvalue of a Gram matrix
+(power iteration, a lower bound, above EXACT_NORM_MAX unknowns).  The
+sign/half-power preconditioner splitting and the Neumann series are kept as
+diagnostics that certify the expected bounds.
 """
 
 from __future__ import annotations
@@ -48,7 +54,13 @@ __all__ = [
     "preconditioned_split_check",
     "PrecondReport",
     "ResonantSolveError",
+    "EXACT_NORM_MAX",
 ]
+
+
+# Largest unknown count at which LinearizedOperator.inverse_norm is exact;
+# above it the value is a power-iteration lower bound.
+EXACT_NORM_MAX = 1600
 
 
 class ResonantSolveError(RuntimeError):
@@ -164,12 +176,19 @@ class LinearizedOperator:
         return self.omega ** 2 * ell ** 2 - wj ** 2
 
     def factorize(self):
+        """LU factors of the matrix, computed once.
+
+        Exact or numerical singularity raises ResonantSolveError.  Non-finite
+        entries are not rejected here or in `solve`: they carry through to
+        the solution, where the Picard loop of `nash_moser.solve_stage`
+        reports them with the stage and iteration.
+        """
         if self._lu is None:
             try:
                 with warnings.catch_warnings():
                     # exact singularity is detected below and raised as an error
                     warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                    self._lu = scipy.linalg.lu_factor(self.matrix)
+                    self._lu = scipy.linalg.lu_factor(self.matrix, check_finite=False)
             except scipy.linalg.LinAlgError as exc:
                 raise ResonantSolveError("linearized operator is singular") from exc
             u_diag = np.abs(np.diag(self._lu[0]))
@@ -186,21 +205,33 @@ class LinearizedOperator:
         if check_support and not self.lattice.in_lattice_support(rhs):
             raise ValueError("right-hand side has support outside the range truncation")
         lu = self.factorize()
-        return self.lattice.to_field(scipy.linalg.lu_solve(lu, self.lattice.to_vector(rhs)))
+        return self.lattice.to_field(scipy.linalg.lu_solve(lu, self.lattice.to_vector(rhs),
+                                                           check_finite=False))
 
-    def inverse_norm(self, params: NormParams, exact_threshold: int = 1600,
+    def inverse_norm(self, params: NormParams, exact_threshold: int = EXACT_NORM_MAX,
                      power_iterations: int = 40) -> float:
         """Operator norm of the inverse on the weighted (sigma, s, r) metric.
 
-        Exact spectral norm up to `exact_threshold` unknowns, deterministic
-        power iteration on B^T B (B the weighted inverse) above it.
+        With B = diag(w) Lop^{-1} diag(w)^{-1} (w the lattice weights), the
+        norm is sigma_max(B) = sqrt(lambda_max(B^T B)).  Up to
+        `exact_threshold` unknowns it is exact: the top eigenvalue of the
+        Gram matrix B^T B, which is perfectly conditioned.  Above it,
+        deterministic power iteration on B^T B gives a lower bound.
         """
         w = self.lattice.weights(params)
         n = self.lattice.size
         lu = self.factorize()
         if n <= exact_threshold:
-            inv = scipy.linalg.lu_solve(lu, np.eye(n))
-            return float(np.linalg.norm(w[:, None] * inv / w[None, :], 2))
+            # a Fortran-ordered right-hand side is solved in place, and syrk
+            # reads the Fortran-ordered B without a copy
+            inv = scipy.linalg.lu_solve(lu, np.eye(n, order="F"), overwrite_b=True)
+            inv *= w[:, None]
+            inv /= w[None, :]
+            gram = scipy.linalg.blas.dsyrk(1.0, inv, trans=1, lower=0)  # upper B^T B
+            del inv
+            top = scipy.linalg.eigvalsh(gram, lower=False, subset_by_index=[n - 1, n - 1],
+                                        overwrite_a=True)
+            return float(np.sqrt(top[0]))
         x = np.ones(n) / np.sqrt(n)
         est = 0.0
         for _ in range(power_iterations):
@@ -280,23 +311,31 @@ def _kept_modes(ell: int, size: int) -> np.ndarray:
     return js[js != abs(ell) - 1]
 
 
-def _block_spectrum(ell: int, eps: float, B: np.ndarray, bw: int):
-    """Eigenvalues of omega_j^2 + eps B on the modes j != |l| - 1, and those modes.
+def _bands(kept: np.ndarray, eps: float, B: np.ndarray, bw: int) -> np.ndarray:
+    """Upper banded storage of omega_j^2 + eps B restricted to the modes kept.
 
-    B is the multiplication matrix of b0 and bw the half-bandwidth of eps B
-    (0 when it is diagonal or vanishes).  The restriction is written straight
-    into upper banded storage for eigvals_banded: deleting an index never
-    widens the band.  At small eps the ascending eigenvalues match the
-    ascending labels.
+    Deleting an index never widens the band, so bw (the half-bandwidth of
+    eps B, 0 when it is diagonal or vanishes) holds for every restriction.
     """
-    kept = _kept_modes(ell, len(B))
     n = len(kept)
     bands = np.zeros((bw + 1, n))
     bands[bw] = (kept + 1.0) ** 2 + eps * B[kept, kept]
-    if bw == 0:
-        return bands[0], kept
     for d in range(1, bw + 1):
         bands[bw - d, d:] = eps * B[kept[: n - d], kept[d:]]
+    return bands
+
+
+def _block_spectrum(ell: int, eps: float, B: np.ndarray, bw: int):
+    """Eigenvalues of omega_j^2 + eps B on the modes j != |l| - 1, and those modes.
+
+    B is the multiplication matrix of b0 and bw the half-bandwidth of eps B.
+    One eigvals_banded solve per block; at small eps the ascending
+    eigenvalues match the ascending labels.
+    """
+    kept = _kept_modes(ell, len(B))
+    bands = _bands(kept, eps, B, bw)
+    if bw == 0:
+        return bands[0], kept
     try:
         return scipy.linalg.eigvals_banded(bands, lower=False), kept
     except scipy.linalg.LinAlgError as exc:
@@ -381,45 +420,156 @@ class DivisorReport:
 
 
 def _divisor_report(eps: float, gamma: float, tau: float, ells: np.ndarray,
-                    spectra) -> DivisorReport:
-    """alpha_l = min_j |omega^2 l^2 - lambda_{l,j}| with its label, and the floor.
-
-    spectra yields one (eigenvalues, labels) pair per l in ells; the
-    admissibility floor is gamma / (20 max(l, 1)^(tau - 1)).
-    """
-    omega2 = 1.0 + eps
-    alphas = np.empty(len(ells))
-    jmins = np.empty(len(ells), dtype=int)
-    for i, (ell, (lam, js)) in enumerate(zip(ells, spectra)):
-        divisors = np.abs(omega2 * ell ** 2 - lam)
-        k = int(np.argmin(divisors))
-        alphas[i] = divisors[k]
-        jmins[i] = js[k]
+                    alpha: np.ndarray, j_min: np.ndarray) -> DivisorReport:
+    """Attach the admissibility floor gamma / (20 max(l, 1)^(tau - 1)) to alpha_l."""
     floor = gamma / (20.0 * np.maximum(np.abs(ells), 1) ** (tau - 1.0))
-    return DivisorReport(eps=eps, gamma=gamma, tau=tau, ells=ells, alpha=alphas,
-                         j_min=jmins, floor=floor, ok=alphas >= floor)
+    return DivisorReport(eps=eps, gamma=gamma, tau=tau, ells=ells, alpha=alpha,
+                         j_min=j_min, floor=floor, ok=alpha >= floor)
 
 
 def small_divisors(eps: float, blocks: list[SpectralBlock], gamma: float,
                    tau: float) -> DivisorReport:
     """alpha_l = min_j |omega^2 l^2 - lambda_{l,j}(eps)| with argmin, per block."""
-    return _divisor_report(eps, gamma, tau, np.array([blk.ell for blk in blocks]),
-                           ((blk.lam, blk.js) for blk in blocks))
+    ells = np.array([blk.ell for blk in blocks])
+    alpha = np.empty(len(blocks))
+    j_min = np.empty(len(blocks), dtype=int)
+    for i, blk in enumerate(blocks):
+        divisors = np.abs((1.0 + eps) * blk.ell ** 2 - blk.lam)
+        k = int(np.argmin(divisors))
+        alpha[i] = divisors[k]
+        j_min[i] = blk.js[k]
+    return _divisor_report(eps, gamma, tau, ells, alpha, j_min)
+
+
+# A pole whose eigenvector has weight below this on the deleted mode is an
+# eigenvalue of the block to working accuracy (deflation, as in LAPACK's
+# divide and conquer).
+_DEFLATION_WEIGHT = (4.0 * np.finfo(float).eps) ** 2
+# Bisection halves a bracket of at most half a pole gap; after 64 halvings the
+# bracket is far below one ulp of the root.
+_BISECTION_STEPS = 64
+
+
+def _secular_roots(lam: np.ndarray, prob: np.ndarray, weight: np.ndarray,
+                   lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Root of f(mu) = sum w_k / (lam_k - mu) in each gap (lo, hi) of its poles.
+
+    Problem p owns the terms with prob == p; lo and hi are two consecutive
+    poles of it, so f increases from -inf to +inf across the gap.  Each root
+    is bisected as an offset from the nearer end pole, which keeps the
+    offset exact to relative accuracy however close the root sits to it.
+    """
+    size = len(lo)
+
+    def f(poles, mu):
+        return np.bincount(prob, weight / (poles - mu[prob]), minlength=size)
+
+    mid = 0.5 * (lo + hi)
+    near_lo = f(lam, mid) > 0.0
+    origin = np.where(near_lo, lo, hi)
+    shifted = lam - origin[prob]
+    left = np.where(near_lo, 0.0, mid - hi)
+    right = np.where(near_lo, mid - lo, 0.0)
+    for _ in range(_BISECTION_STEPS):
+        x = 0.5 * (left + right)
+        above = f(shifted, x) > 0.0
+        right = np.where(above, x, right)
+        left = np.where(above, left, x)
+    return origin + 0.5 * (left + right)
+
+
+def _nearest_eigenvalue(lam: np.ndarray, t: np.ndarray, rows: np.ndarray,
+                        poles: np.ndarray, weight: np.ndarray):
+    """Distance from t[r] to the nearest eigenvalue of block r, and its rank.
+
+    lam holds the ascending eigenvalues of M.  Block r is M with one row and
+    column deleted; its live poles are lam[poles] with the secular weights
+    `weight` on the entries where rows == r (row-major, ascending within a
+    row).  Its eigenvalues are every other pole of lam (deflated) and one
+    secular root in each gap between consecutive live poles; a row with no
+    live pole is M itself.
+    """
+    size = len(t)
+    count = np.bincount(rows, minlength=size)
+    start = np.cumsum(count) - count
+    # live pole g_t is the last at or below t; the roots in the gaps after
+    # live poles g_t - 1, g_t, g_t + 1 are the only ones that can be nearest
+    g_t = np.bincount(rows, lam[poles] <= t[rows], minlength=size).astype(int) - 1
+    gaps = g_t[:, None] + np.arange(-1, 2)
+    pr, pc = np.nonzero((gaps >= 0) & (gaps <= count[:, None] - 2))
+    lo_at = np.zeros(gaps.shape, dtype=int)  # entry of the gap's lower pole
+    lo_at[pr, pc] = start[pr] + gaps[pr, pc]
+    # each bisection problem reads every live entry of its row
+    nterm = count[pr]
+    prob = np.repeat(np.arange(len(pr)), nterm)
+    term = np.arange(len(prob)) - np.repeat(np.cumsum(nterm) - nterm - start[pr], nterm)
+    roots = np.full(gaps.shape, np.nan)
+    roots[pr, pc] = _secular_roots(lam[poles[term]], prob, weight[term],
+                                   lam[poles[lo_at[pr, pc]]], lam[poles[lo_at[pr, pc] + 1]])
+    # nearest deflated pole (none when every pole of the row is live)
+    dist = np.abs(t[:, None] - lam[None, :])
+    dist[rows, poles] = np.inf
+    k_defl = np.argmin(dist, axis=1)
+    cand = np.abs(t[:, None] - roots)
+    cand[np.isnan(cand)] = np.inf
+    cand = np.column_stack([cand, dist[np.arange(size), k_defl]])
+    pick = np.argmin(cand, axis=1)
+    rank = np.empty(size, dtype=int)
+    is_root = pick < 3
+    at = lo_at[is_root, pick[is_root]]
+    # below a root in the gap after live pole g lie g roots and the deflated
+    # poles under it: one fewer than M's poles under it (clipped to the gap
+    # in case the root rounds onto an end pole)
+    rank[is_root] = np.clip(np.searchsorted(lam, roots[is_root, pick[is_root]]),
+                            poles[at] + 1, poles[at + 1]) - 1
+    # M has k eigenvalues below a deflated pole lam_k; the block has one fewer
+    # when the secular function is negative there
+    defl = ~is_root
+    on = defl[rows]
+    f_defl = np.bincount(rows[on], weight[on] / (lam[poles[on]] - lam[k_defl[rows[on]]]),
+                         minlength=size)
+    rank[defl] = k_defl[defl] - (f_defl[defl] < 0.0)
+    return cand[np.arange(size), pick], rank
 
 
 def divisor_table(eps: float, b0: np.ndarray, L_n: int, J_max: int, gamma: float,
                   tau: float) -> DivisorReport:
-    """Divisor report over l = 0..L_n via eigenvalue-only banded solves.
+    """Divisor report over l = 0..L_n from one banded eigensolve.
 
-    The multiplication matrix of b0 is built once; each block only deletes
-    its resonant row/column.
+    Every block is M = omega_j^2 + eps B (j <= J_max) with the row and column
+    of e_i, i = l - 1, deleted.  With M = V diag(lam) V^T, the eigenvalues of
+    the block are the poles lam_k whose weight V[i, k]^2 deflates, and one
+    root of the secular equation sum_live V[i, k]^2 / (lam_k - mu) = 0 in each
+    gap between consecutive live poles (Golub 1973).  Only the roots in the
+    gap holding omega^2 l^2 and in its two neighbours can be the nearest
+    eigenvalue; they are bisected for all l at once.  Blocks l = 0 and
+    l > J_max + 1 delete nothing.  j_min is the kept label of the chosen
+    eigenvalue's rank, the ascending-label rule of the per-block banded
+    solve (`diagonalize_block(..., want_vectors=False)`).
     """
     b0 = np.asarray(b0, dtype=float)
-    B = sb.multiplication_matrix(b0, J_max + 1)
-    bw = _band_width(eps, b0, J_max + 1)
+    n = J_max + 1
+    B = sb.multiplication_matrix(b0, n)
+    bw = _band_width(eps, b0, n)
+    bands = _bands(np.arange(n), eps, B, bw)
     ells = np.arange(L_n + 1)
-    return _divisor_report(eps, gamma, tau, ells,
-                           (_block_spectrum(ell, eps, B, bw) for ell in ells))
+    deleted = ells - 1
+    cut = np.nonzero((deleted >= 0) & (deleted < n))[0]
+    if bw == 0:
+        # M is diagonal and ascending: V = I, only pole i is live in block l
+        lam = bands[0]
+        rows, poles, weight = cut, deleted[cut], np.ones(len(cut))
+    else:
+        try:
+            lam, V = scipy.linalg.eig_banded(bands, lower=False)
+        except scipy.linalg.LinAlgError as exc:
+            raise ResonantSolveError("banded eigensolve failed") from exc
+        W = V[deleted[cut]] ** 2
+        r, poles = np.nonzero(W >= _DEFLATION_WEIGHT)
+        rows, weight = cut[r], W[r, poles]
+    alpha, rank = _nearest_eigenvalue(lam, (1.0 + eps) * ells ** 2, rows, poles, weight)
+    j_min = rank + ((deleted >= 0) & (rank >= deleted))
+    return _divisor_report(eps, gamma, tau, ells, alpha, j_min)
 
 
 def pairwise_divisor_constant(report: DivisorReport) -> float:

@@ -30,7 +30,7 @@ import numpy as np
 from .bifurcation import KernelField, solve_kernel
 from .field_algebra import (CoeffField, NormParams, field_multiply, project_range,
                             time_cutoff)
-from .linearized import assemble_linearized, divisor_table
+from .linearized import EXACT_NORM_MAX, assemble_linearized, divisor_table
 from .resonance import ResonanceParams, check_stage_conditions
 
 __all__ = [
@@ -156,6 +156,8 @@ class StageRecord:
     divisor_ok: bool
     divisor_min_margin: float
     discarded_norm: float
+    # False when inverse_norm is a power-iteration lower bound, not exact
+    inverse_norm_exact: bool = True
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -240,6 +242,9 @@ def solve_stage0(config: SolverConfig):
         w_new = CoeffField(np.where(symbol != 0.0, eps * rhs.u / np.where(symbol == 0, 1, symbol), 0.0))
         w_new = project_range(w_new)
         delta = (w_new - w).norm(params)
+        w_new_norm = w_new.norm(params)
+        if not (math.isfinite(delta) and math.isfinite(w_new_norm)):
+            raise ContractionError(f"stage-0 iteration {iters}: non-finite update")
         if prev_delta is not None and prev_delta > 0:
             ratio = delta / prev_delta
             if ratio >= 1.0 and delta > 10 * config.picard_tol:
@@ -249,7 +254,7 @@ def solve_stage0(config: SolverConfig):
         w = w_new
         kernel = solve_kernel(w, config.m, tol=config.kernel_tol, sign=config.sign,
                               J_V=J, params=params, start=kernel.kernel)
-        if delta < config.picard_tol * max(1.0, w.norm(params)):
+        if delta < config.picard_tol * max(1.0, w_new_norm):
             break
     else:
         raise ContractionError("stage-0 fixed point did not converge")
@@ -314,6 +319,10 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig):
         discard_max = max(discard_max, disc)
         h_new = eps * op.solve(r_n + R)
         delta = (h_new - h).norm(params_next)
+        h_new_norm = h_new.norm(params_next)
+        if not (math.isfinite(delta) and math.isfinite(h_new_norm)):
+            raise ContractionError(f"stage {n + 1} Picard iteration {iters}: "
+                                   f"non-finite update")
         if prev_delta is not None and prev_delta > 0:
             ratio = delta / prev_delta
             if ratio >= 1.0 and delta > 10 * config.picard_tol * max(1.0, h.norm(params_next)):
@@ -321,7 +330,7 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig):
                     f"stage {n + 1} Picard map not contracting (ratio {ratio:.3f})")
         prev_delta = delta
         h = h_new
-        if delta < config.picard_tol * max(1.0, h.norm(params_next)):
+        if delta < config.picard_tol * max(1.0, h_new_norm):
             break
     else:
         raise ContractionError(f"stage {n + 1} Picard loop did not converge "
@@ -337,11 +346,14 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig):
     stage_residual = resid.norm(params_next)
 
     inv_norm = op.inverse_norm(params_next)
+    inv_exact = op.lattice.size <= EXACT_NORM_MAX
     inv_bound = (648.0 / config.gamma) * L_next ** (config.tau - 1.0)
+    b0 = op.b0
+    del op, b  # the dense matrix and its LU are not needed past this point
 
     div_ok, div_margin = True, float("inf")
     if config.divisor_diagnostics:
-        table = divisor_table(eps, op.b0, L_next, 2 * L_next, config.gamma, config.tau)
+        table = divisor_table(eps, b0, L_next, 2 * L_next, config.gamma, config.tau)
         div_ok = table.all_ok
         with np.errstate(divide="ignore"):
             div_margin = float(np.min(table.alpha / table.floor))
@@ -354,7 +366,7 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig):
                       inverse_norm=inv_norm, inverse_bound=inv_bound,
                       r_norm=r_norm, r_smoothing_bound=r_smooth_bound,
                       divisor_ok=div_ok, divisor_min_margin=div_margin,
-                      discarded_norm=discard_max)
+                      discarded_norm=discard_max, inverse_norm_exact=inv_exact)
     return w_next, kernel_next, rec
 
 

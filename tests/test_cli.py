@@ -146,3 +146,24 @@ def test_measure_sampling_stability(tmp_path):
                      "--solve-grid", "2", "--out", str(out)]) == 0
         fracs[n] = json.loads(out.read_text())["reports"][0]["fraction_mc"]
     assert abs(fracs[1000] - fracs[2000]) < 3.0 / np.sqrt(1000)
+
+
+def test_corrupt_artifacts_exit_66(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(solve_args(out)) == 0
+    good = (out / "range_part.field").read_bytes()
+    capsys.readouterr()
+    for name, data in (("truncated", good[:-5]), ("trailing", good + b"\0" * 8)):
+        path = tmp_path / f"{name}.field"
+        path.write_bytes(data)
+        assert main(["verify", "--field", str(path), "--eps", "1e-3"]) == 66
+        assert str(path) in capsys.readouterr().err
+    # a run directory whose range part is cut short
+    (out / "range_part.field").write_bytes(good[:-5])
+    assert main(["divisors", "--run", str(out)]) == 66
+    assert main(["spectrum", "--run", str(out), "--ell-max", "2"]) == 66
+    assert "range_part.field" in capsys.readouterr().err
+    (out / "range_part.field").write_bytes(good)
+    (out / "kernel.json").write_text("{not json")
+    assert main(["divisors", "--run", str(out)]) == 66
+    assert "kernel.json" in capsys.readouterr().err

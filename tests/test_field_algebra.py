@@ -1,5 +1,12 @@
+import json
+import os
+import tempfile
+
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from resonant_kg import (CoeffField, NormParams, field_multiply, load_field,
                          project_kernel, project_range, save_field,
@@ -250,3 +257,52 @@ def test_serialization_roundtrip(tmp_path, rng):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"NOPE" + b"\0" * 32)
         load_field(bad)
+
+
+_field_shapes = st.tuples(st.integers(0, 12), st.integers(0, 12))
+
+
+@st.composite
+def _fields(draw):
+    L, J = draw(_field_shapes)
+    return CoeffField(draw(hnp.arrays(np.float64, (L + 1, J + 1), elements=st.floats())))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fields())
+def test_field_file_roundtrip_is_bit_exact(f):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.field")
+        save_field(f, path)
+        g = load_field(path)
+    assert (g.L, g.J) == (f.L, f.J)
+    assert g.u.tobytes() == f.u.tobytes()  # NaN payloads and signed zeros too
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fields(), st.data())
+def test_field_file_rejects_truncation_and_trailing_bytes(f, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.field")
+        save_field(f, path)
+        good = open(path, "rb").read()
+        cut = data.draw(st.integers(0, len(good) - 1), label="cut")
+        extra = data.draw(st.binary(min_size=1, max_size=16), label="extra")
+        for bad in (good[:cut], good + extra):
+            with open(path, "wb") as fh:
+                fh.write(bad)
+            with pytest.raises(ValueError, match="f.field"):
+                load_field(path)
+
+
+@pytest.mark.parametrize("change", [{"dtype": "<f4"}, {"L": -1}, {"J": 2.0},
+                                    {"L": True}, {"convention": "exp"}, {"J": None}])
+def test_field_file_rejects_bad_header(tmp_path, change):
+    header = {"L": 1, "J": 1, "convention": "cos-halfline", "dtype": "<f8"}
+    header.update(change)
+    header = {k: v for k, v in header.items() if v is not None}
+    text = json.dumps(header).encode()
+    path = tmp_path / "bad.field"
+    path.write_bytes(b"RKGF" + np.uint32(len(text)).tobytes() + text + bytes(32))
+    with pytest.raises(ValueError, match="bad.field"):
+        load_field(path)

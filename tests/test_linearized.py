@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from resonant_kg import CoeffField, NormParams, project_range
 from resonant_kg.bifurcation import KernelField, solve_kernel
@@ -299,3 +300,63 @@ def test_inverse_norm_power_iteration_agrees(rng):
     exact = op.inverse_norm(P)
     powered = op.inverse_norm(P, exact_threshold=0, power_iterations=60)
     assert abs(powered - exact) < 1e-6 * exact
+
+
+def _block_oracle(eps, b0, L_n, J_max):
+    """Per-l banded eigensolves: the path divisor_table replaced."""
+    blocks = [diagonalize_block(ell, eps, b0, J_max, want_vectors=False)
+              for ell in range(L_n + 1)]
+    return small_divisors(eps, blocks, gamma=0.05, tau=1.5)
+
+
+def _even_profile():
+    b0 = np.zeros(9)
+    b0[[0, 2, 4, 8]] = [2.0, 0.7, 0.3, 0.05]
+    return b0
+
+
+@pytest.mark.parametrize("case", ["parity-even", "random-odd", "eps-zero", "b0-zero",
+                                  "J-below-L"])
+def test_divisor_table_secular_path_matches_per_block_solves(case):
+    rng = np.random.default_rng(17)
+    eps, b0, L_n, J_max = {
+        # parity-even b0 couples only modes of one parity: most poles deflate
+        "parity-even": (2e-3, _even_profile(), 40, 80),
+        "random-odd": (5e-3, rng.standard_normal(11) * 0.3, 50, 100),
+        "eps-zero": (0.0, _even_profile(), 20, 40),
+        "b0-zero": (2e-3, np.zeros(5), 20, 40),
+        "J-below-L": (2e-3, _even_profile(), 40, 20),
+    }[case]
+    tab = divisor_table(eps, b0, L_n, J_max, gamma=0.05, tau=1.5)
+    rep = _block_oracle(eps, b0, L_n, J_max)
+    assert np.array_equal(tab.ells, rep.ells)
+    assert np.all(np.abs(tab.alpha - rep.alpha) <= 1e-10 * rep.alpha)
+    assert np.array_equal(tab.j_min, rep.j_min)
+    assert np.array_equal(tab.ok, rep.ok)
+
+
+def test_divisor_table_secular_path_on_assembled_b0():
+    # the time-mean potential of a converged m = 1 state, at (L_n, J_max) = (64, 128)
+    from resonant_kg.nash_moser import SolverConfig, solve_stage, solve_stage0
+    cfg = SolverConfig(eps=2e-3, m=1, n_max=2, divisor_diagnostics=False)
+    w, kernel, _ = solve_stage0(cfg)
+    w, kernel, _ = solve_stage(0, w, kernel, cfg)
+    op = assemble_linearized(cfg.eps, w, 1, 64, cfg.J_space, kernel=kernel.kernel)
+    tab = divisor_table(cfg.eps, op.b0, 64, 128, gamma=0.05, tau=1.5)
+    rep = _block_oracle(cfg.eps, op.b0, 64, 128)
+    assert np.all(np.abs(tab.alpha - rep.alpha) <= 1e-10 * rep.alpha)
+    assert np.array_equal(tab.j_min, rep.j_min)
+
+
+@pytest.mark.parametrize("m, Ln, J", [(0, 16, 4), (1, 12, 18), (1, 8, 30)])
+def test_inverse_norm_matches_svd_oracle(rng, m, Ln, J):
+    eps = 2e-3
+    w = random_field(rng, 4, J, scale=0.02, decay=0.4)
+    ks = solve_kernel(w, m, J_V=J)
+    op = assemble_linearized(eps, w, m, Ln, J, kernel=ks.kernel)
+    assert op.lattice.size <= 300
+    for params in (P, NormParams(1.0, 1.5, 2.0)):
+        wt = op.lattice.weights(params)
+        inv = scipy.linalg.lu_solve(op.factorize(), np.eye(op.lattice.size))
+        oracle = np.linalg.norm(wt[:, None] * inv / wt[None, :], 2)
+        assert abs(op.inverse_norm(params) - oracle) <= 1e-14 * oracle

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from resonant_kg import (CoeffField, NormParams, field_multiply, project_kernel,
                          project_range)
 from resonant_kg.bifurcation import one_mode_solution
 from resonant_kg.nash_moser import (ContractionError, MelnikovExcludedError,
-                                    SolverConfig, SolveTrace, run, solve_stage0,
-                                    verify_solution)
+                                    SolverConfig, SolveTrace, run, solve_stage,
+                                    solve_stage0, verify_solution)
 
 
 def small_config(**kw):
@@ -211,3 +213,51 @@ def test_stage0_only_run():
     res = run(small_config(n_max=0))
     assert len(res.trace.records) == 1
     assert res.residual.relative < 1e-9
+
+
+def test_nonfinite_picard_update_fails_fast():
+    cfg = small_config(eps=2e-3, m=1, n_max=1)
+    w, kernel, _ = solve_stage0(cfg)
+    w.u[3, 2] = np.nan
+    with pytest.raises(ContractionError, match="stage 1 Picard iteration 1: non-finite"):
+        solve_stage(0, w, kernel, cfg)
+
+
+def test_stage0_nonfinite_update_fails_fast(monkeypatch):
+    import resonant_kg.nash_moser as nm
+
+    real = nm._gamma_field
+
+    def poisoned(v, w):
+        g = real(v, w)
+        g.u[2, 0] = np.inf
+        return g
+
+    monkeypatch.setattr(nm, "_gamma_field", poisoned)
+    with pytest.raises(ContractionError, match="stage-0 iteration 1: non-finite"):
+        solve_stage0(small_config())
+
+
+def test_nonfinite_field_has_nonfinite_norm():
+    f = CoeffField.zeros(3, 2)
+    f.u[1, 1] = 2.0
+    assert f.norm(NormParams(0.4, 1.0)) > 0.0
+    f.u[2, 0] = np.nan
+    assert np.isnan(f.norm(NormParams(0.4, 1.0)))
+
+
+def test_inverse_norm_exact_flag(tmp_path):
+    res = run(small_config(n_max=1))
+    rec = res.trace.records[-1]
+    assert rec.inverse_norm_exact  # 17 x 3 unknowns: exact Gram eigenvalue
+    # a trace written before the field existed still loads, as exact
+    path = tmp_path / "old.jsonl"
+    lines = []
+    for r in res.trace.records:
+        d = json.loads(r.to_json())
+        del d["inverse_norm_exact"]
+        lines.append(json.dumps(d, sort_keys=True))
+    path.write_text("\n".join(lines) + "\n")
+    back = SolveTrace.from_jsonl(path)
+    assert [r.inverse_norm_exact for r in back.records] == [True] * len(lines)
+    assert back.h_norms().tolist() == res.trace.h_norms().tolist()
