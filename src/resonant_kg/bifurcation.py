@@ -26,6 +26,7 @@ from .field_algebra import (CoeffField, NormParams, field_multiply, fold_entries
 __all__ = [
     "KernelField",
     "one_mode_solution",
+    "total_field",
     "kernel_residual",
     "bif_block",
     "block_determinant",
@@ -100,14 +101,15 @@ def _check_in_range(w: CoeffField):
         raise ValueError("w must lie in the range (no resonant-diagonal entries)")
 
 
-def _total(v: KernelField, w: CoeffField) -> CoeffField:
+def total_field(v: KernelField, w: CoeffField) -> CoeffField:
+    """The state u = v + w: the kernel field embedded on the resonant diagonal plus w."""
     return v.embed(L=max(w.L, v.J + 1), J=max(w.J, v.J)) + w
 
 
 def kernel_residual(v: KernelField, w: CoeffField) -> KernelField:
     """A v - Pi_V (v + w)^3, exactly in coefficient space."""
     _check_in_range(w)
-    u = _total(v, w)
+    u = total_field(v, w)
     cube = field_multiply(field_multiply(u, u), u)
     res = (np.arange(v.J + 1, dtype=float) + 1.0) ** 2 * v.v
     res -= extract_kernel(cube, v.J).v
@@ -129,20 +131,23 @@ def block_determinant(m: int, j: int) -> int:
     return -wj * (wm - wj) ** 2 * (4 * wm - wj)
 
 
-def linearize_kernel(v: KernelField, w: CoeffField) -> np.ndarray:
-    """Dense matrix of h -> A h - 3 Pi_V((v+w)^2 h) on the truncated kernel.
+def _kernel_block(stack: np.ndarray, n: int, factor: float) -> np.ndarray:
+    """Dense matrix of h -> A h - factor Pi_V(p h) on the n kernel modes.
 
-    Entry [j, j'] couples kernel modes through the time frequencies
-    |omega_j - omega_j'| and omega_j + omega_j' of b/3 = (v+w)^2.
+    stack holds the S_d matrices of p; entry [j, j'] couples kernel modes
+    through the time frequencies |omega_j - omega_j'| and omega_j + omega_j'.
     """
-    u = _total(v, w)
-    q = field_multiply(u, u)
-    n = v.J + 1
     wj = np.arange(n) + 1
-    stack = mult_matrix_stack(q, n, 2 * n)
     modes = np.arange(n)
     coupling = fold_entries(stack, wj[:, None], modes[:, None], wj[None, :], modes[None, :])
-    return np.diag(wj.astype(float) ** 2) - 3.0 * coupling
+    return np.diag(wj.astype(float) ** 2) - factor * coupling
+
+
+def linearize_kernel(v: KernelField, w: CoeffField) -> np.ndarray:
+    """Dense matrix of h -> A h - 3 Pi_V((v+w)^2 h) on the truncated kernel."""
+    u = total_field(v, w)
+    n = v.J + 1
+    return _kernel_block(mult_matrix_stack(field_multiply(u, u), n, 2 * n), n, 3.0)
 
 
 @dataclass
@@ -218,28 +223,23 @@ def kernel_derivative(v: KernelField, w: CoeffField, h: CoeffField) -> KernelFie
     Solves linearize_kernel(v, w)[dv] = 3 Pi_V((v+w)^2 h) for h in the range.
     """
     _check_in_range(h)
-    u = _total(v, w)
+    u = total_field(v, w)
     q = field_multiply(u, u)
     rhs = extract_kernel(field_multiply(q, h), v.J).v * 3.0
     mat = linearize_kernel(v, w)
     return KernelField(np.linalg.solve(mat, rhs))
 
 
-def kernel_derivative_matrix(v: KernelField, w: CoeffField,
+def kernel_derivative_matrix(stack: np.ndarray, n: int,
                              ells: np.ndarray, js: np.ndarray) -> np.ndarray:
     """Matrix of h -> d_w v(w)[h] from stored range coefficients to kernel coefficients.
 
-    Columns are indexed by the lattice points (ells[c], js[c]) of the range
-    truncation; row j'' is the kernel coefficient of mode j''.
+    stack holds the S_d matrices of b = 3 (v + w)^2 up to d = max(2 n,
+    n + max(ells)); n is the number of kernel modes.  Columns are indexed by
+    the lattice points (ells[c], js[c]) of the range truncation; row j'' is
+    the kernel coefficient of mode j'' (twice its stored entry, hence the 2).
     """
-    u = _total(v, w)
-    q = field_multiply(u, u)
-    n = v.J + 1
-    size = int(max(js.max(initial=0) + 1, n))
-    dmax = int(n + ells.max(initial=0))
-    stack = mult_matrix_stack(q, size, dmax)
     wj = np.arange(n) + 1  # kernel time frequencies
-    rhs = 6.0 * fold_entries(stack, wj[:, None], np.arange(n)[:, None],
+    rhs = 2.0 * fold_entries(stack, wj[:, None], np.arange(n)[:, None],
                              ells[None, :], js[None, :])
-    mat = linearize_kernel(v, w)
-    return np.linalg.solve(mat, rhs)
+    return np.linalg.solve(_kernel_block(stack, n, 1.0), rhs)

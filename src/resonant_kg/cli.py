@@ -25,15 +25,6 @@ EXIT_GRID = 65
 EXIT_MISSING = 66
 
 
-def _cap_threads(n: int | None):
-    """Cap BLAS threading before numpy gets imported by the library."""
-    n = n if n is not None else os.environ.get("RESONANT_KG_THREADS")
-    if n is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -45,8 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="resonant-kg",
                 description="Time-periodic solutions of the cubic Klein-Gordon "
                             "equation on the 3-sphere: solver and diagnostics.")
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap internal BLAS threads (env RESONANT_KG_THREADS)")
     sub = p.add_subparsers(dest="command", required=True)
 
     so = sub.add_parser("solve", help="run the full iteration and write artifacts")
@@ -115,6 +104,7 @@ def _write_manifest(outdir, config_dict, artifacts, timings):
 
 
 def cmd_solve(args) -> int:
+    import numpy as np
     from . import field_algebra, nash_moser
     from .resonance import records_to_csv
 
@@ -139,10 +129,11 @@ def cmd_solve(args) -> int:
               file=sys.stderr)
         return EXIT_EXCLUDED
     except Exception as exc:
-        if exc.__class__.__module__.startswith("resonant_kg"):
-            print(f"numeric failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
-        raise
+        if not (isinstance(exc, (np.linalg.LinAlgError, MemoryError))
+                or exc.__class__.__module__.startswith("resonant_kg")):
+            raise
+        print(f"numeric failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return EXIT_NUMERIC
     t1 = time.perf_counter()
     artifacts = {}
     artifacts["solution"] = os.path.join(args.out, "solution.field")
@@ -224,11 +215,13 @@ def cmd_measure(args) -> int:
 
 
 def _load_run(run_dir):
-    """(range part, kernel data, config) of a run directory.
+    """(range part, time-mean potential b0, config) of a run directory.
 
     FileNotFoundError for a missing artifact, ValueError for a corrupt one.
     """
-    from .field_algebra import load_field
+    import numpy as np
+    from .bifurcation import KernelField, total_field
+    from .field_algebra import field_multiply, load_field
     needed = ["range_part.field", "kernel.json", "manifest.json"]
     for name in needed:
         if not os.path.exists(os.path.join(run_dir, name)):
@@ -243,25 +236,20 @@ def _load_run(run_dir):
             except ValueError as exc:
                 raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     kernel_data, manifest = documents
-    return w, kernel_data, manifest["config"]
+    u = total_field(KernelField(np.array(kernel_data["coefficients"])), w)
+    return w, 3.0 * field_multiply(u, u).u[0], manifest["config"]
 
 
 def cmd_divisors(args) -> int:
-    import numpy as np
-    from .bifurcation import KernelField
-    from .field_algebra import field_multiply
     from .linearized import divisor_table
 
     try:
-        w, kernel_data, config = _load_run(args.run)
+        w, b0, config = _load_run(args.run)
     except (FileNotFoundError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_MISSING
-    v = KernelField(np.array(kernel_data["coefficients"]))
-    u = v.embed(L=max(w.L, v.J + 1), J=max(w.J, v.J)) + w
-    b = 3.0 * field_multiply(u, u)
     L_n = w.L
-    table = divisor_table(config["eps"], b.u[0], L_n, 2 * L_n,
+    table = divisor_table(config["eps"], b0, L_n, 2 * L_n,
                           config["gamma"], config["tau"])
     out = args.out or os.path.join(args.run, "divisors.csv")
     table.to_csv(out)
@@ -271,21 +259,15 @@ def cmd_divisors(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    import numpy as np
-    from .bifurcation import KernelField
-    from .field_algebra import field_multiply
     from .linearized import diagonalize_block, spectrum_to_csv
 
     try:
-        w, kernel_data, config = _load_run(args.run)
+        w, b0, config = _load_run(args.run)
     except (FileNotFoundError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_MISSING
-    v = KernelField(np.array(kernel_data["coefficients"]))
-    u = v.embed(L=max(w.L, v.J + 1), J=max(w.J, v.J)) + w
-    b = 3.0 * field_multiply(u, u)
     ell_max = args.ell_max if args.ell_max is not None else min(w.L, 64)
-    blocks = [diagonalize_block(ell, config["eps"], b.u[0], 2 * w.L, want_vectors=False)
+    blocks = [diagonalize_block(ell, config["eps"], b0, 2 * w.L, want_vectors=False)
               for ell in range(ell_max + 1)]
     out = args.out or os.path.join(args.run, "spectrum.csv")
     spectrum_to_csv(blocks, out)
@@ -318,7 +300,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
-    _cap_threads(args.threads)
     handlers = {"solve": cmd_solve, "measure": cmd_measure,
                 "divisors": cmd_divisors, "spectrum": cmd_spectrum,
                 "verify": cmd_verify}

@@ -134,9 +134,6 @@ class CoeffField:
 
     __rmul__ = __mul__
 
-    def multiply(self, other: "CoeffField") -> "CoeffField":
-        return field_multiply(self, other)
-
     # -- norms ---------------------------------------------------------------
 
     def _log_time_weights(self, params: NormParams):

@@ -36,7 +36,7 @@ import scipy.linalg
 
 from . import spherical_basis as sb
 from .bifurcation import (KernelField, KernelSolveResult, kernel_derivative_matrix,
-                          solve_kernel)
+                          solve_kernel, total_field)
 from .field_algebra import (CoeffField, NormParams, field_multiply, fold_entries,
                             mult_matrix_stack)
 
@@ -130,19 +130,15 @@ def _convolution_matrix(stack: np.ndarray, lattice: WLattice) -> np.ndarray:
     return mat
 
 
-def _potential_parts(b: CoeffField, kernel: KernelField, dv: np.ndarray,
-                     lattice: WLattice):
+def _potential_parts(stack: np.ndarray, dv: np.ndarray, lattice: WLattice):
     """Dense product by b on the lattice and the kernel-correction term M2.
 
-    M2 = (product by b of the embedded kernel correction) @ dv: the gather
-    column of kernel mode j'' is the fold of S-blocks at time frequency
-    omega_j'', and the embedding stores v_j'' / 2.
+    stack holds the S_d matrices of b.  M2 = (product by b of the embedded
+    kernel correction) @ dv: the gather column of kernel mode j'' is the fold
+    of S-blocks at time frequency omega_j'', and the embedding stores v_j'' / 2.
     """
-    n_k = kernel.J + 1
-    size = max(lattice.J + 1, n_k)
-    stack = mult_matrix_stack(b, size, max(2 * lattice.L, lattice.L + n_k))
     mult = _convolution_matrix(stack, lattice)
-    modes = np.arange(n_k)
+    modes = np.arange(len(dv))
     gath = fold_entries(stack, lattice.ells[:, None], lattice.js[:, None],
                         modes[None, :] + 1, modes[None, :])
     return mult, gath @ (0.5 * dv)
@@ -150,15 +146,19 @@ def _potential_parts(b: CoeffField, kernel: KernelField, dv: np.ndarray,
 
 @dataclass
 class LinearizedOperator:
-    """Assembled dense operator with its building blocks."""
+    """Assembled dense operator with the stage state it linearizes at.
+
+    u = v(w) + w is the state, q = u^2, and stack the S_d matrices of the
+    potential b = 3 q (mult_matrix_stack), from which the matrix was gathered.
+    """
 
     eps: float
     omega: float
     lattice: WLattice
     matrix: np.ndarray
-    b: CoeffField
-    b0: np.ndarray
-    kernel: KernelField
+    u: CoeffField
+    q: CoeffField
+    stack: np.ndarray
     dv_matrix: np.ndarray
     _lu: tuple | None = None
 
@@ -169,6 +169,11 @@ class LinearizedOperator:
     @property
     def J(self) -> int:
         return self.lattice.J
+
+    @property
+    def b0(self) -> np.ndarray:
+        """Time mean of the potential b = 3 q."""
+        return 3.0 * self.q.u[0]
 
     def symbol_diagonal(self) -> np.ndarray:
         ell = self.lattice.ells.astype(float)
@@ -201,8 +206,8 @@ class LinearizedOperator:
     def apply(self, f: CoeffField) -> CoeffField:
         return self.lattice.to_field(self.matrix @ self.lattice.to_vector(f))
 
-    def solve(self, rhs: CoeffField, check_support: bool = True) -> CoeffField:
-        if check_support and not self.lattice.in_lattice_support(rhs):
+    def solve(self, rhs: CoeffField) -> CoeffField:
+        if not self.lattice.in_lattice_support(rhs):
             raise ValueError("right-hand side has support outside the range truncation")
         lu = self.factorize()
         return self.lattice.to_field(scipy.linalg.lu_solve(lu, self.lattice.to_vector(rhs),
@@ -249,19 +254,25 @@ def assemble_linearized(eps: float, w: CoeffField, m: int, L_n: int, J_max: int,
                         kernel: KernelSolveResult | KernelField | None = None,
                         kernel_tol: float = 1e-12,
                         params: NormParams | None = None) -> LinearizedOperator:
-    """Build the dense linearized operator at (eps, w) on the (L_n, J_max) lattice."""
+    """Build the dense linearized operator at (eps, w) on the (L_n, J_max) lattice.
+
+    q = (v + w)^2 is formed once, and one S_d stack of b = 3 q serves the
+    product by b, the kernel derivative dv and the M2 gather.
+    """
     omega = float(np.sqrt(1.0 + eps))
     if kernel is None:
         kernel = solve_kernel(w, m, tol=kernel_tol, J_V=J_max, params=params)
     kf = kernel.kernel if isinstance(kernel, KernelSolveResult) else kernel
     lattice = WLattice(L_n, J_max)
-    u = kf.embed(L=max(w.L, kf.J + 1), J=max(w.J, kf.J)) + w
+    u = total_field(kf, w)
     q = field_multiply(u, u)
-    b = 3.0 * q
-    dv = kernel_derivative_matrix(kf, w, lattice.ells, lattice.js)
-    mult, m2 = _potential_parts(b, kf, dv, lattice)
+    n_k = kf.J + 1
+    stack = mult_matrix_stack(3.0 * q, max(J_max + 1, n_k),
+                              max(2 * L_n, L_n + n_k, 2 * n_k))
+    dv = kernel_derivative_matrix(stack, n_k, lattice.ells, lattice.js)
+    mult, m2 = _potential_parts(stack, dv, lattice)
     op = LinearizedOperator(eps=eps, omega=omega, lattice=lattice, matrix=mult,
-                            b=b, b0=b.u[0].copy(), kernel=kf, dv_matrix=dv)
+                            u=u, q=q, stack=stack, dv_matrix=dv)
     # diag(symbol) - eps * mult - eps * m2, formed in place in that order
     mult *= -eps
     mult[np.diag_indices_from(mult)] += op.symbol_diagonal()
@@ -289,7 +300,7 @@ def split_diagonal(op: LinearizedOperator) -> SplitParts:
     same = lattice.ells[:, None] == lattice.ells[None, :]
     bd = np.where(same, B0[np.ix_(lattice.js, lattice.js)], 0.0)
     D = np.diag(op.symbol_diagonal()) - op.eps * bd
-    mult, m2 = _potential_parts(op.b, op.kernel, op.dv_matrix, lattice)
+    mult, m2 = _potential_parts(op.stack, op.dv_matrix, lattice)
     return SplitParts(D=D, M1=mult - bd, M2=m2)
 
 
@@ -333,6 +344,7 @@ def _block_spectrum(ell: int, eps: float, B: np.ndarray, bw: int):
     eigenvalues match the ascending labels.
     """
     kept = _kept_modes(ell, len(B))
+    bw = min(bw, max(len(kept) - 1, 0))  # k modes have at most k - 1 bands
     bands = _bands(kept, eps, B, bw)
     if bw == 0:
         return bands[0], kept

@@ -17,6 +17,15 @@ stage and updated to first order inside the Picard loop (stage 0, where w
 moves by O(eps) rather than O(exp(-chi^n)), re-solves it every iteration);
 each stage ends with a certificate residual computed against a freshly
 solved kernel and no spatial truncation.
+
+The stage state u = v(w_n) + w_n and q = u^2 are formed once, by the
+operator assembly; the Melnikov mean comes from q and Gamma(u) = u^3 is q u.
+With h' = h + dv[h] the Picard step's total correction, the remainder is
+formed directly as
+
+    R_n(h) = (u + h')^3 - u^3 - 3 u^2 h' = h'^2 (3 u + h'),
+
+two exact products with no cancellation between O(1) terms.
 """
 
 from __future__ import annotations
@@ -27,11 +36,11 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .bifurcation import KernelField, solve_kernel
+from .bifurcation import KernelField, solve_kernel, total_field
 from .field_algebra import (CoeffField, NormParams, field_multiply, project_range,
                             time_cutoff)
 from .linearized import EXACT_NORM_MAX, assemble_linearized, divisor_table
-from .resonance import ResonanceParams, check_stage_conditions
+from .resonance import ResonanceParams, check_stage_conditions, melnikov_mean
 
 __all__ = [
     "SolverConfig",
@@ -188,7 +197,7 @@ class SolveTrace:
 
 
 def _gamma_field(v: KernelField, w: CoeffField) -> CoeffField:
-    u = v.embed(L=max(w.L, v.J + 1), J=max(w.J, v.J)) + w
+    u = total_field(v, w)
     return field_multiply(field_multiply(u, u), u)
 
 
@@ -288,21 +297,20 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig):
     params_cur = NormParams(sigmas[n], config.s)
     params_next = NormParams(sigmas[n + 1], config.s)
 
-    ok, failures = check_stage_conditions(eps, w_n, kernel_n.kernel,
+    op = assemble_linearized(eps, w_n, config.m, L_next, J, kernel=kernel_n.kernel)
+    ok, failures = check_stage_conditions(eps, melnikov_mean(op.q),
                                           config.resonance_params(), L_next)
     if not ok and config.check_melnikov:
         raise MelnikovExcludedError(n + 1, failures)
 
-    op = assemble_linearized(eps, w_n, config.m, L_next, J, kernel=kernel_n.kernel)
-    gam_n = _gamma_field(kernel_n.kernel, w_n)
-    rhs_full, disc_r = _range_rhs(gam_n, L_next, J, params_next)
+    u_n = op.u
+    rhs_full, disc_r = _range_rhs(field_multiply(op.q, u_n), L_next, J, params_next)
     r_n = rhs_full.copy()
     r_n.u[: L_cur + 1, :] = 0.0
     r_norm = r_n.norm(params_next)
     gam_next_norm = rhs_full.norm(params_cur)
     r_smooth_bound = math.exp(-L_cur * (sigmas[n] - sigmas[n + 1])) * gam_next_norm
 
-    b = op.b
     h = CoeffField.zeros(L_next, J)
     prev_delta = None
     ratio = 0.0
@@ -310,11 +318,8 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig):
     iters = 0
     for iters in range(1, config.picard_max + 1):
         dv_corr = KernelField(op.dv_matrix @ op.lattice.to_vector(h))
-        u_h = (kernel_n.kernel.embed(L=L_next, J=J) + dv_corr.embed(L=L_next, J=J)
-               + w_n.padded(L_next, J) + h)
-        gam_h = field_multiply(field_multiply(u_h, u_h), u_h)
-        dgam = field_multiply(b, h + dv_corr.embed(L=L_next, J=J))
-        taylor_rem = gam_h - gam_n.padded(gam_h.L, gam_h.J) - dgam.padded(gam_h.L, gam_h.J)
+        h_tot = h + dv_corr.embed(L=L_next, J=J)
+        taylor_rem = field_multiply(field_multiply(h_tot, h_tot), 3.0 * u_n + h_tot)
         R, disc = _range_rhs(taylor_rem, L_next, J, params_next)
         discard_max = max(discard_max, disc)
         h_new = eps * op.solve(r_n + R)
@@ -349,7 +354,7 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig):
     inv_exact = op.lattice.size <= EXACT_NORM_MAX
     inv_bound = (648.0 / config.gamma) * L_next ** (config.tau - 1.0)
     b0 = op.b0
-    del op, b  # the dense matrix and its LU are not needed past this point
+    del op  # the dense matrix and its LU are not needed past this point
 
     div_ok, div_margin = True, float("inf")
     if config.divisor_diagnostics:
@@ -447,7 +452,7 @@ def run(config: SolverConfig) -> RunResult:
         trace.records.append(rec)
         if config.final_h_tol > 0 and rec.h_norm < config.final_h_tol:
             break
-    u = kernel.kernel.embed(L=max(w.L, kernel.kernel.J + 1), J=max(w.J, kernel.kernel.J)) + w
+    u = total_field(kernel.kernel, w)
     sig_values = (0.0, config.sigma_bar / 2.0, round(config.sigma_inf, 6))
     residual = verify_solution(u, config.eps, s=config.s, sigma_values=sig_values)
     return RunResult(config=config, w=w, kernel=kernel.kernel, u=u,

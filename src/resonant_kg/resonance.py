@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bifurcation import KernelField
+from .bifurcation import KernelField, total_field
 from .field_algebra import CoeffField, field_multiply
 from .spherical_basis import mean_integral
 
@@ -34,6 +34,7 @@ __all__ = [
     "ResonanceParams",
     "ConditionRecord",
     "mean_potential",
+    "melnikov_mean",
     "check_stage_conditions",
     "check_limit_conditions",
     "strong_diophantine_check",
@@ -74,15 +75,19 @@ class ConditionRecord:
     ok: bool
 
 
-def mean_potential(w: CoeffField, v: KernelField) -> float:
-    """Spatial mean of the time average of 3 (w + v)^2.
+def melnikov_mean(q: CoeffField) -> float:
+    """Spatial mean of the time average of b = 3 q, from q = (v + w)^2.
 
     The mean is (1/pi) * int_0^pi b0 dx, the version entering the
     small-divisor analysis.
     """
-    u = v.embed(L=max(w.L, v.J + 1), J=max(w.J, v.J)) + w
-    q = field_multiply(u, u)
     return float(3.0 * mean_integral(q.u[0]))
+
+
+def mean_potential(w: CoeffField, v: KernelField) -> float:
+    """melnikov_mean of the state u = v + w."""
+    u = total_field(v, w)
+    return melnikov_mean(field_multiply(u, u))
 
 
 def _condition_failures(eps: float, mean_value: float, gamma: float, tau: float,
@@ -101,10 +106,9 @@ def _condition_failures(eps: float, mean_value: float, gamma: float, tau: float,
     lhs_plain = np.abs(omega * E - W)
     lhs_shift = np.abs(omega * E - W - eps * mean_value / (2.0 * W))
     thr = factor * gamma / (E + W) ** tau
-    if strict:
-        bad = (lhs_plain <= thr) | (lhs_shift <= thr)
-    else:
-        bad = (lhs_plain < thr) | (lhs_shift < thr)
+    # a pair passes only when both sides clear the threshold, so NaN fails it
+    clears = np.greater if strict else np.greater_equal
+    bad = ~(clears(lhs_plain, thr) & clears(lhs_shift, thr))
     bad &= E != W  # l = omega_j pairs are excluded from the conditions
     out = []
     for i, k in zip(*np.nonzero(bad)):
@@ -116,27 +120,26 @@ def _condition_failures(eps: float, mean_value: float, gamma: float, tau: float,
     return out
 
 
-def check_stage_conditions(eps: float, w: CoeffField, v: KernelField,
-                           params: ResonanceParams, L_n: int):
+def check_stage_conditions(eps: float, mean_value: float, params: ResonanceParams,
+                           L_n: int):
     """Stage admissibility: thresholds gamma/(l+omega_j)^tau over l <= L_n, omega_j <= 2 L_n.
 
-    Returns (ok, failures); vacuously true when 1/(3 eps) > L_n.
+    mean_value is the Melnikov mean M.  Returns (ok, failures); vacuously
+    true when 1/(3 eps) > L_n.
     """
-    m = mean_potential(w, v)
-    failures = _condition_failures(eps, m, params.gamma, params.tau,
+    failures = _condition_failures(eps, mean_value, params.gamma, params.tau,
                                    L_n, 2 * L_n, factor=1.0, strict=True)
     return len(failures) == 0, failures
 
 
-def check_limit_conditions(eps: float, w: CoeffField, v: KernelField,
-                           params: ResonanceParams, L_max: int):
-    """Limit-set membership up to l <= L_max with the doubled threshold.
+def check_limit_conditions(eps: float, mean_value: float, params: ResonanceParams,
+                           L_max: int):
+    """Limit-set membership up to l <= L_max with the doubled threshold (mean M).
 
     For l > L_max the conditions follow from the distance of omega(eps) l to
     the integers at this eps window; the cutoff is the caller's to report.
     """
-    m = mean_potential(w, v)
-    failures = _condition_failures(eps, m, params.gamma, params.tau,
+    failures = _condition_failures(eps, mean_value, params.gamma, params.tau,
                                    L_max, 2 * L_max, factor=2.0, strict=False)
     return len(failures) == 0, failures
 

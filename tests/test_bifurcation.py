@@ -6,7 +6,8 @@ from resonant_kg.bifurcation import (KernelField, KernelSolveError, bif_block,
                                      block_determinant, kernel_derivative,
                                      kernel_derivative_matrix, kernel_residual,
                                      linearize_kernel, one_mode_solution,
-                                     solve_kernel)
+                                     solve_kernel, total_field)
+from resonant_kg.field_algebra import field_multiply, mult_matrix_stack
 
 from conftest import random_field
 
@@ -152,7 +153,9 @@ def test_derivative_matrix_columns_match_kernel_derivative(rng):
     w = random_field(rng, L, J, scale=0.05, decay=0.3)
     v = solve_kernel(w, m, J_V=J).kernel
     lattice = WLattice(L, J)
-    mat = kernel_derivative_matrix(v, w, lattice.ells, lattice.js)
+    u = total_field(v, w)
+    stack = mult_matrix_stack(3.0 * field_multiply(u, u), J + 1, 2 * (J + 1) + L)
+    mat = kernel_derivative_matrix(stack, J + 1, lattice.ells, lattice.js)
     assert mat.shape == (J + 1, lattice.size)
     for c, (ell, j) in enumerate(zip(lattice.ells, lattice.js)):
         unit = CoeffField.from_mode(int(ell), int(j), 1.0, L=L, J=J)

@@ -65,11 +65,26 @@ def test_usage_errors_exit_64(tmp_path, capsys):
     assert main([]) == 64
     assert main(["solve", "--eps"]) == 64
     assert main(["frobnicate"]) == 64
+    # BLAS threads are set by the environment before launch, not by a flag
+    assert main(["--threads", "1", "solve", "--eps", "1e-3",
+                 "--out", str(tmp_path / "t")]) == 64
     # invalid parameter combinations are usage errors, not crashes
     assert main(["solve", "--eps", "1e-3", "--gamma", "0.3",
                  "--out", str(tmp_path / "x")]) == 64
     assert main(["measure", "--eta", "0.04", "--gamma", "0.3",
                  "--out", str(tmp_path / "m.json")]) == 64
+
+
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError("Singular matrix"), MemoryError()])
+def test_linalg_and_memory_errors_exit_1(tmp_path, capsys, monkeypatch, error):
+    from resonant_kg import nash_moser
+
+    def fail(config):
+        raise error
+    monkeypatch.setattr(nash_moser, "run", fail)
+    assert main(solve_args(tmp_path / "run")) == 1
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "Traceback" not in err
 
 
 def test_measure_command(tmp_path):

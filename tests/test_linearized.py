@@ -302,6 +302,27 @@ def test_inverse_norm_power_iteration_agrees(rng):
     assert abs(powered - exact) < 1e-6 * exact
 
 
+def test_assembly_forms_square_and_stack_once(rng, monkeypatch):
+    # q = (v + w)^2 and the S_d stack of b = 3 q serve the whole assembly
+    import sys
+    from resonant_kg import field_algebra
+    w = random_field(rng, 4, 5, scale=0.05, decay=0.3)
+    kernel = solve_kernel(w, 1, J_V=5).kernel
+    calls = {"field_multiply": 0, "mult_matrix_stack": 0}
+    for name in calls:
+        real = getattr(field_algebra, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("resonant_kg")
+                    and getattr(mod, name, None) is real):
+                monkeypatch.setattr(mod, name, counted)
+    assemble_linearized(2e-3, w, 1, 8, 5, kernel=kernel)
+    assert calls == {"field_multiply": 1, "mult_matrix_stack": 1}
+
+
 def _block_oracle(eps, b0, L_n, J_max):
     """Per-l banded eigensolves: the path divisor_table replaced."""
     blocks = [diagonalize_block(ell, eps, b0, J_max, want_vectors=False)
@@ -316,7 +337,7 @@ def _even_profile():
 
 
 @pytest.mark.parametrize("case", ["parity-even", "random-odd", "eps-zero", "b0-zero",
-                                  "J-below-L"])
+                                  "J-below-L", "J-max-1"])
 def test_divisor_table_secular_path_matches_per_block_solves(case):
     rng = np.random.default_rng(17)
     eps, b0, L_n, J_max = {
@@ -326,6 +347,8 @@ def test_divisor_table_secular_path_matches_per_block_solves(case):
         "eps-zero": (0.0, _even_profile(), 20, 40),
         "b0-zero": (2e-3, np.zeros(5), 20, 40),
         "J-below-L": (2e-3, _even_profile(), 40, 20),
+        # the l = 1 and l = 2 blocks hold one mode, narrower than the band of eps B
+        "J-max-1": (2e-3, np.array([2.0, 0.0, 0.5]), 2, 1),
     }[case]
     tab = divisor_table(eps, b0, L_n, J_max, gamma=0.05, tau=1.5)
     rep = _block_oracle(eps, b0, L_n, J_max)

@@ -238,6 +238,22 @@ def test_stage0_nonfinite_update_fails_fast(monkeypatch):
         solve_stage0(small_config())
 
 
+def test_solve_stage_reads_its_state_from_the_operator(monkeypatch):
+    # the Melnikov mean is read from the assembled q, not recomputed from (w, v)
+    from resonant_kg import resonance
+    cfg = small_config(eps=2e-3, m=1, n_max=1)
+    w, kernel, _ = solve_stage0(cfg)
+
+    def refuse(w, v):
+        raise AssertionError("mean_potential recomputes q")
+    monkeypatch.setattr(resonance, "mean_potential", refuse)
+    _, _, rec = solve_stage(0, w, kernel, cfg)
+    assert rec.melnikov_ok
+    # the stage-1 correction is O(1e-2) on m = 1, so a wrong quadratic
+    # remainder h'^2 (3u + h') leaves a residual far above 3.5e-13
+    assert rec.stage_residual < 2e-12
+
+
 def test_nonfinite_field_has_nonfinite_norm():
     f = CoeffField.zeros(3, 2)
     f.u[1, 1] = 2.0

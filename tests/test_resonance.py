@@ -44,7 +44,7 @@ def test_mean_potential_lipschitz(rng):
 def test_stage_conditions_vacuous_for_tiny_eps():
     v = one_mode_solution(0)
     w = CoeffField.zeros(1, 0)
-    ok, failures = check_stage_conditions(1e-6, w, v, PARAMS, L_n=16)
+    ok, failures = check_stage_conditions(1e-6, mean_potential(w, v), PARAMS, L_n=16)
     assert ok and failures == []  # 1/(3 eps) >> L_n: empty index range
 
 
@@ -58,7 +58,7 @@ def test_stage_condition_record_example():
     params = ResonanceParams(gamma, tau, 0.1)
     v = one_mode_solution(0)
     w = CoeffField.zeros(1, 0)
-    ok, failures = check_stage_conditions(eps, w, v, params, L_n=32)
+    ok, failures = check_stage_conditions(eps, mean_potential(w, v), params, L_n=32)
     assert ok, [r for r in failures][:3]
 
 
@@ -71,13 +71,13 @@ def test_manufactured_resonance_detected():
     v = one_mode_solution(0)
     w = CoeffField.zeros(1, 0)
     eps = _resonant_eps(100)  # omega * 100 = 101 exactly
-    ok, failures = check_stage_conditions(eps, w, v, PARAMS, L_n=128)
+    ok, failures = check_stage_conditions(eps, mean_potential(w, v), PARAMS, L_n=128)
     assert not ok
     assert any(r.ell == 100 and r.j == 100 for r in failures)
     # perturbing eps by half the threshold-equivalent width keeps it failing
     thr = 2 * PARAMS.gamma / (100 + 101) ** PARAMS.tau
     eps2 = eps + thr / 100.0
-    ok2, failures2 = check_stage_conditions(eps2, w, v, PARAMS, L_n=128)
+    ok2, failures2 = check_stage_conditions(eps2, mean_potential(w, v), PARAMS, L_n=128)
     assert not ok2
 
 
@@ -92,8 +92,8 @@ def test_gamma_two_gamma_flip():
     # |omega(eps) l - wj| ~ (l / (2 omega)) * d(eps): move by 1.5 thresholds
     d_eps = 1.5 * thr * 2 * np.sqrt(1 + eps0) / ell
     eps = eps0 + d_eps
-    ok_g, _ = check_stage_conditions(eps, w, v, PARAMS, L_n=128)
-    ok_2g, _ = check_limit_conditions(eps, w, v, PARAMS, L_max=128)
+    ok_g, _ = check_stage_conditions(eps, mean_potential(w, v), PARAMS, L_n=128)
+    ok_2g, _ = check_limit_conditions(eps, mean_potential(w, v), PARAMS, L_max=128)
     assert ok_g and not ok_2g
 
 
@@ -102,10 +102,10 @@ def test_limit_implies_stage():
     v = one_mode_solution(0)
     w = CoeffField.zeros(1, 0)
     for eps in (3e-3, 1.1e-2, 4.3e-2):
-        ok2, _ = check_limit_conditions(eps, w, v, PARAMS, L_max=256)
+        ok2, _ = check_limit_conditions(eps, mean_potential(w, v), PARAMS, L_max=256)
         if ok2:
             for L in (8, 16, 64, 256):
-                ok, _ = check_stage_conditions(eps, w, v, PARAMS, L_n=L)
+                ok, _ = check_stage_conditions(eps, mean_potential(w, v), PARAMS, L_n=L)
                 assert ok
 
 
@@ -114,11 +114,19 @@ def test_stage_sets_nested():
     v = one_mode_solution(0)
     w = CoeffField.zeros(1, 0)
     eps = _resonant_eps(100)
-    f_small = check_stage_conditions(eps, w, v, PARAMS, L_n=64)[1]
-    f_large = check_stage_conditions(eps, w, v, PARAMS, L_n=128)[1]
+    f_small = check_stage_conditions(eps, mean_potential(w, v), PARAMS, L_n=64)[1]
+    f_large = check_stage_conditions(eps, mean_potential(w, v), PARAMS, L_n=128)[1]
     small = {(r.ell, r.j) for r in f_small}
     large = {(r.ell, r.j) for r in f_large}
     assert small <= large
+
+
+def test_nan_mean_fails_closed():
+    # 1/(3 eps) < 9 <= L: the checks are not vacuous, and a NaN mean passes no pair
+    eps = 0.04
+    for check in (check_stage_conditions, check_limit_conditions):
+        ok, failures = check(eps, float("nan"), PARAMS, 32)
+        assert not ok and failures
 
 
 def test_strong_diophantine():
