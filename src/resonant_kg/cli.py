@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 import time
@@ -51,6 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
     so.add_argument("--j-space", type=int, default=None)
     so.add_argument("--no-divisors", action="store_true",
                     help="skip the per-stage small-divisor tables")
+    so.add_argument("--verbose", action="store_true",
+                    help="log one line per stage (sizes, iteration counts, "
+                         "seconds per phase) to stderr")
     so.add_argument("--out", required=True)
 
     me = sub.add_parser("measure", help="estimate the admissible-amplitude measure")
@@ -119,6 +123,12 @@ def cmd_solve(args) -> int:
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    log = logging.getLogger("resonant_kg")
+    handler = logging.StreamHandler(sys.stderr)
+    level = log.level
+    if args.verbose:
+        log.addHandler(handler)
+        log.setLevel(logging.INFO)
     try:
         result = nash_moser.run(config)
     except nash_moser.MelnikovExcludedError as exc:
@@ -134,6 +144,9 @@ def cmd_solve(args) -> int:
             raise
         print(f"numeric failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
     t1 = time.perf_counter()
     artifacts = {}
     artifacts["solution"] = os.path.join(args.out, "solution.field")

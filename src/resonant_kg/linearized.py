@@ -1,4 +1,4 @@
-"""Linearized range operator: assembly, block spectra, small divisors, inversion.
+"""Linearized range operator: matrix-free application, the paper's splitting, divisors.
 
 On the range truncation (time frequencies l <= L_n, space modes j <= J_max,
 excluding the resonant pairs j = l - 1) the linearization of the range
@@ -12,17 +12,25 @@ mean b0 and the oscillating part gives the diagonal family
 
     D_l = omega^2 l^2 - A - eps pi_l (b0 .) pi_l
 
-whose spectra (a Sturm-Liouville perturbation of omega_j^2) control the small
-divisors alpha_l = min_j |omega^2 l^2 - lambda_{l,j}(eps)|.  Every block is one
-matrix omega_j^2 + eps B with the row and column of e_{l-1} deleted, so the
-divisor table diagonalizes that matrix once and finds each block's
-eigenvalue nearest omega^2 l^2 from a secular equation; the per-block
-banded eigensolve stays for `diagonalize_block` and as the test oracle.  The
-production inverse is a dense LU factorization on the truncation, and its
-weighted norm is the square root of the top eigenvalue of a Gram matrix
-(power iteration, a lower bound, above EXACT_NORM_MAX unknowns).  The
-sign/half-power preconditioner splitting and the Neumann series are kept as
-diagnostics that certify the expected bounds.
+and Lop = D - eps M.  The operator is never formed: `apply` reads the
+product by b from the S_d stack of b (one GEMM per chunk of d) and the
+kernel correction from the thin dv_matrix, and `solve` runs the Neumann
+iteration x <- x + D^-1 (b - Lop x) on the per-l blocks of D, which
+contracts by about 3e-3 per sweep on the solution branches and stops
+componentwise, so coefficients far below the largest keep their value.
+The weighted norm of the inverse is exact up to EXACT_NORM_MAX unknowns
+(the top eigenvalue of a Gram matrix of the dense oracle, `dense_matrix`)
+and a power-iteration lower bound through the same solves above it.
+
+The spectra of D_l (a Sturm-Liouville perturbation of omega_j^2) control
+the small divisors alpha_l = min_j |omega^2 l^2 - lambda_{l,j}(eps)|.  Every
+block is one matrix omega_j^2 + eps B with the row and column of e_{l-1}
+deleted, so the divisor table diagonalizes that matrix once and finds each
+block's eigenvalue nearest omega^2 l^2 from a secular equation; the
+per-block banded eigensolve stays for `diagonalize_block` and as the test
+oracle.  The sign/half-power preconditioner splitting and the Neumann
+series of dense matrices are kept as diagnostics that certify the expected
+bounds.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import as_strided
 
 from . import spherical_basis as sb
 from .bifurcation import (KernelField, KernelSolveResult, kernel_derivative_matrix,
@@ -44,6 +53,7 @@ __all__ = [
     "WLattice",
     "LinearizedOperator",
     "assemble_linearized",
+    "dense_matrix",
     "split_diagonal",
     "SpectralBlock",
     "diagonalize_block",
@@ -61,26 +71,45 @@ __all__ = [
 # Largest unknown count at which LinearizedOperator.inverse_norm is exact;
 # above it the value is a power-iteration lower bound.
 EXACT_NORM_MAX = 1600
+# A Neumann solve that has not settled after this many sweeps raises.
+_MAX_SWEEPS = 100
+# The sweeps stop at the first stalled componentwise-relative update at or
+# below this: above it a stall is the fill-in of components that the
+# right-hand side leaves zero, which can take 20 sweeps.
+_STALL_LEVEL = 2.0 ** -30
+# An update that grows while above this fraction of the largest component
+# means the splitting does not contract.
+_SETTLED = 2.0 ** -40
+# Relative change of the power estimate at which inverse_norm stops.
+_POWER_RTOL = 1e-14
+# Bytes of one chunk of the time fold's GEMM operand (kept cache-sized).
+_FOLD_CHUNK_BYTES = 1 << 20
 
 
 class ResonantSolveError(RuntimeError):
-    """Dense factorization failed or is effectively singular."""
+    """A block of D is singular, or the Neumann iteration does not settle."""
 
 
 @dataclass(frozen=True)
 class WLattice:
-    """Index bookkeeping for the range truncation (l <= L, j <= J, j != l-1)."""
+    """Index bookkeeping for the range truncation (l <= L, j <= J, j != l-1).
+
+    `mask` is the (L+1, J+1) grid of lattice points; ells and js list them
+    in row-major order.
+    """
 
     L: int
     J: int
     ells: np.ndarray = field(init=False, repr=False)
     js: np.ndarray = field(init=False, repr=False)
+    mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ll, jj = np.meshgrid(np.arange(self.L + 1), np.arange(self.J + 1), indexing="ij")
-        keep = (jj != ll - 1).ravel()
-        object.__setattr__(self, "ells", ll.ravel()[keep].copy())
-        object.__setattr__(self, "js", jj.ravel()[keep].copy())
+        keep = jj != ll - 1
+        object.__setattr__(self, "ells", ll[keep].copy())
+        object.__setattr__(self, "js", jj[keep].copy())
+        object.__setattr__(self, "mask", keep)
 
     @property
     def size(self) -> int:
@@ -94,6 +123,10 @@ class WLattice:
         f = CoeffField.zeros(self.L, self.J)
         f.u[self.ells, self.js] = vec
         return f
+
+    def to_grid(self, f: CoeffField) -> np.ndarray:
+        """f on the (L+1, J+1) grid with every entry off the lattice zero."""
+        return np.where(self.mask, f.padded(self.L, self.J).u[: self.L + 1, : self.J + 1], 0.0)
 
     def weights(self, params: NormParams) -> np.ndarray:
         """Per-coefficient norm weights: ||f||^2 = sum (w_i c_i)^2 on the lattice."""
@@ -146,21 +179,51 @@ def _potential_parts(stack: np.ndarray, dv: np.ndarray, lattice: WLattice):
 
 @dataclass
 class LinearizedOperator:
-    """Assembled dense operator with the stage state it linearizes at.
+    """The linearized operator, applied matrix-free, with the stage state it linearizes at.
 
     u = v(w) + w is the state, q = u^2, and stack the S_d matrices of the
-    potential b = 3 q (mult_matrix_stack), from which the matrix was gathered.
+    potential b = 3 q (mult_matrix_stack); dv_matrix maps lattice
+    coefficients to the kernel derivative.  The counter `sweeps` holds the
+    Neumann sweeps run on this operator and `power_steps` the power steps of
+    the last `inverse_norm` (0 when it was exact).
     """
 
     eps: float
     omega: float
     lattice: WLattice
-    matrix: np.ndarray
     u: CoeffField
     q: CoeffField
     stack: np.ndarray
     dv_matrix: np.ndarray
-    _lu: tuple | None = None
+
+    def __post_init__(self):
+        self.sweeps = 0
+        self.power_steps = 0
+        self._split = None
+        L, J = self.L, self.J
+        n_k, size = self.dv_matrix.shape[0], self.stack.shape[1]
+        # the product by b is taken on rows l <= L and on the kernel slots
+        # (j'' + 1, j'').  S_d vanishes beyond the time truncation of q and,
+        # on a branch whose state holds only odd multiples of omega_m, off the
+        # multiples of 2 omega_m: the fold reads S_d at d = 0, step, 2 step, ...
+        self._rows = max(L, n_k) + 1
+        live = np.flatnonzero(np.abs(self.stack[: 2 * self._rows - 1]).max(axis=(1, 2)))
+        self._step = int(np.gcd.reduce(live)) or 1
+        top = int(live[-1]) if len(live) else 0
+        self._stacked = np.ascontiguousarray(self.stack[: top + 1 : self._step]).reshape(-1, size)
+        # a subnormal entry adds less than 2^-1022 times the input to an output,
+        # below the precision of any output in the normal range for inputs of
+        # order one (the scaled Neumann iterates), and it makes the GEMM
+        # twenty times slower on x86
+        self._stacked[np.abs(self._stacked) < np.finfo(float).tiny] = 0.0
+        self._chunk = max(1, _FOLD_CHUNK_BYTES // (8 * self._rows * size))
+        self._kernel_slots = (np.arange(n_k) + 1, np.arange(n_k))
+        ell = np.arange(L + 1, dtype=float)[:, None]
+        wj = np.arange(J + 1, dtype=float)[None, :] + 1.0
+        self._symbol = self.omega ** 2 * ell ** 2 - wj ** 2
+        dv_grid = np.zeros((n_k, (L + 1) * (J + 1)))
+        dv_grid[:, self.lattice.ells * (J + 1) + self.lattice.js] = self.dv_matrix
+        self._dv_grid = dv_grid
 
     @property
     def L(self) -> int:
@@ -176,42 +239,152 @@ class LinearizedOperator:
         return 3.0 * self.q.u[0]
 
     def symbol_diagonal(self) -> np.ndarray:
-        ell = self.lattice.ells.astype(float)
-        wj = (self.lattice.js + 1).astype(float)
-        return self.omega ** 2 * ell ** 2 - wj ** 2
+        return self._symbol[self.lattice.mask]
 
     def factorize(self):
-        """LU factors of the matrix, computed once.
+        """The per-l blocks of D and their inverses, (L+1, J+1, J+1) each, computed once.
 
-        Exact or numerical singularity raises ResonantSolveError.  Non-finite
-        entries are not rejected here or in `solve`: they carry through to
-        the solution, where the Picard loop of `nash_moser.solve_stage`
-        reports them with the stage and iteration.
+        D_l = omega^2 l^2 - omega_j^2 - eps S_0 on the modes j != l - 1; the
+        resonant slot is carried as a unit row and column, so each block is
+        J x J on the lattice.  A singular block raises ResonantSolveError.
+        Non-finite blocks are not rejected: they make `solve` return
+        non-finite values, which the Picard loop of `nash_moser.solve_stage`
+        reports with the stage and iteration.
         """
-        if self._lu is None:
+        if self._split is None:
+            J = self.J
+            blocks = np.repeat(-self.eps * self.stack[None, 0, : J + 1, : J + 1],
+                               self.L + 1, axis=0)
+            blocks[:, np.arange(J + 1), np.arange(J + 1)] += self._symbol
+            ells = np.arange(1, min(self.L, J + 1) + 1)
+            blocks[ells, ells - 1, :] = 0.0
+            blocks[ells, :, ells - 1] = 0.0
+            blocks[ells, ells - 1, ells - 1] = 1.0
+            inverse = np.full_like(blocks, np.nan)
+            finite = np.isfinite(blocks).all(axis=(1, 2))
             try:
-                with warnings.catch_warnings():
-                    # exact singularity is detected below and raised as an error
-                    warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                    self._lu = scipy.linalg.lu_factor(self.matrix, check_finite=False)
-            except scipy.linalg.LinAlgError as exc:
-                raise ResonantSolveError("linearized operator is singular") from exc
-            u_diag = np.abs(np.diag(self._lu[0]))
-            if u_diag.min() == 0.0 or u_diag.min() < 1e-300 * max(u_diag.max(), 1.0):
-                raise ResonantSolveError(
-                    "linearized operator is numerically singular "
-                    "(amplitude effectively resonant)")
-        return self._lu
+                inverse[finite] = np.linalg.inv(blocks[finite])
+            except np.linalg.LinAlgError:
+                for ell in np.nonzero(finite)[0]:  # name the exactly singular block
+                    try:
+                        inverse[ell] = np.linalg.inv(blocks[ell])
+                    except np.linalg.LinAlgError:
+                        raise ResonantSolveError(f"block l={ell} of D is singular") from None
+            bad = finite & ~np.isfinite(inverse).all(axis=(1, 2))
+            if bad.any():
+                raise ResonantSolveError(f"block l={int(np.argmax(bad))} of D is numerically "
+                                         "singular (amplitude effectively resonant)")
+            self._split = (blocks, inverse)
+        return self._split
 
-    def apply(self, f: CoeffField) -> CoeffField:
-        return self.lattice.to_field(self.matrix @ self.lattice.to_vector(f))
+    def _product(self, h: np.ndarray) -> np.ndarray:
+        """Product by b on stored coefficients h (rows l, columns j of the stack).
+
+        Stored row l' stands for the frequencies +l' and -l', so
+        out[l] = sum_d S_d g_d[l] with g_0 = h and g_d[l] = h[|l - d|] + h[l + d]
+        for d >= 1.  In the mirrored, zero-padded copy hz (hz[rows - 1 + p] =
+        h[|p|]) the rows g_d[l] for a chunk of the live d are read through
+        two strided views of hz, at l + d and through the mirror at |l - d|;
+        each chunk is then one GEMM against the stacked S_d.
+        """
+        rows, size = h.shape
+        count = len(self._stacked) // size
+        step = self._step
+        hz = np.zeros((2 * rows + step * count, size))
+        hz[: 2 * rows - 1] = h[np.abs(np.arange(1 - rows, rows))]
+        down, item = hz.strides
+        out = np.zeros_like(h)
+        for i0 in range(0, count, self._chunk):
+            width = min(self._chunk, count - i0)
+            centre = hz[rows - 1 + step * i0]
+            shape = (rows, width, size)
+            g = np.add(as_strided(centre, shape, (-down, step * down, item), writeable=False),
+                       as_strided(centre, shape, (down, step * down, item), writeable=False),
+                       out=np.empty(shape))  # C order, so the reshape below is a view
+            if i0 == 0:
+                g[:, 0] = h
+            out += g.reshape(rows, width * size) @ self._stacked[i0 * size : (i0 + width) * size]
+        return out
+
+    def _apply(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """Lop x (Lop^T x when adjoint) for x on the lattice grid.
+
+        The product by b is self-adjoint under the multiplicities
+        Mw = diag(1, 2, 2, ...) of the stored rows, so its transpose is
+        Mw (product by b) Mw^-1; M2 = (product by b on the kernel slots) @ dv / 2
+        transposes to dv^T times that product read at the kernel slots.
+        """
+        L, J = self.L, self.J
+        h = np.zeros((self._rows, self.stack.shape[1]))
+        h[: L + 1, : J + 1] = x
+        if adjoint:
+            h[1:] *= 0.5
+            p = self._product(h)
+            p[1:] *= 2.0
+            out = self._symbol * x - self.eps * p[: L + 1, : J + 1]
+            kernel = self._dv_grid.T @ (0.5 * p[self._kernel_slots])
+            out -= self.eps * kernel.reshape(L + 1, J + 1)
+        else:
+            h[self._kernel_slots] = 0.5 * (self._dv_grid @ x.ravel())
+            out = self._symbol * x - self.eps * self._product(h)[: L + 1, : J + 1]
+        out[~self.lattice.mask] = 0.0
+        return out
+
+    def apply(self, f: CoeffField, adjoint: bool = False) -> CoeffField:
+        """Lop f (Lop^T f when adjoint) on the lattice; entries of f off it are ignored."""
+        return CoeffField(self._apply(self.lattice.to_grid(f), adjoint))
+
+    def _neumann(self, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """Solve Lop x = b (Lop^T x = b) on the lattice grid by x <- x + D^-1 (b - Lop x).
+
+        b is scaled by the power of two at its largest entry, which is
+        exact.  The sweeps stop when every component moves by less than one
+        ulp of itself, or when the largest componentwise-relative update
+        stops decreasing at or below _STALL_LEVEL.  A zero b returns zero; a
+        non-finite b or iterate returns at once.  An update that grows above
+        roundoff, or _MAX_SWEEPS sweeps, raise ResonantSolveError.  The
+        caller has run `factorize`.
+        """
+        inverse = self._split[1]
+        peak = float(np.max(np.abs(b)))
+        if peak == 0.0:
+            return np.zeros_like(b)
+        if not np.isfinite(peak):
+            return np.full_like(b, np.nan)
+        scale = np.ldexp(1.0, np.frexp(peak)[1])
+        b = b / scale
+        x = np.zeros_like(b)
+        prev_rel = prev_top = np.inf
+        for sweep in range(1, _MAX_SWEEPS + 1):
+            r = b - self._apply(x, adjoint) if sweep > 1 else b
+            dx = (inverse @ r[:, :, None])[:, :, 0]
+            x = x + dx
+            self.sweeps += 1
+            if not np.all(np.isfinite(x)):
+                return x
+            moved = np.abs(dx)
+            size = np.abs(x)
+            if np.all(moved < np.spacing(size)):
+                return x * scale
+            top = float(moved.max())
+            if top > prev_top and top > _SETTLED * float(size.max()):
+                raise ResonantSolveError(f"Neumann update grows at L_n={self.L}, "
+                                         f"sweep {sweep} ({prev_top:.3e} -> {top:.3e})")
+            # subnormal components carry no relative accuracy
+            normal = size >= np.finfo(float).tiny
+            rel = float(np.divide(moved, size, out=np.zeros_like(size), where=normal).max())
+            if prev_rel <= rel <= _STALL_LEVEL:
+                return x * scale
+            prev_rel, prev_top = rel, top
+        raise ResonantSolveError(f"Neumann iteration at L_n={self.L} did not settle "
+                                 f"by sweep {_MAX_SWEEPS}")
 
     def solve(self, rhs: CoeffField) -> CoeffField:
+        """Lop^-1 rhs by the Neumann iteration of the splitting D - eps M."""
         if not self.lattice.in_lattice_support(rhs):
             raise ValueError("right-hand side has support outside the range truncation")
-        lu = self.factorize()
-        return self.lattice.to_field(scipy.linalg.lu_solve(lu, self.lattice.to_vector(rhs),
-                                                           check_finite=False))
+        self.factorize()
+        return CoeffField(self._neumann(self.lattice.to_grid(rhs)))
 
     def inverse_norm(self, params: NormParams, exact_threshold: int = EXACT_NORM_MAX,
                      power_iterations: int = 40) -> float:
@@ -220,13 +393,25 @@ class LinearizedOperator:
         With B = diag(w) Lop^{-1} diag(w)^{-1} (w the lattice weights), the
         norm is sigma_max(B) = sqrt(lambda_max(B^T B)).  Up to
         `exact_threshold` unknowns it is exact: the top eigenvalue of the
-        Gram matrix B^T B, which is perfectly conditioned.  Above it,
-        deterministic power iteration on B^T B gives a lower bound.
+        Gram matrix B^T B of the dense oracle, which is perfectly
+        conditioned.  Above it, power iteration on B^T B through the Neumann
+        solves and their adjoints; the estimate never decreases, so it is a
+        lower bound, and it stops once it changes by at most 1e-14 relative
+        (at most `power_iterations` steps).
         """
+        self.factorize()
         w = self.lattice.weights(params)
         n = self.lattice.size
-        lu = self.factorize()
+        self.power_steps = 0
         if n <= exact_threshold:
+            with warnings.catch_warnings():
+                # exact singularity is detected below and raised as an error
+                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+                lu = scipy.linalg.lu_factor(dense_matrix(self), check_finite=False)
+            u_diag = np.abs(np.diag(lu[0]))
+            if u_diag.min() == 0.0 or u_diag.min() < 1e-300 * max(u_diag.max(), 1.0):
+                raise ResonantSolveError("linearized operator is numerically singular "
+                                         "(amplitude effectively resonant)")
             # a Fortran-ordered right-hand side is solved in place, and syrk
             # reads the Fortran-ordered B without a copy
             inv = scipy.linalg.lu_solve(lu, np.eye(n, order="F"), overwrite_b=True)
@@ -237,27 +422,48 @@ class LinearizedOperator:
             top = scipy.linalg.eigvalsh(gram, lower=False, subset_by_index=[n - 1, n - 1],
                                         overwrite_a=True)
             return float(np.sqrt(top[0]))
-        x = np.ones(n) / np.sqrt(n)
+        wg = np.ones(self.lattice.mask.shape)
+        wg[self.lattice.ells, self.lattice.js] = w
+        x = np.where(self.lattice.mask, 1.0 / np.sqrt(n), 0.0)
         est = 0.0
-        for _ in range(power_iterations):
-            y = w * scipy.linalg.lu_solve(lu, x / w)               # B x
-            z = scipy.linalg.lu_solve(lu, w * y, trans=1) / w      # B^T y
+        for step in range(1, power_iterations + 1):
+            y = wg * self._neumann(x / wg)                      # B x
+            z = self._neumann(wg * y, adjoint=True) / wg        # B^T y
             nz = float(np.linalg.norm(z))
             if nz == 0.0:
                 return 0.0
-            est = np.sqrt(nz)
+            prev, est = est, np.sqrt(nz)
             x = z / nz
+            if est - prev <= _POWER_RTOL * est:
+                break
+        self.power_steps = step
         return float(est)
+
+
+def dense_matrix(op: LinearizedOperator) -> np.ndarray:
+    """The dense n x n matrix of Lop on the lattice: the oracle of `apply`.
+
+    Gathered from the S_d stack as diag(symbol) - eps mult - eps M2, formed
+    in place in that order.  Production forms it only in the exact branch
+    of `inverse_norm` (n <= EXACT_NORM_MAX); the split diagnostics and the
+    tests read it too.
+    """
+    mult, m2 = _potential_parts(op.stack, op.dv_matrix, op.lattice)
+    mult *= -op.eps
+    mult[np.diag_indices_from(mult)] += op.symbol_diagonal()
+    m2 *= op.eps
+    mult -= m2
+    return mult
 
 
 def assemble_linearized(eps: float, w: CoeffField, m: int, L_n: int, J_max: int,
                         kernel: KernelSolveResult | KernelField | None = None,
                         kernel_tol: float = 1e-12,
                         params: NormParams | None = None) -> LinearizedOperator:
-    """Build the dense linearized operator at (eps, w) on the (L_n, J_max) lattice.
+    """Build the linearized operator at (eps, w) on the (L_n, J_max) lattice.
 
     q = (v + w)^2 is formed once, and one S_d stack of b = 3 q serves the
-    product by b, the kernel derivative dv and the M2 gather.
+    product by b and the kernel derivative dv.
     """
     omega = float(np.sqrt(1.0 + eps))
     if kernel is None:
@@ -270,15 +476,8 @@ def assemble_linearized(eps: float, w: CoeffField, m: int, L_n: int, J_max: int,
     stack = mult_matrix_stack(3.0 * q, max(J_max + 1, n_k),
                               max(2 * L_n, L_n + n_k, 2 * n_k))
     dv = kernel_derivative_matrix(stack, n_k, lattice.ells, lattice.js)
-    mult, m2 = _potential_parts(stack, dv, lattice)
-    op = LinearizedOperator(eps=eps, omega=omega, lattice=lattice, matrix=mult,
-                            u=u, q=q, stack=stack, dv_matrix=dv)
-    # diag(symbol) - eps * mult - eps * m2, formed in place in that order
-    mult *= -eps
-    mult[np.diag_indices_from(mult)] += op.symbol_diagonal()
-    m2 *= eps
-    mult -= m2
-    return op
+    return LinearizedOperator(eps=eps, omega=omega, lattice=lattice,
+                              u=u, q=q, stack=stack, dv_matrix=dv)
 
 
 @dataclass
@@ -294,14 +493,14 @@ class SplitParts:
 
 
 def split_diagonal(op: LinearizedOperator) -> SplitParts:
-    """Split into D (time-mean potential on each l block), M1 (zero-mean part), M2."""
+    """Dense D (the blocks `factorize` builds), M1 (zero-mean part of b) and M2."""
     lattice = op.lattice
-    B0 = sb.multiplication_matrix(op.b0, op.J + 1)
+    blocks, _ = op.factorize()
     same = lattice.ells[:, None] == lattice.ells[None, :]
-    bd = np.where(same, B0[np.ix_(lattice.js, lattice.js)], 0.0)
-    D = np.diag(op.symbol_diagonal()) - op.eps * bd
+    rows, cols = lattice.js[:, None], lattice.js[None, :]
+    D = np.where(same, blocks[lattice.ells[:, None], rows, cols], 0.0)
     mult, m2 = _potential_parts(op.stack, op.dv_matrix, lattice)
-    return SplitParts(D=D, M1=mult - bd, M2=m2)
+    return SplitParts(D=D, M1=mult - np.where(same, op.stack[0][rows, cols], 0.0), M2=m2)
 
 
 @dataclass
@@ -650,8 +849,9 @@ def preconditioned_split_check(op: LinearizedOperator, params: NormParams,
     R1 = Dm @ parts.M1 @ Dm
     R2 = Dm @ parts.M2 @ Dm
     recon = Dp @ (U - op.eps * R1 - op.eps * R2) @ Dp
-    scale = max(np.abs(op.matrix).max(), 1.0)
-    fact_err = float(np.abs(recon - op.matrix).max() / scale)
+    dense = dense_matrix(op)
+    scale = max(np.abs(dense).max(), 1.0)
+    fact_err = float(np.abs(recon - dense).max() / scale)
 
     w_s = lattice.weights(params)
     shifted = NormParams(params.sigma, params.s + (tau - 1.0) / 2.0, params.r)
@@ -684,7 +884,7 @@ def preconditioned_split_check(op: LinearizedOperator, params: NormParams,
     neumann_vs_dense = np.inf
     if converged:
         inv_neumann = Dm @ acc @ U @ Dm
-        inv_dense = scipy.linalg.lu_solve(op.factorize(), np.eye(n))
+        inv_dense = np.linalg.inv(dense)
         neumann_vs_dense = float(np.abs(inv_neumann - inv_dense).max()
                                  / max(np.abs(inv_dense).max(), 1e-300))
     return PrecondReport(u_norm=u_norm, u_ok=u_norm <= 4.0 + 1e-9,

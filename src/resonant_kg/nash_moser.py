@@ -6,8 +6,8 @@ sigma_n = sigma_{n-1} - theta/(1 + n^2) (so sigma_inf > sigma_bar/2 when
 pi^2 theta / 6 < sigma_bar / 2).  Stage 0 is a plain contraction: for
 eps L0 / (omega + 1) <= 1/2 the wave symbol is bounded below by 1/2 on the
 truncation and the fixed-point map is a contraction.  Each later stage
-inverts the assembled linearized operator at the previous iterate and runs
-the Picard map
+inverts the linearized operator at the previous iterate (matrix-free, by the
+Neumann iteration of its splitting D - eps M) and runs the Picard map
 
     h  <-  eps Lop^{-1} ( r_n + R_n(h) ),
 
@@ -31,7 +31,9 @@ two exact products with no cancellation between O(1) terms.
 from __future__ import annotations
 
 import json
+import logging
 import math
+import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -55,6 +57,8 @@ __all__ = [
     "run",
     "verify_solution",
 ]
+
+log = logging.getLogger(__name__)
 
 
 class MelnikovExcludedError(RuntimeError):
@@ -287,7 +291,8 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig):
 
     Raises MelnikovExcludedError when eps fails the stage conditions (the
     amplitude is excluded, not a numerical failure) and ContractionError when
-    the Picard loop stops contracting.
+    the Picard loop stops contracting.  Logs one INFO line per stage with the
+    sizes, iteration counts and the seconds spent in each phase.
     """
     eps = config.eps
     omega = math.sqrt(1.0 + eps)
@@ -297,7 +302,9 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig):
     params_cur = NormParams(sigmas[n], config.s)
     params_next = NormParams(sigmas[n + 1], config.s)
 
+    t_start = time.perf_counter()
     op = assemble_linearized(eps, w_n, config.m, L_next, J, kernel=kernel_n.kernel)
+    t_assembled = time.perf_counter()
     ok, failures = check_stage_conditions(eps, melnikov_mean(op.q),
                                           config.resonance_params(), L_next)
     if not ok and config.check_melnikov:
@@ -311,6 +318,7 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig):
     gam_next_norm = rhs_full.norm(params_cur)
     r_smooth_bound = math.exp(-L_cur * (sigmas[n] - sigmas[n + 1])) * gam_next_norm
 
+    t_picard = time.perf_counter()
     h = CoeffField.zeros(L_next, J)
     prev_delta = None
     ratio = 0.0
@@ -340,6 +348,8 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig):
     else:
         raise ContractionError(f"stage {n + 1} Picard loop did not converge "
                                f"in {config.picard_max} iterations")
+    t_picard = time.perf_counter() - t_picard
+    picard_sweeps = op.sweeps
 
     w_next = w_n.padded(L_next, J) + h
     kernel_next = solve_kernel(w_next, config.m, tol=config.kernel_tol,
@@ -350,18 +360,25 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig):
              - eps * project_range(time_cutoff(gam_fresh, L_next)))
     stage_residual = resid.norm(params_next)
 
+    t_norm = time.perf_counter()
     inv_norm = op.inverse_norm(params_next)
+    t_norm = time.perf_counter() - t_norm
     inv_exact = op.lattice.size <= EXACT_NORM_MAX
     inv_bound = (648.0 / config.gamma) * L_next ** (config.tau - 1.0)
-    b0 = op.b0
-    del op  # the dense matrix and its LU are not needed past this point
 
+    t_table = time.perf_counter()
     div_ok, div_margin = True, float("inf")
     if config.divisor_diagnostics:
-        table = divisor_table(eps, b0, L_next, 2 * L_next, config.gamma, config.tau)
+        table = divisor_table(eps, op.b0, L_next, 2 * L_next, config.gamma, config.tau)
         div_ok = table.all_ok
         with np.errstate(divide="ignore"):
             div_margin = float(np.min(table.alpha / table.floor))
+    t_table = time.perf_counter() - t_table
+    log.info("stage %d L_n=%d unknowns=%d picard_iters=%d neumann_sweeps=%d+%d "
+             "power_steps=%d assembly_s=%.3f picard_s=%.3f inverse_norm_s=%.3f "
+             "divisor_table_s=%.3f", n + 1, L_next, op.lattice.size, iters, picard_sweeps,
+             op.sweeps - picard_sweeps, op.power_steps, t_assembled - t_start, t_picard,
+             t_norm, t_table)
 
     rec = StageRecord(n=n + 1, L_n=L_next, sigma_n=sigmas[n + 1],
                       h_norm=h.norm(params_next), w_norm=w_next.norm(params_next),

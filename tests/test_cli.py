@@ -87,6 +87,31 @@ def test_linalg_and_memory_errors_exit_1(tmp_path, capsys, monkeypatch, error):
     assert "numeric failure" in err and "Traceback" not in err
 
 
+def test_neumann_solve_failure_exits_1(tmp_path, capsys, monkeypatch):
+    from resonant_kg import linearized
+    monkeypatch.setattr(linearized, "_MAX_SWEEPS", 1)
+    assert main(solve_args(tmp_path / "run")) == 1
+    err = capsys.readouterr().err
+    assert "numeric failure: Neumann iteration at L_n=16 did not settle by sweep 1" in err
+    assert "Traceback" not in err
+
+
+def test_solve_verbose_logs_one_line_per_stage(tmp_path, capsys):
+    assert main(solve_args(tmp_path / "quiet")) == 0
+    assert capsys.readouterr().err == ""
+    assert main(solve_args(tmp_path / "loud", extra=("--verbose",))) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(" L_n=")[0] for line in lines] == ["stage 1", "stage 2"]
+    for line, L_n in zip(lines, (16, 32)):
+        assert f"L_n={L_n} unknowns=" in line
+        for key in ("picard_iters=", "neumann_sweeps=", "power_steps=", "assembly_s=",
+                    "picard_s=", "inverse_norm_s=", "divisor_table_s="):
+            assert key in line
+    # the timings go to stderr only: the trace is the same bytes
+    assert (tmp_path / "loud" / "trace.jsonl").read_bytes() == \
+        (tmp_path / "quiet" / "trace.jsonl").read_bytes()
+
+
 def test_measure_command(tmp_path):
     out = tmp_path / "measure.json"
     code = main(["measure", "--eta", "0.04", "--eta", "0.02",

@@ -5,9 +5,11 @@ import scipy.linalg
 from resonant_kg import CoeffField, NormParams, project_range
 from resonant_kg.bifurcation import KernelField, solve_kernel
 from resonant_kg.field_algebra import field_multiply, time_cutoff
-from resonant_kg.linearized import (ResonantSolveError, WLattice,
-                                    assemble_linearized, diagonalize_block,
-                                    divisor_table, pairwise_divisor_constant,
+from resonant_kg import linearized
+from resonant_kg.linearized import (EXACT_NORM_MAX, ResonantSolveError, WLattice,
+                                    assemble_linearized, dense_matrix,
+                                    diagonalize_block, divisor_table,
+                                    pairwise_divisor_constant,
                                     preconditioned_split_check, small_divisors,
                                     split_diagonal)
 from resonant_kg.spherical_basis import (evaluate_profile, matrix_element,
@@ -28,7 +30,7 @@ def test_unperturbed_operator_is_diagonal_symbol():
                              kernel=zero_kernel(3))
     lat = op.lattice
     sym = lat.ells.astype(float) ** 2 - (lat.js + 1.0) ** 2
-    assert np.allclose(op.matrix, np.diag(sym))
+    assert np.allclose(dense_matrix(op), np.diag(sym))
     # inversion is then entrywise division by the symbol
     rhs = project_range(CoeffField(np.random.default_rng(0).standard_normal((5, 4))))
     sol = op.solve(rhs)
@@ -66,7 +68,8 @@ def test_split_reassembles_exactly(rng):
     ks = solve_kernel(w, 0, J_V=4)
     op = assemble_linearized(2e-2, w, 0, 5, 4, kernel=ks.kernel)
     parts = split_diagonal(op)
-    assert np.abs(parts.reassemble(op.eps) - op.matrix).max() < 1e-13 * np.abs(op.matrix).max()
+    dense = dense_matrix(op)
+    assert np.abs(parts.reassemble(op.eps) - dense).max() < 1e-13 * np.abs(dense).max()
 
 
 def test_time_constant_potential_has_no_offdiagonal():
@@ -253,10 +256,11 @@ def test_solve_rejects_offlattice_support(rng):
 
 
 def test_singular_factorization_raises():
-    op = assemble_linearized(0.0, CoeffField.zeros(3, 2), 0, 3, 2,
+    # at eps = 3 and b = 0, omega^2 l^2 = omega_j^2 at the kept point (l, j) = (1, 1):
+    # the l = 1 block of D is exactly singular
+    op = assemble_linearized(3.0, CoeffField.zeros(3, 2), 0, 3, 2,
                              kernel=zero_kernel(2))
-    op.matrix[0, :] = 0.0  # make it exactly singular
-    with pytest.raises(ResonantSolveError):
+    with pytest.raises(ResonantSolveError, match="block l=1"):
         op.factorize()
 
 
@@ -300,6 +304,11 @@ def test_inverse_norm_power_iteration_agrees(rng):
     exact = op.inverse_norm(P)
     powered = op.inverse_norm(P, exact_threshold=0, power_iterations=60)
     assert abs(powered - exact) < 1e-6 * exact
+    # the stopped estimate is a lower bound (up to the exact value's own
+    # rounding) within 1e-12 of the exact Gram value
+    stopped = op.inverse_norm(P, exact_threshold=0)
+    assert 0 < op.power_steps < 40
+    assert exact * (1 - 1e-12) <= stopped <= exact * (1 + 1e-15)
 
 
 def test_assembly_forms_square_and_stack_once(rng, monkeypatch):
@@ -380,6 +389,106 @@ def test_inverse_norm_matches_svd_oracle(rng, m, Ln, J):
     assert op.lattice.size <= 300
     for params in (P, NormParams(1.0, 1.5, 2.0)):
         wt = op.lattice.weights(params)
-        inv = scipy.linalg.lu_solve(op.factorize(), np.eye(op.lattice.size))
+        inv = np.linalg.inv(dense_matrix(op))
         oracle = np.linalg.norm(wt[:, None] * inv / wt[None, :], 2)
         assert abs(op.inverse_norm(params) - oracle) <= 1e-14 * oracle
+
+
+def _branch_operator(rng, m, Ln, J, eps=2e-3):
+    w = random_field(rng, 6, J, scale=0.02, decay=0.4)
+    return assemble_linearized(eps, w, m, Ln, J, kernel=solve_kernel(w, m, J_V=J).kernel)
+
+
+def _stage0_operator(m, Ln):
+    # a branch state holds only odd multiples of omega_m in time, so b has
+    # only the multiples of 2 omega_m and the fold skips the other S_d
+    from resonant_kg.nash_moser import SolverConfig, solve_stage0
+    cfg = SolverConfig(eps=2e-3, m=m)
+    w, kernel, _ = solve_stage0(cfg)
+    return assemble_linearized(cfg.eps, w, m, Ln, cfg.J_space, kernel=kernel.kernel)
+
+
+@pytest.mark.parametrize("m, Ln, J, state", [(0, 64, 4, "random"), (1, 24, 18, "random"),
+                                             (2, 8, 34, "random"), (0, 64, 2, "branch"),
+                                             (1, 32, 18, "branch")])
+def test_apply_and_adjoint_match_dense_oracle(rng, m, Ln, J, state):
+    if state == "branch":
+        op = _stage0_operator(m, Ln)
+        assert op._step == 2 * (m + 1)
+    else:
+        op = _branch_operator(rng, m, Ln, J)
+    lat = op.lattice
+    dense = dense_matrix(op)
+    h = random_field(rng, Ln, J, decay=0.05)
+    h.u[0] *= 10.0  # weight the l = 0 row, which the fold counts once
+    x = lat.to_vector(h)
+    for got, want in ((op.apply(h), dense @ x), (op.apply(h, adjoint=True), dense.T @ x)):
+        got = lat.to_vector(got)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(got[lat.ells == 0] - want[lat.ells == 0]).max() \
+            <= 1e-14 * np.abs(want[lat.ells == 0]).max()
+
+
+@pytest.mark.parametrize("m, Ln, J", [(0, 64, 4), (1, 24, 18), (2, 8, 34)])
+def test_solve_matches_lu_in_weighted_norm(rng, m, Ln, J):
+    op = _branch_operator(rng, m, Ln, J)
+    lat = op.lattice
+    rhs = random_field(rng, Ln, J, decay=0.05)
+    want = lat.to_field(scipy.linalg.lu_solve(scipy.linalg.lu_factor(dense_matrix(op)),
+                                              lat.to_vector(rhs)))
+    assert (op.solve(rhs) - want).norm(P) <= 1e-14 * want.norm(P)
+
+
+@pytest.mark.parametrize("m, Ln, J, sigma", [(0, 64, 4, 8.0), (1, 24, 18, 20.0),
+                                              (2, 16, 34, 30.0)])
+def test_graded_solve_matches_lu_componentwise(rng, m, Ln, J, sigma):
+    # right-hand side rows scaled by e^(-sigma l), spanning over 200 decades: a
+    # normwise solver (a Krylov method) gets the small components wrong.  Both
+    # solvers are componentwise backward stable (1e-15), so they agree to the
+    # componentwise condition of the system: 2e-13 or better on these inputs;
+    # a component with cancellation can differ by 1e-11 (seen on m = 0, J = 2,
+    # where a long-double refinement put LU 3x further off than the sweeps)
+    op = _branch_operator(rng, m, Ln, J)
+    lat = op.lattice
+    b = rng.standard_normal(lat.size) * np.exp(-sigma * lat.ells)
+    assert np.log10(np.abs(b).max() / np.abs(b).min()) >= 200
+    want = scipy.linalg.lu_solve(scipy.linalg.lu_factor(dense_matrix(op)), b)
+    got = lat.to_vector(op.solve(lat.to_field(b)))
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_neumann_solve_edge_cases(rng, monkeypatch):
+    op = _branch_operator(rng, 1, 12, 18)
+    zero = CoeffField.zeros(12, 18)
+    assert np.all(op.solve(zero).u == 0.0)
+    bad = random_field(rng, 12, 18)
+    bad.u[3, 0] = np.nan
+    sweeps = op.sweeps
+    assert np.all(np.isnan(op.solve(bad).u))
+    assert op.sweeps == sweeps  # returned at once
+    rhs = random_field(rng, 12, 18)
+    monkeypatch.setattr(linearized, "_MAX_SWEEPS", 2)
+    with pytest.raises(ResonantSolveError, match="L_n=12 did not settle by sweep 2"):
+        op.solve(rhs)
+    monkeypatch.undo()
+    # a preconditioner of the wrong sign makes the update grow
+    blocks, inverse = op.factorize()
+    op._split = (blocks, -3.0 * inverse)
+    with pytest.raises(ResonantSolveError, match="update grows at L_n=12, sweep 2"):
+        op.solve(rhs)
+
+
+def test_run_gathers_no_dense_matrix_above_exact_max(monkeypatch):
+    from resonant_kg.nash_moser import SolverConfig, run
+    real = linearized._convolution_matrix
+    sizes = []
+
+    def guarded(stack, lattice):
+        sizes.append(lattice.size)
+        if lattice.size > EXACT_NORM_MAX:
+            raise AssertionError(f"dense gather at {lattice.size} unknowns")
+        return real(stack, lattice)
+    monkeypatch.setattr(linearized, "_convolution_matrix", guarded)
+    result = run(SolverConfig(eps=2e-3, m=1, n_max=4))
+    assert max(sizes) <= EXACT_NORM_MAX
+    assert [r.inverse_norm_exact for r in result.trace.records] == [True] * 4 + [False]
