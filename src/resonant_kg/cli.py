@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -192,6 +193,9 @@ def cmd_measure(args) -> int:
         print("solve grid must contain at least 2 amplitudes for interpolation",
               file=sys.stderr)
         return EXIT_GRID
+    if not all(math.isfinite(eta) and eta > 0.0 for eta in args.eta):
+        print("invalid parameters: eta must be positive and finite", file=sys.stderr)
+        return EXIT_USAGE
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     t0 = time.perf_counter()
     etas = sorted(set(args.eta), reverse=True)
@@ -219,7 +223,7 @@ def cmd_measure(args) -> int:
         "elapsed_s": time.perf_counter() - t0,
     }
     with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        json.dump(payload, fh, sort_keys=True)
     fitted = payload["fitted_exponent"]
     print(f"admissible fractions: "
           + ", ".join(f"{r.eta:g}: {r.fraction_interval:.4f}" for r in reports)
@@ -274,6 +278,9 @@ def cmd_divisors(args) -> int:
 def cmd_spectrum(args) -> int:
     from .linearized import diagonalize_block, spectrum_to_csv
 
+    if args.ell_max is not None and args.ell_max < 0:
+        print("invalid parameters: --ell-max must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
     try:
         w, b0, config = _load_run(args.run)
     except (FileNotFoundError, ValueError) as exc:

@@ -18,6 +18,13 @@ moves by O(eps) rather than O(exp(-chi^n)), re-solves it every iteration);
 each stage ends with a certificate residual computed against a freshly
 solved kernel and no spatial truncation.
 
+Stage 0 and the later stages run one fixed-point loop, `_contract`, each
+passing it its own step.  The loop stops once an update falls below
+PICARD_TOL max(1, ||x||), and raises ContractionError on a non-finite
+update, on an update that grows above ten times that level, and after
+PICARD_MAX iterations.  One function, `_stage_residual`, forms the
+certificate residual of every stage.
+
 The stage state u = v(w_n) + w_n and q = u^2 are formed once, by the
 operator assembly; the Melnikov mean comes from q and Gamma(u) = u^3 is q u.
 With h' = h + dv[h] the Picard step's total correction, the remainder is
@@ -60,6 +67,9 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+PICARD_TOL = 1e-13
+PICARD_MAX = 50
+
 
 class MelnikovExcludedError(RuntimeError):
     """The amplitude violates a stage non-resonance condition (expected event)."""
@@ -89,16 +99,14 @@ class SolverConfig:
     L0: int = 8
     n_max: int = 6
     J_space: int | None = None
-    eps0: float = 0.1
     sign: int = +1
-    kernel_tol: float = 1e-12
-    picard_tol: float = 1e-13
-    picard_max: int = 50
-    final_h_tol: float = 0.0
     check_melnikov: bool = True
     divisor_diagnostics: bool = True
 
     def __post_init__(self):
+        for name in ("eps", "gamma", "tau", "sigma_bar", "s", "theta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.eps < 0:
             raise ValueError("eps must be >= 0")
         if not 0.0 < self.gamma < 1.0 / 6.0:
@@ -134,14 +142,8 @@ class SolverConfig:
         total = (math.pi / math.tanh(math.pi) - 1.0) / 2.0
         return self.sigma_bar - self.theta * total
 
-    @property
-    def mean_smoothness_flag(self) -> bool:
-        """True when s <= 3/2 (the mean functional is used outside its
-        stated smoothness regime; computed anyway, flagged here)."""
-        return self.s <= 1.5
-
     def resonance_params(self) -> ResonanceParams:
-        return ResonanceParams(self.gamma, self.tau, self.eps0)
+        return ResonanceParams(self.gamma, self.tau)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -212,11 +214,49 @@ def _range_rhs(f: CoeffField, L: int, J: int, params: NormParams):
     return kept, discarded
 
 
+def _contract(step, x: CoeffField, params: NormParams, label: str):
+    """Iterate x <- step(x) to its fixed point; return (x, iterations, last ratio).
+
+    Stops once an update is below PICARD_TOL max(1, ||x||).  Raises
+    ContractionError, naming `label`, on a non-finite update, on an update
+    that grows while above ten times that level, and after PICARD_MAX
+    iterations.
+    """
+    prev_delta = None
+    ratio = 0.0
+    for iters in range(1, PICARD_MAX + 1):
+        x_new = step(x)
+        delta = (x_new - x).norm(params)
+        x_new_norm = x_new.norm(params)
+        if not (math.isfinite(delta) and math.isfinite(x_new_norm)):
+            raise ContractionError(f"{label} iteration {iters}: non-finite update")
+        if prev_delta is not None and prev_delta > 0:
+            ratio = delta / prev_delta
+            if ratio >= 1.0 and delta > 10 * PICARD_TOL * max(1.0, x.norm(params)):
+                raise ContractionError(f"{label} iteration {iters}: not contracting "
+                                       f"(ratio {ratio:.3f})")
+        prev_delta = delta
+        x = x_new
+        if delta < PICARD_TOL * max(1.0, x_new_norm):
+            return x, iters, ratio
+    raise ContractionError(f"{label} loop did not converge in {PICARD_MAX} iterations")
+
+
+def _stage_residual(w: CoeffField, v: KernelField, L: int, eps: float,
+                    params: NormParams) -> float:
+    """Norm of the L-truncated range equation at (w, v), with no spatial truncation."""
+    gam = _gamma_field(v, w)
+    resid = (w.padded(gam.L, gam.J).apply_wave_symbol(math.sqrt(1.0 + eps))
+             - eps * project_range(time_cutoff(gam, L)))
+    return resid.norm(params)
+
+
 def solve_stage0(config: SolverConfig):
     """Contraction solve of the L0-truncated range equation from w = 0.
 
     Requires eps L0 / (omega + 1) <= 1/2 so the wave symbol stays >= 1/2 in
-    modulus on the truncation; the kernel is re-solved every iteration.
+    modulus on the truncation; each step re-solves the kernel at the current
+    w.  At eps = 0 the solution is w = 0 and no step is taken.
     """
     eps = config.eps
     omega = math.sqrt(1.0 + eps)
@@ -231,58 +271,34 @@ def solve_stage0(config: SolverConfig):
     symbol = omega ** 2 * ell[:, None] ** 2 - wj[None, :] ** 2
     in_range = ell[:, None] != wj[None, :]  # W excludes the resonant diagonal
     sym_min = float(np.abs(symbol[in_range & (symbol != 0.0)]).min())
-    w = CoeffField.zeros(L0, J)
-    kernel = solve_kernel(w, config.m, tol=config.kernel_tol, sign=config.sign,
-                          J_V=J, params=params)
-    if eps == 0.0:
-        rec = StageRecord(n=0, L_n=L0, sigma_n=config.sigma_bar, h_norm=0.0,
-                          w_norm=0.0, stage_residual=0.0, picard_iters=0,
-                          contraction_ratio=0.0, kernel_iters=kernel.iterations,
-                          melnikov_ok=True, melnikov_failures=0,
-                          inverse_norm=1.0 / sym_min,
-                          inverse_bound=2.0, r_norm=0.0, r_smoothing_bound=0.0,
-                          divisor_ok=True, divisor_min_margin=float("inf"),
-                          discarded_norm=0.0)
-        return w, kernel, rec
-    prev_delta = None
-    ratio = 0.0
-    discarded_total = 0.0
-    iters = 0
-    for iters in range(1, 120):
-        gam = _gamma_field(kernel.kernel, w)
-        rhs, disc = _range_rhs(gam, L0, J, params)
-        discarded_total = max(discarded_total, disc)
-        w_new = CoeffField(np.where(symbol != 0.0, eps * rhs.u / np.where(symbol == 0, 1, symbol), 0.0))
-        w_new = project_range(w_new)
-        delta = (w_new - w).norm(params)
-        w_new_norm = w_new.norm(params)
-        if not (math.isfinite(delta) and math.isfinite(w_new_norm)):
-            raise ContractionError(f"stage-0 iteration {iters}: non-finite update")
-        if prev_delta is not None and prev_delta > 0:
-            ratio = delta / prev_delta
-            if ratio >= 1.0 and delta > 10 * config.picard_tol:
-                raise ContractionError(
-                    f"stage-0 iteration is not contracting (ratio {ratio:.3f}); eps too large")
-        prev_delta = delta
-        w = w_new
-        kernel = solve_kernel(w, config.m, tol=config.kernel_tol, sign=config.sign,
-                              J_V=J, params=params, start=kernel.kernel)
-        if delta < config.picard_tol * max(1.0, w_new_norm):
-            break
-    else:
-        raise ContractionError("stage-0 fixed point did not converge")
-    gam = _gamma_field(kernel.kernel, w)
-    resid = w.apply_wave_symbol(omega) - eps * project_range(time_cutoff(gam, L0))
-    stage_residual = resid.norm(params)
-    rec = StageRecord(n=0, L_n=L0, sigma_n=config.sigma_bar,
-                      h_norm=w.norm(params), w_norm=w.norm(params),
-                      stage_residual=stage_residual, picard_iters=iters,
-                      contraction_ratio=ratio, kernel_iters=kernel.iterations,
-                      melnikov_ok=True, melnikov_failures=0,
-                      inverse_norm=1.0 / sym_min,
-                      inverse_bound=2.0, r_norm=0.0, r_smoothing_bound=0.0,
-                      divisor_ok=True, divisor_min_margin=float("inf"),
-                      discarded_norm=discarded_total)
+    kernel = None
+    discarded = 0.0
+
+    def resolve_kernel(w):
+        nonlocal kernel
+        kernel = solve_kernel(w, config.m, sign=config.sign, J_V=J, params=params,
+                              start=None if kernel is None else kernel.kernel)
+        return kernel.kernel
+
+    def step(w):
+        nonlocal discarded
+        rhs, disc = _range_rhs(_gamma_field(resolve_kernel(w), w), L0, J, params)
+        discarded = max(discarded, disc)
+        return project_range(CoeffField(np.where(
+            symbol != 0.0, eps * rhs.u / np.where(symbol == 0, 1, symbol), 0.0)))
+
+    w, iters, ratio = CoeffField.zeros(L0, J), 0, 0.0
+    if eps != 0.0:
+        w, iters, ratio = _contract(step, w, params, "stage-0")
+    v = resolve_kernel(w)
+    w_norm = w.norm(params)
+    rec = StageRecord(n=0, L_n=L0, sigma_n=config.sigma_bar, h_norm=w_norm, w_norm=w_norm,
+                      stage_residual=_stage_residual(w, v, L0, eps, params),
+                      picard_iters=iters, contraction_ratio=ratio,
+                      kernel_iters=kernel.iterations, melnikov_ok=True, melnikov_failures=0,
+                      inverse_norm=1.0 / sym_min, inverse_bound=2.0, r_norm=0.0,
+                      r_smoothing_bound=0.0, divisor_ok=True,
+                      divisor_min_margin=float("inf"), discarded_norm=discarded)
     return w, kernel, rec
 
 
@@ -295,7 +311,6 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig):
     sizes, iteration counts and the seconds spent in each phase.
     """
     eps = config.eps
-    omega = math.sqrt(1.0 + eps)
     sigmas = config.sigmas()
     L_cur, L_next = config.L(n), config.L(n + 1)
     J = config.J_space
@@ -311,54 +326,32 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig):
         raise MelnikovExcludedError(n + 1, failures)
 
     u_n = op.u
-    rhs_full, disc_r = _range_rhs(field_multiply(op.q, u_n), L_next, J, params_next)
+    rhs_full, discarded = _range_rhs(field_multiply(op.q, u_n), L_next, J, params_next)
     r_n = rhs_full.copy()
     r_n.u[: L_cur + 1, :] = 0.0
     r_norm = r_n.norm(params_next)
     gam_next_norm = rhs_full.norm(params_cur)
     r_smooth_bound = math.exp(-L_cur * (sigmas[n] - sigmas[n + 1])) * gam_next_norm
 
-    t_picard = time.perf_counter()
-    h = CoeffField.zeros(L_next, J)
-    prev_delta = None
-    ratio = 0.0
-    discard_max = disc_r
-    iters = 0
-    for iters in range(1, config.picard_max + 1):
+    def step(h):
+        nonlocal discarded
         dv_corr = KernelField(op.dv_matrix @ op.lattice.to_vector(h))
         h_tot = h + dv_corr.embed(L=L_next, J=J)
         taylor_rem = field_multiply(field_multiply(h_tot, h_tot), 3.0 * u_n + h_tot)
         R, disc = _range_rhs(taylor_rem, L_next, J, params_next)
-        discard_max = max(discard_max, disc)
-        h_new = eps * op.solve(r_n + R)
-        delta = (h_new - h).norm(params_next)
-        h_new_norm = h_new.norm(params_next)
-        if not (math.isfinite(delta) and math.isfinite(h_new_norm)):
-            raise ContractionError(f"stage {n + 1} Picard iteration {iters}: "
-                                   f"non-finite update")
-        if prev_delta is not None and prev_delta > 0:
-            ratio = delta / prev_delta
-            if ratio >= 1.0 and delta > 10 * config.picard_tol * max(1.0, h.norm(params_next)):
-                raise ContractionError(
-                    f"stage {n + 1} Picard map not contracting (ratio {ratio:.3f})")
-        prev_delta = delta
-        h = h_new
-        if delta < config.picard_tol * max(1.0, h_new_norm):
-            break
-    else:
-        raise ContractionError(f"stage {n + 1} Picard loop did not converge "
-                               f"in {config.picard_max} iterations")
+        discarded = max(discarded, disc)
+        return eps * op.solve(r_n + R)
+
+    t_picard = time.perf_counter()
+    h, iters, ratio = _contract(step, CoeffField.zeros(L_next, J), params_next,
+                                f"stage {n + 1} Picard")
     t_picard = time.perf_counter() - t_picard
     picard_sweeps = op.sweeps
 
     w_next = w_n.padded(L_next, J) + h
-    kernel_next = solve_kernel(w_next, config.m, tol=config.kernel_tol,
-                               sign=config.sign, J_V=J, params=params_next,
-                               start=kernel_n.kernel)
-    gam_fresh = _gamma_field(kernel_next.kernel, w_next)
-    resid = (w_next.padded(gam_fresh.L, gam_fresh.J).apply_wave_symbol(omega)
-             - eps * project_range(time_cutoff(gam_fresh, L_next)))
-    stage_residual = resid.norm(params_next)
+    kernel_next = solve_kernel(w_next, config.m, sign=config.sign, J_V=J,
+                               params=params_next, start=kernel_n.kernel)
+    stage_residual = _stage_residual(w_next, kernel_next.kernel, L_next, eps, params_next)
 
     t_norm = time.perf_counter()
     inv_norm = op.inverse_norm(params_next)
@@ -388,7 +381,7 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig):
                       inverse_norm=inv_norm, inverse_bound=inv_bound,
                       r_norm=r_norm, r_smoothing_bound=r_smooth_bound,
                       divisor_ok=div_ok, divisor_min_margin=div_margin,
-                      discarded_norm=discard_max, inverse_norm_exact=inv_exact)
+                      discarded_norm=discarded, inverse_norm_exact=inv_exact)
     return w_next, kernel_next, rec
 
 
@@ -467,8 +460,6 @@ def run(config: SolverConfig) -> RunResult:
     for n in range(config.n_max):
         w, kernel, rec = solve_stage(n, w, kernel, config)
         trace.records.append(rec)
-        if config.final_h_tol > 0 and rec.h_norm < config.final_h_tol:
-            break
     u = total_field(kernel.kernel, w)
     sig_values = (0.0, config.sigma_bar / 2.0, round(config.sigma_inf, 6))
     residual = verify_solution(u, config.eps, s=config.s, sigma_values=sig_values)

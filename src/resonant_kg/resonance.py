@@ -21,7 +21,6 @@ candidates, so it shares no end point, bisection or merge with the union.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -59,8 +58,8 @@ class ResonanceParams:
             raise ValueError("gamma must lie in (0, 1/6)")
         if not 1.0 < self.tau < 2.0:
             raise ValueError("tau must lie in (1, 2)")
-        if self.eps0 <= 0:
-            raise ValueError("eps0 must be positive")
+        if not (np.isfinite(self.eps0) and self.eps0 > 0):
+            raise ValueError("eps0 must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -211,19 +210,13 @@ class MeasureReport:
     samples: int
 
     def _payload(self) -> dict:
-        """The JSON object of this report; each interval becomes {lo, hi, ell, j}."""
+        """The JSON object of this report; the intervals become four equal-length
+        columns {"lo": [...], "hi": [...], "ell": [...], "j": [...]}."""
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        payload["excluded_intervals"] = [
-            {"lo": lo, "hi": hi, "ell": ell, "j": j} for (lo, hi, ell, j) in self.excluded_intervals
-        ]
+        payload["excluded_intervals"] = {
+            name: [row[k] for row in self.excluded_intervals]
+            for k, name in enumerate(("lo", "hi", "ell", "j"))}
         return payload
-
-    def to_json(self, path=None) -> str:
-        text = json.dumps(self._payload(), indent=1, sort_keys=True)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
 
 
 def _pair_arrays(eta: float, ell_max: int):

@@ -73,6 +73,16 @@ def test_usage_errors_exit_64(tmp_path, capsys):
                  "--out", str(tmp_path / "x")]) == 64
     assert main(["measure", "--eta", "0.04", "--gamma", "0.3",
                  "--out", str(tmp_path / "m.json")]) == 64
+    # non-finite values are usage errors, not numeric failures
+    for flag, value in (("--eps", "nan"), ("--eps", "inf"), ("--s", "nan"),
+                        ("--sigma-bar", "inf"), ("--theta", "nan")):
+        args = ["solve", "--eps", "1e-3", flag, value, "--out", str(tmp_path / "x")]
+        assert main(args) == 64
+    # a negative --ell-max is refused before any spectrum is written
+    run_dir = tmp_path / "run"
+    assert main(solve_args(run_dir, stages="0")) == 0
+    assert main(["spectrum", "--run", str(run_dir), "--ell-max", "-3"]) == 64
+    assert not (run_dir / "spectrum.csv").exists()
 
 
 @pytest.mark.parametrize("error", [np.linalg.LinAlgError("Singular matrix"), MemoryError()])
@@ -123,6 +133,9 @@ def test_measure_command(tmp_path):
     for rep in payload["reports"]:
         assert abs(rep["fraction_mc"] - rep["fraction_interval"]) \
             <= 3.0 / np.sqrt(rep["samples"])
+        columns = rep["excluded_intervals"]
+        assert sorted(columns) == ["ell", "hi", "j", "lo"]
+        assert len({len(col) for col in columns.values()}) == 1 and columns["lo"]
     # insufficient solve grid
     assert main(["measure", "--eta", "0.04", "--solve-grid", "1",
                  "--out", str(tmp_path / "x.json")]) == 65
@@ -134,6 +147,9 @@ def test_measure_bad_window_or_samples_exit_64(tmp_path, capsys):
                  "--out", str(out)]) == 64
     assert main(["measure", "--eta", "0.04", "--samples", "0", "--solve-grid", "2",
                  "--out", str(out)]) == 64
+    for bad in ("nan", "inf", "-inf"):
+        assert main(["measure", "--eta", "0.04", "--eta", bad, "--solve-grid", "2",
+                     "--out", str(out)]) == 64
     assert not out.exists()
     err = capsys.readouterr().err
     assert "eta must be positive" in err and "samples must be at least 1" in err

@@ -273,7 +273,7 @@ def test_preconditioned_split_unperturbed():
     assert rep.neumann_converged and rep.neumann_vs_dense < 1e-12
 
 
-def test_preconditioned_split_perturbed(rng):
+def test_preconditioned_split_perturbed(rng, monkeypatch):
     eps, m, Ln, J = 1e-3, 0, 8, 3
     w = random_field(rng, Ln, J, scale=0.02, decay=0.4)
     ks = solve_kernel(w, m, J_V=J)
@@ -285,6 +285,12 @@ def test_preconditioned_split_perturbed(rng):
     assert rep.neumann_converged
     assert rep.neumann_vs_dense < 1e-8
     assert np.isfinite(rep.r1_constant) and np.isfinite(rep.r2_constant)
+    # a production solve that does not settle is reported, not raised
+    monkeypatch.setattr(linearized, "_MAX_SWEEPS", 1)
+    op = assemble_linearized(eps, w, m, Ln, J, kernel=ks.kernel)
+    rep = preconditioned_split_check(op, NormParams(0.4, 1.0), gamma=0.05, tau=1.5)
+    assert not rep.neumann_converged and rep.neumann_vs_dense == np.inf
+    assert rep.u_ok and rep.factorization_error < 1e-10
 
 
 def test_lattice_roundtrip(rng):

@@ -6,9 +6,9 @@ import pytest
 from resonant_kg import (CoeffField, NormParams, field_multiply, project_kernel,
                          project_range)
 from resonant_kg.bifurcation import one_mode_solution
-from resonant_kg.nash_moser import (ContractionError, MelnikovExcludedError,
-                                    SolverConfig, SolveTrace, run, solve_stage,
-                                    solve_stage0, verify_solution)
+from resonant_kg.nash_moser import (PICARD_MAX, ContractionError, MelnikovExcludedError,
+                                    SolverConfig, SolveTrace, _contract, run,
+                                    solve_stage, solve_stage0, verify_solution)
 
 
 def small_config(**kw):
@@ -36,7 +36,10 @@ def test_config_validation():
     assert sig[0] == cfg.sigma_bar
     assert abs(sig[1] - (cfg.sigma_bar - cfg.theta / 2.0)) < 1e-15
     assert all(s > cfg.sigma_bar / 2 for s in sig)
-    assert cfg.mean_smoothness_flag  # s = 1 <= 3/2: flagged, still computed
+    for name in ("eps", "gamma", "tau", "sigma_bar", "s", "theta"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                SolverConfig(**{"eps": 1e-3, name: bad})
 
 
 def test_stage0_zero_amplitude():
@@ -190,14 +193,6 @@ def test_late_stage_vanishes():
     assert res.trace.records[-1].picard_iters <= 2
 
 
-def test_final_h_tol_stops_early():
-    res = run(small_config(n_max=5, final_h_tol=1e-10))
-    # stage 1 already drops below the tolerance at these defaults
-    assert len(res.trace.records) < 6
-    assert res.trace.records[-1].h_norm < 1e-10
-    assert res.residual.relative < 1e-10
-
-
 def test_other_branches_smoke():
     # negative-sign branch mirrors the leading coefficient
     rm = run(small_config(n_max=2, sign=-1))
@@ -213,6 +208,22 @@ def test_stage0_only_run():
     res = run(small_config(n_max=0))
     assert len(res.trace.records) == 1
     assert res.residual.relative < 1e-9
+
+
+@pytest.mark.parametrize("slope, iterations, match", [
+    (2.0, 2, "toy map iteration 2: not contracting"),  # x -> 2x + 1 grows
+    (0.999, PICARD_MAX, f"toy map loop did not converge in {PICARD_MAX} iterations"),
+])
+def test_contract_failure_paths(slope, iterations, match):
+    steps = []
+
+    def step(x):
+        steps.append(x)
+        return CoeffField(slope * x.u + 1.0)
+
+    with pytest.raises(ContractionError, match=match):
+        _contract(step, CoeffField.zeros(1, 1), NormParams(0.0, 1.0), "toy map")
+    assert len(steps) == iterations
 
 
 def test_nonfinite_picard_update_fails_fast():
