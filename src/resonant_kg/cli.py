@@ -108,8 +108,21 @@ def _write_manifest(outdir, config_dict, artifacts, timings):
     return path
 
 
-def cmd_solve(args) -> int:
+def _numeric_failure(exc: Exception) -> int:
+    """Report a solver error, a singular system or running out of memory as exit 1.
+
+    Called from an `except` clause; any other exception is a bug and is
+    raised again.
+    """
     import numpy as np
+    if not (isinstance(exc, (np.linalg.LinAlgError, MemoryError))
+            or exc.__class__.__module__.startswith("resonant_kg")):
+        raise exc
+    print(f"numeric failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
+    return EXIT_NUMERIC
+
+
+def cmd_solve(args) -> int:
     from . import field_algebra, nash_moser
     from .resonance import records_to_csv
 
@@ -140,11 +153,7 @@ def cmd_solve(args) -> int:
               file=sys.stderr)
         return EXIT_EXCLUDED
     except Exception as exc:
-        if not (isinstance(exc, (np.linalg.LinAlgError, MemoryError))
-                or exc.__class__.__module__.startswith("resonant_kg")):
-            raise
-        print(f"numeric failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _numeric_failure(exc)
     finally:
         log.removeHandler(handler)
         log.setLevel(level)
@@ -187,6 +196,7 @@ def _mean_curve(eps_grid, m):
 
 def cmd_measure(args) -> int:
     import numpy as np
+    from .nash_moser import SolverConfig, stage0_contracts
     from .resonance import ResonanceParams, measure_scan, fit_excluded_exponent
 
     if args.solve_grid < 2:
@@ -195,6 +205,12 @@ def cmd_measure(args) -> int:
         return EXIT_GRID
     if not all(math.isfinite(eta) and eta > 0.0 for eta in args.eta):
         print("invalid parameters: eta must be positive and finite", file=sys.stderr)
+        return EXIT_USAGE
+    # the branch mean is solved at amplitudes up to max(eta), from stage 0
+    L0 = SolverConfig.L0
+    if not stage0_contracts(max(args.eta), L0):
+        print(f"invalid parameters: eta {max(args.eta):g} violates stage 0's bound "
+              f"eps L0 / (omega + 1) <= 1/2 at L0 = {L0}", file=sys.stderr)
         return EXIT_USAGE
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     t0 = time.perf_counter()
@@ -205,7 +221,10 @@ def cmd_measure(args) -> int:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
     grid = np.linspace(1e-6, max(etas), args.solve_grid)
-    mvals = _mean_curve(grid, args.m)
+    try:
+        mvals = _mean_curve(grid, args.m)
+    except Exception as exc:
+        return _numeric_failure(exc)
     m_of_eps = lambda e: np.interp(e, grid, mvals)
     try:
         reports = [measure_scan(eta, args.samples, params, m_of_eps) for eta in etas]

@@ -18,9 +18,11 @@ kernel correction from the thin dv_matrix, and `solve` runs the Neumann
 iteration x <- x + D^-1 (b - Lop x) on the per-l blocks of D, which
 contracts by about 3e-3 per sweep on the solution branches and stops
 componentwise, so coefficients far below the largest keep their value.
-The weighted norm of the inverse is exact up to EXACT_NORM_MAX unknowns
-(the top eigenvalue of a Gram matrix of the dense oracle, `dense_matrix`)
-and a power-iteration lower bound through the same solves above it.
+The weighted norm of the inverse is exact up to EXACT_NORM_MAX unknowns and
+a power-iteration lower bound through the same solves above it.  The exact
+value is the maximum over the decoupled blocks of the dense oracle
+(`dense_matrix`; on a branch 6 to 10 blocks, found from its nonzero pattern)
+of the top eigenvalue of each block's Gram matrix.
 
 The spectra of D_l (a Sturm-Liouville perturbation of omega_j^2) control
 the small divisors alpha_l = min_j |omega^2 l^2 - lambda_{l,j}(eps)|.  Every
@@ -185,7 +187,9 @@ class LinearizedOperator:
     potential b = 3 q (mult_matrix_stack); dv_matrix maps lattice
     coefficients to the kernel derivative.  The counter `sweeps` holds the
     Neumann sweeps run on this operator and `power_steps` the power steps of
-    the last `inverse_norm` (0 when it was exact).
+    the last `inverse_norm` (0 when it was exact); `norm_blocks` and
+    `largest_block` hold the decoupled block count and the largest block of
+    the last exact `inverse_norm` (0 when the power iteration ran).
     """
 
     eps: float
@@ -198,7 +202,7 @@ class LinearizedOperator:
 
     def __post_init__(self):
         self.sweeps = 0
-        self.power_steps = 0
+        self.power_steps = self.norm_blocks = self.largest_block = 0
         self._split = None
         L, J = self.L, self.J
         n_k, size = self.dv_matrix.shape[0], self.stack.shape[1]
@@ -392,36 +396,23 @@ class LinearizedOperator:
 
         With B = diag(w) Lop^{-1} diag(w)^{-1} (w the lattice weights), the
         norm is sigma_max(B) = sqrt(lambda_max(B^T B)).  Up to
-        `exact_threshold` unknowns it is exact: the top eigenvalue of the
-        Gram matrix B^T B of the dense oracle, which is perfectly
-        conditioned.  Above it, power iteration on B^T B through the Neumann
-        solves and their adjoints; the estimate never decreases, so it is a
-        lower bound, and it stops once it changes by at most 1e-14 relative
-        (at most `power_iterations` steps).
+        `exact_threshold` unknowns it is exact: the maximum over the
+        decoupled blocks of the dense oracle (`_components`) of each block's
+        norm from its Gram matrix (`_block_inverse_norm`); `norm_blocks` and
+        `largest_block` record the split.  Above it, power iteration on
+        B^T B through the Neumann solves and their adjoints; the estimate
+        never decreases, so it is a lower bound, and it stops once it changes
+        by at most 1e-14 relative (at most `power_iterations` steps).
         """
         self.factorize()
         w = self.lattice.weights(params)
         n = self.lattice.size
-        self.power_steps = 0
+        self.power_steps = self.norm_blocks = self.largest_block = 0
         if n <= exact_threshold:
-            with warnings.catch_warnings():
-                # exact singularity is detected below and raised as an error
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                lu = scipy.linalg.lu_factor(dense_matrix(self), check_finite=False)
-            u_diag = np.abs(np.diag(lu[0]))
-            if u_diag.min() == 0.0 or u_diag.min() < 1e-300 * max(u_diag.max(), 1.0):
-                raise ResonantSolveError("linearized operator is numerically singular "
-                                         "(amplitude effectively resonant)")
-            # a Fortran-ordered right-hand side is solved in place, and syrk
-            # reads the Fortran-ordered B without a copy
-            inv = scipy.linalg.lu_solve(lu, np.eye(n, order="F"), overwrite_b=True)
-            inv *= w[:, None]
-            inv /= w[None, :]
-            gram = scipy.linalg.blas.dsyrk(1.0, inv, trans=1, lower=0)  # upper B^T B
-            del inv
-            top = scipy.linalg.eigvalsh(gram, lower=False, subset_by_index=[n - 1, n - 1],
-                                        overwrite_a=True)
-            return float(np.sqrt(top[0]))
+            dense = dense_matrix(self)
+            blocks = _components(dense)
+            self.norm_blocks, self.largest_block = len(blocks), max(map(len, blocks))
+            return _block_inverse_norm(dense, w, blocks)
         wg = np.ones(self.lattice.mask.shape)
         wg[self.lattice.ells, self.lattice.js] = w
         x = np.where(self.lattice.mask, 1.0 / np.sqrt(n), 0.0)
@@ -454,6 +445,63 @@ def dense_matrix(op: LinearizedOperator) -> np.ndarray:
     m2 *= op.eps
     mult -= m2
     return mult
+
+
+def _components(a: np.ndarray) -> list[np.ndarray]:
+    """Ascending index sets of the connected components of (a != 0) | (a^T != 0).
+
+    A frontier search from the lowest unreached index: a is block diagonal
+    under this partition.  On a branch the state holds only odd multiples of
+    omega_m in time, so Lop couples l only to l' = +-l mod 2 omega_m and keeps
+    a spatial parity (6 to 10 blocks).  The partition is read from the
+    matrix, not derived from m: at eps = 0 every unknown is its own block,
+    and a generic state is one block.
+    """
+    linked = (a != 0.0) | (a.T != 0.0)
+    label = np.full(len(a), -1)
+    blocks = []
+    for seed in range(len(a)):
+        if label[seed] >= 0:
+            continue
+        label[seed] = len(blocks)
+        frontier = [seed]
+        while len(frontier):
+            frontier = np.flatnonzero(linked[frontier].any(axis=0) & (label < 0))
+            label[frontier] = len(blocks)
+        blocks.append(np.flatnonzero(label == len(blocks)))
+    return blocks
+
+
+def _block_inverse_norm(a: np.ndarray, w: np.ndarray, blocks: list[np.ndarray]) -> float:
+    """sigma_max(diag(w) a^-1 diag(w)^-1) for a block diagonal under `blocks`.
+
+    The weights are diagonal, so B is block diagonal under the same
+    partition and its norm is the largest over the blocks, each the square
+    root of the top eigenvalue of the perfectly conditioned Gram matrix
+    B_k^T B_k.  A pivot that is zero or below 1e-300 of the largest pivot of
+    any block raises ResonantSolveError.
+    """
+    with warnings.catch_warnings():
+        # exact singularity is detected below and raised as an error
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lus = [scipy.linalg.lu_factor(a[np.ix_(idx, idx)], overwrite_a=True,
+                                      check_finite=False) for idx in blocks]
+    pivots = np.abs(np.concatenate([np.diag(lu) for lu, _ in lus]))
+    if pivots.min() == 0.0 or pivots.min() < 1e-300 * max(pivots.max(), 1.0):
+        raise ResonantSolveError("linearized operator is numerically singular "
+                                 "(amplitude effectively resonant)")
+    top = 0.0
+    for idx, lu in zip(blocks, lus):
+        k, wk = len(idx), w[idx]
+        # a Fortran-ordered right-hand side is solved in place, and syrk
+        # reads the Fortran-ordered B_k without a copy
+        inv = scipy.linalg.lu_solve(lu, np.eye(k, order="F"), overwrite_b=True)
+        inv *= wk[:, None]
+        inv /= wk[None, :]
+        gram = scipy.linalg.blas.dsyrk(1.0, inv, trans=1, lower=0)  # upper B_k^T B_k
+        top = max(top, scipy.linalg.eigvalsh(gram, lower=False, subset_by_index=[k - 1, k - 1],
+                                             overwrite_a=True)[0])
+    return float(np.sqrt(top))
 
 
 def assemble_linearized(eps: float, w: CoeffField, m: int, L_n: int, J_max: int,

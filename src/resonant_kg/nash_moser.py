@@ -59,6 +59,7 @@ __all__ = [
     "ResidualReport",
     "MelnikovExcludedError",
     "ContractionError",
+    "stage0_contracts",
     "solve_stage0",
     "solve_stage",
     "run",
@@ -251,16 +252,23 @@ def _stage_residual(w: CoeffField, v: KernelField, L: int, eps: float,
     return resid.norm(params)
 
 
+def stage0_contracts(eps: float, L0: int) -> bool:
+    """Stage 0's precondition eps L0 / (omega + 1) <= 1/2, omega = sqrt(1 + eps).
+
+    It keeps the wave symbol >= 1/2 in modulus on the L0 truncation.
+    """
+    return eps * L0 / (math.sqrt(1.0 + eps) + 1.0) <= 0.5
+
+
 def solve_stage0(config: SolverConfig):
     """Contraction solve of the L0-truncated range equation from w = 0.
 
-    Requires eps L0 / (omega + 1) <= 1/2 so the wave symbol stays >= 1/2 in
-    modulus on the truncation; each step re-solves the kernel at the current
-    w.  At eps = 0 the solution is w = 0 and no step is taken.
+    Requires `stage0_contracts(eps, L0)`; each step re-solves the kernel at
+    the current w.  At eps = 0 the solution is w = 0 and no step is taken.
     """
     eps = config.eps
     omega = math.sqrt(1.0 + eps)
-    if eps * config.L0 / (omega + 1.0) > 0.5:
+    if not stage0_contracts(eps, config.L0):
         raise ContractionError(
             f"initialization precondition eps*L0/(omega+1) <= 1/2 violated "
             f"(eps={eps}, L0={config.L0})")
@@ -368,10 +376,10 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig):
             div_margin = float(np.min(table.alpha / table.floor))
     t_table = time.perf_counter() - t_table
     log.info("stage %d L_n=%d unknowns=%d picard_iters=%d neumann_sweeps=%d+%d "
-             "power_steps=%d assembly_s=%.3f picard_s=%.3f inverse_norm_s=%.3f "
-             "divisor_table_s=%.3f", n + 1, L_next, op.lattice.size, iters, picard_sweeps,
-             op.sweeps - picard_sweeps, op.power_steps, t_assembled - t_start, t_picard,
-             t_norm, t_table)
+             "power_steps=%d norm_blocks=%d largest_block=%d assembly_s=%.3f picard_s=%.3f "
+             "inverse_norm_s=%.3f divisor_table_s=%.3f", n + 1, L_next, op.lattice.size, iters,
+             picard_sweeps, op.sweeps - picard_sweeps, op.power_steps, op.norm_blocks,
+             op.largest_block, t_assembled - t_start, t_picard, t_norm, t_table)
 
     rec = StageRecord(n=n + 1, L_n=L_next, sigma_n=sigmas[n + 1],
                       h_norm=h.norm(params_next), w_norm=w_next.norm(params_next),

@@ -95,6 +95,10 @@ def test_linalg_and_memory_errors_exit_1(tmp_path, capsys, monkeypatch, error):
     assert main(solve_args(tmp_path / "run")) == 1
     err = capsys.readouterr().err
     assert "numeric failure" in err and "Traceback" not in err
+    # the mean-curve solves of measure fail the same way
+    assert main(["measure", "--eta", "0.04", "--solve-grid", "2",
+                 "--out", str(tmp_path / "m.json")]) == 1
+    assert "numeric failure" in capsys.readouterr().err
 
 
 def test_neumann_solve_failure_exits_1(tmp_path, capsys, monkeypatch):
@@ -117,6 +121,9 @@ def test_solve_verbose_logs_one_line_per_stage(tmp_path, capsys):
         for key in ("picard_iters=", "neumann_sweeps=", "power_steps=", "assembly_s=",
                     "picard_s=", "inverse_norm_s=", "divisor_table_s="):
             assert key in line
+        # the exact inverse norm splits m = 0 into six blocks of about L_n / 2
+        largest = L_n // 2 + 1
+        assert f"power_steps=0 norm_blocks=6 largest_block={largest} " in line
     # the timings go to stderr only: the trace is the same bytes
     assert (tmp_path / "loud" / "trace.jsonl").read_bytes() == \
         (tmp_path / "quiet" / "trace.jsonl").read_bytes()
@@ -150,9 +157,15 @@ def test_measure_bad_window_or_samples_exit_64(tmp_path, capsys):
     for bad in ("nan", "inf", "-inf"):
         assert main(["measure", "--eta", "0.04", "--eta", bad, "--solve-grid", "2",
                      "--out", str(out)]) == 64
+    # the mean curve is solved at eps up to max(eta), which stage 0 must admit
+    assert main(["measure", "--eta", "0.04", "--eta", "0.5", "--solve-grid", "2",
+                 "--out", str(out)]) == 64
     assert not out.exists()
     err = capsys.readouterr().err
     assert "eta must be positive" in err and "samples must be at least 1" in err
+    assert "eta 0.5 violates stage 0's bound eps L0 / (omega + 1) <= 1/2 at L0 = 8" in err
+    assert main(["measure", "--eta", "0.1", "--samples", "200", "--solve-grid", "2",
+                 "--out", str(out)]) == 0
 
 
 def test_divisors_and_spectrum(tmp_path):

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -308,12 +312,13 @@ def test_inverse_norm_power_iteration_agrees(rng):
     ks = solve_kernel(w, m, J_V=J)
     op = assemble_linearized(eps, w, m, Ln, J, kernel=ks.kernel)
     exact = op.inverse_norm(P)
+    assert op.power_steps == 0 and op.norm_blocks >= 1
     powered = op.inverse_norm(P, exact_threshold=0, power_iterations=60)
     assert abs(powered - exact) < 1e-6 * exact
     # the stopped estimate is a lower bound (up to the exact value's own
     # rounding) within 1e-12 of the exact Gram value
     stopped = op.inverse_norm(P, exact_threshold=0)
-    assert 0 < op.power_steps < 40
+    assert 0 < op.power_steps < 40 and op.norm_blocks == op.largest_block == 0
     assert exact * (1 - 1e-12) <= stopped <= exact * (1 + 1e-15)
 
 
@@ -416,7 +421,7 @@ def _stage0_operator(m, Ln):
 
 @pytest.mark.parametrize("m, Ln, J, state", [(0, 64, 4, "random"), (1, 24, 18, "random"),
                                              (2, 8, 34, "random"), (0, 64, 2, "branch"),
-                                             (1, 32, 18, "branch")])
+                                             (1, 32, 18, "branch"), (2, 16, 34, "branch")])
 def test_apply_and_adjoint_match_dense_oracle(rng, m, Ln, J, state):
     if state == "branch":
         op = _stage0_operator(m, Ln)
@@ -498,3 +503,110 @@ def test_run_gathers_no_dense_matrix_above_exact_max(monkeypatch):
     result = run(SolverConfig(eps=2e-3, m=1, n_max=4))
     assert max(sizes) <= EXACT_NORM_MAX
     assert [r.inverse_norm_exact for r in result.trace.records] == [True] * 4 + [False]
+
+
+def _whole_matrix_inverse_norm(a, w):
+    """The exact inverse norm on the whole matrix: one LU and one Gram eigenvalue."""
+    n = len(a)
+    inv = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), np.eye(n, order="F"))
+    inv *= w[:, None]
+    inv /= w[None, :]
+    gram = scipy.linalg.blas.dsyrk(1.0, inv, trans=1, lower=0)
+    top = scipy.linalg.eigvalsh(gram, lower=False, subset_by_index=[n - 1, n - 1])
+    return float(np.sqrt(top[0]))
+
+
+@pytest.mark.parametrize("state, blocks", [((0, 64), 6), ((1, 32), 6), ((2, 16), 8),
+                                           ("eps0", None), ("random", 1)],
+                         ids=["m0", "m1", "m2", "eps0", "random"])
+def test_components_partition_the_dense_oracle(rng, state, blocks):
+    if state == "eps0":
+        op = assemble_linearized(0.0, CoeffField.zeros(4, 4), 0, 16, 4, kernel=zero_kernel(4))
+        blocks = op.lattice.size  # D alone: every unknown is its own block
+    elif state == "random":
+        op = _branch_operator(rng, 1, 12, 18)
+    else:
+        op = _stage0_operator(*state)
+    dense = dense_matrix(op)
+    comps = linearized._components(dense)
+    assert len(comps) == blocks
+    assert np.array_equal(np.sort(np.concatenate(comps)), np.arange(op.lattice.size))
+    assert all(np.all(np.diff(c) > 0) for c in comps)
+    label = np.empty(op.lattice.size, dtype=int)
+    for k, c in enumerate(comps):
+        label[c] = k
+    assert np.all(dense[label[:, None] != label[None, :]] == 0.0)
+
+
+def test_components_follow_one_sided_coupling():
+    # the pattern is symmetrized: a coupling stored only in the row of the
+    # higher index still joins the two
+    a = np.array([[2.0, 0.0, 0.0, 0.0], [0.0, 3.0, 0.0, 0.0],
+                  [1.0, 0.0, 4.0, 0.0], [0.0, 0.0, 0.0, 5.0]])
+    assert [c.tolist() for c in linearized._components(a)] == [[0, 2], [1], [3]]
+
+
+@pytest.mark.parametrize("m, Ln", [(0, 64), (1, 32), (2, 16)])
+def test_block_inverse_norm_matches_whole_matrix_gram(m, Ln):
+    op = _stage0_operator(m, Ln)
+    dense = dense_matrix(op)
+    for params in (P, NormParams(1.0, 1.5, 2.0)):
+        value = op.inverse_norm(params)
+        assert op.norm_blocks >= 6 and op.largest_block < op.lattice.size
+        oracle = _whole_matrix_inverse_norm(dense, op.lattice.weights(params))
+        assert abs(value - oracle) <= 1e-14 * oracle
+
+
+def test_exact_inverse_norm_factors_no_whole_matrix(monkeypatch):
+    from resonant_kg.nash_moser import SolverConfig, run
+    real_lu, real_norm = scipy.linalg.lu_factor, linearized.LinearizedOperator.inverse_norm
+    orders, stages = [], []
+
+    def lu_factor(a, *args, **kwargs):
+        orders.append(len(a))
+        return real_lu(a, *args, **kwargs)
+
+    def inverse_norm(op, *args, **kwargs):
+        start = len(orders)
+        value = real_norm(op, *args, **kwargs)
+        stages.append((op.lattice.size, op.norm_blocks, op.largest_block, orders[start:]))
+        return value
+    monkeypatch.setattr(scipy.linalg, "lu_factor", lu_factor)
+    monkeypatch.setattr(linearized.LinearizedOperator, "inverse_norm", inverse_norm)
+    run(SolverConfig(eps=1e-3, m=0, n_max=4))
+    assert len(stages) == 4 and sum(len(s[3]) for s in stages) == len(orders)
+    for n, count, largest, lus in stages:
+        assert len(lus) == count and max(lus) == largest < n
+    assert stages[-1][:3] == (384, 6, 65)
+
+
+def test_block_inverse_norm_checks_every_block_for_singularity():
+    regular = np.array([[2.0, 1.0], [1.0, 3.0]])
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]])  # its LU has an exact zero pivot
+    a = scipy.linalg.block_diag(regular, singular)
+    comps = linearized._components(a)
+    assert [c.tolist() for c in comps] == [[0, 1], [2, 3]]
+    with pytest.raises(ResonantSolveError, match="numerically singular"):
+        linearized._block_inverse_norm(a, np.ones(4), comps)
+    # the pivot floor is relative to the largest pivot of any block
+    a = scipy.linalg.block_diag(1e10 * regular, np.diag([1.0, 1e-295]))
+    comps = linearized._components(a)
+    assert len(comps) == 3
+    with pytest.raises(ResonantSolveError, match="numerically singular"):
+        linearized._block_inverse_norm(a, np.ones(4), comps)
+    a = scipy.linalg.block_diag(regular, 0.5 * regular)
+    w = np.array([1.0, 3.0, 2.0, 5.0])
+    oracle = np.linalg.norm(w[:, None] * np.linalg.inv(a) / w[None, :], 2)
+    value = linearized._block_inverse_norm(a, w, linearized._components(a))
+    assert abs(value - oracle) <= 1e-14 * oracle
+
+
+def test_import_loads_no_sparse_module():
+    # scipy.sparse would add tens of milliseconds and megabytes to every start
+    import resonant_kg
+    src = os.path.dirname(os.path.dirname(resonant_kg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c",
+                    "import resonant_kg, sys; assert 'scipy.sparse' not in sys.modules"],
+                   env=env, check=True, timeout=120)
