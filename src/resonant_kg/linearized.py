@@ -19,8 +19,10 @@ iteration x <- x + D^-1 (b - Lop x) on the per-l blocks of D, which
 contracts by about 3e-3 per sweep on the solution branches and stops
 componentwise, so coefficients far below the largest keep their value.
 The weighted norm of the inverse is exact up to EXACT_NORM_MAX unknowns and
-a power-iteration lower bound through the same solves above it.  The exact
-value is the maximum over the decoupled blocks of the dense oracle
+a Krylov lower bound through the same solves above it: the largest singular
+value of B Q for B the weighted inverse and Q an orthonormal basis of the
+Krylov space of B^T B, which is at most ||B|| because ||Q|| = 1 (Golub-Kahan).
+The exact value is the maximum over the decoupled blocks of the dense oracle
 (`dense_matrix`; on a branch 6 to 10 blocks, found from its nonzero pattern)
 of the top eigenvalue of each block's Gram matrix.
 
@@ -71,7 +73,7 @@ __all__ = [
 
 
 # Largest unknown count at which LinearizedOperator.inverse_norm is exact;
-# above it the value is a power-iteration lower bound.
+# above it the value is a Krylov lower bound.
 EXACT_NORM_MAX = 1600
 # A Neumann solve that has not settled after this many sweeps raises.
 _MAX_SWEEPS = 100
@@ -82,7 +84,7 @@ _STALL_LEVEL = 2.0 ** -30
 # An update that grows while above this fraction of the largest component
 # means the splitting does not contract.
 _SETTLED = 2.0 ** -40
-# Relative change of the power estimate at which inverse_norm stops.
+# Relative change of the Krylov estimate at which inverse_norm stops.
 _POWER_RTOL = 1e-14
 # Bytes of one chunk of the time fold's GEMM operand (kept cache-sized).
 _FOLD_CHUNK_BYTES = 1 << 20
@@ -186,10 +188,10 @@ class LinearizedOperator:
     u = v(w) + w is the state, q = u^2, and stack the S_d matrices of the
     potential b = 3 q (mult_matrix_stack); dv_matrix maps lattice
     coefficients to the kernel derivative.  The counter `sweeps` holds the
-    Neumann sweeps run on this operator and `power_steps` the power steps of
-    the last `inverse_norm` (0 when it was exact); `norm_blocks` and
-    `largest_block` hold the decoupled block count and the largest block of
-    the last exact `inverse_norm` (0 when the power iteration ran).
+    Neumann sweeps run on this operator and `power_steps` the Krylov steps
+    (forward solves) of the last `inverse_norm` (0 when it was exact);
+    `norm_blocks` and `largest_block` hold the decoupled block count and the
+    largest block of the last exact `inverse_norm` (0 after a Krylov estimate).
     """
 
     eps: float
@@ -399,10 +401,16 @@ class LinearizedOperator:
         `exact_threshold` unknowns it is exact: the maximum over the
         decoupled blocks of the dense oracle (`_components`) of each block's
         norm from its Gram matrix (`_block_inverse_norm`); `norm_blocks` and
-        `largest_block` record the split.  Above it, power iteration on
-        B^T B through the Neumann solves and their adjoints; the estimate
-        never decreases, so it is a lower bound, and it stops once it changes
-        by at most 1e-14 relative (at most `power_iterations` steps).
+        `largest_block` record the split.  Above it, a Golub-Kahan (Lanczos)
+        estimate through the Neumann solves and their adjoints: Krylov step k
+        solves for y_k = B q_k, where q_1 is uniform and q_k+1 is B^T y_k
+        orthogonalized twice against q_1..q_k (classical Gram-Schmidt), and
+        returns sigma_max(y_1..y_k) from their k x k Gram matrix.  As
+        ||B Q|| <= ||B|| ||Q|| = ||B||, it is a lower bound, and it never
+        decreases in k.  It stops once it changes by at most 1e-14 relative
+        (tested before the adjoint solve) or after min(`power_iterations`, n)
+        steps, counted in `power_steps`.  A singular or non-finite operator
+        raises ResonantSolveError.
         """
         self.factorize()
         w = self.lattice.weights(params)
@@ -413,22 +421,30 @@ class LinearizedOperator:
             blocks = _components(dense)
             self.norm_blocks, self.largest_block = len(blocks), max(map(len, blocks))
             return _block_inverse_norm(dense, w, blocks)
-        wg = np.ones(self.lattice.mask.shape)
+        shape = self.lattice.mask.shape
+        wg = np.ones(shape)
         wg[self.lattice.ells, self.lattice.js] = w
-        x = np.where(self.lattice.mask, 1.0 / np.sqrt(n), 0.0)
-        est = 0.0
-        for step in range(1, power_iterations + 1):
-            y = wg * self._neumann(x / wg)                      # B x
-            z = self._neumann(wg * y, adjoint=True) / wg        # B^T y
+        q = np.where(self.lattice.mask, 1.0 / np.sqrt(n), 0.0).reshape(1, -1)  # rows q_i
+        y = np.empty((0, q.shape[1]))                                         # rows B q_i
+        est, last = 0.0, min(power_iterations, n)
+        for step in range(1, last + 1):
+            image = wg * self._neumann(q[-1].reshape(shape) / wg)
+            if not np.all(np.isfinite(image)):
+                raise ResonantSolveError(f"inverse norm at L_n={self.L}: non-finite image "
+                                         f"at Krylov step {step}")
+            y = np.vstack([y, image.ravel()])
+            prev, est = est, float(np.sqrt(np.linalg.eigvalsh(y @ y.T)[-1]))
+            if est - prev <= _POWER_RTOL * est or step == last:
+                break
+            z = (self._neumann(wg * image, adjoint=True) / wg).ravel()  # B^T y_k
+            for _ in range(2):  # classical Gram-Schmidt, twice
+                z -= q.T @ (q @ z)
             nz = float(np.linalg.norm(z))
             if nz == 0.0:
-                return 0.0
-            prev, est = est, np.sqrt(nz)
-            x = z / nz
-            if est - prev <= _POWER_RTOL * est:
                 break
+            q = np.vstack([q, z / nz])
         self.power_steps = step
-        return float(est)
+        return est
 
 
 def dense_matrix(op: LinearizedOperator) -> np.ndarray:
@@ -478,20 +494,28 @@ def _block_inverse_norm(a: np.ndarray, w: np.ndarray, blocks: list[np.ndarray]) 
     The weights are diagonal, so B is block diagonal under the same
     partition and its norm is the largest over the blocks, each the square
     root of the top eigenvalue of the perfectly conditioned Gram matrix
-    B_k^T B_k.  A pivot that is zero or below 1e-300 of the largest pivot of
-    any block raises ResonantSolveError.
+    B_k^T B_k.  A one-by-one block is its own pivot a_ii and has the norm
+    1 / |a_ii| (the weights cancel); all of them are taken in one pass.  A
+    non-finite entry in a block, or a pivot that is zero or below 1e-300 of
+    the largest pivot of any block, raises ResonantSolveError.
     """
+    multi = [idx for idx in blocks if len(idx) > 1]
+    single = np.array([idx[0] for idx in blocks if len(idx) == 1], dtype=int)
+    diag = a[single, single]
+    subs = [a[np.ix_(idx, idx)] for idx in multi]
+    if not (np.isfinite(diag).all() and all(np.isfinite(sub).all() for sub in subs)):
+        raise ResonantSolveError("linearized operator is not finite")
     with warnings.catch_warnings():
         # exact singularity is detected below and raised as an error
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lus = [scipy.linalg.lu_factor(a[np.ix_(idx, idx)], overwrite_a=True,
-                                      check_finite=False) for idx in blocks]
-    pivots = np.abs(np.concatenate([np.diag(lu) for lu, _ in lus]))
+        lus = [scipy.linalg.lu_factor(sub, overwrite_a=True, check_finite=False)
+               for sub in subs]
+    pivots = np.abs(np.concatenate([diag] + [np.diag(lu) for lu, _ in lus]))
     if pivots.min() == 0.0 or pivots.min() < 1e-300 * max(pivots.max(), 1.0):
         raise ResonantSolveError("linearized operator is numerically singular "
                                  "(amplitude effectively resonant)")
-    top = 0.0
-    for idx, lu in zip(blocks, lus):
+    top = float(np.max(1.0 / pivots[: len(single)], initial=0.0))
+    for idx, lu in zip(multi, lus):
         k, wk = len(idx), w[idx]
         # a Fortran-ordered right-hand side is solved in place, and syrk
         # reads the Fortran-ordered B_k without a copy
@@ -499,9 +523,9 @@ def _block_inverse_norm(a: np.ndarray, w: np.ndarray, blocks: list[np.ndarray]) 
         inv *= wk[:, None]
         inv /= wk[None, :]
         gram = scipy.linalg.blas.dsyrk(1.0, inv, trans=1, lower=0)  # upper B_k^T B_k
-        top = max(top, scipy.linalg.eigvalsh(gram, lower=False, subset_by_index=[k - 1, k - 1],
-                                             overwrite_a=True)[0])
-    return float(np.sqrt(top))
+        top = max(top, float(np.sqrt(scipy.linalg.eigvalsh(
+            gram, lower=False, subset_by_index=[k - 1, k - 1], overwrite_a=True)[0])))
+    return top
 
 
 def assemble_linearized(eps: float, w: CoeffField, m: int, L_n: int, J_max: int,

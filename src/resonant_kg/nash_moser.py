@@ -172,7 +172,7 @@ class StageRecord:
     divisor_ok: bool
     divisor_min_margin: float
     discarded_norm: float
-    # False when inverse_norm is a power-iteration lower bound, not exact
+    # False when inverse_norm is a Krylov lower bound, not exact
     inverse_norm_exact: bool = True
 
     def to_json(self) -> str:

@@ -129,6 +129,22 @@ def test_solve_verbose_logs_one_line_per_stage(tmp_path, capsys):
         (tmp_path / "quiet" / "trace.jsonl").read_bytes()
 
 
+def test_solve_verbose_reports_krylov_stage(tmp_path, capsys):
+    # m = 1 at L_n = 128 has 2432 unknowns, above EXACT_NORM_MAX: the inverse
+    # norm there is the Krylov estimate, with no block split
+    args = ["solve", "--eps", "2e-3", "--m", "1", "--stages", "4", "--no-divisors",
+            "--out", str(tmp_path / "m1"), "--verbose"]
+    assert main(args) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(" L_n=")[0] for line in lines] == [f"stage {k}" for k in range(1, 5)]
+    for line in lines[:3]:
+        assert "power_steps=0 norm_blocks=6 " in line
+    assert "L_n=128 unknowns=2432 " in lines[3]
+    assert " norm_blocks=0 largest_block=0 " in lines[3]
+    steps = int(lines[3].split("power_steps=")[1].split()[0])
+    assert 1 <= steps <= 8
+
+
 def test_measure_command(tmp_path):
     out = tmp_path / "measure.json"
     code = main(["measure", "--eta", "0.04", "--eta", "0.02",

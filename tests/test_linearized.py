@@ -322,6 +322,55 @@ def test_inverse_norm_power_iteration_agrees(rng):
     assert exact * (1 - 1e-12) <= stopped <= exact * (1 + 1e-15)
 
 
+def test_krylov_estimate_is_monotone_lower_bound(rng):
+    eps, m, Ln, J = 1e-3, 0, 8, 3
+    w = random_field(rng, Ln, J, scale=0.02, decay=0.4)
+    op = assemble_linearized(eps, w, m, Ln, J, kernel=solve_kernel(w, m, J_V=J).kernel)
+    exact = op.inverse_norm(P)
+    estimates = [op.inverse_norm(P, exact_threshold=0, power_iterations=k) for k in range(1, 9)]
+    assert all(a <= b for a, b in zip(estimates, estimates[1:]))
+    assert op.lattice.size == 32 and max(estimates) <= exact * (1 + 1e-15)
+
+
+def test_krylov_estimate_exhausts_a_small_lattice(rng):
+    # four unknowns: the estimate still moves at step 3, so the Krylov space
+    # is the whole lattice at step 4, where the loop must stop
+    op = _branch_operator(rng, 0, 2, 1, eps=0.1)
+    n = op.lattice.size
+    exact = op.inverse_norm(P)
+    value = op.inverse_norm(P, exact_threshold=0, power_iterations=3 * n)
+    assert op.power_steps == n == 4
+    assert exact * (1 - 1e-13) <= value <= exact * (1 + 1e-15)
+
+
+@pytest.mark.parametrize("threshold", [0, 10 ** 6], ids=["krylov", "exact"])
+def test_inverse_norm_fails_closed_on_non_finite_operator(threshold):
+    op = _stage0_operator(1, 32)
+    op.stack[0, 0, 0] = np.nan
+    with pytest.raises(ResonantSolveError, match="non-finite image at Krylov step 1"
+                       if threshold == 0 else "not finite"):
+        op.inverse_norm(P, exact_threshold=threshold)
+
+
+def test_krylov_estimate_converges_in_few_steps_at_l128(monkeypatch):
+    from resonant_kg.nash_moser import SolverConfig, run
+    real = linearized.LinearizedOperator.inverse_norm
+    seen = []
+
+    def inverse_norm(op, params, *args, **kwargs):
+        seen.append((op, params))
+        return real(op, params, *args, **kwargs)
+    monkeypatch.setattr(linearized.LinearizedOperator, "inverse_norm", inverse_norm)
+    run(SolverConfig(eps=2e-3, m=1, n_max=4))
+    op, params = seen[-1]
+    assert op.L == 128 and op.lattice.size > EXACT_NORM_MAX
+    estimate = real(op, params)
+    steps = op.power_steps
+    exact = real(op, params, exact_threshold=10 ** 6)
+    assert 1 <= steps <= 8
+    assert exact * (1 - 1e-12) <= estimate <= exact * (1 + 1e-15)
+
+
 def test_assembly_forms_square_and_stack_once(rng, monkeypatch):
     # q = (v + w)^2 and the S_d stack of b = 3 q serve the whole assembly
     import sys
@@ -599,6 +648,32 @@ def test_block_inverse_norm_checks_every_block_for_singularity():
     oracle = np.linalg.norm(w[:, None] * np.linalg.inv(a) / w[None, :], 2)
     value = linearized._block_inverse_norm(a, w, linearized._components(a))
     assert abs(value - oracle) <= 1e-14 * oracle
+    # a one-by-one block is its own pivot
+    a = scipy.linalg.block_diag(regular, [[0.0]])
+    with pytest.raises(ResonantSolveError, match="numerically singular"):
+        linearized._block_inverse_norm(a, np.ones(3), linearized._components(a))
+    for last in (0.5 * regular, [[0.1]], [[-0.7]]):
+        a = scipy.linalg.block_diag(regular, [[4.0]], last)
+        w = np.arange(1.0, len(a) + 1.0) ** 2
+        oracle = np.linalg.norm(w[:, None] * np.linalg.inv(a) / w[None, :], 2)
+        value = linearized._block_inverse_norm(a, w, linearized._components(a))
+        assert abs(value - oracle) <= 1e-14 * oracle
+
+
+def test_singleton_blocks_take_no_factorization(monkeypatch):
+    # at eps = 0 every unknown is its own block and the norm is max 1 / |symbol|
+    op = assemble_linearized(0.0, CoeffField.zeros(4, 2), 0, 512, 2, kernel=zero_kernel(2))
+    orders = []
+    real_lu = scipy.linalg.lu_factor
+
+    def lu_factor(a, *args, **kwargs):
+        orders.append(len(a))
+        return real_lu(a, *args, **kwargs)
+    monkeypatch.setattr(scipy.linalg, "lu_factor", lu_factor)
+    value = op.inverse_norm(P)
+    assert op.lattice.size == op.norm_blocks == 1536 and op.largest_block == 1
+    assert value == np.max(1.0 / np.abs(op.symbol_diagonal()))
+    assert 1 not in orders
 
 
 def test_import_loads_no_sparse_module():
