@@ -11,11 +11,14 @@ omega_j <= 2 L, l != omega_j.  The limit set uses the doubled threshold
 time-averaged derivative of the nonlinearity along the solution branch.
 
 The measure scanner estimates how much of (0, eta] the conditions exclude,
-both by an exact union of per-pair excluded intervals (each f is strictly
-monotone in eps, slope >= l/4) and by Monte Carlo sampling of the same
-condition set.  The Monte Carlo searches each binding pair's near-integer
-window in the sorted samples and evaluates the conditions pointwise at the
-candidates, so it shares no end point, bisection or merge with the union.
+both by an exact union of per-pair excluded intervals and by Monte Carlo
+sampling of the same condition set.  On binding pairs each f is strictly
+monotone in eps with slope >= l/4, so the interval ends are a closed form
+and a contracting fixed-point iteration (contraction (M + eps M')/(omega_j l),
+at most about 1/2).  The Monte Carlo searches each binding pair's
+near-integer window in the sorted samples and evaluates the conditions
+pointwise at the candidates, so it shares no end point, iteration or merge
+with the union.
 """
 
 from __future__ import annotations
@@ -185,6 +188,9 @@ def strong_diophantine_check(omega: float, gamma: float,
 # -- measure of the excluded amplitude set ------------------------------------
 
 
+_INTERVAL_DTYPE = np.dtype([("lo", "f8"), ("hi", "f8"), ("ell", "i8"), ("j", "i8")])
+
+
 @dataclass
 class MeasureReport:
     """Interval-union and Monte Carlo estimates of the admissible fraction of (0, eta]."""
@@ -196,7 +202,8 @@ class MeasureReport:
     fraction_mc: float
     mc_stderr: float
     excluded_mass: float
-    excluded_intervals: list
+    # structured array of _INTERVAL_DTYPE, ascending in (lo, hi, ell, j)
+    excluded_intervals: np.ndarray
     # gamma * eta^((tau+1)/2): the scale of the paper's upper bound on the
     # excluded mass.  The sharp mass scales like gamma * eta^tau (each binding
     # pair removes a width ~ gamma l^(-1-tau), with ~ eta l pairs per l >=
@@ -214,8 +221,7 @@ class MeasureReport:
         columns {"lo": [...], "hi": [...], "ell": [...], "j": [...]}."""
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
         payload["excluded_intervals"] = {
-            name: [row[k] for row in self.excluded_intervals]
-            for k, name in enumerate(("lo", "hi", "ell", "j"))}
+            name: self.excluded_intervals[name].tolist() for name in _INTERVAL_DTYPE.names}
         return payload
 
 
@@ -233,6 +239,26 @@ def _melnikov_values(e, ells, wjs, m_of_eps, shifted: bool):
     if shifted:
         v = v - e * m_of_eps(e) / (2.0 * wjs)
     return v
+
+
+def _crossing(level, ells, wjs, m_of_eps, shifted: bool):
+    """Per pair, the amplitude e at which the condition function equals level.
+
+    Plain: e = ((n + level) / l)^2 - 1.  Shifted: that map with n + level +
+    e M(e) / (2 n) in place of n + level, iterated from the plain root until
+    no iterate changes; it contracts by about (M + e M') / (n l) <= 1/2 while
+    the slope is >= l/4.  A pair not settled in 60 steps raises ValueError."""
+    e = ((wjs + level) / ells) ** 2 - 1.0
+    if not shifted:
+        return e
+    for _ in range(60):
+        e, prev = ((wjs + level + e * m_of_eps(e) / (2.0 * wjs)) / ells) ** 2 - 1.0, e
+        if np.array_equal(e, prev):
+            return e
+    k = int(np.flatnonzero(e != prev)[0])
+    raise ValueError(f"interval end of pair (l, j) = ({ells[k]:.0f}, {wjs[k] - 1:.0f}) "
+                     f"unsettled after 60 steps (last update {e[k] - prev[k]:.3e}): "
+                     "the slope >= l/4 premise fails")
 
 
 def _union_length(lo, hi) -> float:
@@ -288,8 +314,9 @@ def measure_scan(eta: float, samples: int, params: ResonanceParams, m_of_eps,
     Both estimates use the identical binding-pair enumeration (l <= ell_max ~
     ell_max_factor/eta; the reported tail bound covers the rest):
 
-    (a) the exact union of per-pair excluded intervals, whose end points are
-        found by vectorized bisection of the monotone condition functions;
+    (a) the exact union of per-pair excluded intervals (a structured array),
+        whose ends are a closed form and a contracting fixed-point iteration
+        (see _crossing; premise slope >= l/4, else ValueError);
     (b) Monte Carlo over uniform samples of the same condition set, found
         by a window search (see _excluded_samples) and evaluated pointwise;
         it shares nothing with (a) but the pairs, so it checks the union.
@@ -321,31 +348,22 @@ def measure_scan(eta: float, samples: int, params: ResonanceParams, m_of_eps,
         flo = _melnikov_values(lo, ells, wjs, m_of_eps, shifted)
         fhi = _melnikov_values(hi, ells, wjs, m_of_eps, shifted)
         active = (flo < thr) & (fhi > -thr)
-        if not np.any(active):
-            continue
         a_lo, a_hi, t = lo[active], hi[active], thr[active]
         a_ells, a_wjs = ells[active], wjs[active]
-
-        def bisect(sign):
-            a, b = a_lo.copy(), a_hi.copy()
-            for _ in range(60):
-                mid = 0.5 * (a + b)
-                above = _melnikov_values(mid, a_ells, a_wjs, m_of_eps, shifted) > sign * t
-                b = np.where(above, mid, b)
-                a = np.where(above, a, mid)
-            return 0.5 * (a + b)
-
-        left = np.where(flo[active] >= -t, a_lo, bisect(-1.0))
-        right = np.where(fhi[active] <= t, a_hi, bisect(+1.0))
+        left, right = a_lo.copy(), a_hi.copy()
+        # only the ends inside [1/(3l), eta] are solved for; clip their roundoff
+        for end, inside, level in ((left, flo[active] < -t, -t), (right, fhi[active] > t, t)):
+            end[inside] = np.clip(_crossing(level[inside], a_ells[inside], a_wjs[inside],
+                                            m_of_eps, shifted), a_lo[inside], a_hi[inside])
         good = right > left
         found.append((left[good], right[good], a_ells[good], a_wjs[good]))
 
-    left, right, el, wj = (np.concatenate(c) for c in zip(*found)) if found else np.empty((4, 0))
+    left, right, el, wj = (np.concatenate(c) for c in zip(*found))
     order = np.lexsort((wj, el, right, left))
-    left, right = left[order], right[order]
-    intervals = list(zip(left.tolist(), right.tolist(), el[order].astype(int).tolist(),
-                         (wj[order].astype(int) - 1).tolist()))
-    total_mass = _union_length(left, right)
+    intervals = np.empty(len(order), dtype=_INTERVAL_DTYPE)
+    intervals["lo"], intervals["hi"] = left[order], right[order]
+    intervals["ell"], intervals["j"] = el[order], wj[order] - 1
+    total_mass = _union_length(intervals["lo"], intervals["hi"])
     fraction_interval = 1.0 - total_mass / eta
 
     rng = np.random.default_rng(rng_seed)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -162,16 +164,26 @@ def test_measure_scan_consistency():
 
 
 def test_measure_scan_slope_bound():
-    # the shifted condition function has slope >= l/4 on binding pairs
+    # the shifted condition function has slope >= l/4 on every excluded
+    # interval: the premise under which the fixed-point iteration contracts
     params = ResonanceParams(0.05, 1.5, eps0=0.05)
-    rep = measure_scan(0.04, samples=1000, params=params, m_of_eps=_m_const())
-    m = _m_const()
-    for lo, hi, ell, j in rep.excluded_intervals[:200]:
-        mid, t = 0.5 * (lo + hi), 1e-7
-        wj = j + 1.0
+    for m in (_m_const(), _interpolated_m_of_eps()):
+        iv = measure_scan(0.04, samples=1000, params=params, m_of_eps=m).excluded_intervals
+        mid, t = 0.5 * (iv["lo"] + iv["hi"]), 1e-7
+        ell, wj = iv["ell"].astype(float), iv["j"] + 1.0
         f = lambda e: np.sqrt(1 + e) * ell - wj - e * m(e) / (2 * wj)
         slope = (f(mid + t) - f(mid - t)) / (2 * t)
-        assert slope >= ell / 4.0
+        assert len(iv) > 40000 and np.all(slope >= ell / 4.0)
+
+
+def test_measure_scan_fails_closed_on_unsettled_end():
+    # a mean that changes on every call never lets an interval end settle
+    calls = itertools.count()
+    flicker = lambda e: np.full_like(np.asarray(e, dtype=float), 2.0 + 0.01 * (next(calls) % 2))
+    params = ResonanceParams(0.05, 1.5, eps0=0.05)
+    with pytest.raises(ValueError, match=r"pair \(l, j\) = \(\d+, \d+\) unsettled after 60 steps"
+                                         r" \(last update -?\d\.\d{3}e[-+]\d+\)"):
+        measure_scan(0.04, 10, params, flicker)
 
 
 def test_measure_gamma_to_zero():
@@ -281,6 +293,75 @@ def test_monte_carlo_matches_dense_grid_oracle(monkeypatch):
             assert oracle.any()
             np.testing.assert_array_equal(mask, oracle)
             assert rep.fraction_mc == 1.0 - float(np.mean(oracle))
+
+
+def _bisection_intervals(eta, params, m_of_eps):
+    """Oracle: the 60-step bisection of the interval ends that the closed form
+    and fixed-point iteration replaced; columns (lo, hi, ell, j) in report order."""
+    ells, ds = resonance._pair_arrays(eta, int(np.ceil(64.0 / eta)))
+    wjs = ells + ds
+    thr = 2.0 * params.gamma / (ells + wjs) ** params.tau
+    lo = 1.0 / (3.0 * ells)
+    hi = np.full_like(ells, eta)
+    found = []
+    for shifted in (True, False):
+        flo = resonance._melnikov_values(lo, ells, wjs, m_of_eps, shifted)
+        fhi = resonance._melnikov_values(hi, ells, wjs, m_of_eps, shifted)
+        active = (flo < thr) & (fhi > -thr)
+        a_lo, a_hi, t = lo[active], hi[active], thr[active]
+        a_ells, a_wjs = ells[active], wjs[active]
+
+        def bisect(sign):
+            a, b = a_lo.copy(), a_hi.copy()
+            for _ in range(60):
+                mid = 0.5 * (a + b)
+                f = resonance._melnikov_values(mid, a_ells, a_wjs, m_of_eps, shifted)
+                above = f > sign * t
+                b = np.where(above, mid, b)
+                a = np.where(above, a, mid)
+            return 0.5 * (a + b)
+
+        left = np.where(flo[active] >= -t, a_lo, bisect(-1.0))
+        right = np.where(fhi[active] <= t, a_hi, bisect(+1.0))
+        good = right > left
+        found.append((left[good], right[good], a_ells[good], a_wjs[good]))
+    left, right, el, wj = (np.concatenate(c) for c in zip(*found))
+    order = np.lexsort((wj, el, right, left))
+    return left[order], right[order], el[order].astype(np.int64), wj[order].astype(np.int64) - 1
+
+
+def test_interval_ends_match_bisection_oracle():
+    params = ResonanceParams(0.05, 1.5, eps0=0.05)
+    for m_of_eps in (_m_const(), _interpolated_m_of_eps()):
+        for eta in (0.04, 0.01):
+            rep = measure_scan(eta, 10, params, m_of_eps)
+            iv = rep.excluded_intervals
+            lo, hi, ell, j = _bisection_intervals(eta, params, m_of_eps)
+            np.testing.assert_array_equal(iv["ell"], ell)
+            np.testing.assert_array_equal(iv["j"], j)
+            for got, want in ((iv["lo"], lo), (iv["hi"], hi)):
+                assert np.all(np.abs(got - want) <= 4.0 * np.spacing(1.0 + want))
+            oracle = 1.0 - resonance._union_length(lo, hi) / eta
+            assert rep.fraction_interval == pytest.approx(oracle, rel=1e-10, abs=0.0)
+
+
+def test_measure_report_intervals_are_columns():
+    params = ResonanceParams(0.05, 1.5, eps0=0.04)
+    rep = measure_scan(0.04, 10, params, _interpolated_m_of_eps())
+    iv = rep.excluded_intervals
+    assert iv.dtype.names == ("lo", "hi", "ell", "j")
+    assert [iv.dtype[name] for name in iv.dtype.names] == [np.float64, np.float64,
+                                                           np.int64, np.int64]
+    np.testing.assert_array_equal(np.lexsort((iv["j"], iv["ell"], iv["hi"], iv["lo"])),
+                                  np.arange(len(iv)))
+    columns = rep._payload()["excluded_intervals"]
+    assert columns == {name: iv[name].tolist() for name in iv.dtype.names}
+    assert all(type(v) is int for name in ("ell", "j") for v in columns[name])
+    assert all(type(v) is float for name in ("lo", "hi") for v in columns[name])
+    assert len(iv) == len(columns["lo"]) > 0
+    # rows still slice and unpack as (lo, hi, ell, j)
+    for k, (lo, hi, ell, j) in enumerate(iv[:3]):
+        assert (lo, hi, ell, j) == tuple(columns[name][k] for name in iv.dtype.names)
 
 
 def test_pair_arrays_match_double_loop():
