@@ -16,9 +16,11 @@ counted once and every l >= 1 row twice).  The weighted norm
 (sigma), time Sobolev regularity (s) and space Sobolev regularity (r).
 
 Products are exact coefficient-space convolutions: cosine convolution in time
-composed with the eigenbasis product rule in space.  No transforms are used,
-so coefficients far below machine epsilon relative to the field's largest
-entry remain meaningful.
+composed with the eigenbasis product rule in space, over only the time rows
+(one common stride) and space columns that the operands occupy; a skipped
+term is a product with an exact zero.  No transforms are used, so
+coefficients far below machine epsilon relative to the field's largest entry
+remain meaningful.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import spherical_basis as sb
 
@@ -156,7 +159,8 @@ class CoeffField:
         mask = rmax != 0.0  # keeps NaN rows, so a non-finite field has a NaN norm
         if not mask.any():
             return 0.0
-        scaled = self.u[mask] / rmax[mask, None]  # rescale so squaring cannot underflow
+        with np.errstate(invalid="ignore"):  # a NaN or inf row gives the documented NaN norm
+            scaled = self.u[mask] / rmax[mask, None]  # rescale so squaring cannot underflow
         row_sq = (scaled * scaled) @ wj
         t = (self._log_time_weights(params)[mask] + 2.0 * np.log(rmax[mask])
              + np.log(row_sq))
@@ -203,28 +207,49 @@ class CoeffField:
         return T.T @ (doubling[:, None] * self.u) @ E
 
 
+def _support(u: np.ndarray):
+    """Rows and columns of u that hold a nonzero entry (NaN and inf count)."""
+    mag = np.abs(u)
+    return np.flatnonzero(mag.max(axis=1) != 0.0), np.flatnonzero(mag.max(axis=0) != 0.0)
+
+
 def field_multiply(a: CoeffField, b: CoeffField) -> CoeffField:
     """Exact pointwise product; result truncations L_a + L_b, J_a + J_b.
 
-    Time direction: convolution of the mirrored (exponential) coefficient
-    arrays, one small matmul per output frequency.  Space direction: the pair
-    blocks go through spherical_basis.product_rule in one matmul, the same
-    spatial kernel as profile_multiply and multiplication_matrix.  "Exact"
-    means no transform and no quadrature: every output coefficient is a plain
-    sum of its own products, so entries far below the field's largest keep
-    their value; only the summation order is the matmul's.
+    Only the rows and columns that the operands occupy, read from the data,
+    are multiplied.  Time: the nonzero rows, mirrored to +-l, lie on
+    progressions of one stride s, the gcd of all their offsets (2 omega_m on
+    the branch of mode m, 1 for a generic field); one batched matmul over
+    sliding windows convolves the two progressions, and the rows l >= 0 are
+    scattered out.  Space: the pair blocks of the nonzero columns go through
+    their rows of the cached spherical_basis.product_rule in one matmul.
+    "Exact" means no transform and no quadrature: every skipped term, and
+    every term of the windows' zero padding, is a product with an exact
+    zero, so each output is the plain sum of its own nonzero products and
+    entries far below the field's largest keep their value; only the
+    summation order is the matmul's.
     """
     La, Ja, Lb, Jb = a.L, a.J, b.L, b.J
-    Lout = La + Lb
-    afull = a.u[np.abs(np.arange(-La, La + 1))]  # (2La+1, Ja+1)
-    bfull = b.u[np.abs(np.arange(-Lb, Lb + 1))]  # (2Lb+1, Jb+1)
-    pair = np.empty((Lout + 1, Ja + 1, Jb + 1))
-    for m in range(Lout + 1):
-        plo, phi = max(-La, m - Lb), min(La, m + Lb)
-        arows = afull[plo + La : phi + La + 1]
-        brows = bfull[m - phi + Lb : m - plo + Lb + 1][::-1]
-        pair[m] = arows.T @ brows
-    return CoeffField(pair.reshape(Lout + 1, -1) @ sb.product_rule(Ja, Jb))
+    out = np.zeros((La + Lb + 1, Ja + Jb + 1))
+    (ra, ca), (rb, cb) = _support(a.u), _support(b.u)
+    if len(ra) == 0 or len(rb) == 0:
+        return CoeffField(out)
+    # offsets of the mirrored rows from their first, -r[-1], in both operands
+    offsets = np.concatenate([ra[-1] - ra, ra[-1] + ra, rb[-1] - rb, rb[-1] + rb])
+    s = max(int(np.gcd.reduce(offsets)), 1)
+    A = a.u[np.abs(np.arange(-ra[-1], ra[-1] + 1, s))][:, ca]
+    B = b.u[np.abs(np.arange(-rb[-1], rb[-1] + 1, s))][:, cb]
+    na, nb, top = len(A), len(B), ra[-1] + rb[-1]  # output frequencies -top + s n
+    n0 = -(-top // s)  # the first n with -top + s n >= 0
+    # window k = pad[k : k + na] holds B's rows n - i against A's rows i
+    # (ascending, the order of the sums) for n = na + nb - 2 - k
+    pad = np.zeros((nb + 2 * na - 2, len(cb)))
+    pad[na - 1 : na - 1 + nb] = B[::-1]
+    win = as_strided(pad, (na + nb - 1 - n0, na, len(cb)), pad.strides[:1] + pad.strides)
+    pair = (A.T @ win)[::-1]  # (rows kept, A's columns, B's columns)
+    rule = sb.product_rule(Ja, Jb)[(ca[:, None] * (Jb + 1) + cb).ravel()]
+    out[s * n0 - top : top + 1 : s] = pair.reshape(len(pair), -1) @ rule
+    return CoeffField(out)
 
 
 def mult_matrix_stack(q: CoeffField, size: int, dmax: int) -> np.ndarray:

@@ -592,30 +592,34 @@ def _kept_modes(ell: int, size: int) -> np.ndarray:
     return js[js != abs(ell) - 1]
 
 
-def _bands(kept: np.ndarray, eps: float, B: np.ndarray, bw: int) -> np.ndarray:
+def _bands(kept: np.ndarray, eps: float, diag: np.ndarray, bw: int) -> np.ndarray:
     """Upper banded storage of omega_j^2 + eps B restricted to the modes kept.
 
-    Deleting an index never widens the band, so bw (the half-bandwidth of
-    eps B, 0 when it is diagonal or vanishes) holds for every restriction.
+    diag holds the diagonals of B, B[i, i + d] = diag[d, i]
+    (spherical_basis.diagonal_sums), up to the largest offset between kept
+    modes d <= bw apart: bw + 1 when one mode is deleted.  Deleting an index
+    never widens the band, so bw (the half-bandwidth of eps B, 0 when it is
+    diagonal or vanishes) holds for every restriction.
     """
     n = len(kept)
     bands = np.zeros((bw + 1, n))
-    bands[bw] = (kept + 1.0) ** 2 + eps * B[kept, kept]
-    for d in range(1, bw + 1):
-        bands[bw - d, d:] = eps * B[kept[: n - d], kept[d:]]
+    for d in range(bw + 1):
+        bands[bw - d, d:] = eps * diag[kept[d:] - kept[: n - d], kept[: n - d]]
+    bands[bw] += (kept + 1.0) ** 2
     return bands
 
 
-def _block_spectrum(ell: int, eps: float, B: np.ndarray, bw: int):
+def _block_spectrum(ell: int, eps: float, diag: np.ndarray, bw: int):
     """Eigenvalues of omega_j^2 + eps B on the modes j != |l| - 1, and those modes.
 
-    B is the multiplication matrix of b0 and bw the half-bandwidth of eps B.
-    One eigvals_banded solve per block; at small eps the ascending
-    eigenvalues match the ascending labels.
+    diag holds the first bw + 2 diagonals of the multiplication matrix B of
+    b0 (see _bands) and bw is the half-bandwidth of eps B.  One
+    eigvals_banded solve per block; at small eps the ascending eigenvalues
+    match the ascending labels.
     """
-    kept = _kept_modes(ell, len(B))
+    kept = _kept_modes(ell, diag.shape[-1])
     bw = min(bw, max(len(kept) - 1, 0))  # k modes have at most k - 1 bands
-    bands = _bands(kept, eps, B, bw)
+    bands = _bands(kept, eps, diag, bw)
     if bw == 0:
         return bands[0], kept
     try:
@@ -647,10 +651,11 @@ def diagonalize_block(ell: int, eps: float, b0: np.ndarray, J_max: int,
         if abs(eps) * sup >= 1.0:
             raise ValueError(
                 f"|eps| = {abs(eps)} beyond the Neumann threshold 1/sup|b0| = {1.0 / sup:.3e}")
-    B = sb.multiplication_matrix(b0, J_max + 1)
     if not want_vectors:
-        lam, kept = _block_spectrum(ell, eps, B, _band_width(eps, b0, J_max + 1))
+        bw = _band_width(eps, b0, J_max + 1)
+        lam, kept = _block_spectrum(ell, eps, sb.diagonal_sums(b0, J_max + 1, bw + 2), bw)
         return SpectralBlock(ell=ell, eps=eps, js=kept, lam=lam, vectors=None, J_max=J_max)
+    B = sb.multiplication_matrix(b0, J_max + 1)
     kept = _kept_modes(ell, J_max + 1)
     Sk = np.diag((kept + 1.0) ** 2) + eps * B[np.ix_(kept, kept)]
     try:
@@ -831,9 +836,8 @@ def divisor_table(eps: float, b0: np.ndarray, L_n: int, J_max: int, gamma: float
     """
     b0 = np.asarray(b0, dtype=float)
     n = J_max + 1
-    B = sb.multiplication_matrix(b0, n)
     bw = _band_width(eps, b0, n)
-    bands = _bands(np.arange(n), eps, B, bw)
+    bands = _bands(np.arange(n), eps, sb.diagonal_sums(b0, n, bw + 1), bw)
     ells = np.arange(L_n + 1)
     deleted = ells - 1
     cut = np.nonzero((deleted >= 0) & (deleted < n))[0]

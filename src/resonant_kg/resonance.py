@@ -330,6 +330,10 @@ def measure_scan(eta: float, samples: int, params: ResonanceParams, m_of_eps,
     gamma, tau = params.gamma, params.tau
     ell_max = int(np.ceil(ell_max_factor / eta))
     ells, ds = _pair_arrays(eta, ell_max)
+    if len(ells) == 0:
+        raise ValueError(f"ell_max_factor = {ell_max_factor} gives ell_max = {ell_max}, below "
+                         f"the first binding l = {int(np.ceil(1.0 / (3.0 * eta)))}: "
+                         "no pair to scan")
     wjs = ells + ds
     thr = 2.0 * gamma / (ells + wjs) ** tau
     # Only the integer nearest omega(eps) l can violate either condition: cut

@@ -31,6 +31,7 @@ __all__ = [
     "profile_norm",
     "mean_integral",
     "matrix_element",
+    "diagonal_sums",
     "multiplication_matrix",
     "to_circle_fourier",
     "circle_norm_sq",
@@ -117,23 +118,33 @@ def matrix_element(b: np.ndarray, j: int, k: int) -> float:
     return float(np.sum(b[lo : hi + 1 : 2]))
 
 
+def diagonal_sums(b: np.ndarray, size: int, count: int) -> np.ndarray:
+    """Diagonals d < count of multiplication_matrix(b, size): out[..., d, i] = S[i, i+d].
+
+    Each is the running sum S[i, i+d] = sum_{n <= i} b_{d+2n}, i < size (the
+    entries with i + d >= size continue the sum past the matrix), formed in
+    O(size count).  Running sums only add (a difference of prefix sums would
+    cancel every entry far below the largest b_n to rounding), so each entry
+    is the exact partial sum of its own coefficients.
+    """
+    b = np.asarray(b, dtype=float)
+    padded = np.zeros(b.shape[:-1] + (max(b.shape[-1], count + 2 * size),))
+    padded[..., : b.shape[-1]] = b
+    n = np.arange(size)
+    return np.cumsum(padded[..., np.arange(count)[:, None] + 2 * n[None, :]], axis=-1)
+
+
 def multiplication_matrix(b: np.ndarray, size: int) -> np.ndarray:
     """Dense symmetric matrix S with S[j,k] = <b e_k, e_j> for j,k < size.
 
     The product rule read as a matrix: along diagonal d the entries are the
-    running sums S[i, i+d] = sum_{n <= i} b_{d+2n}.  Running sums only add
-    (a difference of prefix sums would cancel every entry far below the
-    largest b_n to rounding), so each entry is the exact partial sum of its
-    own coefficients.  b may also be a stack of profiles along its last axis;
-    the result then has shape b.shape[:-1] + (size, size).
+    running sums of diagonal_sums, gathered.  b may also be a stack of
+    profiles along its last axis; the result then has shape
+    b.shape[:-1] + (size, size).
     """
-    b = np.asarray(b, dtype=float)
-    padded = np.zeros(b.shape[:-1] + (max(b.shape[-1], 3 * size),))
-    padded[..., : b.shape[-1]] = b
     n = np.arange(size)
-    # run[..., d, i] = sum_{n <= i} b_{d+2n}
-    run = np.cumsum(padded[..., n[:, None] + 2 * n[None, :]], axis=-1)
-    return run[..., np.abs(n[:, None] - n[None, :]), np.minimum.outer(n, n)]
+    return diagonal_sums(b, size, size)[..., np.abs(n[:, None] - n[None, :]),
+                                        np.minimum.outer(n, n)]
 
 
 def to_circle_fourier(p: np.ndarray) -> np.ndarray:

@@ -111,6 +111,61 @@ def test_product_kernel_exact_on_tiny_rows(rng, L, J):
         assert np.all(np.abs(got - ref) <= 1e-13 * ref)
 
 
+def _on_pattern(rng, L, J, rows, cols):
+    """Non-negative field supported on the given rows and columns, upper rows near 1e-200."""
+    u = np.zeros((L + 1, J + 1))
+    u[np.ix_(rows, cols)] = rng.random((len(rows), len(cols))) + 0.1
+    u[L // 2:] *= 1e-200
+    return u
+
+
+_ODD = np.arange(1, 25, 2)
+
+
+@pytest.mark.parametrize("pattern_a, pattern_b", [
+    # the m = 1 pattern: l = 2 mod 4, odd j; with q on l = 0 mod 4, even j
+    ((np.arange(2, 25, 4), np.arange(1, 10, 2)), (np.arange(2, 25, 4), np.arange(1, 8, 2))),
+    ((np.arange(0, 25, 4), np.arange(0, 11, 2)), (np.arange(2, 25, 4), np.arange(1, 8, 2))),
+    # the m = 0 pattern: odd l, one column
+    ((_ODD, [0]), (_ODD, [0])),
+    # mixed strides: l = 2 mod 4 times odd l
+    ((np.arange(2, 25, 4), [0, 3]), (_ODD, [1, 2])),
+    # a gap inside a progression
+    ((np.delete(_ODD, 3), [0, 2]), (_ODD[:-2], [0, 2, 4])),
+    # one nonzero row, at l = 0
+    (([0], [1, 3]), (_ODD, [0, 2])),
+    (([0], [2]), ([0], [0, 1])),
+])
+def test_strided_kernel_matches_scatter_oracle(rng, pattern_a, pattern_b):
+    a = _on_pattern(rng, 24, 10, *pattern_a)
+    b = _on_pattern(rng, 24, 7, *pattern_b)
+    ref = _scatter_product(a, b)
+    got = field_multiply(CoeffField(a), CoeffField(b)).u
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+    if a[12:].any() or b[12:].any():
+        assert np.count_nonzero((ref > 0) & (ref < 1e-150)) > 0
+
+
+def test_kernel_zero_operand_keeps_shape(rng):
+    a = CoeffField(_on_pattern(rng, 9, 3, _ODD[:5], [0, 2]))
+    for x, y in ((a, CoeffField.zeros(5, 4)), (CoeffField.zeros(5, 4), a),
+                 (CoeffField.zeros(2, 0), CoeffField.zeros(0, 3))):
+        p = field_multiply(x, y)
+        assert p.u.shape == (x.L + y.L + 1, x.J + y.J + 1)
+        assert not p.u.any()
+
+
+def test_kernel_nan_reaches_the_product(rng):
+    a = _on_pattern(rng, 12, 4, _ODD[:6], [0, 2, 4])
+    for row, col in ((3, 2), (0, 1), (12, 4)):
+        bad = np.zeros_like(a)
+        bad[row, col] = np.nan
+        for other in (a, np.eye(13, 5)[::-1], np.eye(1, 1)):
+            for x, y in ((bad, other), (other, bad)):
+                assert not np.isfinite(field_multiply(CoeffField(x), CoeffField(y)).u).all()
+
+
 def test_multiply_grid_oracle(rng):
     a = random_field(rng, 5, 4, scale=0.7, decay=0.1)
     b = random_field(rng, 4, 6, scale=0.7, decay=0.1)

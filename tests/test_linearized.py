@@ -427,6 +427,31 @@ def test_divisor_table_secular_path_matches_per_block_solves(case):
     assert np.array_equal(tab.ok, rep.ok)
 
 
+def _dense_bands(kept, eps, B, bw):
+    """Banded storage of omega_j^2 + eps B on the kept modes, read from the dense B."""
+    n = len(kept)
+    bands = np.zeros((bw + 1, n))
+    bands[bw] = (kept + 1.0) ** 2 + eps * B[kept, kept]
+    for d in range(1, bw + 1):
+        bands[bw - d, d:] = eps * B[kept[: n - d], kept[d:]]
+    return bands
+
+
+@pytest.mark.parametrize("n", [65, 513, 1025])
+@pytest.mark.parametrize("bw", [0, 4, 36])
+def test_bands_from_diagonals_match_dense_bands(n, bw):
+    # divisor_table and the per-block solves read only the first diagonals of
+    # B, not the dense matrix: all modes, and every mode but one
+    from resonant_kg.spherical_basis import diagonal_sums, multiplication_matrix
+    b0 = np.random.default_rng(n + bw).standard_normal(bw + 1) * 0.3
+    b0[0] = 2.0
+    B = multiplication_matrix(b0, n)
+    for kept, rows in ((np.arange(n), bw + 1), (linearized._kept_modes(n // 2, n), bw + 2)):
+        diag = diagonal_sums(b0, n, rows)
+        assert np.array_equal(linearized._bands(kept, 2e-3, diag, bw),
+                              _dense_bands(kept, 2e-3, B, bw))
+
+
 def test_divisor_table_secular_path_on_assembled_b0():
     # the time-mean potential of a converged m = 1 state, at (L_n, J_max) = (64, 128)
     from resonant_kg.nash_moser import SolverConfig, solve_stage, solve_stage0

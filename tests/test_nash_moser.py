@@ -128,6 +128,30 @@ def test_branches_are_distinct():
     assert diff >= 0.9 * alpha0
 
 
+def _off_pattern(f, step, first, parity):
+    """Entries of f outside the rows l = first (mod step) and columns j = parity (mod 2)."""
+    ell, j = np.ogrid[: f.L + 1, : f.J + 1]
+    return f.u[(ell % step != first) | (j % 2 != parity)]
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_branch_keeps_the_kernel_mode_symmetry(m):
+    # the cubic nonlinearity keeps the symmetry of the kernel mode (l, j) =
+    # (omega_m, m): u lives on l = omega_m (mod 2 omega_m), j = m (mod 2) and
+    # q = u^2 on l = 0 (mod 2 omega_m), j even; the speed of field_multiply's
+    # strides and of the operator's live S_d rests on these exact zeros
+    from resonant_kg.linearized import assemble_linearized
+    cfg = SolverConfig(eps=2e-3, m=m, n_max=2, divisor_diagnostics=False)
+    res = run(cfg)
+    wm = m + 1
+    op = assemble_linearized(cfg.eps, res.w, m, cfg.L(cfg.n_max), cfg.J_space,
+                             kernel=res.kernel)
+    assert np.count_nonzero(res.u.u) > 0 and np.count_nonzero(op.q.u) > 0
+    assert not _off_pattern(res.u, 2 * wm, wm, m % 2).any()
+    assert not _off_pattern(op.u, 2 * wm, wm, m % 2).any()
+    assert not _off_pattern(op.q, 2 * wm, 0, 0).any()
+
+
 def test_melnikov_exclusion_raised():
     # omega(eps) * 100 = 101 exactly: stage with L_n >= 100 must exclude it
     eps = 101.0 ** 2 / 100.0 ** 2 - 1.0

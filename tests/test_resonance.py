@@ -230,6 +230,9 @@ def test_measure_scan_rejects_bad_input():
             measure_scan(eta, 10, params, _m_const())
     with pytest.raises(ValueError, match="samples"):
         measure_scan(0.04, 0, params, _m_const())
+    # ell_max 3 lies below the first binding l = 9: there is no pair to scan
+    with pytest.raises(ValueError, match="ell_max_factor"):
+        measure_scan(0.04, 10, params, _m_const(), ell_max_factor=0.1)
 
 
 def test_measure_scan_nearest_integer_guard():
