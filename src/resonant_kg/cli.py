@@ -88,16 +88,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _write_manifest(outdir, config_dict, artifacts, timings):
     import importlib.metadata
     import numpy
-    import scipy
-    try:
-        version = importlib.metadata.version("resonant-kg")
-    except importlib.metadata.PackageNotFoundError:
-        version = "unknown"
+
+    def version(package):  # from the metadata: importing scipy costs more than a short solve
+        try:
+            return importlib.metadata.version(package)
+        except importlib.metadata.PackageNotFoundError:
+            return "unknown"
     manifest = {
         "config": config_dict,
         "artifacts": {k: os.path.basename(v) for k, v in artifacts.items()},
-        "versions": {"resonant-kg": version, "numpy": numpy.__version__,
-                     "scipy": scipy.__version__,
+        "versions": {"resonant-kg": version("resonant-kg"), "numpy": numpy.__version__,
+                     "scipy": version("scipy"),
                      "python": ".".join(map(str, sys.version_info[:3]))},
         "timings_s": timings,
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

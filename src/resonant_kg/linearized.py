@@ -29,22 +29,24 @@ of the top eigenvalue of each block's Gram matrix.
 The spectra of D_l (a Sturm-Liouville perturbation of omega_j^2) control
 the small divisors alpha_l = min_j |omega^2 l^2 - lambda_{l,j}(eps)|.  Every
 block is one matrix omega_j^2 + eps B with the row and column of e_{l-1}
-deleted, so the divisor table diagonalizes that matrix once and finds each
-block's eigenvalue nearest omega^2 l^2 from a secular equation; the
-per-block banded eigensolve stays for `diagonalize_block` and as the test
-oracle.  The sign/half-power preconditioner splitting is kept as a
-diagnostic that certifies the expected bounds and checks `solve` against
-the dense inverse.
+deleted.  The divisor table diagonalizes, for every l at once in one
+stacked eigh, a window of the modes near omega^2 l^2, and subtracts from
+each divisor the residual bound ||r||^2 / delta on the distance between the
+window's eigenvalue and the block's (r the coupling out of the window,
+delta the gap to the other modes' Weyl intervals): the reported alpha_l is
+a lower bound.  A window widens until that bound is below one ulp, so the
+cost is linear in L_n.  The per-block banded eigensolve (scipy, imported
+there) stays for `diagonalize_block` and as the test oracle.  The
+sign/half-power preconditioner splitting is kept as a diagnostic that
+certifies the expected bounds and checks `solve` against the dense inverse.
 """
 
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from numpy.lib.stride_tricks import as_strided
 
 from . import spherical_basis as sb
@@ -493,38 +495,35 @@ def _block_inverse_norm(a: np.ndarray, w: np.ndarray, blocks: list[np.ndarray]) 
 
     The weights are diagonal, so B is block diagonal under the same
     partition and its norm is the largest over the blocks, each the square
-    root of the top eigenvalue of the perfectly conditioned Gram matrix
-    B_k^T B_k.  A one-by-one block is its own pivot a_ii and has the norm
-    1 / |a_ii| (the weights cancel); all of them are taken in one pass.  A
-    non-finite entry in a block, or a pivot that is zero or below 1e-300 of
-    the largest pivot of any block, raises ResonantSolveError.
+    root of the top eigenvalue of the Gram matrix B_k^T B_k.  A one-by-one
+    block has the norm 1 / |a_ii| (the weights cancel); all of them are
+    taken in one pass.  A non-finite entry in a block, an exactly singular
+    block, or max_k |A_k| max_k |A_k^-1| above 1e300 (largest entries, the
+    first at least 1) raises ResonantSolveError.
     """
     multi = [idx for idx in blocks if len(idx) > 1]
     single = np.array([idx[0] for idx in blocks if len(idx) == 1], dtype=int)
-    diag = a[single, single]
+    diag = np.abs(a[single, single])
     subs = [a[np.ix_(idx, idx)] for idx in multi]
     if not (np.isfinite(diag).all() and all(np.isfinite(sub).all() for sub in subs)):
         raise ResonantSolveError("linearized operator is not finite")
-    with warnings.catch_warnings():
-        # exact singularity is detected below and raised as an error
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lus = [scipy.linalg.lu_factor(sub, overwrite_a=True, check_finite=False)
-               for sub in subs]
-    pivots = np.abs(np.concatenate([diag] + [np.diag(lu) for lu, _ in lus]))
-    if pivots.min() == 0.0 or pivots.min() < 1e-300 * max(pivots.max(), 1.0):
-        raise ResonantSolveError("linearized operator is numerically singular "
-                                 "(amplitude effectively resonant)")
-    top = float(np.max(1.0 / pivots[: len(single)], initial=0.0))
-    for idx, lu in zip(multi, lus):
-        k, wk = len(idx), w[idx]
-        # a Fortran-ordered right-hand side is solved in place, and syrk
-        # reads the Fortran-ordered B_k without a copy
-        inv = scipy.linalg.lu_solve(lu, np.eye(k, order="F"), overwrite_b=True)
-        inv *= wk[:, None]
-        inv /= wk[None, :]
-        gram = scipy.linalg.blas.dsyrk(1.0, inv, trans=1, lower=0)  # upper B_k^T B_k
-        top = max(top, float(np.sqrt(scipy.linalg.eigvalsh(
-            gram, lower=False, subset_by_index=[k - 1, k - 1], overwrite_a=True)[0])))
+    singular = ResonantSolveError("linearized operator is numerically singular "
+                                  "(amplitude effectively resonant)")
+    try:
+        invs = [np.linalg.inv(sub) for sub in subs]
+    except np.linalg.LinAlgError:
+        raise singular from None
+    size = max([np.max(diag, initial=1.0)] + [np.abs(sub).max() for sub in subs])
+    with np.errstate(divide="ignore", over="ignore"):
+        inv_diag = 1.0 / diag
+        inv_size = max([np.max(inv_diag, initial=0.0)] + [np.abs(inv).max() for inv in invs])
+        if not size * inv_size <= 1e300:  # also catches a NaN
+            raise singular
+    top = float(np.max(inv_diag, initial=0.0))
+    for idx, inv in zip(multi, invs):
+        inv *= w[idx, None]
+        inv /= w[None, idx]
+        top = max(top, float(np.sqrt(np.linalg.eigvalsh(inv.T @ inv)[-1])))
     return top
 
 
@@ -622,6 +621,7 @@ def _block_spectrum(ell: int, eps: float, diag: np.ndarray, bw: int):
     bands = _bands(kept, eps, diag, bw)
     if bw == 0:
         return bands[0], kept
+    import scipy.linalg  # only the spectrum command and the tests come here
     try:
         return scipy.linalg.eigvals_banded(bands, lower=False), kept
     except scipy.linalg.LinAlgError as exc:
@@ -659,8 +659,8 @@ def diagonalize_block(ell: int, eps: float, b0: np.ndarray, J_max: int,
     kept = _kept_modes(ell, J_max + 1)
     Sk = np.diag((kept + 1.0) ** 2) + eps * B[np.ix_(kept, kept)]
     try:
-        lam, vec = scipy.linalg.eigh(Sk)
-    except scipy.linalg.LinAlgError as exc:
+        lam, vec = np.linalg.eigh(Sk)
+    except np.linalg.LinAlgError as exc:
         raise ResonantSolveError(f"dense eigensolve failed at l={ell}") from exc
     # continuation labeling: match each eigenvector to the eps=0 mode it overlaps most
     perm = np.empty(len(lam), dtype=int)
@@ -728,133 +728,125 @@ def small_divisors(eps: float, blocks: list[SpectralBlock], gamma: float,
     return _divisor_report(eps, gamma, tau, ells, alpha, j_min)
 
 
-# A pole whose eigenvector has weight below this on the deleted mode is an
-# eigenvalue of the block to working accuracy (deflation, as in LAPACK's
-# divide and conquer).
-_DEFLATION_WEIGHT = (4.0 * np.finfo(float).eps) ** 2
-# Bisection halves a bracket of at most half a pole gap; after 64 halvings the
-# bracket is far below one ulp of the root.
-_BISECTION_STEPS = 64
+def _window_divisors(t: np.ndarray, deleted: np.ndarray, nearest: np.ndarray,
+                     start: np.ndarray, size: int, band: np.ndarray, spread: float):
+    """Lower bounds of min |t - lambda| over each row's block, from one window per row.
 
-
-def _secular_roots(lam: np.ndarray, prob: np.ndarray, weight: np.ndarray,
-                   lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Root of f(mu) = sum w_k / (lam_k - mu) in each gap (lo, hi) of its poles.
-
-    Problem p owns the terms with prob == p; lo and hi are two consecutive
-    poles of it, so f increases from -inf to +inf across the gap.  Each root
-    is bisected as an offset from the nearer end pole, which keeps the
-    offset exact to relative accuracy however close the root sits to it.
+    Row r's window is the modes start[r] .. start[r] + size - 1 of
+    omega_j^2 + eps B (band[d, i] = eps B[i, i + d], zero past the matrix);
+    its deleted mode, when inside, stays as a decoupled row at its own
+    diagonal, and that eigenvalue is dropped.  The windows are shifted by
+    (nearest[r] + 1)^2, exact and closest to t, and diagonalized in one
+    stacked eigh.  Returns the bound, the label it is attained at, and
+    whether the bound is within one ulp of max(t, 1) of the window's own
+    divisor.
     """
-    size = len(lo)
+    bw, n = band.shape[0] - 1, band.shape[1]
+    p = np.arange(size)
+    labels = start[:, None] + p
+    keep = labels != deleted[:, None]
+    shift = (nearest + 1.0) ** 2
+    target = (t - shift)[:, None]
 
-    def f(poles, mu):
-        return np.bincount(prob, weight / (poles - mu[prob]), minlength=size)
+    def centre(lab):
+        """(lab + 1)^2 - shift, the middle of lab's Weyl interval; -+inf off the matrix."""
+        return np.where(lab < 0, -np.inf, np.where(lab >= n, np.inf,
+                                                   (lab + 1.0) ** 2 - shift[:, None]))
 
-    mid = 0.5 * (lo + hi)
-    near_lo = f(lam, mid) > 0.0
-    origin = np.where(near_lo, lo, hi)
-    shifted = lam - origin[prob]
-    left = np.where(near_lo, 0.0, mid - hi)
-    right = np.where(near_lo, mid - lo, 0.0)
-    for _ in range(_BISECTION_STEPS):
-        x = 0.5 * (left + right)
-        above = f(shifted, x) > 0.0
-        right = np.where(above, x, right)
-        left = np.where(above, left, x)
-    return origin + 0.5 * (left + right)
+    def beyond(lab, step):
+        """The next label of the block past lab in the direction of step."""
+        return np.where(lab + step == deleted[:, None], lab + 2 * step, lab + step)
 
-
-def _nearest_eigenvalue(lam: np.ndarray, t: np.ndarray, rows: np.ndarray,
-                        poles: np.ndarray, weight: np.ndarray):
-    """Distance from t[r] to the nearest eigenvalue of block r, and its rank.
-
-    lam holds the ascending eigenvalues of M.  Block r is M with one row and
-    column deleted; its live poles are lam[poles] with the secular weights
-    `weight` on the entries where rows == r (row-major, ascending within a
-    row).  Its eigenvalues are every other pole of lam (deflated) and one
-    secular root in each gap between consecutive live poles; a row with no
-    live pole is M itself.
-    """
-    size = len(t)
-    count = np.bincount(rows, minlength=size)
-    start = np.cumsum(count) - count
-    # live pole g_t is the last at or below t; the roots in the gaps after
-    # live poles g_t - 1, g_t, g_t + 1 are the only ones that can be nearest
-    g_t = np.bincount(rows, lam[poles] <= t[rows], minlength=size).astype(int) - 1
-    gaps = g_t[:, None] + np.arange(-1, 2)
-    pr, pc = np.nonzero((gaps >= 0) & (gaps <= count[:, None] - 2))
-    lo_at = np.zeros(gaps.shape, dtype=int)  # entry of the gap's lower pole
-    lo_at[pr, pc] = start[pr] + gaps[pr, pc]
-    # each bisection problem reads every live entry of its row
-    nterm = count[pr]
-    prob = np.repeat(np.arange(len(pr)), nterm)
-    term = np.arange(len(prob)) - np.repeat(np.cumsum(nterm) - nterm - start[pr], nterm)
-    roots = np.full(gaps.shape, np.nan)
-    roots[pr, pc] = _secular_roots(lam[poles[term]], prob, weight[term],
-                                   lam[poles[lo_at[pr, pc]]], lam[poles[lo_at[pr, pc] + 1]])
-    # nearest deflated pole (none when every pole of the row is live)
-    dist = np.abs(t[:, None] - lam[None, :])
-    dist[rows, poles] = np.inf
-    k_defl = np.argmin(dist, axis=1)
-    cand = np.abs(t[:, None] - roots)
-    cand[np.isnan(cand)] = np.inf
-    cand = np.column_stack([cand, dist[np.arange(size), k_defl]])
-    pick = np.argmin(cand, axis=1)
-    rank = np.empty(size, dtype=int)
-    is_root = pick < 3
-    at = lo_at[is_root, pick[is_root]]
-    # below a root in the gap after live pole g lie g roots and the deflated
-    # poles under it: one fewer than M's poles under it (clipped to the gap
-    # in case the root rounds onto an end pole)
-    rank[is_root] = np.clip(np.searchsorted(lam, roots[is_root, pick[is_root]]),
-                            poles[at] + 1, poles[at + 1]) - 1
-    # M has k eigenvalues below a deflated pole lam_k; the block has one fewer
-    # when the secular function is negative there
-    defl = ~is_root
-    on = defl[rows]
-    f_defl = np.bincount(rows[on], weight[on] / (lam[poles[on]] - lam[k_defl[rows[on]]]),
-                         minlength=size)
-    rank[defl] = k_defl[defl] - (f_defl[defl] < 0.0)
-    return cand[np.arange(size), pick], rank
+    # wide[d, bw + i] = eps B[i, i + d]: zero for d > bw and for i < 0
+    wide = np.zeros((bw + size, bw + n))
+    wide[: bw + 1, bw:] = band
+    win = wide[np.abs(p[:, None] - p), bw + start[:, None, None] + np.minimum.outer(p, p)]
+    win *= keep[:, :, None] & keep[:, None, :]
+    win[:, p, p] += centre(labels)
+    mu, vec = np.linalg.eigh(win)
+    # Only the eigenvalue nearest t and its kept neighbours (two places away
+    # across the deleted mode) can be the block's nearest.  Each of their
+    # vectors x, padded with zeros, has the Rayleigh quotient rho in the
+    # block and leaves the residual (W - rho) x in the window and
+    # eps B[out, window] x on the rows out within bw of it
+    rows = np.arange(len(t))[:, None]
+    sel = np.argmin(np.where(keep, np.abs(target - mu), np.inf), axis=1)
+    sel = np.clip(sel[:, None] + np.arange(-2, 3), 0, size - 1)
+    x = np.take_along_axis(vec, sel[:, None, :], axis=2)
+    wx = win @ x
+    xx = np.einsum("rpk,rpk->rk", x, x)
+    rho = np.einsum("rpk,rpk->rk", x, wx) / xx
+    out = np.concatenate([np.arange(-bw, 0), np.arange(size, size + bw)])
+    live = (start[:, None] + out >= 0) & (start[:, None] + out < n)
+    live &= start[:, None] + out != deleted[:, None]
+    coupling = wide[np.abs(out[:, None] - p),
+                    bw + start[:, None, None] + np.minimum.outer(out, p)]
+    coupling *= live[:, :, None] & keep[:, None, :]
+    resid = np.sqrt((np.sum((wx - rho[:, None, :] * x) ** 2, axis=1)
+                     + np.sum((coupling @ x) ** 2, axis=1)) / xx)
+    # Weyl puts the block's eigenvalue of each label within `spread` of the
+    # label's centre.  With delta the distance from rho to the other labels'
+    # intervals and ||r|| < delta, the eigenvalue of x's label is within
+    # ||r||^2 / delta of rho (Parlett, The Symmetric Eigenvalue Problem, 11.7)
+    lab = labels[rows, sel]
+    delta = np.minimum(rho - centre(beyond(lab, -1)), centre(beyond(lab, 1)) - rho) - spread
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slack = np.where(resid < delta, resid ** 2 / delta, np.inf)
+    kept, gap = keep[rows, sel], np.abs(target - rho)
+    raw = np.where(kept, gap, np.inf).min(axis=1)
+    near = np.where(kept, np.maximum(gap - slack, np.abs(target - centre(lab)) - spread), np.inf)
+    # t lies between the intervals next to the chosen labels, so the Weyl
+    # intervals of the nearest other label below and above bound the rest
+    outer = np.column_stack([beyond(lab[:, :1], -1), beyond(lab[:, -1:], 1)])
+    bound = np.column_stack([near, np.abs(target - centre(outer)) - spread])
+    pick = np.argmin(bound, axis=1)
+    alpha = np.maximum(bound[rows[:, 0], pick], 0.0)
+    settled = (raw - alpha <= np.spacing(np.maximum(t, 1.0))) | (size == n)
+    return alpha, np.column_stack([lab, outer])[rows[:, 0], pick], settled
 
 
 def divisor_table(eps: float, b0: np.ndarray, L_n: int, J_max: int, gamma: float,
                   tau: float) -> DivisorReport:
-    """Divisor report over l = 0..L_n from one banded eigensolve.
+    """Divisor report over l = 0..L_n from windows of the modes near omega^2 l^2.
 
-    Every block is M = omega_j^2 + eps B (j <= J_max) with the row and column
-    of e_i, i = l - 1, deleted.  With M = V diag(lam) V^T, the eigenvalues of
-    the block are the poles lam_k whose weight V[i, k]^2 deflates, and one
-    root of the secular equation sum_live V[i, k]^2 / (lam_k - mu) = 0 in each
-    gap between consecutive live poles (Golub 1973).  Only the roots in the
-    gap holding omega^2 l^2 and in its two neighbours can be the nearest
-    eigenvalue; they are bisected for all l at once.  Blocks l = 0 and
-    l > J_max + 1 delete nothing.  j_min is the kept label of the chosen
-    eigenvalue's rank, the ascending-label rule of the per-block banded
-    solve (`diagonalize_block(..., want_vectors=False)`).
+    Block l is M = omega_j^2 + eps B (j <= J_max) with the row and column of
+    e_{l-1} deleted.  By Weyl's theorem its eigenvalue of ascending rank k
+    lies within e = |eps| (largest absolute row sum of B) of (kappa_k + 1)^2,
+    kappa_k the k-th kept label; when neighbouring intervals overlap, the
+    table raises ResonantSolveError.  Row l diagonalizes a window of the
+    modes within w of the label nearest omega^2 l^2 (`_window_divisors`) and
+    reports alpha_l as the smallest lower bound of |omega^2 l^2 - lambda| over
+    the labels: at a window eigenvalue rho, |omega^2 l^2 - rho| minus the
+    residual bound ||r||^2 / delta, elsewhere the distance to the Weyl
+    interval.  So alpha_l never exceeds the exact divisor beyond the
+    roundoff of the window solve.  The half-width w starts at 4 and doubles
+    until the bound takes at most one ulp of max(omega^2 l^2, 1) from the
+    window's own divisor.  j_min is the label of the chosen eigenvalue, the
+    ascending-label rule of `diagonalize_block(..., want_vectors=False)`.
     """
     b0 = np.asarray(b0, dtype=float)
     n = J_max + 1
     bw = _band_width(eps, b0, n)
-    bands = _bands(np.arange(n), eps, sb.diagonal_sums(b0, n, bw + 1), bw)
+    d = np.arange(bw + 1)[:, None]
+    band = np.where(np.arange(n) + d < n, eps * sb.diagonal_sums(b0, n, bw + 1), 0.0)
+    # every row of B has one entry on the main diagonal and two on each other
+    spread = float(np.abs(band).max(axis=1) @ np.where(d[:, 0] == 0, 1.0, 2.0))
+    if n > 1 and 2.0 * spread >= 3.0:  # the closest centres, 1 and 4, are 3 apart
+        raise ResonantSolveError(f"divisor table: ||eps B|| <= {spread:.3e} does not "
+                                 "separate the eigenvalues of neighbouring modes")
     ells = np.arange(L_n + 1)
-    deleted = ells - 1
-    cut = np.nonzero((deleted >= 0) & (deleted < n))[0]
-    if bw == 0:
-        # M is diagonal and ascending: V = I, only pole i is live in block l
-        lam = bands[0]
-        rows, poles, weight = cut, deleted[cut], np.ones(len(cut))
-    else:
-        try:
-            lam, V = scipy.linalg.eig_banded(bands, lower=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise ResonantSolveError("banded eigensolve failed") from exc
-        W = V[deleted[cut]] ** 2
-        r, poles = np.nonzero(W >= _DEFLATION_WEIGHT)
-        rows, weight = cut[r], W[r, poles]
-    alpha, rank = _nearest_eigenvalue(lam, (1.0 + eps) * ells ** 2, rows, poles, weight)
-    j_min = rank + ((deleted >= 0) & (rank >= deleted))
+    t = (1.0 + eps) * ells ** 2.0
+    deleted = np.where(ells <= n, ells - 1, -1)
+    nearest = np.clip(np.rint(np.sqrt(t)).astype(int) - 1, 0, n - 1)
+    alpha, j_min = np.empty(L_n + 1), np.empty(L_n + 1, dtype=int)
+    rows, half = ells, 4
+    while len(rows):
+        size = min(2 * half + 1, n)
+        start = np.clip(nearest[rows] - half, 0, n - size)
+        a, k, settled = _window_divisors(t[rows], deleted[rows], nearest[rows], start, size,
+                                         band, spread)
+        alpha[rows[settled]], j_min[rows[settled]] = a[settled], k[settled]
+        rows, half = rows[~settled], 2 * half
     return _divisor_report(eps, gamma, tau, ells, alpha, j_min)
 
 
