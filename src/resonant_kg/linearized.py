@@ -22,9 +22,9 @@ The weighted norm of the inverse is exact up to EXACT_NORM_MAX unknowns and
 a Krylov lower bound through the same solves above it: the largest singular
 value of B Q for B the weighted inverse and Q an orthonormal basis of the
 Krylov space of B^T B, which is at most ||B|| because ||Q|| = 1 (Golub-Kahan).
-The exact value is the maximum over the decoupled blocks of the dense oracle
-(`dense_matrix`; on a branch 6 to 10 blocks, found from its nonzero pattern)
-of the top eigenvalue of each block's Gram matrix.
+The exact value is the largest block norm over the decoupled blocks (6 to 10
+on a branch), which the symmetry of the S_d support and of dv_matrix gives
+before any entry is gathered; each block is then gathered on its own.
 
 The spectra of D_l (a Sturm-Liouville perturbation of omega_j^2) control
 the small divisors alpha_l = min_j |omega^2 l^2 - lambda_{l,j}(eps)|.  Every
@@ -156,33 +156,6 @@ class WLattice:
         return outside == 0.0
 
 
-def _convolution_matrix(stack: np.ndarray, lattice: WLattice) -> np.ndarray:
-    """Dense matrix of h -> product-by-b on the lattice from the S_d stack.
-
-    Filled one l row-block at a time by the cos-halfline fold gather.
-    """
-    mat = np.empty((lattice.size, lattice.size))
-    for ell in range(lattice.L + 1):
-        rows = lattice.ells == ell
-        mat[rows] = fold_entries(stack, ell, lattice.js[rows][:, None],
-                                 lattice.ells[None, :], lattice.js[None, :])
-    return mat
-
-
-def _potential_parts(stack: np.ndarray, dv: np.ndarray, lattice: WLattice):
-    """Dense product by b on the lattice and the kernel-correction term M2.
-
-    stack holds the S_d matrices of b.  M2 = (product by b of the embedded
-    kernel correction) @ dv: the gather column of kernel mode j'' is the fold
-    of S-blocks at time frequency omega_j'', and the embedding stores v_j'' / 2.
-    """
-    mult = _convolution_matrix(stack, lattice)
-    modes = np.arange(len(dv))
-    gath = fold_entries(stack, lattice.ells[:, None], lattice.js[:, None],
-                        modes[None, :] + 1, modes[None, :])
-    return mult, gath @ (0.5 * dv)
-
-
 @dataclass
 class LinearizedOperator:
     """The linearized operator, applied matrix-free, with the stage state it linearizes at.
@@ -192,8 +165,9 @@ class LinearizedOperator:
     coefficients to the kernel derivative.  The counter `sweeps` holds the
     Neumann sweeps run on this operator and `power_steps` the Krylov steps
     (forward solves) of the last `inverse_norm` (0 when it was exact);
-    `norm_blocks` and `largest_block` hold the decoupled block count and the
-    largest block of the last exact `inverse_norm` (0 after a Krylov estimate).
+    `norm_blocks` and `largest_block` hold the count and the largest of the
+    decoupled blocks (`_partition`) that the last exact `inverse_norm`
+    gathered (0 after a Krylov estimate).
     """
 
     eps: float
@@ -394,6 +368,36 @@ class LinearizedOperator:
         self.factorize()
         return CoeffField(self._neumann(self.lattice.to_grid(rhs)))
 
+    def _partition(self) -> list[np.ndarray]:
+        """Ascending index sets of decoupled blocks of Lop, found without forming it.
+
+        At eps = 0, Lop = D and every unknown is its own block.  Otherwise
+        the product by b couples (l, j) to (l', j') through S_|l-l'| and
+        S_l+l' at [j, j'], so only within one class {+-l mod step} of the
+        live S_d (l alone when only S_0 is live) and one component of the
+        graph of their union on the modes; M2 joins the cell (class,
+        component) of kernel slot (j'' + 1, j'') to those of the support of
+        row j'' of dv_matrix.  A branch has 6 to 10 blocks.
+        """
+        lat, n, size = self.lattice, self.lattice.size, self.stack.shape[1]
+        if self.eps == 0.0:
+            return list(np.arange(n)[:, None])
+        step = self._step if len(self._stacked) > size else 2 * self._rows
+        reach = (self.stack[: 2 * self._rows - 1] != 0.0).any(axis=0) | np.eye(size, dtype=bool)
+        # paths of up to size steps in the graph of the modes that S_d couples:
+        # comp is the lowest mode of each mode's component
+        comp = np.linalg.matrix_power(reach | reach.T, size).argmax(axis=1)
+        ell = np.append(lat.ells, self._kernel_slots[0])  # the lattice, then the kernel slots
+        mode = comp[np.append(lat.js, self._kernel_slots[1])]
+        cell = np.minimum(ell % step, -ell % step) * size + mode
+        label = np.arange(self._rows * size)
+        for row, s in zip(self.dv_matrix != 0.0, cell[n:]):
+            joined = label[np.append(cell[:n][row], s)]
+            label[np.isin(label, joined)] = joined.min()
+        root = label[cell[:n]]
+        order = np.argsort(root, kind="stable")
+        return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
+
     def inverse_norm(self, params: NormParams, exact_threshold: int = EXACT_NORM_MAX,
                      power_iterations: int = 40) -> float:
         """Operator norm of the inverse on the weighted (sigma, s, r) metric.
@@ -401,13 +405,14 @@ class LinearizedOperator:
         With B = diag(w) Lop^{-1} diag(w)^{-1} (w the lattice weights), the
         norm is sigma_max(B) = sqrt(lambda_max(B^T B)).  Up to
         `exact_threshold` unknowns it is exact: the maximum over the
-        decoupled blocks of the dense oracle (`_components`) of each block's
-        norm from its Gram matrix (`_block_inverse_norm`); `norm_blocks` and
-        `largest_block` record the split.  Above it, a Golub-Kahan (Lanczos)
-        estimate through the Neumann solves and their adjoints: Krylov step k
-        solves for y_k = B q_k, where q_1 is uniform and q_k+1 is B^T y_k
-        orthogonalized twice against q_1..q_k (classical Gram-Schmidt), and
-        returns sigma_max(y_1..y_k) from their k x k Gram matrix.  As
+        decoupled blocks (`_partition`), each gathered on its own, of the
+        block's norm from its Gram matrix (`_block_inverse_norm`); no n x n
+        matrix is formed, and `norm_blocks` and `largest_block` record the
+        split.  Above it, a Golub-Kahan (Lanczos) estimate through the
+        Neumann solves and their adjoints: Krylov step k solves for
+        y_k = B q_k, where q_1 is uniform and q_k+1 is B^T y_k orthogonalized
+        twice against q_1..q_k (classical Gram-Schmidt), and returns
+        sigma_max(y_1..y_k) from their k x k Gram matrix.  As
         ||B Q|| <= ||B|| ||Q|| = ||B||, it is a lower bound, and it never
         decreases in k.  It stops once it changes by at most 1e-14 relative
         (tested before the adjoint solve) or after min(`power_iterations`, n)
@@ -419,10 +424,12 @@ class LinearizedOperator:
         n = self.lattice.size
         self.power_steps = self.norm_blocks = self.largest_block = 0
         if n <= exact_threshold:
-            dense = dense_matrix(self)
-            blocks = _components(dense)
+            blocks = self._partition()
             self.norm_blocks, self.largest_block = len(blocks), max(map(len, blocks))
-            return _block_inverse_norm(dense, w, blocks)
+            multi = [idx for idx in blocks if len(idx) > 1]
+            one = np.array([idx for idx in blocks if len(idx) == 1], dtype=int).reshape(-1, 1)
+            return _block_inverse_norm([_gather(self, idx) for idx in multi],
+                                       [w[idx] for idx in multi], _gather(self, one).ravel())
         shape = self.lattice.mask.shape
         wg = np.ones(shape)
         wg[self.lattice.ells, self.lattice.js] = w
@@ -449,62 +456,54 @@ class LinearizedOperator:
         return est
 
 
-def dense_matrix(op: LinearizedOperator) -> np.ndarray:
-    """The dense n x n matrix of Lop on the lattice: the oracle of `apply`.
+def _potential_parts(op: LinearizedOperator, idx: np.ndarray):
+    """Product by b and the kernel-correction term M2 on the lattice points idx x idx.
 
-    Gathered from the S_d stack as diag(symbol) - eps mult - eps M2, formed
-    in place in that order.  Production forms it only in the exact branch
-    of `inverse_norm` (n <= EXACT_NORM_MAX); the split diagnostics and the
-    tests read it too.
+    Both are gathered from the S_d stack by the fold; idx may carry leading
+    batch axes.  M2 = (product by b of the embedded kernel correction) @ dv:
+    the gather column of kernel mode j'' is the fold of S-blocks at time
+    frequency omega_j'', and the embedding stores v_j'' / 2.
     """
-    mult, m2 = _potential_parts(op.stack, op.dv_matrix, op.lattice)
+    ell, j = op.lattice.ells[idx][..., None], op.lattice.js[idx][..., None]
+    gath = fold_entries(op.stack, ell, j, *op._kernel_slots)
+    mult = fold_entries(op.stack, ell, j, ell.swapaxes(-1, -2), j.swapaxes(-1, -2))
+    return mult, gath @ np.moveaxis(0.5 * op.dv_matrix[:, idx], 0, -2)
+
+
+def _gather(op: LinearizedOperator, idx: np.ndarray) -> np.ndarray:
+    """Lop on the lattice points idx x idx: symbol - eps mult - eps M2, formed in that order."""
+    mult, m2 = _potential_parts(op, idx)
     mult *= -op.eps
-    mult[np.diag_indices_from(mult)] += op.symbol_diagonal()
-    m2 *= op.eps
-    mult -= m2
+    d = np.arange(idx.shape[-1])
+    mult[..., d, d] += op._symbol[op.lattice.ells[idx], op.lattice.js[idx]]
+    mult -= op.eps * m2
     return mult
 
 
-def _components(a: np.ndarray) -> list[np.ndarray]:
-    """Ascending index sets of the connected components of (a != 0) | (a^T != 0).
+def dense_matrix(op: LinearizedOperator) -> np.ndarray:
+    """The dense n x n matrix of Lop on the lattice: the oracle of `apply`.
 
-    A frontier search from the lowest unreached index: a is block diagonal
-    under this partition.  On a branch the state holds only odd multiples of
-    omega_m in time, so Lop couples l only to l' = +-l mod 2 omega_m and keeps
-    a spatial parity (6 to 10 blocks).  The partition is read from the
-    matrix, not derived from m: at eps = 0 every unknown is its own block,
-    and a generic state is one block.
+    The block gather of `inverse_norm` over the whole lattice.  No
+    production path forms it; the split diagnostics and the tests read it.
     """
-    linked = (a != 0.0) | (a.T != 0.0)
-    label = np.full(len(a), -1)
-    blocks = []
-    for seed in range(len(a)):
-        if label[seed] >= 0:
-            continue
-        label[seed] = len(blocks)
-        frontier = [seed]
-        while len(frontier):
-            frontier = np.flatnonzero(linked[frontier].any(axis=0) & (label < 0))
-            label[frontier] = len(blocks)
-        blocks.append(np.flatnonzero(label == len(blocks)))
-    return blocks
+    return _gather(op, np.arange(op.lattice.size))
 
 
-def _block_inverse_norm(a: np.ndarray, w: np.ndarray, blocks: list[np.ndarray]) -> float:
-    """sigma_max(diag(w) a^-1 diag(w)^-1) for a block diagonal under `blocks`.
+def _block_inverse_norm(subs: list, weights: list, diag: np.ndarray) -> float:
+    """sigma_max(diag(w) A^-1 diag(w)^-1) for A with the blocks subs and the 1 x 1 blocks diag.
 
-    The weights are diagonal, so B is block diagonal under the same
-    partition and its norm is the largest over the blocks, each the square
-    root of the top eigenvalue of the Gram matrix B_k^T B_k.  A one-by-one
-    block has the norm 1 / |a_ii| (the weights cancel); all of them are
-    taken in one pass.  A non-finite entry in a block, an exactly singular
-    block, or max_k |A_k| max_k |A_k^-1| above 1e300 (largest entries, the
-    first at least 1) raises ResonantSolveError.
+    w is weights[k] on block k.  B is block diagonal under the same
+    partition, so its norm is the largest over the blocks: 1 / |a_ii| for
+    the one-by-one blocks, all in one pass (the weights cancel), and the
+    square root of the top eigenvalue of the Gram matrix B_k^T B_k for the
+    others.  Entries of B_k below 2^-60 max|B_k| / n_k are set to zero
+    first, as subnormals would slow the product and `eigvalsh`: the change
+    dB has ||dB||_2 <= ||dB||_F <= 2^-60 max|B_k| <= 2^-60 ||B_k||_2, so
+    the norm moves by at most 2^-60 relative.  A non-finite entry in a
+    block, an exactly singular block, or max_k |A_k| max_k |A_k^-1| above
+    1e300 (largest entries, the first at least 1) raises ResonantSolveError.
     """
-    multi = [idx for idx in blocks if len(idx) > 1]
-    single = np.array([idx[0] for idx in blocks if len(idx) == 1], dtype=int)
-    diag = np.abs(a[single, single])
-    subs = [a[np.ix_(idx, idx)] for idx in multi]
+    diag = np.abs(diag)
     if not (np.isfinite(diag).all() and all(np.isfinite(sub).all() for sub in subs)):
         raise ResonantSolveError("linearized operator is not finite")
     singular = ResonantSolveError("linearized operator is numerically singular "
@@ -520,9 +519,10 @@ def _block_inverse_norm(a: np.ndarray, w: np.ndarray, blocks: list[np.ndarray]) 
         if not size * inv_size <= 1e300:  # also catches a NaN
             raise singular
     top = float(np.max(inv_diag, initial=0.0))
-    for idx, inv in zip(multi, invs):
-        inv *= w[idx, None]
-        inv /= w[None, idx]
+    for w, inv in zip(weights, invs):
+        inv *= w[:, None]
+        inv /= w[None, :]
+        inv[np.abs(inv) < 2.0 ** -60 * np.abs(inv).max() / len(inv)] = 0.0
         top = max(top, float(np.sqrt(np.linalg.eigvalsh(inv.T @ inv)[-1])))
     return top
 
@@ -569,7 +569,7 @@ def split_diagonal(op: LinearizedOperator) -> SplitParts:
     same = lattice.ells[:, None] == lattice.ells[None, :]
     rows, cols = lattice.js[:, None], lattice.js[None, :]
     D = np.where(same, blocks[lattice.ells[:, None], rows, cols], 0.0)
-    mult, m2 = _potential_parts(op.stack, op.dv_matrix, lattice)
+    mult, m2 = _potential_parts(op, np.arange(lattice.size))
     return SplitParts(D=D, M1=mult - np.where(same, op.stack[0][rows, cols], 0.0), M2=m2)
 
 

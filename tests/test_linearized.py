@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -653,19 +654,56 @@ def test_neumann_solve_edge_cases(rng, monkeypatch):
 
 
 def test_run_gathers_no_dense_matrix_above_exact_max(monkeypatch):
+    # production gathers one decoupled block at a time and forms the dense
+    # matrix at no size, below EXACT_NORM_MAX as above it
     from resonant_kg.nash_moser import SolverConfig, run
-    real = linearized._convolution_matrix
-    sizes = []
+    real_gather, gathered = linearized._gather, []
 
-    def guarded(stack, lattice):
-        sizes.append(lattice.size)
-        if lattice.size > EXACT_NORM_MAX:
-            raise AssertionError(f"dense gather at {lattice.size} unknowns")
-        return real(stack, lattice)
-    monkeypatch.setattr(linearized, "_convolution_matrix", guarded)
+    def dense(op):
+        raise AssertionError(f"dense gather at {op.lattice.size} unknowns")
+
+    def gather(op, idx):
+        if idx.ndim == 1:  # not the batch of one-by-one blocks
+            gathered.append((len(idx), op.lattice.size))
+        return real_gather(op, idx)
+    monkeypatch.setattr(linearized, "dense_matrix", dense)
+    monkeypatch.setattr(linearized, "_gather", gather)
+    run(SolverConfig(eps=1e-3, m=0))
     result = run(SolverConfig(eps=2e-3, m=1, n_max=4))
-    assert max(sizes) <= EXACT_NORM_MAX
+    # six blocks at each exact norm: stages 1-6 of m = 0 and 1-3 of m = 1
+    assert len(gathered) == 6 * (6 + 3) and all(k < n for k, n in gathered)
     assert [r.inverse_norm_exact for r in result.trace.records] == [True] * 4 + [False]
+
+
+def _components(a):
+    """Ascending index sets of the connected components of (a != 0) | (a^T != 0).
+
+    A frontier search from the lowest unreached index: a is block diagonal
+    under this partition.  The oracle of `LinearizedOperator._partition`,
+    read from the matrix rather than derived from the S_d support.
+    """
+    linked = (a != 0.0) | (a.T != 0.0)
+    label = np.full(len(a), -1)
+    blocks = []
+    for seed in range(len(a)):
+        if label[seed] >= 0:
+            continue
+        label[seed] = len(blocks)
+        frontier = [seed]
+        while len(frontier):
+            frontier = np.flatnonzero(linked[frontier].any(axis=0) & (label < 0))
+            label[frontier] = len(blocks)
+        blocks.append(np.flatnonzero(label == len(blocks)))
+    return blocks
+
+
+def _block_norm(a, w):
+    """`_block_inverse_norm` on the blocks of a that the oracle finds."""
+    comps = _components(a)
+    multi = [c for c in comps if len(c) > 1]
+    one = np.array([c[0] for c in comps if len(c) == 1], dtype=int)
+    return linearized._block_inverse_norm([a[np.ix_(c, c)] for c in multi],
+                                          [w[c] for c in multi], a[one, one])
 
 
 def _whole_matrix_inverse_norm(a, w):
@@ -680,25 +718,55 @@ def _whole_matrix_inverse_norm(a, w):
 
 
 @pytest.mark.parametrize("state, blocks", [((0, 64), 6), ((1, 32), 6), ((2, 16), 8),
-                                           ("eps0", None), ("random", 1)],
-                         ids=["m0", "m1", "m2", "eps0", "random"])
+                                           ((3, 8), 10), ("eps0", 1536), ("static", 34),
+                                           ("dv", 5), ("random", 1)],
+                         ids=["m0", "m1", "m2", "m3", "eps0", "static", "dv", "random"])
 def test_components_partition_the_dense_oracle(rng, state, blocks):
-    if state == "eps0":
-        op = assemble_linearized(0.0, CoeffField.zeros(4, 4), 0, 16, 4, kernel=zero_kernel(4))
-        blocks = op.lattice.size  # D alone: every unknown is its own block
+    if state == "eps0":  # D alone, although b is not zero: every unknown is its own block
+        from resonant_kg.bifurcation import one_mode_solution
+        op = assemble_linearized(0.0, CoeffField.zeros(4, 2), 0, 512, 2,
+                                 kernel=one_mode_solution(0, +1))
+    elif state == "static":  # b = 3 w^2 has S_0 alone: each l is its own time class
+        u = np.zeros((1, 5))
+        u[0, [0, 2]] = 0.3, 0.1
+        op = assemble_linearized(1e-3, CoeffField(u), 0, 16, 4, kernel=zero_kernel(4))
+    elif state == "dv":  # M2 joins the cell of kernel slot (1, 0) to that of (4, 1)
+        op = _stage0_operator(0, 64)
+        dv = op.dv_matrix.copy()
+        dv[0, (op.lattice.ells == 4) & (op.lattice.js == 1)] = 1.0
+        op = dataclasses.replace(op, dv_matrix=dv)
     elif state == "random":
         op = _branch_operator(rng, 1, 12, 18)
     else:
         op = _stage0_operator(*state)
+    n = op.lattice.size
     dense = dense_matrix(op)
-    comps = linearized._components(dense)
-    assert len(comps) == blocks
-    assert np.array_equal(np.sort(np.concatenate(comps)), np.arange(op.lattice.size))
-    assert all(np.all(np.diff(c) > 0) for c in comps)
-    label = np.empty(op.lattice.size, dtype=int)
-    for k, c in enumerate(comps):
+    part = op._partition()
+    assert len(part) == blocks
+    assert sorted(map(tuple, part)) == sorted(map(tuple, _components(dense)))
+    assert np.array_equal(np.sort(np.concatenate(part)), np.arange(n))
+    assert all(np.all(np.diff(c) > 0) for c in part)
+    label = np.empty(n, dtype=int)
+    for k, c in enumerate(part):
         label[c] = k
     assert np.all(dense[label[:, None] != label[None, :]] == 0.0)
+    # each block is gathered on its own: the fold and the symbol bit for bit,
+    # M2 (a product with dv) to roundoff
+    mult, m2 = linearized._potential_parts(op, np.arange(n))
+    roundoff = 1e-14 * max(np.abs(m2).max(), 1e-300)
+    for idx in part:
+        at = np.ix_(idx, idx)
+        sub_mult, sub_m2 = linearized._potential_parts(op, idx)
+        assert np.array_equal(sub_mult, mult[at])
+        assert np.all(np.abs(sub_m2 - m2[at]) <= roundoff)
+        block, exact = linearized._gather(op, idx), m2[at] == 0.0
+        assert np.array_equal(block[exact], dense[at][exact])
+        assert np.all(np.abs(block - dense[at]) <= op.eps * roundoff)
+    # the one-by-one blocks are gathered as one batch: the diagonal
+    diag = linearized._gather(op, np.arange(n)[:, None])[:, 0, 0]
+    exact = np.diagonal(m2) == 0.0
+    assert np.array_equal(diag[exact], np.diagonal(dense)[exact])
+    assert np.all(np.abs(diag - np.diagonal(dense)) <= op.eps * roundoff)
 
 
 def test_components_follow_one_sided_coupling():
@@ -706,7 +774,7 @@ def test_components_follow_one_sided_coupling():
     # higher index still joins the two
     a = np.array([[2.0, 0.0, 0.0, 0.0], [0.0, 3.0, 0.0, 0.0],
                   [1.0, 0.0, 4.0, 0.0], [0.0, 0.0, 0.0, 5.0]])
-    assert [c.tolist() for c in linearized._components(a)] == [[0, 2], [1], [3]]
+    assert [c.tolist() for c in _components(a)] == [[0, 2], [1], [3]]
 
 
 @pytest.mark.parametrize("m, Ln", [(0, 64), (1, 32), (2, 16)])
@@ -758,31 +826,50 @@ def test_block_inverse_norm_checks_every_block_for_singularity():
     regular = np.array([[2.0, 1.0], [1.0, 3.0]])
     singular = np.array([[1.0, 2.0], [2.0, 4.0]])  # exactly singular: inv raises
     a = scipy.linalg.block_diag(regular, singular)
-    comps = linearized._components(a)
-    assert [c.tolist() for c in comps] == [[0, 1], [2, 3]]
+    assert [c.tolist() for c in _components(a)] == [[0, 1], [2, 3]]
     with pytest.raises(ResonantSolveError, match="numerically singular"):
-        linearized._block_inverse_norm(a, np.ones(4), comps)
+        _block_norm(a, np.ones(4))
     # the floor is on max |A_k| max |A_k^-1| over all blocks: 3e10 * 1e295
     a = scipy.linalg.block_diag(1e10 * regular, np.diag([1.0, 1e-295]))
-    comps = linearized._components(a)
-    assert len(comps) == 3
+    assert len(_components(a)) == 3
     with pytest.raises(ResonantSolveError, match="numerically singular"):
-        linearized._block_inverse_norm(a, np.ones(4), comps)
+        _block_norm(a, np.ones(4))
     a = scipy.linalg.block_diag(regular, 0.5 * regular)
     w = np.array([1.0, 3.0, 2.0, 5.0])
     oracle = np.linalg.norm(w[:, None] * np.linalg.inv(a) / w[None, :], 2)
-    value = linearized._block_inverse_norm(a, w, linearized._components(a))
-    assert abs(value - oracle) <= 1e-14 * oracle
+    assert abs(_block_norm(a, w) - oracle) <= 1e-14 * oracle
     # a zero one-by-one block has an infinite inverse
     a = scipy.linalg.block_diag(regular, [[0.0]])
     with pytest.raises(ResonantSolveError, match="numerically singular"):
-        linearized._block_inverse_norm(a, np.ones(3), linearized._components(a))
+        _block_norm(a, np.ones(3))
     for last in (0.5 * regular, [[0.1]], [[-0.7]]):
         a = scipy.linalg.block_diag(regular, [[4.0]], last)
         w = np.arange(1.0, len(a) + 1.0) ** 2
         oracle = np.linalg.norm(w[:, None] * np.linalg.inv(a) / w[None, :], 2)
-        value = linearized._block_inverse_norm(a, w, linearized._components(a))
-        assert abs(value - oracle) <= 1e-14 * oracle
+        assert abs(_block_norm(a, w) - oracle) <= 1e-14 * oracle
+
+
+def test_block_norm_drops_entries_below_its_resolution(monkeypatch):
+    # a upper triangular with order-one inverse: the weighted inverse
+    # B_ij = (a^-1)_ij w_i / w_j spans 1 down to 1e-300 above the diagonal
+    a = np.eye(4) + np.triu(np.full((4, 4), 0.5))
+    w = 10.0 ** (100.0 * np.arange(4))
+    b = w[:, None] * np.linalg.inv(a) / w[None, :]
+    assert 1e-303 < np.abs(b[0, 3]) < 1e-299 and np.abs(b).max() < 2.0
+    unflushed = float(np.sqrt(np.linalg.eigvalsh(b.T @ b)[-1]))
+    real_eigvalsh, grams = np.linalg.eigvalsh, []
+
+    def eigvalsh(g):
+        grams.append(g)
+        return real_eigvalsh(g)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    value = linearized._block_inverse_norm([a], [w], np.empty(0))
+    # the entries below 2^-60 max|B| / 4 are zero in the Gram matrix, and the
+    # norm moves by at most 2^-60 relative, below one rounding
+    assert np.count_nonzero(grams[0]) < np.count_nonzero(b.T @ b)
+    assert np.all(grams[0][np.abs(b.T @ b) > 1e-17] != 0.0)
+    assert abs(value - unflushed) <= 2.0 ** -52 * unflushed
+    assert abs(value - np.linalg.norm(b, 2)) <= 1e-14 * value
 
 
 def test_singleton_blocks_take_no_factorization(monkeypatch):
