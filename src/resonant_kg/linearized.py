@@ -18,10 +18,11 @@ kernel correction from the thin dv_matrix, and `solve` runs the Neumann
 iteration x <- x + D^-1 (b - Lop x) on the per-l blocks of D, which
 contracts by about 3e-3 per sweep on the solution branches and stops
 componentwise, so coefficients far below the largest keep their value.
-The weighted norm of the inverse is exact up to EXACT_NORM_MAX unknowns and
-a Krylov lower bound through the same solves above it: the largest singular
-value of B Q for B the weighted inverse and Q an orthonormal basis of the
-Krylov space of B^T B, which is at most ||B|| because ||Q|| = 1 (Golub-Kahan).
+The weighted norm of the inverse is exact up to EXACT_NORM_MAX unknowns
+(at eps = 0 at any size) and a Krylov lower bound through the same solves
+above it: the largest singular value of B Q for B the weighted inverse and
+Q an orthonormal basis of the Krylov space of B^T B, which is at most ||B||
+because ||Q|| = 1 (Golub-Kahan).
 The exact value is the largest block norm over the decoupled blocks (6 to 10
 on a branch), which the symmetry of the S_d support and of dv_matrix gives
 before any entry is gathered; each block is then gathered on its own.
@@ -404,7 +405,8 @@ class LinearizedOperator:
 
         With B = diag(w) Lop^{-1} diag(w)^{-1} (w the lattice weights), the
         norm is sigma_max(B) = sqrt(lambda_max(B^T B)).  Up to
-        `exact_threshold` unknowns it is exact: the maximum over the
+        `exact_threshold` unknowns, and at eps = 0 (one-by-one blocks,
+        O(n)) at any size, it is exact: the maximum over the
         decoupled blocks (`_partition`), each gathered on its own, of the
         block's norm from its Gram matrix (`_block_inverse_norm`); no n x n
         matrix is formed, and `norm_blocks` and `largest_block` record the
@@ -423,7 +425,7 @@ class LinearizedOperator:
         w = self.lattice.weights(params)
         n = self.lattice.size
         self.power_steps = self.norm_blocks = self.largest_block = 0
-        if n <= exact_threshold:
+        if n <= exact_threshold or self.eps == 0.0:
             blocks = self._partition()
             self.norm_blocks, self.largest_block = len(blocks), max(map(len, blocks))
             multi = [idx for idx in blocks if len(idx) > 1]

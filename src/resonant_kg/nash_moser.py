@@ -48,7 +48,7 @@ import numpy as np
 from .bifurcation import KernelField, solve_kernel, total_field
 from .field_algebra import (CoeffField, NormParams, field_multiply, project_range,
                             time_cutoff)
-from .linearized import EXACT_NORM_MAX, assemble_linearized, divisor_table
+from .linearized import assemble_linearized, divisor_table
 from .resonance import ResonanceParams, check_stage_conditions, melnikov_mean
 
 __all__ = [
@@ -364,7 +364,7 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig):
     t_norm = time.perf_counter()
     inv_norm = op.inverse_norm(params_next)
     t_norm = time.perf_counter() - t_norm
-    inv_exact = op.lattice.size <= EXACT_NORM_MAX
+    inv_exact = op.norm_blocks > 0  # the exact branch ran
     inv_bound = (648.0 / config.gamma) * L_next ** (config.tau - 1.0)
 
     t_table = time.perf_counter()

@@ -12,7 +12,10 @@ time-averaged derivative of the nonlinearity along the solution branch.
 
 The measure scanner estimates how much of (0, eta] the conditions exclude,
 both by an exact union of per-pair excluded intervals and by Monte Carlo
-sampling of the same condition set.  On binding pairs each f is strictly
+sampling of the same condition set.  Both scan only the pairs that can bind,
+omega_j - l = d <= floor((sqrt(1 + eta) - 1) l) + 1: threshold plus shift
+stay below 0.4, so a pair with larger d keeps |f| and |g| above 0.6 on
+(0, eta] (see _pair_arrays).  On binding pairs each f is strictly
 monotone in eps with slope >= l/4, so the interval ends are a closed form
 and a contracting fixed-point iteration (contraction (M + eps M')/(omega_j l),
 at most about 1/2).  The Monte Carlo searches each binding pair's
@@ -226,9 +229,17 @@ class MeasureReport:
 
 
 def _pair_arrays(eta: float, ell_max: int):
-    """Binding pairs (l, d): omega_j = l + d, 1 <= d <= floor(4 eta l) + 2."""
+    """Pairs (l, d) that can bind: omega_j = l + d, 1 <= d <= floor((sqrt(1+eta) - 1) l) + 1.
+
+    With n = l + d, cut_l = 2 gamma / (2l)^tau + shift_cap / (2l) bounds
+    thr + |e M / (2n)| for e <= eta and stays < 0.4 (measure_scan's guard): a
+    pair binds only if |f| < thr at some e <= eta, so n < sqrt(1+eta) l + cut_l;
+    its Monte Carlo window starts at ((n - cut_l)/l)^2 - 1 - pad, above every
+    sample unless n <= sqrt(1+eta+pad) l + cut_l.  So d < (sqrt(1+eta) - 1) l + 0.4:
+    the "+ 1", with 0.6 to spare for the floor's rounding.  Every l keeps d = 1.
+    """
     ell_grid = np.arange(max(int(np.ceil(1.0 / (3.0 * eta))), 1), ell_max + 1, dtype=float)
-    dmax = np.floor(4.0 * eta * ell_grid).astype(np.int64) + 2
+    dmax = np.floor((np.sqrt(1.0 + eta) - 1.0) * ell_grid).astype(np.int64) + 1
     first = np.cumsum(dmax) - dmax
     ds = np.arange(1, int(dmax.sum()) + 1) - np.repeat(first, dmax)
     return np.repeat(ell_grid, dmax), ds.astype(float)
@@ -246,16 +257,23 @@ def _crossing(level, ells, wjs, m_of_eps, shifted: bool):
 
     Plain: e = ((n + level) / l)^2 - 1.  Shifted: that map with n + level +
     e M(e) / (2 n) in place of n + level, iterated from the plain root until
-    no iterate changes; it contracts by about (M + e M') / (n l) <= 1/2 while
-    the slope is >= l/4.  A pair not settled in 60 steps raises ValueError."""
+    every iterate is settled; it contracts by about (M + e M') / (n l) <= 1/2
+    while the slope is >= l/4.  An iterate is settled when it repeats, or when
+    it equals the one two steps back within 4 ulp of 1 + e: a contraction has
+    no 2-cycle, so that one is roundoff, and the end that widens the excluded
+    interval (the lower at level < 0, the upper at level > 0) is kept.  A
+    pair not settled in 60 steps raises ValueError."""
     e = ((wjs + level) / ells) ** 2 - 1.0
     if not shifted:
         return e
+    prev = np.full_like(e, np.nan)
     for _ in range(60):
-        e, prev = ((wjs + level + e * m_of_eps(e) / (2.0 * wjs)) / ells) ** 2 - 1.0, e
-        if np.array_equal(e, prev):
-            return e
-    k = int(np.flatnonzero(e != prev)[0])
+        e, prev, back = ((wjs + level + e * m_of_eps(e) / (2.0 * wjs)) / ells) ** 2 - 1.0, e, prev
+        cycle = (e == back) & (np.abs(e - prev) <= 4.0 * np.spacing(1.0 + e))
+        settled = (e == prev) | cycle
+        if settled.all():
+            return np.where(level < 0.0, np.minimum(e, prev), np.maximum(e, prev))
+    k = int(np.flatnonzero(~settled)[0])
     raise ValueError(f"interval end of pair (l, j) = ({ells[k]:.0f}, {wjs[k] - 1:.0f}) "
                      f"unsettled after 60 steps (last update {e[k] - prev[k]:.3e}): "
                      "the slope >= l/4 premise fails")
@@ -284,11 +302,14 @@ def _excluded_samples(e_samples, ells, wjs, thr, cut, m_of_eps):
     ((n - cut_l)^2 / l^2 - 1, (n + cut_l)^2 / l^2 - 1).  Each window, widened
     by far more than the rounding of either side (a few ulp of 1 + e), is
     found by binary search in the sorted samples; the per-element test then
-    runs on these candidates only.
+    runs on these candidates only.  Visiting the pairs in ascending window
+    start gives both searches (nearly) sorted keys; the mask is set by index.
     """
     order = np.argsort(e_samples)
     e_sorted = e_samples[order]
     pad = 1e-12 * (1.0 + e_sorted[-1])
+    visit = np.argsort(((wjs - cut) / ells) ** 2)
+    ells, wjs, thr, cut = ells[visit], wjs[visit], thr[visit], cut[visit]
     first = np.searchsorted(e_sorted, ((wjs - cut) / ells) ** 2 - 1.0 - pad, side="left")
     stop = np.searchsorted(e_sorted, ((wjs + cut) / ells) ** 2 - 1.0 + pad, side="right")
     counts = stop - first
@@ -363,7 +384,12 @@ def measure_scan(eta: float, samples: int, params: ResonanceParams, m_of_eps,
         found.append((left[good], right[good], a_ells[good], a_wjs[good]))
 
     left, right, el, wj = (np.concatenate(c) for c in zip(*found))
-    order = np.lexsort((wj, el, right, left))
+    # the union needs ascending lo; only runs of equal lo are re-sorted by (hi, ell, j)
+    order = np.argsort(left)
+    same = left[order][1:] == left[order][:-1]
+    tie = np.r_[same, False] | np.r_[False, same]
+    run = order[tie]
+    order[tie] = run[np.lexsort((wj[run], el[run], right[run], left[run]))]
     intervals = np.empty(len(order), dtype=_INTERVAL_DTYPE)
     intervals["lo"], intervals["hi"] = left[order], right[order]
     intervals["ell"], intervals["j"] = el[order], wj[order] - 1

@@ -882,6 +882,23 @@ def test_singleton_blocks_take_no_factorization(monkeypatch):
     assert 1 not in orders
 
 
+def test_eps_zero_norm_is_exact_above_exact_max(monkeypatch):
+    # at eps = 0 the exact branch runs at any size: no Krylov step at the
+    # 2432 unknowns of the last stage, and the trace flags the value exact
+    from resonant_kg.nash_moser import SolverConfig, run
+    real, ops = linearized.LinearizedOperator.inverse_norm, []
+
+    def inverse_norm(op, *args, **kwargs):
+        ops.append(op)
+        return real(op, *args, **kwargs)
+    monkeypatch.setattr(linearized.LinearizedOperator, "inverse_norm", inverse_norm)
+    rec = run(SolverConfig(eps=0.0, m=1, n_max=4)).trace.records[-1]
+    op = ops[-1]
+    assert op.lattice.size > EXACT_NORM_MAX and op.power_steps == 0
+    assert rec.inverse_norm_exact
+    assert rec.inverse_norm == np.max(1.0 / np.abs(op.symbol_diagonal()))
+
+
 _NO_SCIPY_SCRIPT = """
 import sys
 

@@ -176,6 +176,30 @@ def test_measure_scan_slope_bound():
         assert len(iv) > 40000 and np.all(slope >= ell / 4.0)
 
 
+def test_measure_scan_settles_roundoff_two_cycle():
+    # at M = -10 the end of pair (3752, 3755) alternates between two floats
+    # 2 ulp of 1 + e apart although the map contracts by |M| / (2 n l) ~ 3.5e-7;
+    # the ends still match the bisection oracle, and the union and Monte Carlo agree
+    params = ResonanceParams(0.05, 1.5, eps0=0.04)
+    m_of_eps = lambda e: np.full_like(e, -10.0)
+    rep = measure_scan(0.01, 100, params, m_of_eps)
+    iv = rep.excluded_intervals
+    lo, hi, ell, j = _bisection_intervals(0.01, params, m_of_eps)
+    np.testing.assert_array_equal(iv["ell"], ell)
+    np.testing.assert_array_equal(iv["j"], j)
+    for got, want in ((iv["lo"], lo), (iv["hi"], hi)):
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(1.0 + want))
+    assert np.any((iv["ell"] == 3752) & (iv["j"] == 3755))
+    assert abs(rep.fraction_mc - rep.fraction_interval) <= 0.05
+    # the right end of that pair cycles: the larger float, which widens the
+    # excluded interval, is kept
+    ell, n = np.array([3752.0]), np.array([3756.0])
+    t = 2.0 * params.gamma / (ell + n) ** params.tau
+    step = lambda e: ((n + t + e * m_of_eps(e) / (2.0 * n)) / ell) ** 2 - 1.0
+    end = resonance._crossing(t, ell, n, m_of_eps, True)
+    assert step(end) < end and step(step(end)) == end
+
+
 def test_measure_scan_fails_closed_on_unsettled_end():
     # a mean that changes on every call never lets an interval end settle
     calls = itertools.count()
@@ -298,10 +322,21 @@ def test_monte_carlo_matches_dense_grid_oracle(monkeypatch):
             assert rep.fraction_mc == 1.0 - float(np.mean(oracle))
 
 
+def _wide_pair_arrays(eta, ell_max):
+    """Oracle: every pair (l, d) with 1 <= d <= floor(4 eta l) + 2, a superset
+    of the pairs that can bind."""
+    ell_grid = np.arange(max(int(np.ceil(1.0 / (3.0 * eta))), 1), ell_max + 1, dtype=float)
+    dmax = np.floor(4.0 * eta * ell_grid).astype(np.int64) + 2
+    first = np.cumsum(dmax) - dmax
+    ds = np.arange(1, int(dmax.sum()) + 1) - np.repeat(first, dmax)
+    return np.repeat(ell_grid, dmax), ds.astype(float)
+
+
 def _bisection_intervals(eta, params, m_of_eps):
     """Oracle: the 60-step bisection of the interval ends that the closed form
-    and fixed-point iteration replaced; columns (lo, hi, ell, j) in report order."""
-    ells, ds = resonance._pair_arrays(eta, int(np.ceil(64.0 / eta)))
+    and fixed-point iteration replaced, over the wide pair enumeration;
+    columns (lo, hi, ell, j) in report order."""
+    ells, ds = _wide_pair_arrays(eta, int(np.ceil(64.0 / eta)))
     wjs = ells + ds
     thr = 2.0 * params.gamma / (ells + wjs) ** params.tau
     lo = 1.0 / (3.0 * ells)
@@ -367,11 +402,28 @@ def test_measure_report_intervals_are_columns():
         assert (lo, hi, ell, j) == tuple(columns[name][k] for name in iv.dtype.names)
 
 
+def test_interval_order_breaks_ties_by_hi_ell_j(monkeypatch):
+    # the scan's ends rarely tie; left ends floored to 1e-4 make runs of equal
+    # lo with different hi, ell and j, which keep the documented order
+    crossing = resonance._crossing
+
+    def floored(level, *args):
+        e = crossing(level, *args)
+        return np.floor(e * 1e4) / 1e4 if np.all(level < 0.0) else e
+    monkeypatch.setattr(resonance, "_crossing", floored)
+    params = ResonanceParams(0.05, 1.5, eps0=0.04)
+    iv = measure_scan(0.04, 10, params, _interpolated_m_of_eps()).excluded_intervals
+    ties = (iv["lo"][1:] == iv["lo"][:-1]) & (iv["hi"][1:] != iv["hi"][:-1])
+    assert np.count_nonzero(ties) > 1000
+    np.testing.assert_array_equal(np.lexsort((iv["j"], iv["ell"], iv["hi"], iv["lo"])),
+                                  np.arange(len(iv)))
+
+
 def test_pair_arrays_match_double_loop():
     for eta, ell_max in ((0.04, 1600), (0.013, 4924), (0.3, 5), (1e-3, 300)):
         ells, ds = [], []
         for ell in range(max(int(np.ceil(1.0 / (3.0 * eta))), 1), ell_max + 1):
-            for d in range(1, int(np.floor(4.0 * eta * ell)) + 3):
+            for d in range(1, int(np.floor((np.sqrt(1.0 + eta) - 1.0) * ell)) + 2):
                 ells.append(ell)
                 ds.append(d)
         got_ells, got_ds = resonance._pair_arrays(eta, ell_max)
@@ -408,3 +460,67 @@ def test_union_length_matches_merge_loop(rng):
         got = resonance._union_length(a, b)
         assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
     assert rep.excluded_mass == _merge_loop_mass([(a, b) for a, b, _, _ in rep.excluded_intervals])
+
+
+def _scan_with_mask(monkeypatch, pair_arrays, eta, params, m_of_eps, samples):
+    """measure_scan over the given pair enumeration, with its Monte Carlo mask."""
+    masks, search = [], resonance._excluded_samples
+
+    def spy(*args):
+        masks.append(search(*args))
+        return masks[-1]
+    with monkeypatch.context() as mp:
+        mp.setattr(resonance, "_pair_arrays", pair_arrays)
+        mp.setattr(resonance, "_excluded_samples", spy)
+        rep = measure_scan(eta, samples, params, m_of_eps, rng_seed=11)
+    return rep, masks[0]
+
+
+def _assert_same_report(got, want, got_mask, want_mask):
+    assert got.excluded_intervals.tobytes() == want.excluded_intervals.tobytes()
+    for name in ("fraction_interval", "fraction_mc", "mc_stderr", "excluded_mass",
+                 "implied_constant", "tail_mass_bound", "ell_max", "samples"):
+        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+    np.testing.assert_array_equal(got_mask, want_mask)
+
+
+def _guard_mean(eta, gamma=0.05, tau=1.5):
+    """A negative constant mean whose cut at the first l = ceil(1/(3 eta)) is
+    0.399, just under the 0.4 guard: the shift reaches the farthest pairs."""
+    l0 = np.ceil(1.0 / (3.0 * eta))
+    value = -((0.399 - 2.0 * gamma / (2.0 * l0) ** tau) * 2.0 * l0 - 1.0) / eta
+    return lambda e: np.full_like(np.asarray(e, dtype=float), value)
+
+
+def test_pairs_that_can_bind_match_wide_enumeration(monkeypatch):
+    # the pairs beyond d = floor((sqrt(1+eta) - 1) l) + 1 neither bind nor
+    # reach a sample: every output but n_pairs is the wide scan's, bit for bit
+    params = ResonanceParams(0.05, 1.5, eps0=0.04)
+    for eta in (0.04, 0.013, 0.01, 0.005):
+        for m_of_eps in (_m_const(), _interpolated_m_of_eps(), _guard_mean(eta)):
+            got, got_mask = _scan_with_mask(monkeypatch, resonance._pair_arrays, eta, params,
+                                            m_of_eps, 20000)
+            want, want_mask = _scan_with_mask(monkeypatch, _wide_pair_arrays, eta, params,
+                                              m_of_eps, 20000)
+            _assert_same_report(got, want, got_mask, want_mask)
+            assert got.n_pairs == len(resonance._pair_arrays(eta, got.ell_max)[0])
+            assert 7 * got.n_pairs < want.n_pairs
+
+
+def test_pair_bound_keeps_interval_straddling_eta(monkeypatch):
+    # at l = 100 and eta = ((102 - delta) / 100)^2 - 1, (sqrt(1+eta) - 1) l is
+    # 2 - delta, so the last pair kept is d = 2; its plain condition is below
+    # the threshold at eta, so its excluded interval ends at eta
+    ell, n = 100.0, 102.0
+    delta = 0.5 * 2.0 * 0.05 / (ell + n) ** 1.5
+    eta = ((n - delta) / ell) ** 2 - 1.0
+    params = ResonanceParams(0.05, 1.5, eps0=0.05)
+    assert int(np.floor((np.sqrt(1.0 + eta) - 1.0) * ell)) + 1 == n - ell
+    got, got_mask = _scan_with_mask(monkeypatch, resonance._pair_arrays, eta, params,
+                                    _m_const(), 20000)
+    want, want_mask = _scan_with_mask(monkeypatch, _wide_pair_arrays, eta, params,
+                                      _m_const(), 20000)
+    _assert_same_report(got, want, got_mask, want_mask)
+    iv = got.excluded_intervals
+    row = iv[(iv["ell"] == ell) & (iv["j"] == n - 1)]
+    assert len(row) == 1 and row["hi"][0] == eta and row["lo"][0] < eta
