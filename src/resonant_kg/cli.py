@@ -88,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _write_manifest(outdir, config_dict, artifacts, timings):
     import importlib.metadata
     import numpy
+    from . import __version__
 
     def version(package):  # from the metadata: importing scipy costs more than a short solve
         try:
@@ -97,7 +98,7 @@ def _write_manifest(outdir, config_dict, artifacts, timings):
     manifest = {
         "config": config_dict,
         "artifacts": {k: os.path.basename(v) for k, v in artifacts.items()},
-        "versions": {"resonant-kg": version("resonant-kg"), "numpy": numpy.__version__,
+        "versions": {"resonant-kg": __version__, "numpy": numpy.__version__,
                      "scipy": version("scipy"),
                      "python": ".".join(map(str, sys.version_info[:3]))},
         "timings_s": timings,
@@ -307,7 +308,7 @@ def cmd_spectrum(args) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_MISSING
     ell_max = args.ell_max if args.ell_max is not None else min(w.L, 64)
-    blocks = [diagonalize_block(ell, config["eps"], b0, 2 * w.L, want_vectors=False)
+    blocks = [diagonalize_block(ell, config["eps"], b0, 2 * w.L)
               for ell in range(ell_max + 1)]
     out = args.out or os.path.join(args.run, "spectrum.csv")
     spectrum_to_csv(blocks, out)

@@ -36,10 +36,11 @@ each divisor the residual bound ||r||^2 / delta on the distance between the
 window's eigenvalue and the block's (r the coupling out of the window,
 delta the gap to the other modes' Weyl intervals): the reported alpha_l is
 a lower bound.  A window widens until that bound is below one ulp, so the
-cost is linear in L_n.  The per-block banded eigensolve (scipy, imported
-there) stays for `diagonalize_block` and as the test oracle.  The
-sign/half-power preconditioner splitting is kept as a diagnostic that
-certifies the expected bounds and checks `solve` against the dense inverse.
+cost is linear in L_n.  `diagonalize_block` gives the spectrum of one
+block by a banded eigensolve (scipy, imported there) for the `spectrum`
+command.  No n x n matrix is formed here: the dense matrix of Lop, its
+split, the dense block eigenpairs and the preconditioner diagnostics are
+test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -60,16 +61,11 @@ __all__ = [
     "WLattice",
     "LinearizedOperator",
     "assemble_linearized",
-    "dense_matrix",
-    "split_diagonal",
     "SpectralBlock",
     "diagonalize_block",
     "DivisorReport",
-    "small_divisors",
     "divisor_table",
     "pairwise_divisor_constant",
-    "preconditioned_split_check",
-    "PrecondReport",
     "ResonantSolveError",
     "EXACT_NORM_MAX",
 ]
@@ -87,8 +83,10 @@ _STALL_LEVEL = 2.0 ** -30
 # An update that grows while above this fraction of the largest component
 # means the splitting does not contract.
 _SETTLED = 2.0 ** -40
-# Relative change of the Krylov estimate at which inverse_norm stops.
+# Relative change of the Krylov estimate at which inverse_norm stops,
+# and the most Krylov steps it takes.
 _POWER_RTOL = 1e-14
+_MAX_KRYLOV_STEPS = 40
 # Bytes of one chunk of the time fold's GEMM operand (kept cache-sized).
 _FOLD_CHUNK_BYTES = 1 << 20
 
@@ -399,13 +397,12 @@ class LinearizedOperator:
         order = np.argsort(root, kind="stable")
         return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
 
-    def inverse_norm(self, params: NormParams, exact_threshold: int = EXACT_NORM_MAX,
-                     power_iterations: int = 40) -> float:
+    def inverse_norm(self, params: NormParams) -> float:
         """Operator norm of the inverse on the weighted (sigma, s, r) metric.
 
         With B = diag(w) Lop^{-1} diag(w)^{-1} (w the lattice weights), the
         norm is sigma_max(B) = sqrt(lambda_max(B^T B)).  Up to
-        `exact_threshold` unknowns, and at eps = 0 (one-by-one blocks,
+        EXACT_NORM_MAX unknowns, and at eps = 0 (one-by-one blocks,
         O(n)) at any size, it is exact: the maximum over the
         decoupled blocks (`_partition`), each gathered on its own, of the
         block's norm from its Gram matrix (`_block_inverse_norm`); no n x n
@@ -417,7 +414,7 @@ class LinearizedOperator:
         sigma_max(y_1..y_k) from their k x k Gram matrix.  As
         ||B Q|| <= ||B|| ||Q|| = ||B||, it is a lower bound, and it never
         decreases in k.  It stops once it changes by at most 1e-14 relative
-        (tested before the adjoint solve) or after min(`power_iterations`, n)
+        (tested before the adjoint solve) or after min(_MAX_KRYLOV_STEPS, n)
         steps, counted in `power_steps`.  A singular or non-finite operator
         raises ResonantSolveError.
         """
@@ -425,7 +422,7 @@ class LinearizedOperator:
         w = self.lattice.weights(params)
         n = self.lattice.size
         self.power_steps = self.norm_blocks = self.largest_block = 0
-        if n <= exact_threshold or self.eps == 0.0:
+        if n <= EXACT_NORM_MAX or self.eps == 0.0:
             blocks = self._partition()
             self.norm_blocks, self.largest_block = len(blocks), max(map(len, blocks))
             multi = [idx for idx in blocks if len(idx) > 1]
@@ -437,7 +434,7 @@ class LinearizedOperator:
         wg[self.lattice.ells, self.lattice.js] = w
         q = np.where(self.lattice.mask, 1.0 / np.sqrt(n), 0.0).reshape(1, -1)  # rows q_i
         y = np.empty((0, q.shape[1]))                                         # rows B q_i
-        est, last = 0.0, min(power_iterations, n)
+        est, last = 0.0, min(_MAX_KRYLOV_STEPS, n)
         for step in range(1, last + 1):
             image = wg * self._neumann(q[-1].reshape(shape) / wg)
             if not np.all(np.isfinite(image)):
@@ -480,15 +477,6 @@ def _gather(op: LinearizedOperator, idx: np.ndarray) -> np.ndarray:
     mult[..., d, d] += op._symbol[op.lattice.ells[idx], op.lattice.js[idx]]
     mult -= op.eps * m2
     return mult
-
-
-def dense_matrix(op: LinearizedOperator) -> np.ndarray:
-    """The dense n x n matrix of Lop on the lattice: the oracle of `apply`.
-
-    The block gather of `inverse_norm` over the whole lattice.  No
-    production path forms it; the split diagnostics and the tests read it.
-    """
-    return _gather(op, np.arange(op.lattice.size))
 
 
 def _block_inverse_norm(subs: list, weights: list, diag: np.ndarray) -> float:
@@ -553,38 +541,12 @@ def assemble_linearized(eps: float, w: CoeffField, m: int, L_n: int, J_max: int,
 
 
 @dataclass
-class SplitParts:
-    """Diagonal / off-diagonal decomposition Lop = D - eps M1 - eps M2."""
-
-    D: np.ndarray
-    M1: np.ndarray
-    M2: np.ndarray
-
-    def reassemble(self, eps: float) -> np.ndarray:
-        return self.D - eps * self.M1 - eps * self.M2
-
-
-def split_diagonal(op: LinearizedOperator) -> SplitParts:
-    """Dense D (the blocks `factorize` builds), M1 (zero-mean part of b) and M2."""
-    lattice = op.lattice
-    blocks, _ = op.factorize()
-    same = lattice.ells[:, None] == lattice.ells[None, :]
-    rows, cols = lattice.js[:, None], lattice.js[None, :]
-    D = np.where(same, blocks[lattice.ells[:, None], rows, cols], 0.0)
-    mult, m2 = _potential_parts(op, np.arange(lattice.size))
-    return SplitParts(D=D, M1=mult - np.where(same, op.stack[0][rows, cols], 0.0), M2=m2)
-
-
-@dataclass
 class SpectralBlock:
-    """Eigenpairs of S_l(eps) = A + eps pi_l b0 pi_l on the complement of e_{l-1}."""
+    """Eigenvalues of S_l(eps) = A + eps pi_l b0 pi_l on the complement of e_{l-1}."""
 
     ell: int
-    eps: float
-    js: np.ndarray              # retained mode labels
-    lam: np.ndarray             # eigenvalues, in label order
-    vectors: np.ndarray | None  # columns in full-j coordinates (or None)
-    J_max: int
+    js: np.ndarray   # retained mode labels, ascending
+    lam: np.ndarray  # eigenvalues, ascending: in label order at small eps
 
 
 def _kept_modes(ell: int, size: int) -> np.ndarray:
@@ -610,26 +572,6 @@ def _bands(kept: np.ndarray, eps: float, diag: np.ndarray, bw: int) -> np.ndarra
     return bands
 
 
-def _block_spectrum(ell: int, eps: float, diag: np.ndarray, bw: int):
-    """Eigenvalues of omega_j^2 + eps B on the modes j != |l| - 1, and those modes.
-
-    diag holds the first bw + 2 diagonals of the multiplication matrix B of
-    b0 (see _bands) and bw is the half-bandwidth of eps B.  One
-    eigvals_banded solve per block; at small eps the ascending eigenvalues
-    match the ascending labels.
-    """
-    kept = _kept_modes(ell, diag.shape[-1])
-    bw = min(bw, max(len(kept) - 1, 0))  # k modes have at most k - 1 bands
-    bands = _bands(kept, eps, diag, bw)
-    if bw == 0:
-        return bands[0], kept
-    import scipy.linalg  # only the spectrum command and the tests come here
-    try:
-        return scipy.linalg.eigvals_banded(bands, lower=False), kept
-    except scipy.linalg.LinAlgError as exc:
-        raise ResonantSolveError(f"banded eigensolve failed at l={ell}") from exc
-
-
 def _band_width(eps: float, b0: np.ndarray, size: int) -> int:
     """Half-bandwidth of eps B: the spatial support of b0, capped by the block size."""
     support = np.nonzero(b0)[0]
@@ -638,13 +580,14 @@ def _band_width(eps: float, b0: np.ndarray, size: int) -> int:
     return min(int(support[-1]), size - 1)
 
 
-def diagonalize_block(ell: int, eps: float, b0: np.ndarray, J_max: int,
-                      want_vectors: bool = True) -> SpectralBlock:
-    """Dense symmetric eigensolve of one l-block, labeled by overlap with e_j.
+def diagonalize_block(ell: int, eps: float, b0: np.ndarray, J_max: int) -> SpectralBlock:
+    """Eigenvalues of one l-block omega_j^2 + eps B (j <= J_max, j != |l| - 1), in one banded solve.
 
-    The eigenvalue-only path uses the banded solver (the potential couples
-    modes only within the spatial support of b0), which keeps large J_max
-    cheap.  Requires |eps| below the Neumann threshold 1 / sup|b0|.
+    B, the multiplication matrix of b0, couples modes only within the
+    spatial support of b0, so the block is read in banded storage from the
+    first diagonals of B (`_bands`), which keeps large J_max cheap.  The
+    ascending eigenvalues are paired with the ascending labels.  Requires
+    |eps| below the Neumann threshold 1 / sup|b0|.
     """
     b0 = np.asarray(b0, dtype=float)
     if eps != 0.0 and np.any(b0 != 0.0):
@@ -653,32 +596,19 @@ def diagonalize_block(ell: int, eps: float, b0: np.ndarray, J_max: int,
         if abs(eps) * sup >= 1.0:
             raise ValueError(
                 f"|eps| = {abs(eps)} beyond the Neumann threshold 1/sup|b0| = {1.0 / sup:.3e}")
-    if not want_vectors:
-        bw = _band_width(eps, b0, J_max + 1)
-        lam, kept = _block_spectrum(ell, eps, sb.diagonal_sums(b0, J_max + 1, bw + 2), bw)
-        return SpectralBlock(ell=ell, eps=eps, js=kept, lam=lam, vectors=None, J_max=J_max)
-    B = sb.multiplication_matrix(b0, J_max + 1)
+    bw = _band_width(eps, b0, J_max + 1)
+    diag = sb.diagonal_sums(b0, J_max + 1, bw + 2)
     kept = _kept_modes(ell, J_max + 1)
-    Sk = np.diag((kept + 1.0) ** 2) + eps * B[np.ix_(kept, kept)]
-    try:
-        lam, vec = np.linalg.eigh(Sk)
-    except np.linalg.LinAlgError as exc:
-        raise ResonantSolveError(f"dense eigensolve failed at l={ell}") from exc
-    # continuation labeling: match each eigenvector to the eps=0 mode it overlaps most
-    perm = np.empty(len(lam), dtype=int)
-    taken = np.zeros(len(lam), dtype=bool)
-    for col in np.argsort(-np.max(np.abs(vec), axis=0)):
-        cand = np.argsort(-np.abs(vec[:, col]))
-        for row in cand:
-            if not taken[row]:
-                perm[row] = col
-                taken[row] = True
-                break
-    lam = lam[perm]
-    vec = vec[:, perm]
-    full = np.zeros((J_max + 1, len(kept)))
-    full[kept, :] = vec
-    return SpectralBlock(ell=ell, eps=eps, js=kept, lam=lam, vectors=full, J_max=J_max)
+    bw = min(bw, max(len(kept) - 1, 0))  # k modes have at most k - 1 bands
+    bands = _bands(kept, eps, diag, bw)
+    lam = bands[0]
+    if bw > 0:
+        import scipy.linalg  # only the spectrum command and the tests come here
+        try:
+            lam = scipy.linalg.eigvals_banded(bands, lower=False)
+        except scipy.linalg.LinAlgError as exc:
+            raise ResonantSolveError(f"banded eigensolve failed at l={ell}") from exc
+    return SpectralBlock(ell=ell, js=kept, lam=lam)
 
 
 @dataclass
@@ -714,20 +644,6 @@ def _divisor_report(eps: float, gamma: float, tau: float, ells: np.ndarray,
     floor = gamma / (20.0 * np.maximum(np.abs(ells), 1) ** (tau - 1.0))
     return DivisorReport(eps=eps, gamma=gamma, tau=tau, ells=ells, alpha=alpha,
                          j_min=j_min, floor=floor, ok=alpha >= floor)
-
-
-def small_divisors(eps: float, blocks: list[SpectralBlock], gamma: float,
-                   tau: float) -> DivisorReport:
-    """alpha_l = min_j |omega^2 l^2 - lambda_{l,j}(eps)| with argmin, per block."""
-    ells = np.array([blk.ell for blk in blocks])
-    alpha = np.empty(len(blocks))
-    j_min = np.empty(len(blocks), dtype=int)
-    for i, blk in enumerate(blocks):
-        divisors = np.abs((1.0 + eps) * blk.ell ** 2 - blk.lam)
-        k = int(np.argmin(divisors))
-        alpha[i] = divisors[k]
-        j_min[i] = blk.js[k]
-    return _divisor_report(eps, gamma, tau, ells, alpha, j_min)
 
 
 def _window_divisors(t: np.ndarray, deleted: np.ndarray, nearest: np.ndarray,
@@ -824,7 +740,7 @@ def divisor_table(eps: float, b0: np.ndarray, L_n: int, J_max: int, gamma: float
     roundoff of the window solve.  The half-width w starts at 4 and doubles
     until the bound takes at most one ulp of max(omega^2 l^2, 1) from the
     window's own divisor.  j_min is the label of the chosen eigenvalue, the
-    ascending-label rule of `diagonalize_block(..., want_vectors=False)`.
+    ascending-label rule of `diagonalize_block`.
     """
     b0 = np.asarray(b0, dtype=float)
     n = J_max + 1
@@ -868,91 +784,6 @@ def pairwise_divisor_constant(report: DivisorReport) -> float:
         bound_shape = dist ** (2.0 * (tau - 1.0) / beta) / (gamma ** 2 * max(eps, 1e-300) ** (tau - 1.0))
     mask = dist > 0
     return float(np.max(inv[mask] / bound_shape[mask]))
-
-
-@dataclass
-class PrecondReport:
-    """Diagnostics of the sign/half-power preconditioner splitting."""
-
-    u_norm: float
-    u_ok: bool
-    dhalf_norm: float
-    dhalf_bound: float
-    dhalf_ok: bool
-    r1_norm: float
-    r1_constant: float
-    r2_norm: float
-    r2_constant: float
-    factorization_error: float
-    neumann_converged: bool
-    neumann_vs_dense: float
-
-
-def preconditioned_split_check(op: LinearizedOperator, params: NormParams,
-                               gamma: float, tau: float) -> PrecondReport:
-    """Form U = sgn(D), R_i = |D|^(-1/2) M_i |D|^(-1/2) and verify the bounds.
-
-    U and |D|^(+-1/2) come from one batched eigensolve of the blocks of D
-    that `factorize` builds (the unit row of a resonant slot is an
-    eigenvector of its own, and it is cut out with the slot).  The
-    production solve is checked column by column against the dense inverse;
-    a solve that does not settle is reported, never absorbed.
-    """
-    lattice = op.lattice
-    parts = split_diagonal(op)
-    lam, vec = np.linalg.eigh(op.factorize()[0])  # factorize rejects singular blocks
-    same = lattice.ells[:, None] == lattice.ells[None, :]
-    at = (lattice.ells[:, None], lattice.js[:, None], lattice.js[None, :])
-
-    def block_function(values):
-        """The matrix function V diag(values) V^T of each block, placed on the lattice."""
-        blocks = (vec * values[:, None, :]) @ vec.transpose(0, 2, 1)
-        return np.where(same, blocks[at], 0.0)
-
-    U = block_function(np.sign(lam))
-    Dm = block_function(np.abs(lam) ** -0.5)   # |D|^(-1/2)
-    Dp = block_function(np.abs(lam) ** +0.5)   # |D|^(+1/2)
-    R1 = Dm @ parts.M1 @ Dm
-    R2 = Dm @ parts.M2 @ Dm
-    recon = Dp @ (U - op.eps * R1 - op.eps * R2) @ Dp
-    dense = dense_matrix(op)
-    scale = max(np.abs(dense).max(), 1.0)
-    fact_err = float(np.abs(recon - dense).max() / scale)
-
-    w_s = lattice.weights(params)
-    shifted = NormParams(params.sigma, params.s + (tau - 1.0) / 2.0, params.r)
-    w_sh = lattice.weights(shifted)
-
-    def opnorm(M, w_out, w_in):
-        return float(np.linalg.norm(w_out[:, None] * M / w_in[None, :], 2))
-
-    u_norm = opnorm(U, w_s, w_s)
-    dhalf_norm = opnorm(Dm, w_s, w_sh)
-    dhalf_bound = 9.0 / np.sqrt(gamma)
-    r1_norm = opnorm(R1, w_sh, w_sh)
-    r2_norm = opnorm(R2, w_sh, w_sh)
-    r1_constant = r1_norm * gamma * max(op.eps, 1e-300) ** ((tau - 1.0) / 2.0)
-    r2_constant = r2_norm * gamma
-
-    converged, neumann_vs_dense = False, np.inf
-    try:
-        inv_neumann = np.column_stack([lattice.to_vector(op.solve(lattice.to_field(e)))
-                                       for e in np.eye(lattice.size)])
-    except ResonantSolveError:
-        pass
-    else:
-        converged = True
-        inv_dense = np.linalg.inv(dense)
-        neumann_vs_dense = float(np.abs(inv_neumann - inv_dense).max()
-                                 / max(np.abs(inv_dense).max(), 1e-300))
-    return PrecondReport(u_norm=u_norm, u_ok=u_norm <= 4.0 + 1e-9,
-                         dhalf_norm=dhalf_norm, dhalf_bound=dhalf_bound,
-                         dhalf_ok=dhalf_norm <= dhalf_bound * (1 + 1e-9),
-                         r1_norm=r1_norm, r1_constant=r1_constant,
-                         r2_norm=r2_norm, r2_constant=r2_constant,
-                         factorization_error=fact_err,
-                         neumann_converged=converged,
-                         neumann_vs_dense=neumann_vs_dense)
 
 
 def spectrum_to_csv(blocks: list[SpectralBlock], path) -> None:

@@ -1,4 +1,4 @@
-"""Acceptance suite: one test (and one printed PASS/FAIL line) per criterion.
+"""Acceptance suite: one test, one PASS/FAIL line and one JSON line of its numbers per criterion.
 
 Each criterion is asserted at its stated tolerance.  Expensive runs are
 computed once in module-scoped fixtures and shared.
@@ -12,6 +12,7 @@ information only.  The pass/fail decision of each lives in a helper that a
 negative control feeds with data the check must reject.
 """
 
+import json
 import time
 from types import SimpleNamespace
 
@@ -24,8 +25,7 @@ from resonant_kg.bifurcation import (bif_block, block_determinant,
                                      kernel_residual, linearize_kernel,
                                      one_mode_solution)
 from resonant_kg.linearized import (assemble_linearized, diagonalize_block,
-                                    divisor_table, pairwise_divisor_constant,
-                                    preconditioned_split_check)
+                                    divisor_table, pairwise_divisor_constant)
 from resonant_kg.resonance import (ResonanceParams, fit_excluded_exponent,
                                    measure_scan, mean_potential)
 from resonant_kg.spherical_basis import (eigen_product, mean_integral,
@@ -33,16 +33,28 @@ from resonant_kg.spherical_basis import (eigen_product, mean_integral,
                                          sobolev_embedding_constant)
 
 from conftest import quad_triple, random_field
+from oracles import preconditioned_split_check
 
 GAMMA, TAU = 0.05, 1.5
 CHI = 1.5
 
 
-def report(criterion: str, ok: bool, detail: str = ""):
+def _plain(value):
+    """value as JSON data: numpy scalars and arrays as Python ones, non-finite floats as null."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in value]
+    value = np.asarray(value).item()
+    return None if isinstance(value, float) and not np.isfinite(value) else value
+
+
+def report(criterion: str, ok: bool, detail: str = "", **numbers):
     line = f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'}"
     if detail:
         line += f"  [{detail}]"
     print(line)
+    print(json.dumps({"criterion": criterion, "pass": bool(ok)} | _plain(numbers)))
     return ok
 
 
@@ -115,7 +127,8 @@ def test_criterion_1_exact_identities():
             wj2 = (j + 1.0) ** 2
             window_ok &= 0.5 * wj2 * (1 - 1e-12) <= abs(Lk[j, j]) <= wj2 * (1 + 1e-12)
     ok &= window_ok
-    assert report("1 (exact identities)", ok, "; ".join(detail))
+    assert report("1 (exact identities)", ok, "; ".join(detail), product_rule_err=worst,
+                  cube_inner_err=cube_err, kernel_residual_err=res_err)
 
 
 def test_criterion_2_sturm_liouville_bound(rng):
@@ -143,7 +156,8 @@ def test_criterion_2_sturm_liouville_bound(rng):
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 60.0
     assert report("2 (Sturm-Liouville drift bound)", ok,
-                  f"max drift/bound {worst:.3f}, {elapsed:.1f}s at J_max=256")
+                  f"max drift/bound {worst:.3f}, {elapsed:.1f}s at J_max=256",
+                  max_drift_over_bound=worst, elapsed_s=elapsed, J_max=256)
 
 
 def test_criterion_3_linearized_inverse_bound(default_run):
@@ -164,7 +178,9 @@ def test_criterion_3_linearized_inverse_bound(default_run):
     assert report("3 (linearized inverse bound)", ok,
                   f"max norm/bound {worst:.2e}; Neumann vs dense {rep.neumann_vs_dense:.1e}; "
                   f"{estimated} of {len(result.trace.records) - 1} stage norms are "
-                  f"power-iteration lower bounds")
+                  f"power-iteration lower bounds", max_norm_over_bound=worst,
+                  neumann_vs_dense=rep.neumann_vs_dense, lower_bound_stages=estimated,
+                  stages=len(result.trace.records) - 1)
 
 
 SLOPE_MIN = (1.0 - 0.15) * np.log(CHI)
@@ -191,7 +207,7 @@ def stage_decay_verdict(ratios):
 
 def test_criterion_4_nash_moser_convergence(convergence_runs):
     ok = True
-    details = []
+    details, runs = [], []
     for eps, (result, elapsed) in sorted(convergence_runs.items()):
         bound_ok, slope_ok, slope, n_fit = stage_decay_verdict(
             GAMMA * result.trace.h_norms() / eps)
@@ -201,9 +217,12 @@ def test_criterion_4_nash_moser_convergence(convergence_runs):
                        f" (>= {SLOPE_MIN:.3f}){'' if slope_ok else ' OUT'},"
                        f" bound {'ok' if bound_ok else 'VIOLATED'},"
                        f" residual {result.residual.relative:.1e}, {elapsed:.0f}s")
+        runs.append({"eps": eps, "slope": slope, "fit_stages": n_fit, "bound_ok": bound_ok,
+                     "residual": result.residual.relative, "elapsed_s": elapsed})
         ok &= bound_ok and slope_ok and resid_ok and time_ok
     details.append(f"sharp rate log 2 = {np.log(2.0):.3f} (not asserted)")
-    assert report("4 (stage decay rate)", ok, "; ".join(details))
+    assert report("4 (stage decay rate)", ok, "; ".join(details), slope_min=SLOPE_MIN,
+                  sharp_rate=np.log(2.0), runs=runs)
 
 
 def test_criterion_4_rejects_geometric_decay():
@@ -218,7 +237,7 @@ def test_criterion_5_solution_shape():
     eps_grid = np.geomspace(1e-3, 1e-2, 5)
     params = NormParams(0.5, 1.0)
     ok = True
-    details = []
+    details, exponents = [], []
     results = {}
     for m in (0, 1):
         sizes = []
@@ -233,11 +252,13 @@ def test_criterion_5_solution_shape():
         slope = float(np.polyfit(np.log(eps_grid), np.log(sizes), 1)[0])
         ok &= abs(slope - 1.5) <= 0.15
         details.append(f"m={m}: remainder exponent {slope:.3f}")
+        exponents.append(slope)
     diff = (results[(0, 1e-3)].u - results[(1, 1e-3)].u).norm(params)
     alpha0 = np.sqrt(4.0 / 3.0)
     ok &= diff >= 0.9 * alpha0
     details.append(f"branch distance {diff:.3f} >= {0.9 * alpha0:.3f}")
-    assert report("5 (solution shape)", ok, "; ".join(details))
+    assert report("5 (solution shape)", ok, "; ".join(details), remainder_exponents=exponents,
+                  branch_distance=diff, distance_min=0.9 * alpha0)
 
 
 @pytest.fixture(scope="module")
@@ -289,7 +310,10 @@ def test_criterion_6_measure_asymptotics(mean_curve):
                   f" sharp tau-1 = {TAU - 1.0:.2f} (not asserted);"
                   f" (mass+tail)/scale {' '.join(f'{q:.2f}' for q in ratios)}"
                   f" {'non-increasing' if mass_ok else 'INCREASING'};"
-                  f" MC-union max diff {mc_diff:.2e}; {elapsed:.0f}s")
+                  f" MC-union max diff {mc_diff:.2e}; {elapsed:.0f}s",
+                  exponent=expo, exponent_min=EXPO_MIN, sharp_exponent=TAU - 1.0,
+                  bound_ratios=ratios, ratios_non_increasing=mass_ok, mc_union_max_diff=mc_diff,
+                  elapsed_s=elapsed)
 
 
 def test_criterion_6_rejects_flat_excluded_fraction():
@@ -321,7 +345,8 @@ def test_criterion_7_small_divisors(default_run):
     ok &= np.isfinite(cbar)
     margin = float(np.min(table.alpha / table.floor))
     assert report("7 (small-divisor floor and products)", ok,
-                  f"min alpha/floor {margin:.1f}; empirical C-bar {cbar:.3e}")
+                  f"min alpha/floor {margin:.1f}; empirical C-bar {cbar:.3e}",
+                  min_alpha_over_floor=margin, c_bar=cbar)
 
 
 def test_criterion_8_smoothing_and_trade(rng):
@@ -347,4 +372,4 @@ def test_criterion_8_smoothing_and_trade(rng):
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 120.0
     assert report("8 (smoothing and trade estimates)", ok,
-                  f"2000 random fields, {elapsed:.1f}s")
+                  f"2000 random fields, {elapsed:.1f}s", fields=2000, elapsed_s=elapsed)

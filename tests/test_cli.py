@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from resonant_kg import SolverConfig, load_field, run
-from resonant_kg.cli import main
+from resonant_kg import SolverConfig, __version__, load_field, run
+from resonant_kg.cli import _load_run, main
+
+from oracles import dense_block
 
 
 def solve_args(out, eps="1e-3", stages="2", extra=()):
@@ -20,6 +22,7 @@ def test_solve_writes_roundtrippable_artifacts(tmp_path):
              "residual_report.json", "solution.csv", "manifest.json"}
     assert names <= set(os.listdir(out))
     manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["versions"]["resonant-kg"] == __version__
     for key, fname in manifest["artifacts"].items():
         assert (out / fname).exists()
     u = load_field(out / "solution.field")
@@ -194,9 +197,13 @@ def test_divisors_and_spectrum(tmp_path):
     assert main(["spectrum", "--run", str(out), "--ell-max", "4"]) == 0
     srows = (out / "spectrum.csv").read_text().strip().splitlines()
     assert srows[0] == "ell,j,lambda"
-    # eps is small: lambda_{l,j} ~ omega_j^2
-    ell, j, lam = srows[1].split(",")
-    assert abs(float(lam) - (int(j) + 1.0) ** 2) < 0.1
+    # every row against the dense eigensolve of its block, labeled by continuation
+    w, b0, config = _load_run(out)
+    blocks = [dense_block(ell, config["eps"], b0, 2 * w.L) for ell in range(5)]
+    want = np.array([(blk.ell, j, lam) for blk in blocks for j, lam in zip(blk.js, blk.lam)])
+    got = np.array([row.split(",") for row in srows[1:]], dtype=float)
+    assert np.array_equal(got[:, :2], want[:, :2])
+    assert np.abs(got[:, 2] - want[:, 2]).max() <= 1e-10
     # missing artifacts
     assert main(["divisors", "--run", str(tmp_path / "nope")]) == 66
     assert main(["spectrum", "--run", str(tmp_path / "nope")]) == 66

@@ -12,16 +12,15 @@ from resonant_kg.bifurcation import KernelField, solve_kernel
 from resonant_kg.field_algebra import field_multiply, time_cutoff
 from resonant_kg import linearized
 from resonant_kg.linearized import (EXACT_NORM_MAX, ResonantSolveError, WLattice,
-                                    assemble_linearized, dense_matrix,
-                                    diagonalize_block, divisor_table,
-                                    pairwise_divisor_constant,
-                                    preconditioned_split_check, small_divisors,
-                                    split_diagonal)
+                                    assemble_linearized, diagonalize_block,
+                                    divisor_table, pairwise_divisor_constant)
 from resonant_kg.spherical_basis import (evaluate_profile, matrix_element,
                                          mean_integral, profile_norm,
                                          sobolev_embedding_constant)
 
 from conftest import random_field
+from oracles import (block_matrix, dense_block, dense_matrix, preconditioned_split_check,
+                     small_divisors, split_diagonal, weighted_inverse_norm)
 
 P = NormParams(0.4, 1.0, 2.0)
 
@@ -61,8 +60,8 @@ def test_symmetry_in_weighted_time_basis(rng):
     w = random_field(rng, 6, 5, scale=0.05, decay=0.3)
     ks = solve_kernel(w, 1, J_V=5)
     op = assemble_linearized(1e-2, w, 1, 6, 5, kernel=ks.kernel)
-    parts = split_diagonal(op)
-    sym_part = parts.D - op.eps * parts.M1
+    D, M1, _ = split_diagonal(op)
+    sym_part = D - op.eps * M1
     mult = np.where(op.lattice.ells == 0, 1.0, 2.0)
     weighted = mult[:, None] * sym_part
     assert np.abs(weighted - weighted.T).max() < 1e-12 * max(1, np.abs(weighted).max())
@@ -72,9 +71,9 @@ def test_split_reassembles_exactly(rng):
     w = random_field(rng, 5, 4, scale=0.08, decay=0.2)
     ks = solve_kernel(w, 0, J_V=4)
     op = assemble_linearized(2e-2, w, 0, 5, 4, kernel=ks.kernel)
-    parts = split_diagonal(op)
+    D, M1, M2 = split_diagonal(op)
     dense = dense_matrix(op)
-    assert np.abs(parts.reassemble(op.eps) - dense).max() < 1e-13 * np.abs(dense).max()
+    assert np.abs(D - op.eps * M1 - op.eps * M2 - dense).max() < 1e-13 * np.abs(dense).max()
 
 
 def test_time_constant_potential_has_no_offdiagonal():
@@ -83,8 +82,8 @@ def test_time_constant_potential_has_no_offdiagonal():
     w = CoeffField.zeros(3, 2)
     w.u[0, 1] = 0.4
     op = assemble_linearized(1e-2, w, 0, 3, 2, kernel=zero_kernel(2))
-    parts = split_diagonal(op)
-    assert np.abs(parts.M1).max() == 0.0
+    _, M1, _ = split_diagonal(op)
+    assert np.abs(M1).max() == 0.0
 
 
 def test_operator_matches_directional_derivative(rng):
@@ -110,7 +109,7 @@ def test_operator_matches_directional_derivative(rng):
 
 
 def test_block_diagonalization_basics():
-    blk = diagonalize_block(3, 0.0, np.zeros(1), 12)
+    blk = dense_block(3, 0.0, np.zeros(1), 12)
     kept = np.array([j for j in range(13) if j != 2])
     assert np.array_equal(blk.js, kept)
     assert np.allclose(blk.lam, (kept + 1.0) ** 2)
@@ -172,7 +171,7 @@ def test_eigenvalue_slope_and_curvature(rng):
 def test_block_orthogonality_and_weighted_normalization(rng):
     eps = 5e-3
     b0 = rng.standard_normal(6) * 0.3
-    blk = diagonalize_block(5, eps, b0, 20)
+    blk = dense_block(5, eps, b0, 20)
     V = blk.vectors[blk.js, :]  # kept coordinates
     assert np.abs(V.T @ V - np.eye(V.shape[1])).max() < 1e-10
     # rescaled eigenvectors phi = lambda^{-1} phi~ are unit in <S^2 ., .>;
@@ -189,8 +188,8 @@ def test_block_orthogonality_and_weighted_normalization(rng):
 
 def test_block_truncation_stability(rng):
     b0 = rng.standard_normal(5) * 0.3
-    a = diagonalize_block(3, 1e-3, b0, 32, want_vectors=False)
-    b = diagonalize_block(3, 1e-3, b0, 64, want_vectors=False)
+    a = diagonalize_block(3, 1e-3, b0, 32)
+    b = diagonalize_block(3, 1e-3, b0, 64)
     take = [i for i, j in enumerate(a.js) if j <= 16]
     for i in take:
         j = a.js[i]
@@ -201,8 +200,8 @@ def test_block_truncation_stability(rng):
 def test_banded_and_dense_paths_agree(rng):
     b0 = rng.standard_normal(7) * 0.4
     for ell in (0, 2, 9):
-        dense = diagonalize_block(ell, 2e-3, b0, 40, want_vectors=True)
-        banded = diagonalize_block(ell, 2e-3, b0, 40, want_vectors=False)
+        dense = dense_block(ell, 2e-3, b0, 40)
+        banded = diagonalize_block(ell, 2e-3, b0, 40)
         assert np.allclose(np.sort(dense.lam), np.sort(banded.lam), atol=1e-10)
 
 
@@ -214,8 +213,7 @@ def test_neumann_threshold_guard():
 
 def test_small_divisors_examples():
     # eps = 0, l = 5: omega_j = 5 removed; min over the rest is |25 - 16| = 9
-    blocks = [diagonalize_block(ell, 0.0, np.zeros(1), 30) for ell in (0, 5)]
-    rep = small_divisors(0.0, blocks, gamma=0.05, tau=1.5)
+    rep = small_divisors(0.0, np.zeros(1), (0, 5), 30, block=dense_block)
     assert abs(rep.alpha[0] - 1.0) < 1e-14          # alpha_0 = lambda_{0,0}
     assert rep.j_min[0] == 0
     assert abs(rep.alpha[1] - 9.0) < 1e-14
@@ -233,8 +231,7 @@ def test_divisor_table_matches_dense_blocks(rng):
     eps = 2e-3
     b0 = np.abs(rng.standard_normal(5)) * 0.3
     tab = divisor_table(eps, b0, 6, 24, gamma=0.05, tau=1.5)
-    blocks = [diagonalize_block(ell, eps, b0, 24) for ell in range(7)]
-    rep = small_divisors(eps, blocks, gamma=0.05, tau=1.5)
+    rep = small_divisors(eps, b0, range(7), 24, block=dense_block)
     assert np.allclose(tab.alpha, rep.alpha, atol=1e-11)
     assert np.array_equal(tab.j_min, rep.j_min)
 
@@ -307,50 +304,60 @@ def test_lattice_roundtrip(rng):
     assert not lat.in_lattice_support(g)
 
 
-def test_inverse_norm_power_iteration_agrees(rng):
+def test_inverse_norm_power_iteration_agrees(rng, monkeypatch):
     eps, m, Ln, J = 1e-3, 0, 8, 3
     w = random_field(rng, Ln, J, scale=0.02, decay=0.4)
     ks = solve_kernel(w, m, J_V=J)
     op = assemble_linearized(eps, w, m, Ln, J, kernel=ks.kernel)
     exact = op.inverse_norm(P)
     assert op.power_steps == 0 and op.norm_blocks >= 1
-    powered = op.inverse_norm(P, exact_threshold=0, power_iterations=60)
+    monkeypatch.setattr(linearized, "EXACT_NORM_MAX", 0)
+    monkeypatch.setattr(linearized, "_MAX_KRYLOV_STEPS", 60)
+    powered = op.inverse_norm(P)
     assert abs(powered - exact) < 1e-6 * exact
     # the stopped estimate is a lower bound (up to the exact value's own
     # rounding) within 1e-12 of the exact Gram value
-    stopped = op.inverse_norm(P, exact_threshold=0)
+    monkeypatch.setattr(linearized, "_MAX_KRYLOV_STEPS", 40)
+    stopped = op.inverse_norm(P)
     assert 0 < op.power_steps < 40 and op.norm_blocks == op.largest_block == 0
     assert exact * (1 - 1e-12) <= stopped <= exact * (1 + 1e-15)
 
 
-def test_krylov_estimate_is_monotone_lower_bound(rng):
+def test_krylov_estimate_is_monotone_lower_bound(rng, monkeypatch):
     eps, m, Ln, J = 1e-3, 0, 8, 3
     w = random_field(rng, Ln, J, scale=0.02, decay=0.4)
     op = assemble_linearized(eps, w, m, Ln, J, kernel=solve_kernel(w, m, J_V=J).kernel)
     exact = op.inverse_norm(P)
-    estimates = [op.inverse_norm(P, exact_threshold=0, power_iterations=k) for k in range(1, 9)]
+    monkeypatch.setattr(linearized, "EXACT_NORM_MAX", 0)
+    estimates = []
+    for k in range(1, 9):
+        monkeypatch.setattr(linearized, "_MAX_KRYLOV_STEPS", k)
+        estimates.append(op.inverse_norm(P))
     assert all(a <= b for a, b in zip(estimates, estimates[1:]))
     assert op.lattice.size == 32 and max(estimates) <= exact * (1 + 1e-15)
 
 
-def test_krylov_estimate_exhausts_a_small_lattice(rng):
+def test_krylov_estimate_exhausts_a_small_lattice(rng, monkeypatch):
     # four unknowns: the estimate still moves at step 3, so the Krylov space
     # is the whole lattice at step 4, where the loop must stop
     op = _branch_operator(rng, 0, 2, 1, eps=0.1)
     n = op.lattice.size
     exact = op.inverse_norm(P)
-    value = op.inverse_norm(P, exact_threshold=0, power_iterations=3 * n)
+    monkeypatch.setattr(linearized, "EXACT_NORM_MAX", 0)
+    monkeypatch.setattr(linearized, "_MAX_KRYLOV_STEPS", 3 * n)
+    value = op.inverse_norm(P)
     assert op.power_steps == n == 4
     assert exact * (1 - 1e-13) <= value <= exact * (1 + 1e-15)
 
 
 @pytest.mark.parametrize("threshold", [0, 10 ** 6], ids=["krylov", "exact"])
-def test_inverse_norm_fails_closed_on_non_finite_operator(threshold):
+def test_inverse_norm_fails_closed_on_non_finite_operator(threshold, monkeypatch):
     op = _stage0_operator(1, 32)
     op.stack[0, 0, 0] = np.nan
+    monkeypatch.setattr(linearized, "EXACT_NORM_MAX", threshold)
     with pytest.raises(ResonantSolveError, match="non-finite image at Krylov step 1"
                        if threshold == 0 else "not finite"):
-        op.inverse_norm(P, exact_threshold=threshold)
+        op.inverse_norm(P)
 
 
 def test_krylov_estimate_converges_in_few_steps_at_l128(monkeypatch):
@@ -358,16 +365,17 @@ def test_krylov_estimate_converges_in_few_steps_at_l128(monkeypatch):
     real = linearized.LinearizedOperator.inverse_norm
     seen = []
 
-    def inverse_norm(op, params, *args, **kwargs):
+    def inverse_norm(op, params):
         seen.append((op, params))
-        return real(op, params, *args, **kwargs)
+        return real(op, params)
     monkeypatch.setattr(linearized.LinearizedOperator, "inverse_norm", inverse_norm)
     run(SolverConfig(eps=2e-3, m=1, n_max=4))
     op, params = seen[-1]
     assert op.L == 128 and op.lattice.size > EXACT_NORM_MAX
     estimate = real(op, params)
     steps = op.power_steps
-    exact = real(op, params, exact_threshold=10 ** 6)
+    monkeypatch.setattr(linearized, "EXACT_NORM_MAX", 10 ** 6)
+    exact = real(op, params)
     assert 1 <= steps <= 8
     assert exact * (1 - 1e-12) <= estimate <= exact * (1 + 1e-15)
 
@@ -391,13 +399,6 @@ def test_assembly_forms_square_and_stack_once(rng, monkeypatch):
                 monkeypatch.setattr(mod, name, counted)
     assemble_linearized(2e-3, w, 1, 8, 5, kernel=kernel)
     assert calls == {"field_multiply": 1, "mult_matrix_stack": 1}
-
-
-def _block_oracle(eps, b0, L_n, J_max):
-    """Per-l banded eigensolves: the path divisor_table replaced."""
-    blocks = [diagonalize_block(ell, eps, b0, J_max, want_vectors=False)
-              for ell in range(L_n + 1)]
-    return small_divisors(eps, blocks, gamma=0.05, tau=1.5)
 
 
 def _refined_alpha(eps, b0, J_max, report):
@@ -482,7 +483,7 @@ def test_divisor_table_secular_path_matches_per_block_solves(case):
         "J-max-1": (2e-3, np.array([2.0, 0.0, 0.5]), 2, 1),
     }[case]
     tab = divisor_table(eps, b0, L_n, J_max, gamma=0.05, tau=1.5)
-    rep = _block_oracle(eps, b0, L_n, J_max)
+    rep = small_divisors(eps, b0, range(L_n + 1), J_max)
     _assert_matches_oracle(tab, rep, eps, b0, J_max)
 
 
@@ -499,7 +500,7 @@ def test_divisor_table_widens_the_window_for_a_wide_band(monkeypatch):
     monkeypatch.setattr(linearized, "_window_divisors", recorded)
     tab = divisor_table(2e-3, b0, 60, 120, gamma=0.05, tau=1.5)
     assert sizes[0] == 9 and max(sizes) >= 65
-    _assert_matches_oracle(tab, _block_oracle(2e-3, b0, 60, 120), 2e-3, b0, 120)
+    _assert_matches_oracle(tab, small_divisors(2e-3, b0, range(61), 120), 2e-3, b0, 120)
 
 
 def test_divisor_table_fails_closed_when_weyl_intervals_overlap():
@@ -509,29 +510,18 @@ def test_divisor_table_fails_closed_when_weyl_intervals_overlap():
         divisor_table(2e-3, np.array([500.0, 0.0, 300.0]), 8, 16, gamma=0.05, tau=1.5)
 
 
-def _dense_bands(kept, eps, B, bw):
-    """Banded storage of omega_j^2 + eps B on the kept modes, read from the dense B."""
-    n = len(kept)
-    bands = np.zeros((bw + 1, n))
-    bands[bw] = (kept + 1.0) ** 2 + eps * B[kept, kept]
-    for d in range(1, bw + 1):
-        bands[bw - d, d:] = eps * B[kept[: n - d], kept[d:]]
-    return bands
-
-
 @pytest.mark.parametrize("n", [65, 513, 1025])
 @pytest.mark.parametrize("bw", [0, 4, 36])
 def test_bands_from_diagonals_match_dense_bands(n, bw):
     # divisor_table and the per-block solves read only the first diagonals of
     # B, not the dense matrix: all modes, and every mode but one
-    from resonant_kg.spherical_basis import diagonal_sums, multiplication_matrix
+    from resonant_kg.spherical_basis import diagonal_sums
     b0 = np.random.default_rng(n + bw).standard_normal(bw + 1) * 0.3
     b0[0] = 2.0
-    B = multiplication_matrix(b0, n)
-    for kept, rows in ((np.arange(n), bw + 1), (linearized._kept_modes(n // 2, n), bw + 2)):
-        diag = diagonal_sums(b0, n, rows)
-        assert np.array_equal(linearized._bands(kept, 2e-3, diag, bw),
-                              _dense_bands(kept, 2e-3, B, bw))
+    for ell, rows in ((0, bw + 1), (n // 2, bw + 2)):
+        S, kept = block_matrix(ell, 2e-3, b0, n - 1)
+        dense = [np.r_[np.zeros(d), np.diagonal(S, d)] for d in range(bw, -1, -1)]
+        assert np.array_equal(linearized._bands(kept, 2e-3, diagonal_sums(b0, n, rows), bw), dense)
 
 
 def test_divisor_table_secular_path_on_assembled_b0():
@@ -542,14 +532,12 @@ def test_divisor_table_secular_path_on_assembled_b0():
     w, kernel, _ = solve_stage(0, w, kernel, cfg)
     op = assemble_linearized(cfg.eps, w, 1, 64, cfg.J_space, kernel=kernel.kernel)
     tab = divisor_table(cfg.eps, op.b0, 64, 128, gamma=0.05, tau=1.5)
-    rep = _block_oracle(cfg.eps, op.b0, 64, 128)
+    rep = small_divisors(cfg.eps, op.b0, range(65), 128)
     _assert_matches_oracle(tab, rep, cfg.eps, op.b0, 128)
     # L_n = 1024 with J_max = 2048, against the per-block oracle at 20 l
     tab = divisor_table(cfg.eps, op.b0, 1024, 2048, gamma=0.05, tau=1.5)
     ells = np.unique(np.r_[0, 1, 2, np.linspace(3, 1024, 17).astype(int)])
-    blocks = [diagonalize_block(int(ell), cfg.eps, op.b0, 2048, want_vectors=False)
-              for ell in ells]
-    rep = small_divisors(cfg.eps, blocks, gamma=0.05, tau=1.5)
+    rep = small_divisors(cfg.eps, op.b0, ells, 2048)
     sampled = linearized._divisor_report(cfg.eps, 0.05, 1.5, ells, tab.alpha[ells],
                                          tab.j_min[ells])
     _assert_matches_oracle(sampled, rep, cfg.eps, op.b0, 2048)
@@ -563,9 +551,7 @@ def test_inverse_norm_matches_svd_oracle(rng, m, Ln, J):
     op = assemble_linearized(eps, w, m, Ln, J, kernel=ks.kernel)
     assert op.lattice.size <= 300
     for params in (P, NormParams(1.0, 1.5, 2.0)):
-        wt = op.lattice.weights(params)
-        inv = np.linalg.inv(dense_matrix(op))
-        oracle = np.linalg.norm(wt[:, None] * inv / wt[None, :], 2)
+        oracle = weighted_inverse_norm(dense_matrix(op), op.lattice.weights(params))
         assert abs(op.inverse_norm(params) - oracle) <= 1e-14 * oracle
 
 
@@ -654,19 +640,15 @@ def test_neumann_solve_edge_cases(rng, monkeypatch):
 
 
 def test_run_gathers_no_dense_matrix_above_exact_max(monkeypatch):
-    # production gathers one decoupled block at a time and forms the dense
-    # matrix at no size, below EXACT_NORM_MAX as above it
+    # production gathers one decoupled block at a time, each smaller than the
+    # lattice: no dense matrix at any size, below EXACT_NORM_MAX as above it
     from resonant_kg.nash_moser import SolverConfig, run
     real_gather, gathered = linearized._gather, []
-
-    def dense(op):
-        raise AssertionError(f"dense gather at {op.lattice.size} unknowns")
 
     def gather(op, idx):
         if idx.ndim == 1:  # not the batch of one-by-one blocks
             gathered.append((len(idx), op.lattice.size))
         return real_gather(op, idx)
-    monkeypatch.setattr(linearized, "dense_matrix", dense)
     monkeypatch.setattr(linearized, "_gather", gather)
     run(SolverConfig(eps=1e-3, m=0))
     result = run(SolverConfig(eps=2e-3, m=1, n_max=4))
@@ -704,17 +686,6 @@ def _block_norm(a, w):
     one = np.array([c[0] for c in comps if len(c) == 1], dtype=int)
     return linearized._block_inverse_norm([a[np.ix_(c, c)] for c in multi],
                                           [w[c] for c in multi], a[one, one])
-
-
-def _whole_matrix_inverse_norm(a, w):
-    """The exact inverse norm on the whole matrix: one LU and one Gram eigenvalue."""
-    n = len(a)
-    inv = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), np.eye(n, order="F"))
-    inv *= w[:, None]
-    inv /= w[None, :]
-    gram = scipy.linalg.blas.dsyrk(1.0, inv, trans=1, lower=0)
-    top = scipy.linalg.eigvalsh(gram, lower=False, subset_by_index=[n - 1, n - 1])
-    return float(np.sqrt(top[0]))
 
 
 @pytest.mark.parametrize("state, blocks", [((0, 64), 6), ((1, 32), 6), ((2, 16), 8),
@@ -784,7 +755,7 @@ def test_block_inverse_norm_matches_whole_matrix_gram(m, Ln):
     for params in (P, NormParams(1.0, 1.5, 2.0)):
         value = op.inverse_norm(params)
         assert op.norm_blocks >= 6 and op.largest_block < op.lattice.size
-        oracle = _whole_matrix_inverse_norm(dense, op.lattice.weights(params))
+        oracle = weighted_inverse_norm(dense, op.lattice.weights(params))
         assert abs(value - oracle) <= 1e-14 * oracle
 
 
@@ -836,7 +807,7 @@ def test_block_inverse_norm_checks_every_block_for_singularity():
         _block_norm(a, np.ones(4))
     a = scipy.linalg.block_diag(regular, 0.5 * regular)
     w = np.array([1.0, 3.0, 2.0, 5.0])
-    oracle = np.linalg.norm(w[:, None] * np.linalg.inv(a) / w[None, :], 2)
+    oracle = weighted_inverse_norm(a, w)
     assert abs(_block_norm(a, w) - oracle) <= 1e-14 * oracle
     # a zero one-by-one block has an infinite inverse
     a = scipy.linalg.block_diag(regular, [[0.0]])
@@ -845,7 +816,7 @@ def test_block_inverse_norm_checks_every_block_for_singularity():
     for last in (0.5 * regular, [[0.1]], [[-0.7]]):
         a = scipy.linalg.block_diag(regular, [[4.0]], last)
         w = np.arange(1.0, len(a) + 1.0) ** 2
-        oracle = np.linalg.norm(w[:, None] * np.linalg.inv(a) / w[None, :], 2)
+        oracle = weighted_inverse_norm(a, w)
         assert abs(_block_norm(a, w) - oracle) <= 1e-14 * oracle
 
 
