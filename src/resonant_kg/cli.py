@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _write_manifest(outdir, config_dict, artifacts, timings):
+def _write_manifest(outdir, config_dict, artifacts, timings, stages):
     import importlib.metadata
     import numpy
     from . import __version__
@@ -102,6 +102,7 @@ def _write_manifest(outdir, config_dict, artifacts, timings):
                      "scipy": version("scipy"),
                      "python": ".".join(map(str, sys.version_info[:3]))},
         "timings_s": timings,
+        "stages": stages,
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     path = os.path.join(outdir, "manifest.json")
@@ -175,9 +176,13 @@ def cmd_solve(args) -> int:
     artifacts["solution_csv"] = os.path.join(args.out, "solution.csv")
     field_algebra.field_to_csv(result.u, artifacts["solution_csv"])
     _write_manifest(args.out, config.to_dict(), artifacts,
-                    {"solve": t1 - t0, "write": time.perf_counter() - t1})
+                    {"solve": t1 - t0, "write": time.perf_counter() - t1}, result.stages)
+    # the relative residual divides by ||u||^3, which is far from 1 on some
+    # branches: report the absolute sigma = 0 residual beside it
+    absolute = result.residual.norms[f"sigma=0,s={config.s:g},r=2"]
     print(f"converged: {len(result.trace.records)} stage records, "
-          f"residual {result.residual.relative:.3e} (relative), artifacts in {args.out}")
+          f"residual {result.residual.relative:.3e} (relative), {absolute:.3e} "
+          f"(absolute, sigma = 0), artifacts in {args.out}")
     return EXIT_OK
 
 

@@ -22,7 +22,12 @@ The weighted norm of the inverse is exact up to EXACT_NORM_MAX unknowns
 (at eps = 0 at any size) and a Krylov lower bound through the same solves
 above it: the largest singular value of B Q for B the weighted inverse and
 Q an orthonormal basis of the Krylov space of B^T B, which is at most ||B||
-because ||Q|| = 1 (Golub-Kahan).
+because ||Q|| = 1 (Golub-Kahan).  A Nash-Moser stage starts that space from
+the previous stage's top right singular vector, padded with zeros to the
+longer lattice, plus 1e-4 times the uniform vector: consecutive stages have
+nearly the same top vector, which cuts the Krylov steps, and as B is block
+diagonal under the decoupled blocks, only the uniform part reaches a block
+that the start misses.
 The exact value is the largest block norm over the decoupled blocks (6 to 10
 on a branch), which the symmetry of the S_d support and of dv_matrix gives
 before any entry is gathered; each block is then gathered on its own.
@@ -87,6 +92,10 @@ _SETTLED = 2.0 ** -40
 # and the most Krylov steps it takes.
 _POWER_RTOL = 1e-14
 _MAX_KRYLOV_STEPS = 40
+# Weight of the uniform vector in a warm Krylov start, and the products with
+# the winning block's Gram matrix that give the exact branch's top vector.
+_WARM_UNIFORM = 1e-4
+_GRAM_PRODUCTS = 4
 # Bytes of one chunk of the time fold's GEMM operand (kept cache-sized).
 _FOLD_CHUNK_BYTES = 1 << 20
 
@@ -166,7 +175,8 @@ class LinearizedOperator:
     (forward solves) of the last `inverse_norm` (0 when it was exact);
     `norm_blocks` and `largest_block` hold the count and the largest of the
     decoupled blocks (`_partition`) that the last exact `inverse_norm`
-    gathered (0 after a Krylov estimate).
+    gathered (0 after a Krylov estimate), and `top_vector` its top right
+    singular vector (None before the first call).
     """
 
     eps: float
@@ -180,6 +190,7 @@ class LinearizedOperator:
     def __post_init__(self):
         self.sweeps = 0
         self.power_steps = self.norm_blocks = self.largest_block = 0
+        self.top_vector = None
         self._split = None
         L, J = self.L, self.J
         n_k, size = self.dv_matrix.shape[0], self.stack.shape[1]
@@ -397,7 +408,7 @@ class LinearizedOperator:
         order = np.argsort(root, kind="stable")
         return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
 
-    def inverse_norm(self, params: NormParams) -> float:
+    def inverse_norm(self, params: NormParams, *, start: np.ndarray | None = None) -> float:
         """Operator norm of the inverse on the weighted (sigma, s, r) metric.
 
         With B = diag(w) Lop^{-1} diag(w)^{-1} (w the lattice weights), the
@@ -409,31 +420,53 @@ class LinearizedOperator:
         matrix is formed, and `norm_blocks` and `largest_block` record the
         split.  Above it, a Golub-Kahan (Lanczos) estimate through the
         Neumann solves and their adjoints: Krylov step k solves for
-        y_k = B q_k, where q_1 is uniform and q_k+1 is B^T y_k orthogonalized
-        twice against q_1..q_k (classical Gram-Schmidt), and returns
-        sigma_max(y_1..y_k) from their k x k Gram matrix.  As
-        ||B Q|| <= ||B|| ||Q|| = ||B||, it is a lower bound, and it never
-        decreases in k.  It stops once it changes by at most 1e-14 relative
-        (tested before the adjoint solve) or after min(_MAX_KRYLOV_STEPS, n)
-        steps, counted in `power_steps`.  A singular or non-finite operator
-        raises ResonantSolveError.
+        y_k = B q_k, where q_k+1 is B^T y_k orthogonalized twice against
+        q_1..q_k (classical Gram-Schmidt), and returns sigma_max(y_1..y_k)
+        from their k x k Gram matrix.  As ||B Q|| <= ||B|| ||Q|| = ||B||,
+        it is a lower bound, and it never decreases in k.  It stops once it
+        changes by at most 1e-14 relative (tested before the adjoint solve)
+        or after min(_MAX_KRYLOV_STEPS, n) steps, counted in `power_steps`.
+        A singular or non-finite operator raises ResonantSolveError.
+
+        q_1 is uniform on the lattice, or with `start` (a grid of shape
+        (L' + 1, J + 1) for some L' <= L, padded with zero rows) the
+        normalized start plus _WARM_UNIFORM times the uniform vector,
+        normalized.  A nearby operator's top right singular vector (a
+        previous stage's `top_vector`) cuts the Krylov steps.  The uniform
+        part must stay: B is block diagonal under `_partition`, so a Krylov
+        space started inside one block never leaves it, and the estimate
+        would stop at that block's norm.  Either branch leaves in
+        `top_vector` the top right singular vector of B (unit norm, on the
+        (L + 1, J + 1) grid): c Q for c the top eigenvector of the Krylov
+        Gram matrix, or a few products with the winning block's Gram matrix.
         """
         self.factorize()
-        w = self.lattice.weights(params)
-        n = self.lattice.size
+        lat = self.lattice
+        w = lat.weights(params)
+        n = lat.size
+        shape = lat.mask.shape
         self.power_steps = self.norm_blocks = self.largest_block = 0
         if n <= EXACT_NORM_MAX or self.eps == 0.0:
             blocks = self._partition()
             self.norm_blocks, self.largest_block = len(blocks), max(map(len, blocks))
             multi = [idx for idx in blocks if len(idx) > 1]
             one = np.array([idx for idx in blocks if len(idx) == 1], dtype=int).reshape(-1, 1)
-            return _block_inverse_norm([_gather(self, idx) for idx in multi],
-                                       [w[idx] for idx in multi], _gather(self, one).ravel())
-        shape = self.lattice.mask.shape
+            top, vec = _block_inverse_norm([_gather(self, idx) for idx in multi],
+                                           [w[idx] for idx in multi], _gather(self, one).ravel())
+            order = np.concatenate(multi + [one.ravel()])
+            self.top_vector = np.zeros(shape)
+            self.top_vector[lat.ells[order], lat.js[order]] = vec
+            return top
         wg = np.ones(shape)
-        wg[self.lattice.ells, self.lattice.js] = w
-        q = np.where(self.lattice.mask, 1.0 / np.sqrt(n), 0.0).reshape(1, -1)  # rows q_i
-        y = np.empty((0, q.shape[1]))                                         # rows B q_i
+        wg[lat.ells, lat.js] = w
+        q = np.where(lat.mask, 1.0 / np.sqrt(n), 0.0)
+        if start is not None:
+            q *= _WARM_UNIFORM
+            rows = len(start)
+            q[:rows] += np.where(lat.mask[:rows], start, 0.0) / np.linalg.norm(start)
+            q /= np.linalg.norm(q)
+        q = q.reshape(1, -1)             # rows q_i
+        y = np.empty((0, q.shape[1]))    # rows B q_i
         est, last = 0.0, min(_MAX_KRYLOV_STEPS, n)
         for step in range(1, last + 1):
             image = wg * self._neumann(q[-1].reshape(shape) / wg)
@@ -452,6 +485,7 @@ class LinearizedOperator:
                 break
             q = np.vstack([q, z / nz])
         self.power_steps = step
+        self.top_vector = (np.linalg.eigh(y @ y.T)[1][:, -1] @ q).reshape(shape)
         return est
 
 
@@ -479,7 +513,7 @@ def _gather(op: LinearizedOperator, idx: np.ndarray) -> np.ndarray:
     return mult
 
 
-def _block_inverse_norm(subs: list, weights: list, diag: np.ndarray) -> float:
+def _block_inverse_norm(subs: list, weights: list, diag: np.ndarray) -> tuple[float, np.ndarray]:
     """sigma_max(diag(w) A^-1 diag(w)^-1) for A with the blocks subs and the 1 x 1 blocks diag.
 
     w is weights[k] on block k.  B is block diagonal under the same
@@ -492,6 +526,12 @@ def _block_inverse_norm(subs: list, weights: list, diag: np.ndarray) -> float:
     the norm moves by at most 2^-60 relative.  A non-finite entry in a
     block, an exactly singular block, or max_k |A_k| max_k |A_k^-1| above
     1e300 (largest entries, the first at least 1) raises ResonantSolveError.
+
+    Also returns the top right singular vector of B, unit and zero off the
+    winning block, on the unknowns of subs in order and then of diag: a unit
+    vector for a one-by-one block, else _GRAM_PRODUCTS products of the
+    block's Gram matrix with the uniform vector (the start of the next
+    stage's Krylov estimate, which needs no more accuracy than that).
     """
     diag = np.abs(diag)
     if not (np.isfinite(diag).all() and all(np.isfinite(sub).all() for sub in subs)):
@@ -508,13 +548,26 @@ def _block_inverse_norm(subs: list, weights: list, diag: np.ndarray) -> float:
         inv_size = max([np.max(inv_diag, initial=0.0)] + [np.abs(inv).max() for inv in invs])
         if not size * inv_size <= 1e300:  # also catches a NaN
             raise singular
+    offsets = np.cumsum([0] + [len(sub) for sub in subs])
+    vec = np.zeros(offsets[-1] + len(diag))
     top = float(np.max(inv_diag, initial=0.0))
-    for w, inv in zip(weights, invs):
+    if len(diag):
+        vec[offsets[-1] + np.argmax(inv_diag)] = 1.0
+    for k, (w, inv) in enumerate(zip(weights, invs)):
         inv *= w[:, None]
         inv /= w[None, :]
         inv[np.abs(inv) < 2.0 ** -60 * np.abs(inv).max() / len(inv)] = 0.0
-        top = max(top, float(np.sqrt(np.linalg.eigvalsh(inv.T @ inv)[-1])))
-    return top
+        gram = inv.T @ inv
+        value = float(np.sqrt(np.linalg.eigvalsh(gram)[-1]))
+        if value > top:
+            top, x = value, np.ones(len(gram))
+            for _ in range(_GRAM_PRODUCTS):
+                x = gram @ x
+                x /= np.linalg.norm(x)
+            vec[:] = 0.0
+            vec[offsets[k] : offsets[k + 1]] = x
+        del gram  # else two Gram matrices are alive while the next one is formed
+    return top, vec
 
 
 def assemble_linearized(eps: float, w: CoeffField, m: int, L_n: int, J_max: int,

@@ -310,13 +310,17 @@ def solve_stage0(config: SolverConfig):
     return w, kernel, rec
 
 
-def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig):
-    """One Nash-Moser stage: solve for h_{n+1} on W^(n+1), return (w, kernel, record).
+def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig,
+                start: np.ndarray | None = None):
+    """One Nash-Moser stage: solve for h_{n+1} on W^(n+1).
 
+    Returns (w, kernel, record, stats, top): stats holds the sizes,
+    iteration counts and seconds per phase, which are also logged as one
+    INFO line, and top is the inverse norm's top singular vector, the
+    `start` of the next stage's norm (`LinearizedOperator.inverse_norm`).
     Raises MelnikovExcludedError when eps fails the stage conditions (the
     amplitude is excluded, not a numerical failure) and ContractionError when
-    the Picard loop stops contracting.  Logs one INFO line per stage with the
-    sizes, iteration counts and the seconds spent in each phase.
+    the Picard loop stops contracting.
     """
     eps = config.eps
     sigmas = config.sigmas()
@@ -362,7 +366,7 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig):
     stage_residual = _stage_residual(w_next, kernel_next.kernel, L_next, eps, params_next)
 
     t_norm = time.perf_counter()
-    inv_norm = op.inverse_norm(params_next)
+    inv_norm = op.inverse_norm(params_next, start=start)
     t_norm = time.perf_counter() - t_norm
     inv_exact = op.norm_blocks > 0  # the exact branch ran
     inv_bound = (648.0 / config.gamma) * L_next ** (config.tau - 1.0)
@@ -375,11 +379,16 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig):
         with np.errstate(divide="ignore"):
             div_margin = float(np.min(table.alpha / table.floor))
     t_table = time.perf_counter() - t_table
-    log.info("stage %d L_n=%d unknowns=%d picard_iters=%d neumann_sweeps=%d+%d "
-             "power_steps=%d norm_blocks=%d largest_block=%d assembly_s=%.3f picard_s=%.3f "
-             "inverse_norm_s=%.3f divisor_table_s=%.3f", n + 1, L_next, op.lattice.size, iters,
-             picard_sweeps, op.sweeps - picard_sweeps, op.power_steps, op.norm_blocks,
-             op.largest_block, t_assembled - t_start, t_picard, t_norm, t_table)
+    stats = dict(stage=n + 1, L_n=L_next, unknowns=op.lattice.size, picard_iters=iters,
+                 picard_sweeps=picard_sweeps, norm_sweeps=op.sweeps - picard_sweeps,
+                 power_steps=op.power_steps, norm_blocks=op.norm_blocks,
+                 largest_block=op.largest_block, assembly_s=t_assembled - t_start,
+                 picard_s=t_picard, inverse_norm_s=t_norm, divisor_table_s=t_table)
+    log.info("stage %(stage)d L_n=%(L_n)d unknowns=%(unknowns)d picard_iters=%(picard_iters)d "
+             "neumann_sweeps=%(picard_sweeps)d+%(norm_sweeps)d power_steps=%(power_steps)d "
+             "norm_blocks=%(norm_blocks)d largest_block=%(largest_block)d "
+             "assembly_s=%(assembly_s).3f picard_s=%(picard_s).3f "
+             "inverse_norm_s=%(inverse_norm_s).3f divisor_table_s=%(divisor_table_s).3f", stats)
 
     rec = StageRecord(n=n + 1, L_n=L_next, sigma_n=sigmas[n + 1],
                       h_norm=h.norm(params_next), w_norm=w_next.norm(params_next),
@@ -390,7 +399,7 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig):
                       r_norm=r_norm, r_smoothing_bound=r_smooth_bound,
                       divisor_ok=div_ok, divisor_min_margin=div_margin,
                       discarded_norm=discarded, inverse_norm_exact=inv_exact)
-    return w_next, kernel_next, rec
+    return w_next, kernel_next, rec, stats, op.top_vector
 
 
 @dataclass
@@ -454,22 +463,28 @@ class RunResult:
     u: CoeffField
     trace: SolveTrace
     residual: ResidualReport
+    # solve_stage's stats of stages 1..n_max: timings stay out of the trace
+    stages: list
 
 
 def run(config: SolverConfig) -> RunResult:
     """Full pipeline: stage 0, stages 1..n_max, assembly and verification.
 
+    Each stage's inverse norm starts from the previous stage's top singular
+    vector; `stages` collects the stats of every stage.
+
     The assembled solution is u = v(w) + w in rescaled variables; the
     physical solution of amplitude eps is sqrt(eps) u(omega t, x).
     """
-    trace = SolveTrace()
+    trace, stages, top = SolveTrace(), [], None
     w, kernel, rec = solve_stage0(config)
     trace.records.append(rec)
     for n in range(config.n_max):
-        w, kernel, rec = solve_stage(n, w, kernel, config)
+        w, kernel, rec, stats, top = solve_stage(n, w, kernel, config, top)
         trace.records.append(rec)
+        stages.append(stats)
     u = total_field(kernel.kernel, w)
     sig_values = (0.0, config.sigma_bar / 2.0, round(config.sigma_inf, 6))
     residual = verify_solution(u, config.eps, s=config.s, sigma_values=sig_values)
     return RunResult(config=config, w=w, kernel=kernel.kernel, u=u,
-                     trace=trace, residual=residual)
+                     trace=trace, residual=residual, stages=stages)

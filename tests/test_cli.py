@@ -15,9 +15,10 @@ def solve_args(out, eps="1e-3", stages="2", extra=()):
             "--no-divisors", "--out", str(out), *extra]
 
 
-def test_solve_writes_roundtrippable_artifacts(tmp_path):
+def test_solve_writes_roundtrippable_artifacts(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(solve_args(out)) == 0
+    summary = capsys.readouterr().out
     names = {"solution.field", "range_part.field", "kernel.json", "trace.jsonl",
              "residual_report.json", "solution.csv", "manifest.json"}
     assert names <= set(os.listdir(out))
@@ -29,6 +30,9 @@ def test_solve_writes_roundtrippable_artifacts(tmp_path):
     assert abs(2 * u.u[1, 0] - np.sqrt(4.0 / 3.0)) < 0.01
     report = json.loads((out / "residual_report.json").read_text())
     assert report["relative"] < 1e-10
+    # the summary line gives the absolute sigma = 0 residual beside the relative one
+    assert (f"residual {report['relative']:.3e} (relative), "
+            f"{report['norms']['sigma=0,s=1,r=2']:.3e} (absolute, sigma = 0)") in summary
     # golden comparison: the CLI output equals the library result bit-for-bit
     config = SolverConfig(**manifest["config"])
     lib = run(config)
@@ -145,7 +149,31 @@ def test_solve_verbose_reports_krylov_stage(tmp_path, capsys):
     assert "L_n=128 unknowns=2432 " in lines[3]
     assert " norm_blocks=0 largest_block=0 " in lines[3]
     steps = int(lines[3].split("power_steps=")[1].split()[0])
-    assert 1 <= steps <= 8
+    assert 1 <= steps <= 5
+
+
+def test_solve_manifest_records_every_stage(tmp_path, capsys):
+    # the numbers of the --verbose line go to manifest.json with or without
+    # --verbose, and never to the trace
+    args = ["solve", "--eps", "2e-3", "--m", "1", "--stages", "4", "--no-divisors"]
+    assert main(args + ["--out", str(tmp_path / "quiet")]) == 0
+    assert main(args + ["--out", str(tmp_path / "loud"), "--verbose"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    stages = json.loads((tmp_path / "quiet" / "manifest.json").read_text())["stages"]
+    counts = ("L_n", "unknowns", "picard_iters", "power_steps", "norm_blocks",
+              "largest_block")
+    seconds = ("assembly_s", "picard_s", "inverse_norm_s", "divisor_table_s")
+    assert [s["stage"] for s in stages] == [1, 2, 3, 4]
+    for stage, line in zip(stages, lines):
+        assert set(stage) == {"stage", "picard_sweeps", "norm_sweeps", *counts, *seconds}
+        for key in counts:
+            assert f" {key}={stage[key]} " in line
+        assert f" neumann_sweeps={stage['picard_sweeps']}+{stage['norm_sweeps']} " in line
+        assert all(stage[key] >= 0.0 for key in seconds)
+        assert stage["picard_sweeps"] > 0 and stage["norm_sweeps"] >= 0
+    assert [s["power_steps"] > 0 for s in stages] == [False] * 3 + [True]
+    assert (tmp_path / "loud" / "trace.jsonl").read_bytes() == \
+        (tmp_path / "quiet" / "trace.jsonl").read_bytes()
 
 
 def test_measure_command(tmp_path):

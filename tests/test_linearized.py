@@ -365,19 +365,64 @@ def test_krylov_estimate_converges_in_few_steps_at_l128(monkeypatch):
     real = linearized.LinearizedOperator.inverse_norm
     seen = []
 
-    def inverse_norm(op, params):
-        seen.append((op, params))
-        return real(op, params)
+    def inverse_norm(op, params, **kwargs):
+        seen.append((op, params, kwargs))
+        return real(op, params, **kwargs)
     monkeypatch.setattr(linearized.LinearizedOperator, "inverse_norm", inverse_norm)
     run(SolverConfig(eps=2e-3, m=1, n_max=4))
-    op, params = seen[-1]
+    op, params, kwargs = seen[-1]
     assert op.L == 128 and op.lattice.size > EXACT_NORM_MAX
-    estimate = real(op, params)
+    estimate = real(op, params, **kwargs)
     steps = op.power_steps
     monkeypatch.setattr(linearized, "EXACT_NORM_MAX", 10 ** 6)
     exact = real(op, params)
-    assert 1 <= steps <= 8
+    assert 1 <= steps <= 5
     assert exact * (1 - 1e-12) <= estimate <= exact * (1 + 1e-15)
+
+
+def test_warm_started_krylov_estimate_matches_exact_at_both_krylov_stages(monkeypatch):
+    # stage 4 starts from the exact branch's top vector of stage 3, stage 5
+    # from the Krylov top vector of stage 4; the uniform start takes 7 steps
+    from resonant_kg.nash_moser import SolverConfig, run
+    real = linearized.LinearizedOperator.inverse_norm
+    seen = []
+
+    def inverse_norm(op, params, **kwargs):
+        value = real(op, params, **kwargs)
+        seen.append((op, params, value, op.power_steps))
+        return value
+    monkeypatch.setattr(linearized.LinearizedOperator, "inverse_norm", inverse_norm)
+    run(SolverConfig(eps=2e-3, m=1, n_max=5))
+    monkeypatch.setattr(linearized, "EXACT_NORM_MAX", 10 ** 6)
+    assert [op.L for op, *_ in seen[-2:]] == [128, 256]
+    for op, params, estimate, steps in seen[-2:]:
+        exact = real(op, params)
+        assert op.norm_blocks > 0 and 1 <= steps <= 5
+        assert exact * (1 - 1e-12) <= estimate <= exact * (1 + 1e-15)
+
+
+def test_warm_start_inside_one_block_still_finds_the_norm(monkeypatch):
+    # m = 2 at stage 1: block 1 holds the norm 113.0, block 0 only 22.27.  A
+    # start inside block 0 reaches block 1 through its uniform part alone
+    from resonant_kg.nash_moser import SolverConfig
+    cfg = SolverConfig(eps=2e-3, m=2)
+    op = _stage0_operator(2, cfg.L(1))
+    params = NormParams(cfg.sigmas()[1], cfg.s)
+    exact = op.inverse_norm(params)
+    blocks = op._partition()
+    weights = op.lattice.weights(params)
+    first, _ = linearized._block_inverse_norm([linearized._gather(op, blocks[0])],
+                                              [weights[blocks[0]]], np.empty(0))
+    assert 110.0 < exact and 22.0 < first < 23.0
+    start = np.zeros(op.lattice.mask.shape)
+    start[op.lattice.ells[blocks[0]], op.lattice.js[blocks[0]]] = 1.0
+    monkeypatch.setattr(linearized, "EXACT_NORM_MAX", 0)
+    value = op.inverse_norm(params, start=start)
+    assert abs(value - exact) <= 1e-12 * exact
+    # negative control: without the uniform part the estimate stays in block 0
+    monkeypatch.setattr(linearized, "_WARM_UNIFORM", 0.0)
+    trapped = op.inverse_norm(params, start=start)
+    assert abs(trapped - first) <= 1e-12 * first
 
 
 def test_assembly_forms_square_and_stack_once(rng, monkeypatch):
@@ -529,7 +574,7 @@ def test_divisor_table_secular_path_on_assembled_b0():
     from resonant_kg.nash_moser import SolverConfig, solve_stage, solve_stage0
     cfg = SolverConfig(eps=2e-3, m=1, n_max=2, divisor_diagnostics=False)
     w, kernel, _ = solve_stage0(cfg)
-    w, kernel, _ = solve_stage(0, w, kernel, cfg)
+    w, kernel, *_ = solve_stage(0, w, kernel, cfg)
     op = assemble_linearized(cfg.eps, w, 1, 64, cfg.J_space, kernel=kernel.kernel)
     tab = divisor_table(cfg.eps, op.b0, 64, 128, gamma=0.05, tau=1.5)
     rep = small_divisors(cfg.eps, op.b0, range(65), 128)
@@ -685,7 +730,7 @@ def _block_norm(a, w):
     multi = [c for c in comps if len(c) > 1]
     one = np.array([c[0] for c in comps if len(c) == 1], dtype=int)
     return linearized._block_inverse_norm([a[np.ix_(c, c)] for c in multi],
-                                          [w[c] for c in multi], a[one, one])
+                                          [w[c] for c in multi], a[one, one])[0]
 
 
 @pytest.mark.parametrize("state, blocks", [((0, 64), 6), ((1, 32), 6), ((2, 16), 8),
@@ -820,6 +865,31 @@ def test_block_inverse_norm_checks_every_block_for_singularity():
         assert abs(_block_norm(a, w) - oracle) <= 1e-14 * oracle
 
 
+@pytest.mark.parametrize("diag, winner", [([4.0], [2, 3]), ([0.1, 4.0], [4])],
+                         ids=["block", "one-by-one"])
+def test_block_inverse_norm_returns_the_top_vector(diag, winner):
+    # the vector is on the unknowns of the blocks in order, then of diag,
+    # and zero off the block that holds the norm
+    regular = np.array([[2.0, 1.0], [1.0, 3.0]])
+    subs = [regular, 0.3 * regular]
+    a = scipy.linalg.block_diag(*subs, *[[[d]] for d in diag])
+    w = np.arange(1.0, len(a) + 1.0)
+    value, x = linearized._block_inverse_norm([s.copy() for s in subs], [w[:2], w[2:4]],
+                                              np.array(diag))
+    assert abs(value - weighted_inverse_norm(a, w)) <= 1e-14 * value
+    assert np.flatnonzero(x).tolist() == winner
+    assert abs(np.linalg.norm(x) - 1.0) <= 1e-15
+    # _GRAM_PRODUCTS products of the block's Gram matrix with the uniform
+    # vector u: the components of u past the top right singular vector v_0
+    # shrink by (s_i / s_0)^2 per product
+    b = (w[:, None] * np.linalg.inv(a) / w[None, :])[np.ix_(winner, winner)]
+    _, sv, vt = np.linalg.svd(b)
+    u = np.ones(len(b))
+    tan = np.linalg.norm((vt[1:] @ u) * (sv[1:] / sv[0]) ** (2 * linearized._GRAM_PRODUCTS))
+    cos = 1.0 / np.hypot(1.0, tan / abs(vt[0] @ u))
+    assert abs(abs(x[winner] @ vt[0]) - cos) <= 1e-14
+
+
 def test_block_norm_drops_entries_below_its_resolution(monkeypatch):
     # a upper triangular with order-one inverse: the weighted inverse
     # B_ij = (a^-1)_ij w_i / w_j spans 1 down to 1e-300 above the diagonal
@@ -834,7 +904,7 @@ def test_block_norm_drops_entries_below_its_resolution(monkeypatch):
         grams.append(g)
         return real_eigvalsh(g)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-    value = linearized._block_inverse_norm([a], [w], np.empty(0))
+    value, _ = linearized._block_inverse_norm([a], [w], np.empty(0))
     # the entries below 2^-60 max|B| / 4 are zero in the Gram matrix, and the
     # norm moves by at most 2^-60 relative, below one rounding
     assert np.count_nonzero(grams[0]) < np.count_nonzero(b.T @ b)

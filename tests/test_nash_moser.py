@@ -282,7 +282,7 @@ def test_solve_stage_reads_its_state_from_the_operator(monkeypatch):
     def refuse(w, v):
         raise AssertionError("mean_potential recomputes q")
     monkeypatch.setattr(resonance, "mean_potential", refuse)
-    _, _, rec = solve_stage(0, w, kernel, cfg)
+    _, _, rec, *_ = solve_stage(0, w, kernel, cfg)
     assert rec.melnikov_ok
     # the stage-1 correction is O(1e-2) on m = 1, so a wrong quadratic
     # remainder h'^2 (3u + h') leaves a residual far above 3.5e-13
