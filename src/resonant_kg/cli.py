@@ -224,6 +224,7 @@ def cmd_measure(args) -> int:
     etas = sorted(set(args.eta), reverse=True)
     try:
         params = ResonanceParams(args.gamma, args.tau, eps0=max(etas))
+        SolverConfig(eps=max(etas), m=args.m)  # the mean-curve solves' parameters
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -260,9 +261,9 @@ def cmd_measure(args) -> int:
 def _load_run(run_dir):
     """(range part, time-mean potential b0, config) of a run directory.
 
-    FileNotFoundError for a missing artifact, ValueError for a corrupt one.
+    FileNotFoundError for a missing artifact, ValueError naming the file for a
+    corrupt one, such as non-numeric coefficients or a config without finite eps, gamma, tau.
     """
-    import numpy as np
     from .bifurcation import KernelField, total_field
     from .field_algebra import field_multiply, load_field
     needed = ["range_part.field", "kernel.json", "manifest.json"]
@@ -279,8 +280,19 @@ def _load_run(run_dir):
             except ValueError as exc:
                 raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     kernel_data, manifest = documents
-    u = total_field(KernelField(np.array(kernel_data["coefficients"])), w)
-    return w, 3.0 * field_multiply(u, u).u[0], manifest["config"]
+
+    def number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+    coefficients = kernel_data.get("coefficients") if isinstance(kernel_data, dict) else None
+    if not (isinstance(coefficients, list) and all(map(number, coefficients))):
+        raise ValueError(f"{os.path.join(run_dir, 'kernel.json')}: coefficients are not numbers")
+    config = manifest.get("config") if isinstance(manifest, dict) else None
+    if not (isinstance(config, dict) and all(number(config.get(k)) and math.isfinite(config[k])
+                                             for k in ("eps", "gamma", "tau"))):
+        raise ValueError(f"{os.path.join(run_dir, 'manifest.json')}: config lacks finite "
+                         "eps, gamma or tau")
+    u = total_field(KernelField(coefficients), w)
+    return w, 3.0 * field_multiply(u, u).u[0], config
 
 
 def cmd_divisors(args) -> int:

@@ -45,11 +45,14 @@ __all__ = [
     "project_range",
     "time_cutoff",
     "zero_resonant_mode",
+    "kernel_mask",
+    "wave_symbol",
     "smoothing_bound_check",
     "sobolev_trade_check",
     "save_field",
     "load_field",
     "field_to_csv",
+    "write_csv",
 ]
 
 _MAGIC = b"RKGF"
@@ -190,10 +193,8 @@ class CoeffField:
         return CoeffField(wj2[None, :] * self.u)
 
     def apply_wave_symbol(self, omega: float) -> "CoeffField":
-        """-omega^2 d_tt - A: entry (l, j) multiplied by omega^2 l^2 - omega_j^2."""
-        ell2 = np.arange(self.L + 1, dtype=float) ** 2
-        wj2 = (np.arange(self.J + 1, dtype=float) + 1.0) ** 2
-        return CoeffField((omega * omega * ell2[:, None] - wj2[None, :]) * self.u)
+        """-omega^2 d_tt - A: entry (l, j) multiplied by wave_symbol(omega, L, J)."""
+        return CoeffField(wave_symbol(omega, self.L, self.J) * self.u)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -205,6 +206,13 @@ class CoeffField:
         T = np.cos(np.outer(np.arange(self.L + 1), t))  # (L+1, nt)
         E = sb.evaluate_basis(self.J, x)                # (J+1, nx)
         return T.T @ (doubling[:, None] * self.u) @ E
+
+
+def wave_symbol(omega: float, L: int, J: int) -> np.ndarray:
+    """The symbol omega^2 l^2 - omega_j^2 of -omega^2 d_tt - A on the (L+1, J+1) grid."""
+    ell2 = np.arange(L + 1, dtype=float) ** 2
+    wj2 = (np.arange(J + 1, dtype=float) + 1.0) ** 2
+    return omega * omega * ell2[:, None] - wj2[None, :]
 
 
 def _support(u: np.ndarray):
@@ -284,7 +292,7 @@ def fold_entries(stack: np.ndarray, l_out, j_out, l_in, j_in) -> np.ndarray:
 # -- Lyapunov-Schmidt projectors ---------------------------------------------
 
 
-def _kernel_mask(L: int, J: int) -> np.ndarray:
+def kernel_mask(L: int, J: int) -> np.ndarray:
     """Boolean mask of the resonant diagonal l = omega_j = j + 1."""
     ell = np.arange(L + 1)[:, None]
     j = np.arange(J + 1)[None, :]
@@ -293,13 +301,13 @@ def _kernel_mask(L: int, J: int) -> np.ndarray:
 
 def project_kernel(f: CoeffField) -> CoeffField:
     """Keep exactly the entries with l = omega_j (kernel of -d_tt - A)."""
-    out = np.where(_kernel_mask(f.L, f.J), f.u, 0.0)
+    out = np.where(kernel_mask(f.L, f.J), f.u, 0.0)
     return CoeffField(out)
 
 
 def project_range(f: CoeffField) -> CoeffField:
     """Zero the resonant diagonal l = omega_j (range of -d_tt - A)."""
-    out = np.where(_kernel_mask(f.L, f.J), 0.0, f.u)
+    out = np.where(kernel_mask(f.L, f.J), 0.0, f.u)
     return CoeffField(out)
 
 
@@ -425,12 +433,13 @@ def load_field(path) -> CoeffField:
     return CoeffField(data.reshape(L + 1, J + 1).copy())
 
 
-def field_to_csv(f: CoeffField, path) -> None:
-    """(l, j, value) rows for plotting; zeros are skipped."""
+def write_csv(path, header: list, rows) -> None:
+    """Write a CSV artifact: the header, then the rows (an iterable of lists)."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["ell", "j", "value"])
-        for ell in range(f.L + 1):
-            for j in range(f.J + 1):
-                if f.u[ell, j] != 0.0:
-                    w.writerow([ell, j, repr(float(f.u[ell, j]))])
+        csv.writer(fh).writerows([header, *rows])
+
+
+def field_to_csv(f: CoeffField, path) -> None:
+    """(l, j, value) rows for plotting, row-major; zeros are skipped, NaN kept."""
+    write_csv(path, ["ell", "j", "value"],
+              ([int(ell), int(j), repr(float(f.u[ell, j]))] for ell, j in zip(*np.nonzero(f.u))))

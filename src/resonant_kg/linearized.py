@@ -50,17 +50,15 @@ test oracles (tests/oracles.py).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import spherical_basis as sb
-from .bifurcation import (KernelField, KernelSolveResult, kernel_derivative_matrix,
-                          solve_kernel, total_field)
+from .bifurcation import KernelField, kernel_derivative_matrix, total_field
 from .field_algebra import (CoeffField, NormParams, field_multiply, fold_entries,
-                            mult_matrix_stack)
+                            kernel_mask, mult_matrix_stack, wave_symbol, write_csv)
 
 __all__ = [
     "WLattice",
@@ -119,11 +117,11 @@ class WLattice:
     mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        ll, jj = np.meshgrid(np.arange(self.L + 1), np.arange(self.J + 1), indexing="ij")
-        keep = jj != ll - 1
-        object.__setattr__(self, "ells", ll[keep].copy())
-        object.__setattr__(self, "js", jj[keep].copy())
-        object.__setattr__(self, "mask", keep)
+        mask = ~kernel_mask(self.L, self.J)
+        ells, js = np.nonzero(mask)
+        object.__setattr__(self, "ells", ells)
+        object.__setattr__(self, "js", js)
+        object.__setattr__(self, "mask", mask)
 
     @property
     def size(self) -> int:
@@ -151,17 +149,10 @@ class WLattice:
             np.maximum(ell, 1.0) ** params.s * wj ** params.r
 
     def in_lattice_support(self, f: CoeffField) -> bool:
-        """True if every nonzero entry of f sits on a lattice point."""
-        g = f.u.copy()
-        top_l = min(self.L, f.L)
-        top_j = min(self.J, f.J)
-        sub = g[: top_l + 1, : top_j + 1]
-        ll, jj = np.meshgrid(np.arange(top_l + 1), np.arange(top_j + 1), indexing="ij")
-        sub = np.where(jj == ll - 1, sub, 0.0)
-        outside = float(np.abs(sub).max(initial=0.0))
-        g[: top_l + 1, : top_j + 1] = 0.0
-        outside = max(outside, float(np.abs(g).max(initial=0.0)))
-        return outside == 0.0
+        """True if every nonzero entry of f sits on a lattice point (NaN counts as nonzero)."""
+        g = f.padded(self.L, self.J).u
+        g[: self.L + 1, : self.J + 1][self.mask] = 0.0
+        return not g.any()
 
 
 @dataclass
@@ -210,9 +201,7 @@ class LinearizedOperator:
         self._stacked[np.abs(self._stacked) < np.finfo(float).tiny] = 0.0
         self._chunk = max(1, _FOLD_CHUNK_BYTES // (8 * self._rows * size))
         self._kernel_slots = (np.arange(n_k) + 1, np.arange(n_k))
-        ell = np.arange(L + 1, dtype=float)[:, None]
-        wj = np.arange(J + 1, dtype=float)[None, :] + 1.0
-        self._symbol = self.omega ** 2 * ell ** 2 - wj ** 2
+        self._symbol = wave_symbol(self.omega, L, J)
         dv_grid = np.zeros((n_k, (L + 1) * (J + 1)))
         dv_grid[:, self.lattice.ells * (J + 1) + self.lattice.js] = self.dv_matrix
         self._dv_grid = dv_grid
@@ -570,22 +559,19 @@ def _block_inverse_norm(subs: list, weights: list, diag: np.ndarray) -> tuple[fl
     return top, vec
 
 
-def assemble_linearized(eps: float, w: CoeffField, m: int, L_n: int, J_max: int,
-                        kernel: KernelSolveResult | KernelField | None = None
-                        ) -> LinearizedOperator:
-    """Build the linearized operator at (eps, w) on the (L_n, J_max) lattice.
+def assemble_linearized(eps: float, w: CoeffField, kernel: KernelField, L_n: int,
+                        J_max: int) -> LinearizedOperator:
+    """Build the linearized operator at the state v + w on the (L_n, J_max) lattice.
 
-    q = (v + w)^2 is formed once, and one S_d stack of b = 3 q serves the
-    product by b and the kernel derivative dv.
+    The caller solves the kernel v = v(w) on its own branch.  q = (v + w)^2
+    is formed once, and one S_d stack of b = 3 q serves the product by b and
+    the kernel derivative dv.
     """
     omega = float(np.sqrt(1.0 + eps))
-    if kernel is None:
-        kernel = solve_kernel(w, m, J_V=J_max)
-    kf = kernel.kernel if isinstance(kernel, KernelSolveResult) else kernel
     lattice = WLattice(L_n, J_max)
-    u = total_field(kf, w)
+    u = total_field(kernel, w)
     q = field_multiply(u, u)
-    n_k = kf.J + 1
+    n_k = kernel.J + 1
     stack = mult_matrix_stack(3.0 * q, max(J_max + 1, n_k),
                               max(2 * L_n, L_n + n_k, 2 * n_k))
     dv = kernel_derivative_matrix(stack, n_k, lattice.ells, lattice.js)
@@ -682,13 +668,10 @@ class DivisorReport:
         return bool(np.all(self.ok))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["ell", "alpha", "j_min", "floor", "ok"])
-            for i in range(len(self.ells)):
-                w.writerow([int(self.ells[i]), repr(float(self.alpha[i])),
-                            int(self.j_min[i]), repr(float(self.floor[i])),
-                            int(self.ok[i])])
+        write_csv(path, ["ell", "alpha", "j_min", "floor", "ok"],
+                  ([int(ell), repr(float(a)), int(j), repr(float(fl)), int(ok)]
+                   for ell, a, j, fl, ok in zip(self.ells, self.alpha, self.j_min,
+                                                self.floor, self.ok)))
 
 
 def _divisor_report(eps: float, gamma: float, tau: float, ells: np.ndarray,
@@ -840,9 +823,6 @@ def pairwise_divisor_constant(report: DivisorReport) -> float:
 
 
 def spectrum_to_csv(blocks: list[SpectralBlock], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["ell", "j", "lambda"])
-        for blk in blocks:
-            for j, lam in zip(blk.js, blk.lam):
-                w.writerow([blk.ell, int(j), repr(float(lam))])
+    write_csv(path, ["ell", "j", "lambda"],
+              ([blk.ell, int(j), repr(float(lam))] for blk in blocks
+               for j, lam in zip(blk.js, blk.lam)))

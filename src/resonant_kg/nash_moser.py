@@ -22,8 +22,8 @@ Stage 0 and the later stages run one fixed-point loop, `_contract`, each
 passing it its own step.  The loop stops once an update falls below
 PICARD_TOL max(1, ||x||), and raises ContractionError on a non-finite
 update, on an update that grows above ten times that level, and after
-PICARD_MAX iterations.  One function, `_stage_residual`, forms the
-certificate residual of every stage.
+PICARD_MAX iterations.  One function, `_residual`, forms the residual of
+the equation, for the certificate of every stage and for `verify_solution`.
 
 The stage state u = v(w_n) + w_n and q = u^2 are formed once, by the
 operator assembly; the Melnikov mean comes from q and Gamma(u) = u^3 is q u.
@@ -40,14 +40,15 @@ from __future__ import annotations
 import json
 import logging
 import math
+import resource
 import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from .bifurcation import KernelField, solve_kernel, total_field
-from .field_algebra import (CoeffField, NormParams, field_multiply, project_range,
-                            time_cutoff)
+from .field_algebra import (CoeffField, NormParams, field_multiply, kernel_mask,
+                            project_range, time_cutoff, wave_symbol)
 from .linearized import assemble_linearized, divisor_table
 from .resonance import ResonanceParams, check_stage_conditions, melnikov_mean
 
@@ -110,10 +111,7 @@ class SolverConfig:
                 raise ValueError(f"{name} must be finite")
         if self.eps < 0:
             raise ValueError("eps must be >= 0")
-        if not 0.0 < self.gamma < 1.0 / 6.0:
-            raise ValueError("gamma must lie in (0, 1/6)")
-        if not 1.0 < self.tau < 2.0:
-            raise ValueError("tau must lie in (1, 2)")
+        self.resonance_params()  # gamma in (0, 1/6), tau in (1, 2)
         if self.s <= 0.5:
             raise ValueError("s must exceed 1/2")
         if self.sigma_bar <= 0:
@@ -122,6 +120,8 @@ class SolverConfig:
             raise ValueError("need pi^2 theta / 6 < sigma_bar / 2")
         if self.L0 < 1 or self.n_max < 0:
             raise ValueError("L0 >= 1 and n_max >= 0 required")
+        if self.m < 0:
+            raise ValueError("m must be >= 0")
         if self.J_space is None:
             self.J_space = 2 if self.m == 0 else 16 * self.m + 2
         if self.J_space < self.m:
@@ -243,13 +243,16 @@ def _contract(step, x: CoeffField, params: NormParams, label: str):
     raise ContractionError(f"{label} loop did not converge in {PICARD_MAX} iterations")
 
 
+def _residual(u: CoeffField, eps: float) -> CoeffField:
+    """(-omega^2 d_tt - A) u - eps u^3, with the cube from two exact products."""
+    cube = field_multiply(field_multiply(u, u), u)
+    return u.padded(cube.L, cube.J).apply_wave_symbol(math.sqrt(1.0 + eps)) - eps * cube
+
+
 def _stage_residual(w: CoeffField, v: KernelField, L: int, eps: float,
                     params: NormParams) -> float:
-    """Norm of the L-truncated range equation at (w, v), with no spatial truncation."""
-    gam = _gamma_field(v, w)
-    resid = (w.padded(gam.L, gam.J).apply_wave_symbol(math.sqrt(1.0 + eps))
-             - eps * project_range(time_cutoff(gam, L)))
-    return resid.norm(params)
+    """Norm of P_L Pi_W of the residual at v + w (no spatial truncation): w's range equation."""
+    return project_range(time_cutoff(_residual(total_field(v, w), eps), L)).norm(params)
 
 
 def stage0_contracts(eps: float, L0: int) -> bool:
@@ -267,17 +270,14 @@ def solve_stage0(config: SolverConfig):
     the current w.  At eps = 0 the solution is w = 0 and no step is taken.
     """
     eps = config.eps
-    omega = math.sqrt(1.0 + eps)
     if not stage0_contracts(eps, config.L0):
         raise ContractionError(
             f"initialization precondition eps*L0/(omega+1) <= 1/2 violated "
             f"(eps={eps}, L0={config.L0})")
     L0, J = config.L0, config.J_space
     params = NormParams(config.sigma_bar, config.s)
-    ell = np.arange(L0 + 1, dtype=float)
-    wj = np.arange(J + 1, dtype=float) + 1.0
-    symbol = omega ** 2 * ell[:, None] ** 2 - wj[None, :] ** 2
-    in_range = ell[:, None] != wj[None, :]  # W excludes the resonant diagonal
+    symbol = wave_symbol(math.sqrt(1.0 + eps), L0, J)
+    in_range = ~kernel_mask(L0, J)  # W excludes the resonant diagonal
     sym_min = float(np.abs(symbol[in_range & (symbol != 0.0)]).min())
     kernel = None
     discarded = 0.0
@@ -330,7 +330,7 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig,
     params_next = NormParams(sigmas[n + 1], config.s)
 
     t_start = time.perf_counter()
-    op = assemble_linearized(eps, w_n, config.m, L_next, J, kernel=kernel_n.kernel)
+    op = assemble_linearized(eps, w_n, kernel_n.kernel, L_next, J)
     t_assembled = time.perf_counter()
     ok, failures = check_stage_conditions(eps, melnikov_mean(op.q),
                                           config.resonance_params(), L_next)
@@ -383,12 +383,14 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig,
                  picard_sweeps=picard_sweeps, norm_sweeps=op.sweeps - picard_sweeps,
                  power_steps=op.power_steps, norm_blocks=op.norm_blocks,
                  largest_block=op.largest_block, assembly_s=t_assembled - t_start,
-                 picard_s=t_picard, inverse_norm_s=t_norm, divisor_table_s=t_table)
+                 picard_s=t_picard, inverse_norm_s=t_norm, divisor_table_s=t_table,
+                 peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
     log.info("stage %(stage)d L_n=%(L_n)d unknowns=%(unknowns)d picard_iters=%(picard_iters)d "
              "neumann_sweeps=%(picard_sweeps)d+%(norm_sweeps)d power_steps=%(power_steps)d "
              "norm_blocks=%(norm_blocks)d largest_block=%(largest_block)d "
              "assembly_s=%(assembly_s).3f picard_s=%(picard_s).3f "
-             "inverse_norm_s=%(inverse_norm_s).3f divisor_table_s=%(divisor_table_s).3f", stats)
+             "inverse_norm_s=%(inverse_norm_s).3f divisor_table_s=%(divisor_table_s).3f "
+             "peak_rss_mb=%(peak_rss_mb).1f", stats)
 
     rec = StageRecord(n=n + 1, L_n=L_next, sigma_n=sigmas[n + 1],
                       h_norm=h.norm(params_next), w_norm=w_next.norm(params_next),
@@ -431,9 +433,7 @@ def verify_solution(u: CoeffField, eps: float, s: float = 1.0,
     smoothness diagnostic: on the resolved window it should decay faster
     than omega_j^(-decay_power).
     """
-    omega = math.sqrt(1.0 + eps)
-    cube = field_multiply(field_multiply(u, u), u)
-    resid = u.padded(cube.L, cube.J).apply_wave_symbol(omega) - eps * cube
+    resid = _residual(u, eps)
     norms = {}
     for sig in sigma_values:
         p = NormParams(sig, s)

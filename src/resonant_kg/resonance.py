@@ -26,13 +26,12 @@ with the union.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .bifurcation import KernelField, total_field
-from .field_algebra import CoeffField, field_multiply
+from .field_algebra import CoeffField, field_multiply, write_csv
 from .spherical_basis import mean_integral
 
 __all__ = [
@@ -433,9 +432,6 @@ def fit_excluded_exponent(reports: list[MeasureReport]) -> float:
 
 
 def records_to_csv(records: list[ConditionRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["ell", "j", "lhs_shifted", "lhs_plain", "threshold", "ok"])
-        for r in sorted(records, key=lambda r: (r.ell, r.j)):
-            w.writerow([r.ell, r.j, repr(r.lhs_shifted), repr(r.lhs_plain),
-                        repr(r.threshold), int(r.ok)])
+    write_csv(path, ["ell", "j", "lhs_shifted", "lhs_plain", "threshold", "ok"],
+              ([r.ell, r.j, repr(r.lhs_shifted), repr(r.lhs_plain), repr(r.threshold), int(r.ok)]
+               for r in sorted(records, key=lambda r: (r.ell, r.j))))

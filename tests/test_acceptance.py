@@ -23,7 +23,7 @@ from resonant_kg import (CoeffField, NormParams, SolverConfig,
                          smoothing_bound_check, sobolev_trade_check, run)
 from resonant_kg.bifurcation import (bif_block, block_determinant,
                                      kernel_residual, linearize_kernel,
-                                     one_mode_solution)
+                                     one_mode_solution, solve_kernel)
 from resonant_kg.linearized import (assemble_linearized, diagonalize_block,
                                     divisor_table, pairwise_divisor_constant)
 from resonant_kg.resonance import (ResonanceParams, fit_excluded_exponent,
@@ -170,7 +170,8 @@ def test_criterion_3_linearized_inverse_bound(default_run):
         ok &= rec.inverse_norm <= rec.inverse_bound
     # Neumann-series inverse against the dense inverse on the converged state
     w32 = result.w.truncate(32, cfg.J_space, NormParams(0.5, 1.0))[0]
-    op = assemble_linearized(cfg.eps, w32, cfg.m, 32, cfg.J_space)
+    op = assemble_linearized(cfg.eps, w32, solve_kernel(w32, cfg.m, J_V=cfg.J_space).kernel,
+                             32, cfg.J_space)
     rep = preconditioned_split_check(op, NormParams(0.5, cfg.s), GAMMA, TAU)
     ok &= rep.neumann_converged and rep.neumann_vs_dense <= 1e-8
     # power iteration gives a lower bound on the norm; count where it was used

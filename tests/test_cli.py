@@ -90,6 +90,14 @@ def test_usage_errors_exit_64(tmp_path, capsys):
     assert main(solve_args(run_dir, stages="0")) == 0
     assert main(["spectrum", "--run", str(run_dir), "--ell-max", "-3"]) == 64
     assert not (run_dir / "spectrum.csv").exists()
+    # a negative branch mode is refused before J_space is filled in or any solve runs
+    capsys.readouterr()
+    for args in (["solve", "--eps", "1e-3", "--m", "-1", "--j-space", "5"],
+                 ["measure", "--eta", "0.01", "--m", "-1"],
+                 ["solve", "--eps", "1e-3", "--m", "-1"]):
+        assert main(args + ["--out", str(tmp_path / "neg")]) == 64
+        err = capsys.readouterr().err
+        assert "invalid parameters: m must be >= 0" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("error", [np.linalg.LinAlgError("Singular matrix"), MemoryError()])
@@ -165,13 +173,18 @@ def test_solve_manifest_records_every_stage(tmp_path, capsys):
     seconds = ("assembly_s", "picard_s", "inverse_norm_s", "divisor_table_s")
     assert [s["stage"] for s in stages] == [1, 2, 3, 4]
     for stage, line in zip(stages, lines):
-        assert set(stage) == {"stage", "picard_sweeps", "norm_sweeps", *counts, *seconds}
+        assert set(stage) == {"stage", "picard_sweeps", "norm_sweeps", "peak_rss_mb",
+                              *counts, *seconds}
         for key in counts:
             assert f" {key}={stage[key]} " in line
         assert f" neumann_sweeps={stage['picard_sweeps']}+{stage['norm_sweeps']} " in line
         assert all(stage[key] >= 0.0 for key in seconds)
         assert stage["picard_sweeps"] > 0 and stage["norm_sweeps"] >= 0
     assert [s["power_steps"] > 0 for s in stages] == [False] * 3 + [True]
+    # the process high-water mark: positive and never lower at a later stage
+    peaks = [s["peak_rss_mb"] for s in stages]
+    assert peaks[0] > 0.0 and peaks == sorted(peaks)
+    assert all(" peak_rss_mb=" in line for line in lines[:4])
     assert (tmp_path / "loud" / "trace.jsonl").read_bytes() == \
         (tmp_path / "quiet" / "trace.jsonl").read_bytes()
 
@@ -287,3 +300,19 @@ def test_corrupt_artifacts_exit_66(tmp_path, capsys):
     (out / "kernel.json").write_text("{not json")
     assert main(["divisors", "--run", str(out)]) == 66
     assert "kernel.json" in capsys.readouterr().err
+    # JSON that parses but does not hold what the commands read
+    kernel, manifest = json.dumps({"coefficients": [1.0, 0.0]}), (out / "manifest.json").read_text()
+    no_config = json.dumps({k: v for k, v in json.loads(manifest).items() if k != "config"})
+    string_eps = json.loads(manifest)
+    string_eps["config"]["eps"] = "1e-3"
+    for name, kernel_text, manifest_text in (
+            ("manifest.json", kernel, no_config),
+            ("kernel.json", json.dumps([1.0, 0.0]), manifest),
+            ("manifest.json", kernel, json.dumps(string_eps))):
+        (out / "kernel.json").write_text(kernel_text)
+        (out / "manifest.json").write_text(manifest_text)
+        for command in (["divisors", "--run", str(out)],
+                        ["spectrum", "--run", str(out), "--ell-max", "2"]):
+            assert main(command) == 66
+            err = capsys.readouterr().err
+            assert name in err and "Traceback" not in err

@@ -30,8 +30,7 @@ def zero_kernel(J):
 
 
 def test_unperturbed_operator_is_diagonal_symbol():
-    op = assemble_linearized(0.0, CoeffField.zeros(4, 3), 0, 4, 3,
-                             kernel=zero_kernel(3))
+    op = assemble_linearized(0.0, CoeffField.zeros(4, 3), zero_kernel(3), 4, 3)
     lat = op.lattice
     sym = lat.ells.astype(float) ** 2 - (lat.js + 1.0) ** 2
     assert np.allclose(dense_matrix(op), np.diag(sym))
@@ -48,8 +47,7 @@ def test_time_mean_potential_of_one_mode_branch():
     from resonant_kg.spherical_basis import eigen_product
     for m in (0, 1, 2):
         v = one_mode_solution(m, +1)
-        op = assemble_linearized(1e-3, CoeffField.zeros(1, v.J), m, 4, 2 * m + 2,
-                                 kernel=v)
+        op = assemble_linearized(1e-3, CoeffField.zeros(1, v.J), v, 4, 2 * m + 2)
         expect = 2.0 * (m + 1) * eigen_product(m, m)
         assert np.allclose(op.b0[: len(expect)], expect, atol=1e-12)
         assert np.abs(op.b0[len(expect):]).max(initial=0.0) < 1e-12
@@ -59,7 +57,7 @@ def test_symmetry_in_weighted_time_basis(rng):
     # D - eps M1 is self-adjoint for the (1, 2, 2, ...) time weights
     w = random_field(rng, 6, 5, scale=0.05, decay=0.3)
     ks = solve_kernel(w, 1, J_V=5)
-    op = assemble_linearized(1e-2, w, 1, 6, 5, kernel=ks.kernel)
+    op = assemble_linearized(1e-2, w, ks.kernel, 6, 5)
     D, M1, _ = split_diagonal(op)
     sym_part = D - op.eps * M1
     mult = np.where(op.lattice.ells == 0, 1.0, 2.0)
@@ -70,7 +68,7 @@ def test_symmetry_in_weighted_time_basis(rng):
 def test_split_reassembles_exactly(rng):
     w = random_field(rng, 5, 4, scale=0.08, decay=0.2)
     ks = solve_kernel(w, 0, J_V=4)
-    op = assemble_linearized(2e-2, w, 0, 5, 4, kernel=ks.kernel)
+    op = assemble_linearized(2e-2, w, ks.kernel, 5, 4)
     D, M1, M2 = split_diagonal(op)
     dense = dense_matrix(op)
     assert np.abs(D - op.eps * M1 - op.eps * M2 - dense).max() < 1e-13 * np.abs(dense).max()
@@ -81,7 +79,7 @@ def test_time_constant_potential_has_no_offdiagonal():
     # so the zero-mean part M1 vanishes identically
     w = CoeffField.zeros(3, 2)
     w.u[0, 1] = 0.4
-    op = assemble_linearized(1e-2, w, 0, 3, 2, kernel=zero_kernel(2))
+    op = assemble_linearized(1e-2, w, zero_kernel(2), 3, 2)
     _, M1, _ = split_diagonal(op)
     assert np.abs(M1).max() == 0.0
 
@@ -91,7 +89,7 @@ def test_operator_matches_directional_derivative(rng):
     eps, m, Ln, J = 1e-2, 0, 6, 4
     w = random_field(rng, Ln, J, scale=0.02, decay=0.3)
     ks = solve_kernel(w, m, J_V=J)
-    op = assemble_linearized(eps, w, m, Ln, J, kernel=ks.kernel)
+    op = assemble_linearized(eps, w, ks.kernel, Ln, J)
     h = random_field(rng, Ln, J, decay=0.1)
     omega = np.sqrt(1 + eps)
 
@@ -240,7 +238,7 @@ def test_inverse_roundtrip_and_norm_bound(rng):
     eps, m, Ln, J = 1e-3, 0, 8, 3
     w = random_field(rng, Ln, J, scale=0.02, decay=0.4)
     ks = solve_kernel(w, m, J_V=J)
-    op = assemble_linearized(eps, w, m, Ln, J, kernel=ks.kernel)
+    op = assemble_linearized(eps, w, ks.kernel, Ln, J)
     rhs = random_field(rng, Ln, J, decay=0.1)
     sol = op.solve(rhs)
     err = (op.apply(sol) - rhs).norm(P) / rhs.norm(P)
@@ -250,8 +248,7 @@ def test_inverse_roundtrip_and_norm_bound(rng):
 
 
 def test_solve_rejects_offlattice_support(rng):
-    op = assemble_linearized(1e-3, CoeffField.zeros(4, 2), 0, 4, 2,
-                             kernel=zero_kernel(2))
+    op = assemble_linearized(1e-3, CoeffField.zeros(4, 2), zero_kernel(2), 4, 2)
     bad = CoeffField.from_mode(6, 1, 1.0)  # beyond the time truncation
     with pytest.raises(ValueError):
         op.solve(bad)
@@ -260,15 +257,13 @@ def test_solve_rejects_offlattice_support(rng):
 def test_singular_factorization_raises():
     # at eps = 3 and b = 0, omega^2 l^2 = omega_j^2 at the kept point (l, j) = (1, 1):
     # the l = 1 block of D is exactly singular
-    op = assemble_linearized(3.0, CoeffField.zeros(3, 2), 0, 3, 2,
-                             kernel=zero_kernel(2))
+    op = assemble_linearized(3.0, CoeffField.zeros(3, 2), zero_kernel(2), 3, 2)
     with pytest.raises(ResonantSolveError, match="block l=1"):
         op.factorize()
 
 
 def test_preconditioned_split_unperturbed():
-    op = assemble_linearized(0.0, CoeffField.zeros(4, 3), 0, 4, 3,
-                             kernel=zero_kernel(3))
+    op = assemble_linearized(0.0, CoeffField.zeros(4, 3), zero_kernel(3), 4, 3)
     rep = preconditioned_split_check(op, P, gamma=0.05, tau=1.5)
     assert rep.u_ok and rep.r1_norm == 0.0 and rep.r2_norm == 0.0
     assert rep.factorization_error < 1e-12
@@ -279,7 +274,7 @@ def test_preconditioned_split_perturbed(rng, monkeypatch):
     eps, m, Ln, J = 1e-3, 0, 8, 3
     w = random_field(rng, Ln, J, scale=0.02, decay=0.4)
     ks = solve_kernel(w, m, J_V=J)
-    op = assemble_linearized(eps, w, m, Ln, J, kernel=ks.kernel)
+    op = assemble_linearized(eps, w, ks.kernel, Ln, J)
     rep = preconditioned_split_check(op, NormParams(0.4, 1.0), gamma=0.05, tau=1.5)
     assert rep.u_ok                      # ||U|| <= 4
     assert rep.dhalf_ok                  # ||D^-1/2|| <= 9/sqrt(gamma) with the s-shift
@@ -289,7 +284,7 @@ def test_preconditioned_split_perturbed(rng, monkeypatch):
     assert np.isfinite(rep.r1_constant) and np.isfinite(rep.r2_constant)
     # a production solve that does not settle is reported, not raised
     monkeypatch.setattr(linearized, "_MAX_SWEEPS", 1)
-    op = assemble_linearized(eps, w, m, Ln, J, kernel=ks.kernel)
+    op = assemble_linearized(eps, w, ks.kernel, Ln, J)
     rep = preconditioned_split_check(op, NormParams(0.4, 1.0), gamma=0.05, tau=1.5)
     assert not rep.neumann_converged and rep.neumann_vs_dense == np.inf
     assert rep.u_ok and rep.factorization_error < 1e-10
@@ -302,13 +297,36 @@ def test_lattice_roundtrip(rng):
     assert lat.in_lattice_support(f)
     g = CoeffField.from_mode(2, 1, 1.0)  # resonant point
     assert not lat.in_lattice_support(g)
+    # the lattice points in row-major order
+    points = [(ell, j) for ell in range(6) for j in range(5) if j != ell - 1]
+    assert list(zip(lat.ells.tolist(), lat.js.tolist())) == points
+    for ell, j, value, inside in ((2, 1, np.nan, False), (6, 0, 1.0, False), (1, 5, 1.0, False),
+                                  (3, 1, np.nan, True)):
+        h = f.padded(6, 5)
+        h.u[ell, j] = value
+        assert lat.in_lattice_support(h) == inside
+
+
+@pytest.mark.parametrize("L", [4, 64, 300])
+def test_lattice_weights_measure_the_field_norm(rng, L):
+    # the certificate weighs coefficients with WLattice.weights and the kernel
+    # with KernelField.norm, every bound with CoeffField.norm: the three agree
+    lat = WLattice(L, 6)
+    for sigma, s, r in ((0.0, 1.0, 2.0), (0.5, 1.5, 2.0), (1.0, 1.0, 0.0), (0.25, 0.6, 3.0)):
+        p = NormParams(sigma, s, r)
+        f = random_field(rng, L, 6, decay=sigma + 0.05)
+        assert np.linalg.norm(lat.weights(p) * lat.to_vector(f)) == \
+            pytest.approx(f.norm(p), rel=1e-13)
+        v = KernelField(rng.standard_normal(L) * np.exp(-(sigma + 0.05) * np.arange(1, L + 1)))
+        assert v.embed().L == L
+        assert v.norm(p) == pytest.approx(v.embed().norm(p), rel=1e-13)
 
 
 def test_inverse_norm_power_iteration_agrees(rng, monkeypatch):
     eps, m, Ln, J = 1e-3, 0, 8, 3
     w = random_field(rng, Ln, J, scale=0.02, decay=0.4)
     ks = solve_kernel(w, m, J_V=J)
-    op = assemble_linearized(eps, w, m, Ln, J, kernel=ks.kernel)
+    op = assemble_linearized(eps, w, ks.kernel, Ln, J)
     exact = op.inverse_norm(P)
     assert op.power_steps == 0 and op.norm_blocks >= 1
     monkeypatch.setattr(linearized, "EXACT_NORM_MAX", 0)
@@ -326,7 +344,7 @@ def test_inverse_norm_power_iteration_agrees(rng, monkeypatch):
 def test_krylov_estimate_is_monotone_lower_bound(rng, monkeypatch):
     eps, m, Ln, J = 1e-3, 0, 8, 3
     w = random_field(rng, Ln, J, scale=0.02, decay=0.4)
-    op = assemble_linearized(eps, w, m, Ln, J, kernel=solve_kernel(w, m, J_V=J).kernel)
+    op = assemble_linearized(eps, w, solve_kernel(w, m, J_V=J).kernel, Ln, J)
     exact = op.inverse_norm(P)
     monkeypatch.setattr(linearized, "EXACT_NORM_MAX", 0)
     estimates = []
@@ -442,7 +460,7 @@ def test_assembly_forms_square_and_stack_once(rng, monkeypatch):
             if (getattr(mod, "__name__", "").startswith("resonant_kg")
                     and getattr(mod, name, None) is real):
                 monkeypatch.setattr(mod, name, counted)
-    assemble_linearized(2e-3, w, 1, 8, 5, kernel=kernel)
+    assemble_linearized(2e-3, w, kernel, 8, 5)
     assert calls == {"field_multiply": 1, "mult_matrix_stack": 1}
 
 
@@ -575,7 +593,7 @@ def test_divisor_table_secular_path_on_assembled_b0():
     cfg = SolverConfig(eps=2e-3, m=1, n_max=2, divisor_diagnostics=False)
     w, kernel, _ = solve_stage0(cfg)
     w, kernel, *_ = solve_stage(0, w, kernel, cfg)
-    op = assemble_linearized(cfg.eps, w, 1, 64, cfg.J_space, kernel=kernel.kernel)
+    op = assemble_linearized(cfg.eps, w, kernel.kernel, 64, cfg.J_space)
     tab = divisor_table(cfg.eps, op.b0, 64, 128, gamma=0.05, tau=1.5)
     rep = small_divisors(cfg.eps, op.b0, range(65), 128)
     _assert_matches_oracle(tab, rep, cfg.eps, op.b0, 128)
@@ -593,7 +611,7 @@ def test_inverse_norm_matches_svd_oracle(rng, m, Ln, J):
     eps = 2e-3
     w = random_field(rng, 4, J, scale=0.02, decay=0.4)
     ks = solve_kernel(w, m, J_V=J)
-    op = assemble_linearized(eps, w, m, Ln, J, kernel=ks.kernel)
+    op = assemble_linearized(eps, w, ks.kernel, Ln, J)
     assert op.lattice.size <= 300
     for params in (P, NormParams(1.0, 1.5, 2.0)):
         oracle = weighted_inverse_norm(dense_matrix(op), op.lattice.weights(params))
@@ -602,7 +620,7 @@ def test_inverse_norm_matches_svd_oracle(rng, m, Ln, J):
 
 def _branch_operator(rng, m, Ln, J, eps=2e-3):
     w = random_field(rng, 6, J, scale=0.02, decay=0.4)
-    return assemble_linearized(eps, w, m, Ln, J, kernel=solve_kernel(w, m, J_V=J).kernel)
+    return assemble_linearized(eps, w, solve_kernel(w, m, J_V=J).kernel, Ln, J)
 
 
 def _stage0_operator(m, Ln):
@@ -611,7 +629,7 @@ def _stage0_operator(m, Ln):
     from resonant_kg.nash_moser import SolverConfig, solve_stage0
     cfg = SolverConfig(eps=2e-3, m=m)
     w, kernel, _ = solve_stage0(cfg)
-    return assemble_linearized(cfg.eps, w, m, Ln, cfg.J_space, kernel=kernel.kernel)
+    return assemble_linearized(cfg.eps, w, kernel.kernel, Ln, cfg.J_space)
 
 
 @pytest.mark.parametrize("m, Ln, J, state", [(0, 64, 4, "random"), (1, 24, 18, "random"),
@@ -740,12 +758,11 @@ def _block_norm(a, w):
 def test_components_partition_the_dense_oracle(rng, state, blocks):
     if state == "eps0":  # D alone, although b is not zero: every unknown is its own block
         from resonant_kg.bifurcation import one_mode_solution
-        op = assemble_linearized(0.0, CoeffField.zeros(4, 2), 0, 512, 2,
-                                 kernel=one_mode_solution(0, +1))
+        op = assemble_linearized(0.0, CoeffField.zeros(4, 2), one_mode_solution(0, +1), 512, 2)
     elif state == "static":  # b = 3 w^2 has S_0 alone: each l is its own time class
         u = np.zeros((1, 5))
         u[0, [0, 2]] = 0.3, 0.1
-        op = assemble_linearized(1e-3, CoeffField(u), 0, 16, 4, kernel=zero_kernel(4))
+        op = assemble_linearized(1e-3, CoeffField(u), zero_kernel(4), 16, 4)
     elif state == "dv":  # M2 joins the cell of kernel slot (1, 0) to that of (4, 1)
         op = _stage0_operator(0, 64)
         dv = op.dv_matrix.copy()
@@ -915,7 +932,7 @@ def test_block_norm_drops_entries_below_its_resolution(monkeypatch):
 
 def test_singleton_blocks_take_no_factorization(monkeypatch):
     # at eps = 0 every unknown is its own block and the norm is max 1 / |symbol|
-    op = assemble_linearized(0.0, CoeffField.zeros(4, 2), 0, 512, 2, kernel=zero_kernel(2))
+    op = assemble_linearized(0.0, CoeffField.zeros(4, 2), zero_kernel(2), 512, 2)
     orders = _record_block_inversions(monkeypatch)
     value = op.inverse_norm(P)
     assert op.lattice.size == op.norm_blocks == 1536 and op.largest_block == 1

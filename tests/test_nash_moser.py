@@ -144,8 +144,7 @@ def test_branch_keeps_the_kernel_mode_symmetry(m):
     cfg = SolverConfig(eps=2e-3, m=m, n_max=2, divisor_diagnostics=False)
     res = run(cfg)
     wm = m + 1
-    op = assemble_linearized(cfg.eps, res.w, m, cfg.L(cfg.n_max), cfg.J_space,
-                             kernel=res.kernel)
+    op = assemble_linearized(cfg.eps, res.w, res.kernel, cfg.L(cfg.n_max), cfg.J_space)
     assert np.count_nonzero(res.u.u) > 0 and np.count_nonzero(op.q.u) > 0
     assert not _off_pattern(res.u, 2 * wm, wm, m % 2).any()
     assert not _off_pattern(op.u, 2 * wm, wm, m % 2).any()
