@@ -38,6 +38,8 @@ __all__ = [
     "KernelSolveError",
 ]
 
+NEWTON_MAX = 40  # Newton steps of solve_kernel before it gives up
+
 
 class KernelSolveError(RuntimeError):
     """Newton iteration for the kernel equation failed to converge."""
@@ -165,12 +167,11 @@ class KernelSolveResult:
 
 def solve_kernel(w: CoeffField, m: int, tol: float = 1e-12, sign: int = +1,
                  J_V: int | None = None, params: NormParams | None = None,
-                 start: KernelField | None = None,
-                 max_iter: int = 40) -> KernelSolveResult:
+                 start: KernelField | None = None) -> KernelSolveResult:
     """Damped Newton from the one-mode solution; converges to v(w).
 
     The empirical Newton basin replaces any a-priori radius: failure to
-    contract within `max_iter` raises KernelSolveError.
+    contract within NEWTON_MAX steps raises KernelSolveError.
     """
     _check_in_range(w)
     params = params or NormParams(0.0, 1.0, 2.0)
@@ -184,7 +185,7 @@ def solve_kernel(w: CoeffField, m: int, tol: float = 1e-12, sign: int = +1,
     res = kernel_residual(v, w)
     rnorm = res.norm(params)
     history = [rnorm]
-    for it in range(1, max_iter + 1):
+    for it in range(1, NEWTON_MAX + 1):
         if rnorm <= tol:
             return KernelSolveResult(v, history, it - 1)
         mat = linearize_kernel(v, w)
@@ -211,9 +212,9 @@ def solve_kernel(w: CoeffField, m: int, tol: float = 1e-12, sign: int = +1,
         v, res, rnorm = cand, cres, cnorm
         history.append(rnorm)
     if rnorm <= tol:
-        return KernelSolveResult(v, history, max_iter)
+        return KernelSolveResult(v, history, NEWTON_MAX)
     raise KernelSolveError(
-        f"kernel Newton did not reach tol={tol:.1e} in {max_iter} iterations "
+        f"kernel Newton did not reach tol={tol:.1e} in {NEWTON_MAX} iterations "
         f"(residual {rnorm:.3e})")
 
 

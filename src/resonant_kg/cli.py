@@ -239,6 +239,8 @@ def cmd_measure(args) -> int:
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # a sample count beyond memory
+        return _numeric_failure(exc)
     payload = {
         "gamma": args.gamma,
         "tau": args.tau,
@@ -307,6 +309,7 @@ def cmd_divisors(args) -> int:
     table = divisor_table(config["eps"], b0, L_n, 2 * L_n,
                           config["gamma"], config["tau"])
     out = args.out or os.path.join(args.run, "divisors.csv")
+    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     table.to_csv(out)
     print(f"{len(table.ells)} divisors written to {out}; floor "
           f"{'holds' if table.all_ok else 'VIOLATED'}")
@@ -328,6 +331,7 @@ def cmd_spectrum(args) -> int:
     blocks = [diagonalize_block(ell, config["eps"], b0, 2 * w.L)
               for ell in range(ell_max + 1)]
     out = args.out or os.path.join(args.run, "spectrum.csv")
+    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     spectrum_to_csv(blocks, out)
     print(f"spectra of {len(blocks)} blocks written to {out}")
     return EXIT_OK
@@ -335,8 +339,13 @@ def cmd_spectrum(args) -> int:
 
 def cmd_verify(args) -> int:
     from .field_algebra import load_field
-    from .nash_moser import verify_solution
+    from .nash_moser import SolverConfig, verify_solution
 
+    try:
+        SolverConfig(eps=args.eps)  # the rule of solve: eps finite and >= 0
+    except ValueError as exc:
+        print(f"invalid parameters: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if not os.path.exists(args.field):
         print(f"missing field file {args.field}", file=sys.stderr)
         return EXIT_MISSING
@@ -347,6 +356,7 @@ def cmd_verify(args) -> int:
         return EXIT_MISSING
     report = verify_solution(u, args.eps)
     if args.out:
+        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
         report.to_json(args.out)
     print(f"residual (relative to ||u||^3): {report.relative:.6e}")
     return EXIT_OK

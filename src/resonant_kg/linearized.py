@@ -22,15 +22,17 @@ The weighted norm of the inverse is exact up to EXACT_NORM_MAX unknowns
 (at eps = 0 at any size) and a Krylov lower bound through the same solves
 above it: the largest singular value of B Q for B the weighted inverse and
 Q an orthonormal basis of the Krylov space of B^T B, which is at most ||B||
-because ||Q|| = 1 (Golub-Kahan).  A Nash-Moser stage starts that space from
-the previous stage's top right singular vector, padded with zeros to the
-longer lattice, plus 1e-4 times the uniform vector: consecutive stages have
-nearly the same top vector, which cuts the Krylov steps, and as B is block
-diagonal under the decoupled blocks, only the uniform part reaches a block
-that the start misses.
-The exact value is the largest block norm over the decoupled blocks (6 to 10
-on a branch), which the symmetry of the S_d support and of dv_matrix gives
-before any entry is gathered; each block is then gathered on its own.
+because ||Q|| = 1 (Golub-Kahan).  Lop is the Hessian of the reduced action,
+so Lop^T = Mw Lop Mw^-1 for the time multiplicities Mw = diag(1, 2, 2, ...)
+of the stored rows: B^T is a forward solve too, and there is one apply.  A
+Nash-Moser stage starts the Krylov space from the previous stage's top right
+singular vector, padded with zeros to the longer lattice, plus 1e-4 times
+the uniform vector: consecutive stages have nearly the same top vector,
+which cuts the Krylov steps, and as B is block diagonal under the decoupled
+blocks, only the uniform part reaches a block that the start misses.  The
+exact value is the largest block norm over the decoupled blocks (6 to 10 on
+a branch), which the symmetry of the S_d support and of dv_matrix gives
+before any entry is gathered; the blocks are then gathered one at a time.
 
 The spectra of D_l (a Sturm-Liouville perturbation of omega_j^2) control
 the small divisors alpha_l = min_j |omega^2 l^2 - lambda_{l,j}(eps)|.  Every
@@ -96,6 +98,7 @@ _WARM_UNIFORM = 1e-4
 _GRAM_PRODUCTS = 4
 # Bytes of one chunk of the time fold's GEMM operand (kept cache-sized).
 _FOLD_CHUNK_BYTES = 1 << 20
+_SINGULAR = "linearized operator is numerically singular (amplitude effectively resonant)"
 
 
 class ResonantSolveError(RuntimeError):
@@ -287,36 +290,28 @@ class LinearizedOperator:
             out += g.reshape(rows, width * size) @ self._stacked[i0 * size : (i0 + width) * size]
         return out
 
-    def _apply(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """Lop x (Lop^T x when adjoint) for x on the lattice grid.
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """Lop x for x on the lattice grid: the one apply, for both orientations.
 
-        The product by b is self-adjoint under the multiplicities
-        Mw = diag(1, 2, 2, ...) of the stored rows, so its transpose is
-        Mw (product by b) Mw^-1; M2 = (product by b on the kernel slots) @ dv / 2
-        transposes to dv^T times that product read at the kernel slots.
+        Lop is the Hessian of the Lyapunov-Schmidt reduced action at (v(w), w),
+        so it is symmetric in the L^2 pairing, which counts stored row l >= 1
+        twice (it stands for +l and -l): Lop^T = Mw Lop Mw^-1 with
+        Mw = diag(1, 2, 2, ...) on the rows, the kernel correction M2 included.
         """
         L, J = self.L, self.J
         h = np.zeros((self._rows, self.stack.shape[1]))
         h[: L + 1, : J + 1] = x
-        if adjoint:
-            h[1:] *= 0.5
-            p = self._product(h)
-            p[1:] *= 2.0
-            out = self._symbol * x - self.eps * p[: L + 1, : J + 1]
-            kernel = self._dv_grid.T @ (0.5 * p[self._kernel_slots])
-            out -= self.eps * kernel.reshape(L + 1, J + 1)
-        else:
-            h[self._kernel_slots] = 0.5 * (self._dv_grid @ x.ravel())
-            out = self._symbol * x - self.eps * self._product(h)[: L + 1, : J + 1]
+        h[self._kernel_slots] = 0.5 * (self._dv_grid @ x.ravel())
+        out = self._symbol * x - self.eps * self._product(h)[: L + 1, : J + 1]
         out[~self.lattice.mask] = 0.0
         return out
 
-    def apply(self, f: CoeffField, adjoint: bool = False) -> CoeffField:
-        """Lop f (Lop^T f when adjoint) on the lattice; entries of f off it are ignored."""
-        return CoeffField(self._apply(self.lattice.to_grid(f), adjoint))
+    def apply(self, f: CoeffField) -> CoeffField:
+        """Lop f on the lattice; entries of f off it are ignored."""
+        return CoeffField(self._apply(self.lattice.to_grid(f)))
 
-    def _neumann(self, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """Solve Lop x = b (Lop^T x = b) on the lattice grid by x <- x + D^-1 (b - Lop x).
+    def _neumann(self, b: np.ndarray) -> np.ndarray:
+        """Solve Lop x = b on the lattice grid by x <- x + D^-1 (b - Lop x).
 
         b is scaled by the power of two at its largest entry, which is
         exact.  The sweeps stop when every component moves by less than one
@@ -337,7 +332,7 @@ class LinearizedOperator:
         x = np.zeros_like(b)
         prev_rel = prev_top = np.inf
         for sweep in range(1, _MAX_SWEEPS + 1):
-            r = b - self._apply(x, adjoint) if sweep > 1 else b
+            r = b - self._apply(x) if sweep > 1 else b
             dx = (inverse @ r[:, :, None])[:, :, 0]
             x = x + dx
             self.sweeps += 1
@@ -370,8 +365,7 @@ class LinearizedOperator:
     def _partition(self) -> list[np.ndarray]:
         """Ascending index sets of decoupled blocks of Lop, found without forming it.
 
-        At eps = 0, Lop = D and every unknown is its own block.  Otherwise
-        the product by b couples (l, j) to (l', j') through S_|l-l'| and
+        The product by b couples (l, j) to (l', j') through S_|l-l'| and
         S_l+l' at [j, j'], so only within one class {+-l mod step} of the
         live S_d (l alone when only S_0 is live) and one component of the
         graph of their union on the modes; M2 joins the cell (class,
@@ -379,8 +373,6 @@ class LinearizedOperator:
         row j'' of dv_matrix.  A branch has 6 to 10 blocks.
         """
         lat, n, size = self.lattice, self.lattice.size, self.stack.shape[1]
-        if self.eps == 0.0:
-            return list(np.arange(n)[:, None])
         step = self._step if len(self._stacked) > size else 2 * self._rows
         reach = (self.stack[: 2 * self._rows - 1] != 0.0).any(axis=0) | np.eye(size, dtype=bool)
         # paths of up to size steps in the graph of the modes that S_d couples:
@@ -400,22 +392,22 @@ class LinearizedOperator:
     def inverse_norm(self, params: NormParams, *, start: np.ndarray | None = None) -> float:
         """Operator norm of the inverse on the weighted (sigma, s, r) metric.
 
-        With B = diag(w) Lop^{-1} diag(w)^{-1} (w the lattice weights), the
-        norm is sigma_max(B) = sqrt(lambda_max(B^T B)).  Up to
-        EXACT_NORM_MAX unknowns, and at eps = 0 (one-by-one blocks,
-        O(n)) at any size, it is exact: the maximum over the
-        decoupled blocks (`_partition`), each gathered on its own, of the
-        block's norm from its Gram matrix (`_block_inverse_norm`); no n x n
-        matrix is formed, and `norm_blocks` and `largest_block` record the
-        split.  Above it, a Golub-Kahan (Lanczos) estimate through the
-        Neumann solves and their adjoints: Krylov step k solves for
-        y_k = B q_k, where q_k+1 is B^T y_k orthogonalized twice against
-        q_1..q_k (classical Gram-Schmidt), and returns sigma_max(y_1..y_k)
-        from their k x k Gram matrix.  As ||B Q|| <= ||B|| ||Q|| = ||B||,
-        it is a lower bound, and it never decreases in k.  It stops once it
-        changes by at most 1e-14 relative (tested before the adjoint solve)
-        or after min(_MAX_KRYLOV_STEPS, n) steps, counted in `power_steps`.
-        A singular or non-finite operator raises ResonantSolveError.
+        The norm of B = W Lop^-1 W^-1 (W = diag(w), w the lattice weights).
+        At eps = 0, Lop = D is diagonal and the weights cancel: it is
+        1 / min |D| at any size.  Up to EXACT_NORM_MAX unknowns it is exact:
+        the largest over the decoupled blocks (`_partition`), gathered one at
+        a time, of the block's norm (`_block_inverse_norm`); no n x n matrix
+        is formed, and `norm_blocks` and `largest_block` record the split (n
+        and 1 at eps = 0).  Above it, a Golub-Kahan (Lanczos) estimate: Krylov
+        step k solves for y_k = B q_k, where q_k+1 is B^T y_k orthogonalized
+        twice against q_1..q_k (classical Gram-Schmidt), and returns
+        sigma_max(y_1..y_k) from their k x k Gram matrix.  By Lop^T = Mw Lop
+        Mw^-1 (`_apply`), B^T = (Mw / W) Lop^-1 (W / Mw) is a forward solve
+        too.  As ||B Q|| <= ||B|| ||Q|| = ||B||, the estimate is a lower
+        bound that never decreases in k.  It stops once it changes by at most
+        1e-14 relative (tested before the solve for B^T y_k) or after
+        min(_MAX_KRYLOV_STEPS, n) steps, counted in `power_steps`.  A
+        singular or non-finite operator raises ResonantSolveError.
 
         q_1 is uniform on the lattice, or with `start` (a grid of shape
         (L' + 1, J + 1) for some L' <= L, padded with zero rows) the
@@ -424,10 +416,11 @@ class LinearizedOperator:
         previous stage's `top_vector`) cuts the Krylov steps.  The uniform
         part must stay: B is block diagonal under `_partition`, so a Krylov
         space started inside one block never leaves it, and the estimate
-        would stop at that block's norm.  Either branch leaves in
+        would stop at that block's norm.  Every branch leaves in
         `top_vector` the top right singular vector of B (unit norm, on the
         (L + 1, J + 1) grid): c Q for c the top eigenvector of the Krylov
-        Gram matrix, or a few products with the winning block's Gram matrix.
+        Gram matrix, a few products with the winning block's Gram matrix, or
+        the unit vector at the smallest |D|.
         """
         self.factorize()
         lat = self.lattice
@@ -435,19 +428,25 @@ class LinearizedOperator:
         n = lat.size
         shape = lat.mask.shape
         self.power_steps = self.norm_blocks = self.largest_block = 0
-        if n <= EXACT_NORM_MAX or self.eps == 0.0:
+        self.top_vector = np.zeros(shape)
+        if self.eps == 0.0:
+            d = np.abs(self.symbol_diagonal())
+            k = int(np.argmin(d))
+            top = float(1.0 / d[k])
+            if not max(float(d.max()), 1.0) * top <= 1e300:  # also catches a NaN
+                raise ResonantSolveError(_SINGULAR)
+            self.norm_blocks, self.largest_block = n, 1
+            self.top_vector[lat.ells[k], lat.js[k]] = 1.0
+            return top
+        if n <= EXACT_NORM_MAX:
             blocks = self._partition()
             self.norm_blocks, self.largest_block = len(blocks), max(map(len, blocks))
-            multi = [idx for idx in blocks if len(idx) > 1]
-            one = np.array([idx for idx in blocks if len(idx) == 1], dtype=int).reshape(-1, 1)
-            top, vec = _block_inverse_norm([_gather(self, idx) for idx in multi],
-                                           [w[idx] for idx in multi], _gather(self, one).ravel())
-            order = np.concatenate(multi + [one.ravel()])
-            self.top_vector = np.zeros(shape)
-            self.top_vector[lat.ells[order], lat.js[order]] = vec
+            top, k, vec = _block_inverse_norm((_gather(self, idx), w[idx]) for idx in blocks)
+            self.top_vector[lat.ells[blocks[k]], lat.js[blocks[k]]] = vec
             return top
         wg = np.ones(shape)
         wg[lat.ells, lat.js] = w
+        wm = wg / np.where(np.arange(self.L + 1) == 0, 1.0, 2.0)[:, None]  # w / Mw
         q = np.where(lat.mask, 1.0 / np.sqrt(n), 0.0)
         if start is not None:
             q *= _WARM_UNIFORM
@@ -466,7 +465,7 @@ class LinearizedOperator:
             prev, est = est, float(np.sqrt(np.linalg.eigvalsh(y @ y.T)[-1]))
             if est - prev <= _POWER_RTOL * est or step == last:
                 break
-            z = (self._neumann(wg * image, adjoint=True) / wg).ravel()  # B^T y_k
+            z = (self._neumann(wm * image) / wm).ravel()  # B^T y_k
             for _ in range(2):  # classical Gram-Schmidt, twice
                 z -= q.T @ (q @ z)
             nz = float(np.linalg.norm(z))
@@ -481,82 +480,70 @@ class LinearizedOperator:
 def _potential_parts(op: LinearizedOperator, idx: np.ndarray):
     """Product by b and the kernel-correction term M2 on the lattice points idx x idx.
 
-    Both are gathered from the S_d stack by the fold; idx may carry leading
-    batch axes.  M2 = (product by b of the embedded kernel correction) @ dv:
-    the gather column of kernel mode j'' is the fold of S-blocks at time
-    frequency omega_j'', and the embedding stores v_j'' / 2.
+    Both are gathered from the S_d stack by the fold.  M2 = (product by b of
+    the embedded kernel correction) @ dv: the gather column of kernel mode
+    j'' is the fold of S-blocks at time frequency omega_j'', and the
+    embedding stores v_j'' / 2.
     """
-    ell, j = op.lattice.ells[idx][..., None], op.lattice.js[idx][..., None]
+    ell, j = op.lattice.ells[idx][:, None], op.lattice.js[idx][:, None]
     gath = fold_entries(op.stack, ell, j, *op._kernel_slots)
-    mult = fold_entries(op.stack, ell, j, ell.swapaxes(-1, -2), j.swapaxes(-1, -2))
-    return mult, gath @ np.moveaxis(0.5 * op.dv_matrix[:, idx], 0, -2)
+    mult = fold_entries(op.stack, ell, j, ell.T, j.T)
+    return mult, gath @ (0.5 * op.dv_matrix[:, idx])
 
 
 def _gather(op: LinearizedOperator, idx: np.ndarray) -> np.ndarray:
     """Lop on the lattice points idx x idx: symbol - eps mult - eps M2, formed in that order."""
     mult, m2 = _potential_parts(op, idx)
     mult *= -op.eps
-    d = np.arange(idx.shape[-1])
-    mult[..., d, d] += op._symbol[op.lattice.ells[idx], op.lattice.js[idx]]
+    d = np.arange(len(idx))
+    mult[d, d] += op._symbol[op.lattice.ells[idx], op.lattice.js[idx]]
     mult -= op.eps * m2
     return mult
 
 
-def _block_inverse_norm(subs: list, weights: list, diag: np.ndarray) -> tuple[float, np.ndarray]:
-    """sigma_max(diag(w) A^-1 diag(w)^-1) for A with the blocks subs and the 1 x 1 blocks diag.
+def _block_inverse_norm(pairs) -> tuple[float, int, np.ndarray]:
+    """sigma_max(W A^-1 W^-1) for A block diagonal, from its pairs (block A_k, weights w_k).
 
-    w is weights[k] on block k.  B is block diagonal under the same
-    partition, so its norm is the largest over the blocks: 1 / |a_ii| for
-    the one-by-one blocks, all in one pass (the weights cancel), and the
-    square root of the top eigenvalue of the Gram matrix B_k^T B_k for the
-    others.  Entries of B_k below 2^-60 max|B_k| / n_k are set to zero
-    first, as subnormals would slow the product and `eigvalsh`: the change
-    dB has ||dB||_2 <= ||dB||_F <= 2^-60 max|B_k| <= 2^-60 ||B_k||_2, so
-    the norm moves by at most 2^-60 relative.  A non-finite entry in a
-    block, an exactly singular block, or max_k |A_k| max_k |A_k^-1| above
-    1e300 (largest entries, the first at least 1) raises ResonantSolveError.
-
-    Also returns the top right singular vector of B, unit and zero off the
-    winning block, on the unknowns of subs in order and then of diag: a unit
-    vector for a one-by-one block, else _GRAM_PRODUCTS products of the
-    block's Gram matrix with the uniform vector (the start of the next
-    stage's Krylov estimate, which needs no more accuracy than that).
+    W = diag(w) holds w_k on block k, so B = W A^-1 W^-1 is block diagonal
+    too and its norm is the largest over k of sqrt(lambda_max(B_k^T B_k)).
+    The pairs are read one at a time: from a generator, one block is alive.
+    Entries of B_k below 2^-60 max|B_k| / n_k are set to zero first, as
+    subnormals would slow the product and `eigvalsh`: the change dB has
+    ||dB||_2 <= ||dB||_F <= 2^-60 max|B_k| <= 2^-60 ||B_k||_2, so the norm
+    moves by at most 2^-60 relative.  A non-finite entry, an exactly
+    singular block, or max|A_k| max|A_k^-1| over the blocks so far above
+    1e300 (the first at least 1; checked before the Gram matrix can
+    overflow) raises ResonantSolveError.  Returns the norm, the index k of
+    the block that holds it, and the unit top right singular vector of B_k
+    from _GRAM_PRODUCTS products of its Gram matrix with the uniform vector
+    (the next stage's Krylov start, which needs no more accuracy).
     """
-    diag = np.abs(diag)
-    if not (np.isfinite(diag).all() and all(np.isfinite(sub).all() for sub in subs)):
-        raise ResonantSolveError("linearized operator is not finite")
-    singular = ResonantSolveError("linearized operator is numerically singular "
-                                  "(amplitude effectively resonant)")
-    try:
-        invs = [np.linalg.inv(sub) for sub in subs]
-    except np.linalg.LinAlgError:
-        raise singular from None
-    size = max([np.max(diag, initial=1.0)] + [np.abs(sub).max() for sub in subs])
-    with np.errstate(divide="ignore", over="ignore"):
-        inv_diag = 1.0 / diag
-        inv_size = max([np.max(inv_diag, initial=0.0)] + [np.abs(inv).max() for inv in invs])
+    top, win, vec, size, inv_size = 0.0, -1, None, 1.0, 0.0
+    for k, (sub, w) in enumerate(pairs):
+        if not np.isfinite(sub).all():
+            raise ResonantSolveError("linearized operator is not finite")
+        try:
+            inv = np.linalg.inv(sub)
+        except np.linalg.LinAlgError:
+            raise ResonantSolveError(_SINGULAR) from None
+        size = max(size, float(np.abs(sub).max()))
+        inv_size = max(float(np.abs(inv).max()), inv_size)  # keeps a NaN
+        del sub  # one gathered block alive at a time, as the generator makes the next
         if not size * inv_size <= 1e300:  # also catches a NaN
-            raise singular
-    offsets = np.cumsum([0] + [len(sub) for sub in subs])
-    vec = np.zeros(offsets[-1] + len(diag))
-    top = float(np.max(inv_diag, initial=0.0))
-    if len(diag):
-        vec[offsets[-1] + np.argmax(inv_diag)] = 1.0
-    for k, (w, inv) in enumerate(zip(weights, invs)):
+            raise ResonantSolveError(_SINGULAR)
         inv *= w[:, None]
         inv /= w[None, :]
         inv[np.abs(inv) < 2.0 ** -60 * np.abs(inv).max() / len(inv)] = 0.0
         gram = inv.T @ inv
+        del inv
         value = float(np.sqrt(np.linalg.eigvalsh(gram)[-1]))
         if value > top:
-            top, x = value, np.ones(len(gram))
+            top, win, vec = value, k, np.ones(len(gram))
             for _ in range(_GRAM_PRODUCTS):
-                x = gram @ x
-                x /= np.linalg.norm(x)
-            vec[:] = 0.0
-            vec[offsets[k] : offsets[k + 1]] = x
+                vec = gram @ vec
+                vec /= np.linalg.norm(vec)
         del gram  # else two Gram matrices are alive while the next one is formed
-    return top, vec
+    return top, win, vec
 
 
 def assemble_linearized(eps: float, w: CoeffField, kernel: KernelField, L_n: int,

@@ -71,6 +71,7 @@ log = logging.getLogger(__name__)
 
 PICARD_TOL = 1e-13
 PICARD_MAX = 50
+DECAY_POWER = 8.0  # verify_solution's spatial profile should decay faster than omega_j^-8
 
 
 class MelnikovExcludedError(RuntimeError):
@@ -424,14 +425,13 @@ class ResidualReport:
 
 
 def verify_solution(u: CoeffField, eps: float, s: float = 1.0,
-                    sigma_values: tuple = (0.0, 0.5, 0.730831),
-                    decay_power: float = 8.0) -> ResidualReport:
+                    sigma_values: tuple = (0.0, 0.5, 0.730831)) -> ResidualReport:
     """Exact coefficient-space residual of the rescaled equation.
 
     The cubic term is computed by two exact products; norms are reported at
     several analyticity widths.  The spatial profile max_l |u[l, j]| is the
     smoothness diagnostic: on the resolved window it should decay faster
-    than omega_j^(-decay_power).
+    than omega_j^(-DECAY_POWER).
     """
     resid = _residual(u, eps)
     norms = {}
@@ -447,7 +447,7 @@ def verify_solution(u: CoeffField, eps: float, s: float = 1.0,
     if len(nz) >= 4:
         half = nz[len(nz) // 2]
         wj = np.arange(len(profile), dtype=float) + 1.0
-        ref = profile[half] * (wj / (half + 1.0)) ** (-decay_power)
+        ref = profile[half] * (wj / (half + 1.0)) ** (-DECAY_POWER)
         super_ok = bool(np.all(profile[nz[nz > half]] <= ref[nz[nz > half]] + 1e-300))
     scale = max(u_norm ** 3, 1e-300)
     return ResidualReport(eps=eps, norms=norms, u_norm=u_norm,

@@ -191,6 +191,7 @@ def strong_diophantine_check(omega: float, gamma: float,
 
 
 _INTERVAL_DTYPE = np.dtype([("lo", "f8"), ("hi", "f8"), ("ell", "i8"), ("j", "i8")])
+ELL_MAX_FACTOR = 64.0  # measure_scan enumerates the pairs l <= ELL_MAX_FACTOR / eta
 
 
 @dataclass
@@ -328,11 +329,11 @@ def _excluded_samples(e_samples, ells, wjs, thr, cut, m_of_eps):
 
 
 def measure_scan(eta: float, samples: int, params: ResonanceParams, m_of_eps,
-                 ell_max_factor: float = 64.0, rng_seed: int = 0) -> MeasureReport:
+                 rng_seed: int = 0) -> MeasureReport:
     """Estimate |admissible set in (0, eta]| / eta.
 
-    Both estimates use the identical binding-pair enumeration (l <= ell_max ~
-    ell_max_factor/eta; the reported tail bound covers the rest):
+    Both estimates use the identical binding-pair enumeration (l <= ell_max =
+    ceil(ELL_MAX_FACTOR / eta); the reported tail bound covers the rest):
 
     (a) the exact union of per-pair excluded intervals (a structured array),
         whose ends are a closed form and a contracting fixed-point iteration
@@ -348,10 +349,10 @@ def measure_scan(eta: float, samples: int, params: ResonanceParams, m_of_eps,
     if samples < 1:
         raise ValueError("samples must be at least 1")
     gamma, tau = params.gamma, params.tau
-    ell_max = int(np.ceil(ell_max_factor / eta))
+    ell_max = int(np.ceil(ELL_MAX_FACTOR / eta))
     ells, ds = _pair_arrays(eta, ell_max)
     if len(ells) == 0:
-        raise ValueError(f"ell_max_factor = {ell_max_factor} gives ell_max = {ell_max}, below "
+        raise ValueError(f"ELL_MAX_FACTOR = {ELL_MAX_FACTOR} gives ell_max = {ell_max}, below "
                          f"the first binding l = {int(np.ceil(1.0 / (3.0 * eta)))}: "
                          "no pair to scan")
     wjs = ells + ds

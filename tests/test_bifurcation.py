@@ -123,11 +123,13 @@ def test_solve_kernel_quadratic_convergence(rng):
     assert kernel_residual(res.kernel, w).norm(NormParams(0.0, 1.0)) <= 1e-12
 
 
-def test_solve_kernel_nonconvergence_raises(rng):
+def test_solve_kernel_nonconvergence_raises(rng, monkeypatch):
     # a large w needs several damped steps; an iteration cap must fail loudly
+    from resonant_kg import bifurcation
     w = random_field(rng, 4, 3, scale=3.0, decay=0.1)
-    with pytest.raises(KernelSolveError):
-        solve_kernel(w, 0, J_V=3, max_iter=2)
+    monkeypatch.setattr(bifurcation, "NEWTON_MAX", 2)
+    with pytest.raises(KernelSolveError, match="in 2 iterations"):
+        solve_kernel(w, 0, J_V=3)
 
 
 def test_kernel_derivative(rng):

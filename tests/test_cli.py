@@ -90,6 +90,14 @@ def test_usage_errors_exit_64(tmp_path, capsys):
     assert main(solve_args(run_dir, stages="0")) == 0
     assert main(["spectrum", "--run", str(run_dir), "--ell-max", "-3"]) == 64
     assert not (run_dir / "spectrum.csv").exists()
+    # verify takes eps under the rule of solve, before it reads the field
+    capsys.readouterr()
+    for value, message in (("-2", "eps must be >= 0"), ("nan", "eps must be finite"),
+                           ("inf", "eps must be finite")):
+        assert main(["verify", "--field", str(run_dir / "solution.field"),
+                     f"--eps={value}"]) == 64
+        err = capsys.readouterr().err
+        assert f"invalid parameters: {message}" in err and "Traceback" not in err
     # a negative branch mode is refused before J_space is filled in or any solve runs
     capsys.readouterr()
     for args in (["solve", "--eps", "1e-3", "--m", "-1", "--j-space", "5"],
@@ -114,6 +122,17 @@ def test_linalg_and_memory_errors_exit_1(tmp_path, capsys, monkeypatch, error):
     assert main(["measure", "--eta", "0.04", "--solve-grid", "2",
                  "--out", str(tmp_path / "m.json")]) == 1
     assert "numeric failure" in capsys.readouterr().err
+    # and so does a scan beyond memory, faked here: nothing is allocated
+    from resonant_kg import cli, resonance
+
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 745. GiB")
+    monkeypatch.setattr(cli, "_mean_curve", lambda grid, m: np.full(len(grid), 2.0))
+    monkeypatch.setattr(resonance, "measure_scan", out_of_memory)
+    assert main(["measure", "--eta", "0.01", "--samples", "100000000000",
+                 "--out", str(tmp_path / "m.json")]) == 1
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "Traceback" not in err
 
 
 def test_neumann_solve_failure_exits_1(tmp_path, capsys, monkeypatch):
@@ -245,6 +264,12 @@ def test_divisors_and_spectrum(tmp_path):
     got = np.array([row.split(",") for row in srows[1:]], dtype=float)
     assert np.array_equal(got[:, :2], want[:, :2])
     assert np.abs(got[:, 2] - want[:, 2]).max() <= 1e-10
+    # --out in a directory that does not exist yet: it is created
+    for args in (["divisors", "--run", str(out)],
+                 ["spectrum", "--run", str(out), "--ell-max", "4"]):
+        path = tmp_path / "missing" / args[0] / "x.csv"
+        assert main(args + ["--out", str(path)]) == 0
+        assert path.read_bytes() == (out / f"{args[0]}.csv").read_bytes()
     # missing artifacts
     assert main(["divisors", "--run", str(tmp_path / "nope")]) == 66
     assert main(["spectrum", "--run", str(tmp_path / "nope")]) == 66
@@ -253,7 +278,7 @@ def test_divisors_and_spectrum(tmp_path):
 def test_verify_command(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(solve_args(out)) == 0
-    rep_path = tmp_path / "verify.json"
+    rep_path = tmp_path / "missing" / "verify.json"  # --out creates the directory
     assert main(["verify", "--field", str(out / "solution.field"),
                  "--eps", "1e-3", "--out", str(rep_path)]) == 0
     report = json.loads(rep_path.read_text())

@@ -247,7 +247,7 @@ def test_params_validation():
         measure_scan(0.2, 10, ResonanceParams(0.05, 1.5, eps0=0.1), _m_const())
 
 
-def test_measure_scan_rejects_bad_input():
+def test_measure_scan_rejects_bad_input(monkeypatch):
     params = ResonanceParams(0.05, 1.5, eps0=0.05)
     for eta in (0.0, -0.01):
         with pytest.raises(ValueError, match="eta"):
@@ -255,8 +255,9 @@ def test_measure_scan_rejects_bad_input():
     with pytest.raises(ValueError, match="samples"):
         measure_scan(0.04, 0, params, _m_const())
     # ell_max 3 lies below the first binding l = 9: there is no pair to scan
-    with pytest.raises(ValueError, match="ell_max_factor"):
-        measure_scan(0.04, 10, params, _m_const(), ell_max_factor=0.1)
+    monkeypatch.setattr(resonance, "ELL_MAX_FACTOR", 0.1)
+    with pytest.raises(ValueError, match="ELL_MAX_FACTOR"):
+        measure_scan(0.04, 10, params, _m_const())
 
 
 def test_measure_scan_nearest_integer_guard():
