@@ -108,14 +108,19 @@ def total_field(v: KernelField, w: CoeffField) -> CoeffField:
     return v.embed(L=max(w.L, v.J + 1), J=max(w.J, v.J)) + w
 
 
+def _square_and_residual(v: KernelField, w: CoeffField) -> tuple[CoeffField, KernelField]:
+    """(u^2, A v - Pi_V u^3) at the state u = v + w, from one square of u."""
+    u = total_field(v, w)
+    q = field_multiply(u, u)
+    res = (np.arange(v.J + 1, dtype=float) + 1.0) ** 2 * v.v
+    res -= extract_kernel(field_multiply(q, u), v.J).v
+    return q, KernelField(res)
+
+
 def kernel_residual(v: KernelField, w: CoeffField) -> KernelField:
     """A v - Pi_V (v + w)^3, exactly in coefficient space."""
     _check_in_range(w)
-    u = total_field(v, w)
-    cube = field_multiply(field_multiply(u, u), u)
-    res = (np.arange(v.J + 1, dtype=float) + 1.0) ** 2 * v.v
-    res -= extract_kernel(cube, v.J).v
-    return KernelField(res)
+    return _square_and_residual(v, w)[1]
 
 
 def bif_block(m: int, j: int) -> np.ndarray:
@@ -145,11 +150,15 @@ def _kernel_block(stack: np.ndarray, n: int, factor: float) -> np.ndarray:
     return np.diag(wj.astype(float) ** 2) - factor * coupling
 
 
+def _kernel_jacobian(q: CoeffField, n: int) -> np.ndarray:
+    """Dense matrix of h -> A h - 3 Pi_V(q h) on n kernel modes, for q = (v + w)^2."""
+    return _kernel_block(mult_matrix_stack(q, n, 2 * n), n, 3.0)
+
+
 def linearize_kernel(v: KernelField, w: CoeffField) -> np.ndarray:
     """Dense matrix of h -> A h - 3 Pi_V((v+w)^2 h) on the truncated kernel."""
     u = total_field(v, w)
-    n = v.J + 1
-    return _kernel_block(mult_matrix_stack(field_multiply(u, u), n, 2 * n), n, 3.0)
+    return _kernel_jacobian(field_multiply(u, u), v.J + 1)
 
 
 @dataclass
@@ -165,57 +174,49 @@ class KernelSolveResult:
         return self.kernel.v
 
 
-def solve_kernel(w: CoeffField, m: int, tol: float = 1e-12, sign: int = +1,
+def solve_kernel(w: CoeffField, m: int, sign: int = +1,
                  J_V: int | None = None, params: NormParams | None = None,
                  start: KernelField | None = None) -> KernelSolveResult:
     """Damped Newton from the one-mode solution; converges to v(w).
 
-    The empirical Newton basin replaces any a-priori radius: failure to
-    contract within NEWTON_MAX steps raises KernelSolveError.
+    Converged means residual <= 1e-13 max(1, ||A v||) in the norm `params`,
+    tested before each step.  The empirical Newton basin replaces any
+    a-priori radius: a step that no halving decreases, or NEWTON_MAX steps
+    without convergence, raise KernelSolveError.
     """
     _check_in_range(w)
     params = params or NormParams(0.0, 1.0, 2.0)
-    if J_V is None:
-        J_V = max(m, w.J)
-    v = start.copy() if start is not None else one_mode_solution(m, sign, J_V)
-    if v.J < J_V:
-        vv = np.zeros(J_V + 1)
-        vv[: v.J + 1] = v.v
-        v = KernelField(vv)
-    res = kernel_residual(v, w)
+    J_V = max(m, w.J) if J_V is None else J_V
+    v = start if start is not None else one_mode_solution(m, sign, J_V)
+    v = KernelField(np.pad(v.v, (0, max(J_V - v.J, 0))))  # a copy, padded to J_V
+    wj2 = (np.arange(v.J + 1, dtype=float) + 1.0) ** 2
+    q, res = _square_and_residual(v, w)
     rnorm = res.norm(params)
     history = [rnorm]
-    for it in range(1, NEWTON_MAX + 1):
-        if rnorm <= tol:
-            return KernelSolveResult(v, history, it - 1)
-        mat = linearize_kernel(v, w)
+    while rnorm > 1e-13 * max(1.0, KernelField(wj2 * v.v).norm(params)):
+        it = len(history)
+        if it > NEWTON_MAX:
+            raise KernelSolveError(
+                f"kernel Newton did not converge in {NEWTON_MAX} iterations "
+                f"(residual {rnorm:.3e})")
         try:
-            delta = np.linalg.solve(mat, -res.v)
+            delta = np.linalg.solve(_kernel_jacobian(q, v.J + 1), -res.v)
         except np.linalg.LinAlgError as exc:
             raise KernelSolveError(f"singular kernel linearization at iteration {it}") from exc
         step = 1.0
         for _ in range(8):
             cand = KernelField(v.v + step * delta)
-            cres = kernel_residual(cand, w)
+            cq, cres = _square_and_residual(cand, w)
             cnorm = cres.norm(params)
             if cnorm < rnorm:
                 break
             step *= 0.5
         else:
-            # no decrease possible: either at the rounding floor or outside the basin
-            floor = 1e-13 * max(1.0, KernelField(
-                (np.arange(v.J + 1, dtype=float) + 1.0) ** 2 * v.v).norm(params))
-            if rnorm <= floor:
-                return KernelSolveResult(v, history, it)
             raise KernelSolveError(
                 f"kernel Newton stalled at residual {rnorm:.3e} (w outside the empirical basin)")
-        v, res, rnorm = cand, cres, cnorm
+        v, q, res, rnorm = cand, cq, cres, cnorm
         history.append(rnorm)
-    if rnorm <= tol:
-        return KernelSolveResult(v, history, NEWTON_MAX)
-    raise KernelSolveError(
-        f"kernel Newton did not reach tol={tol:.1e} in {NEWTON_MAX} iterations "
-        f"(residual {rnorm:.3e})")
+    return KernelSolveResult(v, history, len(history) - 1)
 
 
 def kernel_derivative(v: KernelField, w: CoeffField, h: CoeffField) -> KernelField:
@@ -227,8 +228,7 @@ def kernel_derivative(v: KernelField, w: CoeffField, h: CoeffField) -> KernelFie
     u = total_field(v, w)
     q = field_multiply(u, u)
     rhs = extract_kernel(field_multiply(q, h), v.J).v * 3.0
-    mat = linearize_kernel(v, w)
-    return KernelField(np.linalg.solve(mat, rhs))
+    return KernelField(np.linalg.solve(_kernel_jacobian(q, v.J + 1), rhs))
 
 
 def kernel_derivative_matrix(stack: np.ndarray, n: int,

@@ -114,8 +114,8 @@ def _write_manifest(outdir, config_dict, artifacts, timings, stages):
 def _numeric_failure(exc: Exception) -> int:
     """Report a solver error, a singular system or running out of memory as exit 1.
 
-    Called from an `except` clause; any other exception is a bug and is
-    raised again.
+    Called from an `except` clause, for every command by `main`; any other
+    exception is a bug and is raised again.
     """
     import numpy as np
     if not (isinstance(exc, (np.linalg.LinAlgError, MemoryError))
@@ -155,8 +155,6 @@ def cmd_solve(args) -> int:
               f"{len(exc.records)} failing condition(s) written to {path}",
               file=sys.stderr)
         return EXIT_EXCLUDED
-    except Exception as exc:
-        return _numeric_failure(exc)
     finally:
         log.removeHandler(handler)
         log.setLevel(level)
@@ -229,18 +227,15 @@ def cmd_measure(args) -> int:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
     grid = np.linspace(1e-6, max(etas), args.solve_grid)
-    try:
-        mvals = _mean_curve(grid, args.m)
-    except Exception as exc:
-        return _numeric_failure(exc)
+    mvals = _mean_curve(grid, args.m)
     m_of_eps = lambda e: np.interp(e, grid, mvals)
     try:
         reports = [measure_scan(eta, args.samples, params, m_of_eps) for eta in etas]
+    except (np.linalg.LinAlgError, MemoryError) as exc:  # LinAlgError is a ValueError
+        return _numeric_failure(exc)
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MemoryError as exc:  # a sample count beyond memory
-        return _numeric_failure(exc)
     payload = {
         "gamma": args.gamma,
         "tau": args.tau,
@@ -342,7 +337,7 @@ def cmd_verify(args) -> int:
     from .nash_moser import SolverConfig, verify_solution
 
     try:
-        SolverConfig(eps=args.eps)  # the rule of solve: eps finite and >= 0
+        config = SolverConfig(eps=args.eps)  # the rule of solve: eps finite and >= 0
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -354,7 +349,7 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_MISSING
-    report = verify_solution(u, args.eps)
+    report = verify_solution(u, config)
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
         report.to_json(args.out)
@@ -371,7 +366,10 @@ def main(argv=None) -> int:
     handlers = {"solve": cmd_solve, "measure": cmd_measure,
                 "divisors": cmd_divisors, "spectrum": cmd_spectrum,
                 "verify": cmd_verify}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except Exception as exc:
+        return _numeric_failure(exc)
 
 
 if __name__ == "__main__":

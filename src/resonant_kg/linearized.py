@@ -620,7 +620,7 @@ def diagonalize_block(ell: int, eps: float, b0: np.ndarray, J_max: int) -> Spect
         # 5% safety margin on the grid sup estimate
         sup = 1.05 * float(np.max(np.abs(sb.evaluate_profile(b0, np.linspace(0, np.pi, 2048)))))
         if abs(eps) * sup >= 1.0:
-            raise ValueError(
+            raise ResonantSolveError(
                 f"|eps| = {abs(eps)} beyond the Neumann threshold 1/sup|b0| = {1.0 / sup:.3e}")
     bw = _band_width(eps, b0, J_max + 1)
     diag = sb.diagonal_sums(b0, J_max + 1, bw + 2)

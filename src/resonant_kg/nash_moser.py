@@ -424,15 +424,17 @@ class ResidualReport:
         return text
 
 
-def verify_solution(u: CoeffField, eps: float, s: float = 1.0,
-                    sigma_values: tuple = (0.0, 0.5, 0.730831)) -> ResidualReport:
-    """Exact coefficient-space residual of the rescaled equation.
+def verify_solution(u: CoeffField, config: SolverConfig) -> ResidualReport:
+    """Exact coefficient-space residual of the rescaled equation at config.eps.
 
     The cubic term is computed by two exact products; norms are reported at
-    several analyticity widths.  The spatial profile max_l |u[l, j]| is the
-    smoothness diagnostic: on the resolved window it should decay faster
-    than omega_j^(-DECAY_POWER).
+    the analyticity widths 0, sigma_bar / 2 and sigma_inf (rounded to 6
+    digits), with the Sobolev index config.s.  The spatial profile
+    max_l |u[l, j]| is the smoothness diagnostic: on the resolved window it
+    should decay faster than omega_j^(-DECAY_POWER).
     """
+    eps, s = config.eps, config.s
+    sigma_values = (0.0, config.sigma_bar / 2.0, round(config.sigma_inf, 6))
     resid = _residual(u, eps)
     norms = {}
     for sig in sigma_values:
@@ -484,7 +486,6 @@ def run(config: SolverConfig) -> RunResult:
         trace.records.append(rec)
         stages.append(stats)
     u = total_field(kernel.kernel, w)
-    sig_values = (0.0, config.sigma_bar / 2.0, round(config.sigma_inf, 6))
-    residual = verify_solution(u, config.eps, s=config.s, sigma_values=sig_values)
+    residual = verify_solution(u, config)
     return RunResult(config=config, w=w, kernel=kernel.kernel, u=u,
                      trace=trace, residual=residual, stages=stages)

@@ -112,7 +112,7 @@ def test_solve_kernel_at_zero_is_one_mode():
 
 def test_solve_kernel_quadratic_convergence(rng):
     w = random_field(rng, 6, 5, scale=0.1, decay=0.3)
-    res = solve_kernel(w, 1, J_V=5, tol=1e-12)
+    res = solve_kernel(w, 1, J_V=5)
     hist = res.residual_norms
     assert hist[-1] <= 1e-12
     # quadratic contraction r_{k+1} <= C r_k^2 once inside the basin
@@ -121,6 +121,32 @@ def test_solve_kernel_quadratic_convergence(rng):
     assert quad_pairs and all(r1 <= 10.0 * r0 ** 2 for r0, r1 in quad_pairs)
     # converged point actually solves the equation
     assert kernel_residual(res.kernel, w).norm(NormParams(0.0, 1.0)) <= 1e-12
+
+
+def test_solve_kernel_squares_each_iterate_once(rng, monkeypatch):
+    # the start and each accepted iterate cost u^2 and u^2 u; the Jacobian
+    # of the next step reads the accepted iterate's u^2
+    from resonant_kg import bifurcation
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return field_multiply(a, b)
+    monkeypatch.setattr(bifurcation, "field_multiply", counted)
+    w = random_field(rng, 6, 5, scale=0.1, decay=0.3)
+    res = solve_kernel(w, 1, J_V=5)
+    assert res.iterations >= 2
+    assert len(calls) == 2 + 2 * res.iterations  # no step was halved
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_kernel_newton_stops_at_the_relative_floor(m):
+    # Newton from the previous stage's kernel converges quadratically, so a
+    # few steps reach residual <= 1e-13 max(1, ||A v||); more would be
+    # line searches stalled at roundoff
+    from resonant_kg.nash_moser import SolverConfig, run
+    result = run(SolverConfig(eps=2e-3, m=m, n_max=3))
+    assert all(rec.kernel_iters <= 3 for rec in result.trace.records)
 
 
 def test_solve_kernel_nonconvergence_raises(rng, monkeypatch):
@@ -141,8 +167,8 @@ def test_kernel_derivative(rng):
     dv = kernel_derivative(res.kernel, w, h)
     # finite differences of the implicit solution
     t = 1e-6
-    vp = solve_kernel(w + t * h, m, J_V=J, tol=1e-14, start=res.kernel).kernel.v
-    vm = solve_kernel(w + (-t) * h, m, J_V=J, tol=1e-14, start=res.kernel).kernel.v
+    vp = solve_kernel(w + t * h, m, J_V=J, start=res.kernel).kernel.v
+    vm = solve_kernel(w + (-t) * h, m, J_V=J, start=res.kernel).kernel.v
     fd = (vp - vm) / (2 * t)
     assert np.max(np.abs(fd - dv.v)) < 1e-6 * max(1.0, np.abs(dv.v).max())
 
@@ -174,7 +200,7 @@ def test_derivative_linear_response(rng):
     dv = kernel_derivative(base.kernel, zero, h)
     errs = []
     for t in (1e-3, 1e-4):
-        vt = solve_kernel(t * h, m, J_V=J, tol=1e-14).kernel.v
+        vt = solve_kernel(t * h, m, J_V=J).kernel.v
         errs.append(np.abs(vt - base.kernel.v - t * dv.v).max() / t ** 2)
     assert errs[0] < 50 and errs[1] < 50  # second-order remainder stays O(t^2)
 

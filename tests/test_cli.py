@@ -133,6 +133,30 @@ def test_linalg_and_memory_errors_exit_1(tmp_path, capsys, monkeypatch, error):
                  "--out", str(tmp_path / "m.json")]) == 1
     err = capsys.readouterr().err
     assert "numeric failure" in err and "Traceback" not in err
+    # a singular system in the scan is a numeric failure, not a usage error,
+    # although LinAlgError is a ValueError
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(resonance, "measure_scan", singular)
+    assert main(["measure", "--eta", "0.01", "--out", str(tmp_path / "m.json")]) == 1
+    err = capsys.readouterr().err
+    assert "numeric failure: Singular matrix" in err and "Traceback" not in err
+
+
+def test_divisors_and_spectrum_beyond_the_neumann_threshold_exit_1(tmp_path, capsys):
+    # a run directory whose manifest claims eps = 0.9: eps B no longer
+    # separates the eigenvalues, and eps sup|b0| passes the Neumann threshold
+    out = tmp_path / "run"
+    assert main(solve_args(out, stages="0")) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["config"]["eps"] = 0.9
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    for command, message in ((["divisors"], "does not separate"),
+                             (["spectrum", "--ell-max", "2"], "beyond the Neumann threshold")):
+        assert main(command + ["--run", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "numeric failure: " in err and message in err and "Traceback" not in err
 
 
 def test_neumann_solve_failure_exits_1(tmp_path, capsys, monkeypatch):

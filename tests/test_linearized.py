@@ -94,7 +94,7 @@ def test_operator_matches_directional_derivative(rng):
     omega = np.sqrt(1 + eps)
 
     def gamma_proj(wf):
-        k = solve_kernel(wf, m, J_V=J, tol=1e-13)
+        k = solve_kernel(wf, m, J_V=J)
         u = k.kernel.embed(L=max(wf.L, k.kernel.J + 1), J=max(wf.J, k.kernel.J)) + wf
         g = field_multiply(field_multiply(u, u), u)
         return project_range(time_cutoff(g, Ln)).truncate(Ln, J, P)[0]
@@ -205,7 +205,7 @@ def test_banded_and_dense_paths_agree(rng):
 
 def test_neumann_threshold_guard():
     b0 = np.array([5.0, 3.0, 2.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ResonantSolveError, match="beyond the Neumann threshold"):
         diagonalize_block(2, 0.2, b0, 16)
 
 
@@ -508,21 +508,23 @@ def _refined_alpha(eps, b0, J_max, report):
     return np.array(alpha), np.array(lam)
 
 
-def _assert_matches_oracle(tab, rep, eps, b0, J_max):
-    """The table against the per-block oracle, and never above the refined divisor.
+def _assert_matches_oracle(tab, rep, eps, b0, J_max, oracle_rtol=1e-10):
+    """The table against the per-block oracle and the refined divisor.
 
-    alpha within 1e-10 relative of the oracle with the same j_min and ok;
-    the reported alpha is a lower bound, so it exceeds the refined divisor
-    by at most 4 ulps of max((1 + eps) l^2, lambda), the roundoff of the
-    numbers compared.
+    Same j_min and ok as the oracle, and alpha within 4 ulps of
+    max((1 + eps) l^2, lambda) of the refined divisor on both sides: the
+    roundoff of the numbers compared.  Unless `oracle_rtol` is None, alpha
+    is also within that relative distance of the oracle's; at J_max = 2048
+    the oracle's own roundoff is tens of ulps, which 1e-10 does not cover.
     """
     assert np.array_equal(tab.ells, rep.ells)
-    assert np.all(np.abs(tab.alpha - rep.alpha) <= 1e-10 * rep.alpha)
+    if oracle_rtol is not None:
+        assert np.all(np.abs(tab.alpha - rep.alpha) <= oracle_rtol * rep.alpha)
     assert np.array_equal(tab.j_min, rep.j_min)
     assert np.array_equal(tab.ok, rep.ok)
     alpha, lam = _refined_alpha(eps, b0, J_max, rep)
     t = (1.0 + eps) * rep.ells ** 2.0
-    assert np.all(tab.alpha <= alpha + 4 * np.spacing(np.maximum(t, lam)))
+    assert np.all(np.abs(tab.alpha - alpha) <= 4 * np.spacing(np.maximum(t, lam)))
 
 
 def _even_profile():
@@ -603,7 +605,7 @@ def test_divisor_table_secular_path_on_assembled_b0():
     rep = small_divisors(cfg.eps, op.b0, ells, 2048)
     sampled = linearized._divisor_report(cfg.eps, 0.05, 1.5, ells, tab.alpha[ells],
                                          tab.j_min[ells])
-    _assert_matches_oracle(sampled, rep, cfg.eps, op.b0, 2048)
+    _assert_matches_oracle(sampled, rep, cfg.eps, op.b0, 2048, oracle_rtol=None)
 
 
 @pytest.mark.parametrize("m, Ln, J", [(0, 16, 4), (1, 12, 18), (1, 8, 30)])

@@ -173,13 +173,13 @@ def test_melnikov_exclusion_raised():
 
 def test_verify_solution_identities():
     # zero field: zero residual
-    z = verify_solution(CoeffField.zeros(4, 2), 1e-3)
+    z = verify_solution(CoeffField.zeros(4, 2), SolverConfig(eps=1e-3))
     assert all(v == 0.0 for v in z.norms.values())
     # u = one-mode kernel solution: residual is exactly -eps * Pi_W(v^3)
     eps = 1e-2
     v = one_mode_solution(1, +1)
     u = v.embed()
-    rep = verify_solution(u, eps)
+    rep = verify_solution(u, SolverConfig(eps=eps))
     omega = np.sqrt(1 + eps)
     cube = field_multiply(field_multiply(u, u), u)
     expected = (u.padded(cube.L, cube.J).apply_wave_symbol(omega) - eps * cube)
@@ -194,10 +194,10 @@ def test_verify_solution_identities():
 
 def test_verify_detects_tampering():
     res = run(small_config(n_max=2))
-    clean = verify_solution(res.u, 1e-3).relative
+    clean = verify_solution(res.u, SolverConfig(eps=1e-3)).relative
     tampered = res.u.copy()
     tampered.u[3, 0] += 1e-6
-    dirty = verify_solution(tampered, 1e-3).relative
+    dirty = verify_solution(tampered, SolverConfig(eps=1e-3)).relative
     assert dirty > 1e3 * max(clean, 1e-300)
 
 
