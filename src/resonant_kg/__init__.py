@@ -15,7 +15,7 @@ from .field_algebra import (CoeffField, NormParams, field_multiply, load_field,
                             time_cutoff, zero_resonant_mode)
 from .bifurcation import (KernelField, kernel_derivative, kernel_residual,
                           linearize_kernel, one_mode_solution, solve_kernel)
-from .linearized import assemble_linearized, diagonalize_block, divisor_table
+from .linearized import assemble_linearized, block_spectrum, divisor_table
 from .resonance import (ConditionRecord, ResonanceParams, check_limit_conditions,
                         check_stage_conditions, fit_excluded_exponent,
                         mean_potential, measure_scan, strong_diophantine_check)
@@ -31,7 +31,7 @@ __all__ = [
     "load_field", "smoothing_bound_check", "sobolev_trade_check",
     "KernelField", "one_mode_solution", "kernel_residual", "linearize_kernel",
     "solve_kernel", "kernel_derivative",
-    "assemble_linearized", "diagonalize_block", "divisor_table",
+    "assemble_linearized", "block_spectrum", "divisor_table",
     "ResonanceParams", "ConditionRecord", "mean_potential",
     "check_stage_conditions", "check_limit_conditions",
     "strong_diophantine_check", "measure_scan", "fit_excluded_exponent",

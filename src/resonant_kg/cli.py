@@ -86,20 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_manifest(outdir, config_dict, artifacts, timings, stages):
-    import importlib.metadata
     import numpy
     from . import __version__
 
-    def version(package):  # from the metadata: importing scipy costs more than a short solve
-        try:
-            return importlib.metadata.version(package)
-        except importlib.metadata.PackageNotFoundError:
-            return "unknown"
     manifest = {
         "config": config_dict,
         "artifacts": {k: os.path.basename(v) for k, v in artifacts.items()},
         "versions": {"resonant-kg": __version__, "numpy": numpy.__version__,
-                     "scipy": version("scipy"),
                      "python": ".".join(map(str, sys.version_info[:3]))},
         "timings_s": timings,
         "stages": stages,
@@ -312,7 +305,7 @@ def cmd_divisors(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    from .linearized import diagonalize_block, spectrum_to_csv
+    from .linearized import block_spectrum, spectrum_to_csv
 
     if args.ell_max is not None and args.ell_max < 0:
         print("invalid parameters: --ell-max must be >= 0", file=sys.stderr)
@@ -323,7 +316,7 @@ def cmd_spectrum(args) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_MISSING
     ell_max = args.ell_max if args.ell_max is not None else min(w.L, 64)
-    blocks = [diagonalize_block(ell, config["eps"], b0, 2 * w.L)
+    blocks = [(ell, *block_spectrum(config["eps"], b0, ell, 2 * w.L))
               for ell in range(ell_max + 1)]
     out = args.out or os.path.join(args.run, "spectrum.csv")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)

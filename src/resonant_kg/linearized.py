@@ -37,17 +37,18 @@ before any entry is gathered; the blocks are then gathered one at a time.
 The spectra of D_l (a Sturm-Liouville perturbation of omega_j^2) control
 the small divisors alpha_l = min_j |omega^2 l^2 - lambda_{l,j}(eps)|.  Every
 block is one matrix omega_j^2 + eps B with the row and column of e_{l-1}
-deleted.  The divisor table diagonalizes, for every l at once in one
-stacked eigh, a window of the modes near omega^2 l^2, and subtracts from
-each divisor the residual bound ||r||^2 / delta on the distance between the
-window's eigenvalue and the block's (r the coupling out of the window,
-delta the gap to the other modes' Weyl intervals): the reported alpha_l is
-a lower bound.  A window widens until that bound is below one ulp, so the
-cost is linear in L_n.  `diagonalize_block` gives the spectrum of one
-block by a banded eigensolve (scipy, imported there) for the `spectrum`
-command.  No n x n matrix is formed here: the dense matrix of Lop, its
-split, the dense block eigenpairs and the preconditioner diagnostics are
-test oracles (tests/oracles.py).
+deleted, and one path reads its eigenvalues: windows of a few modes,
+diagonalized many at once in one stacked eigh, each eigenvalue reported
+with the residual bound ||r||^2 / delta on its distance to the block's (r
+the coupling out of the window, delta the gap to the other modes' Weyl
+intervals).  A window widens until that bound is below one ulp, so the cost
+is linear in the number of eigenvalues.  The divisor table takes one window
+per l, around omega^2 l^2, and subtracts the bound from each divisor: the
+reported alpha_l is a lower bound.  `block_spectrum` takes one window per
+label of one block, for the `spectrum` command.  No n x n matrix is formed
+here: the dense matrix of Lop, its split, the dense and banded block
+eigensolves and the preconditioner diagnostics are test oracles
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -66,10 +67,9 @@ __all__ = [
     "WLattice",
     "LinearizedOperator",
     "assemble_linearized",
-    "SpectralBlock",
-    "diagonalize_block",
     "DivisorReport",
     "divisor_table",
+    "block_spectrum",
     "pairwise_divisor_constant",
     "ResonantSolveError",
     "EXACT_NORM_MAX",
@@ -567,77 +567,6 @@ def assemble_linearized(eps: float, w: CoeffField, kernel: KernelField, L_n: int
 
 
 @dataclass
-class SpectralBlock:
-    """Eigenvalues of S_l(eps) = A + eps pi_l b0 pi_l on the complement of e_{l-1}."""
-
-    ell: int
-    js: np.ndarray   # retained mode labels, ascending
-    lam: np.ndarray  # eigenvalues, ascending: in label order at small eps
-
-
-def _kept_modes(ell: int, size: int) -> np.ndarray:
-    """Mode labels of an l-block: j < size except the resonant j = |l| - 1."""
-    js = np.arange(size)
-    return js[js != abs(ell) - 1]
-
-
-def _bands(kept: np.ndarray, eps: float, diag: np.ndarray, bw: int) -> np.ndarray:
-    """Upper banded storage of omega_j^2 + eps B restricted to the modes kept.
-
-    diag holds the diagonals of B, B[i, i + d] = diag[d, i]
-    (spherical_basis.diagonal_sums), up to the largest offset between kept
-    modes d <= bw apart: bw + 1 when one mode is deleted.  Deleting an index
-    never widens the band, so bw (the half-bandwidth of eps B, 0 when it is
-    diagonal or vanishes) holds for every restriction.
-    """
-    n = len(kept)
-    bands = np.zeros((bw + 1, n))
-    for d in range(bw + 1):
-        bands[bw - d, d:] = eps * diag[kept[d:] - kept[: n - d], kept[: n - d]]
-    bands[bw] += (kept + 1.0) ** 2
-    return bands
-
-
-def _band_width(eps: float, b0: np.ndarray, size: int) -> int:
-    """Half-bandwidth of eps B: the spatial support of b0, capped by the block size."""
-    support = np.nonzero(b0)[0]
-    if eps == 0.0 or len(support) == 0:
-        return 0
-    return min(int(support[-1]), size - 1)
-
-
-def diagonalize_block(ell: int, eps: float, b0: np.ndarray, J_max: int) -> SpectralBlock:
-    """Eigenvalues of one l-block omega_j^2 + eps B (j <= J_max, j != |l| - 1), in one banded solve.
-
-    B, the multiplication matrix of b0, couples modes only within the
-    spatial support of b0, so the block is read in banded storage from the
-    first diagonals of B (`_bands`), which keeps large J_max cheap.  The
-    ascending eigenvalues are paired with the ascending labels.  Requires
-    |eps| below the Neumann threshold 1 / sup|b0|.
-    """
-    b0 = np.asarray(b0, dtype=float)
-    if eps != 0.0 and np.any(b0 != 0.0):
-        # 5% safety margin on the grid sup estimate
-        sup = 1.05 * float(np.max(np.abs(sb.evaluate_profile(b0, np.linspace(0, np.pi, 2048)))))
-        if abs(eps) * sup >= 1.0:
-            raise ResonantSolveError(
-                f"|eps| = {abs(eps)} beyond the Neumann threshold 1/sup|b0| = {1.0 / sup:.3e}")
-    bw = _band_width(eps, b0, J_max + 1)
-    diag = sb.diagonal_sums(b0, J_max + 1, bw + 2)
-    kept = _kept_modes(ell, J_max + 1)
-    bw = min(bw, max(len(kept) - 1, 0))  # k modes have at most k - 1 bands
-    bands = _bands(kept, eps, diag, bw)
-    lam = bands[0]
-    if bw > 0:
-        import scipy.linalg  # only the spectrum command and the tests come here
-        try:
-            lam = scipy.linalg.eigvals_banded(bands, lower=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise ResonantSolveError(f"banded eigensolve failed at l={ell}") from exc
-    return SpectralBlock(ell=ell, js=kept, lam=lam)
-
-
-@dataclass
 class DivisorReport:
     """Small-divisor table alpha_l with minimizing labels and the admissibility floor."""
 
@@ -669,49 +598,75 @@ def _divisor_report(eps: float, gamma: float, tau: float, ells: np.ndarray,
                          j_min=j_min, floor=floor, ok=alpha >= floor)
 
 
-def _window_divisors(t: np.ndarray, deleted: np.ndarray, nearest: np.ndarray,
-                     start: np.ndarray, size: int, band: np.ndarray, spread: float):
-    """Lower bounds of min |t - lambda| over each row's block, from one window per row.
+def _eps_band(eps: float, b0: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+    """eps B on n modes, band[d, i] = eps B[i, i + d] (zero past the matrix), and its radius e.
+
+    The band ends at the spatial support of b0.  By Weyl's theorem every
+    eigenvalue of a block lies within e = |eps| (largest absolute row sum of
+    B) of its label's centre (kappa + 1)^2; when neighbouring intervals
+    overlap, ResonantSolveError is raised.
+    """
+    b0 = np.asarray(b0, dtype=float)
+    support = np.flatnonzero(b0)
+    bw = min(int(support[-1]), n - 1) if eps != 0.0 and len(support) else 0
+    d = np.arange(bw + 1)[:, None]
+    band = np.where(np.arange(n) + d < n, eps * sb.diagonal_sums(b0, n, bw + 1), 0.0)
+    # every row of B has one entry on the main diagonal and two on each other
+    spread = float(np.abs(band).max(axis=1) @ np.where(d[:, 0] == 0, 1.0, 2.0))
+    if n > 1 and 2.0 * spread >= 3.0:  # the closest centres, 1 and 4, are 3 apart
+        raise ResonantSolveError(f"||eps B|| <= {spread:.3e} does not separate the "
+                                 "eigenvalues of neighbouring modes")
+    return band, spread
+
+
+def _centre(lab: np.ndarray, shift: np.ndarray, n: int) -> np.ndarray:
+    """(lab + 1)^2 - shift, the middle of lab's Weyl interval; -+inf off the n modes."""
+    return np.where(lab < 0, -np.inf, np.where(lab >= n, np.inf, (lab + 1.0) ** 2 - shift[:, None]))
+
+
+def _beyond(lab: np.ndarray, step: int, deleted: np.ndarray) -> np.ndarray:
+    """The next label of the block past lab in the direction of step."""
+    return np.where(lab + step == deleted[:, None], lab + 2 * step, lab + step)
+
+
+def _window(target: np.ndarray, shift: np.ndarray, deleted: np.ndarray, start: np.ndarray,
+            size: int, band: np.ndarray, spread: float):
+    """The block's eigenvalues near shift + target, from one window of modes per row.
 
     Row r's window is the modes start[r] .. start[r] + size - 1 of
-    omega_j^2 + eps B (band[d, i] = eps B[i, i + d], zero past the matrix);
-    its deleted mode, when inside, stays as a decoupled row at its own
-    diagonal, and that eigenvalue is dropped.  The windows are shifted by
-    (nearest[r] + 1)^2, exact and closest to t, and diagonalized in one
-    stacked eigh.  Returns the bound, the label it is attained at, and
-    whether the bound is within one ulp of max(t, 1) of the window's own
-    divisor.
+    omega_j^2 + eps B (`_eps_band`); its deleted mode, when inside, stays as
+    a decoupled row at its own diagonal, and that eigenvalue is dropped.
+    The windows are shifted by shift[r], an exact square, and diagonalized
+    in one stacked eigh; as the Weyl intervals are disjoint, the ascending
+    eigenvalues belong to the ascending labels.  For the eigenvalue nearest
+    target and two places on either side (clipped; column 2 is the nearest)
+    returns the labels, whether each is kept, the Rayleigh quotients rho in
+    the block (shifted), and bounds on the distance from rho to the block's
+    eigenvalue of that label: ||r||^2 / delta, or inf where ||r|| >= delta.
     """
     bw, n = band.shape[0] - 1, band.shape[1]
     p = np.arange(size)
     labels = start[:, None] + p
     keep = labels != deleted[:, None]
-    shift = (nearest + 1.0) ** 2
-    target = (t - shift)[:, None]
-
-    def centre(lab):
-        """(lab + 1)^2 - shift, the middle of lab's Weyl interval; -+inf off the matrix."""
-        return np.where(lab < 0, -np.inf, np.where(lab >= n, np.inf,
-                                                   (lab + 1.0) ** 2 - shift[:, None]))
-
-    def beyond(lab, step):
-        """The next label of the block past lab in the direction of step."""
-        return np.where(lab + step == deleted[:, None], lab + 2 * step, lab + step)
-
     # wide[d, bw + i] = eps B[i, i + d]: zero for d > bw and for i < 0
     wide = np.zeros((bw + size, bw + n))
     wide[: bw + 1, bw:] = band
-    win = wide[np.abs(p[:, None] - p), bw + start[:, None, None] + np.minimum.outer(p, p)]
+
+    def gather(a, b):
+        """eps B[start + a, start + b] for every row, by flat index into wide."""
+        at = np.abs(a[:, None] - b) * (bw + n) + bw + np.minimum.outer(a, b)
+        return np.take(wide, at + start[:, None, None])
+    win = gather(p, p)
     win *= keep[:, :, None] & keep[:, None, :]
-    win[:, p, p] += centre(labels)
+    win[:, p, p] += _centre(labels, shift, n)
     mu, vec = np.linalg.eigh(win)
-    # Only the eigenvalue nearest t and its kept neighbours (two places away
-    # across the deleted mode) can be the block's nearest.  Each of their
+    # Only the eigenvalue nearest target and its kept neighbours (two places
+    # away across the deleted mode) can be the block's nearest.  Each of their
     # vectors x, padded with zeros, has the Rayleigh quotient rho in the
     # block and leaves the residual (W - rho) x in the window and
     # eps B[out, window] x on the rows out within bw of it
-    rows = np.arange(len(t))[:, None]
-    sel = np.argmin(np.where(keep, np.abs(target - mu), np.inf), axis=1)
+    rows = np.arange(len(target))[:, None]
+    sel = np.argmin(np.where(keep, np.abs(target[:, None] - mu), np.inf), axis=1)
     sel = np.clip(sel[:, None] + np.arange(-2, 3), 0, size - 1)
     x = np.take_along_axis(vec, sel[:, None, :], axis=2)
     wx = win @ x
@@ -720,8 +675,7 @@ def _window_divisors(t: np.ndarray, deleted: np.ndarray, nearest: np.ndarray,
     out = np.concatenate([np.arange(-bw, 0), np.arange(size, size + bw)])
     live = (start[:, None] + out >= 0) & (start[:, None] + out < n)
     live &= start[:, None] + out != deleted[:, None]
-    coupling = wide[np.abs(out[:, None] - p),
-                    bw + start[:, None, None] + np.minimum.outer(out, p)]
+    coupling = gather(out, p)
     coupling *= live[:, :, None] & keep[:, None, :]
     resid = np.sqrt((np.sum((wx - rho[:, None, :] * x) ** 2, axis=1)
                      + np.sum((coupling @ x) ** 2, axis=1)) / xx)
@@ -730,20 +684,25 @@ def _window_divisors(t: np.ndarray, deleted: np.ndarray, nearest: np.ndarray,
     # intervals and ||r|| < delta, the eigenvalue of x's label is within
     # ||r||^2 / delta of rho (Parlett, The Symmetric Eigenvalue Problem, 11.7)
     lab = labels[rows, sel]
-    delta = np.minimum(rho - centre(beyond(lab, -1)), centre(beyond(lab, 1)) - rho) - spread
+    delta = np.minimum(rho - _centre(_beyond(lab, -1, deleted), shift, n),
+                       _centre(_beyond(lab, 1, deleted), shift, n) - rho) - spread
     with np.errstate(divide="ignore", invalid="ignore"):
         slack = np.where(resid < delta, resid ** 2 / delta, np.inf)
-    kept, gap = keep[rows, sel], np.abs(target - rho)
-    raw = np.where(kept, gap, np.inf).min(axis=1)
-    near = np.where(kept, np.maximum(gap - slack, np.abs(target - centre(lab)) - spread), np.inf)
-    # t lies between the intervals next to the chosen labels, so the Weyl
-    # intervals of the nearest other label below and above bound the rest
-    outer = np.column_stack([beyond(lab[:, :1], -1), beyond(lab[:, -1:], 1)])
-    bound = np.column_stack([near, np.abs(target - centre(outer)) - spread])
-    pick = np.argmin(bound, axis=1)
-    alpha = np.maximum(bound[rows[:, 0], pick], 0.0)
-    settled = (raw - alpha <= np.spacing(np.maximum(t, 1.0))) | (size == n)
-    return alpha, np.column_stack([lab, outer])[rows[:, 0], pick], settled
+    return lab, keep[rows, sel], rho, slack
+
+
+def _widen(nearest: np.ndarray, n: int, solve) -> None:
+    """Call solve(rows, start, size) on windows of half-width 4, 8, 16, ... until all rows settle.
+
+    Row r's window holds `size` of the n modes around label nearest[r];
+    solve returns which of the rows settled, and must settle a window of all
+    n modes.
+    """
+    rows, half = np.arange(len(nearest)), 4
+    while len(rows):
+        size = min(2 * half + 1, n)
+        start = np.clip(nearest[rows] - half, 0, n - size)
+        rows, half = rows[~solve(rows, start, size)], 2 * half
 
 
 def divisor_table(eps: float, b0: np.ndarray, L_n: int, J_max: int, gamma: float,
@@ -751,44 +710,78 @@ def divisor_table(eps: float, b0: np.ndarray, L_n: int, J_max: int, gamma: float
     """Divisor report over l = 0..L_n from windows of the modes near omega^2 l^2.
 
     Block l is M = omega_j^2 + eps B (j <= J_max) with the row and column of
-    e_{l-1} deleted.  By Weyl's theorem its eigenvalue of ascending rank k
-    lies within e = |eps| (largest absolute row sum of B) of (kappa_k + 1)^2,
-    kappa_k the k-th kept label; when neighbouring intervals overlap, the
-    table raises ResonantSolveError.  Row l diagonalizes a window of the
-    modes within w of the label nearest omega^2 l^2 (`_window_divisors`) and
-    reports alpha_l as the smallest lower bound of |omega^2 l^2 - lambda| over
-    the labels: at a window eigenvalue rho, |omega^2 l^2 - rho| minus the
-    residual bound ||r||^2 / delta, elsewhere the distance to the Weyl
-    interval.  So alpha_l never exceeds the exact divisor beyond the
-    roundoff of the window solve.  The half-width w starts at 4 and doubles
-    until the bound takes at most one ulp of max(omega^2 l^2, 1) from the
-    window's own divisor.  j_min is the label of the chosen eigenvalue, the
-    ascending-label rule of `diagonalize_block`.
+    e_{l-1} deleted; its eigenvalue of label kappa lies in the Weyl interval
+    of radius e around (kappa + 1)^2 (`_eps_band`).  Row l diagonalizes a
+    window around the label nearest omega^2 l^2, shifted by its square
+    (`_window`), and reports alpha_l as the smallest lower bound of
+    |omega^2 l^2 - lambda| over the labels: at a window eigenvalue rho,
+    |omega^2 l^2 - rho| minus its residual bound, elsewhere the distance to
+    the Weyl interval.  So alpha_l never exceeds the exact divisor beyond
+    the roundoff of the window solve.  The window widens (`_widen`) until
+    the bound takes at most one ulp of max(omega^2 l^2, 1) from the window's
+    own divisor.  j_min is the label of the chosen eigenvalue, as in
+    `block_spectrum`.
     """
-    b0 = np.asarray(b0, dtype=float)
     n = J_max + 1
-    bw = _band_width(eps, b0, n)
-    d = np.arange(bw + 1)[:, None]
-    band = np.where(np.arange(n) + d < n, eps * sb.diagonal_sums(b0, n, bw + 1), 0.0)
-    # every row of B has one entry on the main diagonal and two on each other
-    spread = float(np.abs(band).max(axis=1) @ np.where(d[:, 0] == 0, 1.0, 2.0))
-    if n > 1 and 2.0 * spread >= 3.0:  # the closest centres, 1 and 4, are 3 apart
-        raise ResonantSolveError(f"divisor table: ||eps B|| <= {spread:.3e} does not "
-                                 "separate the eigenvalues of neighbouring modes")
+    band, spread = _eps_band(eps, b0, n)
     ells = np.arange(L_n + 1)
     t = (1.0 + eps) * ells ** 2.0
     deleted = np.where(ells <= n, ells - 1, -1)
     nearest = np.clip(np.rint(np.sqrt(t)).astype(int) - 1, 0, n - 1)
+    shift = (nearest + 1.0) ** 2
     alpha, j_min = np.empty(L_n + 1), np.empty(L_n + 1, dtype=int)
-    rows, half = ells, 4
-    while len(rows):
-        size = min(2 * half + 1, n)
-        start = np.clip(nearest[rows] - half, 0, n - size)
-        a, k, settled = _window_divisors(t[rows], deleted[rows], nearest[rows], start, size,
-                                         band, spread)
+
+    def solve(rows, start, size):
+        sh, dl = shift[rows], deleted[rows]
+        lab, kept, rho, slack = _window(t[rows] - sh, sh, dl, start, size, band, spread)
+        target = (t[rows] - sh)[:, None]
+        gap = np.abs(target - rho)
+        near = np.maximum(gap - slack, np.abs(target - _centre(lab, sh, n)) - spread)
+        # t lies between the intervals next to the chosen labels, so the Weyl
+        # intervals of the nearest other label below and above bound the rest
+        outer = np.column_stack([_beyond(lab[:, :1], -1, dl), _beyond(lab[:, -1:], 1, dl)])
+        bound = np.column_stack([np.where(kept, near, np.inf),
+                                 np.abs(target - _centre(outer, sh, n)) - spread])
+        pick = (np.arange(len(rows)), np.argmin(bound, axis=1))
+        a, k = np.maximum(bound[pick], 0.0), np.column_stack([lab, outer])[pick]
+        raw = np.where(kept, gap, np.inf).min(axis=1)
+        settled = (raw - a <= np.spacing(np.maximum(t[rows], 1.0))) | (size == n)
         alpha[rows[settled]], j_min[rows[settled]] = a[settled], k[settled]
-        rows, half = rows[~settled], 2 * half
+        return settled
+    _widen(nearest, n, solve)
     return _divisor_report(eps, gamma, tau, ells, alpha, j_min)
+
+
+def block_spectrum(eps: float, b0: np.ndarray, ell: int,
+                   J_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues of block l, omega_j^2 + eps B (j <= J_max, j != |l| - 1), with their bounds.
+
+    One window per kept label j, shifted by (j + 1)^2 (`_window`): by Weyl's
+    theorem the label's eigenvalue is within e of (j + 1)^2 and every other
+    label's at least 3 - e > e away (`_eps_band`), so it is the window
+    eigenvalue nearest (j + 1)^2.  With rho its Rayleigh quotient in the
+    block, lambda = (j + 1)^2 + rho, and `bound` bounds |lambda - lambda_l,j|
+    up to the roundoff of the window solve and of that sum.  The window
+    widens as in `divisor_table` until the bound is at most one ulp of
+    max(lambda, 1).  Returns the kept labels (ascending), lambda and bound.
+    """
+    n = J_max + 1
+    band, spread = _eps_band(eps, b0, n)
+    js = np.arange(n)
+    js = js[js != abs(ell) - 1]
+    shift = (js + 1.0) ** 2
+    deleted = np.full(len(js), abs(ell) - 1)
+    lam, bound = np.empty(len(js)), np.empty(len(js))
+
+    def solve(rows, start, size):
+        _, _, rho, slack = _window(np.zeros(len(rows)), shift[rows], deleted[rows], start, size,
+                                   band, spread)
+        value, slack = shift[rows] + rho[:, 2], slack[:, 2]
+        settled = (slack <= np.spacing(np.maximum(value, 1.0))) | (size == n)
+        lam[rows[settled]], bound[rows[settled]] = value[settled], slack[settled]
+        return settled
+    _widen(js, n, solve)
+    return js, lam, bound
 
 
 def pairwise_divisor_constant(report: DivisorReport) -> float:
@@ -809,7 +802,8 @@ def pairwise_divisor_constant(report: DivisorReport) -> float:
     return float(np.max(inv[mask] / bound_shape[mask]))
 
 
-def spectrum_to_csv(blocks: list[SpectralBlock], path) -> None:
-    write_csv(path, ["ell", "j", "lambda"],
-              ([blk.ell, int(j), repr(float(lam))] for blk in blocks
-               for j, lam in zip(blk.js, blk.lam)))
+def spectrum_to_csv(blocks, path) -> None:
+    """spectrum.csv from (l, labels, lambda, bound) per block (`block_spectrum`)."""
+    write_csv(path, ["ell", "j", "lambda", "bound"],
+              ([ell, int(j), repr(float(lam)), repr(float(b))] for ell, js, lams, bounds in blocks
+               for j, lam, b in zip(js, lams, bounds)))

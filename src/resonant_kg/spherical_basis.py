@@ -37,7 +37,6 @@ __all__ = [
     "circle_norm_sq",
     "sobolev_embedding_constant",
     "evaluate_basis",
-    "evaluate_profile",
 ]
 
 
@@ -203,9 +202,3 @@ def evaluate_basis(jmax: int, x: np.ndarray) -> np.ndarray:
         else:
             coeffs[j, 1 : j + 1 : 2] = 2.0
     return coeffs @ cos_table
-
-
-def evaluate_profile(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Pointwise values of a profile on a grid."""
-    p = np.asarray(p, dtype=float)
-    return p @ evaluate_basis(len(p) - 1, x)

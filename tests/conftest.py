@@ -23,6 +23,12 @@ def quad_inner(f_vals: np.ndarray, g_vals: np.ndarray, x: np.ndarray, w: np.ndar
     return float(np.sum(w * f_vals * g_vals * np.sin(x) ** 2) * 2.0 / np.pi)
 
 
+def evaluate_profile(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Pointwise values of a profile on a grid."""
+    p = np.asarray(p, dtype=float)
+    return p @ evaluate_basis(len(p) - 1, x)
+
+
 def quad_triple(j: int, k: int, ell: int, npts: int | None = None) -> float:
     """<e_j e_k, e_ell> by quadrature; node count covers the trig frequency."""
     if npts is None:

@@ -1,19 +1,20 @@
-"""Dense oracles of the linearized operator, for the tests and the acceptance suite.
+"""Dense and banded oracles of the linearized operator, for the tests and the acceptance suite.
 
 The package applies, solves and bounds Lop = D - eps M without forming an
-n x n matrix, and reads block spectra from banded storage.  These helpers
-form the same objects densely, at the small sizes the tests use, so that
-each fast path is checked against a slow one.
+n x n matrix, and reads block spectra from windows of a few modes.  These
+helpers form the same objects densely or in banded storage, at the sizes
+the tests use, so that each fast path is checked against a slow one.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from resonant_kg import linearized
 from resonant_kg.field_algebra import NormParams
-from resonant_kg.linearized import ResonantSolveError, SpectralBlock, diagonalize_block
-from resonant_kg.spherical_basis import multiplication_matrix
+from resonant_kg.linearized import ResonantSolveError
+from resonant_kg.spherical_basis import diagonal_sums, multiplication_matrix
 
 
 def dense_matrix(op) -> np.ndarray:
@@ -41,15 +42,117 @@ def split_diagonal(op):
 
 
 @dataclass
-class DenseBlock(SpectralBlock):
+class Block:
+    """Eigenvalues of one l-block omega_j^2 + eps B on the complement of e_{l-1}."""
+
+    ell: int
+    js: np.ndarray   # retained mode labels, ascending
+    lam: np.ndarray  # eigenvalues of the labels
+
+
+@dataclass
+class DenseBlock(Block):
     """Eigenpairs of one l-block, labeled by continuation from eps = 0 (lam in label order)."""
 
     vectors: np.ndarray  # columns in full-j coordinates
 
 
+def kept_modes(ell: int, size: int) -> np.ndarray:
+    """Mode labels of an l-block: j < size except the resonant j = |l| - 1."""
+    js = np.arange(size)
+    return js[js != abs(ell) - 1]
+
+
+def band_width(eps: float, b0: np.ndarray, size: int) -> int:
+    """Half-bandwidth of eps B: the spatial support of b0, capped by the block size."""
+    support = np.nonzero(b0)[0]
+    if eps == 0.0 or len(support) == 0:
+        return 0
+    return min(int(support[-1]), size - 1)
+
+
+def bands(kept: np.ndarray, eps: float, diag: np.ndarray, bw: int) -> np.ndarray:
+    """Upper banded storage of omega_j^2 + eps B restricted to the modes kept.
+
+    diag holds the diagonals of B, B[i, i + d] = diag[d, i]
+    (spherical_basis.diagonal_sums), up to the largest offset between kept
+    modes d <= bw apart: bw + 1 when one mode is deleted.  Deleting an index
+    never widens the band, so bw (the half-bandwidth of eps B, 0 when it is
+    diagonal or vanishes) holds for every restriction.
+    """
+    n = len(kept)
+    out = np.zeros((bw + 1, n))
+    for d in range(bw + 1):
+        out[bw - d, d:] = eps * diag[kept[d:] - kept[: n - d], kept[: n - d]]
+    out[bw] += (kept + 1.0) ** 2
+    return out
+
+
+def banded_block(ell: int, eps: float, b0: np.ndarray, J_max: int) -> Block:
+    """Eigenvalues of one l-block omega_j^2 + eps B (j <= J_max, j != |l| - 1), in one banded solve.
+
+    B couples modes only within the spatial support of b0, so the block is
+    read in banded storage from the first diagonals of B (`bands`).  The
+    ascending eigenvalues are paired with the ascending labels.  The
+    eigenvalues carry the roundoff of the whole block: up to 166 ulps at
+    J_max = 1024 on a branch's b0.
+    """
+    b0 = np.asarray(b0, dtype=float)
+    bw = band_width(eps, b0, J_max + 1)
+    diag = diagonal_sums(b0, J_max + 1, bw + 2)
+    kept = kept_modes(ell, J_max + 1)
+    bw = min(bw, max(len(kept) - 1, 0))  # k modes have at most k - 1 bands
+    ab = bands(kept, eps, diag, bw)
+    lam = scipy.linalg.eigvals_banded(ab, lower=False) if bw > 0 else ab[0]
+    return Block(ell=ell, js=kept, lam=lam)
+
+
+def refined_eigenvalues(eps: float, b0: np.ndarray, J_max: int, ells, js):
+    """The eigenvalue of label j in block l, for each pair (l, j), as an exact square and a shift.
+
+    The banded and dense eigensolves carry the roundoff of the whole block,
+    tens of ulps of lambda at J_max = 2048.  Here the block is shifted by the
+    exact square s = (j + 1)^2, three steps of banded inverse iteration
+    from e_j find the eigenvector x, and its Rayleigh quotient rho in the
+    shifted coordinates is accurate to a few ulps of max(lambda, 1).
+    Returns s and rho: lambda = s + rho.
+    """
+    n = J_max + 1
+    bw = band_width(eps, b0, n)
+    diag = diagonal_sums(b0, n, bw + 2)
+    shifts, shifted = [], []
+    for ell, j in zip(ells, js):
+        kept = kept_modes(ell, n)
+        k, w, s = len(kept), min(bw, len(kept) - 1), (j + 1.0) ** 2
+        # off[d][i] = eps B[kept_i, kept_{i+d}]; the diagonal is shifted exactly
+        off = [eps * diag[kept[d:] - kept[: k - d], kept[: k - d]] for d in range(w + 1)]
+        centre = (kept + 1.0) ** 2 - s + off[0]
+        rho = float(centre[kept == j][0])
+        if w > 0:
+            ab = np.zeros((2 * w + 1, k))  # solve_banded storage of the shifted block
+            for d in range(1, w + 1):
+                ab[w - d, d:] = ab[w + d, : k - d] = off[d]
+            x, rho = (kept == j).astype(float), 0.0
+            for _ in range(3):
+                ab[w] = centre - rho
+                try:
+                    x = scipy.linalg.solve_banded((w, w), ab, x)
+                except np.linalg.LinAlgError:  # rho is an exact eigenvalue
+                    break
+                x /= np.linalg.norm(x)
+                y = centre * x
+                for d in range(1, w + 1):
+                    y[: k - d] += off[d] * x[d:]
+                    y[d:] += off[d] * x[: k - d]
+                rho = float(x @ y)
+        shifts.append(s)
+        shifted.append(rho)
+    return np.array(shifts), np.array(shifted)
+
+
 def block_matrix(ell: int, eps: float, b0: np.ndarray, J_max: int):
     """The dense l-block omega_j^2 + eps B (j <= J_max, j != |l| - 1) and its modes."""
-    kept = linearized._kept_modes(ell, J_max + 1)
+    kept = kept_modes(ell, J_max + 1)
     B = multiplication_matrix(np.asarray(b0, dtype=float), J_max + 1)
     return np.diag((kept + 1.0) ** 2) + eps * B[np.ix_(kept, kept)], kept
 
@@ -73,11 +176,11 @@ def dense_block(ell: int, eps: float, b0: np.ndarray, J_max: int) -> DenseBlock:
 
 
 def small_divisors(eps: float, b0: np.ndarray, ells, J_max: int, gamma: float = 0.05,
-                   tau: float = 1.5, block=diagonalize_block):
+                   tau: float = 1.5, block=banded_block):
     """alpha_l = min_j |omega^2 l^2 - lambda_{l,j}(eps)| and its label, one block solve per l.
 
     The per-block path that `divisor_table` replaced; `block` gives the
-    spectrum of one block (the banded `diagonalize_block` or `dense_block`).
+    spectrum of one block (`banded_block` or `dense_block`).
     """
     ells = np.asarray(ells)
     alpha, j_min = np.empty(len(ells)), np.empty(len(ells), dtype=int)

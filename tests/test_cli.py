@@ -145,7 +145,7 @@ def test_linalg_and_memory_errors_exit_1(tmp_path, capsys, monkeypatch, error):
 
 def test_divisors_and_spectrum_beyond_the_neumann_threshold_exit_1(tmp_path, capsys):
     # a run directory whose manifest claims eps = 0.9: eps B no longer
-    # separates the eigenvalues, and eps sup|b0| passes the Neumann threshold
+    # separates the eigenvalues, and both commands refuse the run
     out = tmp_path / "run"
     assert main(solve_args(out, stages="0")) == 0
     manifest = json.loads((out / "manifest.json").read_text())
@@ -153,7 +153,7 @@ def test_divisors_and_spectrum_beyond_the_neumann_threshold_exit_1(tmp_path, cap
     (out / "manifest.json").write_text(json.dumps(manifest))
     capsys.readouterr()
     for command, message in ((["divisors"], "does not separate"),
-                             (["spectrum", "--ell-max", "2"], "beyond the Neumann threshold")):
+                             (["spectrum", "--ell-max", "2"], "does not separate")):
         assert main(command + ["--run", str(out)]) == 1
         err = capsys.readouterr().err
         assert "numeric failure: " in err and message in err and "Traceback" not in err
@@ -280,7 +280,7 @@ def test_divisors_and_spectrum(tmp_path):
     assert all(row.rsplit(",", 1)[1] == "1" for row in rows[1:])  # floor holds
     assert main(["spectrum", "--run", str(out), "--ell-max", "4"]) == 0
     srows = (out / "spectrum.csv").read_text().strip().splitlines()
-    assert srows[0] == "ell,j,lambda"
+    assert srows[0] == "ell,j,lambda,bound"
     # every row against the dense eigensolve of its block, labeled by continuation
     w, b0, config = _load_run(out)
     blocks = [dense_block(ell, config["eps"], b0, 2 * w.L) for ell in range(5)]
@@ -288,6 +288,7 @@ def test_divisors_and_spectrum(tmp_path):
     got = np.array([row.split(",") for row in srows[1:]], dtype=float)
     assert np.array_equal(got[:, :2], want[:, :2])
     assert np.abs(got[:, 2] - want[:, 2]).max() <= 1e-10
+    assert np.all(got[:, 3] <= np.spacing(np.maximum(got[:, 2], 1.0)))
     # --out in a directory that does not exist yet: it is created
     for args in (["divisors", "--run", str(out)],
                  ["spectrum", "--run", str(out), "--ell-max", "4"]):

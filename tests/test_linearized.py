@@ -12,15 +12,15 @@ from resonant_kg.bifurcation import KernelField, solve_kernel
 from resonant_kg.field_algebra import field_multiply, time_cutoff
 from resonant_kg import linearized
 from resonant_kg.linearized import (EXACT_NORM_MAX, ResonantSolveError, WLattice,
-                                    assemble_linearized, diagonalize_block,
+                                    assemble_linearized, block_spectrum,
                                     divisor_table, pairwise_divisor_constant)
-from resonant_kg.spherical_basis import (evaluate_profile, matrix_element,
-                                         mean_integral, profile_norm,
+from resonant_kg.spherical_basis import (matrix_element, mean_integral, profile_norm,
                                          sobolev_embedding_constant)
 
-from conftest import random_field
-from oracles import (block_matrix, dense_block, dense_matrix, preconditioned_split_check,
-                     small_divisors, split_diagonal, weighted_inverse_norm)
+from conftest import evaluate_profile, random_field
+from oracles import (bands, block_matrix, dense_block, dense_matrix, preconditioned_split_check,
+                     refined_eigenvalues, small_divisors, split_diagonal,
+                     weighted_inverse_norm)
 
 P = NormParams(0.4, 1.0, 2.0)
 
@@ -114,8 +114,9 @@ def test_block_diagonalization_basics():
     assert np.allclose(np.abs(blk.vectors[kept, np.arange(12)]), 1.0)
     # constant potential shifts every retained eigenvalue by exactly eps
     eps = 1e-3
-    blk1 = diagonalize_block(3, eps, np.array([1.0]), 12)
-    assert np.allclose(blk1.lam, (kept + 1.0) ** 2 + eps, atol=1e-14)
+    js, lam, _ = block_spectrum(eps, np.array([1.0]), 3, 12)
+    assert np.array_equal(js, kept)
+    assert np.allclose(lam, (kept + 1.0) ** 2 + eps, atol=1e-14)
 
 
 def test_block_drift_first_order(rng):
@@ -123,10 +124,10 @@ def test_block_drift_first_order(rng):
     eps = 1e-3
     b0 = np.zeros(3)
     b0[2] = 1.0  # e_2
-    blk = diagonalize_block(4, eps, b0, 40)
+    js, lam, _ = block_spectrum(eps, b0, 4, 40)
     mean = mean_integral(b0)
-    for i, j in enumerate(blk.js):
-        drift = blk.lam[i] - (j + 1.0) ** 2
+    for i, j in enumerate(js):
+        drift = lam[i] - (j + 1.0) ** 2
         first_order = eps * matrix_element(b0, j, j)
         assert abs(drift - first_order) < 5.0 * eps ** 2  # O(eps^2) remainder
         # the deviation from the mean shift decays with omega_j
@@ -143,9 +144,9 @@ def test_block_drift_bound(rng):
     mean = mean_integral(b0)
     for eps in (1e-3, 1e-2):
         for ell in (0, 3, 10):
-            blk = diagonalize_block(ell, eps, b0, 64)
-            bound = C * eps * nb / (blk.js + 1.0) ** (1.0 - delta)
-            drift = np.abs(blk.lam - (blk.js + 1.0) ** 2 - eps * mean)
+            js, lam, _ = block_spectrum(eps, b0, ell, 64)
+            bound = C * eps * nb / (js + 1.0) ** (1.0 - delta)
+            drift = np.abs(lam - (js + 1.0) ** 2 - eps * mean)
             assert np.all(drift <= bound)
 
 
@@ -155,15 +156,14 @@ def test_eigenvalue_slope_and_curvature(rng):
     sup = np.max(np.abs(evaluate_profile(b0, np.linspace(0, np.pi, 4096))))
     ell, J = 2, 24
     t = 1e-5
-    lam0 = diagonalize_block(ell, 0.0, b0, J).lam
-    lamp = diagonalize_block(ell, +t, b0, J).lam
-    lamm = diagonalize_block(ell, -t, b0, J).lam
-    blk = diagonalize_block(ell, 0.0, b0, J)
+    js, lam0, _ = block_spectrum(0.0, b0, ell, J)
+    lamp = block_spectrum(+t, b0, ell, J)[1]
+    lamm = block_spectrum(-t, b0, ell, J)[1]
     slopes = (lamp - lamm) / (2 * t)
-    for i, j in enumerate(blk.js):
+    for i, j in enumerate(js):
         assert abs(slopes[i] - matrix_element(b0, int(j), int(j))) < 1e-6
     curv = (lamp - 2 * lam0 + lamm) / t ** 2
-    assert np.all(np.abs(curv) <= 4.0 * sup ** 2 / (blk.js + 1.0) + 1e-2)
+    assert np.all(np.abs(curv) <= 4.0 * sup ** 2 / (js + 1.0) + 1e-2)
 
 
 def test_block_orthogonality_and_weighted_normalization(rng):
@@ -186,27 +186,78 @@ def test_block_orthogonality_and_weighted_normalization(rng):
 
 def test_block_truncation_stability(rng):
     b0 = rng.standard_normal(5) * 0.3
-    a = diagonalize_block(3, 1e-3, b0, 32)
-    b = diagonalize_block(3, 1e-3, b0, 64)
-    take = [i for i, j in enumerate(a.js) if j <= 16]
+    a_js, a_lam, _ = block_spectrum(1e-3, b0, 3, 32)
+    b_js, b_lam, _ = block_spectrum(1e-3, b0, 3, 64)
+    take = [i for i, j in enumerate(a_js) if j <= 16]
     for i in take:
-        j = a.js[i]
-        k = list(b.js).index(j)
-        assert abs(a.lam[i] - b.lam[k]) < 1e-8 * abs(b.lam[k])
+        j = a_js[i]
+        k = list(b_js).index(j)
+        assert abs(a_lam[i] - b_lam[k]) < 1e-8 * abs(b_lam[k])
 
 
-def test_banded_and_dense_paths_agree(rng):
+def test_window_and_dense_spectra_agree(rng):
     b0 = rng.standard_normal(7) * 0.4
     for ell in (0, 2, 9):
         dense = dense_block(ell, 2e-3, b0, 40)
-        banded = diagonalize_block(ell, 2e-3, b0, 40)
-        assert np.allclose(np.sort(dense.lam), np.sort(banded.lam), atol=1e-10)
+        js, lam, _ = block_spectrum(2e-3, b0, ell, 40)
+        assert np.array_equal(js, dense.js)
+        assert np.allclose(np.sort(dense.lam), lam, atol=1e-10)
 
 
-def test_neumann_threshold_guard():
+def test_spectrum_refuses_overlapping_weyl_intervals():
+    # eps ||B|| <= 0.2 (7 + 2 * 3 + 2 * 2) = 3.4: the intervals of modes 0 and
+    # 1 (centres 1 and 4) overlap, so the labels cannot name the eigenvalues
     b0 = np.array([5.0, 3.0, 2.0])
-    with pytest.raises(ResonantSolveError, match="beyond the Neumann threshold"):
-        diagonalize_block(2, 0.2, b0, 16)
+    with pytest.raises(ResonantSolveError, match="does not separate"):
+        block_spectrum(0.2, b0, 2, 16)
+
+
+@pytest.mark.parametrize("ell", [0, 1, 6, 40])
+def test_block_spectrum_is_exact_at_eps_zero(ell):
+    # the unperturbed block is diagonal: every row is its exact square
+    js, lam, bound = block_spectrum(0.0, np.array([2.0, 0.5, 0.3]), ell, 30)
+    assert np.array_equal(lam, (js + 1.0) ** 2)
+    assert np.array_equal(bound, np.zeros(len(js)))
+
+
+@pytest.mark.parametrize("ell, deleted", [(0, None), (1, 0), (9, 8), (25, 24), (26, None),
+                                          (40, None)])
+def test_block_spectrum_deletes_the_resonant_label(ell, deleted):
+    # J_max = 24: l = 1 .. 25 delete j = l - 1, the last at l = J_max + 1
+    b0 = np.random.default_rng(ell).standard_normal(7) * 0.3
+    js, lam, bound = block_spectrum(2e-3, b0, ell, 24)
+    assert np.array_equal(js, [j for j in range(25) if j != deleted])
+    dense = dense_block(ell, 2e-3, b0, 24)
+    assert np.array_equal(dense.js, js)
+    assert np.allclose(lam, dense.lam, rtol=1e-12, atol=0.0)
+    assert np.all(bound <= np.spacing(np.maximum(lam, 1.0)))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_block_spectrum_is_certified_on_branch_potentials(m, monkeypatch):
+    # the time-mean b0 of each branch's first state: m = 3's reaches mode 98
+    # and takes windows wider than the first 9 modes
+    from resonant_kg.bifurcation import total_field
+    from resonant_kg.nash_moser import SolverConfig, solve_stage0
+    cfg = SolverConfig(eps=2e-3, m=m)
+    w, kernel, _ = solve_stage0(cfg)
+    u = total_field(kernel.kernel, w)
+    b0 = 3.0 * field_multiply(u, u).u[0]
+    sizes, real = [], linearized._window
+
+    def recorded(*args):
+        sizes.append(args[4])
+        return real(*args)
+    monkeypatch.setattr(linearized, "_window", recorded)
+    J_max = 128
+    for ell in (0, 1, 2 * m + 2, J_max + 2):
+        js, lam, bound = block_spectrum(cfg.eps, b0, ell, J_max)
+        s, rho = refined_eigenvalues(cfg.eps, b0, J_max, np.full(len(js), ell), js)
+        ulp = np.spacing(np.maximum(lam, 1.0))
+        assert np.all(bound <= ulp)
+        assert np.all(np.abs(lam - (s + rho)) <= bound + 4 * ulp)
+    if m == 3:
+        assert max(sizes) > 9
 
 
 def test_small_divisors_examples():
@@ -464,50 +515,6 @@ def test_assembly_forms_square_and_stack_once(rng, monkeypatch):
     assert calls == {"field_multiply": 1, "mult_matrix_stack": 1}
 
 
-def _refined_alpha(eps, b0, J_max, report):
-    """|t - lambda| at the eigenvalue of label j_min in each block of `report`, refined.
-
-    The banded oracle's eigenvalues carry the roundoff of the whole block,
-    tens of ulps of t = (1 + eps) l^2 at J_max = 2048.  Here the block is
-    shifted by the exact square s = (j_min + 1)^2, three steps of banded
-    inverse iteration find the eigenvector x, and its Rayleigh quotient in
-    the shifted coordinates is accurate to a few ulps of max(t, lambda).
-    Returns alpha and lambda.
-    """
-    from resonant_kg.spherical_basis import diagonal_sums
-    n = J_max + 1
-    bw = linearized._band_width(eps, b0, n)
-    diag = diagonal_sums(b0, n, bw + 2)
-    alpha, lam = [], []
-    for ell, j in zip(report.ells, report.j_min):
-        kept = linearized._kept_modes(ell, n)
-        k, w, s = len(kept), min(bw, len(kept) - 1), (j + 1.0) ** 2
-        # off[d][i] = eps B[kept_i, kept_{i+d}]; the diagonal is shifted exactly
-        off = [eps * diag[kept[d:] - kept[: k - d], kept[: k - d]] for d in range(w + 1)]
-        centre = (kept + 1.0) ** 2 - s + off[0]
-        rho = float(centre[kept == j][0])
-        if w > 0:
-            ab = np.zeros((2 * w + 1, k))  # solve_banded storage of the shifted block
-            for d in range(1, w + 1):
-                ab[w - d, d:] = ab[w + d, : k - d] = off[d]
-            x, rho = (kept == j).astype(float), 0.0
-            for _ in range(3):
-                ab[w] = centre - rho
-                try:
-                    x = scipy.linalg.solve_banded((w, w), ab, x)
-                except np.linalg.LinAlgError:  # rho is an exact eigenvalue
-                    break
-                x /= np.linalg.norm(x)
-                y = centre * x
-                for d in range(1, w + 1):
-                    y[: k - d] += off[d] * x[d:]
-                    y[d:] += off[d] * x[: k - d]
-                rho = float(x @ y)
-        alpha.append(abs(((1.0 + eps) * ell ** 2 - s) - rho))
-        lam.append(s + rho)
-    return np.array(alpha), np.array(lam)
-
-
 def _assert_matches_oracle(tab, rep, eps, b0, J_max, oracle_rtol=1e-10):
     """The table against the per-block oracle and the refined divisor.
 
@@ -522,9 +529,10 @@ def _assert_matches_oracle(tab, rep, eps, b0, J_max, oracle_rtol=1e-10):
         assert np.all(np.abs(tab.alpha - rep.alpha) <= oracle_rtol * rep.alpha)
     assert np.array_equal(tab.j_min, rep.j_min)
     assert np.array_equal(tab.ok, rep.ok)
-    alpha, lam = _refined_alpha(eps, b0, J_max, rep)
+    s, rho = refined_eigenvalues(eps, b0, J_max, rep.ells, rep.j_min)
     t = (1.0 + eps) * rep.ells ** 2.0
-    assert np.all(np.abs(tab.alpha - alpha) <= 4 * np.spacing(np.maximum(t, lam)))
+    alpha = np.abs((t - s) - rho)
+    assert np.all(np.abs(tab.alpha - alpha) <= 4 * np.spacing(np.maximum(t, s + rho)))
 
 
 def _even_profile():
@@ -557,12 +565,12 @@ def test_divisor_table_widens_the_window_for_a_wide_band(monkeypatch):
     # each side with O(eps) entries, so the first 9-mode windows leave a
     # residual far above one ulp
     b0 = np.random.default_rng(37).standard_normal(37) * 0.3
-    sizes, real = [], linearized._window_divisors
+    sizes, real = [], linearized._window
 
     def recorded(*args):
         sizes.append(args[4])
         return real(*args)
-    monkeypatch.setattr(linearized, "_window_divisors", recorded)
+    monkeypatch.setattr(linearized, "_window", recorded)
     tab = divisor_table(2e-3, b0, 60, 120, gamma=0.05, tau=1.5)
     assert sizes[0] == 9 and max(sizes) >= 65
     _assert_matches_oracle(tab, small_divisors(2e-3, b0, range(61), 120), 2e-3, b0, 120)
@@ -586,7 +594,7 @@ def test_bands_from_diagonals_match_dense_bands(n, bw):
     for ell, rows in ((0, bw + 1), (n // 2, bw + 2)):
         S, kept = block_matrix(ell, 2e-3, b0, n - 1)
         dense = [np.r_[np.zeros(d), np.diagonal(S, d)] for d in range(bw, -1, -1)]
-        assert np.array_equal(linearized._bands(kept, 2e-3, diagonal_sums(b0, n, rows), bw), dense)
+        assert np.array_equal(bands(kept, 2e-3, diagonal_sums(b0, n, rows), bw), dense)
 
 
 def test_divisor_table_secular_path_on_assembled_b0():
@@ -951,31 +959,36 @@ def test_eps_zero_norm_is_exact_above_exact_max(monkeypatch):
 
 
 _NO_SCIPY_SCRIPT = """
+import os
 import sys
 
-def check(step):
-    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-    assert not loaded, f"{step} loaded {loaded[:5]}"
-
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
 import resonant_kg
-check("import resonant_kg")
 from resonant_kg.nash_moser import SolverConfig, run
 run(SolverConfig(eps=1e-3, m=0, n_max=3))
-check("run m = 0")
 run(SolverConfig(eps=2e-3, m=1, n_max=3, divisor_diagnostics=True))
-check("run m = 1 with the divisor table")
 import numpy as np
 from resonant_kg.resonance import ResonanceParams, measure_scan
 measure_scan(0.04, 1000, ResonanceParams(0.05, 1.5, eps0=0.05), lambda e: np.full_like(e, 2.0))
-check("measure_scan")
+from resonant_kg.cli import main
+out = sys.argv[1]
+run_dir = os.path.join(out, "run")
+for argv in (["solve", "--eps", "2e-3", "--m", "1", "--stages", "2", "--out", run_dir],
+             ["divisors", "--run", run_dir],
+             ["spectrum", "--run", run_dir],
+             ["verify", "--field", os.path.join(run_dir, "solution.field"), "--eps", "2e-3"],
+             ["measure", "--eta", "0.1", "--samples", "200", "--solve-grid", "2",
+              "--out", os.path.join(out, "measure.json")]):
+    assert main(argv) == 0, argv
 """
 
 
-def test_import_loads_no_sparse_module():
-    # importing scipy.linalg doubles the start-up time and peak memory of a
-    # short run: the package, the solves and the measure scan load no scipy
+def test_import_loads_no_sparse_module(tmp_path):
+    # scipy is a test dependency only: the package, the solves, the measure
+    # scan and all five commands run with every import of scipy refused
     import resonant_kg
     src = os.path.dirname(os.path.dirname(resonant_kg.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT], env=env, check=True, timeout=300)
+    subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)], env=env, check=True,
+                   timeout=300)

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from resonant_kg.spherical_basis import (circle_norm_sq, eigen_product,
-                                         evaluate_basis, evaluate_profile,
+from resonant_kg.spherical_basis import (circle_norm_sq, eigen_product, evaluate_basis,
                                          matrix_element, mean_integral,
                                          multiplication_matrix, profile_multiply,
                                          profile_norm, sobolev_embedding_constant,
                                          to_circle_fourier)
 
-from conftest import gauss_nodes, quad_inner, quad_triple
+from conftest import evaluate_profile, gauss_nodes, quad_inner, quad_triple
 
 
 def test_eigen_product_examples():
