@@ -20,8 +20,9 @@ monotone in eps with slope >= l/4, so the interval ends are a closed form
 and a contracting fixed-point iteration (contraction (M + eps M')/(omega_j l),
 at most about 1/2).  The Monte Carlo searches each binding pair's
 near-integer window in the sorted samples and evaluates the conditions
-pointwise at the candidates, so it shares no end point, iteration or merge
-with the union.
+pointwise at the candidates.  It shares f and g (_condition_values) and the
+rule that a pair passes only when both clear the threshold (_fails) with the
+stage checks, but no end point, iteration or merge with the union.
 """
 
 from __future__ import annotations
@@ -94,34 +95,47 @@ def mean_potential(w: CoeffField, v: KernelField) -> float:
     return melnikov_mean(field_multiply(u, u))
 
 
-def _condition_failures(eps: float, mean_value: float, gamma: float, tau: float,
-                        ell_max: int, omega_j_max: int, factor: float,
-                        strict: bool) -> list[ConditionRecord]:
-    """Pairs in [1/(3 eps), ell_max] x [1, omega_j_max] violating the conditions."""
-    if eps <= 0.0:
-        return []
-    ell_lo = int(np.ceil(1.0 / (3.0 * eps)))
-    if ell_lo > ell_max:
-        return []
-    omega = np.sqrt(1.0 + eps)
-    ells = np.arange(ell_lo, ell_max + 1)
-    wjs = np.arange(1, omega_j_max + 1)
-    E, W = np.meshgrid(ells.astype(float), wjs.astype(float), indexing="ij")
-    lhs_plain = np.abs(omega * E - W)
-    lhs_shift = np.abs(omega * E - W - eps * mean_value / (2.0 * W))
-    thr = factor * gamma / (E + W) ** tau
-    # a pair passes only when both sides clear the threshold, so NaN fails it
+def _expand(first, counts):
+    """Per row i, the integers first[i] .. first[i] + counts[i] - 1, with their row index."""
+    row = np.repeat(np.arange(len(counts)), counts)
+    return row, np.arange(len(row)) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+
+
+def _condition_values(e, ells, wjs, mean):
+    """Signed g and f at the pairs (l, omega_j); e and mean are scalars or one per pair."""
+    plain = np.sqrt(1.0 + e) * ells - wjs
+    return plain, plain - e * mean / (2.0 * wjs)
+
+
+def _fails(plain, shifted, thr, strict: bool):
+    """A pair passes only when both sides clear the threshold, so a NaN fails it."""
     clears = np.greater if strict else np.greater_equal
-    bad = ~(clears(lhs_plain, thr) & clears(lhs_shift, thr))
-    bad &= E != W  # l = omega_j pairs are excluded from the conditions
-    out = []
-    for i, k in zip(*np.nonzero(bad)):
-        out.append(ConditionRecord(ell=int(ells[i]), j=int(wjs[k]) - 1,
-                                   lhs_shifted=float(lhs_shift[i, k]),
-                                   lhs_plain=float(lhs_plain[i, k]),
-                                   threshold=float(thr[i, k]),
-                                   ok=False))
-    return out
+    return ~(clears(np.abs(plain), thr) & clears(np.abs(shifted), thr))
+
+
+def _condition_failures(eps: float, mean_value: float, params: ResonanceParams,
+                        ell_max: int, factor: float, strict: bool) -> list[ConditionRecord]:
+    """Pairs in [1/(3 eps), ell_max] x [1, 2 ell_max] violating the conditions: only
+    omega_j within cut_l = factor gamma / (l + 1)^tau + eps |M| / 2 of omega l can
+    (omega_j >= 1 caps threshold and shift), and the window is widened by far more
+    than the rounding of omega l.  fmax and fmin drop a NaN cut: a NaN M fails all."""
+    if eps <= 0.0 or 1.0 / (3.0 * eps) > ell_max:
+        return []
+    gamma, tau = params.gamma, params.tau
+    ell_grid = np.arange(int(np.ceil(1.0 / (3.0 * eps))), ell_max + 1, dtype=float)
+    x = np.sqrt(1.0 + eps) * ell_grid
+    cut = factor * gamma / (ell_grid + 1.0) ** tau + eps * abs(mean_value) / 2.0 + 1e-12 * (1.0 + x)
+    first = np.fmax(np.ceil(x - cut), 1.0)
+    last = np.fmin(np.floor(x + cut), 2.0 * ell_max)
+    count = np.maximum(last - first + 1.0, 0.0).astype(np.int64)
+    row, wjs = _expand(first.astype(np.int64), count)
+    ells, wjs = ell_grid[row], wjs.astype(float)
+    plain, shifted = _condition_values(eps, ells, wjs, mean_value)
+    thr = factor * gamma / (ells + wjs) ** tau
+    bad = _fails(plain, shifted, thr, strict) & (ells != wjs)  # l = omega_j is no condition
+    return [ConditionRecord(int(ell), int(wj) - 1, float(f), float(g), float(t), ok=False)
+            for ell, wj, f, g, t in zip(ells[bad], wjs[bad], np.abs(shifted[bad]),
+                                        np.abs(plain[bad]), thr[bad])]
 
 
 def check_stage_conditions(eps: float, mean_value: float, params: ResonanceParams,
@@ -131,8 +145,7 @@ def check_stage_conditions(eps: float, mean_value: float, params: ResonanceParam
     mean_value is the Melnikov mean M.  Returns (ok, failures); vacuously
     true when 1/(3 eps) > L_n.
     """
-    failures = _condition_failures(eps, mean_value, params.gamma, params.tau,
-                                   L_n, 2 * L_n, factor=1.0, strict=True)
+    failures = _condition_failures(eps, mean_value, params, L_n, factor=1.0, strict=True)
     return len(failures) == 0, failures
 
 
@@ -143,8 +156,7 @@ def check_limit_conditions(eps: float, mean_value: float, params: ResonanceParam
     For l > L_max the conditions follow from the distance of omega(eps) l to
     the integers at this eps window; the cutoff is the caller's to report.
     """
-    failures = _condition_failures(eps, mean_value, params.gamma, params.tau,
-                                   L_max, 2 * L_max, factor=2.0, strict=False)
+    failures = _condition_failures(eps, mean_value, params, L_max, factor=2.0, strict=False)
     return len(failures) == 0, failures
 
 
@@ -240,16 +252,8 @@ def _pair_arrays(eta: float, ell_max: int):
     """
     ell_grid = np.arange(max(int(np.ceil(1.0 / (3.0 * eta))), 1), ell_max + 1, dtype=float)
     dmax = np.floor((np.sqrt(1.0 + eta) - 1.0) * ell_grid).astype(np.int64) + 1
-    first = np.cumsum(dmax) - dmax
-    ds = np.arange(1, int(dmax.sum()) + 1) - np.repeat(first, dmax)
-    return np.repeat(ell_grid, dmax), ds.astype(float)
-
-
-def _melnikov_values(e, ells, wjs, m_of_eps, shifted: bool):
-    v = np.sqrt(1.0 + e) * ells - wjs
-    if shifted:
-        v = v - e * m_of_eps(e) / (2.0 * wjs)
-    return v
+    row, ds = _expand(1, dmax)
+    return ell_grid[row], ds.astype(float)
 
 
 def _crossing(level, ells, wjs, m_of_eps, shifted: bool):
@@ -312,19 +316,13 @@ def _excluded_samples(e_samples, ells, wjs, thr, cut, m_of_eps):
     ells, wjs, thr, cut = ells[visit], wjs[visit], thr[visit], cut[visit]
     first = np.searchsorted(e_sorted, ((wjs - cut) / ells) ** 2 - 1.0 - pad, side="left")
     stop = np.searchsorted(e_sorted, ((wjs + cut) / ells) ** 2 - 1.0 + pad, side="right")
-    counts = stop - first
-    pair = np.repeat(np.arange(len(ells)), counts)
-    pos = np.arange(len(pair)) + np.repeat(first - (np.cumsum(counts) - counts), counts)
-    e, ell, n = e_sorted[pos], ells[pair], wjs[pair]
-    x = np.sqrt(1.0 + e) * ell
-    keep = (np.abs(x - n) < cut[pair]) & (ell >= 1.0 / (3.0 * e))
-    e, n, x, pair, pos = e[keep], n[keep], x[keep], pair[keep], pos[keep]
-    th = thr[pair]
-    me = np.asarray(m_of_eps(e))
-    plain = np.abs(x - n) < th
-    shifted = np.abs(x - n - e * me / (2.0 * n)) < th
+    pair, pos = _expand(first, stop - first)
+    e, ell = e_sorted[pos], ells[pair]
+    plain, shifted = _condition_values(e, ell, wjs[pair], np.asarray(m_of_eps(e)))
+    bad = _fails(plain, shifted, thr[pair], strict=False)
+    bad &= (np.abs(plain) < cut[pair]) & (ell >= 1.0 / (3.0 * e))
     excluded = np.zeros(len(e_samples), dtype=bool)
-    excluded[order[pos[plain | shifted]]] = True
+    excluded[order[pos[bad]]] = True
     return excluded
 
 
@@ -340,7 +338,8 @@ def measure_scan(eta: float, samples: int, params: ResonanceParams, m_of_eps,
         (see _crossing; premise slope >= l/4, else ValueError);
     (b) Monte Carlo over uniform samples of the same condition set, found
         by a window search (see _excluded_samples) and evaluated pointwise;
-        it shares nothing with (a) but the pairs, so it checks the union.
+        it shares with (a) the pairs and the evaluator of f and g, but no end
+        point, iteration or merge, so it checks the union.
     """
     if eta <= 0.0:
         raise ValueError("eta must be positive")
@@ -362,16 +361,15 @@ def measure_scan(eta: float, samples: int, params: ResonanceParams, m_of_eps,
     # farther integers are safe.
     shift_cap = eta * float(np.max(np.abs(m_of_eps(np.linspace(0, eta, 64)))) + 1.0)
     cut = 2.0 * gamma / (2.0 * ells) ** tau + shift_cap / (2.0 * ells)
-    if float(cut.max()) >= 0.4:
-        raise ValueError("threshold + shift too close to 1/2: nearest-integer "
-                         "reduction invalid at these parameters")
+    if not cut.max() < 0.4:  # also catches a non-finite mean curve
+        raise ValueError("threshold + shift too close to 1/2 or not finite: "
+                         "nearest-integer reduction invalid at these parameters")
 
     lo = 1.0 / (3.0 * ells)
     hi = np.full_like(ells, eta)
     found = []
     for shifted in (True, False):
-        flo = _melnikov_values(lo, ells, wjs, m_of_eps, shifted)
-        fhi = _melnikov_values(hi, ells, wjs, m_of_eps, shifted)
+        flo, fhi = (_condition_values(e, ells, wjs, m_of_eps(e))[shifted] for e in (lo, hi))
         active = (flo < thr) & (fhi > -thr)
         a_lo, a_hi, t = lo[active], hi[active], thr[active]
         a_ells, a_wjs = ells[active], wjs[active]

@@ -1,9 +1,10 @@
-"""Dense and banded oracles of the linearized operator, for the tests and the acceptance suite.
+"""Dense and banded oracles of the linearized operator and the Melnikov grid, for the tests.
 
 The package applies, solves and bounds Lop = D - eps M without forming an
-n x n matrix, and reads block spectra from windows of a few modes.  These
-helpers form the same objects densely or in banded storage, at the sizes
-the tests use, so that each fast path is checked against a slow one.
+n x n matrix, reads block spectra from windows of a few modes, and checks the
+Melnikov conditions on the near-integer pairs only.  These helpers form the
+same objects densely, in banded storage or on the whole pair grid, at the
+sizes the tests use, so that each fast path is checked against a slow one.
 """
 
 from dataclasses import dataclass
@@ -14,6 +15,7 @@ import scipy.linalg
 from resonant_kg import linearized
 from resonant_kg.field_algebra import NormParams
 from resonant_kg.linearized import ResonantSolveError
+from resonant_kg.resonance import ConditionRecord
 from resonant_kg.spherical_basis import diagonal_sums, multiplication_matrix
 
 
@@ -268,3 +270,28 @@ def preconditioned_split_check(op, params: NormParams, gamma: float,
                          r1_constant=r1_constant, r2_norm=r2_norm, r2_constant=r2_constant,
                          factorization_error=fact_err, neumann_converged=converged,
                          neumann_vs_dense=neumann_vs_dense)
+
+
+def grid_condition_failures(eps: float, mean_value: float, gamma: float, tau: float,
+                            ell_max: int, factor: float, strict: bool) -> list:
+    """Pairs in [1/(3 eps), ell_max] x [1, 2 ell_max] violating the conditions,
+    from the whole (l, omega_j) meshgrid; records in grid order (l, then omega_j)."""
+    if eps <= 0.0:
+        return []
+    ell_lo = int(np.ceil(1.0 / (3.0 * eps)))
+    if ell_lo > ell_max:
+        return []
+    omega = np.sqrt(1.0 + eps)
+    ells = np.arange(ell_lo, ell_max + 1)
+    wjs = np.arange(1, 2 * ell_max + 1)
+    E, W = np.meshgrid(ells.astype(float), wjs.astype(float), indexing="ij")
+    lhs_plain = np.abs(omega * E - W)
+    lhs_shift = np.abs(omega * E - W - eps * mean_value / (2.0 * W))
+    thr = factor * gamma / (E + W) ** tau
+    clears = np.greater if strict else np.greater_equal
+    bad = ~(clears(lhs_plain, thr) & clears(lhs_shift, thr))
+    bad &= E != W
+    return [ConditionRecord(ell=int(ells[i]), j=int(wjs[k]) - 1,
+                            lhs_shifted=float(lhs_shift[i, k]), lhs_plain=float(lhs_plain[i, k]),
+                            threshold=float(thr[i, k]), ok=False)
+            for i, k in zip(*np.nonzero(bad))]

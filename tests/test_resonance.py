@@ -12,6 +12,7 @@ from resonant_kg.resonance import (ConditionRecord, ResonanceParams,
                                    strong_diophantine_check)
 
 from conftest import random_field
+from oracles import grid_condition_failures
 
 PARAMS = ResonanceParams(gamma=0.1, tau=1.5, eps0=0.1)
 
@@ -129,6 +130,58 @@ def test_nan_mean_fails_closed():
     for check in (check_stage_conditions, check_limit_conditions):
         ok, failures = check(eps, float("nan"), PARAMS, 32)
         assert not ok and failures
+
+
+def _condition_case(rng):
+    """A random (eps, M, gamma, tau, L) of the checks' range; about half the
+    amplitudes sit within a few thresholds of a plain or shifted resonance."""
+    gamma, tau = rng.uniform(1e-3, 0.16), rng.uniform(1.05, 1.95)
+    kind = rng.integers(4)
+    mean = [0.0, rng.uniform(-10.0, 10.0), rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0, 4),
+            float("nan")][kind]
+    # a NaN or large mean fails most of the grid: short rows keep the lists small
+    L = int(rng.integers(1, 160 if kind < 2 else 24))
+    eps = 10.0 ** rng.uniform(-4.0, np.log10(0.13))
+    if rng.random() < 0.5:
+        ell = int(rng.integers(max(L // 2, 1), L + 1))
+        wj = ell + int(rng.integers(1, max(int(0.06 * ell), 1) + 1))
+        e = (wj / ell) ** 2 - 1.0
+        if rng.random() < 0.5 and abs(mean) < ell:  # shifted resonance; the map contracts
+            for _ in range(50):
+                e = ((wj + e * mean / (2.0 * wj)) / ell) ** 2 - 1.0
+        thr = gamma / (ell + wj) ** tau
+        e += rng.uniform(-3.0, 3.0) * thr * 2.0 * np.sqrt(1.0 + e) / ell
+        if 0.0 < e <= 0.13:
+            eps = float(e)
+    return eps, mean, gamma, tau, L
+
+
+def test_condition_windows_match_grid_oracle(rng):
+    # the near-integer windows list the grid's failures: same pairs, order and floats
+    nonempty = 0
+    for _ in range(1000):
+        eps, mean, gamma, tau, L = _condition_case(rng)
+        params = ResonanceParams(gamma, tau)
+        for check, factor, strict in ((check_stage_conditions, 1.0, True),
+                                      (check_limit_conditions, 2.0, False)):
+            ok, got = check(eps, mean, params, L)
+            want = grid_condition_failures(eps, mean, gamma, tau, L, factor, strict)
+            assert [repr(r) for r in got] == [repr(r) for r in want], (eps, mean, L, factor)
+            assert ok == (not want)
+            nonempty += bool(want)
+    assert nonempty > 300
+
+
+def test_stage_check_memory_is_linear_in_L():
+    # the (L x 2L) grid peaked at 84 MB at this size; the windows hold O(L) floats
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        check_stage_conditions(2e-3, 2.0, PARAMS, 1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_strong_diophantine():
@@ -266,6 +319,10 @@ def test_measure_scan_nearest_integer_guard():
     params = ResonanceParams(0.05, 1.5, eps0=0.05)
     with pytest.raises(ValueError, match="1/2"):
         measure_scan(0.04, 10, params, _m_const(1e3))
+    # a NaN mean curve gives a NaN cut, which the guard rejects rather than
+    # letting every shifted condition pass
+    with pytest.raises(ValueError, match="not finite"):
+        measure_scan(0.04, 1000, params, _m_const(np.nan))
 
 
 def _interpolated_m_of_eps():
@@ -344,8 +401,8 @@ def _bisection_intervals(eta, params, m_of_eps):
     hi = np.full_like(ells, eta)
     found = []
     for shifted in (True, False):
-        flo = resonance._melnikov_values(lo, ells, wjs, m_of_eps, shifted)
-        fhi = resonance._melnikov_values(hi, ells, wjs, m_of_eps, shifted)
+        flo, fhi = (resonance._condition_values(e, ells, wjs, m_of_eps(e))[shifted]
+                    for e in (lo, hi))
         active = (flo < thr) & (fhi > -thr)
         a_lo, a_hi, t = lo[active], hi[active], thr[active]
         a_ells, a_wjs = ells[active], wjs[active]
@@ -354,7 +411,7 @@ def _bisection_intervals(eta, params, m_of_eps):
             a, b = a_lo.copy(), a_hi.copy()
             for _ in range(60):
                 mid = 0.5 * (a + b)
-                f = resonance._melnikov_values(mid, a_ells, a_wjs, m_of_eps, shifted)
+                f = resonance._condition_values(mid, a_ells, a_wjs, m_of_eps(mid))[shifted]
                 above = f > sign * t
                 b = np.where(above, mid, b)
                 a = np.where(above, a, mid)
@@ -525,3 +582,43 @@ def test_pair_bound_keeps_interval_straddling_eta(monkeypatch):
     iv = got.excluded_intervals
     row = iv[(iv["ell"] == ell) & (iv["j"] == n - 1)]
     assert len(row) == 1 and row["hi"][0] == eta and row["lo"][0] < eta
+
+
+def test_solve_exclusions_lie_in_the_measure_union():
+    # solve and measure read one condition set: manufactured plain and shifted
+    # resonances at (l, l + 1) stop a 3-stage solve and lie in the union, and
+    # the limit check fails exactly on the union's members through l <= L_max
+    from resonant_kg.cli import _mean_curve
+    from resonant_kg.nash_moser import MelnikovExcludedError, SolverConfig, run
+    eta, L_max = 0.04, 128
+    grid = np.linspace(1e-6, eta, 4)
+    mvals = _mean_curve(grid, 0)
+    m_of_eps = lambda e: np.interp(e, grid, mvals)
+    params = ResonanceParams(0.05, 1.5, eps0=eta)
+    iv = measure_scan(eta, 10, params, m_of_eps).excluded_intervals
+    for ell in (51, 57, 63):
+        n = ell + 1.0
+        shifted = (n / ell) ** 2 - 1.0
+        for _ in range(60):
+            shifted = ((n + shifted * m_of_eps(shifted) / (2.0 * n)) / ell) ** 2 - 1.0
+        for eps in ((n / ell) ** 2 - 1.0, float(shifted)):
+            with pytest.raises(MelnikovExcludedError) as ei:
+                run(SolverConfig(eps=eps, m=0, n_max=3, divisor_diagnostics=False))
+            assert (ell, ell) in {(r.ell, r.j) for r in ei.value.records}
+            inside = (iv["lo"] < eps) & (eps < iv["hi"])
+            assert (ell, ell) in set(zip(iv["ell"][inside], iv["j"][inside]))
+
+    low = iv[iv["ell"] <= L_max]
+    width = low["hi"] - low["lo"]
+    e = np.concatenate([0.5 * (low["lo"] + low["hi"]), low["lo"] - 0.01 * width,
+                        low["hi"] + 0.01 * width, np.random.default_rng(5).uniform(0, eta, 500)])
+    ends = np.concatenate([low["lo"], low["hi"]])
+    e = e[(e > 0.0) & (np.abs(e[:, None] - ends[None, :]).min(axis=1) > 1e-12)]
+    members = 0
+    for x in e:
+        inside = (low["lo"] < x) & (x < low["hi"])
+        ok, failures = check_limit_conditions(float(x), float(m_of_eps(x)), params, L_max)
+        assert {(r.ell, r.j) for r in failures} == set(zip(low["ell"][inside], low["j"][inside]))
+        assert ok == (not inside.any())
+        members += not ok
+    assert members > len(low) // 2 and len(e) - members > 500
