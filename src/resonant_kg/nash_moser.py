@@ -11,8 +11,9 @@ Neumann iteration of its splitting D - eps M) and runs the Picard map
 
     h  <-  eps Lop^{-1} ( r_n + R_n(h) ),
 
-with r_n the newly resolved time band of the nonlinearity and R_n its
-quadratic Taylor remainder.  The kernel component v(w) is re-solved once per
+with r_n the newly resolved time band of the nonlinearity, plus the defect
+that the previous stage's first-order kernel left on the old band, and R_n
+its quadratic Taylor remainder.  The kernel component v(w) is re-solved once per
 stage and updated to first order inside the Picard loop (stage 0, where w
 moves by O(eps) rather than O(exp(-chi^n)), re-solves it every iteration);
 each stage ends with a certificate residual computed against a freshly
@@ -343,6 +344,19 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig,
     r_n = rhs_full.copy()
     r_n.u[: L_cur + 1, :] = 0.0
     r_norm = r_n.norm(params_next)
+    if eps != 0.0:
+        # symbol w_n = eps Gamma held on l <= L_cur only up to the kernel's
+        # first-order update in stage n's Picard loop; that defect joins r_n.
+        # Stage n solved for w_n to PICARD_TOL relative, so a difference below
+        # PICARD_TOL times its two terms is the residue of that stop (their
+        # rounding lies far below it), not this defect, and stays 0; so does a
+        # subnormal one, which carries no relative accuracy (a subnormal w_n
+        # entry, times symbol / eps, leaves such noise in lhs).
+        lhs = wave_symbol(math.sqrt(1.0 + eps), L_cur, J) * w_n.padded(L_cur, J).u / eps
+        gam = rhs_full.u[: L_cur + 1, :]
+        d = gam - lhs
+        noise = np.maximum(PICARD_TOL * (np.abs(gam) + np.abs(lhs)), np.finfo(float).tiny)
+        r_n.u[: L_cur + 1, :] = np.where(np.abs(d) > noise, d, 0.0)
     gam_next_norm = rhs_full.norm(params_cur)
     r_smooth_bound = math.exp(-L_cur * (sigmas[n] - sigmas[n + 1])) * gam_next_norm
 

@@ -227,6 +227,14 @@ def test_other_branches_smoke():
     assert r2.residual.relative < 1e-8
 
 
+def test_low_mode_defect_reaches_roundoff_on_m2():
+    # each stage also corrects the defect its predecessor left on l <= L_cur
+    # (the Picard loop's kernel is first order in h): without that, m = 2
+    # stalls at a relative residual of 2.6e-10
+    res = run(SolverConfig(eps=2e-3, m=2, n_max=3, divisor_diagnostics=False))
+    assert res.residual.relative <= 1e-13
+
+
 def test_stage0_only_run():
     res = run(small_config(n_max=0))
     assert len(res.trace.records) == 1
