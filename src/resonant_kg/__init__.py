@@ -10,15 +10,12 @@ estimates the measure of the admissible amplitude set.
 """
 
 from .field_algebra import (CoeffField, NormParams, field_multiply, load_field,
-                            project_kernel, project_range, save_field,
-                            smoothing_bound_check, sobolev_trade_check,
-                            time_cutoff, zero_resonant_mode)
-from .bifurcation import (KernelField, kernel_derivative, kernel_residual,
-                          linearize_kernel, one_mode_solution, solve_kernel)
+                            project_kernel, project_range, save_field, time_cutoff)
+from .bifurcation import KernelField, one_mode_solution, solve_kernel
 from .linearized import assemble_linearized, block_spectrum, divisor_table
 from .resonance import (ConditionRecord, ResonanceParams, check_limit_conditions,
                         check_stage_conditions, fit_excluded_exponent,
-                        mean_potential, measure_scan, strong_diophantine_check)
+                        mean_potential, measure_scan)
 from .nash_moser import (ContractionError, MelnikovExcludedError, RunResult,
                          SolverConfig, SolveTrace, run, solve_stage,
                          solve_stage0, verify_solution)
@@ -27,14 +24,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoeffField", "NormParams", "field_multiply", "project_kernel",
-    "project_range", "time_cutoff", "zero_resonant_mode", "save_field",
-    "load_field", "smoothing_bound_check", "sobolev_trade_check",
-    "KernelField", "one_mode_solution", "kernel_residual", "linearize_kernel",
-    "solve_kernel", "kernel_derivative",
+    "project_range", "time_cutoff", "save_field", "load_field",
+    "KernelField", "one_mode_solution", "solve_kernel",
     "assemble_linearized", "block_spectrum", "divisor_table",
     "ResonanceParams", "ConditionRecord", "mean_potential",
     "check_stage_conditions", "check_limit_conditions",
-    "strong_diophantine_check", "measure_scan", "fit_excluded_exponent",
+    "measure_scan", "fit_excluded_exponent",
     "SolverConfig", "SolveTrace", "RunResult", "run", "solve_stage0",
     "solve_stage", "verify_solution", "MelnikovExcludedError",
     "ContractionError",

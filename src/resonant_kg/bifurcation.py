@@ -27,12 +27,7 @@ __all__ = [
     "KernelField",
     "one_mode_solution",
     "total_field",
-    "kernel_residual",
-    "bif_block",
-    "block_determinant",
-    "linearize_kernel",
     "solve_kernel",
-    "kernel_derivative",
     "kernel_derivative_matrix",
     "KernelSolveResult",
     "KernelSolveError",
@@ -117,27 +112,6 @@ def _square_and_residual(v: KernelField, w: CoeffField) -> tuple[CoeffField, Ker
     return q, KernelField(res)
 
 
-def kernel_residual(v: KernelField, w: CoeffField) -> KernelField:
-    """A v - Pi_V (v + w)^3, exactly in coefficient space."""
-    _check_in_range(w)
-    return _square_and_residual(v, w)[1]
-
-
-def bif_block(m: int, j: int) -> np.ndarray:
-    """2x2 coupling block between kernel modes j and 2m - j (0 <= j <= m-1)."""
-    if not 0 <= j <= m - 1:
-        raise ValueError("need 0 <= j <= m-1")
-    wm, wj, wc = m + 1, j + 1, 2 * m - j + 1
-    return np.array([[wj * wj - 2 * wm * wj, -wm * wj],
-                     [-wm * wj, wc * wc - 2 * wm * wm]], dtype=float)
-
-
-def block_determinant(m: int, j: int) -> int:
-    """det of bif_block in closed form: -omega_j (omega_m-omega_j)^2 (4 omega_m - omega_j)."""
-    wm, wj = m + 1, j + 1
-    return -wj * (wm - wj) ** 2 * (4 * wm - wj)
-
-
 def _kernel_block(stack: np.ndarray, n: int, factor: float) -> np.ndarray:
     """Dense matrix of h -> A h - factor Pi_V(p h) on the n kernel modes.
 
@@ -155,12 +129,6 @@ def _kernel_jacobian(q: CoeffField, n: int) -> np.ndarray:
     return _kernel_block(mult_matrix_stack(q, n, 2 * n), n, 3.0)
 
 
-def linearize_kernel(v: KernelField, w: CoeffField) -> np.ndarray:
-    """Dense matrix of h -> A h - 3 Pi_V((v+w)^2 h) on the truncated kernel."""
-    u = total_field(v, w)
-    return _kernel_jacobian(field_multiply(u, u), v.J + 1)
-
-
 @dataclass
 class KernelSolveResult:
     """Converged kernel solution with the empirical Newton record."""
@@ -174,10 +142,13 @@ class KernelSolveResult:
         return self.kernel.v
 
 
-def solve_kernel(w: CoeffField, m: int, sign: int = +1,
-                 J_V: int | None = None, params: NormParams | None = None,
+def solve_kernel(w: CoeffField, m: int, J_V: int | None = None,
+                 params: NormParams | None = None,
                  start: KernelField | None = None) -> KernelSolveResult:
-    """Damped Newton from the one-mode solution; converges to v(w).
+    """Damped Newton from start, else the one-mode solution with alpha_m > 0; converges to v(w).
+
+    The equation is odd, so the branch through -alpha_m is the negation of
+    this one: its kernel at w is -v(-w).
 
     Converged means residual <= 1e-13 max(1, ||A v||) in the norm `params`,
     tested before each step.  The empirical Newton basin replaces any
@@ -187,7 +158,7 @@ def solve_kernel(w: CoeffField, m: int, sign: int = +1,
     _check_in_range(w)
     params = params or NormParams(0.0, 1.0, 2.0)
     J_V = max(m, w.J) if J_V is None else J_V
-    v = start if start is not None else one_mode_solution(m, sign, J_V)
+    v = start if start is not None else one_mode_solution(m, J_V=J_V)
     v = KernelField(np.pad(v.v, (0, max(J_V - v.J, 0))))  # a copy, padded to J_V
     wj2 = (np.arange(v.J + 1, dtype=float) + 1.0) ** 2
     q, res = _square_and_residual(v, w)
@@ -217,18 +188,6 @@ def solve_kernel(w: CoeffField, m: int, sign: int = +1,
         v, q, res, rnorm = cand, cq, cres, cnorm
         history.append(rnorm)
     return KernelSolveResult(v, history, len(history) - 1)
-
-
-def kernel_derivative(v: KernelField, w: CoeffField, h: CoeffField) -> KernelField:
-    """Directional derivative d_w v(w)[h] of the implicit kernel solution.
-
-    Solves linearize_kernel(v, w)[dv] = 3 Pi_V((v+w)^2 h) for h in the range.
-    """
-    _check_in_range(h)
-    u = total_field(v, w)
-    q = field_multiply(u, u)
-    rhs = extract_kernel(field_multiply(q, h), v.J).v * 3.0
-    return KernelField(np.linalg.solve(_kernel_jacobian(q, v.J + 1), rhs))
 
 
 def kernel_derivative_matrix(stack: np.ndarray, n: int,

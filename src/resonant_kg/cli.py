@@ -6,7 +6,7 @@ plus artifact writing.  Data payloads are deterministic given the flags
 
 Exit codes: 0 success, 1 numeric failure, 2 amplitude excluded by a
 non-resonance condition, 64 usage error, 65 insufficient solve grid,
-66 missing or corrupt artifact.
+66 missing, corrupt or inaccessible artifact path.
 """
 
 from __future__ import annotations
@@ -251,15 +251,12 @@ def cmd_measure(args) -> int:
 def _load_run(run_dir):
     """(range part, time-mean potential b0, config) of a run directory.
 
-    FileNotFoundError for a missing artifact, ValueError naming the file for a
-    corrupt one, such as non-numeric coefficients or a config without finite eps, gamma, tau.
+    OSError naming the path for a missing or unreadable artifact, ValueError
+    naming the file for a corrupt one, such as non-numeric coefficients or a
+    config without finite eps, gamma, tau.
     """
     from .bifurcation import KernelField, total_field
     from .field_algebra import field_multiply, load_field
-    needed = ["range_part.field", "kernel.json", "manifest.json"]
-    for name in needed:
-        if not os.path.exists(os.path.join(run_dir, name)):
-            raise FileNotFoundError(f"missing artifact {name} in {run_dir}")
     w = load_field(os.path.join(run_dir, "range_part.field"))
     documents = []
     for name in ("kernel.json", "manifest.json"):
@@ -290,7 +287,7 @@ def cmd_divisors(args) -> int:
 
     try:
         w, b0, config = _load_run(args.run)
-    except (FileNotFoundError, ValueError) as exc:
+    except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_MISSING
     L_n = w.L
@@ -312,7 +309,7 @@ def cmd_spectrum(args) -> int:
         return EXIT_USAGE
     try:
         w, b0, config = _load_run(args.run)
-    except (FileNotFoundError, ValueError) as exc:
+    except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_MISSING
     ell_max = args.ell_max if args.ell_max is not None else min(w.L, 64)
@@ -334,9 +331,6 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if not os.path.exists(args.field):
-        print(f"missing field file {args.field}", file=sys.stderr)
-        return EXIT_MISSING
     try:
         u = load_field(args.field)
     except ValueError as exc:
@@ -361,6 +355,10 @@ def main(argv=None) -> int:
                 "verify": cmd_verify}
     try:
         return handlers[args.command](args)
+    except OSError as exc:  # an artifact path that is missing, a directory or unwritable
+        print(f"inaccessible artifact path {exc.filename}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_MISSING
     except Exception as exc:
         return _numeric_failure(exc)
 

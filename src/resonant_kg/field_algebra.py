@@ -37,18 +37,14 @@ from . import spherical_basis as sb
 __all__ = [
     "NormParams",
     "CoeffField",
-    "CheckResult",
     "field_multiply",
     "mult_matrix_stack",
     "fold_entries",
     "project_kernel",
     "project_range",
     "time_cutoff",
-    "zero_resonant_mode",
     "kernel_mask",
     "wave_symbol",
-    "smoothing_bound_check",
-    "sobolev_trade_check",
     "save_field",
     "load_field",
     "field_to_csv",
@@ -87,15 +83,6 @@ class CoeffField:
     @classmethod
     def zeros(cls, L: int, J: int) -> "CoeffField":
         return cls(np.zeros((L + 1, J + 1)))
-
-    @classmethod
-    def from_mode(cls, ell: int, j: int, value: float = 1.0,
-                  L: int | None = None, J: int | None = None) -> "CoeffField":
-        L = ell if L is None else L
-        J = j if J is None else J
-        f = cls.zeros(L, J)
-        f.u[ell, j] = value
-        return f
 
     # -- shape bookkeeping ---------------------------------------------------
 
@@ -170,42 +157,11 @@ class CoeffField:
         peak = float(t.max())
         return float(np.exp(0.5 * (peak + np.log(np.sum(np.exp(t - peak))))))
 
-    def inner(self, other: "CoeffField", params: NormParams) -> float:
-        L, J = max(self.L, other.L), max(self.J, other.J)
-        a, b = self.padded(L, J), other.padded(L, J)
-        wj = (np.arange(J + 1, dtype=float) + 1.0) ** (2.0 * params.r)
-        rows = (a.u * b.u) @ wj
-        mask = rows != 0.0
-        if not mask.any():
-            return 0.0
-        return float(np.sum(np.exp(a._log_time_weights(params)[mask]) * rows[mask]))
-
     # -- diagonal symbols ----------------------------------------------------
-
-    def dtt(self) -> "CoeffField":
-        """Second time derivative: entry (l, j) multiplied by -l^2."""
-        ell2 = np.arange(self.L + 1, dtype=float) ** 2
-        return CoeffField(-ell2[:, None] * self.u)
-
-    def apply_A(self) -> "CoeffField":
-        """-Laplacian + 1: entry (l, j) multiplied by omega_j^2."""
-        wj2 = (np.arange(self.J + 1, dtype=float) + 1.0) ** 2
-        return CoeffField(wj2[None, :] * self.u)
 
     def apply_wave_symbol(self, omega: float) -> "CoeffField":
         """-omega^2 d_tt - A: entry (l, j) multiplied by wave_symbol(omega, L, J)."""
         return CoeffField(wave_symbol(omega, self.L, self.J) * self.u)
-
-    # -- evaluation -----------------------------------------------------------
-
-    def evaluate(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Pointwise values on the tensor grid, shape (len(t), len(x))."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        doubling = np.where(np.arange(self.L + 1) == 0, 1.0, 2.0)
-        T = np.cos(np.outer(np.arange(self.L + 1), t))  # (L+1, nt)
-        E = sb.evaluate_basis(self.J, x)                # (J+1, nx)
-        return T.T @ (doubling[:, None] * self.u) @ E
 
 
 def wave_symbol(omega: float, L: int, J: int) -> np.ndarray:
@@ -316,69 +272,6 @@ def time_cutoff(f: CoeffField, L_n: int) -> CoeffField:
     out = f.u.copy()
     out[L_n + 1 :, :] = 0.0
     return CoeffField(out)
-
-
-def zero_resonant_mode(p: np.ndarray, ell: int) -> np.ndarray:
-    """Projector onto the complement of e_{|ell|-1}; identity for ell = 0."""
-    p = np.asarray(p, dtype=float).copy()
-    ell = abs(int(ell))
-    if ell >= 1 and ell - 1 < len(p):
-        p[ell - 1] = 0.0
-    return p
-
-
-# -- inequality checks --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of a bound verification: lhs <= rhs (with the two sides)."""
-
-    ok: bool
-    lhs: float
-    rhs: float
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-_REL_SLACK = 1e-12  # floating-point rounding guard for exact-equality cases
-
-
-def smoothing_bound_check(f: CoeffField, sigma: float, sigma_prime: float,
-                          L_n: int, s: float = 1.0, r: float = 2.0) -> CheckResult:
-    """Check ||f||_{sigma',s} <= exp(-L_n (sigma - sigma')) ||f||_{sigma,s}.
-
-    Requires f supported on time frequencies l > L_n.
-    """
-    if not (0.0 <= sigma_prime <= sigma):
-        raise ValueError("need 0 <= sigma' <= sigma")
-    if np.any(f.u[: min(L_n, f.L) + 1, :] != 0.0):
-        raise ValueError(f"field has support at time frequencies <= {L_n}")
-    lhs = f.norm(NormParams(sigma_prime, s, r))
-    rhs = float(np.exp(-L_n * (sigma - sigma_prime))) * f.norm(NormParams(sigma, s, r))
-    return CheckResult(lhs <= rhs * (1.0 + _REL_SLACK), lhs, rhs)
-
-
-def trade_bound_constant(alpha: float, beta: float) -> float:
-    """sup_{x>=0} exp(-alpha x) <x>^beta <= max(1, exp(-beta) (beta/alpha)^beta)."""
-    if alpha < 0 or beta < 0:
-        raise ValueError("alpha, beta must be >= 0")
-    if beta == 0.0:
-        return 1.0
-    if alpha == 0.0:
-        return np.inf
-    return max(1.0, float(np.exp(-beta) * (beta / alpha) ** beta))
-
-
-def sobolev_trade_check(f: CoeffField, alpha: float, beta: float,
-                        sigma: float, s: float, r: float = 2.0) -> CheckResult:
-    """Check ||f||_{sigma-alpha, s+beta} <= max(1, e^-beta (beta/alpha)^beta) ||f||_{sigma,s}."""
-    if alpha > sigma:
-        raise ValueError("alpha must not exceed sigma")
-    lhs = f.norm(NormParams(sigma - alpha, s + beta, r))
-    rhs = trade_bound_constant(alpha, beta) * f.norm(NormParams(sigma, s, r))
-    return CheckResult(lhs <= rhs * (1.0 + _REL_SLACK), lhs, rhs)
 
 
 # -- serialization -------------------------------------------------------------

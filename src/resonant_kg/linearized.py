@@ -12,7 +12,7 @@ mean b0 and the oscillating part gives the diagonal family
 
     D_l = omega^2 l^2 - A - eps pi_l (b0 .) pi_l
 
-and Lop = D - eps M.  The operator is never formed: `apply` reads the
+and Lop = D - eps M.  The operator is never formed: its apply reads the
 product by b from the S_d stack of b (one GEMM per chunk of d) and the
 kernel correction from the thin dv_matrix, and `solve` runs the Neumann
 iteration x <- x + D^-1 (b - Lop x) on the per-l blocks of D, which
@@ -70,7 +70,6 @@ __all__ = [
     "DivisorReport",
     "divisor_table",
     "block_spectrum",
-    "pairwise_divisor_constant",
     "ResonantSolveError",
     "EXACT_NORM_MAX",
 ]
@@ -133,11 +132,6 @@ class WLattice:
     def to_vector(self, f: CoeffField) -> np.ndarray:
         g = f.padded(self.L, self.J)
         return g.u[self.ells, self.js].copy()
-
-    def to_field(self, vec: np.ndarray) -> CoeffField:
-        f = CoeffField.zeros(self.L, self.J)
-        f.u[self.ells, self.js] = vec
-        return f
 
     def to_grid(self, f: CoeffField) -> np.ndarray:
         """f on the (L+1, J+1) grid with every entry off the lattice zero."""
@@ -305,10 +299,6 @@ class LinearizedOperator:
         out = self._symbol * x - self.eps * self._product(h)[: L + 1, : J + 1]
         out[~self.lattice.mask] = 0.0
         return out
-
-    def apply(self, f: CoeffField) -> CoeffField:
-        """Lop f on the lattice; entries of f off it are ignored."""
-        return CoeffField(self._apply(self.lattice.to_grid(f)))
 
     def _neumann(self, b: np.ndarray) -> np.ndarray:
         """Solve Lop x = b on the lattice grid by x <- x + D^-1 (b - Lop x).
@@ -782,24 +772,6 @@ def block_spectrum(eps: float, b0: np.ndarray, ell: int,
         return settled
     _widen(js, n, solve)
     return js, lam, bound
-
-
-def pairwise_divisor_constant(report: DivisorReport) -> float:
-    """Empirical constant C in 1/(alpha_l alpha_k) <= C |k-l|^(2(tau-1)/beta) / (gamma^2 eps^(tau-1)).
-
-    beta = (2 - tau)/tau.  Returns the supremum over all pairs l != k of the
-    report (a finite value verifies the product bound at this truncation).
-    """
-    tau, gamma, eps = report.tau, report.gamma, report.eps
-    beta = (2.0 - tau) / tau
-    a = report.alpha
-    l = report.ells.astype(float)
-    inv = 1.0 / np.outer(a, a)
-    dist = np.abs(l[:, None] - l[None, :])
-    with np.errstate(divide="ignore"):
-        bound_shape = dist ** (2.0 * (tau - 1.0) / beta) / (gamma ** 2 * max(eps, 1e-300) ** (tau - 1.0))
-    mask = dist > 0
-    return float(np.max(inv[mask] / bound_shape[mask]))
 
 
 def spectrum_to_csv(blocks, path) -> None:

@@ -103,7 +103,6 @@ class SolverConfig:
     L0: int = 8
     n_max: int = 6
     J_space: int | None = None
-    sign: int = +1
     check_melnikov: bool = True
     divisor_diagnostics: bool = True
 
@@ -192,18 +191,6 @@ class SolveTrace:
                 fh.write(text)
         return text
 
-    @classmethod
-    def from_jsonl(cls, path) -> "SolveTrace":
-        records = []
-        with open(path) as fh:
-            for line in fh:
-                if line.strip():
-                    records.append(StageRecord(**json.loads(line)))
-        return cls(records)
-
-    def h_norms(self) -> np.ndarray:
-        return np.array([r.h_norm for r in self.records])
-
 
 def _gamma_field(v: KernelField, w: CoeffField) -> CoeffField:
     u = total_field(v, w)
@@ -286,7 +273,7 @@ def solve_stage0(config: SolverConfig):
 
     def resolve_kernel(w):
         nonlocal kernel
-        kernel = solve_kernel(w, config.m, sign=config.sign, J_V=J, params=params,
+        kernel = solve_kernel(w, config.m, J_V=J, params=params,
                               start=None if kernel is None else kernel.kernel)
         return kernel.kernel
 
@@ -376,7 +363,7 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig,
     picard_sweeps = op.sweeps
 
     w_next = w_n.padded(L_next, J) + h
-    kernel_next = solve_kernel(w_next, config.m, sign=config.sign, J_V=J,
+    kernel_next = solve_kernel(w_next, config.m, J_V=J,
                                params=params_next, start=kernel_n.kernel)
     stage_residual = _stage_residual(w_next, kernel_next.kernel, L_next, eps, params_next)
 

@@ -42,8 +42,6 @@ __all__ = [
     "melnikov_mean",
     "check_stage_conditions",
     "check_limit_conditions",
-    "strong_diophantine_check",
-    "DiophantineResult",
     "MeasureReport",
     "measure_scan",
     "fit_excluded_exponent",
@@ -158,45 +156,6 @@ def check_limit_conditions(eps: float, mean_value: float, params: ResonanceParam
     """
     failures = _condition_failures(eps, mean_value, params, L_max, factor=2.0, strict=False)
     return len(failures) == 0, failures
-
-
-@dataclass(frozen=True)
-class DiophantineResult:
-    ok: bool
-    ell_max: int
-    worst_ell: int
-    worst_margin: float
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def strong_diophantine_check(omega: float, gamma: float,
-                             ell_max: int = 1000) -> DiophantineResult:
-    """Membership in the strongly Diophantine set: |omega l - omega_j| >= gamma/<l>.
-
-    Checked for l <= ell_max; only the integer nearest omega*l can violate,
-    since |omega l - omega_j| >= dist(omega l, Z) for all other omega_j.
-    gamma = 0 is vacuously true.
-    """
-    if not 0.5 <= omega <= 2.0:
-        raise ValueError("omega must lie in [1/2, 2]")
-    worst_ell, worst_margin = 0, np.inf
-    ok = True
-    for ell in range(1, ell_max + 1):
-        x = omega * ell
-        cands = {int(np.floor(x)), int(np.ceil(x))}
-        dists = [abs(x - n) for n in cands if n >= 1 and n != ell]
-        if not dists:
-            # nearest integers are excluded or below 1; next admissible is >= 1 away
-            continue
-        margin = min(dists) - gamma / max(1, ell)
-        if margin < worst_margin:
-            worst_margin, worst_ell = margin, ell
-        if margin < 0:
-            ok = False
-    return DiophantineResult(ok=ok, ell_max=ell_max, worst_ell=worst_ell,
-                             worst_margin=float(worst_margin))
 
 
 # -- measure of the excluded amplitude set ------------------------------------

@@ -3,13 +3,65 @@
 The quadrature oracle integrates basis products against the normalized
 measure (2/pi) sin^2(x) dx with Gauss-Legendre of sufficient degree, fully
 independently of the coefficient-space product rule it is used to check.
+Pointwise evaluation on a grid is the oracle of the products and symbols.
 """
 
 import numpy as np
 import pytest
 
-from resonant_kg import CoeffField, project_range
-from resonant_kg.spherical_basis import evaluate_basis
+from resonant_kg import CoeffField, field_multiply, project_range
+
+
+def evaluate_basis(jmax: int, x: np.ndarray) -> np.ndarray:
+    """Stable pointwise values E[j, i] = e_j(x_i) for j = 0..jmax.
+
+    Uses the finite cosine sums e_j = 1 + 2 sum cos(2px) (j even) and
+    e_j = 2 sum cos(px) over odd p <= j (j odd); well defined at x = 0, pi.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    cos_table = np.cos(np.outer(np.arange(jmax + 1), x))  # cos(p x)
+    coeffs = np.zeros((jmax + 1, jmax + 1))
+    for j in range(jmax + 1):
+        if j % 2 == 0:
+            coeffs[j, 0] = 1.0
+            coeffs[j, 2 : j + 1 : 2] = 2.0
+        else:
+            coeffs[j, 1 : j + 1 : 2] = 2.0
+    return coeffs @ cos_table
+
+
+def evaluate_field(f: CoeffField, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Pointwise values of a field on the tensor grid, shape (len(t), len(x))."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    doubling = np.where(np.arange(f.L + 1) == 0, 1.0, 2.0)
+    T = np.cos(np.outer(np.arange(f.L + 1), t))  # (L+1, nt)
+    return T.T @ (doubling[:, None] * f.u) @ evaluate_basis(f.J, x)
+
+
+def from_mode(ell: int, j: int, value: float = 1.0,
+              L: int | None = None, J: int | None = None) -> CoeffField:
+    """The field with the one entry value at (ell, j), on (L+1, J+1) rows and columns."""
+    f = CoeffField.zeros(ell if L is None else L, j if J is None else J)
+    f.u[ell, j] = value
+    return f
+
+
+def profile_product(a, b) -> np.ndarray:
+    """The exact product of two profiles: field_multiply on time-constant one-row fields."""
+    a, b = (CoeffField(np.asarray(p, dtype=float)[None, :]) for p in (a, b))
+    return field_multiply(a, b).u[0]
+
+
+def profile_norm(p, r: float) -> float:
+    """||p||_{H^r_x} = sqrt(sum_j p_j^2 omega_j^(2r)), summed directly.
+
+    CoeffField.norm of the one-row field at sigma = 0 is the same sum,
+    accumulated in log space, and differs from this one by an ulp or so.
+    """
+    p = np.asarray(p, dtype=float)
+    w = (np.arange(len(p)) + 1.0) ** (2.0 * r)
+    return float(np.sqrt(np.sum(w * p * p)))
 
 
 def gauss_nodes(npts: int):

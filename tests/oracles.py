@@ -1,20 +1,29 @@
-"""Dense and banded oracles of the linearized operator and the Melnikov grid, for the tests.
+"""Reference implementations and paper identities that the tests compare against.
 
 The package applies, solves and bounds Lop = D - eps M without forming an
 n x n matrix, reads block spectra from windows of a few modes, and checks the
 Melnikov conditions on the near-integer pairs only.  These helpers form the
 same objects densely, in banded storage or on the whole pair grid, at the
 sizes the tests use, so that each fast path is checked against a slow one.
+They also hold the paper's side lemmas, which no command runs: the
+matrix elements and the Sobolev embedding constant of the eigenbasis, the
+kernel equation's residual, Jacobian, derivative and 2x2 bifurcation
+blocks, the smoothing and analyticity-trade inequalities, and the pairwise
+divisor constant.
 """
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from resonant_kg import linearized
-from resonant_kg.field_algebra import NormParams
+from resonant_kg.bifurcation import (KernelField, _check_in_range, _kernel_jacobian,
+                                     _square_and_residual, extract_kernel, total_field)
+from resonant_kg.field_algebra import CoeffField, NormParams, field_multiply
 from resonant_kg.linearized import ResonantSolveError
+from resonant_kg.nash_moser import SolveTrace, StageRecord
 from resonant_kg.resonance import ConditionRecord
 from resonant_kg.spherical_basis import diagonal_sums, multiplication_matrix
 
@@ -257,7 +266,7 @@ def preconditioned_split_check(op, params: NormParams, gamma: float,
 
     converged, neumann_vs_dense = False, np.inf
     try:
-        inv_neumann = np.column_stack([lattice.to_vector(op.solve(lattice.to_field(e)))
+        inv_neumann = np.column_stack([lattice.to_vector(op.solve(to_field(lattice, e)))
                                        for e in np.eye(lattice.size)])
     except ResonantSolveError:
         pass
@@ -295,3 +304,174 @@ def grid_condition_failures(eps: float, mean_value: float, gamma: float, tau: fl
                             lhs_shifted=float(lhs_shift[i, k]), lhs_plain=float(lhs_plain[i, k]),
                             threshold=float(thr[i, k]), ok=False)
             for i, k in zip(*np.nonzero(bad))]
+
+
+# -- lattice and trace round trips -------------------------------------------
+
+
+def to_field(lattice, vec: np.ndarray) -> CoeffField:
+    """The field of a lattice vector: the inverse of lattice.to_vector."""
+    f = CoeffField.zeros(lattice.L, lattice.J)
+    f.u[lattice.ells, lattice.js] = vec
+    return f
+
+
+def apply_operator(op, f: CoeffField) -> CoeffField:
+    """Lop f on the lattice through the operator's one apply; entries of f off it are ignored."""
+    return CoeffField(op._apply(op.lattice.to_grid(f)))
+
+
+def trace_from_jsonl(path) -> SolveTrace:
+    """The SolveTrace of a trace.jsonl file, one StageRecord per line."""
+    with open(path) as fh:
+        return SolveTrace([StageRecord(**json.loads(line)) for line in fh if line.strip()])
+
+
+# -- the eigenbasis: matrix elements and the embedding constant --------------
+
+
+def matrix_element(b: np.ndarray, j: int, k: int) -> float:
+    """<b e_j, e_k> in H^0_x, computed exactly in coefficient space.
+
+    Equals the sum of b_n over n = |j-k|, |j-k|+2, ..., j+k (clipped to the
+    truncation of b).
+    """
+    b = np.asarray(b, dtype=float)
+    lo = abs(j - k)
+    hi = min(j + k, len(b) - 1)
+    if lo > hi:
+        return 0.0
+    return float(np.sum(b[lo : hi + 1 : 2]))
+
+
+def sobolev_embedding_constant(delta: float, terms: int = 20000) -> float:
+    """Rigorous upper bound for c(delta) = sqrt(2 pi) (sum_j omega_j^(-1-2d))^(1/2).
+
+    Partial sum plus the integral-comparison tail bound
+    sum_{n > N} n^(-1-2d) <= N^(-2d) / (2d), so the returned constant is an
+    upper bound for the exact infinite sum.
+    """
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    n = np.arange(1, terms + 1, dtype=float)
+    partial = np.sum(n ** (-1.0 - 2.0 * delta))
+    tail = terms ** (-2.0 * delta) / (2.0 * delta)
+    return float(np.sqrt(2.0 * np.pi * (partial + tail)))
+
+
+# -- the kernel equation A v = Pi_V (v + w)^3 --------------------------------
+
+
+def kernel_residual(v: KernelField, w: CoeffField) -> KernelField:
+    """A v - Pi_V (v + w)^3, exactly in coefficient space."""
+    _check_in_range(w)
+    return _square_and_residual(v, w)[1]
+
+
+def linearize_kernel(v: KernelField, w: CoeffField) -> np.ndarray:
+    """Dense matrix of h -> A h - 3 Pi_V((v+w)^2 h) on the truncated kernel."""
+    u = total_field(v, w)
+    return _kernel_jacobian(field_multiply(u, u), v.J + 1)
+
+
+def kernel_derivative(v: KernelField, w: CoeffField, h: CoeffField) -> KernelField:
+    """Directional derivative d_w v(w)[h] of the implicit kernel solution.
+
+    Solves linearize_kernel(v, w)[dv] = 3 Pi_V((v+w)^2 h) for h in the range.
+    """
+    _check_in_range(h)
+    u = total_field(v, w)
+    q = field_multiply(u, u)
+    rhs = extract_kernel(field_multiply(q, h), v.J).v * 3.0
+    return KernelField(np.linalg.solve(_kernel_jacobian(q, v.J + 1), rhs))
+
+
+def bif_block(m: int, j: int) -> np.ndarray:
+    """2x2 coupling block between kernel modes j and 2m - j (0 <= j <= m-1)."""
+    if not 0 <= j <= m - 1:
+        raise ValueError("need 0 <= j <= m-1")
+    wm, wj, wc = m + 1, j + 1, 2 * m - j + 1
+    return np.array([[wj * wj - 2 * wm * wj, -wm * wj],
+                     [-wm * wj, wc * wc - 2 * wm * wm]], dtype=float)
+
+
+def block_determinant(m: int, j: int) -> int:
+    """det of bif_block in closed form: -omega_j (omega_m-omega_j)^2 (4 omega_m - omega_j)."""
+    wm, wj = m + 1, j + 1
+    return -wj * (wm - wj) ** 2 * (4 * wm - wj)
+
+
+# -- smoothing and analyticity-trade inequalities ----------------------------
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """Outcome of a bound verification: lhs <= rhs (with the two sides)."""
+
+    ok: bool
+    lhs: float
+    rhs: float
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+_REL_SLACK = 1e-12  # floating-point rounding guard for exact-equality cases
+
+
+def smoothing_bound_check(f: CoeffField, sigma: float, sigma_prime: float,
+                          L_n: int, s: float = 1.0, r: float = 2.0) -> CheckResult:
+    """Check ||f||_{sigma',s} <= exp(-L_n (sigma - sigma')) ||f||_{sigma,s}.
+
+    Requires f supported on time frequencies l > L_n.
+    """
+    if not (0.0 <= sigma_prime <= sigma):
+        raise ValueError("need 0 <= sigma' <= sigma")
+    if np.any(f.u[: min(L_n, f.L) + 1, :] != 0.0):
+        raise ValueError(f"field has support at time frequencies <= {L_n}")
+    lhs = f.norm(NormParams(sigma_prime, s, r))
+    rhs = float(np.exp(-L_n * (sigma - sigma_prime))) * f.norm(NormParams(sigma, s, r))
+    return CheckResult(lhs <= rhs * (1.0 + _REL_SLACK), lhs, rhs)
+
+
+def trade_bound_constant(alpha: float, beta: float) -> float:
+    """sup_{x>=0} exp(-alpha x) <x>^beta <= max(1, exp(-beta) (beta/alpha)^beta)."""
+    if alpha < 0 or beta < 0:
+        raise ValueError("alpha, beta must be >= 0")
+    if beta == 0.0:
+        return 1.0
+    if alpha == 0.0:
+        return np.inf
+    return max(1.0, float(np.exp(-beta) * (beta / alpha) ** beta))
+
+
+def sobolev_trade_check(f: CoeffField, alpha: float, beta: float,
+                        sigma: float, s: float, r: float = 2.0) -> CheckResult:
+    """Check ||f||_{sigma-alpha, s+beta} <= max(1, e^-beta (beta/alpha)^beta) ||f||_{sigma,s}."""
+    if alpha > sigma:
+        raise ValueError("alpha must not exceed sigma")
+    lhs = f.norm(NormParams(sigma - alpha, s + beta, r))
+    rhs = trade_bound_constant(alpha, beta) * f.norm(NormParams(sigma, s, r))
+    return CheckResult(lhs <= rhs * (1.0 + _REL_SLACK), lhs, rhs)
+
+
+# -- products of small divisors ----------------------------------------------
+
+
+def pairwise_divisor_constant(report) -> float:
+    """Empirical constant C in 1/(alpha_l alpha_k) <= C |k-l|^(2(tau-1)/beta) / (gamma^2 eps^(tau-1)).
+
+    beta = (2 - tau)/tau.  Returns the supremum over all pairs l != k of the
+    DivisorReport (a finite value verifies the product bound at this
+    truncation).
+    """
+    tau, gamma, eps = report.tau, report.gamma, report.eps
+    beta = (2.0 - tau) / tau
+    a = report.alpha
+    l = report.ells.astype(float)
+    inv = 1.0 / np.outer(a, a)
+    dist = np.abs(l[:, None] - l[None, :])
+    with np.errstate(divide="ignore"):
+        bound_shape = dist ** (2.0 * (tau - 1.0) / beta) / (gamma ** 2 * max(eps, 1e-300) ** (tau - 1.0))
+    mask = dist > 0
+    return float(np.max(inv[mask] / bound_shape[mask]))

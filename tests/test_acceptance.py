@@ -19,21 +19,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from resonant_kg import (CoeffField, NormParams, SolverConfig,
-                         smoothing_bound_check, sobolev_trade_check, run)
-from resonant_kg.bifurcation import (bif_block, block_determinant,
-                                     kernel_residual, linearize_kernel,
-                                     one_mode_solution, solve_kernel)
-from resonant_kg.linearized import (assemble_linearized, block_spectrum,
-                                    divisor_table, pairwise_divisor_constant)
+from resonant_kg import CoeffField, NormParams, SolverConfig, run
+from resonant_kg.bifurcation import one_mode_solution, solve_kernel
+from resonant_kg.linearized import assemble_linearized, block_spectrum, divisor_table
 from resonant_kg.resonance import (ResonanceParams, fit_excluded_exponent,
                                    measure_scan, mean_potential)
-from resonant_kg.spherical_basis import (eigen_product, mean_integral,
-                                         profile_multiply, profile_norm,
-                                         sobolev_embedding_constant)
+from resonant_kg.spherical_basis import eigen_product, mean_integral
 
-from conftest import quad_triple, random_field
-from oracles import preconditioned_split_check
+from conftest import profile_norm, profile_product, quad_triple, random_field
+from oracles import (bif_block, block_determinant, kernel_residual, linearize_kernel,
+                     pairwise_divisor_constant, preconditioned_split_check,
+                     smoothing_bound_check, sobolev_embedding_constant, sobolev_trade_check)
 
 GAMMA, TAU = 0.05, 1.5
 CHI = 1.5
@@ -93,7 +89,7 @@ def test_criterion_1_exact_identities():
     cube_err = 0.0
     for m in range(11):
         em = np.eye(m + 1)[m]
-        cube = profile_multiply(profile_multiply(em, em), em)
+        cube = profile_product(profile_product(em, em), em)
         cube_err = max(cube_err, abs(cube[m] - (m + 1)))
     ok &= cube_err < 1e-10
     detail.append(f"cube-inner err {cube_err:.1e}")
@@ -211,7 +207,7 @@ def test_criterion_4_nash_moser_convergence(convergence_runs):
     details, runs = [], []
     for eps, (result, elapsed) in sorted(convergence_runs.items()):
         bound_ok, slope_ok, slope, n_fit = stage_decay_verdict(
-            GAMMA * result.trace.h_norms() / eps)
+            GAMMA * np.array([r.h_norm for r in result.trace.records]) / eps)
         resid_ok = result.residual.relative <= 1e-8
         time_ok = elapsed < 600.0
         details.append(f"eps={eps:g}: slope {slope:.3f} over {n_fit} stages"

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from resonant_kg import CoeffField, NormParams
-from resonant_kg.bifurcation import (KernelField, KernelSolveError, bif_block,
-                                     block_determinant, kernel_derivative,
-                                     kernel_derivative_matrix, kernel_residual,
-                                     linearize_kernel, one_mode_solution,
-                                     solve_kernel, total_field)
+from resonant_kg.bifurcation import (KernelField, KernelSolveError, kernel_derivative_matrix,
+                                     one_mode_solution, solve_kernel, total_field)
 from resonant_kg.field_algebra import field_multiply, mult_matrix_stack
 
-from conftest import random_field
+from conftest import from_mode, random_field
+from oracles import (bif_block, block_determinant, kernel_derivative, kernel_residual,
+                     linearize_kernel)
 
 
 def test_one_mode_values():
@@ -38,7 +37,7 @@ def test_one_mode_solves_kernel_equation():
 
 def test_kernel_residual_requires_range_input():
     v = one_mode_solution(0)
-    w = CoeffField.from_mode(1, 0, 0.1)  # resonant entry: not in the range
+    w = from_mode(1, 0, 0.1)  # resonant entry: not in the range
     with pytest.raises(ValueError):
         kernel_residual(v, w)
 
@@ -186,7 +185,7 @@ def test_derivative_matrix_columns_match_kernel_derivative(rng):
     mat = kernel_derivative_matrix(stack, J + 1, lattice.ells, lattice.js)
     assert mat.shape == (J + 1, lattice.size)
     for c, (ell, j) in enumerate(zip(lattice.ells, lattice.js)):
-        unit = CoeffField.from_mode(int(ell), int(j), 1.0, L=L, J=J)
+        unit = from_mode(int(ell), int(j), 1.0, L=L, J=J)
         col = kernel_derivative(v, w, unit).v
         assert np.abs(mat[:, c] - col).max() < 1e-12 * max(1.0, np.abs(col).max())
 
@@ -214,11 +213,11 @@ def test_derivative_matches_hand_oracle():
     base = solve_kernel(zero, m, J_V=J)
     # (a) h = cos(2t) e_2: q h has time frequencies {0, 2, 4} on e_2, never
     #     the resonant frequency 3, so the response vanishes.
-    h2 = CoeffField.from_mode(2, 2, 0.5, L=5, J=J)
+    h2 = from_mode(2, 2, 0.5, L=5, J=J)
     assert np.abs(kernel_derivative(base.kernel, zero, h2).v).max() < 1e-15
     # (b) h = cos(4t) e_1: q h contains (alpha^2/4) cos(2t) e_1, the resonant
     #     pair for j = 1; rhs_1 = 3 alpha^2 / 4 = 1 and Lk_11 = 2, so dv = e_1/2.
-    h1 = CoeffField.from_mode(4, 1, 0.5, L=5, J=J)
+    h1 = from_mode(4, 1, 0.5, L=5, J=J)
     dv = kernel_derivative(base.kernel, zero, h1)
     oracle = np.zeros(J + 1)
     oracle[1] = 0.5

@@ -331,6 +331,46 @@ def test_measure_sampling_stability(tmp_path):
     assert abs(fracs[1000] - fracs[2000]) < 3.0 / np.sqrt(1000)
 
 
+def _directory_as_field(tmp_path):
+    return ["verify", "--field", str(tmp_path), "--eps", "1e-3"], tmp_path
+
+
+def _directory_as_range_part(tmp_path):
+    out = tmp_path / "run"
+    assert main(solve_args(out, stages="1")) == 0
+    (out / "range_part.field").unlink()
+    (out / "range_part.field").mkdir()
+    return ["divisors", "--run", str(out)], out / "range_part.field"
+
+
+def _file_as_solve_out(tmp_path):
+    path = tmp_path / "taken"
+    path.write_text("")
+    return solve_args(path, stages="1"), path
+
+
+def _directory_as_measure_out(tmp_path):
+    return ["measure", "--eta", "0.04", "--samples", "200", "--solve-grid", "2",
+            "--out", str(tmp_path)], tmp_path
+
+
+@pytest.mark.parametrize("case", [_directory_as_field, _directory_as_range_part,
+                                  _file_as_solve_out, _directory_as_measure_out])
+def test_inaccessible_artifact_paths_exit_66(tmp_path, capsys, case):
+    # a directory where a file is read or written, or a file where the output
+    # directory goes: exit 66 naming the path, not a traceback
+    command, path = case(tmp_path)
+    capsys.readouterr()
+    assert main(command) == 66
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+    if command[0] == "divisors":  # spectrum reads the same file
+        command[0] = "spectrum"
+        assert main(command) == 66
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+
+
 def test_corrupt_artifacts_exit_66(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(solve_args(out)) == 0

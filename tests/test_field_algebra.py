@@ -9,22 +9,21 @@ import pytest
 from hypothesis import given, settings
 
 from resonant_kg import (CoeffField, NormParams, field_multiply, load_field,
-                         project_kernel, project_range, save_field,
-                         smoothing_bound_check, sobolev_trade_check, time_cutoff,
-                         zero_resonant_mode)
-from resonant_kg.field_algebra import field_to_csv, trade_bound_constant
+                         project_kernel, project_range, save_field, time_cutoff)
+from resonant_kg.field_algebra import field_to_csv
 
-from conftest import random_field
+from conftest import evaluate_field, from_mode, profile_product, random_field
+from oracles import smoothing_bound_check, sobolev_trade_check, trade_bound_constant
 
 
 P = NormParams(0.3, 1.0, 2.0)
 
 
 def test_norm_examples():
-    u = CoeffField.from_mode(0, 0, 1.0)
+    u = from_mode(0, 0, 1.0)
     assert u.norm(NormParams(0.7, 1.3, 2.0)) == 1.0
     a, ell, j, sigma, s, r = 0.37, 3, 2, 0.4, 1.2, 2.0
-    u = CoeffField.from_mode(ell, j, a, L=5, J=4)
+    u = from_mode(ell, j, a, L=5, J=4)
     expected = a * np.sqrt(2.0) * np.exp(sigma * ell) * ell ** s * (j + 1) ** r
     assert abs(u.norm(NormParams(sigma, s, r)) - expected) < 1e-13 * expected
 
@@ -47,8 +46,8 @@ def test_norm_log_space_extremes():
 
 
 def test_multiply_time_convolution():
-    a = CoeffField.from_mode(2, 0, 0.5)  # cos(2t)
-    b = CoeffField.from_mode(3, 0, 0.5)  # cos(3t)
+    a = from_mode(2, 0, 0.5)  # cos(2t)
+    b = from_mode(3, 0, 0.5)  # cos(3t)
     p = field_multiply(a, b)
     # cos2t cos3t = 1/2 cos t + 1/2 cos 5t -> stored 0.25 at rows 1 and 5
     expected = np.zeros((6, 1))
@@ -59,12 +58,12 @@ def test_multiply_time_convolution():
 
 def test_cube_of_one_mode():
     # (cos(w_m t) e_m)^3 = (3/4 cos(w_m t) + 1/4 cos(3 w_m t)) e_m^3
-    from resonant_kg.spherical_basis import eigen_product, profile_multiply
+    from resonant_kg.spherical_basis import eigen_product
     for m in (0, 1, 3):
         wm = m + 1
-        u = CoeffField.from_mode(wm, m, 0.5)  # cos(w_m t) e_m
+        u = from_mode(wm, m, 0.5)  # cos(w_m t) e_m
         cube = field_multiply(field_multiply(u, u), u)
-        em3 = profile_multiply(eigen_product(m, m), np.eye(m + 1)[m])
+        em3 = profile_product(eigen_product(m, m), np.eye(m + 1)[m])
         assert np.allclose(cube.u[wm, : len(em3)], (3.0 / 8.0) * em3, atol=1e-14)
         assert np.allclose(cube.u[3 * wm, : len(em3)], (1.0 / 8.0) * em3, atol=1e-14)
         others = np.ones(cube.L + 1, dtype=bool)
@@ -94,7 +93,6 @@ def test_product_kernel_exact_on_tiny_rows(rng, L, J):
     # non-negative fields whose upper half of time rows sits near 1e-200: the
     # product is a plain sum of its own non-negative terms, so the kernel must
     # match the scatter oracle entrywise in relative terms
-    from resonant_kg.spherical_basis import profile_multiply
     fields = []
     for Jf in (J, J // 2):
         u = rng.random((L + 1, Jf + 1))
@@ -107,7 +105,7 @@ def test_product_kernel_exact_on_tiny_rows(rng, L, J):
     assert np.count_nonzero((ref > 0) & (ref < 1e-150)) > 0
     for la, lb in ((0, 0), (0, L), (L, L // 2 + 1), (L - 1, 1)):
         ref = _scatter_product(a[la : la + 1], b[lb : lb + 1])[0]
-        got = profile_multiply(a[la], b[lb])
+        got = profile_product(a[la], b[lb])
         assert np.all(np.abs(got - ref) <= 1e-13 * ref)
 
 
@@ -172,8 +170,8 @@ def test_multiply_grid_oracle(rng):
     p = field_multiply(a, b)
     t = np.linspace(0.0, 2 * np.pi, 41)
     x = np.linspace(0.0, np.pi, 37)
-    lhs = p.evaluate(t, x)
-    rhs = a.evaluate(t, x) * b.evaluate(t, x)
+    lhs = evaluate_field(p, t, x)
+    rhs = evaluate_field(a, t, x) * evaluate_field(b, t, x)
     assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.abs(rhs).max())
 
 
@@ -181,14 +179,18 @@ def test_operations_commute_with_evaluation(rng):
     u = random_field(rng, 6, 5, scale=0.5, decay=0.2)
     t = np.linspace(0.0, 2 * np.pi, 33)
     x = np.linspace(0.0, np.pi, 29)
-    # d_tt via second differences of the evaluation
+    # d_tt via second differences of the evaluation: the wave symbol at
+    # omega = 1 less the one at omega = 0 multiplies entry (l, j) by l^2
     h = 1e-4
-    num = (u.evaluate(t + h, x) - 2 * u.evaluate(t, x) + u.evaluate(t - h, x)) / h ** 2
-    assert np.max(np.abs(u.dtt().evaluate(t, x) - num)) < 1e-5
+    num = (evaluate_field(u, t + h, x) - 2 * evaluate_field(u, t, x)
+           + evaluate_field(u, t - h, x)) / h ** 2
+    minus_dtt = u.apply_wave_symbol(1.0) - u.apply_wave_symbol(0.0)
+    assert np.max(np.abs(-evaluate_field(minus_dtt, t, x) - num)) < 1e-5
     # projections: kernel + range = identity on the grid
     vk = project_kernel(u)
     vr = project_range(u)
-    assert np.allclose(vk.evaluate(t, x) + vr.evaluate(t, x), u.evaluate(t, x), atol=1e-12)
+    assert np.allclose(evaluate_field(vk, t, x) + evaluate_field(vr, t, x),
+                       evaluate_field(u, t, x), atol=1e-12)
 
 
 def test_algebra_ratio_uniformly_bounded(rng):
@@ -208,10 +210,10 @@ def test_algebra_ratio_uniformly_bounded(rng):
 
 
 def test_projections():
-    u = CoeffField.from_mode(3, 2, 1.0, L=4, J=4)  # l = 3 = omega_2: kernel mode
+    u = from_mode(3, 2, 1.0, L=4, J=4)  # l = 3 = omega_2: kernel mode
     assert project_kernel(u).u[3, 2] == 1.0
     assert project_range(u).u[3, 2] == 0.0
-    u0 = CoeffField.from_mode(0, 3, 1.0, L=2, J=4)
+    u0 = from_mode(0, 3, 1.0, L=2, J=4)
     assert project_range(u0).u[0, 3] == 1.0  # l=0 is never resonant
 
 
@@ -223,36 +225,29 @@ def test_projector_algebra(rng):
     assert np.allclose(project_kernel(pk).u, pk.u)       # idempotent
     assert np.allclose(project_range(pr).u, pr.u)
     assert np.abs(project_kernel(pr).u).max() == 0.0     # Pi_V Pi_W = 0
-    params = NormParams(0.5, 1.2, 2.0)
-    assert abs(pk.inner(pr, params)) == 0.0              # disjoint supports
-    # self-adjointness: <Pu, v> = <u, Pv>
-    v = random_field(rng, 7, 7, decay=0.1)
-    assert abs(project_kernel(u).inner(v, params) - u.inner(project_kernel(v), params)) < 1e-10
+    assert not np.any(pk.u * pr.u)                       # disjoint supports
 
 
 def test_time_cutoff_and_resonant_mode():
-    u = CoeffField.from_mode(5, 1, 2.0, L=6, J=3)
+    u = from_mode(5, 1, 2.0, L=6, J=3)
     assert np.abs(time_cutoff(u, 4).u).max() == 0.0
-    p = np.zeros(6)
-    p[2] = 1.0  # e_2
-    assert zero_resonant_mode(p, 3)[2] == 0.0
-    p5 = np.zeros(6)
-    p5[5] = 1.0
-    assert np.array_equal(zero_resonant_mode(p5, 3), p5)
-    q = np.arange(4.0)
-    assert np.array_equal(zero_resonant_mode(q, 0), q)  # identity at l = 0
+    # row l of the range drops exactly the resonant mode e_{l-1}
+    ones = project_range(CoeffField(np.ones((4, 6))))
+    assert ones.u[3, 2] == 0.0
+    assert np.count_nonzero(ones.u[3]) == 5
+    assert np.all(ones.u[0] == 1.0)  # identity at l = 0
 
 
 def test_symbols():
-    u = CoeffField.from_mode(3, 2, 1.0)
-    assert u.dtt().u[3, 2] == -9.0
-    assert u.apply_A().u[3, 2] == 9.0
+    u = from_mode(3, 2, 1.0)
+    assert u.apply_wave_symbol(0.0).u[3, 2] == -9.0  # -A: omega_2^2 = 9
+    assert u.apply_wave_symbol(1.0).u[3, 2] == 0.0   # l^2 = omega_2^2: a kernel entry
     om = 1.1
     assert abs(u.apply_wave_symbol(om).u[3, 2] - (om ** 2 * 9 - 9)) < 1e-14
 
 
 def test_smoothing_examples(rng):
-    u = CoeffField.from_mode(10, 0, 1.0)
+    u = from_mode(10, 0, 1.0)
     res = smoothing_bound_check(u, 1.0, 0.5, 8, s=1.0)
     assert res and abs(res.lhs / res.rhs - np.exp(-5.0) / np.exp(-4.0)) < 1e-12
     res_eq = smoothing_bound_check(u, 1.0, 1.0, 8, s=1.0)
@@ -261,7 +256,7 @@ def test_smoothing_examples(rng):
     tail.u[:17, :] = 0.0
     assert smoothing_bound_check(tail, 0.6, 0.5, 16, s=1.0)
     with pytest.raises(ValueError):
-        smoothing_bound_check(CoeffField.from_mode(3, 0, 1.0), 1.0, 0.5, 8)
+        smoothing_bound_check(from_mode(3, 0, 1.0), 1.0, 0.5, 8)
     with pytest.raises(ValueError):
         smoothing_bound_check(u, 0.5, 1.0, 8)
 
@@ -276,7 +271,7 @@ def test_trade_examples(rng):
     sup_num = np.max(np.exp(-alpha * xs) * np.maximum(xs, 1.0) ** beta)
     assert sup_num <= trade_bound_constant(alpha, beta) * (1 + 1e-9)
     for ell in (0, 3, 17):
-        mode = CoeffField.from_mode(ell, 2, 1.0)
+        mode = from_mode(ell, 2, 1.0)
         r = sobolev_trade_check(mode, alpha, beta, 0.5, 1.0)
         assert r and abs(r.lhs / mode.norm(NormParams(0.5, 1.0))
                          - np.exp(-alpha * ell) * max(ell, 1) ** beta) < 1e-10

@@ -8,8 +8,7 @@ from resonant_kg.bifurcation import KernelField, one_mode_solution, solve_kernel
 from resonant_kg.resonance import (ConditionRecord, ResonanceParams,
                                    check_limit_conditions, check_stage_conditions,
                                    fit_excluded_exponent, mean_potential,
-                                   measure_scan, records_to_csv,
-                                   strong_diophantine_check)
+                                   measure_scan, records_to_csv)
 
 from conftest import random_field
 from oracles import grid_condition_failures
@@ -182,20 +181,6 @@ def test_stage_check_memory_is_linear_in_L():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-
-
-def test_strong_diophantine():
-    # omega = 1: distances to admissible integers are >= 1, so it passes
-    res = strong_diophantine_check(1.0, gamma=0.1, ell_max=1000)
-    assert res.ok
-    # engineered failure: omega l = omega_j + gamma/(2 l) at one pair
-    ell, wj, gamma = 17, 19, 0.1
-    omega = (wj + gamma / (2 * ell)) / ell
-    res2 = strong_diophantine_check(omega, gamma, ell_max=100)
-    assert not res2.ok and res2.worst_margin < 0
-    assert strong_diophantine_check(omega, gamma=0.0, ell_max=100).ok
-    with pytest.raises(ValueError):
-        strong_diophantine_check(3.0, 0.1)
 
 
 def _m_const(value=2.0):

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from resonant_kg.spherical_basis import (circle_norm_sq, eigen_product, evaluate_basis,
-                                         matrix_element, mean_integral,
-                                         multiplication_matrix, profile_multiply,
-                                         profile_norm, sobolev_embedding_constant,
-                                         to_circle_fourier)
+from resonant_kg.spherical_basis import eigen_product, mean_integral, multiplication_matrix
 
-from conftest import evaluate_profile, gauss_nodes, quad_inner, quad_triple
+from conftest import (evaluate_basis, evaluate_profile, gauss_nodes, profile_norm,
+                      profile_product, quad_inner, quad_triple)
+from oracles import matrix_element, sobolev_embedding_constant
 
 
 def test_eigen_product_examples():
@@ -37,6 +35,10 @@ def test_orthonormality_by_quadrature():
         for k in range(13):
             val = quad_inner(E[j], E[k], x, w)
             assert abs(val - (1.0 if j == k else 0.0)) < 1e-10
+    # e_2 = 1 + 2 cos(2x) = sin(3x) / sin(x)
+    x = np.linspace(0.05, np.pi - 0.05, 201)
+    vals = evaluate_profile(np.array([0, 0, 1.0]), x)
+    assert np.allclose(vals, np.sin(3 * x) / np.sin(x), atol=1e-12)
 
 
 def test_cube_inner_product_is_omega():
@@ -44,48 +46,23 @@ def test_cube_inner_product_is_omega():
     for m in range(11):
         em = np.zeros(m + 1)
         em[m] = 1.0
-        cube = profile_multiply(profile_multiply(em, em), em)
+        cube = profile_product(profile_product(em, em), em)
         assert abs(cube[m] - (m + 1)) < 1e-12
 
 
 def test_profile_multiply_examples(rng):
     a = rng.standard_normal(7)
-    assert np.allclose(profile_multiply(np.array([1.0]), a), a)
-    p = profile_multiply(np.array([0, 1.0]), np.array([0, 0, 1.0]))
+    assert np.allclose(profile_product(np.array([1.0]), a), a)
+    p = profile_product(np.array([0, 1.0]), np.array([0, 0, 1.0]))
     assert np.allclose(p, [0, 1, 0, 1])  # e_1 e_2 = e_1 + e_3
     # bilinearity and commutativity
     b = rng.standard_normal(5)
     c = rng.standard_normal(6)
-    assert np.allclose(profile_multiply(a, b + np.pad(c, (0, 0))[:5]),
-                       profile_multiply(a, b) + profile_multiply(a, c[:5]))
-    ab = profile_multiply(a, b)
-    ba = profile_multiply(b, a)
+    assert np.allclose(profile_product(a, b + np.pad(c, (0, 0))[:5]),
+                       profile_product(a, b) + profile_product(a, c[:5]))
+    ab = profile_product(a, b)
+    ba = profile_product(b, a)
     assert np.allclose(ab, ba, atol=1e-14)
-
-
-def test_circle_fourier():
-    # e_2 = 1 + 2 cos(2x): exponents {-2, 0, 2} with unit coefficients
-    c = to_circle_fourier(np.array([0, 0, 1.0]))
-    assert np.array_equal(c, [1, 0, 1])
-    x = np.linspace(0.05, np.pi - 0.05, 201)
-    vals = evaluate_profile(np.array([0, 0, 1.0]), x)
-    assert np.allclose(vals, np.sin(3 * x) / np.sin(x), atol=1e-12)
-    assert np.array_equal(to_circle_fourier(np.array([1.0])), [1.0])
-    # ||e_3||^2 in L^2(S^1, dx) = 2 pi * 4
-    e3 = np.zeros(4)
-    e3[3] = 1.0
-    assert abs(circle_norm_sq(e3, r=0.0) - 8 * np.pi) < 1e-12
-
-
-def test_circle_norm_bridge():
-    # ||e_j||^2_{H^r(S^1)} <= 2 pi ||e_j||^2_{H^(r+1/2)_x} = 2 pi omega_j^(2r+1)
-    for j in range(33):
-        ej = np.zeros(j + 1)
-        ej[j] = 1.0
-        for r in (0.0, 1.0, 2.0):
-            lhs = circle_norm_sq(ej, r)
-            rhs = 2 * np.pi * profile_norm(ej, r + 0.5) ** 2
-            assert lhs <= rhs * (1 + 1e-12)
 
 
 def test_mean_integral():
