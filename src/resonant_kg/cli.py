@@ -219,6 +219,11 @@ def cmd_measure(args) -> int:
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # an unwritable --out exits 66 here, before the solves, and leaves no file
+    created = not os.path.exists(args.out)
+    open(args.out, "a").close()
+    if created:
+        os.remove(args.out)
     grid = np.linspace(1e-6, max(etas), args.solve_grid)
     mvals = _mean_curve(grid, args.m)
     m_of_eps = lambda e: np.interp(e, grid, mvals)

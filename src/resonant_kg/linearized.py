@@ -18,21 +18,16 @@ kernel correction from the thin dv_matrix, and `solve` runs the Neumann
 iteration x <- x + D^-1 (b - Lop x) on the per-l blocks of D, which
 contracts by about 3e-3 per sweep on the solution branches and stops
 componentwise, so coefficients far below the largest keep their value.
-The weighted norm of the inverse is exact up to EXACT_NORM_MAX unknowns
-(at eps = 0 at any size) and a Krylov lower bound through the same solves
-above it: the largest singular value of B Q for B the weighted inverse and
-Q an orthonormal basis of the Krylov space of B^T B, which is at most ||B||
-because ||Q|| = 1 (Golub-Kahan).  Lop is the Hessian of the reduced action,
-so Lop^T = Mw Lop Mw^-1 for the time multiplicities Mw = diag(1, 2, 2, ...)
-of the stored rows: B^T is a forward solve too, and there is one apply.  A
-Nash-Moser stage starts the Krylov space from the previous stage's top right
-singular vector, padded with zeros to the longer lattice, plus 1e-4 times
-the uniform vector: consecutive stages have nearly the same top vector,
-which cuts the Krylov steps, and as B is block diagonal under the decoupled
-blocks, only the uniform part reaches a block that the start misses.  The
-exact value is the largest block norm over the decoupled blocks (6 to 10 on
-a branch), which the symmetry of the S_d support and of dv_matrix gives
-before any entry is gathered; the blocks are then gathered one at a time.
+The weighted inverse B = W Lop^-1 W^-1 is block diagonal under the
+decoupled blocks (6 to 10 on a branch), which the symmetry of the S_d
+support and of dv_matrix gives before any entry is gathered.  Its norm is
+exact up to EXACT_NORM_MAX unknowns (at eps = 0 at any size), and only a
+block that a cheap bound cannot rule out gets a Gram eigensolve; above it,
+it is a Golub-Kahan lower bound through the same solves, run inside the
+block that its first step selects.  Lop is the Hessian of the reduced
+action, so Lop^T = Mw Lop Mw^-1 for the time multiplicities
+Mw = diag(1, 2, 2, ...) of the stored rows: B^T is a forward solve too, and
+there is one apply.
 
 The spectra of D_l (a Sturm-Liouville perturbation of omega_j^2) control
 the small divisors alpha_l = min_j |omega^2 l^2 - lambda_{l,j}(eps)|.  Every
@@ -53,6 +48,7 @@ eigensolves and the preconditioner diagnostics are test oracles
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,6 +91,9 @@ _MAX_KRYLOV_STEPS = 40
 # the winning block's Gram matrix that give the exact branch's top vector.
 _WARM_UNIFORM = 1e-4
 _GRAM_PRODUCTS = 4
+# Relative margin on a block's bound sqrt(||B_k||_1 ||B_k||_inf), above the rounding
+# of its sums and of the Gram eigenvalue (a few n ulps for n <= EXACT_NORM_MAX).
+_BOUND_MARGIN = 2.0 ** -30
 # Bytes of one chunk of the time fold's GEMM operand (kept cache-sized).
 _FOLD_CHUNK_BYTES = 1 << 20
 _SINGULAR = "linearized operator is numerically singular (amplitude effectively resonant)"
@@ -102,6 +101,15 @@ _SINGULAR = "linearized operator is numerically singular (amplitude effectively 
 
 class ResonantSolveError(RuntimeError):
     """A block of D is singular, or the Neumann iteration does not settle."""
+
+
+# Where the apply and the Neumann solve run, the lattice or one decoupled block:
+# x on the grid rows x cols[:nx] (nx = x.shape[1], the modes <= J), and h on all
+# rows and the modes cols, whose product by b computes the rows first + stride k
+# of each of parts against `stacked`, the S_d on cols x cols; dv fills h at the
+# kernel slots (row, index into cols), and inverse is D^-1 on the x grid (None:
+# `factorize`'s).
+_Cells = namedtuple("_Cells", "rows parts cols slots dv symbol mask stacked inverse")
 
 
 @dataclass(frozen=True)
@@ -160,11 +168,13 @@ class LinearizedOperator:
     potential b = 3 q (mult_matrix_stack); dv_matrix maps lattice
     coefficients to the kernel derivative.  The counter `sweeps` holds the
     Neumann sweeps run on this operator and `power_steps` the Krylov steps
-    (forward solves) of the last `inverse_norm` (0 when it was exact);
-    `norm_blocks` and `largest_block` hold the count and the largest of the
-    decoupled blocks (`_partition`) that the last exact `inverse_norm`
-    gathered (0 after a Krylov estimate), and `top_vector` its top right
-    singular vector (None before the first call).
+    (forward solves) of the last `inverse_norm` (0 when it was exact) and
+    `krylov_block` the unknowns of the block they ran in; `norm_blocks`,
+    `largest_block` and `bounded_blocks` hold the count and the largest of
+    the decoupled blocks (`_partition`) that the last exact `inverse_norm`
+    gathered and the count it settled by their bound alone (0 after a
+    Krylov estimate), and `top_vector` its top right singular vector (None
+    before the first call).
     """
 
     eps: float
@@ -178,6 +188,7 @@ class LinearizedOperator:
     def __post_init__(self):
         self.sweeps = 0
         self.power_steps = self.norm_blocks = self.largest_block = 0
+        self.krylov_block = self.bounded_blocks = 0
         self.top_vector = None
         self._split = None
         L, J = self.L, self.J
@@ -196,12 +207,12 @@ class LinearizedOperator:
         # order one (the scaled Neumann iterates), and it makes the GEMM
         # twenty times slower on x86
         self._stacked[np.abs(self._stacked) < np.finfo(float).tiny] = 0.0
-        self._chunk = max(1, _FOLD_CHUNK_BYTES // (8 * self._rows * size))
         self._kernel_slots = (np.arange(n_k) + 1, np.arange(n_k))
         self._symbol = wave_symbol(self.omega, L, J)
         dv_grid = np.zeros((n_k, (L + 1) * (J + 1)))
         dv_grid[:, self.lattice.ells * (J + 1) + self.lattice.js] = self.dv_matrix
-        self._dv_grid = dv_grid
+        self._whole = _Cells(slice(0, L + 1), ((0, 1),), np.arange(size), self._kernel_slots,
+                             dv_grid, self._symbol, self.lattice.mask, self._stacked, None)
 
     @property
     def L(self) -> int:
@@ -255,53 +266,58 @@ class LinearizedOperator:
             self._split = (blocks, inverse)
         return self._split
 
-    def _product(self, h: np.ndarray) -> np.ndarray:
-        """Product by b on stored coefficients h (rows l, columns j of the stack).
+    def _product(self, h: np.ndarray, cells) -> np.ndarray:
+        """Product by b on stored coefficients h (rows l, columns cells.cols of the stack).
 
         Stored row l' stands for the frequencies +l' and -l', so
         out[l] = sum_d S_d g_d[l] with g_0 = h and g_d[l] = h[|l - d|] + h[l + d]
         for d >= 1.  In the mirrored, zero-padded copy hz (hz[rows - 1 + p] =
         h[|p|]) the rows g_d[l] for a chunk of the live d are read through
         two strided views of hz, at l + d and through the mirror at |l - d|;
-        each chunk is then one GEMM against the stacked S_d.
+        each chunk is then one GEMM against the stacked S_d.  Only the rows
+        first + stride k of each of `cells.parts` are computed.
         """
         rows, size = h.shape
-        count = len(self._stacked) // size
-        step = self._step
+        count = len(cells.stacked) // size
+        step, chunk = self._step, max(1, _FOLD_CHUNK_BYTES // (8 * rows * size))
         hz = np.zeros((2 * rows + step * count, size))
         hz[: 2 * rows - 1] = h[np.abs(np.arange(1 - rows, rows))]
         down, item = hz.strides
         out = np.zeros_like(h)
-        for i0 in range(0, count, self._chunk):
-            width = min(self._chunk, count - i0)
-            centre = hz[rows - 1 + step * i0]
-            shape = (rows, width, size)
-            g = np.add(as_strided(centre, shape, (-down, step * down, item), writeable=False),
-                       as_strided(centre, shape, (down, step * down, item), writeable=False),
-                       out=np.empty(shape))  # C order, so the reshape below is a view
-            if i0 == 0:
-                g[:, 0] = h
-            out += g.reshape(rows, width * size) @ self._stacked[i0 * size : (i0 + width) * size]
+        for first, stride in cells.parts:
+            part = out[first::stride]  # a view: the GEMMs accumulate into out
+            for i0 in range(0, count, chunk):
+                width = min(chunk, count - i0)
+                shape = (len(part), width, size)
+                g = np.add(as_strided(hz[rows - 1 - first + step * i0], shape,
+                                      (-stride * down, step * down, item), writeable=False),
+                           as_strided(hz[rows - 1 + first + step * i0], shape,
+                                      (stride * down, step * down, item), writeable=False),
+                           out=np.empty(shape))  # C order, so the reshape below is a view
+                if i0 == 0:
+                    g[:, 0] = h[first::stride]
+                part += g.reshape(len(part), width * size) @ \
+                    cells.stacked[i0 * size : (i0 + width) * size]
         return out
 
-    def _apply(self, x: np.ndarray) -> np.ndarray:
-        """Lop x for x on the lattice grid: the one apply, for both orientations.
+    def _apply(self, x: np.ndarray, cells=None) -> np.ndarray:
+        """Lop x for x on the lattice grid (or on `cells`): the one apply, for both orientations.
 
         Lop is the Hessian of the Lyapunov-Schmidt reduced action at (v(w), w),
         so it is symmetric in the L^2 pairing, which counts stored row l >= 1
         twice (it stands for +l and -l): Lop^T = Mw Lop Mw^-1 with
         Mw = diag(1, 2, 2, ...) on the rows, the kernel correction M2 included.
         """
-        L, J = self.L, self.J
-        h = np.zeros((self._rows, self.stack.shape[1]))
-        h[: L + 1, : J + 1] = x
-        h[self._kernel_slots] = 0.5 * (self._dv_grid @ x.ravel())
-        out = self._symbol * x - self.eps * self._product(h)[: L + 1, : J + 1]
-        out[~self.lattice.mask] = 0.0
+        c = cells or self._whole
+        h = np.zeros((self._rows, len(c.cols)))
+        h[c.rows, : x.shape[1]] = x
+        h[c.slots] = 0.5 * (c.dv @ x.ravel())
+        out = c.symbol * x - self.eps * self._product(h, c)[c.rows, : x.shape[1]]
+        out[~c.mask] = 0.0
         return out
 
-    def _neumann(self, b: np.ndarray) -> np.ndarray:
-        """Solve Lop x = b on the lattice grid by x <- x + D^-1 (b - Lop x).
+    def _neumann(self, b: np.ndarray, cells=None) -> np.ndarray:
+        """Solve Lop x = b on the lattice grid (or on `cells`) by x <- x + D^-1 (b - Lop x).
 
         b is scaled by the power of two at its largest entry, which is
         exact.  The sweeps stop when every component moves by less than one
@@ -311,7 +327,7 @@ class LinearizedOperator:
         roundoff, or _MAX_SWEEPS sweeps, raise ResonantSolveError.  The
         caller has run `factorize`.
         """
-        inverse = self._split[1]
+        inverse = self._split[1] if cells is None else cells.inverse
         peak = float(np.max(np.abs(b)))
         if peak == 0.0:
             return np.zeros_like(b)
@@ -322,7 +338,7 @@ class LinearizedOperator:
         x = np.zeros_like(b)
         prev_rel = prev_top = np.inf
         for sweep in range(1, _MAX_SWEEPS + 1):
-            r = b - self._apply(x) if sweep > 1 else b
+            r = b - self._apply(x, cells) if sweep > 1 else b
             dx = (inverse @ r[:, :, None])[:, :, 0]
             x = x + dx
             self.sweeps += 1
@@ -379,6 +395,31 @@ class LinearizedOperator:
         order = np.argsort(root, kind="stable")
         return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
 
+    def _cells(self, idx: np.ndarray):
+        """`_Cells` of the decoupled block of lattice points idx (`_partition`).
+
+        Its rows are those of its residues mod step: d runs over multiples of
+        step, so a residue reads only itself and its mirror.  Its columns are
+        its modes and the kernel slots that dv_matrix fills from it.  D^-1 on
+        them is the sub-block of `factorize`'s, as D_l is block diagonal over
+        the mode components.
+        """
+        lat, step, size = self.lattice, self._step, self.stack.shape[1]
+        ells, js = lat.ells[idx], lat.js[idx]
+        residue = np.bincount(ells % step, minlength=step) > 0  # np.unique loads numpy.ma
+        rows = np.flatnonzero(residue[np.arange(self.L + 1) % step])
+        slots = np.flatnonzero((self.dv_matrix[:, idx] != 0.0).any(axis=1))
+        cols = np.flatnonzero(np.bincount(np.append(js, slots), minlength=size))
+        xc = cols[cols <= self.J]
+        mask = np.zeros_like(lat.mask)
+        mask[ells, js] = True
+        dv = self._whole.dv[slots[:, None], (rows[:, None] * (self.J + 1) + xc).ravel()]
+        stacked = self._stacked.reshape(-1, size, size)[:, cols[:, None], cols]
+        return _Cells(rows, tuple((int(r), step) for r in np.flatnonzero(residue)), cols,
+                      (slots + 1, np.searchsorted(cols, slots)), dv,
+                      self._symbol[np.ix_(rows, xc)], mask[np.ix_(rows, xc)],
+                      stacked.reshape(-1, len(cols)), self._split[1][np.ix_(rows, xc, xc)])
+
     def inverse_norm(self, params: NormParams, *, start: np.ndarray | None = None) -> float:
         """Operator norm of the inverse on the weighted (sigma, s, r) metric.
 
@@ -387,30 +428,34 @@ class LinearizedOperator:
         1 / min |D| at any size.  Up to EXACT_NORM_MAX unknowns it is exact:
         the largest over the decoupled blocks (`_partition`), gathered one at
         a time, of the block's norm (`_block_inverse_norm`); no n x n matrix
-        is formed, and `norm_blocks` and `largest_block` record the split (n
-        and 1 at eps = 0).  Above it, a Golub-Kahan (Lanczos) estimate: Krylov
-        step k solves for y_k = B q_k, where q_k+1 is B^T y_k orthogonalized
-        twice against q_1..q_k (classical Gram-Schmidt), and returns
-        sigma_max(y_1..y_k) from their k x k Gram matrix.  By Lop^T = Mw Lop
-        Mw^-1 (`_apply`), B^T = (Mw / W) Lop^-1 (W / Mw) is a forward solve
-        too.  As ||B Q|| <= ||B|| ||Q|| = ||B||, the estimate is a lower
-        bound that never decreases in k.  It stops once it changes by at most
-        1e-14 relative (tested before the solve for B^T y_k) or after
-        min(_MAX_KRYLOV_STEPS, n) steps, counted in `power_steps`.  A
-        singular or non-finite operator raises ResonantSolveError.
+        is formed, and `norm_blocks`, `largest_block` and `bounded_blocks`
+        record the split (n, 1 and 0 at eps = 0).  Above it, a Golub-Kahan
+        (Lanczos) estimate: Krylov step k solves for y_k = B q_k, where q_k+1
+        is B^T y_k orthogonalized twice against q_1..q_k (classical
+        Gram-Schmidt), and returns sigma_max(y_1..y_k) from their k x k Gram
+        matrix.  By Lop^T = Mw Lop Mw^-1 (`_apply`), B^T = (Mw / W) Lop^-1
+        (W / Mw) is a forward solve too.  As ||B Q|| <= ||B|| ||Q|| = ||B||,
+        the estimate is a lower bound that never decreases in k.  It stops
+        once it changes by at most 1e-14 relative (tested before the solve
+        for B^T y_k) or after min(_MAX_KRYLOV_STEPS, unknowns) steps, counted
+        in `power_steps`.  A singular or non-finite operator raises
+        ResonantSolveError.
 
         q_1 is uniform on the lattice, or with `start` (a grid of shape
         (L' + 1, J + 1) for some L' <= L, padded with zero rows) the
         normalized start plus _WARM_UNIFORM times the uniform vector,
-        normalized.  A nearby operator's top right singular vector (a
-        previous stage's `top_vector`) cuts the Krylov steps.  The uniform
-        part must stay: B is block diagonal under `_partition`, so a Krylov
-        space started inside one block never leaves it, and the estimate
-        would stop at that block's norm.  Every branch leaves in
-        `top_vector` the top right singular vector of B (unit norm, on the
-        (L + 1, J + 1) grid): c Q for c the top eigenvector of the Krylov
-        Gram matrix, a few products with the winning block's Gram matrix, or
-        the unit vector at the smallest |D|.
+        normalized: a previous stage's `top_vector` cuts the steps.  A start
+        also selects a block: r_k = ||(B q_1)|_k|| / ||q_1|_k|| <= ||B_k|| on
+        each block where q_1 is nonzero, and steps 2 onwards run from q_1|_k
+        in the block of the largest r_k (`_cells`), still a lower bound,
+        ||B_k Q|| <= ||B_k|| <= ||B||, and never below step 1, as
+        max r_k >= ||B q_1||.  From a uniform start step 1 can rank the
+        blocks wrongly, so the steps keep the whole lattice.  `krylov_block`
+        holds the unknowns they ran on.  Every branch leaves in `top_vector`
+        the top right singular vector of B (unit norm, on the (L + 1, J + 1)
+        grid): c Q for c the top eigenvector of the Krylov Gram matrix, a few
+        products with the winning block's Gram matrix, or the unit vector at
+        the smallest |D|.
         """
         self.factorize()
         lat = self.lattice
@@ -418,6 +463,7 @@ class LinearizedOperator:
         n = lat.size
         shape = lat.mask.shape
         self.power_steps = self.norm_blocks = self.largest_block = 0
+        self.krylov_block = self.bounded_blocks = 0
         self.top_vector = np.zeros(shape)
         if self.eps == 0.0:
             d = np.abs(self.symbol_diagonal())
@@ -431,7 +477,9 @@ class LinearizedOperator:
         if n <= EXACT_NORM_MAX:
             blocks = self._partition()
             self.norm_blocks, self.largest_block = len(blocks), max(map(len, blocks))
-            top, k, vec = _block_inverse_norm((_gather(self, idx), w[idx]) for idx in blocks)
+            pairs, bounded = ((_gather(self, idx), w[idx]) for idx in blocks), []
+            top, k, vec = _block_inverse_norm(pairs, bounded)
+            self.bounded_blocks = len(bounded)
             self.top_vector[lat.ells[blocks[k]], lat.js[blocks[k]]] = vec
             return top
         wg = np.ones(shape)
@@ -445,17 +493,30 @@ class LinearizedOperator:
             q /= np.linalg.norm(q)
         q = q.reshape(1, -1)             # rows q_i
         y = np.empty((0, q.shape[1]))    # rows B q_i
-        est, last = 0.0, min(_MAX_KRYLOV_STEPS, n)
+        est, last, cells, sub = 0.0, min(_MAX_KRYLOV_STEPS, n), None, np.s_[:, :]
+        self.krylov_block = n
         for step in range(1, last + 1):
-            image = wg * self._neumann(q[-1].reshape(shape) / wg)
+            image = wg * self._neumann(q[-1].reshape(shape) / wg, cells)
             if not np.all(np.isfinite(image)):
                 raise ResonantSolveError(f"inverse norm at L_n={self.L}: non-finite image "
                                          f"at Krylov step {step}")
+            if step == 1 and start is not None and len(blocks := self._partition()) > 1:
+                # r_k = ||(B q_1)|_k|| / ||q_1|_k|| <= ||B_k||, and max r_k >= ||B q_1||
+                q1 = q[0].reshape(shape)
+                norms = [[np.linalg.norm(a[lat.ells[b], lat.js[b]]) for a in (image, q1)]
+                         for b in blocks]
+                k = int(np.argmax([a / r if r else 0.0 for a, r in norms]))
+                cells, self.krylov_block = self._cells(blocks[k]), len(blocks[k])
+                sub, shape = np.ix_(cells.rows, cells.cols[cells.cols <= self.J]), cells.mask.shape
+                q, image = (np.where(cells.mask, a[sub] / norms[k][1], 0.0) for a in (q1, image))
+                wg, wm = (np.where(cells.mask, a[sub], 1.0) for a in (wg, wm))
+                q, y = q.reshape(1, -1), np.empty((0, q.size))
+                last = min(_MAX_KRYLOV_STEPS, self.krylov_block)
             y = np.vstack([y, image.ravel()])
             prev, est = est, float(np.sqrt(np.linalg.eigvalsh(y @ y.T)[-1]))
             if est - prev <= _POWER_RTOL * est or step == last:
                 break
-            z = (self._neumann(wm * image) / wm).ravel()  # B^T y_k
+            z = (self._neumann(wm * image, cells) / wm).ravel()  # B^T y_k
             for _ in range(2):  # classical Gram-Schmidt, twice
                 z -= q.T @ (q @ z)
             nz = float(np.linalg.norm(z))
@@ -463,7 +524,7 @@ class LinearizedOperator:
                 break
             q = np.vstack([q, z / nz])
         self.power_steps = step
-        self.top_vector = (np.linalg.eigh(y @ y.T)[1][:, -1] @ q).reshape(shape)
+        self.top_vector[sub] = (np.linalg.eigh(y @ y.T)[1][:, -1] @ q).reshape(shape)
         return est
 
 
@@ -491,7 +552,7 @@ def _gather(op: LinearizedOperator, idx: np.ndarray) -> np.ndarray:
     return mult
 
 
-def _block_inverse_norm(pairs) -> tuple[float, int, np.ndarray]:
+def _block_inverse_norm(pairs, bounded: list | None = None) -> tuple[float, int, np.ndarray]:
     """sigma_max(W A^-1 W^-1) for A block diagonal, from its pairs (block A_k, weights w_k).
 
     W = diag(w) holds w_k on block k, so B = W A^-1 W^-1 is block diagonal
@@ -503,12 +564,17 @@ def _block_inverse_norm(pairs) -> tuple[float, int, np.ndarray]:
     moves by at most 2^-60 relative.  A non-finite entry, an exactly
     singular block, or max|A_k| max|A_k^-1| over the blocks so far above
     1e300 (the first at least 1; checked before the Gram matrix can
-    overflow) raises ResonantSolveError.  Returns the norm, the index k of
-    the block that holds it, and the unit top right singular vector of B_k
-    from _GRAM_PRODUCTS products of its Gram matrix with the uniform vector
-    (the next stage's Krylov start, which needs no more accuracy).
+    overflow) raises ResonantSolveError.  A block whose bound
+    sqrt(||B_k||_1 ||B_k||_inf) >= ||B_k||_2, times 1 + _BOUND_MARGIN, is
+    below the largest norm so far cannot hold the norm: it gets no Gram
+    eigensolve, and its index goes to `bounded`.  Returns the norm, the
+    index k of the block that holds it, and the unit top right singular
+    vector of B_k from _GRAM_PRODUCTS products of its Gram matrix with the
+    uniform vector (the next stage's Krylov start, which needs no more
+    accuracy).
     """
     top, win, vec, size, inv_size = 0.0, -1, None, 1.0, 0.0
+    bounded = [] if bounded is None else bounded
     for k, (sub, w) in enumerate(pairs):
         if not np.isfinite(sub).all():
             raise ResonantSolveError("linearized operator is not finite")
@@ -523,7 +589,13 @@ def _block_inverse_norm(pairs) -> tuple[float, int, np.ndarray]:
             raise ResonantSolveError(_SINGULAR)
         inv *= w[:, None]
         inv /= w[None, :]
-        inv[np.abs(inv) < 2.0 ** -60 * np.abs(inv).max() / len(inv)] = 0.0
+        mag = np.abs(inv)
+        inv[mag < 2.0 ** -60 * mag.max() / len(inv)] = 0.0
+        if np.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max()) * (1 + _BOUND_MARGIN) < top:
+            del inv, mag  # before the generator gathers the next block
+            bounded.append(k)
+            continue
+        del mag
         gram = inv.T @ inv
         del inv
         value = float(np.sqrt(np.linalg.eigvalsh(gram)[-1]))

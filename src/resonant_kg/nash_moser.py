@@ -384,12 +384,14 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig,
     stats = dict(stage=n + 1, L_n=L_next, unknowns=op.lattice.size, picard_iters=iters,
                  picard_sweeps=picard_sweeps, norm_sweeps=op.sweeps - picard_sweeps,
                  power_steps=op.power_steps, norm_blocks=op.norm_blocks,
-                 largest_block=op.largest_block, assembly_s=t_assembled - t_start,
+                 largest_block=op.largest_block, krylov_block=op.krylov_block,
+                 bounded_blocks=op.bounded_blocks, assembly_s=t_assembled - t_start,
                  picard_s=t_picard, inverse_norm_s=t_norm, divisor_table_s=t_table,
                  peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
     log.info("stage %(stage)d L_n=%(L_n)d unknowns=%(unknowns)d picard_iters=%(picard_iters)d "
              "neumann_sweeps=%(picard_sweeps)d+%(norm_sweeps)d power_steps=%(power_steps)d "
              "norm_blocks=%(norm_blocks)d largest_block=%(largest_block)d "
+             "krylov_block=%(krylov_block)d bounded_blocks=%(bounded_blocks)d "
              "assembly_s=%(assembly_s).3f picard_s=%(picard_s).3f "
              "inverse_norm_s=%(inverse_norm_s).3f divisor_table_s=%(divisor_table_s).3f "
              "peak_rss_mb=%(peak_rss_mb).1f", stats)

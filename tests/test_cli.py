@@ -212,7 +212,7 @@ def test_solve_manifest_records_every_stage(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     stages = json.loads((tmp_path / "quiet" / "manifest.json").read_text())["stages"]
     counts = ("L_n", "unknowns", "picard_iters", "power_steps", "norm_blocks",
-              "largest_block")
+              "largest_block", "krylov_block", "bounded_blocks")
     seconds = ("assembly_s", "picard_s", "inverse_norm_s", "divisor_table_s")
     assert [s["stage"] for s in stages] == [1, 2, 3, 4]
     for stage, line in zip(stages, lines):
@@ -224,6 +224,10 @@ def test_solve_manifest_records_every_stage(tmp_path, capsys):
         assert all(stage[key] >= 0.0 for key in seconds)
         assert stage["picard_sweeps"] > 0 and stage["norm_sweeps"] >= 0
     assert [s["power_steps"] > 0 for s in stages] == [False] * 3 + [True]
+    # the exact stages bound all blocks but the winner; the Krylov stage runs
+    # in one block of its 2432 unknowns
+    assert [s["krylov_block"] for s in stages] == [0, 0, 0, 330]
+    assert [s["bounded_blocks"] for s in stages] == [4, 5, 5, 0]
     # the process high-water mark: positive and never lower at a later stage
     peaks = [s["peak_rss_mb"] for s in stages]
     assert peaks[0] > 0.0 and peaks == sorted(peaks)
@@ -249,6 +253,24 @@ def test_measure_command(tmp_path):
     # insufficient solve grid
     assert main(["measure", "--eta", "0.04", "--solve-grid", "1",
                  "--out", str(tmp_path / "x.json")]) == 65
+
+
+def test_measure_checks_its_output_before_the_solves(tmp_path, capsys, monkeypatch):
+    # a directory as --out exits 66 before a single mean-curve solve, and a
+    # run that fails after the check leaves no measure.json behind
+    from resonant_kg import nash_moser
+    calls = []
+
+    def run(config):
+        calls.append(config)
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(nash_moser, "run", run)
+    args = ["measure", "--eta", "0.04", "--samples", "200", "--solve-grid", "2", "--out"]
+    assert main(args + [str(tmp_path)]) == 66
+    assert calls == [] and str(tmp_path) in capsys.readouterr().err
+    out = tmp_path / "fresh" / "measure.json"
+    assert main(args + [str(out)]) == 1
+    assert len(calls) == 1 and not out.exists()
 
 
 def test_measure_bad_window_or_samples_exit_64(tmp_path, capsys):

@@ -493,6 +493,129 @@ def test_warm_start_inside_one_block_still_finds_the_norm(monkeypatch):
     assert abs(trapped - first) <= 1e-12 * first
 
 
+def _krylov_against_exact(monkeypatch, config, runner_up=False):
+    """Krylov inverse norm (EXACT_NORM_MAX = 0) against the exact all-block norm per stage.
+
+    Returns (relative error, unknowns of the Krylov block, lattice size) for
+    every stage of run(config).  With runner_up, the steps after the first
+    run in the block of the second largest exact norm instead of the one
+    that step 1 selects.
+    """
+    from resonant_kg.nash_moser import run
+    operator = linearized.LinearizedOperator
+    real, real_cells, seen = operator.inverse_norm, operator._cells, []
+
+    def inverse_norm(op, params, **kwargs):
+        seen.append((op, params))
+        return real(op, params, **kwargs)
+
+    def runner_up_cells(op, idx):
+        weights, blocks = op.lattice.weights(seen[-1][1]), op._partition()
+        norms = [linearized._block_inverse_norm([(linearized._gather(op, b), weights[b])])[0]
+                 for b in blocks]
+        return real_cells(op, blocks[np.argsort(norms)[-2]])
+    monkeypatch.setattr(operator, "inverse_norm", inverse_norm)
+    if runner_up:
+        monkeypatch.setattr(operator, "_cells", runner_up_cells)
+    monkeypatch.setattr(linearized, "EXACT_NORM_MAX", 0)
+    result = run(config)
+    monkeypatch.setattr(linearized, "EXACT_NORM_MAX", 10 ** 6)
+    exact = [real(op, params) for op, params in seen]
+    return [(rec.inverse_norm / norm - 1.0, stats["krylov_block"], stats["unknowns"])
+            for rec, stats, norm in zip(result.trace.records[1:], result.stages, exact)]
+
+
+@pytest.mark.parametrize("m, eps, stages", [(0, 1e-3, 6), (1, 2e-3, 5), (2, 2e-3, 4),
+                                            (3, 2e-3, 3)])
+def test_block_krylov_matches_the_exact_norm_at_every_stage(monkeypatch, m, eps, stages):
+    # every stage forced through the Krylov branch: stage 1 starts uniform on
+    # the whole lattice, the later stages run in the block that step 1 selects
+    from resonant_kg.nash_moser import SolverConfig
+    config = SolverConfig(eps=eps, m=m, n_max=stages)
+    errors = _krylov_against_exact(monkeypatch, config)
+    assert [n for _, block, n in errors if block == n] == [errors[0][2]]
+    assert all(0 < block < n for _, block, n in errors[1:])
+    assert all(abs(rel) <= 1e-14 for rel, _, _ in errors)
+    if m == 2:  # negative control: the runner-up block understates the norm
+        monkeypatch.undo()
+        forced = _krylov_against_exact(monkeypatch, config, runner_up=True)
+        assert all(rel < -0.1 for rel, _, _ in forced[1:])
+
+
+def test_uniform_start_keeps_the_whole_lattice(monkeypatch):
+    # m = 1 at stage 1 (L = 16): from the uniform vector, step 1 ranks the
+    # blocks wrongly, so only a warm start selects one
+    from resonant_kg.nash_moser import SolverConfig
+    cfg = SolverConfig(eps=2e-3, m=1)
+    op = _stage0_operator(1, cfg.L(1))
+    params = NormParams(cfg.sigmas()[1], cfg.s)
+    exact = op.inverse_norm(params)
+    monkeypatch.setattr(linearized, "EXACT_NORM_MAX", 0)
+    value = op.inverse_norm(params)
+    assert op.krylov_block == op.lattice.size
+    assert abs(value - exact) <= 1e-14 * exact
+    # negative control: the uniform vector passed as a start selects a block
+    # and understates the norm by 17%
+    wrong = op.inverse_norm(params, start=np.where(op.lattice.mask, 1.0, 0.0))
+    assert op.krylov_block < op.lattice.size and wrong < 0.9 * exact
+
+
+@pytest.mark.parametrize("state", ["m2", "m3", "static", "dv"])
+def test_krylov_steps_inside_each_block_give_its_norm(monkeypatch, state):
+    # a start on one block alone, without the uniform part, keeps the steps
+    # in that block: the restricted apply and Neumann solves give its norm,
+    # on classes mod step (m = 2, 3), on each l alone when only S_0 is live
+    # (static) and on cells that M2 joins (dv)
+    if state == "static":
+        u = np.zeros((1, 5))
+        u[0, [0, 2]] = 0.3, 0.1
+        op = assemble_linearized(1e-3, CoeffField(u), zero_kernel(4), 16, 4)
+    elif state == "dv":
+        op = _stage0_operator(0, 64)
+        dv = op.dv_matrix.copy()
+        dv[0, (op.lattice.ells == 4) & (op.lattice.js == 1)] = 1.0
+        op = dataclasses.replace(op, dv_matrix=dv)
+    else:
+        op = _stage0_operator(int(state[1]), 16)
+    weights = op.lattice.weights(P)
+    monkeypatch.setattr(linearized, "EXACT_NORM_MAX", 0)
+    monkeypatch.setattr(linearized, "_WARM_UNIFORM", 0.0)
+    for idx in op._partition():
+        block, _, _ = linearized._block_inverse_norm([(linearized._gather(op, idx),
+                                                       weights[idx])])
+        start = np.zeros(op.lattice.mask.shape)
+        start[op.lattice.ells[idx], op.lattice.js[idx]] = 1.0
+        value = op.inverse_norm(P, start=start)
+        assert op.krylov_block == len(idx) and abs(value - block) <= 1e-14 * block
+        assert np.all(op.top_vector[~start.astype(bool)] == 0.0)
+
+
+@pytest.mark.parametrize("L", [3, 6])
+def test_block_krylov_on_a_coarse_partition(monkeypatch, L):
+    # m = 2 at J = 4 on the kernel alone: `_partition` joins two one-by-one
+    # components into one block (8 blocks against 9), which B leaves
+    # invariant all the same
+    w = CoeffField.zeros(4, 4)
+    op = assemble_linearized(2e-3, w, solve_kernel(w, 2, J_V=4).kernel, L, 4)
+    blocks, comps = op._partition(), _components(dense_matrix(op))
+    assert (len(blocks), len(comps)) == (8, 9)
+    coarse = [b for b in blocks if not any(np.array_equal(b, c) for c in comps)]
+    assert len(coarse) == 1 and len(coarse[0]) == 2
+    exact, top = op.inverse_norm(P), op.top_vector
+    weights = op.lattice.weights(P)
+    inside, _, _ = linearized._block_inverse_norm([(linearized._gather(op, coarse[0]),
+                                                    weights[coarse[0]])])
+    monkeypatch.setattr(linearized, "EXACT_NORM_MAX", 0)
+    value = op.inverse_norm(P, start=top)
+    assert abs(value - exact) <= 1e-15 * exact
+    # the steps run inside the coarse block when the start holds only it
+    start = np.zeros(op.lattice.mask.shape)
+    start[op.lattice.ells[coarse[0]], op.lattice.js[coarse[0]]] = 1.0
+    monkeypatch.setattr(linearized, "_WARM_UNIFORM", 0.0)
+    value = op.inverse_norm(P, start=start)
+    assert op.krylov_block == 2 and abs(value - inside) <= 1e-15 * inside
+
+
 def test_assembly_forms_square_and_stack_once(rng, monkeypatch):
     # q = (v + w)^2 and the S_d stack of b = 3 q serve the whole assembly
     import sys
@@ -905,6 +1028,66 @@ def test_block_inverse_norm_returns_the_top_vector(diag, winner):
     tan = np.linalg.norm((vt[1:] @ u) * (sv[1:] / sv[0]) ** (2 * linearized._GRAM_PRODUCTS))
     cos = 1.0 / np.hypot(1.0, tan / abs(vt[0] @ u))
     assert abs(abs(x @ vt[0]) - cos) <= 1e-14
+
+
+def test_block_bound_settles_only_blocks_below_the_running_top(monkeypatch):
+    # the block_diag cases of the singularity test: a block skips its Gram
+    # eigensolve only when sqrt(||B_k||_1 ||B_k||_inf), which bounds ||B_k||_2,
+    # lies below the norm of an earlier block; the result is the same bits
+    regular = np.array([[2.0, 1.0], [1.0, 3.0]])
+    cases = [(scipy.linalg.block_diag(regular, 0.5 * regular), np.array([1.0, 3.0, 2.0, 5.0]))]
+    for last in (0.5 * regular, [[0.1]], [[-0.7]]):
+        a = scipy.linalg.block_diag(regular, [[4.0]], last)
+        cases.append((a, np.arange(1.0, len(a) + 1.0) ** 2))
+    settled = 0
+    for a, w in cases:
+        comps, bounded = _components(a), []
+        pairs = [(a[np.ix_(c, c)], w[c]) for c in comps]
+        value, k, vec = linearized._block_inverse_norm(iter(pairs), bounded)
+        top = 0.0
+        for i, (sub, wk) in enumerate(pairs):
+            b = wk[:, None] * np.linalg.inv(sub) / wk[None, :]
+            bound = np.sqrt(np.abs(b).sum(axis=0).max() * np.abs(b).sum(axis=1).max())
+            norm = np.linalg.norm(b, 2)
+            assert norm <= bound * (1.0 + 1e-15)
+            assert (i in bounded) == (bound * (1.0 + linearized._BOUND_MARGIN) < top)
+            top = max(top, norm)
+        assert abs(value - weighted_inverse_norm(a, w)) <= 1e-14 * value
+        settled += len(bounded)
+        # negative control: an infinite margin bounds no block and eigensolves
+        # every one, to the same norm, winner and top vector
+        monkeypatch.setattr(linearized, "_BOUND_MARGIN", np.inf)
+        unbounded = []
+        again = linearized._block_inverse_norm(iter(pairs), unbounded)
+        monkeypatch.undo()
+        assert unbounded == [] and again[:2] == (value, k) and np.array_equal(again[2], vec)
+    assert settled >= 3
+
+
+def test_exact_norm_eigensolves_one_block_of_m0(monkeypatch):
+    # m = 0 at L = 512: the first block holds the norm 0.998 and bounds the
+    # other five (at most 0.333) below it, so one Gram eigensolve of six
+    from resonant_kg.nash_moser import SolverConfig, run
+    real, seen = linearized.LinearizedOperator.inverse_norm, []
+
+    def inverse_norm(op, params, **kwargs):
+        seen.append((op, params))
+        return real(op, params, **kwargs)
+    monkeypatch.setattr(linearized.LinearizedOperator, "inverse_norm", inverse_norm)
+    run(SolverConfig(eps=1e-3, m=0))
+    op, params = seen[-1]
+    real_eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def eigvalsh(g):
+        calls.append(len(g))
+        return real_eigvalsh(g)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    value, top = real(op, params), op.top_vector.copy()
+    assert op.L == 512 and len(calls) == 1
+    assert (op.norm_blocks, op.bounded_blocks, op.krylov_block) == (6, 5, 0)
+    monkeypatch.setattr(linearized, "_BOUND_MARGIN", np.inf)
+    assert real(op, params) == value and np.array_equal(op.top_vector, top)
+    assert len(calls) == 1 + 6 and op.bounded_blocks == 0
 
 
 def test_block_norm_drops_entries_below_its_resolution(monkeypatch):
