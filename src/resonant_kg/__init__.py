@@ -13,9 +13,8 @@ from .field_algebra import (CoeffField, NormParams, field_multiply, load_field,
                             project_kernel, project_range, save_field, time_cutoff)
 from .bifurcation import KernelField, one_mode_solution, solve_kernel
 from .linearized import assemble_linearized, block_spectrum, divisor_table
-from .resonance import (ConditionRecord, ResonanceParams, check_limit_conditions,
-                        check_stage_conditions, fit_excluded_exponent,
-                        mean_potential, measure_scan)
+from .resonance import (ConditionRecord, ResonanceParams, check_stage_conditions,
+                        fit_excluded_exponent, mean_potential, measure_scan)
 from .nash_moser import (ContractionError, MelnikovExcludedError, RunResult,
                          SolverConfig, SolveTrace, run, solve_stage,
                          solve_stage0, verify_solution)
@@ -28,7 +27,7 @@ __all__ = [
     "KernelField", "one_mode_solution", "solve_kernel",
     "assemble_linearized", "block_spectrum", "divisor_table",
     "ResonanceParams", "ConditionRecord", "mean_potential",
-    "check_stage_conditions", "check_limit_conditions",
+    "check_stage_conditions",
     "measure_scan", "fit_excluded_exponent",
     "SolverConfig", "SolveTrace", "RunResult", "run", "solve_stage0",
     "solve_stage", "verify_solution", "MelnikovExcludedError",

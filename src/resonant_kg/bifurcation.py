@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .field_algebra import (CoeffField, NormParams, field_multiply, fold_entries,
-                            mult_matrix_stack, project_kernel)
+                            log_time_weights, mult_matrix_stack, project_kernel)
 
 __all__ = [
     "KernelField",
@@ -64,9 +64,10 @@ class KernelField:
         return f
 
     def norm(self, params: NormParams) -> float:
+        """The field norm of `embed()`: the weight rule at l = omega_j = j + 1, on v_j / 2."""
         wj = np.arange(self.J + 1, dtype=float) + 1.0
-        w = 0.5 * np.exp(2.0 * params.sigma * wj) * wj ** (2.0 * (params.s + params.r))
-        return float(np.sqrt(np.sum(w * self.v * self.v)))
+        w = np.exp(log_time_weights(self.J + 1, params)[1:]) * wj ** (2.0 * params.r)
+        return float(np.sqrt(np.sum(w * (0.5 * self.v) ** 2)))
 
     def copy(self) -> "KernelField":
         return KernelField(self.v.copy())
@@ -81,15 +82,13 @@ def extract_kernel(f: CoeffField, J_V: int) -> KernelField:
     return KernelField(v)
 
 
-def one_mode_solution(m: int, sign: int = +1, J_V: int | None = None) -> KernelField:
-    """The explicit solution alpha_m cos(omega_m t) e_m with alpha_m = sign*sqrt(4 omega_m/3)."""
+def one_mode_solution(m: int, *, J_V: int | None = None) -> KernelField:
+    """The explicit solution alpha_m cos(omega_m t) e_m, alpha_m = +sqrt(4 omega_m / 3)."""
     if m < 0:
         raise ValueError("mode m must be nonnegative")
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
     J_V = m if J_V is None else max(J_V, m)
     v = np.zeros(J_V + 1)
-    v[m] = sign * np.sqrt(4.0 * (m + 1) / 3.0)
+    v[m] = np.sqrt(4.0 * (m + 1) / 3.0)
     return KernelField(v)
 
 

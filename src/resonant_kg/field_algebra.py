@@ -37,6 +37,7 @@ from . import spherical_basis as sb
 __all__ = [
     "NormParams",
     "CoeffField",
+    "log_time_weights",
     "field_multiply",
     "mult_matrix_stack",
     "fold_entries",
@@ -129,13 +130,6 @@ class CoeffField:
 
     # -- norms ---------------------------------------------------------------
 
-    def _log_time_weights(self, params: NormParams):
-        """log of the squared time weights m_l e^(2 sigma l) <l>^(2s)."""
-        ell = np.arange(self.L + 1, dtype=float)
-        logw = 2.0 * params.sigma * ell + 2.0 * params.s * np.log(np.maximum(ell, 1.0))
-        logw += np.where(ell == 0, 0.0, np.log(2.0))
-        return logw
-
     def norm(self, params: NormParams) -> float:
         """Weighted norm, accumulated in log space.
 
@@ -152,7 +146,7 @@ class CoeffField:
         with np.errstate(invalid="ignore"):  # a NaN or inf row gives the documented NaN norm
             scaled = self.u[mask] / rmax[mask, None]  # rescale so squaring cannot underflow
         row_sq = (scaled * scaled) @ wj
-        t = (self._log_time_weights(params)[mask] + 2.0 * np.log(rmax[mask])
+        t = (log_time_weights(self.L, params)[mask] + 2.0 * np.log(rmax[mask])
              + np.log(row_sq))
         peak = float(t.max())
         return float(np.exp(0.5 * (peak + np.log(np.sum(np.exp(t - peak))))))
@@ -162,6 +156,17 @@ class CoeffField:
     def apply_wave_symbol(self, omega: float) -> "CoeffField":
         """-omega^2 d_tt - A: entry (l, j) multiplied by wave_symbol(omega, L, J)."""
         return CoeffField(wave_symbol(omega, self.L, self.J) * self.u)
+
+
+def log_time_weights(L: int, params: NormParams) -> np.ndarray:
+    """log of the squared time weights m_l e^(2 sigma l) <l>^(2s), l = 0..L.
+
+    The one copy of the weight rule, read by the field, lattice and kernel norms.
+    """
+    ell = np.arange(L + 1, dtype=float)
+    logw = 2.0 * params.sigma * ell + 2.0 * params.s * np.log(np.maximum(ell, 1.0))
+    logw += np.where(ell == 0, 0.0, np.log(2.0))
+    return logw
 
 
 def wave_symbol(omega: float, L: int, J: int) -> np.ndarray:

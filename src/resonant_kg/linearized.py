@@ -15,12 +15,13 @@ mean b0 and the oscillating part gives the diagonal family
 and Lop = D - eps M.  The operator is never formed: its apply reads the
 product by b from the S_d stack of b (one GEMM per chunk of d) and the
 kernel correction from the thin dv_matrix, and `solve` runs the Neumann
-iteration x <- x + D^-1 (b - Lop x) on the per-l blocks of D, which
-contracts by about 3e-3 per sweep on the solution branches and stops
-componentwise, so coefficients far below the largest keep their value.
-The weighted inverse B = W Lop^-1 W^-1 is block diagonal under the
-decoupled blocks (6 to 10 on a branch), which the symmetry of the S_d
-support and of dv_matrix gives before any entry is gathered.  Its norm is
+iteration x <- x + D^-1 (b - Lop x) on the per-l blocks of D (only D^-1
+is kept), which contracts by about 3e-3 per sweep on the solution branches
+and stops componentwise, so coefficients far below the largest keep their
+value.  The weighted inverse B = W Lop^-1 W^-1, W the field norm's weights
+(read in log space and centred, so finite at L = 1024), is block diagonal
+under the decoupled blocks (6 to 10 on a branch), which the symmetry of the
+S_d support and of dv_matrix gives before any entry is gathered.  Its norm is
 exact up to EXACT_NORM_MAX unknowns (at eps = 0 at any size), and only a
 block that a cheap bound cannot rule out gets a Gram eigensolve; above it,
 it is a Golub-Kahan lower bound through the same solves, run inside the
@@ -56,8 +57,8 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import spherical_basis as sb
 from .bifurcation import KernelField, kernel_derivative_matrix, total_field
-from .field_algebra import (CoeffField, NormParams, field_multiply, fold_entries,
-                            kernel_mask, mult_matrix_stack, wave_symbol, write_csv)
+from .field_algebra import (CoeffField, NormParams, field_multiply, fold_entries, kernel_mask,
+                            log_time_weights, mult_matrix_stack, wave_symbol, write_csv)
 
 __all__ = [
     "WLattice",
@@ -117,7 +118,7 @@ class WLattice:
     """Index bookkeeping for the range truncation (l <= L, j <= J, j != l-1).
 
     `mask` is the (L+1, J+1) grid of lattice points; ells and js list them
-    in row-major order.
+    in row-major order.  `log_weights` reads the field norm's weight rule.
     """
 
     L: int
@@ -145,13 +146,9 @@ class WLattice:
         """f on the (L+1, J+1) grid with every entry off the lattice zero."""
         return np.where(self.mask, f.padded(self.L, self.J).u[: self.L + 1, : self.J + 1], 0.0)
 
-    def weights(self, params: NormParams) -> np.ndarray:
-        """Per-coefficient norm weights: ||f||^2 = sum (w_i c_i)^2 on the lattice."""
-        ell = self.ells.astype(float)
-        wj = (self.js + 1).astype(float)
-        mult = np.where(self.ells == 0, 1.0, 2.0)
-        return np.sqrt(mult) * np.exp(params.sigma * ell) * \
-            np.maximum(ell, 1.0) ** params.s * wj ** params.r
+    def log_weights(self, params: NormParams) -> np.ndarray:
+        """log w_i of the per-coefficient norm weights, ||f||^2 = sum (w_i c_i)^2 on the lattice."""
+        return 0.5 * log_time_weights(self.L, params)[self.ells] + params.r * np.log(self.js + 1.0)
 
     def in_lattice_support(self, f: CoeffField) -> bool:
         """True if every nonzero entry of f sits on a lattice point (NaN counts as nonzero)."""
@@ -190,7 +187,7 @@ class LinearizedOperator:
         self.power_steps = self.norm_blocks = self.largest_block = 0
         self.krylov_block = self.bounded_blocks = 0
         self.top_vector = None
-        self._split = None
+        self._inverse = None
         L, J = self.L, self.J
         n_k, size = self.dv_matrix.shape[0], self.stack.shape[1]
         # the product by b is taken on rows l <= L and on the kernel slots
@@ -230,17 +227,17 @@ class LinearizedOperator:
     def symbol_diagonal(self) -> np.ndarray:
         return self._symbol[self.lattice.mask]
 
-    def factorize(self):
-        """The per-l blocks of D and their inverses, (L+1, J+1, J+1) each, computed once.
+    def factorize(self) -> np.ndarray:
+        """The inverses of the per-l blocks of D, (L+1, J+1, J+1), computed once.
 
         D_l = omega^2 l^2 - omega_j^2 - eps S_0 on the modes j != l - 1; the
         resonant slot is carried as a unit row and column, so each block is
-        J x J on the lattice.  A singular block raises ResonantSolveError.
-        Non-finite blocks are not rejected: they make `solve` return
-        non-finite values, which the Picard loop of `nash_moser.solve_stage`
-        reports with the stage and iteration.
+        J x J on the lattice.  Only the inverses are kept.  A singular block
+        raises ResonantSolveError.  Non-finite blocks are not rejected: they
+        make `solve` return non-finite values, which the Picard loop of
+        `nash_moser.solve_stage` reports with the stage and iteration.
         """
-        if self._split is None:
+        if self._inverse is None:
             J = self.J
             blocks = np.repeat(-self.eps * self.stack[None, 0, : J + 1, : J + 1],
                                self.L + 1, axis=0)
@@ -263,8 +260,8 @@ class LinearizedOperator:
             if bad.any():
                 raise ResonantSolveError(f"block l={int(np.argmax(bad))} of D is numerically "
                                          "singular (amplitude effectively resonant)")
-            self._split = (blocks, inverse)
-        return self._split
+            self._inverse = inverse
+        return self._inverse
 
     def _product(self, h: np.ndarray, cells) -> np.ndarray:
         """Product by b on stored coefficients h (rows l, columns cells.cols of the stack).
@@ -327,7 +324,7 @@ class LinearizedOperator:
         roundoff, or _MAX_SWEEPS sweeps, raise ResonantSolveError.  The
         caller has run `factorize`.
         """
-        inverse = self._split[1] if cells is None else cells.inverse
+        inverse = self._inverse if cells is None else cells.inverse
         peak = float(np.max(np.abs(b)))
         if peak == 0.0:
             return np.zeros_like(b)
@@ -418,12 +415,13 @@ class LinearizedOperator:
         return _Cells(rows, tuple((int(r), step) for r in np.flatnonzero(residue)), cols,
                       (slots + 1, np.searchsorted(cols, slots)), dv,
                       self._symbol[np.ix_(rows, xc)], mask[np.ix_(rows, xc)],
-                      stacked.reshape(-1, len(cols)), self._split[1][np.ix_(rows, xc, xc)])
+                      stacked.reshape(-1, len(cols)), self._inverse[np.ix_(rows, xc, xc)])
 
     def inverse_norm(self, params: NormParams, *, start: np.ndarray | None = None) -> float:
         """Operator norm of the inverse on the weighted (sigma, s, r) metric.
 
-        The norm of B = W Lop^-1 W^-1 (W = diag(w), w the lattice weights).
+        The norm of B = W Lop^-1 W^-1 (W = diag(w), w the lattice weights
+        exp(`WLattice.log_weights`) over their geometric midpoint).
         At eps = 0, Lop = D is diagonal and the weights cancel: it is
         1 / min |D| at any size.  Up to EXACT_NORM_MAX unknowns it is exact:
         the largest over the decoupled blocks (`_partition`), gathered one at
@@ -459,7 +457,10 @@ class LinearizedOperator:
         """
         self.factorize()
         lat = self.lattice
-        w = lat.weights(params)
+        # B is unchanged by a scalar on W: weights centred in log space stay in
+        # the double range while sigma L is below about 1400 (e^(sigma L) ends at 709)
+        logw = lat.log_weights(params)
+        w = np.exp(logw - 0.5 * (logw.max() + logw.min()))
         n = lat.size
         shape = lat.mask.shape
         self.power_steps = self.norm_blocks = self.largest_block = 0

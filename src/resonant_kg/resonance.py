@@ -6,8 +6,9 @@ truncation L when the shifted and plain Melnikov quantities
     f = |omega(eps) l - omega_j - eps M / (2 omega_j)|,    g = |omega(eps) l - omega_j|
 
 stay above gamma / (l + omega_j)^tau for every pair with 1/(3 eps) <= l <= L,
-omega_j <= 2 L, l != omega_j.  The limit set uses the doubled threshold
-2 gamma / (l + omega_j)^tau with no stage cap; M is the spatial mean of the
+omega_j <= 2 L, l != omega_j.  The limit set has the doubled threshold
+2 gamma / (l + omega_j)^tau and no stage cap: the measure scan's union of
+excluded intervals is its complement.  M is the spatial mean of the
 time-averaged derivative of the nonlinearity along the solution branch.
 
 The measure scanner estimates how much of (0, eta] the conditions exclude,
@@ -22,7 +23,7 @@ at most about 1/2).  The Monte Carlo searches each binding pair's
 near-integer window in the sorted samples and evaluates the conditions
 pointwise at the candidates.  It shares f and g (_condition_values) and the
 rule that a pair passes only when both clear the threshold (_fails) with the
-stage checks, but no end point, iteration or merge with the union.
+stage check, but no end point, iteration or merge with the union.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "mean_potential",
     "melnikov_mean",
     "check_stage_conditions",
-    "check_limit_conditions",
     "MeasureReport",
     "measure_scan",
     "fit_excluded_exponent",
@@ -111,50 +111,34 @@ def _fails(plain, shifted, thr, strict: bool):
     return ~(clears(np.abs(plain), thr) & clears(np.abs(shifted), thr))
 
 
-def _condition_failures(eps: float, mean_value: float, params: ResonanceParams,
-                        ell_max: int, factor: float, strict: bool) -> list[ConditionRecord]:
-    """Pairs in [1/(3 eps), ell_max] x [1, 2 ell_max] violating the conditions: only
-    omega_j within cut_l = factor gamma / (l + 1)^tau + eps |M| / 2 of omega l can
-    (omega_j >= 1 caps threshold and shift), and the window is widened by far more
-    than the rounding of omega l.  fmax and fmin drop a NaN cut: a NaN M fails all."""
-    if eps <= 0.0 or 1.0 / (3.0 * eps) > ell_max:
-        return []
-    gamma, tau = params.gamma, params.tau
-    ell_grid = np.arange(int(np.ceil(1.0 / (3.0 * eps))), ell_max + 1, dtype=float)
-    x = np.sqrt(1.0 + eps) * ell_grid
-    cut = factor * gamma / (ell_grid + 1.0) ** tau + eps * abs(mean_value) / 2.0 + 1e-12 * (1.0 + x)
-    first = np.fmax(np.ceil(x - cut), 1.0)
-    last = np.fmin(np.floor(x + cut), 2.0 * ell_max)
-    count = np.maximum(last - first + 1.0, 0.0).astype(np.int64)
-    row, wjs = _expand(first.astype(np.int64), count)
-    ells, wjs = ell_grid[row], wjs.astype(float)
-    plain, shifted = _condition_values(eps, ells, wjs, mean_value)
-    thr = factor * gamma / (ells + wjs) ** tau
-    bad = _fails(plain, shifted, thr, strict) & (ells != wjs)  # l = omega_j is no condition
-    return [ConditionRecord(int(ell), int(wj) - 1, float(f), float(g), float(t), ok=False)
-            for ell, wj, f, g, t in zip(ells[bad], wjs[bad], np.abs(shifted[bad]),
-                                        np.abs(plain[bad]), thr[bad])]
-
-
 def check_stage_conditions(eps: float, mean_value: float, params: ResonanceParams,
                            L_n: int):
     """Stage admissibility: thresholds gamma/(l+omega_j)^tau over l <= L_n, omega_j <= 2 L_n.
 
-    mean_value is the Melnikov mean M.  Returns (ok, failures); vacuously
-    true when 1/(3 eps) > L_n.
+    mean_value is the Melnikov mean M.  Returns (ok, failures), the pairs
+    with l >= 1/(3 eps) that violate the conditions; vacuously true when
+    1/(3 eps) > L_n.  Only omega_j within cut_l = gamma / (l + 1)^tau +
+    eps |M| / 2 of omega l can fail (omega_j >= 1 caps threshold and shift),
+    and the window is widened by far more than the rounding of omega l.
+    fmax and fmin drop a NaN cut: a NaN M fails all.
     """
-    failures = _condition_failures(eps, mean_value, params, L_n, factor=1.0, strict=True)
-    return len(failures) == 0, failures
-
-
-def check_limit_conditions(eps: float, mean_value: float, params: ResonanceParams,
-                           L_max: int):
-    """Limit-set membership up to l <= L_max with the doubled threshold (mean M).
-
-    For l > L_max the conditions follow from the distance of omega(eps) l to
-    the integers at this eps window; the cutoff is the caller's to report.
-    """
-    failures = _condition_failures(eps, mean_value, params, L_max, factor=2.0, strict=False)
+    if eps <= 0.0 or 1.0 / (3.0 * eps) > L_n:
+        return True, []
+    gamma, tau = params.gamma, params.tau
+    ell_grid = np.arange(int(np.ceil(1.0 / (3.0 * eps))), L_n + 1, dtype=float)
+    x = np.sqrt(1.0 + eps) * ell_grid
+    cut = gamma / (ell_grid + 1.0) ** tau + eps * abs(mean_value) / 2.0 + 1e-12 * (1.0 + x)
+    first = np.fmax(np.ceil(x - cut), 1.0)
+    last = np.fmin(np.floor(x + cut), 2.0 * L_n)
+    count = np.maximum(last - first + 1.0, 0.0).astype(np.int64)
+    row, wjs = _expand(first.astype(np.int64), count)
+    ells, wjs = ell_grid[row], wjs.astype(float)
+    plain, shifted = _condition_values(eps, ells, wjs, mean_value)
+    thr = gamma / (ells + wjs) ** tau
+    bad = _fails(plain, shifted, thr, strict=True) & (ells != wjs)  # l = omega_j is no condition
+    failures = [ConditionRecord(int(ell), int(wj) - 1, float(f), float(g), float(t), ok=False)
+                for ell, wj, f, g, t in zip(ells[bad], wjs[bad], np.abs(shifted[bad]),
+                                            np.abs(plain[bad]), thr[bad])]
     return len(failures) == 0, failures
 
 

@@ -21,7 +21,7 @@ import scipy.linalg
 from resonant_kg import linearized
 from resonant_kg.bifurcation import (KernelField, _check_in_range, _kernel_jacobian,
                                      _square_and_residual, extract_kernel, total_field)
-from resonant_kg.field_algebra import CoeffField, NormParams, field_multiply
+from resonant_kg.field_algebra import CoeffField, NormParams, field_multiply, wave_symbol
 from resonant_kg.linearized import ResonantSolveError
 from resonant_kg.nash_moser import SolveTrace, StageRecord
 from resonant_kg.resonance import ConditionRecord
@@ -38,13 +38,29 @@ def weighted_inverse_norm(a: np.ndarray, w: np.ndarray) -> float:
     return float(np.linalg.norm(w[:, None] * np.linalg.inv(a) / w[None, :], 2))
 
 
+def diagonal_blocks(op) -> np.ndarray:
+    """The per-l blocks of D, (L+1, J+1, J+1), whose inverses `factorize` keeps.
+
+    D_l = omega^2 l^2 - omega_j^2 - eps S_0, with the resonant slot j = l - 1
+    carried as a unit row and column.
+    """
+    J = op.J
+    blocks = np.repeat(-op.eps * op.stack[None, 0, : J + 1, : J + 1], op.L + 1, axis=0)
+    blocks[:, np.arange(J + 1), np.arange(J + 1)] += wave_symbol(op.omega, op.L, J)
+    ells = np.arange(1, min(op.L, J + 1) + 1)
+    blocks[ells, ells - 1, :] = 0.0
+    blocks[ells, :, ells - 1] = 0.0
+    blocks[ells, ells - 1, ells - 1] = 1.0
+    return blocks
+
+
 def split_diagonal(op):
     """Dense (D, M1, M2) with Lop = D - eps M1 - eps M2.
 
-    D holds the blocks that `factorize` builds, M1 the zero-mean part of b.
+    D holds the blocks of `diagonal_blocks`, M1 the zero-mean part of b.
     """
     lattice = op.lattice
-    blocks, _ = op.factorize()
+    blocks = diagonal_blocks(op)
     same = lattice.ells[:, None] == lattice.ells[None, :]
     rows, cols = lattice.js[:, None], lattice.js[None, :]
     D = np.where(same, blocks[lattice.ells[:, None], rows, cols], 0.0)
@@ -223,14 +239,15 @@ def preconditioned_split_check(op, params: NormParams, gamma: float,
     """Form U = sgn(D), R_i = |D|^(-1/2) M_i |D|^(-1/2) and verify the bounds.
 
     U and |D|^(+-1/2) come from one batched eigensolve of the blocks of D
-    that `factorize` builds (the unit row of a resonant slot is an
+    (`diagonal_blocks`; the unit row of a resonant slot is an
     eigenvector of its own, and it is cut out with the slot).  The
     production solve is checked column by column against the dense inverse;
     a solve that does not settle is reported, never absorbed.
     """
     lattice = op.lattice
     _, M1, M2 = split_diagonal(op)
-    lam, vec = np.linalg.eigh(op.factorize()[0])  # factorize rejects singular blocks
+    op.factorize()  # rejects singular blocks
+    lam, vec = np.linalg.eigh(diagonal_blocks(op))
     same = lattice.ells[:, None] == lattice.ells[None, :]
     at = (lattice.ells[:, None], lattice.js[:, None], lattice.js[None, :])
 
@@ -249,9 +266,9 @@ def preconditioned_split_check(op, params: NormParams, gamma: float,
     scale = max(np.abs(dense).max(), 1.0)
     fact_err = float(np.abs(recon - dense).max() / scale)
 
-    w_s = lattice.weights(params)
+    w_s = np.exp(lattice.log_weights(params))
     shifted = NormParams(params.sigma, params.s + (tau - 1.0) / 2.0, params.r)
-    w_sh = lattice.weights(shifted)
+    w_sh = np.exp(lattice.log_weights(shifted))
 
     def opnorm(M, w_out, w_in):
         return float(np.linalg.norm(w_out[:, None] * M / w_in[None, :], 2))

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from resonant_kg import CoeffField, NormParams, SolverConfig, run
-from resonant_kg.bifurcation import one_mode_solution, solve_kernel
+from resonant_kg.bifurcation import KernelField, one_mode_solution, solve_kernel
 from resonant_kg.linearized import assemble_linearized, block_spectrum, divisor_table
 from resonant_kg.resonance import (ResonanceParams, fit_excluded_exponent,
                                    measure_scan, mean_potential)
@@ -97,7 +97,7 @@ def test_criterion_1_exact_identities():
     res_err = 0.0
     for m in range(6):
         for sign in (+1, -1):
-            v = one_mode_solution(m, sign)
+            v = KernelField(sign * one_mode_solution(m).v)
             r = kernel_residual(v, CoeffField.zeros(1, v.J))
             res_err = max(res_err, np.abs(r.v).max() / (m + 1) ** 3)
     ok &= res_err < 1e-13
@@ -114,7 +114,7 @@ def test_criterion_1_exact_identities():
     window_ok = True
     for m in range(11):
         J = 2 * m + 20
-        Lk = linearize_kernel(one_mode_solution(m, +1, J_V=J), CoeffField.zeros(1, J))
+        Lk = linearize_kernel(one_mode_solution(m, J_V=J), CoeffField.zeros(1, J))
         lam = np.linalg.eigvalsh(Lk)
         window_ok &= np.min(np.abs(lam)) > 1e-6
         for j in range(2 * m + 1, J + 1):

@@ -12,23 +12,19 @@ from oracles import (bif_block, block_determinant, kernel_derivative, kernel_res
 
 
 def test_one_mode_values():
-    v0 = one_mode_solution(0, +1)
+    v0 = one_mode_solution(0)
     assert abs(v0.v[0] - np.sqrt(4.0 / 3.0)) < 1e-15
-    v2 = one_mode_solution(2, +1)
+    v2 = one_mode_solution(2)
     assert abs(v2.v[2] - 2.0) < 1e-15
-    vm = one_mode_solution(2, -1)
-    assert vm.v[2] == -v2.v[2]
     with pytest.raises(ValueError):
         one_mode_solution(-1)
-    with pytest.raises(ValueError):
-        one_mode_solution(1, sign=2)
 
 
 def test_one_mode_solves_kernel_equation():
     w0 = CoeffField.zeros(1, 0)
     for m in range(6):
-        for sign in (+1, -1):
-            v = one_mode_solution(m, sign)
+        for sign in (+1, -1):  # the equation is odd: -alpha_m solves it too
+            v = KernelField(sign * one_mode_solution(m).v)
             res = kernel_residual(v, CoeffField.zeros(1, v.J))
             scale = (m + 1) ** 3
             assert np.abs(res.v).max() <= 1e-13 * scale
@@ -45,7 +41,7 @@ def test_kernel_residual_requires_range_input():
 def test_residual_linearization_consistency(rng):
     # res(v + t h, 0) = res(v, 0) + t * Lk h + O(t^2)
     m, J = 1, 5
-    v = one_mode_solution(m, +1, J_V=J)
+    v = one_mode_solution(m, J_V=J)
     w = CoeffField.zeros(1, J)
     Lk = linearize_kernel(v, w)
     h = rng.standard_normal(J + 1)
@@ -57,7 +53,7 @@ def test_residual_linearization_consistency(rng):
 
 
 def test_linearization_spectrum_m0():
-    v = one_mode_solution(0, +1, J_V=6)
+    v = one_mode_solution(0, J_V=6)
     Lk = linearize_kernel(v, CoeffField.zeros(1, 6))
     wj = np.arange(7) + 1.0
     expected = wj ** 2 - 2.0
@@ -73,7 +69,7 @@ def test_block_structure_and_determinants():
     assert block_determinant(1, 0) == -7
     # closed form check (integer arithmetic) and match with the assembled matrix
     for m in range(1, 11):
-        v = one_mode_solution(m, +1, J_V=2 * m + 4)
+        v = one_mode_solution(m, J_V=2 * m + 4)
         Lk = linearize_kernel(v, CoeffField.zeros(1, v.J))
         for j in range(m):
             blk = Lk[np.ix_([j, 2 * m - j], [j, 2 * m - j])]
@@ -86,7 +82,7 @@ def test_block_structure_and_determinants():
 def test_spectrum_nondegenerate_with_window():
     for m in (0, 1, 2, 3):
         J = 2 * m + 30
-        v = one_mode_solution(m, +1, J_V=J)
+        v = one_mode_solution(m, J_V=J)
         Lk = linearize_kernel(v, CoeffField.zeros(1, J))
         assert np.allclose(Lk, Lk.T, atol=1e-12)
         lam = np.linalg.eigvalsh(Lk)
@@ -104,7 +100,7 @@ def test_spectrum_nondegenerate_with_window():
 def test_solve_kernel_at_zero_is_one_mode():
     for m in (0, 2):
         res = solve_kernel(CoeffField.zeros(1, m + 2), m)
-        vbar = one_mode_solution(m, +1, J_V=res.kernel.J)
+        vbar = one_mode_solution(m, J_V=res.kernel.J)
         assert np.allclose(res.kernel.v, vbar.v, atol=1e-14)
         assert res.iterations == 0
 

@@ -37,7 +37,4 @@ def test_package_defines_only_what_it_runs():
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not any(node.name in names for stmt, names in statements
                                 if stmt is not node)}
-    # check_limit_conditions has no caller yet; it stays beside the stage
-    # check, since without it _condition_failures's factor and strict would
-    # be set by tests only
-    assert unreferenced == {"resonance.check_limit_conditions"}
+    assert unreferenced == set()

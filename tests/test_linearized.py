@@ -17,9 +17,10 @@ from resonant_kg.spherical_basis import mean_integral
 
 from conftest import evaluate_profile, from_mode, profile_norm, random_field
 from oracles import (apply_operator, bands, block_matrix, dense_block, dense_matrix,
-                     matrix_element, pairwise_divisor_constant, preconditioned_split_check,
-                     refined_eigenvalues, small_divisors, sobolev_embedding_constant,
-                     split_diagonal, to_field, weighted_inverse_norm)
+                     diagonal_blocks, matrix_element, pairwise_divisor_constant,
+                     preconditioned_split_check, refined_eigenvalues, small_divisors,
+                     sobolev_embedding_constant, split_diagonal, to_field,
+                     weighted_inverse_norm)
 
 P = NormParams(0.4, 1.0, 2.0)
 
@@ -45,7 +46,7 @@ def test_time_mean_potential_of_one_mode_branch():
     from resonant_kg.bifurcation import one_mode_solution
     from resonant_kg.spherical_basis import eigen_product
     for m in (0, 1, 2):
-        v = one_mode_solution(m, +1)
+        v = one_mode_solution(m)
         op = assemble_linearized(1e-3, CoeffField.zeros(1, v.J), v, 4, 2 * m + 2)
         expect = 2.0 * (m + 1) * eigen_product(m, m)
         assert np.allclose(op.b0[: len(expect)], expect, atol=1e-12)
@@ -71,6 +72,8 @@ def test_split_reassembles_exactly(rng):
     D, M1, M2 = split_diagonal(op)
     dense = dense_matrix(op)
     assert np.abs(D - op.eps * M1 - op.eps * M2 - dense).max() < 1e-13 * np.abs(dense).max()
+    # the oracle's blocks of D are those whose inverses `factorize` keeps
+    assert np.abs(op.factorize() @ diagonal_blocks(op) - np.eye(5)).max() < 1e-13
 
 
 def test_time_constant_potential_has_no_offdiagonal():
@@ -359,13 +362,13 @@ def test_lattice_roundtrip(rng):
 
 @pytest.mark.parametrize("L", [4, 64, 300])
 def test_lattice_weights_measure_the_field_norm(rng, L):
-    # the certificate weighs coefficients with WLattice.weights and the kernel
-    # with KernelField.norm, every bound with CoeffField.norm: the three agree
+    # the certificate weighs coefficients with WLattice.log_weights and the
+    # kernel with KernelField.norm, every bound with CoeffField.norm: the three agree
     lat = WLattice(L, 6)
     for sigma, s, r in ((0.0, 1.0, 2.0), (0.5, 1.5, 2.0), (1.0, 1.0, 0.0), (0.25, 0.6, 3.0)):
         p = NormParams(sigma, s, r)
         f = random_field(rng, L, 6, decay=sigma + 0.05)
-        assert np.linalg.norm(lat.weights(p) * lat.to_vector(f)) == \
+        assert np.linalg.norm(np.exp(lat.log_weights(p)) * lat.to_vector(f)) == \
             pytest.approx(f.norm(p), rel=1e-13)
         v = KernelField(rng.standard_normal(L) * np.exp(-(sigma + 0.05) * np.arange(1, L + 1)))
         assert v.embed().L == L
@@ -478,7 +481,7 @@ def test_warm_start_inside_one_block_still_finds_the_norm(monkeypatch):
     params = NormParams(cfg.sigmas()[1], cfg.s)
     exact = op.inverse_norm(params)
     blocks = op._partition()
-    weights = op.lattice.weights(params)
+    weights = np.exp(op.lattice.log_weights(params))
     first, _, _ = linearized._block_inverse_norm([(linearized._gather(op, blocks[0]),
                                                    weights[blocks[0]])])
     assert 110.0 < exact and 22.0 < first < 23.0
@@ -510,7 +513,7 @@ def _krylov_against_exact(monkeypatch, config, runner_up=False):
         return real(op, params, **kwargs)
 
     def runner_up_cells(op, idx):
-        weights, blocks = op.lattice.weights(seen[-1][1]), op._partition()
+        weights, blocks = np.exp(op.lattice.log_weights(seen[-1][1])), op._partition()
         norms = [linearized._block_inverse_norm([(linearized._gather(op, b), weights[b])])[0]
                  for b in blocks]
         return real_cells(op, blocks[np.argsort(norms)[-2]])
@@ -577,7 +580,7 @@ def test_krylov_steps_inside_each_block_give_its_norm(monkeypatch, state):
         op = dataclasses.replace(op, dv_matrix=dv)
     else:
         op = _stage0_operator(int(state[1]), 16)
-    weights = op.lattice.weights(P)
+    weights = np.exp(op.lattice.log_weights(P))
     monkeypatch.setattr(linearized, "EXACT_NORM_MAX", 0)
     monkeypatch.setattr(linearized, "_WARM_UNIFORM", 0.0)
     for idx in op._partition():
@@ -602,7 +605,7 @@ def test_block_krylov_on_a_coarse_partition(monkeypatch, L):
     coarse = [b for b in blocks if not any(np.array_equal(b, c) for c in comps)]
     assert len(coarse) == 1 and len(coarse[0]) == 2
     exact, top = op.inverse_norm(P), op.top_vector
-    weights = op.lattice.weights(P)
+    weights = np.exp(op.lattice.log_weights(P))
     inside, _, _ = linearized._block_inverse_norm([(linearized._gather(op, coarse[0]),
                                                     weights[coarse[0]])])
     monkeypatch.setattr(linearized, "EXACT_NORM_MAX", 0)
@@ -746,7 +749,8 @@ def test_inverse_norm_matches_svd_oracle(rng, m, Ln, J):
     op = assemble_linearized(eps, w, ks.kernel, Ln, J)
     assert op.lattice.size <= 300
     for params in (P, NormParams(1.0, 1.5, 2.0)):
-        oracle = weighted_inverse_norm(dense_matrix(op), op.lattice.weights(params))
+        weights = np.exp(op.lattice.log_weights(params))
+        oracle = weighted_inverse_norm(dense_matrix(op), weights)
         assert abs(op.inverse_norm(params) - oracle) <= 1e-14 * oracle
 
 
@@ -832,8 +836,7 @@ def test_neumann_solve_edge_cases(rng, monkeypatch):
         op.solve(rhs)
     monkeypatch.undo()
     # a preconditioner of the wrong sign makes the update grow
-    blocks, inverse = op.factorize()
-    op._split = (blocks, -3.0 * inverse)
+    op._inverse = -3.0 * op.factorize()
     with pytest.raises(ResonantSolveError, match="update grows at L_n=12, sweep 2"):
         op.solve(rhs)
 
@@ -940,8 +943,29 @@ def test_block_inverse_norm_matches_whole_matrix_gram(m, Ln):
     for params in (P, NormParams(1.0, 1.5, 2.0)):
         value = op.inverse_norm(params)
         assert op.norm_blocks >= 6 and op.largest_block < op.lattice.size
-        oracle = weighted_inverse_norm(dense, op.lattice.weights(params))
+        oracle = weighted_inverse_norm(dense, np.exp(op.lattice.log_weights(params)))
         assert abs(value - oracle) <= 1e-14 * oracle
+
+
+def test_inverse_norm_at_L_1024():
+    # sigma L = 0.764 x 1024 = 782 > 709: the certificate's weights reach
+    # e^782, and only their ratios w_i / w_j enter B.  The oracle forms each
+    # entry w_i a_ij / w_j of B in log space, on each decoupled block
+    from resonant_kg.nash_moser import SolverConfig, run
+    result = run(SolverConfig(eps=1e-3, m=0, n_max=2))
+    op = assemble_linearized(1e-3, result.w, result.kernel, 1024, result.config.J_space)
+    params = NormParams(0.764, 1.0)
+    value = op.inverse_norm(params)
+    assert op.lattice.size == 3072 and op.power_steps > 0 and np.isfinite(value)
+    logw = op.lattice.log_weights(params)
+    assert logw.max() > 782
+    oracle = 0.0
+    for idx in op._partition():
+        inv = np.linalg.inv(linearized._gather(op, idx))
+        with np.errstate(divide="ignore"):  # log 0 = -inf gives the entry 0
+            b = np.sign(inv) * np.exp(np.log(np.abs(inv)) + logw[idx, None] - logw[idx])
+        oracle = max(oracle, np.linalg.norm(b, 2))
+    assert abs(value - oracle) <= 1e-14 * oracle
 
 
 def _record_block_inversions(monkeypatch):

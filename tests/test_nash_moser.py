@@ -179,7 +179,7 @@ def test_verify_solution_identities():
     assert all(v == 0.0 for v in z.norms.values())
     # u = one-mode kernel solution: residual is exactly -eps * Pi_W(v^3)
     eps = 1e-2
-    v = one_mode_solution(1, +1)
+    v = one_mode_solution(1)
     u = v.embed()
     rep = verify_solution(u, SolverConfig(eps=eps))
     omega = np.sqrt(1 + eps)
@@ -321,3 +321,17 @@ def test_inverse_norm_exact_flag(tmp_path):
     back = trace_from_jsonl(path)
     assert [r.inverse_norm_exact for r in back.records] == [True] * len(lines)
     assert [r.h_norm for r in back.records] == [r.h_norm for r in res.trace.records]
+
+
+def test_stage_7_certifies_at_L_1024():
+    # sigma_7 L_7 = 0.764 x 1024 = 782: e^(sigma l) overflows there, the
+    # certificate's centred weights do not, and stages 0-6 are unchanged
+    six = run(SolverConfig(eps=1e-3, m=0, n_max=6))
+    seven = run(SolverConfig(eps=1e-3, m=0, n_max=7))
+    last = seven.trace.records[7]
+    assert last.L_n == 1024 and not last.inverse_norm_exact
+    assert np.isfinite(last.inverse_norm) and last.inverse_norm <= last.inverse_bound
+    for a, b in zip(six.trace.records, seven.trace.records):
+        a, b = json.loads(a.to_json()), json.loads(b.to_json())
+        assert abs(a.pop("inverse_norm") / b.pop("inverse_norm") - 1.0) <= 1e-14
+        assert a == b

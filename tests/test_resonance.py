@@ -5,10 +5,9 @@ import pytest
 
 from resonant_kg import CoeffField, resonance
 from resonant_kg.bifurcation import KernelField, one_mode_solution, solve_kernel
-from resonant_kg.resonance import (ConditionRecord, ResonanceParams,
-                                   check_limit_conditions, check_stage_conditions,
-                                   fit_excluded_exponent, mean_potential,
-                                   measure_scan, records_to_csv)
+from resonant_kg.resonance import (ConditionRecord, ResonanceParams, check_stage_conditions,
+                                   fit_excluded_exponent, mean_potential, measure_scan,
+                                   records_to_csv)
 
 from conftest import random_field
 from oracles import grid_condition_failures
@@ -19,7 +18,7 @@ PARAMS = ResonanceParams(gamma=0.1, tau=1.5, eps0=0.1)
 def test_mean_potential_examples():
     # branch m: b0 = 2 omega_m e_m^2, spatial mean 2 omega_m^2
     for m in (0, 1, 2):
-        v = one_mode_solution(m, +1)
+        v = one_mode_solution(m)
         w = CoeffField.zeros(1, v.J)
         assert abs(mean_potential(w, v) - 2.0 * (m + 1) ** 2) < 1e-12
     zero = KernelField(np.zeros(2))
@@ -95,7 +94,7 @@ def test_gamma_two_gamma_flip():
     d_eps = 1.5 * thr * 2 * np.sqrt(1 + eps0) / ell
     eps = eps0 + d_eps
     ok_g, _ = check_stage_conditions(eps, mean_potential(w, v), PARAMS, L_n=128)
-    ok_2g, _ = check_limit_conditions(eps, mean_potential(w, v), PARAMS, L_max=128)
+    ok_2g = not grid_condition_failures(eps, mean_potential(w, v), gamma, tau, 128, 2.0, False)
     assert ok_g and not ok_2g
 
 
@@ -104,10 +103,10 @@ def test_limit_implies_stage():
     v = one_mode_solution(0)
     w = CoeffField.zeros(1, 0)
     for eps in (3e-3, 1.1e-2, 4.3e-2):
-        ok2, _ = check_limit_conditions(eps, mean_potential(w, v), PARAMS, L_max=256)
-        if ok2:
+        mean = mean_potential(w, v)
+        if not grid_condition_failures(eps, mean, PARAMS.gamma, PARAMS.tau, 256, 2.0, False):
             for L in (8, 16, 64, 256):
-                ok, _ = check_stage_conditions(eps, mean_potential(w, v), PARAMS, L_n=L)
+                ok, _ = check_stage_conditions(eps, mean, PARAMS, L_n=L)
                 assert ok
 
 
@@ -126,9 +125,9 @@ def test_stage_sets_nested():
 def test_nan_mean_fails_closed():
     # 1/(3 eps) < 9 <= L: the checks are not vacuous, and a NaN mean passes no pair
     eps = 0.04
-    for check in (check_stage_conditions, check_limit_conditions):
-        ok, failures = check(eps, float("nan"), PARAMS, 32)
-        assert not ok and failures
+    ok, failures = check_stage_conditions(eps, float("nan"), PARAMS, 32)
+    assert not ok and failures
+    assert grid_condition_failures(eps, float("nan"), PARAMS.gamma, PARAMS.tau, 32, 2.0, False)
 
 
 def _condition_case(rng):
@@ -156,18 +155,17 @@ def _condition_case(rng):
 
 
 def test_condition_windows_match_grid_oracle(rng):
-    # the near-integer windows list the grid's failures: same pairs, order and floats
+    # the near-integer windows list the grid's failures: same pairs, order and
+    # floats, on 2000 cases, more than 300 of which fail at some pair
     nonempty = 0
-    for _ in range(1000):
+    for _ in range(2000):
         eps, mean, gamma, tau, L = _condition_case(rng)
         params = ResonanceParams(gamma, tau)
-        for check, factor, strict in ((check_stage_conditions, 1.0, True),
-                                      (check_limit_conditions, 2.0, False)):
-            ok, got = check(eps, mean, params, L)
-            want = grid_condition_failures(eps, mean, gamma, tau, L, factor, strict)
-            assert [repr(r) for r in got] == [repr(r) for r in want], (eps, mean, L, factor)
-            assert ok == (not want)
-            nonempty += bool(want)
+        ok, got = check_stage_conditions(eps, mean, params, L)
+        want = grid_condition_failures(eps, mean, gamma, tau, L, 1.0, True)
+        assert [repr(r) for r in got] == [repr(r) for r in want], (eps, mean, L)
+        assert ok == (not want)
+        nonempty += bool(want)
     assert nonempty > 300
 
 
@@ -572,7 +570,8 @@ def test_pair_bound_keeps_interval_straddling_eta(monkeypatch):
 def test_solve_exclusions_lie_in_the_measure_union():
     # solve and measure read one condition set: manufactured plain and shifted
     # resonances at (l, l + 1) stop a 3-stage solve and lie in the union, and
-    # the limit check fails exactly on the union's members through l <= L_max
+    # the limit conditions (grid oracle) fail exactly on the union's members
+    # through l <= L_max
     from resonant_kg.cli import _mean_curve
     from resonant_kg.nash_moser import MelnikovExcludedError, SolverConfig, run
     eta, L_max = 0.04, 128
@@ -602,8 +601,9 @@ def test_solve_exclusions_lie_in_the_measure_union():
     members = 0
     for x in e:
         inside = (low["lo"] < x) & (x < low["hi"])
-        ok, failures = check_limit_conditions(float(x), float(m_of_eps(x)), params, L_max)
+        failures = grid_condition_failures(float(x), float(m_of_eps(x)), params.gamma,
+                                           params.tau, L_max, 2.0, False)
         assert {(r.ell, r.j) for r in failures} == set(zip(low["ell"][inside], low["j"][inside]))
-        assert ok == (not inside.any())
-        members += not ok
+        assert bool(failures) == inside.any()
+        members += bool(failures)
     assert members > len(low) // 2 and len(e) - members > 500
