@@ -21,14 +21,16 @@ and stops componentwise, so coefficients far below the largest keep their
 value.  The weighted inverse B = W Lop^-1 W^-1, W the field norm's weights
 (read in log space and centred, so finite at L = 1024), is block diagonal
 under the decoupled blocks (6 to 10 on a branch), which the symmetry of the
-S_d support and of dv_matrix gives before any entry is gathered.  Its norm is
-exact up to EXACT_NORM_MAX unknowns (at eps = 0 at any size), and only a
-block that a cheap bound cannot rule out gets a Gram eigensolve; above it,
-it is a Golub-Kahan lower bound through the same solves, run inside the
-block that its first step selects.  Lop is the Hessian of the reduced
-action, so Lop^T = Mw Lop Mw^-1 for the time multiplicities
-Mw = diag(1, 2, 2, ...) of the stored rows: B^T is a forward solve too, and
-there is one apply.
+S_d support and of dv_matrix gives before any entry is gathered.  Its norm
+is bracketed, at every size, by two ends (exact at eps = 0).  The lower end
+is a Golub-Kahan estimate through the same solves, run inside the block
+that its first step selects: a lower bound up to the rounding of its
+solves.  The upper end is a Schur test on an entrywise majorant of the
+Neumann series of D^-1 M, applied by the same fold on |S_d|, |dv| and the
+|D_l^-1| blocks: an upper bound up to the rounding of D^-1 itself.  Lop is
+the Hessian of the reduced action, so Lop^T = Mw Lop Mw^-1 for the time
+multiplicities Mw = diag(1, 2, 2, ...) of the stored rows: B^T is a forward
+solve too, and there is one apply.
 
 The spectra of D_l (a Sturm-Liouville perturbation of omega_j^2) control
 the small divisors alpha_l = min_j |omega^2 l^2 - lambda_{l,j}(eps)|.  Every
@@ -57,8 +59,8 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import spherical_basis as sb
 from .bifurcation import KernelField, kernel_derivative_matrix, total_field
-from .field_algebra import (CoeffField, NormParams, field_multiply, fold_entries, kernel_mask,
-                            log_time_weights, mult_matrix_stack, wave_symbol, write_csv)
+from .field_algebra import (CoeffField, NormParams, field_multiply, kernel_mask, log_time_weights,
+                            mult_matrix_stack, wave_symbol, write_csv)
 
 __all__ = [
     "WLattice",
@@ -68,13 +70,9 @@ __all__ = [
     "divisor_table",
     "block_spectrum",
     "ResonantSolveError",
-    "EXACT_NORM_MAX",
 ]
 
 
-# Largest unknown count at which LinearizedOperator.inverse_norm is exact;
-# above it the value is a Krylov lower bound.
-EXACT_NORM_MAX = 1600
 # A Neumann solve that has not settled after this many sweeps raises.
 _MAX_SWEEPS = 100
 # The sweeps stop at the first stalled componentwise-relative update at or
@@ -88,13 +86,14 @@ _SETTLED = 2.0 ** -40
 # and the most Krylov steps it takes.
 _POWER_RTOL = 1e-14
 _MAX_KRYLOV_STEPS = 40
-# Weight of the uniform vector in a warm Krylov start, and the products with
-# the winning block's Gram matrix that give the exact branch's top vector.
+# Weight of the uniform vector in a warm Krylov start.
 _WARM_UNIFORM = 1e-4
-_GRAM_PRODUCTS = 4
-# Relative margin on a block's bound sqrt(||B_k||_1 ||B_k||_inf), above the rounding
-# of its sums and of the Gram eigenvalue (a few n ulps for n <= EXACT_NORM_MAX).
-_BOUND_MARGIN = 2.0 ** -30
+# The most Neumann terms K of the upper end of inverse_norm, and its relative
+# margin: its values are chains of K sums of nonnegative terms, each of which
+# rounds by at most as many ulps as it has terms, far below 2^-30 on any lattice
+# whose weights stay in the double range.
+_MAX_TERMS = 8
+_UPPER_MARGIN = 1.0 + 2.0 ** -30
 # Bytes of one chunk of the time fold's GEMM operand (kept cache-sized).
 _FOLD_CHUNK_BYTES = 1 << 20
 _SINGULAR = "linearized operator is numerically singular (amplitude effectively resonant)"
@@ -164,14 +163,12 @@ class LinearizedOperator:
     u = v(w) + w is the state, q = u^2, and stack the S_d matrices of the
     potential b = 3 q (mult_matrix_stack); dv_matrix maps lattice
     coefficients to the kernel derivative.  The counter `sweeps` holds the
-    Neumann sweeps run on this operator and `power_steps` the Krylov steps
-    (forward solves) of the last `inverse_norm` (0 when it was exact) and
-    `krylov_block` the unknowns of the block they ran in; `norm_blocks`,
-    `largest_block` and `bounded_blocks` hold the count and the largest of
-    the decoupled blocks (`_partition`) that the last exact `inverse_norm`
-    gathered and the count it settled by their bound alone (0 after a
-    Krylov estimate), and `top_vector` its top right singular vector (None
-    before the first call).
+    Neumann sweeps run on this operator.  The last `inverse_norm` leaves
+    the Krylov steps (forward solves) of its lower end in `power_steps`
+    (0 at eps = 0) and the unknowns of the block they ran in in
+    `krylov_block`, its upper end in `upper` and that end's Neumann terms K
+    in `upper_terms`, and its top right singular vector in `top_vector`
+    (None before the first call).
     """
 
     eps: float
@@ -184,9 +181,8 @@ class LinearizedOperator:
 
     def __post_init__(self):
         self.sweeps = 0
-        self.power_steps = self.norm_blocks = self.largest_block = 0
-        self.krylov_block = self.bounded_blocks = 0
-        self.top_vector = None
+        self.power_steps = self.krylov_block = self.upper_terms = 0
+        self.upper, self.top_vector = np.inf, None
         self._inverse = None
         L, J = self.L, self.J
         n_k, size = self.dv_matrix.shape[0], self.stack.shape[1]
@@ -198,7 +194,8 @@ class LinearizedOperator:
         live = np.flatnonzero(np.abs(self.stack[: 2 * self._rows - 1]).max(axis=(1, 2)))
         self._step = int(np.gcd.reduce(live)) or 1
         top = int(live[-1]) if len(live) else 0
-        self._stacked = np.ascontiguousarray(self.stack[: top + 1 : self._step]).reshape(-1, size)
+        self._fold = np.s_[: top + 1 : self._step]
+        self._stacked = np.ascontiguousarray(self.stack[self._fold]).reshape(-1, size)
         # a subnormal entry adds less than 2^-1022 times the input to an output,
         # below the precision of any output in the normal range for inputs of
         # order one (the scaled Neumann iterates), and it makes the GEMM
@@ -263,16 +260,17 @@ class LinearizedOperator:
             self._inverse = inverse
         return self._inverse
 
-    def _product(self, h: np.ndarray, cells) -> np.ndarray:
+    def _product(self, h: np.ndarray, cells, centre: np.ndarray | None = None) -> np.ndarray:
         """Product by b on stored coefficients h (rows l, columns cells.cols of the stack).
 
         Stored row l' stands for the frequencies +l' and -l', so
-        out[l] = sum_d S_d g_d[l] with g_0 = h and g_d[l] = h[|l - d|] + h[l + d]
-        for d >= 1.  In the mirrored, zero-padded copy hz (hz[rows - 1 + p] =
-        h[|p|]) the rows g_d[l] for a chunk of the live d are read through
-        two strided views of hz, at l + d and through the mirror at |l - d|;
-        each chunk is then one GEMM against the stacked S_d.  Only the rows
-        first + stride k of each of `cells.parts` are computed.
+        out[l] = sum_d S_d g_d[l] with g_0 = h (or `centre`) and
+        g_d[l] = h[|l - d|] + h[l + d] for d >= 1.  In the mirrored,
+        zero-padded copy hz (hz[rows - 1 + p] = h[|p|]) the rows g_d[l] for a
+        chunk of the live d are read through two strided views of hz, at
+        l + d and through the mirror at |l - d|; each chunk is then one GEMM
+        against the stacked S_d.  Only the rows first + stride k of each of
+        `cells.parts` are computed.
         """
         rows, size = h.shape
         count = len(cells.stacked) // size
@@ -292,7 +290,7 @@ class LinearizedOperator:
                                       (stride * down, step * down, item), writeable=False),
                            out=np.empty(shape))  # C order, so the reshape below is a view
                 if i0 == 0:
-                    g[:, 0] = h[first::stride]
+                    g[:, 0] = (h if centre is None else centre)[first::stride]
                 part += g.reshape(len(part), width * size) @ \
                     cells.stacked[i0 * size : (i0 + width) * size]
         return out
@@ -311,6 +309,32 @@ class LinearizedOperator:
         h[c.slots] = 0.5 * (c.dv @ x.ravel())
         out = c.symbol * x - self.eps * self._product(h, c)[c.rows, : x.shape[1]]
         out[~c.mask] = 0.0
+        return out
+
+    def _majorant(self, x: np.ndarray, cells, transpose: bool) -> np.ndarray:
+        """|M| x, or |M|^T x, for x >= 0 on the lattice grid, |M| an entrywise majorant of M.
+
+        cells is `_whole` on |S_d| and |dv|.  Forward: the fold of x and of
+        the kernel slots 0.5 |dv| x, its d = 0 term on the slots only (on x
+        it is part of D).  Transposed, as the fold F over all stored rows has
+        F^T = Mw F Mw^-1: Mw times the fold of x / Mw without its d = 0 term,
+        plus |dv|^T times the whole fold at the slots (0.5 Mw = 1 there).
+        """
+        L, J, slots = self.L, self.J, self._kernel_slots
+        h = np.zeros((self._rows, len(cells.cols)))
+        centre = np.zeros_like(h)
+        if transpose:
+            mw = np.where(np.arange(L + 1) == 0, 1.0, 2.0)[:, None]
+            h[: L + 1, : J + 1] = x / mw
+            out = self._product(h, cells, centre)
+            s0 = cells.stacked[: len(cells.cols)]  # the stacked S_d start at d = 0
+            out[slots] += np.einsum("kj,jk->k", h[slots[0]], s0[:, slots[1]])
+            out = mw * out[: L + 1, : J + 1] + (cells.dv.T @ out[slots]).reshape(L + 1, J + 1)
+        else:
+            centre[slots] = 0.5 * (cells.dv @ x.ravel())
+            h[: L + 1, : J + 1] = x
+            out = self._product(h + centre, cells, centre)[: L + 1, : J + 1]
+        out[~self.lattice.mask] = 0.0
         return out
 
     def _neumann(self, b: np.ndarray, cells=None) -> np.ndarray:
@@ -417,54 +441,97 @@ class LinearizedOperator:
                       self._symbol[np.ix_(rows, xc)], mask[np.ix_(rows, xc)],
                       stacked.reshape(-1, len(cols)), self._inverse[np.ix_(rows, xc, xc)])
 
-    def inverse_norm(self, params: NormParams, *, start: np.ndarray | None = None) -> float:
-        """Operator norm of the inverse on the weighted (sigma, s, r) metric.
+    def _upper_end(self, wg: np.ndarray) -> tuple[float, int]:
+        """An upper bound on ||B|| from the paper's splitting, and its number of Neumann terms K.
 
-        The norm of B = W Lop^-1 W^-1 (W = diag(w), w the lattice weights
-        exp(`WLattice.log_weights`) over their geometric midpoint).
-        At eps = 0, Lop = D is diagonal and the weights cancel: it is
-        1 / min |D| at any size.  Up to EXACT_NORM_MAX unknowns it is exact:
-        the largest over the decoupled blocks (`_partition`), gathered one at
-        a time, of the block's norm (`_block_inverse_norm`); no n x n matrix
-        is formed, and `norm_blocks`, `largest_block` and `bounded_blocks`
-        record the split (n, 1 and 0 at eps = 0).  Above it, a Golub-Kahan
-        (Lanczos) estimate: Krylov step k solves for y_k = B q_k, where q_k+1
-        is B^T y_k orthogonalized twice against q_1..q_k (classical
+        With T = eps W D^-1 M W^-1, B = sum_{k<K} T^k W D^-1 W^-1 + T^K B, so
+        ||B|| <= ||sum_{k<K} T^k W D^-1 W^-1|| / (1 - ||T^K||).  Both norms
+        are bounded by the Schur test sqrt(||X||_1 ||X||_inf) on majorants
+        through A = eps |D^-1| |M| (`_majorant`; |D^-1| made symmetric), as
+        |T|^k <= W A^k W^-1: rows W A^k W^-1 1, columns W^-1 (A^T)^k W 1, for
+        wg the weights (ones off the lattice).  K is the first k <= _MAX_TERMS
+        with ||T^k|| <= 1/2 (else 0, and the bound is inf).  _UPPER_MARGIN
+        covers the rounding of these nonnegative sums (an underflow drops at
+        most 2^-1074 w_i from row i); D^-1 is taken as `factorize` rounded it.
+        """
+        mask, tiny = self.lattice.mask, np.finfo(float).tiny
+        stacked = np.abs(self.stack[self._fold])
+        stacked[(stacked > 0.0) & (stacked < tiny)] = tiny  # which `_stacked` flushes to 0
+        cells = self._whole._replace(stacked=stacked.reshape(-1, stacked.shape[-1]),
+                                     dv=np.abs(self._whole.dv))
+        dinv = np.abs(self._inverse)
+        dinv = np.maximum(dinv, dinv.transpose(0, 2, 1))
+
+        def d(v):
+            return (dinv @ v[:, :, None])[:, :, 0]
+
+        def a(v):
+            return self.eps * d(self._majorant(v, cells, False))
+        row_t = np.where(mask, 1.0 / wg, 0.0)                # A^k W^-1 1
+        row_p, col = d(row_t), np.where(mask, wg, 0.0)       # A^k |D^-1| W^-1 1, (A^T)^k W 1
+        sum_rows = sum_cols = 0.0
+        for k in range(1, _MAX_TERMS + 1):
+            col_p = d(col)
+            sum_rows, sum_cols = sum_rows + row_p, sum_cols + col_p
+            row_t, col = a(row_t), self.eps * self._majorant(col_p, cells, True)
+            s = np.sqrt((wg * row_t).max() * (col / wg).max())
+            if s <= 0.5:
+                upper = np.sqrt((wg * sum_rows).max() * (sum_cols / wg).max()) / (1.0 - s)
+                return min(np.inf, upper * _UPPER_MARGIN), k  # inf for a NaN
+            row_p = a(row_p)
+        return np.inf, 0
+
+    def inverse_norm(self, params: NormParams, *, start: np.ndarray | None = None) -> float:
+        """The norm of B = W Lop^-1 W^-1 on the weighted (sigma, s, r) metric, bracketed.
+
+        W = diag(w), w the lattice weights exp(`WLattice.log_weights`) over
+        their geometric midpoint; when half their log range passes
+        log(1 / tiny), ResonantSolveError names sigma L.  At eps = 0, Lop = D
+        is diagonal and the weights cancel: the norm is 1 / min |D|, exact,
+        and `upper` holds it too.  Otherwise `upper` and `upper_terms` hold
+        `_upper_end`, and the returned lower end is a Golub-Kahan (Lanczos)
+        estimate: Krylov step k solves for y_k = B q_k, where q_k+1 is
+        B^T y_k orthogonalized twice against q_1..q_k (classical
         Gram-Schmidt), and returns sigma_max(y_1..y_k) from their k x k Gram
         matrix.  By Lop^T = Mw Lop Mw^-1 (`_apply`), B^T = (Mw / W) Lop^-1
         (W / Mw) is a forward solve too.  As ||B Q|| <= ||B|| ||Q|| = ||B||,
-        the estimate is a lower bound that never decreases in k.  It stops
-        once it changes by at most 1e-14 relative (tested before the solve
-        for B^T y_k) or after min(_MAX_KRYLOV_STEPS, unknowns) steps, counted
-        in `power_steps`.  A singular or non-finite operator raises
-        ResonantSolveError.
+        the estimate is a lower bound up to the rounding of its solves, and
+        it never decreases in k.  It stops once it changes by at most 1e-14
+        relative (tested before the solve for B^T y_k) or after
+        min(_MAX_KRYLOV_STEPS, unknowns) steps, counted in `power_steps`.  A
+        singular or non-finite operator raises ResonantSolveError.
 
-        q_1 is uniform on the lattice, or with `start` (a grid of shape
-        (L' + 1, J + 1) for some L' <= L, padded with zero rows) the
-        normalized start plus _WARM_UNIFORM times the uniform vector,
-        normalized: a previous stage's `top_vector` cuts the steps.  A start
-        also selects a block: r_k = ||(B q_1)|_k|| / ||q_1|_k|| <= ||B_k|| on
-        each block where q_1 is nonzero, and steps 2 onwards run from q_1|_k
-        in the block of the largest r_k (`_cells`), still a lower bound,
-        ||B_k Q|| <= ||B_k|| <= ||B||, and never below step 1, as
-        max r_k >= ||B q_1||.  From a uniform start step 1 can rank the
-        blocks wrongly, so the steps keep the whole lattice.  `krylov_block`
-        holds the unknowns they ran on.  Every branch leaves in `top_vector`
-        the top right singular vector of B (unit norm, on the (L + 1, J + 1)
-        grid): c Q for c the top eigenvector of the Krylov Gram matrix, a few
-        products with the winning block's Gram matrix, or the unit vector at
-        the smallest |D|.
+        q_1 is the normalized start plus _WARM_UNIFORM times the uniform
+        vector, normalized.  `start` is a grid of shape (L' + 1, J + 1) for
+        some L' <= L, padded with zero rows: a previous stage's `top_vector`
+        cuts the steps.  Without one it is the top right singular vector of
+        the per-l blocks of W D^-1 W^-1 (B at eps = 0), which halves the
+        steps on m = 0.  A given start also selects a block:
+        r_k = ||(B q_1)|_k|| / ||q_1|_k|| <= ||B_k|| on each block where q_1
+        is nonzero, and steps 2 onwards run from q_1|_k in the block of the
+        largest r_k (`_cells`), still a lower bound, ||B_k Q|| <= ||B_k|| <=
+        ||B||, and never below step 1, as max r_k >= ||B q_1||.  Without a
+        start step 1 can rank the blocks wrongly (it does from the uniform
+        vector on m = 1), so the steps keep the whole lattice.  `krylov_block`
+        holds the unknowns they ran on, and `top_vector` the top right
+        singular vector of B (unit norm, on the (L + 1, J + 1) grid): c Q for
+        c the top eigenvector of the Krylov Gram matrix, or the unit vector
+        at the smallest |D|.
         """
         self.factorize()
         lat = self.lattice
-        # B is unchanged by a scalar on W: weights centred in log space stay in
-        # the double range while sigma L is below about 1400 (e^(sigma L) ends at 709)
+        # B is unchanged by a scalar on W: weights centred in log space, and
+        # their reciprocals, stay normal doubles while sigma L is below about 1400
         logw = lat.log_weights(params)
-        w = np.exp(logw - 0.5 * (logw.max() + logw.min()))
-        n = lat.size
-        shape = lat.mask.shape
-        self.power_steps = self.norm_blocks = self.largest_block = 0
-        self.krylov_block = self.bounded_blocks = 0
+        half = 0.5 * float(logw.max() - logw.min())
+        if not half < -np.log(np.finfo(float).tiny):
+            raise ResonantSolveError(f"inverse norm at L_n={self.L}: sigma L = "
+                                     f"{params.sigma * self.L:.1f} puts the weights beyond the "
+                                     f"double range (e^+-{half:.0f} about their midpoint)")
+        n, shape = lat.size, lat.mask.shape
+        wg = np.ones(shape)
+        wg[lat.ells, lat.js] = np.exp(logw - 0.5 * (logw.max() + logw.min()))
+        self.power_steps = self.krylov_block = self.upper_terms = 0
         self.top_vector = np.zeros(shape)
         if self.eps == 0.0:
             d = np.abs(self.symbol_diagonal())
@@ -472,26 +539,21 @@ class LinearizedOperator:
             top = float(1.0 / d[k])
             if not max(float(d.max()), 1.0) * top <= 1e300:  # also catches a NaN
                 raise ResonantSolveError(_SINGULAR)
-            self.norm_blocks, self.largest_block = n, 1
+            self.upper, self.upper_terms = top, 1
             self.top_vector[lat.ells[k], lat.js[k]] = 1.0
             return top
-        if n <= EXACT_NORM_MAX:
-            blocks = self._partition()
-            self.norm_blocks, self.largest_block = len(blocks), max(map(len, blocks))
-            pairs, bounded = ((_gather(self, idx), w[idx]) for idx in blocks), []
-            top, k, vec = _block_inverse_norm(pairs, bounded)
-            self.bounded_blocks = len(bounded)
-            self.top_vector[lat.ells[blocks[k]], lat.js[blocks[k]]] = vec
-            return top
-        wg = np.ones(shape)
-        wg[lat.ells, lat.js] = w
+        self.upper, self.upper_terms = self._upper_end(wg)
         wm = wg / np.where(np.arange(self.L + 1) == 0, 1.0, 2.0)[:, None]  # w / Mw
-        q = np.where(lat.mask, 1.0 / np.sqrt(n), 0.0)
-        if start is not None:
-            q *= _WARM_UNIFORM
-            rows = len(start)
-            q[:rows] += np.where(lat.mask[:rows], start, 0.0) / np.linalg.norm(start)
-            q /= np.linalg.norm(q)
+        select = start is not None
+        if not select:  # the top right singular vector of W D^-1 W^-1, which is B at eps = 0
+            dw = wg[:, :, None] * self._inverse / wg[:, None, :]
+            dw[~(lat.mask[:, :, None] & lat.mask[:, None, :] & np.isfinite(dw))] = 0.0
+            lam, vec = np.linalg.eigh(dw.transpose(0, 2, 1) @ dw)
+            row, start = int(np.argmax(lam[:, -1])), np.zeros(shape)
+            start[row] = vec[row, :, -1]
+        q = np.where(lat.mask, _WARM_UNIFORM / np.sqrt(n), 0.0)
+        q[: len(start)] += np.where(lat.mask[: len(start)], start, 0.0) / np.linalg.norm(start)
+        q /= np.linalg.norm(q)
         q = q.reshape(1, -1)             # rows q_i
         y = np.empty((0, q.shape[1]))    # rows B q_i
         est, last, cells, sub = 0.0, min(_MAX_KRYLOV_STEPS, n), None, np.s_[:, :]
@@ -501,7 +563,7 @@ class LinearizedOperator:
             if not np.all(np.isfinite(image)):
                 raise ResonantSolveError(f"inverse norm at L_n={self.L}: non-finite image "
                                          f"at Krylov step {step}")
-            if step == 1 and start is not None and len(blocks := self._partition()) > 1:
+            if step == 1 and select and len(blocks := self._partition()) > 1:
                 # r_k = ||(B q_1)|_k|| / ||q_1|_k|| <= ||B_k||, and max r_k >= ||B q_1||
                 q1 = q[0].reshape(shape)
                 norms = [[np.linalg.norm(a[lat.ells[b], lat.js[b]]) for a in (image, q1)]
@@ -527,86 +589,6 @@ class LinearizedOperator:
         self.power_steps = step
         self.top_vector[sub] = (np.linalg.eigh(y @ y.T)[1][:, -1] @ q).reshape(shape)
         return est
-
-
-def _potential_parts(op: LinearizedOperator, idx: np.ndarray):
-    """Product by b and the kernel-correction term M2 on the lattice points idx x idx.
-
-    Both are gathered from the S_d stack by the fold.  M2 = (product by b of
-    the embedded kernel correction) @ dv: the gather column of kernel mode
-    j'' is the fold of S-blocks at time frequency omega_j'', and the
-    embedding stores v_j'' / 2.
-    """
-    ell, j = op.lattice.ells[idx][:, None], op.lattice.js[idx][:, None]
-    gath = fold_entries(op.stack, ell, j, *op._kernel_slots)
-    mult = fold_entries(op.stack, ell, j, ell.T, j.T)
-    return mult, gath @ (0.5 * op.dv_matrix[:, idx])
-
-
-def _gather(op: LinearizedOperator, idx: np.ndarray) -> np.ndarray:
-    """Lop on the lattice points idx x idx: symbol - eps mult - eps M2, formed in that order."""
-    mult, m2 = _potential_parts(op, idx)
-    mult *= -op.eps
-    d = np.arange(len(idx))
-    mult[d, d] += op._symbol[op.lattice.ells[idx], op.lattice.js[idx]]
-    mult -= op.eps * m2
-    return mult
-
-
-def _block_inverse_norm(pairs, bounded: list | None = None) -> tuple[float, int, np.ndarray]:
-    """sigma_max(W A^-1 W^-1) for A block diagonal, from its pairs (block A_k, weights w_k).
-
-    W = diag(w) holds w_k on block k, so B = W A^-1 W^-1 is block diagonal
-    too and its norm is the largest over k of sqrt(lambda_max(B_k^T B_k)).
-    The pairs are read one at a time: from a generator, one block is alive.
-    Entries of B_k below 2^-60 max|B_k| / n_k are set to zero first, as
-    subnormals would slow the product and `eigvalsh`: the change dB has
-    ||dB||_2 <= ||dB||_F <= 2^-60 max|B_k| <= 2^-60 ||B_k||_2, so the norm
-    moves by at most 2^-60 relative.  A non-finite entry, an exactly
-    singular block, or max|A_k| max|A_k^-1| over the blocks so far above
-    1e300 (the first at least 1; checked before the Gram matrix can
-    overflow) raises ResonantSolveError.  A block whose bound
-    sqrt(||B_k||_1 ||B_k||_inf) >= ||B_k||_2, times 1 + _BOUND_MARGIN, is
-    below the largest norm so far cannot hold the norm: it gets no Gram
-    eigensolve, and its index goes to `bounded`.  Returns the norm, the
-    index k of the block that holds it, and the unit top right singular
-    vector of B_k from _GRAM_PRODUCTS products of its Gram matrix with the
-    uniform vector (the next stage's Krylov start, which needs no more
-    accuracy).
-    """
-    top, win, vec, size, inv_size = 0.0, -1, None, 1.0, 0.0
-    bounded = [] if bounded is None else bounded
-    for k, (sub, w) in enumerate(pairs):
-        if not np.isfinite(sub).all():
-            raise ResonantSolveError("linearized operator is not finite")
-        try:
-            inv = np.linalg.inv(sub)
-        except np.linalg.LinAlgError:
-            raise ResonantSolveError(_SINGULAR) from None
-        size = max(size, float(np.abs(sub).max()))
-        inv_size = max(float(np.abs(inv).max()), inv_size)  # keeps a NaN
-        del sub  # one gathered block alive at a time, as the generator makes the next
-        if not size * inv_size <= 1e300:  # also catches a NaN
-            raise ResonantSolveError(_SINGULAR)
-        inv *= w[:, None]
-        inv /= w[None, :]
-        mag = np.abs(inv)
-        inv[mag < 2.0 ** -60 * mag.max() / len(inv)] = 0.0
-        if np.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max()) * (1 + _BOUND_MARGIN) < top:
-            del inv, mag  # before the generator gathers the next block
-            bounded.append(k)
-            continue
-        del mag
-        gram = inv.T @ inv
-        del inv
-        value = float(np.sqrt(np.linalg.eigvalsh(gram)[-1]))
-        if value > top:
-            top, win, vec = value, k, np.ones(len(gram))
-            for _ in range(_GRAM_PRODUCTS):
-                vec = gram @ vec
-                vec /= np.linalg.norm(vec)
-        del gram  # else two Gram matrices are alive while the next one is formed
-    return top, win, vec
 
 
 def assemble_linearized(eps: float, w: CoeffField, kernel: KernelField, L_n: int,

@@ -167,14 +167,14 @@ class StageRecord:
     melnikov_ok: bool
     melnikov_failures: int
     inverse_norm: float
+    # an upper bound on the norm that inverse_norm bounds from below
+    inverse_norm_upper: float
     inverse_bound: float
     r_norm: float
     r_smoothing_bound: float
     divisor_ok: bool
     divisor_min_margin: float
     discarded_norm: float
-    # False when inverse_norm is a Krylov lower bound, not exact
-    inverse_norm_exact: bool = True
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -293,7 +293,8 @@ def solve_stage0(config: SolverConfig):
                       stage_residual=_stage_residual(w, v, L0, eps, params),
                       picard_iters=iters, contraction_ratio=ratio,
                       kernel_iters=kernel.iterations, melnikov_ok=True, melnikov_failures=0,
-                      inverse_norm=1.0 / sym_min, inverse_bound=2.0, r_norm=0.0,
+                      inverse_norm=1.0 / sym_min, inverse_norm_upper=1.0 / sym_min,
+                      inverse_bound=2.0, r_norm=0.0,
                       r_smoothing_bound=0.0, divisor_ok=True,
                       divisor_min_margin=float("inf"), discarded_norm=discarded)
     return w, kernel, rec
@@ -370,7 +371,6 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig,
     t_norm = time.perf_counter()
     inv_norm = op.inverse_norm(params_next, start=start)
     t_norm = time.perf_counter() - t_norm
-    inv_exact = op.norm_blocks > 0  # the exact branch ran
     inv_bound = (648.0 / config.gamma) * L_next ** (config.tau - 1.0)
 
     t_table = time.perf_counter()
@@ -383,15 +383,13 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig,
     t_table = time.perf_counter() - t_table
     stats = dict(stage=n + 1, L_n=L_next, unknowns=op.lattice.size, picard_iters=iters,
                  picard_sweeps=picard_sweeps, norm_sweeps=op.sweeps - picard_sweeps,
-                 power_steps=op.power_steps, norm_blocks=op.norm_blocks,
-                 largest_block=op.largest_block, krylov_block=op.krylov_block,
-                 bounded_blocks=op.bounded_blocks, assembly_s=t_assembled - t_start,
+                 power_steps=op.power_steps, krylov_block=op.krylov_block,
+                 upper_terms=op.upper_terms, assembly_s=t_assembled - t_start,
                  picard_s=t_picard, inverse_norm_s=t_norm, divisor_table_s=t_table,
                  peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
     log.info("stage %(stage)d L_n=%(L_n)d unknowns=%(unknowns)d picard_iters=%(picard_iters)d "
              "neumann_sweeps=%(picard_sweeps)d+%(norm_sweeps)d power_steps=%(power_steps)d "
-             "norm_blocks=%(norm_blocks)d largest_block=%(largest_block)d "
-             "krylov_block=%(krylov_block)d bounded_blocks=%(bounded_blocks)d "
+             "krylov_block=%(krylov_block)d upper_terms=%(upper_terms)d "
              "assembly_s=%(assembly_s).3f picard_s=%(picard_s).3f "
              "inverse_norm_s=%(inverse_norm_s).3f divisor_table_s=%(divisor_table_s).3f "
              "peak_rss_mb=%(peak_rss_mb).1f", stats)
@@ -401,10 +399,11 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig,
                       stage_residual=stage_residual, picard_iters=iters,
                       contraction_ratio=ratio, kernel_iters=kernel_next.iterations,
                       melnikov_ok=ok, melnikov_failures=len(failures),
-                      inverse_norm=inv_norm, inverse_bound=inv_bound,
+                      inverse_norm=inv_norm, inverse_norm_upper=op.upper,
+                      inverse_bound=inv_bound,
                       r_norm=r_norm, r_smoothing_bound=r_smooth_bound,
                       divisor_ok=div_ok, divisor_min_margin=div_margin,
-                      discarded_norm=discarded, inverse_norm_exact=inv_exact)
+                      discarded_norm=discarded)
     return w_next, kernel_next, rec, stats, op.top_vector
 
 

@@ -21,16 +21,38 @@ import scipy.linalg
 from resonant_kg import linearized
 from resonant_kg.bifurcation import (KernelField, _check_in_range, _kernel_jacobian,
                                      _square_and_residual, extract_kernel, total_field)
-from resonant_kg.field_algebra import CoeffField, NormParams, field_multiply, wave_symbol
+from resonant_kg.field_algebra import (CoeffField, NormParams, field_multiply, fold_entries,
+                                       wave_symbol)
 from resonant_kg.linearized import ResonantSolveError
 from resonant_kg.nash_moser import SolveTrace, StageRecord
 from resonant_kg.resonance import ConditionRecord
 from resonant_kg.spherical_basis import diagonal_sums, multiplication_matrix
 
 
+def potential_parts(op, idx: np.ndarray, absolute: bool = False):
+    """Product by b and the kernel-correction term M2 on the lattice points idx x idx.
+
+    Both are gathered from the S_d stack by the fold.  M2 = (product by b of
+    the embedded kernel correction) @ dv: the gather column of kernel mode
+    j'' is the fold of S-blocks at time frequency omega_j'', and the
+    embedding stores v_j'' / 2.  With `absolute`, from |S_d| and |dv|.
+    """
+    stack, dv = (np.abs(op.stack), np.abs(op.dv_matrix)) if absolute else (op.stack, op.dv_matrix)
+    ell, j = op.lattice.ells[idx][:, None], op.lattice.js[idx][:, None]
+    gath = fold_entries(stack, ell, j, *op._kernel_slots)
+    return fold_entries(stack, ell, j, ell.T, j.T), gath @ (0.5 * dv[:, idx])
+
+
+def gather(op, idx: np.ndarray) -> np.ndarray:
+    """Lop on the lattice points idx x idx: symbol - eps mult - eps M2."""
+    mult, m2 = potential_parts(op, idx)
+    return np.diag(op._symbol[op.lattice.ells[idx], op.lattice.js[idx]]) - op.eps * mult \
+        - op.eps * m2
+
+
 def dense_matrix(op) -> np.ndarray:
     """The dense n x n matrix of Lop on the lattice: the block gather over the whole lattice."""
-    return linearized._gather(op, np.arange(op.lattice.size))
+    return gather(op, np.arange(op.lattice.size))
 
 
 def weighted_inverse_norm(a: np.ndarray, w: np.ndarray) -> float:
@@ -64,8 +86,78 @@ def split_diagonal(op):
     same = lattice.ells[:, None] == lattice.ells[None, :]
     rows, cols = lattice.js[:, None], lattice.js[None, :]
     D = np.where(same, blocks[lattice.ells[:, None], rows, cols], 0.0)
-    mult, m2 = linearized._potential_parts(op, np.arange(lattice.size))
+    mult, m2 = potential_parts(op, np.arange(lattice.size))
     return D, mult - np.where(same, op.stack[0][rows, cols], 0.0), m2
+
+
+def block_inverse_norm(pairs) -> float:
+    """sigma_max(W A^-1 W^-1) for A block diagonal, from its pairs (block A_k, weights w_k).
+
+    The largest over k of ||W_k A_k^-1 W_k^-1||_2, one pair at a time.  Its
+    entries below 2^-60 max / n_k are set to zero first (subnormals slow
+    `eigvalsh`), which moves the norm by at most 2^-60 relative.  A
+    non-finite entry, an exactly singular block, or max|A_k| max|A_k^-1|
+    over the blocks so far above 1e300 raises ResonantSolveError.
+    """
+    top, size, inv_size = 0.0, 1.0, 0.0
+    for sub, w in pairs:
+        if not np.isfinite(sub).all():
+            raise ResonantSolveError("linearized operator is not finite")
+        try:
+            inv = np.linalg.inv(sub)
+        except np.linalg.LinAlgError:
+            raise ResonantSolveError(linearized._SINGULAR) from None
+        size = max(size, float(np.abs(sub).max()))
+        inv_size = max(float(np.abs(inv).max()), inv_size)  # keeps a NaN
+        if not size * inv_size <= 1e300:  # also catches a NaN
+            raise ResonantSolveError(linearized._SINGULAR)
+        b = w[:, None] * inv / w[None, :]
+        b[np.abs(b) < 2.0 ** -60 * np.abs(b).max() / len(b)] = 0.0
+        top = max(top, float(np.sqrt(np.linalg.eigvalsh(b.T @ b)[-1])))
+    return top
+
+
+def centred_weights(op, params: NormParams) -> np.ndarray:
+    """The lattice weights over their geometric midpoint, as `inverse_norm` reads them."""
+    logw = op.lattice.log_weights(params)
+    return np.exp(logw - 0.5 * (logw.max() + logw.min()))
+
+
+def exact_inverse_norm(op, params: NormParams, blocks=None) -> float:
+    """The exact norm that `inverse_norm` brackets, over `_partition`'s blocks (or `blocks`)."""
+    w = centred_weights(op, params)
+    return block_inverse_norm((gather(op, idx), w[idx])
+                              for idx in (op._partition() if blocks is None else blocks))
+
+
+def dense_upper_end(op, params: NormParams, max_terms: int = 8):
+    """The upper end of `inverse_norm`, without its rounding margin, and its K, formed densely.
+
+    |M| is the fold of |S_d| (its d = 0 same-l term left to D) plus that of
+    the kernel slots times 0.5 |dv|, |D^-1| the symmetrized `factorize`
+    blocks.  With X_T = W eps |D^-1| |M| W^-1, X_D = W |D^-1| W^-1 and
+    Schur(X) = sqrt(||X||_1 ||X||_inf): for the first K with
+    s_K = Schur(X_T^K) <= 1/2, Schur(sum_{k<K} X_T^k X_D) / (1 - s_K);
+    (inf, 0) when no K <= max_terms qualifies.  Returns (value, K, |M|).
+    """
+    lat, n = op.lattice, op.lattice.size
+    mult, m2 = potential_parts(op, np.arange(n), absolute=True)
+    same = lat.ells[:, None] == lat.ells[None, :]
+    mabs = mult - np.where(same, np.abs(op.stack[0])[lat.js[:, None], lat.js], 0.0) + m2
+    inverse = np.abs(op.factorize())
+    inverse = np.maximum(inverse, inverse.transpose(0, 2, 1))
+    dinv = np.where(same, inverse[lat.ells[:, None], lat.js[:, None], lat.js], 0.0)
+    w = centred_weights(op, params)
+    xd, xt = w[:, None] * dinv / w, w[:, None] * (op.eps * dinv @ mabs) / w
+
+    def schur(x):
+        return float(np.sqrt(x.sum(axis=0).max() * x.sum(axis=1).max()))
+    partial, power = xd, xt
+    for terms in range(1, max_terms + 1):
+        if schur(power) <= 0.5:
+            return schur(partial) / (1.0 - schur(power)), terms, mabs
+        partial, power = xd + xt @ partial, xt @ power
+    return np.inf, 0, mabs
 
 
 @dataclass

@@ -176,31 +176,32 @@ def test_solve_verbose_logs_one_line_per_stage(tmp_path, capsys):
     assert [line.split(" L_n=")[0] for line in lines] == ["stage 1", "stage 2"]
     for line, L_n in zip(lines, (16, 32)):
         assert f"L_n={L_n} unknowns=" in line
-        for key in ("picard_iters=", "neumann_sweeps=", "power_steps=", "assembly_s=",
-                    "picard_s=", "inverse_norm_s=", "divisor_table_s="):
+        for key in ("picard_iters=", "neumann_sweeps=", "power_steps=", "krylov_block=",
+                    "assembly_s=", "picard_s=", "inverse_norm_s=", "divisor_table_s="):
             assert key in line
-        # the exact inverse norm splits m = 0 into six blocks of about L_n / 2
-        largest = L_n // 2 + 1
-        assert f"power_steps=0 norm_blocks=6 largest_block={largest} " in line
+        # one Neumann term bounds the inverse norm of m = 0 from above
+        assert " upper_terms=1 " in line
+    # stage 1 runs its Krylov steps on the whole lattice, from the top vector
+    # of W D^-1 W^-1 (7 steps from the uniform vector), stage 2 in one block
+    assert " unknowns=48 " in lines[0] and " power_steps=4 krylov_block=48 " in lines[0]
+    assert " unknowns=96 " in lines[1] and " krylov_block=17 " in lines[1]
     # the timings go to stderr only: the trace is the same bytes
     assert (tmp_path / "loud" / "trace.jsonl").read_bytes() == \
         (tmp_path / "quiet" / "trace.jsonl").read_bytes()
 
 
 def test_solve_verbose_reports_krylov_stage(tmp_path, capsys):
-    # m = 1 at L_n = 128 has 2432 unknowns, above EXACT_NORM_MAX: the inverse
-    # norm there is the Krylov estimate, with no block split
+    # every stage's inverse norm is a Krylov estimate: on the whole lattice at
+    # stage 1, warm and in one block of the lattice after it
     args = ["solve", "--eps", "2e-3", "--m", "1", "--stages", "4", "--no-divisors",
             "--out", str(tmp_path / "m1"), "--verbose"]
     assert main(args) == 0
     lines = capsys.readouterr().err.splitlines()
     assert [line.split(" L_n=")[0] for line in lines] == [f"stage {k}" for k in range(1, 5)]
-    for line in lines[:3]:
-        assert "power_steps=0 norm_blocks=6 " in line
+    steps = [int(line.split("power_steps=")[1].split()[0]) for line in lines]
+    assert steps[0] <= 10 and all(1 <= k <= 5 for k in steps[1:])
     assert "L_n=128 unknowns=2432 " in lines[3]
-    assert " norm_blocks=0 largest_block=0 " in lines[3]
-    steps = int(lines[3].split("power_steps=")[1].split()[0])
-    assert 1 <= steps <= 5
+    assert all(" upper_terms=2 " in line for line in lines)
 
 
 def test_solve_manifest_records_every_stage(tmp_path, capsys):
@@ -211,8 +212,8 @@ def test_solve_manifest_records_every_stage(tmp_path, capsys):
     assert main(args + ["--out", str(tmp_path / "loud"), "--verbose"]) == 0
     lines = capsys.readouterr().err.splitlines()
     stages = json.loads((tmp_path / "quiet" / "manifest.json").read_text())["stages"]
-    counts = ("L_n", "unknowns", "picard_iters", "power_steps", "norm_blocks",
-              "largest_block", "krylov_block", "bounded_blocks")
+    counts = ("L_n", "unknowns", "picard_iters", "power_steps", "krylov_block",
+              "upper_terms")
     seconds = ("assembly_s", "picard_s", "inverse_norm_s", "divisor_table_s")
     assert [s["stage"] for s in stages] == [1, 2, 3, 4]
     for stage, line in zip(stages, lines):
@@ -223,11 +224,11 @@ def test_solve_manifest_records_every_stage(tmp_path, capsys):
         assert f" neumann_sweeps={stage['picard_sweeps']}+{stage['norm_sweeps']} " in line
         assert all(stage[key] >= 0.0 for key in seconds)
         assert stage["picard_sweeps"] > 0 and stage["norm_sweeps"] >= 0
-    assert [s["power_steps"] > 0 for s in stages] == [False] * 3 + [True]
-    # the exact stages bound all blocks but the winner; the Krylov stage runs
-    # in one block of its 2432 unknowns
-    assert [s["krylov_block"] for s in stages] == [0, 0, 0, 330]
-    assert [s["bounded_blocks"] for s in stages] == [4, 5, 5, 0]
+    assert all(s["power_steps"] > 0 for s in stages)
+    # stage 1 runs on all 307 unknowns, the warm stages in one block of each
+    # lattice; two Neumann terms bound every stage's norm from above
+    assert [s["krylov_block"] for s in stages] == [307, 90, 170, 330]
+    assert [s["upper_terms"] for s in stages] == [2] * 4
     # the process high-water mark: positive and never lower at a later stage
     peaks = [s["peak_rss_mb"] for s in stages]
     assert peaks[0] > 0.0 and peaks == sorted(peaks)

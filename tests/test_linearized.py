@@ -11,13 +11,14 @@ from resonant_kg import CoeffField, NormParams, project_range
 from resonant_kg.bifurcation import KernelField, solve_kernel
 from resonant_kg.field_algebra import field_multiply, time_cutoff
 from resonant_kg import linearized
-from resonant_kg.linearized import (EXACT_NORM_MAX, ResonantSolveError, WLattice,
-                                    assemble_linearized, block_spectrum, divisor_table)
+from resonant_kg.linearized import (ResonantSolveError, WLattice, assemble_linearized,
+                                    block_spectrum, divisor_table)
 from resonant_kg.spherical_basis import mean_integral
 
 from conftest import evaluate_profile, from_mode, profile_norm, random_field
-from oracles import (apply_operator, bands, block_matrix, dense_block, dense_matrix,
-                     diagonal_blocks, matrix_element, pairwise_divisor_constant,
+from oracles import (apply_operator, bands, block_inverse_norm, block_matrix, dense_block,
+                     dense_matrix, dense_upper_end, diagonal_blocks, exact_inverse_norm,
+                     gather, matrix_element, pairwise_divisor_constant, potential_parts,
                      preconditioned_split_check, refined_eigenvalues, small_divisors,
                      sobolev_embedding_constant, split_diagonal, to_field,
                      weighted_inverse_norm)
@@ -380,9 +381,7 @@ def test_inverse_norm_power_iteration_agrees(rng, monkeypatch):
     w = random_field(rng, Ln, J, scale=0.02, decay=0.4)
     ks = solve_kernel(w, m, J_V=J)
     op = assemble_linearized(eps, w, ks.kernel, Ln, J)
-    exact = op.inverse_norm(P)
-    assert op.power_steps == 0 and op.norm_blocks >= 1
-    monkeypatch.setattr(linearized, "EXACT_NORM_MAX", 0)
+    exact = exact_inverse_norm(op, P)
     monkeypatch.setattr(linearized, "_MAX_KRYLOV_STEPS", 60)
     powered = op.inverse_norm(P)
     assert abs(powered - exact) < 1e-6 * exact
@@ -390,7 +389,7 @@ def test_inverse_norm_power_iteration_agrees(rng, monkeypatch):
     # rounding) within 1e-12 of the exact Gram value
     monkeypatch.setattr(linearized, "_MAX_KRYLOV_STEPS", 40)
     stopped = op.inverse_norm(P)
-    assert 0 < op.power_steps < 40 and op.norm_blocks == op.largest_block == 0
+    assert 0 < op.power_steps < 40
     assert exact * (1 - 1e-12) <= stopped <= exact * (1 + 1e-15)
 
 
@@ -398,8 +397,7 @@ def test_krylov_estimate_is_monotone_lower_bound(rng, monkeypatch):
     eps, m, Ln, J = 1e-3, 0, 8, 3
     w = random_field(rng, Ln, J, scale=0.02, decay=0.4)
     op = assemble_linearized(eps, w, solve_kernel(w, m, J_V=J).kernel, Ln, J)
-    exact = op.inverse_norm(P)
-    monkeypatch.setattr(linearized, "EXACT_NORM_MAX", 0)
+    exact = exact_inverse_norm(op, P)
     estimates = []
     for k in range(1, 9):
         monkeypatch.setattr(linearized, "_MAX_KRYLOV_STEPS", k)
@@ -413,21 +411,24 @@ def test_krylov_estimate_exhausts_a_small_lattice(rng, monkeypatch):
     # is the whole lattice at step 4, where the loop must stop
     op = _branch_operator(rng, 0, 2, 1, eps=0.1)
     n = op.lattice.size
-    exact = op.inverse_norm(P)
-    monkeypatch.setattr(linearized, "EXACT_NORM_MAX", 0)
+    exact = exact_inverse_norm(op, P)
     monkeypatch.setattr(linearized, "_MAX_KRYLOV_STEPS", 3 * n)
     value = op.inverse_norm(P)
     assert op.power_steps == n == 4
     assert exact * (1 - 1e-13) <= value <= exact * (1 + 1e-15)
 
 
-@pytest.mark.parametrize("threshold", [0, 10 ** 6], ids=["krylov", "exact"])
-def test_inverse_norm_fails_closed_on_non_finite_operator(threshold, monkeypatch):
+@pytest.mark.parametrize("eps", [2e-3, 0.0], ids=["krylov", "exact"])
+def test_inverse_norm_fails_closed_on_non_finite_operator(eps):
+    # a NaN in the potential stops the Krylov estimate; at eps = 0 the exact
+    # value 1 / min |D| reads the symbol, and a NaN there is refused too
     op = _stage0_operator(1, 32)
+    op = dataclasses.replace(op, eps=eps)
     op.stack[0, 0, 0] = np.nan
-    monkeypatch.setattr(linearized, "EXACT_NORM_MAX", threshold)
+    if eps == 0.0:
+        op._symbol[2, 0] = np.nan
     with pytest.raises(ResonantSolveError, match="non-finite image at Krylov step 1"
-                       if threshold == 0 else "not finite"):
+                       if eps else "numerically singular"):
         op.inverse_norm(P)
 
 
@@ -442,18 +443,16 @@ def test_krylov_estimate_converges_in_few_steps_at_l128(monkeypatch):
     monkeypatch.setattr(linearized.LinearizedOperator, "inverse_norm", inverse_norm)
     run(SolverConfig(eps=2e-3, m=1, n_max=4))
     op, params, kwargs = seen[-1]
-    assert op.L == 128 and op.lattice.size > EXACT_NORM_MAX
+    assert op.L == 128 and op.lattice.size == 2432
     estimate = real(op, params, **kwargs)
     steps = op.power_steps
-    monkeypatch.setattr(linearized, "EXACT_NORM_MAX", 10 ** 6)
-    exact = real(op, params)
+    exact = exact_inverse_norm(op, params)
     assert 1 <= steps <= 5
     assert exact * (1 - 1e-12) <= estimate <= exact * (1 + 1e-15)
 
 
 def test_warm_started_krylov_estimate_matches_exact_at_both_krylov_stages(monkeypatch):
-    # stage 4 starts from the exact branch's top vector of stage 3, stage 5
-    # from the Krylov top vector of stage 4; the uniform start takes 7 steps
+    # stages 4 and 5 start from the Krylov top vector of the stage before
     from resonant_kg.nash_moser import SolverConfig, run
     real = linearized.LinearizedOperator.inverse_norm
     seen = []
@@ -464,11 +463,10 @@ def test_warm_started_krylov_estimate_matches_exact_at_both_krylov_stages(monkey
         return value
     monkeypatch.setattr(linearized.LinearizedOperator, "inverse_norm", inverse_norm)
     run(SolverConfig(eps=2e-3, m=1, n_max=5))
-    monkeypatch.setattr(linearized, "EXACT_NORM_MAX", 10 ** 6)
     assert [op.L for op, *_ in seen[-2:]] == [128, 256]
     for op, params, estimate, steps in seen[-2:]:
-        exact = real(op, params)
-        assert op.norm_blocks > 0 and 1 <= steps <= 5
+        exact = exact_inverse_norm(op, params)
+        assert 1 <= steps <= 5
         assert exact * (1 - 1e-12) <= estimate <= exact * (1 + 1e-15)
 
 
@@ -479,15 +477,12 @@ def test_warm_start_inside_one_block_still_finds_the_norm(monkeypatch):
     cfg = SolverConfig(eps=2e-3, m=2)
     op = _stage0_operator(2, cfg.L(1))
     params = NormParams(cfg.sigmas()[1], cfg.s)
-    exact = op.inverse_norm(params)
+    exact = exact_inverse_norm(op, params)
     blocks = op._partition()
-    weights = np.exp(op.lattice.log_weights(params))
-    first, _, _ = linearized._block_inverse_norm([(linearized._gather(op, blocks[0]),
-                                                   weights[blocks[0]])])
+    first = exact_inverse_norm(op, params, blocks[:1])
     assert 110.0 < exact and 22.0 < first < 23.0
     start = np.zeros(op.lattice.mask.shape)
     start[op.lattice.ells[blocks[0]], op.lattice.js[blocks[0]]] = 1.0
-    monkeypatch.setattr(linearized, "EXACT_NORM_MAX", 0)
     value = op.inverse_norm(params, start=start)
     assert abs(value - exact) <= 1e-12 * exact
     # negative control: without the uniform part the estimate stays in block 0
@@ -497,7 +492,7 @@ def test_warm_start_inside_one_block_still_finds_the_norm(monkeypatch):
 
 
 def _krylov_against_exact(monkeypatch, config, runner_up=False):
-    """Krylov inverse norm (EXACT_NORM_MAX = 0) against the exact all-block norm per stage.
+    """Krylov inverse norm against the exact all-block norm (`exact_inverse_norm`) per stage.
 
     Returns (relative error, unknowns of the Krylov block, lattice size) for
     every stage of run(config).  With runner_up, the steps after the first
@@ -513,17 +508,14 @@ def _krylov_against_exact(monkeypatch, config, runner_up=False):
         return real(op, params, **kwargs)
 
     def runner_up_cells(op, idx):
-        weights, blocks = np.exp(op.lattice.log_weights(seen[-1][1])), op._partition()
-        norms = [linearized._block_inverse_norm([(linearized._gather(op, b), weights[b])])[0]
-                 for b in blocks]
+        blocks = op._partition()
+        norms = [exact_inverse_norm(op, seen[-1][1], [b]) for b in blocks]
         return real_cells(op, blocks[np.argsort(norms)[-2]])
     monkeypatch.setattr(operator, "inverse_norm", inverse_norm)
     if runner_up:
         monkeypatch.setattr(operator, "_cells", runner_up_cells)
-    monkeypatch.setattr(linearized, "EXACT_NORM_MAX", 0)
     result = run(config)
-    monkeypatch.setattr(linearized, "EXACT_NORM_MAX", 10 ** 6)
-    exact = [real(op, params) for op, params in seen]
+    exact = [exact_inverse_norm(op, params) for op, params in seen]
     return [(rec.inverse_norm / norm - 1.0, stats["krylov_block"], stats["unknowns"])
             for rec, stats, norm in zip(result.trace.records[1:], result.stages, exact)]
 
@@ -531,8 +523,8 @@ def _krylov_against_exact(monkeypatch, config, runner_up=False):
 @pytest.mark.parametrize("m, eps, stages", [(0, 1e-3, 6), (1, 2e-3, 5), (2, 2e-3, 4),
                                             (3, 2e-3, 3)])
 def test_block_krylov_matches_the_exact_norm_at_every_stage(monkeypatch, m, eps, stages):
-    # every stage forced through the Krylov branch: stage 1 starts uniform on
-    # the whole lattice, the later stages run in the block that step 1 selects
+    # stage 1 runs on the whole lattice, the later stages in the block that
+    # step 1 selects
     from resonant_kg.nash_moser import SolverConfig
     config = SolverConfig(eps=eps, m=m, n_max=stages)
     errors = _krylov_against_exact(monkeypatch, config)
@@ -545,15 +537,14 @@ def test_block_krylov_matches_the_exact_norm_at_every_stage(monkeypatch, m, eps,
         assert all(rel < -0.1 for rel, _, _ in forced[1:])
 
 
-def test_uniform_start_keeps_the_whole_lattice(monkeypatch):
-    # m = 1 at stage 1 (L = 16): from the uniform vector, step 1 ranks the
-    # blocks wrongly, so only a warm start selects one
+def test_uniform_start_keeps_the_whole_lattice():
+    # m = 1 at stage 1 (L = 16): without a start the steps keep the whole
+    # lattice, as from the uniform vector step 1 ranks the blocks wrongly
     from resonant_kg.nash_moser import SolverConfig
     cfg = SolverConfig(eps=2e-3, m=1)
     op = _stage0_operator(1, cfg.L(1))
     params = NormParams(cfg.sigmas()[1], cfg.s)
-    exact = op.inverse_norm(params)
-    monkeypatch.setattr(linearized, "EXACT_NORM_MAX", 0)
+    exact = exact_inverse_norm(op, params)
     value = op.inverse_norm(params)
     assert op.krylov_block == op.lattice.size
     assert abs(value - exact) <= 1e-14 * exact
@@ -580,12 +571,9 @@ def test_krylov_steps_inside_each_block_give_its_norm(monkeypatch, state):
         op = dataclasses.replace(op, dv_matrix=dv)
     else:
         op = _stage0_operator(int(state[1]), 16)
-    weights = np.exp(op.lattice.log_weights(P))
-    monkeypatch.setattr(linearized, "EXACT_NORM_MAX", 0)
     monkeypatch.setattr(linearized, "_WARM_UNIFORM", 0.0)
     for idx in op._partition():
-        block, _, _ = linearized._block_inverse_norm([(linearized._gather(op, idx),
-                                                       weights[idx])])
+        block = exact_inverse_norm(op, P, [idx])
         start = np.zeros(op.lattice.mask.shape)
         start[op.lattice.ells[idx], op.lattice.js[idx]] = 1.0
         value = op.inverse_norm(P, start=start)
@@ -604,12 +592,9 @@ def test_block_krylov_on_a_coarse_partition(monkeypatch, L):
     assert (len(blocks), len(comps)) == (8, 9)
     coarse = [b for b in blocks if not any(np.array_equal(b, c) for c in comps)]
     assert len(coarse) == 1 and len(coarse[0]) == 2
-    exact, top = op.inverse_norm(P), op.top_vector
-    weights = np.exp(op.lattice.log_weights(P))
-    inside, _, _ = linearized._block_inverse_norm([(linearized._gather(op, coarse[0]),
-                                                    weights[coarse[0]])])
-    monkeypatch.setattr(linearized, "EXACT_NORM_MAX", 0)
-    value = op.inverse_norm(P, start=top)
+    exact, inside = exact_inverse_norm(op, P), exact_inverse_norm(op, P, coarse)
+    op.inverse_norm(P)
+    value = op.inverse_norm(P, start=op.top_vector)
     assert abs(value - exact) <= 1e-15 * exact
     # the steps run inside the coarse block when the start holds only it
     start = np.zeros(op.lattice.mask.shape)
@@ -841,21 +826,107 @@ def test_neumann_solve_edge_cases(rng, monkeypatch):
         op.solve(rhs)
 
 
-def test_run_gathers_no_dense_matrix_above_exact_max(monkeypatch):
-    # production gathers one decoupled block at a time, each smaller than the
-    # lattice: no dense matrix at any size, below EXACT_NORM_MAX as above it
+def test_run_inverts_only_the_blocks_of_d(monkeypatch):
+    # the certificate forms no dense matrix: every array that a run passes to
+    # np.linalg.inv is the stack of the J x J blocks D_l that `factorize` inverts
     from resonant_kg.nash_moser import SolverConfig, run
-    real_gather, gathered = linearized._gather, []
+    real_inv, shapes = np.linalg.inv, []
 
-    def gather(op, idx):
-        gathered.append((len(idx), op.lattice.size))
-        return real_gather(op, idx)
-    monkeypatch.setattr(linearized, "_gather", gather)
-    run(SolverConfig(eps=1e-3, m=0))
-    result = run(SolverConfig(eps=2e-3, m=1, n_max=4))
-    # six blocks at each exact norm: stages 1-6 of m = 0 and 1-3 of m = 1
-    assert len(gathered) == 6 * (6 + 3) and all(k < n for k, n in gathered)
-    assert [r.inverse_norm_exact for r in result.trace.records] == [True] * 4 + [False]
+    def inv(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_inv(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    config = SolverConfig(eps=2e-3, m=1, n_max=4)
+    run(config)
+    J = config.J_space
+    assert len(shapes) == 4 and all(shape[-2:] == (J + 1, J + 1) for shape in shapes)
+
+
+@pytest.mark.parametrize("m, stages", [(0, 4), (1, 4), (2, 4), (3, 1)])
+def test_stage_records_bracket_the_exact_norm(monkeypatch, m, stages):
+    # every stage record holds a lower end (the Krylov estimate) and an upper
+    # end (the Neumann majorant) of the exact per-block norm
+    from resonant_kg.nash_moser import SolverConfig, run
+    real, seen = linearized.LinearizedOperator.inverse_norm, []
+
+    def inverse_norm(op, params, **kwargs):
+        seen.append((op, params))
+        return real(op, params, **kwargs)
+    monkeypatch.setattr(linearized.LinearizedOperator, "inverse_norm", inverse_norm)
+    records = run(SolverConfig(eps=2e-3, m=m, n_max=stages)).trace.records[1:]
+    assert len(records) == len(seen) == stages and records[-1].L_n == 16 * 2 ** (stages - 1)
+    for rec, (op, params) in zip(records, seen):
+        exact = exact_inverse_norm(op, params)
+        assert exact * (1 - 1e-12) <= rec.inverse_norm and exact <= rec.inverse_norm_upper
+
+
+_MAJORANT_STATES = ["m0", "m1", "m2", "m3", "dv", "random"]
+
+
+def _majorant_operator(rng, state):
+    if state == "dv":  # M2 couples the kernel slot (1, 0) to (4, 1) as well
+        op = _stage0_operator(0, 32)
+        dv = op.dv_matrix.copy()
+        dv[0, (op.lattice.ells == 4) & (op.lattice.js == 1)] = 1.0
+        return dataclasses.replace(op, dv_matrix=dv)
+    if state == "random":
+        return _branch_operator(rng, 1, 12, 18)
+    return _stage0_operator(int(state[1]), 16)
+
+
+@pytest.mark.parametrize("state", _MAJORANT_STATES)
+def test_majorant_apply_and_its_transpose_match_the_dense_majorant(rng, state):
+    # the matrix-free |M| of the upper end, both ways, against the dense
+    # majorant that dominates M = (D - Lop) / eps entry by entry
+    op = _majorant_operator(rng, state)
+    mabs = dense_upper_end(op, P)[2]
+    _, M1, M2 = split_diagonal(op)
+    # M1 = mult - S_0 and |M| = |mult| - |S_0| hold roundings of S_0 on the same-l entries
+    assert np.all(np.abs(M1 + M2) <= mabs * (1 + 1e-14) + 1e-15 * np.abs(op.stack[0]).max())
+    stacked = np.abs(op.stack[op._fold]).reshape(-1, op.stack.shape[1])
+    cells = op._whole._replace(stacked=stacked, dv=np.abs(op._whole.dv))
+    lat = op.lattice
+    for transpose in (False, True):
+        x = np.zeros(lat.mask.shape)
+        x[lat.ells, lat.js] = rng.random(lat.size)
+        got = op._majorant(x, cells, transpose)
+        want = (mabs.T if transpose else mabs) @ x[lat.ells, lat.js]
+        assert np.all(got[~lat.mask] == 0.0)
+        assert np.abs(got[lat.ells, lat.js] - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("state", _MAJORANT_STATES)
+def test_upper_end_matches_its_dense_form(rng, state):
+    # the Schur bound of the first K Neumann terms with s_K <= 1/2, formed
+    # densely from the same majorant, and it bounds the exact norm
+    op = _majorant_operator(rng, state)
+    for params in (P, NormParams(0.7, 1.0)):
+        op.inverse_norm(params)
+        upper, terms, _ = dense_upper_end(op, params)
+        assert op.upper_terms == terms >= 1
+        assert abs(op.upper - upper * linearized._UPPER_MARGIN) <= 1e-12 * upper
+        assert exact_inverse_norm(op, params) <= op.upper
+
+
+def test_upper_end_is_infinite_when_no_term_count_qualifies(monkeypatch):
+    # m = 2 at stage 1 needs K = 3 Neumann terms: with at most 2 the upper end is inf
+    from resonant_kg.nash_moser import SolverConfig
+    cfg = SolverConfig(eps=2e-3, m=2)
+    op = _stage0_operator(2, cfg.L(1))
+    params = NormParams(cfg.sigmas()[1], cfg.s)
+    op.inverse_norm(params)
+    assert op.upper_terms == 3 and np.isfinite(op.upper)
+    monkeypatch.setattr(linearized, "_MAX_TERMS", 2)
+    value = op.inverse_norm(params)
+    assert op.upper_terms == 0 and op.upper == np.inf and np.isfinite(value)
+
+
+def test_inverse_norm_names_sigma_L_beyond_the_double_range():
+    # sigma L = 1920: the centred weights would reach e^+-960, past the double
+    # range; the norm refuses at once, before any numpy overflow
+    op = _stage0_operator(0, 64)
+    with pytest.raises(ResonantSolveError, match=r"L_n=64: sigma L = 1920\.0 puts the weights"):
+        op.inverse_norm(NormParams(30.0, 1.0))
 
 
 def _components(a):
@@ -881,8 +952,8 @@ def _components(a):
 
 
 def _block_norm(a, w):
-    """`_block_inverse_norm` on the blocks of a that the oracle finds, one-by-one ones included."""
-    return linearized._block_inverse_norm((a[np.ix_(c, c)], w[c]) for c in _components(a))[0]
+    """`block_inverse_norm` on the blocks of a that the oracle finds, one-by-one ones included."""
+    return block_inverse_norm((a[np.ix_(c, c)], w[c]) for c in _components(a))
 
 
 @pytest.mark.parametrize("state, blocks", [((0, 64), 6), ((1, 32), 6), ((2, 16), 8),
@@ -916,14 +987,14 @@ def test_components_partition_the_dense_oracle(rng, state, blocks):
     assert np.all(dense[label[:, None] != label[None, :]] == 0.0)
     # each block is gathered on its own: the fold and the symbol bit for bit,
     # M2 (a product with dv) to roundoff
-    mult, m2 = linearized._potential_parts(op, np.arange(n))
+    mult, m2 = potential_parts(op, np.arange(n))
     roundoff = 1e-14 * max(np.abs(m2).max(), 1e-300)
     for idx in part:
         at = np.ix_(idx, idx)
-        sub_mult, sub_m2 = linearized._potential_parts(op, idx)
+        sub_mult, sub_m2 = potential_parts(op, idx)
         assert np.array_equal(sub_mult, mult[at])
         assert np.all(np.abs(sub_m2 - m2[at]) <= roundoff)
-        block, exact = linearized._gather(op, idx), m2[at] == 0.0
+        block, exact = gather(op, idx), m2[at] == 0.0
         assert np.array_equal(block[exact], dense[at][exact])
         assert np.all(np.abs(block - dense[at]) <= op.eps * roundoff)
 
@@ -941,10 +1012,10 @@ def test_block_inverse_norm_matches_whole_matrix_gram(m, Ln):
     op = _stage0_operator(m, Ln)
     dense = dense_matrix(op)
     for params in (P, NormParams(1.0, 1.5, 2.0)):
-        value = op.inverse_norm(params)
-        assert op.norm_blocks >= 6 and op.largest_block < op.lattice.size
+        value = exact_inverse_norm(op, params)
         oracle = weighted_inverse_norm(dense, np.exp(op.lattice.log_weights(params)))
         assert abs(value - oracle) <= 1e-14 * oracle
+        assert abs(op.inverse_norm(params) - oracle) <= 1e-14 * oracle
 
 
 def test_inverse_norm_at_L_1024():
@@ -961,7 +1032,7 @@ def test_inverse_norm_at_L_1024():
     assert logw.max() > 782
     oracle = 0.0
     for idx in op._partition():
-        inv = np.linalg.inv(linearized._gather(op, idx))
+        inv = np.linalg.inv(gather(op, idx))
         with np.errstate(divide="ignore"):  # log 0 = -inf gives the entry 0
             b = np.sign(inv) * np.exp(np.log(np.abs(inv)) + logw[idx, None] - logw[idx])
         oracle = max(oracle, np.linalg.norm(b, 2))
@@ -971,8 +1042,7 @@ def test_inverse_norm_at_L_1024():
 def _record_block_inversions(monkeypatch):
     """Record the order of every single matrix np.linalg.inv inverts.
 
-    The exact inverse norm inverts one block per call; `factorize` inverts
-    its per-l blocks as one stack, which is not recorded.
+    `factorize` inverts its per-l blocks as one stack, which is not recorded.
     """
     real_inv, orders = np.linalg.inv, []
 
@@ -982,24 +1052,6 @@ def _record_block_inversions(monkeypatch):
         return real_inv(a, *args, **kwargs)
     monkeypatch.setattr(np.linalg, "inv", inv)
     return orders
-
-
-def test_exact_inverse_norm_factors_no_whole_matrix(monkeypatch):
-    from resonant_kg.nash_moser import SolverConfig, run
-    real_norm = linearized.LinearizedOperator.inverse_norm
-    orders, stages = _record_block_inversions(monkeypatch), []
-
-    def inverse_norm(op, *args, **kwargs):
-        start = len(orders)
-        value = real_norm(op, *args, **kwargs)
-        stages.append((op.lattice.size, op.norm_blocks, op.largest_block, orders[start:]))
-        return value
-    monkeypatch.setattr(linearized.LinearizedOperator, "inverse_norm", inverse_norm)
-    run(SolverConfig(eps=1e-3, m=0, n_max=4))
-    assert len(stages) == 4 and sum(len(s[3]) for s in stages) == len(orders)
-    for n, count, largest, lus in stages:
-        assert len(lus) == count and max(lus) == largest < n
-    assert stages[-1][:3] == (384, 6, 65)
 
 
 def test_block_inverse_norm_checks_every_block_for_singularity():
@@ -1029,91 +1081,6 @@ def test_block_inverse_norm_checks_every_block_for_singularity():
         assert abs(_block_norm(a, w) - oracle) <= 1e-14 * oracle
 
 
-@pytest.mark.parametrize("diag, winner", [([4.0], 1), ([0.1, 4.0], 2)],
-                         ids=["block", "one-by-one"])
-def test_block_inverse_norm_returns_the_top_vector(diag, winner):
-    # the index of the block that holds the norm, and the vector on its unknowns
-    regular = np.array([[2.0, 1.0], [1.0, 3.0]])
-    subs = [regular, 0.3 * regular] + [np.array([[d]]) for d in diag]
-    a = scipy.linalg.block_diag(*subs)
-    w = np.arange(1.0, len(a) + 1.0)
-    ends = np.cumsum([len(sub) for sub in subs])
-    value, k, x = linearized._block_inverse_norm(zip(subs, np.split(w, ends[:-1])))
-    assert abs(value - weighted_inverse_norm(a, w)) <= 1e-14 * value
-    assert k == winner
-    idx = np.arange(ends[k] - len(subs[k]), ends[k])
-    assert len(x) == len(idx) and abs(np.linalg.norm(x) - 1.0) <= 1e-15
-    # _GRAM_PRODUCTS products of the block's Gram matrix with the uniform
-    # vector u: the components of u past the top right singular vector v_0
-    # shrink by (s_i / s_0)^2 per product
-    b = (w[:, None] * np.linalg.inv(a) / w[None, :])[np.ix_(idx, idx)]
-    _, sv, vt = np.linalg.svd(b)
-    u = np.ones(len(b))
-    tan = np.linalg.norm((vt[1:] @ u) * (sv[1:] / sv[0]) ** (2 * linearized._GRAM_PRODUCTS))
-    cos = 1.0 / np.hypot(1.0, tan / abs(vt[0] @ u))
-    assert abs(abs(x @ vt[0]) - cos) <= 1e-14
-
-
-def test_block_bound_settles_only_blocks_below_the_running_top(monkeypatch):
-    # the block_diag cases of the singularity test: a block skips its Gram
-    # eigensolve only when sqrt(||B_k||_1 ||B_k||_inf), which bounds ||B_k||_2,
-    # lies below the norm of an earlier block; the result is the same bits
-    regular = np.array([[2.0, 1.0], [1.0, 3.0]])
-    cases = [(scipy.linalg.block_diag(regular, 0.5 * regular), np.array([1.0, 3.0, 2.0, 5.0]))]
-    for last in (0.5 * regular, [[0.1]], [[-0.7]]):
-        a = scipy.linalg.block_diag(regular, [[4.0]], last)
-        cases.append((a, np.arange(1.0, len(a) + 1.0) ** 2))
-    settled = 0
-    for a, w in cases:
-        comps, bounded = _components(a), []
-        pairs = [(a[np.ix_(c, c)], w[c]) for c in comps]
-        value, k, vec = linearized._block_inverse_norm(iter(pairs), bounded)
-        top = 0.0
-        for i, (sub, wk) in enumerate(pairs):
-            b = wk[:, None] * np.linalg.inv(sub) / wk[None, :]
-            bound = np.sqrt(np.abs(b).sum(axis=0).max() * np.abs(b).sum(axis=1).max())
-            norm = np.linalg.norm(b, 2)
-            assert norm <= bound * (1.0 + 1e-15)
-            assert (i in bounded) == (bound * (1.0 + linearized._BOUND_MARGIN) < top)
-            top = max(top, norm)
-        assert abs(value - weighted_inverse_norm(a, w)) <= 1e-14 * value
-        settled += len(bounded)
-        # negative control: an infinite margin bounds no block and eigensolves
-        # every one, to the same norm, winner and top vector
-        monkeypatch.setattr(linearized, "_BOUND_MARGIN", np.inf)
-        unbounded = []
-        again = linearized._block_inverse_norm(iter(pairs), unbounded)
-        monkeypatch.undo()
-        assert unbounded == [] and again[:2] == (value, k) and np.array_equal(again[2], vec)
-    assert settled >= 3
-
-
-def test_exact_norm_eigensolves_one_block_of_m0(monkeypatch):
-    # m = 0 at L = 512: the first block holds the norm 0.998 and bounds the
-    # other five (at most 0.333) below it, so one Gram eigensolve of six
-    from resonant_kg.nash_moser import SolverConfig, run
-    real, seen = linearized.LinearizedOperator.inverse_norm, []
-
-    def inverse_norm(op, params, **kwargs):
-        seen.append((op, params))
-        return real(op, params, **kwargs)
-    monkeypatch.setattr(linearized.LinearizedOperator, "inverse_norm", inverse_norm)
-    run(SolverConfig(eps=1e-3, m=0))
-    op, params = seen[-1]
-    real_eigvalsh, calls = np.linalg.eigvalsh, []
-
-    def eigvalsh(g):
-        calls.append(len(g))
-        return real_eigvalsh(g)
-    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-    value, top = real(op, params), op.top_vector.copy()
-    assert op.L == 512 and len(calls) == 1
-    assert (op.norm_blocks, op.bounded_blocks, op.krylov_block) == (6, 5, 0)
-    monkeypatch.setattr(linearized, "_BOUND_MARGIN", np.inf)
-    assert real(op, params) == value and np.array_equal(op.top_vector, top)
-    assert len(calls) == 1 + 6 and op.bounded_blocks == 0
-
-
 def test_block_norm_drops_entries_below_its_resolution(monkeypatch):
     # a upper triangular with order-one inverse: the weighted inverse
     # B_ij = (a^-1)_ij w_i / w_j spans 1 down to 1e-300 above the diagonal
@@ -1128,7 +1095,7 @@ def test_block_norm_drops_entries_below_its_resolution(monkeypatch):
         grams.append(g)
         return real_eigvalsh(g)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-    value, _, _ = linearized._block_inverse_norm([(a, w)])
+    value = block_inverse_norm([(a, w)])
     # the entries below 2^-60 max|B| / 4 are zero in the Gram matrix, and the
     # norm moves by at most 2^-60 relative, below one rounding
     assert np.count_nonzero(grams[0]) < np.count_nonzero(b.T @ b)
@@ -1142,14 +1109,14 @@ def test_singleton_blocks_take_no_factorization(monkeypatch):
     op = assemble_linearized(0.0, CoeffField.zeros(4, 2), zero_kernel(2), 512, 2)
     orders = _record_block_inversions(monkeypatch)
     value = op.inverse_norm(P)
-    assert op.lattice.size == op.norm_blocks == 1536 and op.largest_block == 1
-    assert value == np.max(1.0 / np.abs(op.symbol_diagonal()))
+    assert op.lattice.size == 1536 and op.power_steps == 0
+    assert value == op.upper == np.max(1.0 / np.abs(op.symbol_diagonal()))
     assert 1 not in orders
 
 
 def test_eps_zero_norm_is_exact_above_exact_max(monkeypatch):
-    # at eps = 0 the exact branch runs at any size: no Krylov step at the
-    # 2432 unknowns of the last stage, and the trace flags the value exact
+    # at eps = 0 the norm 1 / min |D| is exact at any size: no Krylov step at
+    # the 2432 unknowns of the last stage, and both ends in the trace are it
     from resonant_kg.nash_moser import SolverConfig, run
     real, ops = linearized.LinearizedOperator.inverse_norm, []
 
@@ -1159,9 +1126,8 @@ def test_eps_zero_norm_is_exact_above_exact_max(monkeypatch):
     monkeypatch.setattr(linearized.LinearizedOperator, "inverse_norm", inverse_norm)
     rec = run(SolverConfig(eps=0.0, m=1, n_max=4)).trace.records[-1]
     op = ops[-1]
-    assert op.lattice.size > EXACT_NORM_MAX and op.power_steps == 0
-    assert rec.inverse_norm_exact
-    assert rec.inverse_norm == np.max(1.0 / np.abs(op.symbol_diagonal()))
+    assert op.lattice.size == 2432 and op.power_steps == 0
+    assert rec.inverse_norm == rec.inverse_norm_upper == np.max(1.0 / np.abs(op.symbol_diagonal()))
 
 
 _NO_SCIPY_SCRIPT = """

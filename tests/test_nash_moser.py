@@ -306,21 +306,17 @@ def test_nonfinite_field_has_nonfinite_norm():
     assert np.isnan(f.norm(NormParams(0.4, 1.0)))
 
 
-def test_inverse_norm_exact_flag(tmp_path):
+def test_inverse_norm_upper_field(tmp_path):
+    # every record holds both ends of the inverse norm, and the trace keeps them
     res = run(small_config(n_max=1))
-    rec = res.trace.records[-1]
-    assert rec.inverse_norm_exact  # 17 x 3 unknowns: exact Gram eigenvalue
-    # a trace written before the field existed still loads, as exact
-    path = tmp_path / "old.jsonl"
-    lines = []
-    for r in res.trace.records:
-        d = json.loads(r.to_json())
-        del d["inverse_norm_exact"]
-        lines.append(json.dumps(d, sort_keys=True))
-    path.write_text("\n".join(lines) + "\n")
+    stage0, rec = res.trace.records
+    assert stage0.inverse_norm == stage0.inverse_norm_upper  # 1 / min |symbol|, exact
+    assert rec.inverse_norm < rec.inverse_norm_upper < rec.inverse_bound
+    path = tmp_path / "trace.jsonl"
+    res.trace.to_jsonl(path)
     back = trace_from_jsonl(path)
-    assert [r.inverse_norm_exact for r in back.records] == [True] * len(lines)
-    assert [r.h_norm for r in back.records] == [r.h_norm for r in res.trace.records]
+    assert [r.inverse_norm_upper for r in back.records] == \
+        [r.inverse_norm_upper for r in res.trace.records]
 
 
 def test_stage_7_certifies_at_L_1024():
@@ -329,8 +325,8 @@ def test_stage_7_certifies_at_L_1024():
     six = run(SolverConfig(eps=1e-3, m=0, n_max=6))
     seven = run(SolverConfig(eps=1e-3, m=0, n_max=7))
     last = seven.trace.records[7]
-    assert last.L_n == 1024 and not last.inverse_norm_exact
-    assert np.isfinite(last.inverse_norm) and last.inverse_norm <= last.inverse_bound
+    assert last.L_n == 1024
+    assert last.inverse_norm <= last.inverse_norm_upper <= last.inverse_bound
     for a, b in zip(six.trace.records, seven.trace.records):
         a, b = json.loads(a.to_json()), json.loads(b.to_json())
         assert abs(a.pop("inverse_norm") / b.pop("inverse_norm") - 1.0) <= 1e-14
