@@ -16,7 +16,7 @@ from .linearized import assemble_linearized, block_spectrum, divisor_table
 from .resonance import (ConditionRecord, ResonanceParams, check_stage_conditions,
                         fit_excluded_exponent, mean_potential, measure_scan)
 from .nash_moser import (ContractionError, MelnikovExcludedError, RunResult,
-                         SolverConfig, SolveTrace, run, solve_stage,
+                         SolverConfig, SolveTrace, continue_branch, run, solve_stage,
                          solve_stage0, verify_solution)
 
 __version__ = "0.1.0"
@@ -30,6 +30,6 @@ __all__ = [
     "check_stage_conditions",
     "measure_scan", "fit_excluded_exponent",
     "SolverConfig", "SolveTrace", "RunResult", "run", "solve_stage0",
-    "solve_stage", "verify_solution", "MelnikovExcludedError",
+    "solve_stage", "continue_branch", "verify_solution", "MelnikovExcludedError",
     "ContractionError",
 ]

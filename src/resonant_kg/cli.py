@@ -51,8 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     so.add_argument("--theta", type=float, default=0.25)
     so.add_argument("--stages", type=int, default=6)
     so.add_argument("--j-space", type=int, default=None)
-    so.add_argument("--no-divisors", action="store_true",
-                    help="skip the per-stage small-divisor tables")
     so.add_argument("--verbose", action="store_true",
                     help="log one line per stage (sizes, iteration counts, "
                          "seconds per phase) to stderr")
@@ -128,8 +126,7 @@ def cmd_solve(args) -> int:
         config = nash_moser.SolverConfig(
             eps=args.eps, m=args.m, gamma=args.gamma, tau=args.tau,
             sigma_bar=args.sigma_bar, s=args.s, theta=args.theta, L0=args.L0,
-            n_max=args.stages, J_space=args.j_space,
-            divisor_diagnostics=not args.no_divisors)
+            n_max=args.stages, J_space=args.j_space)
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -178,18 +175,13 @@ def cmd_solve(args) -> int:
 
 
 def _mean_curve(eps_grid, m):
-    """Branch mean M(w(eps)) at a grid of amplitudes, by short full solves."""
+    """Branch mean M(w(eps)) at a grid of amplitudes, by uncertified continuations."""
     import numpy as np
-    from .nash_moser import SolverConfig, run
+    from .nash_moser import SolverConfig, continue_branch
     from .resonance import mean_potential
 
-    values = []
-    for e in eps_grid:
-        config = SolverConfig(eps=float(e), m=m, n_max=2, check_melnikov=False,
-                              divisor_diagnostics=False)
-        result = run(config)
-        values.append(mean_potential(result.w, result.kernel))
-    return np.array(values)
+    return np.array([mean_potential(*continue_branch(SolverConfig(eps=float(e), m=m, n_max=2)))
+                     for e in eps_grid])
 
 
 def cmd_measure(args) -> int:

@@ -3,11 +3,10 @@
 The range equation  (-omega^2 d_tt - A) w = eps P_n Pi_W (v(w) + w)^3  is
 solved on dyadic time truncations L_n = L0 2^n with analyticity strips
 sigma_n = sigma_{n-1} - theta/(1 + n^2) (so sigma_inf > sigma_bar/2 when
-pi^2 theta / 6 < sigma_bar / 2).  Stage 0 is a plain contraction: for
-eps L0 / (omega + 1) <= 1/2 the wave symbol is bounded below by 1/2 on the
-truncation and the fixed-point map is a contraction.  Each later stage
-inverts the linearized operator at the previous iterate (matrix-free, by the
-Neumann iteration of its splitting D - eps M) and runs the Picard map
+pi^2 theta / 6 < sigma_bar / 2).  Stage 0 is a plain contraction (see
+`stage0_contracts`).  Each later stage is a solve and its certificate.  The
+solve inverts the linearized operator at the previous iterate (matrix-free,
+by the Neumann iteration of its splitting D - eps M) and runs the Picard map
 
     h  <-  eps Lop^{-1} ( r_n + R_n(h) ),
 
@@ -15,15 +14,15 @@ with r_n the newly resolved time band of the nonlinearity, plus the defect
 that the previous stage's first-order kernel left on the old band, and R_n
 its quadratic Taylor remainder.  The kernel component v(w) is re-solved once per
 stage and updated to first order inside the Picard loop (stage 0, where w
-moves by O(eps) rather than O(exp(-chi^n)), re-solves it every iteration);
-each stage ends with a certificate residual computed against a freshly
-solved kernel and no spatial truncation.
+moves by O(eps) rather than O(exp(-chi^n)), re-solves it every iteration).
+The certificate is the Melnikov check, before the solve so that an excluded
+amplitude costs no Picard work, then the residual at a freshly solved kernel
+with no spatial truncation, both ends of the inverse norm, their bound and
+the divisor table.  `run` certifies every stage; `continue_branch` runs the
+solves alone: `measure`'s mean curve is this uncertified continuation.
 
 Stage 0 and the later stages run one fixed-point loop, `_contract`, each
-passing it its own step.  The loop stops once an update falls below
-PICARD_TOL max(1, ||x||), and raises ContractionError on a non-finite
-update, on an update that grows above ten times that level, and after
-PICARD_MAX iterations.  One function, `_residual`, forms the residual of
+passing it its own step.  One function, `_residual`, forms the residual of
 the equation, for the certificate of every stage and for `verify_solution`.
 
 The stage state u = v(w_n) + w_n and q = u^2 are formed once, by the
@@ -64,6 +63,7 @@ __all__ = [
     "stage0_contracts",
     "solve_stage0",
     "solve_stage",
+    "continue_branch",
     "run",
     "verify_solution",
 ]
@@ -103,8 +103,6 @@ class SolverConfig:
     L0: int = 8
     n_max: int = 6
     J_space: int | None = None
-    check_melnikov: bool = True
-    divisor_diagnostics: bool = True
 
     def __post_init__(self):
         for name in ("eps", "gamma", "tau", "sigma_bar", "s", "theta"):
@@ -199,9 +197,7 @@ def _gamma_field(v: KernelField, w: CoeffField) -> CoeffField:
 
 def _range_rhs(f: CoeffField, L: int, J: int, params: NormParams):
     """P_L Pi_W with spatial truncation to J; returns (field, discarded norm)."""
-    g = project_range(time_cutoff(f.padded(L, f.J), L))
-    kept, discarded = g.truncate(L, J, params)
-    return kept, discarded
+    return project_range(time_cutoff(f.padded(L, f.J), L)).truncate(L, J, params)
 
 
 def _contract(step, x: CoeffField, params: NormParams, label: str):
@@ -300,35 +296,16 @@ def solve_stage0(config: SolverConfig):
     return w, kernel, rec
 
 
-def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig,
-                start: np.ndarray | None = None):
-    """One Nash-Moser stage: solve for h_{n+1} on W^(n+1).
+def _stage_solve(n: int, w_n: CoeffField, kernel_n, op, config: SolverConfig):
+    """Stage n + 1's Picard loop at its assembled operator `op`, then its kernel.
 
-    Returns (w, kernel, record, stats, top): stats holds the sizes,
-    iteration counts and seconds per phase, which are also logged as one
-    INFO line, and top is the inverse norm's top singular vector, the
-    `start` of the next stage's norm (`LinearizedOperator.inverse_norm`).
-    Raises MelnikovExcludedError when eps fails the stage conditions (the
-    amplitude is excluded, not a numerical failure) and ContractionError when
-    the Picard loop stops contracting.
+    Returns (w, kernel, h, seconds of the loop, the StageRecord fields it fixes).
     """
-    eps = config.eps
-    sigmas = config.sigmas()
-    L_cur, L_next = config.L(n), config.L(n + 1)
-    J = config.J_space
-    params_cur = NormParams(sigmas[n], config.s)
+    eps, sigmas = config.eps, config.sigmas()
+    L_cur, L_next, J = config.L(n), config.L(n + 1), config.J_space
     params_next = NormParams(sigmas[n + 1], config.s)
 
-    t_start = time.perf_counter()
-    op = assemble_linearized(eps, w_n, kernel_n.kernel, L_next, J)
-    t_assembled = time.perf_counter()
-    ok, failures = check_stage_conditions(eps, melnikov_mean(op.q),
-                                          config.resonance_params(), L_next)
-    if not ok and config.check_melnikov:
-        raise MelnikovExcludedError(n + 1, failures)
-
-    u_n = op.u
-    rhs_full, discarded = _range_rhs(field_multiply(op.q, u_n), L_next, J, params_next)
+    rhs_full, discarded = _range_rhs(field_multiply(op.q, op.u), L_next, J, params_next)
     r_n = rhs_full.copy()
     r_n.u[: L_cur + 1, :] = 0.0
     r_norm = r_n.norm(params_next)
@@ -345,14 +322,13 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig,
         d = gam - lhs
         noise = np.maximum(PICARD_TOL * (np.abs(gam) + np.abs(lhs)), np.finfo(float).tiny)
         r_n.u[: L_cur + 1, :] = np.where(np.abs(d) > noise, d, 0.0)
-    gam_next_norm = rhs_full.norm(params_cur)
-    r_smooth_bound = math.exp(-L_cur * (sigmas[n] - sigmas[n + 1])) * gam_next_norm
+    r_smooth_bound = (math.exp(-L_cur * (sigmas[n] - sigmas[n + 1]))
+                      * rhs_full.norm(NormParams(sigmas[n], config.s)))
 
     def step(h):
         nonlocal discarded
-        dv_corr = KernelField(op.dv_matrix @ op.lattice.to_vector(h))
-        h_tot = h + dv_corr.embed(L=L_next, J=J)
-        taylor_rem = field_multiply(field_multiply(h_tot, h_tot), 3.0 * u_n + h_tot)
+        h_tot = h + KernelField(op.dv_matrix @ op.lattice.to_vector(h)).embed(L=L_next, J=J)
+        taylor_rem = field_multiply(field_multiply(h_tot, h_tot), 3.0 * op.u + h_tot)
         R, disc = _range_rhs(taylor_rem, L_next, J, params_next)
         discarded = max(discarded, disc)
         return eps * op.solve(r_n + R)
@@ -361,31 +337,55 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig,
     h, iters, ratio = _contract(step, CoeffField.zeros(L_next, J), params_next,
                                 f"stage {n + 1} Picard")
     t_picard = time.perf_counter() - t_picard
-    picard_sweeps = op.sweeps
 
     w_next = w_n.padded(L_next, J) + h
-    kernel_next = solve_kernel(w_next, config.m, J_V=J,
-                               params=params_next, start=kernel_n.kernel)
+    kernel_next = solve_kernel(w_next, config.m, J_V=J, params=params_next, start=kernel_n.kernel)
+    facts = dict(picard_iters=iters, contraction_ratio=ratio, discarded_norm=discarded,
+                 r_norm=r_norm, r_smoothing_bound=r_smooth_bound)
+    return w_next, kernel_next, h, t_picard, facts
+
+
+def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig,
+                start: np.ndarray | None = None):
+    """One Nash-Moser stage: solve for h_{n+1} on W^(n+1) and certify it.
+
+    Returns (w, kernel, record, stats, top): stats holds the sizes, iteration
+    counts and seconds per phase, also logged as one INFO line, and top is the
+    inverse norm's top singular vector, the `start` of the next stage's norm.
+    Raises MelnikovExcludedError when eps fails the stage conditions (an
+    excluded amplitude, not a numerical failure) and ContractionError when
+    the Picard loop stops contracting.
+    """
+    eps, L_next = config.eps, config.L(n + 1)
+    params_next = NormParams(config.sigmas()[n + 1], config.s)
+
+    t_start = time.perf_counter()
+    op = assemble_linearized(eps, w_n, kernel_n.kernel, L_next, config.J_space)
+    t_assembled = time.perf_counter()
+    ok, failures = check_stage_conditions(eps, melnikov_mean(op.q),
+                                          config.resonance_params(), L_next)
+    if not ok:
+        raise MelnikovExcludedError(n + 1, failures)
+
+    w_next, kernel_next, h, t_picard, facts = _stage_solve(n, w_n, kernel_n, op, config)
+    picard_sweeps = op.sweeps
     stage_residual = _stage_residual(w_next, kernel_next.kernel, L_next, eps, params_next)
 
     t_norm = time.perf_counter()
     inv_norm = op.inverse_norm(params_next, start=start)
     t_norm = time.perf_counter() - t_norm
-    inv_bound = (648.0 / config.gamma) * L_next ** (config.tau - 1.0)
 
     t_table = time.perf_counter()
-    div_ok, div_margin = True, float("inf")
-    if config.divisor_diagnostics:
-        table = divisor_table(eps, op.b0, L_next, 2 * L_next, config.gamma, config.tau)
-        div_ok = table.all_ok
-        with np.errstate(divide="ignore"):
-            div_margin = float(np.min(table.alpha / table.floor))
+    table = divisor_table(eps, op.b0, L_next, 2 * L_next, config.gamma, config.tau)
+    with np.errstate(divide="ignore"):
+        div_margin = float(np.min(table.alpha / table.floor))
     t_table = time.perf_counter() - t_table
-    stats = dict(stage=n + 1, L_n=L_next, unknowns=op.lattice.size, picard_iters=iters,
-                 picard_sweeps=picard_sweeps, norm_sweeps=op.sweeps - picard_sweeps,
-                 power_steps=op.power_steps, krylov_block=op.krylov_block,
-                 upper_terms=op.upper_terms, assembly_s=t_assembled - t_start,
-                 picard_s=t_picard, inverse_norm_s=t_norm, divisor_table_s=t_table,
+    stats = dict(stage=n + 1, L_n=L_next, unknowns=op.lattice.size,
+                 picard_iters=facts["picard_iters"], picard_sweeps=picard_sweeps,
+                 norm_sweeps=op.sweeps - picard_sweeps, power_steps=op.power_steps,
+                 krylov_block=op.krylov_block, upper_terms=op.upper_terms,
+                 assembly_s=t_assembled - t_start, picard_s=t_picard,
+                 inverse_norm_s=t_norm, divisor_table_s=t_table,
                  peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
     log.info("stage %(stage)d L_n=%(L_n)d unknowns=%(unknowns)d picard_iters=%(picard_iters)d "
              "neumann_sweeps=%(picard_sweeps)d+%(norm_sweeps)d power_steps=%(power_steps)d "
@@ -394,17 +394,27 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig,
              "inverse_norm_s=%(inverse_norm_s).3f divisor_table_s=%(divisor_table_s).3f "
              "peak_rss_mb=%(peak_rss_mb).1f", stats)
 
-    rec = StageRecord(n=n + 1, L_n=L_next, sigma_n=sigmas[n + 1],
+    rec = StageRecord(n=n + 1, L_n=L_next, sigma_n=params_next.sigma,
                       h_norm=h.norm(params_next), w_norm=w_next.norm(params_next),
-                      stage_residual=stage_residual, picard_iters=iters,
-                      contraction_ratio=ratio, kernel_iters=kernel_next.iterations,
+                      stage_residual=stage_residual, kernel_iters=kernel_next.iterations,
                       melnikov_ok=ok, melnikov_failures=len(failures),
                       inverse_norm=inv_norm, inverse_norm_upper=op.upper,
-                      inverse_bound=inv_bound,
-                      r_norm=r_norm, r_smoothing_bound=r_smooth_bound,
-                      divisor_ok=div_ok, divisor_min_margin=div_margin,
-                      discarded_norm=discarded)
+                      inverse_bound=(648.0 / config.gamma) * L_next ** (config.tau - 1.0),
+                      divisor_ok=table.all_ok, divisor_min_margin=div_margin, **facts)
     return w_next, kernel_next, rec, stats, op.top_vector
+
+
+def continue_branch(config: SolverConfig):
+    """`run`'s w and kernel v, bit for bit, from its solves alone: returns (w, v).
+
+    No Melnikov check, inverse norm or divisor table runs, so an amplitude
+    that `run` excludes is continued too.
+    """
+    w, kernel, _ = solve_stage0(config)
+    for n in range(config.n_max):
+        op = assemble_linearized(config.eps, w, kernel.kernel, config.L(n + 1), config.J_space)
+        w, kernel, *_ = _stage_solve(n, w, kernel, op, config)
+    return w, kernel.kernel
 
 
 @dataclass
@@ -472,13 +482,12 @@ class RunResult:
 
 
 def run(config: SolverConfig) -> RunResult:
-    """Full pipeline: stage 0, stages 1..n_max, assembly and verification.
+    """Full pipeline: stage 0, the certified stages 1..n_max, assembly and verification.
 
     Each stage's inverse norm starts from the previous stage's top singular
-    vector; `stages` collects the stats of every stage.
-
-    The assembled solution is u = v(w) + w in rescaled variables; the
-    physical solution of amplitude eps is sqrt(eps) u(omega t, x).
+    vector; `stages` collects the stats of every stage.  The assembled
+    solution is u = v(w) + w in rescaled variables; the physical solution of
+    amplitude eps is sqrt(eps) u(omega t, x).
     """
     trace, stages, top = SolveTrace(), [], None
     w, kernel, rec = solve_stage0(config)
@@ -488,6 +497,5 @@ def run(config: SolverConfig) -> RunResult:
         trace.records.append(rec)
         stages.append(stats)
     u = total_field(kernel.kernel, w)
-    residual = verify_solution(u, config)
-    return RunResult(config=config, w=w, kernel=kernel.kernel, u=u,
-                     trace=trace, residual=residual, stages=stages)
+    return RunResult(config=config, w=w, kernel=kernel.kernel, u=u, trace=trace,
+                     residual=verify_solution(u, config), stages=stages)

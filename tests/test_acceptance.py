@@ -21,9 +21,9 @@ import pytest
 
 from resonant_kg import CoeffField, NormParams, SolverConfig, run
 from resonant_kg.bifurcation import KernelField, one_mode_solution, solve_kernel
+from resonant_kg.cli import _mean_curve
 from resonant_kg.linearized import assemble_linearized, block_spectrum, divisor_table
-from resonant_kg.resonance import (ResonanceParams, fit_excluded_exponent,
-                                   measure_scan, mean_potential)
+from resonant_kg.resonance import ResonanceParams, fit_excluded_exponent, measure_scan
 from resonant_kg.spherical_basis import eigen_product, mean_integral
 
 from conftest import profile_norm, profile_product, quad_triple, random_field
@@ -242,8 +242,7 @@ def test_criterion_5_solution_shape():
     for m in (0, 1):
         sizes = []
         for eps in eps_grid:
-            res = run(SolverConfig(eps=float(eps), m=m, n_max=3,
-                                   divisor_diagnostics=False))
+            res = run(SolverConfig(eps=float(eps), m=m, n_max=3))
             results[(m, float(eps))] = res
             lead = CoeffField.zeros(res.u.L, res.u.J)
             lead.u[m + 1, m] = res.u.u[m + 1, m]
@@ -263,14 +262,9 @@ def test_criterion_5_solution_shape():
 
 @pytest.fixture(scope="module")
 def mean_curve():
-    """Piecewise-linear branch mean M(w(eps)) from short solves."""
+    """Piecewise-linear branch mean M(w(eps)), as `measure` interpolates it."""
     grid = np.linspace(1e-6, 0.04, 5)
-    values = []
-    for e in grid:
-        res = run(SolverConfig(eps=float(e), m=0, n_max=2, check_melnikov=False,
-                               divisor_diagnostics=False))
-        values.append(mean_potential(res.w, res.kernel))
-    values = np.array(values)
+    values = _mean_curve(grid, 0)
     return lambda e: np.interp(e, grid, values)
 
 

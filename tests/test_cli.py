@@ -12,7 +12,7 @@ from oracles import dense_block
 
 def solve_args(out, eps="1e-3", stages="2", extra=()):
     return ["solve", "--eps", eps, "--m", "0", "--stages", stages,
-            "--no-divisors", "--out", str(out), *extra]
+            "--out", str(out), *extra]
 
 
 def test_solve_writes_roundtrippable_artifacts(tmp_path, capsys):
@@ -75,6 +75,9 @@ def test_usage_errors_exit_64(tmp_path, capsys):
     # BLAS threads are set by the environment before launch, not by a flag
     assert main(["--threads", "1", "solve", "--eps", "1e-3",
                  "--out", str(tmp_path / "t")]) == 64
+    # every stage is certified: the divisor tables cannot be switched off
+    assert main(["solve", "--eps", "1e-3", "--no-divisors",
+                 "--out", str(tmp_path / "t")]) == 64
     # invalid parameter combinations are usage errors, not crashes
     assert main(["solve", "--eps", "1e-3", "--gamma", "0.3",
                  "--out", str(tmp_path / "x")]) == 64
@@ -115,6 +118,7 @@ def test_linalg_and_memory_errors_exit_1(tmp_path, capsys, monkeypatch, error):
     def fail(config):
         raise error
     monkeypatch.setattr(nash_moser, "run", fail)
+    monkeypatch.setattr(nash_moser, "continue_branch", fail)
     assert main(solve_args(tmp_path / "run")) == 1
     err = capsys.readouterr().err
     assert "numeric failure" in err and "Traceback" not in err
@@ -193,7 +197,7 @@ def test_solve_verbose_logs_one_line_per_stage(tmp_path, capsys):
 def test_solve_verbose_reports_krylov_stage(tmp_path, capsys):
     # every stage's inverse norm is a Krylov estimate: on the whole lattice at
     # stage 1, warm and in one block of the lattice after it
-    args = ["solve", "--eps", "2e-3", "--m", "1", "--stages", "4", "--no-divisors",
+    args = ["solve", "--eps", "2e-3", "--m", "1", "--stages", "4",
             "--out", str(tmp_path / "m1"), "--verbose"]
     assert main(args) == 0
     lines = capsys.readouterr().err.splitlines()
@@ -207,7 +211,7 @@ def test_solve_verbose_reports_krylov_stage(tmp_path, capsys):
 def test_solve_manifest_records_every_stage(tmp_path, capsys):
     # the numbers of the --verbose line go to manifest.json with or without
     # --verbose, and never to the trace
-    args = ["solve", "--eps", "2e-3", "--m", "1", "--stages", "4", "--no-divisors"]
+    args = ["solve", "--eps", "2e-3", "--m", "1", "--stages", "4"]
     assert main(args + ["--out", str(tmp_path / "quiet")]) == 0
     assert main(args + ["--out", str(tmp_path / "loud"), "--verbose"]) == 0
     lines = capsys.readouterr().err.splitlines()
@@ -262,10 +266,10 @@ def test_measure_checks_its_output_before_the_solves(tmp_path, capsys, monkeypat
     from resonant_kg import nash_moser
     calls = []
 
-    def run(config):
+    def continue_branch(config):
         calls.append(config)
         raise np.linalg.LinAlgError("Singular matrix")
-    monkeypatch.setattr(nash_moser, "run", run)
+    monkeypatch.setattr(nash_moser, "continue_branch", continue_branch)
     args = ["measure", "--eta", "0.04", "--samples", "200", "--solve-grid", "2", "--out"]
     assert main(args + [str(tmp_path)]) == 66
     assert calls == [] and str(tmp_path) in capsys.readouterr().err

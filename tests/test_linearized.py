@@ -710,7 +710,7 @@ def test_bands_from_diagonals_match_dense_bands(n, bw):
 def test_divisor_table_secular_path_on_assembled_b0():
     # the time-mean potential of a converged m = 1 state, at (L_n, J_max) = (64, 128)
     from resonant_kg.nash_moser import SolverConfig, solve_stage, solve_stage0
-    cfg = SolverConfig(eps=2e-3, m=1, n_max=2, divisor_diagnostics=False)
+    cfg = SolverConfig(eps=2e-3, m=1, n_max=2)
     w, kernel, _ = solve_stage0(cfg)
     w, kernel, *_ = solve_stage(0, w, kernel, cfg)
     op = assemble_linearized(cfg.eps, w, kernel.kernel, 64, cfg.J_space)
@@ -1138,7 +1138,7 @@ sys.modules["scipy"] = None  # every import of scipy now raises ImportError
 import resonant_kg
 from resonant_kg.nash_moser import SolverConfig, run
 run(SolverConfig(eps=1e-3, m=0, n_max=3))
-run(SolverConfig(eps=2e-3, m=1, n_max=3, divisor_diagnostics=True))
+run(SolverConfig(eps=2e-3, m=1, n_max=3))
 import numpy as np
 from resonant_kg.resonance import ResonanceParams, measure_scan
 measure_scan(0.04, 1000, ResonanceParams(0.05, 1.5, eps0=0.05), lambda e: np.full_like(e, 2.0))

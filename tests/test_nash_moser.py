@@ -5,16 +5,16 @@ import pytest
 
 from resonant_kg import (CoeffField, NormParams, field_multiply, project_kernel,
                          project_range)
-from resonant_kg.bifurcation import one_mode_solution
+from resonant_kg.bifurcation import one_mode_solution, total_field
 from resonant_kg.nash_moser import (PICARD_MAX, ContractionError, MelnikovExcludedError,
-                                    SolverConfig, _contract, run, solve_stage, solve_stage0,
-                                    verify_solution)
+                                    SolverConfig, _contract, continue_branch, run,
+                                    solve_stage, solve_stage0, verify_solution)
 
 from oracles import trace_from_jsonl
 
 
 def small_config(**kw):
-    base = dict(eps=1e-3, m=0, n_max=3, divisor_diagnostics=False)
+    base = dict(eps=1e-3, m=0, n_max=3)
     base.update(kw)
     return SolverConfig(**base)
 
@@ -123,7 +123,7 @@ def test_solution_leading_shape():
 def test_branches_are_distinct():
     eps = 1e-3
     r0 = run(small_config(eps=eps, n_max=2))
-    r1 = run(SolverConfig(eps=eps, m=1, n_max=2, divisor_diagnostics=False))
+    r1 = run(SolverConfig(eps=eps, m=1, n_max=2))
     params = NormParams(0.5, 1.0)
     diff = (r0.u - r1.u).norm(params)
     alpha0 = np.sqrt(4.0 / 3.0)
@@ -143,7 +143,7 @@ def test_branch_keeps_the_kernel_mode_symmetry(m):
     # q = u^2 on l = 0 (mod 2 omega_m), j even; the speed of field_multiply's
     # strides and of the operator's live S_d rests on these exact zeros
     from resonant_kg.linearized import assemble_linearized
-    cfg = SolverConfig(eps=2e-3, m=m, n_max=2, divisor_diagnostics=False)
+    cfg = SolverConfig(eps=2e-3, m=m, n_max=2)
     res = run(cfg)
     wm = m + 1
     op = assemble_linearized(cfg.eps, res.w, res.kernel, cfg.L(cfg.n_max), cfg.J_space)
@@ -156,21 +156,38 @@ def test_branch_keeps_the_kernel_mode_symmetry(m):
 def test_melnikov_exclusion_raised():
     # omega(eps) * 100 = 101 exactly: stage with L_n >= 100 must exclude it
     eps = 101.0 ** 2 / 100.0 ** 2 - 1.0
-    cfg = SolverConfig(eps=eps, m=0, n_max=4, divisor_diagnostics=False)
+    cfg = SolverConfig(eps=eps, m=0, n_max=4)
     with pytest.raises(MelnikovExcludedError) as ei:
         run(cfg)
     assert ei.value.stage == 4
     assert any(r.ell == 100 and r.j == 100 for r in ei.value.records)
     # earlier stages have no binding pair for this amplitude
-    cfg_short = SolverConfig(eps=eps, m=0, n_max=3, divisor_diagnostics=False)
+    cfg_short = SolverConfig(eps=eps, m=0, n_max=3)
     assert all(r.melnikov_ok for r in run(cfg_short).trace.records)
-    # with the check disabled the truncated solve can still proceed: the
-    # resonant space mode j = 100 lies outside the m = 0 spatial truncation,
-    # and the true divisor is shifted off zero by the potential mean
-    cfg2 = SolverConfig(eps=eps, m=0, n_max=4, divisor_diagnostics=False,
-                        check_melnikov=False)
-    res = run(cfg2)
-    assert res.residual.relative < 1e-10
+    # the uncertified continuation runs no check, and its truncated solve
+    # still proceeds: the resonant space mode j = 100 lies outside the m = 0
+    # spatial truncation, and the true divisor is shifted off zero by the
+    # potential mean
+    w, v = continue_branch(cfg)
+    assert verify_solution(total_field(v, w), cfg).relative < 1e-10
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_continue_branch_is_run_without_its_certificate(m, monkeypatch):
+    # on a certified amplitude the continuation returns run's branch bit for
+    # bit, and no part of the certificate runs: each one raises if called
+    from resonant_kg import linearized, nash_moser
+    cfg = SolverConfig(eps=2e-3, m=m, n_max=2)
+    res = run(cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the continuation ran a certificate")
+    monkeypatch.setattr(linearized.LinearizedOperator, "inverse_norm", refuse)
+    monkeypatch.setattr(nash_moser, "divisor_table", refuse)
+    monkeypatch.setattr(nash_moser, "check_stage_conditions", refuse)
+    w, v = continue_branch(cfg)
+    assert (w.u.shape, w.u.tobytes()) == (res.w.u.shape, res.w.u.tobytes())
+    assert v.v.tobytes() == res.kernel.v.tobytes()
 
 
 def test_verify_solution_identities():
@@ -204,7 +221,7 @@ def test_verify_detects_tampering():
 
 
 def test_spatial_decay_diagnostic():
-    res = run(SolverConfig(eps=2e-3, m=1, n_max=2, divisor_diagnostics=False))
+    res = run(SolverConfig(eps=2e-3, m=1, n_max=2))
     assert res.residual.superpolynomial_ok
     profile = dict(res.residual.spectral_decay)
     assert profile[1] > 0.5          # leading mode
@@ -224,7 +241,7 @@ def test_other_branches_smoke():
     u = run(config).u
     assert verify_solution(-1.0 * u, config) == verify_solution(u, config)
     # m = 2: leading coefficient alpha_2 = 2, deeper spatial coupling
-    r2 = run(SolverConfig(eps=1e-3, m=2, n_max=2, divisor_diagnostics=False))
+    r2 = run(SolverConfig(eps=1e-3, m=2, n_max=2))
     assert abs(2 * r2.u.u[3, 2] - 2.0) < 0.01
     assert r2.residual.relative < 1e-8
 
@@ -233,7 +250,7 @@ def test_low_mode_defect_reaches_roundoff_on_m2():
     # each stage also corrects the defect its predecessor left on l <= L_cur
     # (the Picard loop's kernel is first order in h): without that, m = 2
     # stalls at a relative residual of 2.6e-10
-    res = run(SolverConfig(eps=2e-3, m=2, n_max=3, divisor_diagnostics=False))
+    res = run(SolverConfig(eps=2e-3, m=2, n_max=3))
     assert res.residual.relative <= 1e-13
 
 

@@ -587,7 +587,7 @@ def test_solve_exclusions_lie_in_the_measure_union():
             shifted = ((n + shifted * m_of_eps(shifted) / (2.0 * n)) / ell) ** 2 - 1.0
         for eps in ((n / ell) ** 2 - 1.0, float(shifted)):
             with pytest.raises(MelnikovExcludedError) as ei:
-                run(SolverConfig(eps=eps, m=0, n_max=3, divisor_diagnostics=False))
+                run(SolverConfig(eps=eps, m=0, n_max=3))
             assert (ell, ell) in {(r.ell, r.j) for r in ei.value.records}
             inside = (iv["lo"] < eps) & (eps < iv["hi"])
             assert (ell, ell) in set(zip(iv["ell"][inside], iv["j"][inside]))
