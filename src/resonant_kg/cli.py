@@ -232,12 +232,17 @@ def cmd_measure(args) -> int:
         "m": args.m,
         "solve_grid": list(map(float, grid)),
         "mean_values": list(map(float, mvals)),
-        "reports": [r._payload() for r in reports],
+        "reports": [],
         "fitted_exponent": fit_excluded_exponent(reports) if len(reports) >= 2 else None,
         "elapsed_s": time.perf_counter() - t0,
     }
+    # json.dump(payload)'s text from the C encoder, one report's lists at a time
+    head, tail = json.dumps(payload, sort_keys=True).split('"reports": []')
     with open(args.out, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
+        fh.write(head + '"reports": [')
+        for k, r in enumerate(reports):
+            fh.write((", " if k else "") + json.dumps(r._payload(), sort_keys=True))
+        fh.write("]" + tail)
     fitted = payload["fitted_exponent"]
     print(f"admissible fractions: "
           + ", ".join(f"{r.eta:g}: {r.fraction_interval:.4f}" for r in reports)

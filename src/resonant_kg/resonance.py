@@ -269,6 +269,38 @@ def _excluded_samples(e_samples, ells, wjs, thr, cut, m_of_eps):
     return excluded
 
 
+def _family_intervals(eta, ells, wjs, thr, m_of_eps, shifted: bool):
+    """(left, right, ell, wj) of one family's nonempty excluded intervals: per
+    pair, where in [1/(3l), eta] the condition value lies in (-thr, thr)."""
+    lo, hi = 1.0 / (3.0 * ells), np.full_like(ells, eta)
+    flo, fhi = (_condition_values(e, ells, wjs, m_of_eps(e))[shifted] for e in (lo, hi))
+    active = (flo < thr) & (fhi > -thr)
+    a_lo, a_hi, t = lo[active], hi[active], thr[active]
+    a_ells, a_wjs = ells[active], wjs[active]
+    left, right = a_lo.copy(), a_hi.copy()
+    # only the ends inside [1/(3l), eta] are solved for; clip their roundoff
+    for end, inside, level in ((left, flo[active] < -t, -t), (right, fhi[active] > t, t)):
+        end[inside] = np.clip(_crossing(level[inside], a_ells[inside], a_wjs[inside],
+                                        m_of_eps, shifted), a_lo[inside], a_hi[inside])
+    good = right > left
+    return left[good], right[good], a_ells[good], a_wjs[good]
+
+
+def _interval_table(families):
+    """The families' intervals in one _INTERVAL_DTYPE array, ascending in (lo, hi, ell, j)."""
+    left, right, el, wj = (np.concatenate(c) for c in zip(*families))
+    # the union needs ascending lo; only runs of equal lo are re-sorted by (hi, ell, j)
+    order = np.argsort(left)
+    same = left[order][1:] == left[order][:-1]
+    tie = np.r_[same, False] | np.r_[False, same]
+    run = order[tie]
+    order[tie] = run[np.lexsort((wj[run], el[run], right[run], left[run]))]
+    intervals = np.empty(len(order), dtype=_INTERVAL_DTYPE)
+    intervals["lo"], intervals["hi"] = left[order], right[order]
+    intervals["ell"], intervals["j"] = el[order], wj[order] - 1
+    return intervals
+
+
 def measure_scan(eta: float, samples: int, params: ResonanceParams, m_of_eps,
                  rng_seed: int = 0) -> MeasureReport:
     """Estimate |admissible set in (0, eta]| / eta.
@@ -278,7 +310,8 @@ def measure_scan(eta: float, samples: int, params: ResonanceParams, m_of_eps,
 
     (a) the exact union of per-pair excluded intervals (a structured array),
         whose ends are a closed form and a contracting fixed-point iteration
-        (see _crossing; premise slope >= l/4, else ValueError);
+        (see _crossing; premise slope >= l/4, else ValueError); each family's
+        pass keeps only its intervals, which die once joined into the table;
     (b) Monte Carlo over uniform samples of the same condition set, found
         by a window search (see _excluded_samples) and evaluated pointwise;
         it shares with (a) the pairs and the evaluator of f and g, but no end
@@ -308,32 +341,8 @@ def measure_scan(eta: float, samples: int, params: ResonanceParams, m_of_eps,
         raise ValueError("threshold + shift too close to 1/2 or not finite: "
                          "nearest-integer reduction invalid at these parameters")
 
-    lo = 1.0 / (3.0 * ells)
-    hi = np.full_like(ells, eta)
-    found = []
-    for shifted in (True, False):
-        flo, fhi = (_condition_values(e, ells, wjs, m_of_eps(e))[shifted] for e in (lo, hi))
-        active = (flo < thr) & (fhi > -thr)
-        a_lo, a_hi, t = lo[active], hi[active], thr[active]
-        a_ells, a_wjs = ells[active], wjs[active]
-        left, right = a_lo.copy(), a_hi.copy()
-        # only the ends inside [1/(3l), eta] are solved for; clip their roundoff
-        for end, inside, level in ((left, flo[active] < -t, -t), (right, fhi[active] > t, t)):
-            end[inside] = np.clip(_crossing(level[inside], a_ells[inside], a_wjs[inside],
-                                            m_of_eps, shifted), a_lo[inside], a_hi[inside])
-        good = right > left
-        found.append((left[good], right[good], a_ells[good], a_wjs[good]))
-
-    left, right, el, wj = (np.concatenate(c) for c in zip(*found))
-    # the union needs ascending lo; only runs of equal lo are re-sorted by (hi, ell, j)
-    order = np.argsort(left)
-    same = left[order][1:] == left[order][:-1]
-    tie = np.r_[same, False] | np.r_[False, same]
-    run = order[tie]
-    order[tie] = run[np.lexsort((wj[run], el[run], right[run], left[run]))]
-    intervals = np.empty(len(order), dtype=_INTERVAL_DTYPE)
-    intervals["lo"], intervals["hi"] = left[order], right[order]
-    intervals["ell"], intervals["j"] = el[order], wj[order] - 1
+    intervals = _interval_table(_family_intervals(eta, ells, wjs, thr, m_of_eps, shifted)
+                                for shifted in (True, False))
     total_mass = _union_length(intervals["lo"], intervals["hi"])
     fraction_interval = 1.0 - total_mass / eta
 

@@ -260,6 +260,17 @@ def test_measure_command(tmp_path):
                  "--out", str(tmp_path / "x.json")]) == 65
 
 
+def test_measure_json_is_the_one_shot_encoding(tmp_path):
+    # the reports are written one at a time; the text must still be what one
+    # json.dump(payload, sort_keys=True) writes, separators and key order included
+    out = tmp_path / "measure.json"
+    assert main(["measure", "--eta", "0.04", "--eta", "0.02", "--samples", "500",
+                 "--solve-grid", "2", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True)
+    assert len(json.loads(text)["reports"]) == 2
+
+
 def test_measure_checks_its_output_before_the_solves(tmp_path, capsys, monkeypatch):
     # a directory as --out exits 66 before a single mean-curve solve, and a
     # run that fails after the check leaves no measure.json behind

@@ -199,6 +199,19 @@ def test_measure_scan_consistency():
         assert hi - lo <= 16.0 * params.gamma / ell ** (params.tau + 1.0) * (1 + 1e-9)
 
 
+def test_measure_scan_memory_is_a_few_interval_tables():
+    # peaked at 7.5 tables when the family passes' temporaries, their
+    # concatenation and the sort orders stayed alive into the Monte Carlo
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        rep = measure_scan(0.04, 20000, ResonanceParams(0.05, 1.5, eps0=0.05), _m_const())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * rep.excluded_intervals.nbytes
+
+
 def test_measure_scan_slope_bound():
     # the shifted condition function has slope >= l/4 on every excluded
     # interval: the premise under which the fixed-point iteration contracts
