@@ -254,12 +254,14 @@ def _load_run(run_dir):
     """(range part, time-mean potential b0, config) of a run directory.
 
     OSError naming the path for a missing or unreadable artifact, ValueError
-    naming the file for a corrupt one, such as non-numeric coefficients or a
+    naming the file for a corrupt one, such as non-finite coefficients or a
     config without finite eps, gamma, tau.
     """
     from .bifurcation import KernelField, total_field
     from .field_algebra import field_multiply, load_field
-    w = load_field(os.path.join(run_dir, "range_part.field"))
+    w = load_field(path := os.path.join(run_dir, "range_part.field"))
+    if not (abs(w.u) < math.inf).all():  # also false for a NaN
+        raise ValueError(f"{path}: coefficients are not finite")
     documents = []
     for name in ("kernel.json", "manifest.json"):
         path = os.path.join(run_dir, name)
@@ -270,13 +272,13 @@ def _load_run(run_dir):
                 raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     kernel_data, manifest = documents
 
-    def number(x):
-        return isinstance(x, (int, float)) and not isinstance(x, bool)
+    def number(x):  # json reads NaN and Infinity as floats, and integers of any size
+        return type(x) in (int, float) and abs(x) <= sys.float_info.max  # not a bool
     coefficients = kernel_data.get("coefficients") if isinstance(kernel_data, dict) else None
     if not (isinstance(coefficients, list) and all(map(number, coefficients))):
-        raise ValueError(f"{os.path.join(run_dir, 'kernel.json')}: coefficients are not numbers")
+        raise ValueError(f"{os.path.join(run_dir, 'kernel.json')}: coefficients not finite numbers")
     config = manifest.get("config") if isinstance(manifest, dict) else None
-    if not (isinstance(config, dict) and all(number(config.get(k)) and math.isfinite(config[k])
+    if not (isinstance(config, dict) and all(number(config.get(k))
                                              for k in ("eps", "gamma", "tau"))):
         raise ValueError(f"{os.path.join(run_dir, 'manifest.json')}: config lacks finite "
                          "eps, gamma or tau")

@@ -22,15 +22,15 @@ value.  The weighted inverse B = W Lop^-1 W^-1, W the field norm's weights
 (read in log space and centred, so finite at L = 1024), is block diagonal
 under the decoupled blocks (6 to 10 on a branch), which the symmetry of the
 S_d support and of dv_matrix gives before any entry is gathered.  Its norm
-is bracketed, at every size, by two ends (exact at eps = 0).  The lower end
-is a Golub-Kahan estimate through the same solves, run inside the block
-that its first step selects: a lower bound up to the rounding of its
-solves.  The upper end is a Schur test on an entrywise majorant of the
-Neumann series of D^-1 M, applied by the same fold on |S_d|, |dv| and the
-|D_l^-1| blocks: an upper bound up to the rounding of D^-1 itself.  Lop is
-the Hessian of the reduced action, so Lop^T = Mw Lop Mw^-1 for the time
-multiplicities Mw = diag(1, 2, 2, ...) of the stored rows: B^T is a forward
-solve too, and there is one apply.
+is bracketed, at every size, by two ends (exact at eps = 0).  The upper end
+is a Schur test on an entrywise majorant of the Neumann series of D^-1 M,
+applied by the same fold on |S_d|, |dv| and the |D_l^-1| blocks: an upper
+bound up to the rounding of D^-1 itself, on B and on each block.  The lower
+end, a Golub-Kahan estimate through the same solves, runs block by block in
+descending order of the upper ends until the next is at most the estimate.
+Lop is the Hessian of the reduced action, so Lop^T = Mw Lop Mw^-1 for the
+time multiplicities Mw = diag(1, 2, 2, ...) of the stored rows: B^T is a
+forward solve too, and there is one apply.
 
 The spectra of D_l (a Sturm-Liouville perturbation of omega_j^2) control
 the small divisors alpha_l = min_j |omega^2 l^2 - lambda_{l,j}(eps)|.  Every
@@ -164,11 +164,11 @@ class LinearizedOperator:
     potential b = 3 q (mult_matrix_stack); dv_matrix maps lattice
     coefficients to the kernel derivative.  The counter `sweeps` holds the
     Neumann sweeps run on this operator.  The last `inverse_norm` leaves
-    the Krylov steps (forward solves) of its lower end in `power_steps`
-    (0 at eps = 0) and the unknowns of the block they ran in in
-    `krylov_block`, its upper end in `upper` and that end's Neumann terms K
-    in `upper_terms`, and its top right singular vector in `top_vector`
-    (None before the first call).
+    the Krylov steps (forward solves) of its lower end, summed over the
+    blocks that ran, in `power_steps` (0 at eps = 0) and the unknowns of the
+    block of the estimate in `krylov_block`, its upper end in `upper` and
+    that end's Neumann terms K in `upper_terms`, and its top right singular
+    vector in `top_vector` (None before the first call).
     """
 
     eps: float
@@ -441,8 +441,8 @@ class LinearizedOperator:
                       self._symbol[np.ix_(rows, xc)], mask[np.ix_(rows, xc)],
                       stacked.reshape(-1, len(cols)), self._inverse[np.ix_(rows, xc, xc)])
 
-    def _upper_end(self, wg: np.ndarray) -> tuple[float, int]:
-        """An upper bound on ||B|| from the paper's splitting, and its number of Neumann terms K.
+    def _upper_end(self, wg: np.ndarray, blocks: list[np.ndarray]):
+        """Upper bounds on ||B|| and each block's from the paper's splitting, and their K.
 
         With T = eps W D^-1 M W^-1, B = sum_{k<K} T^k W D^-1 W^-1 + T^K B, so
         ||B|| <= ||sum_{k<K} T^k W D^-1 W^-1|| / (1 - ||T^K||).  Both norms
@@ -450,9 +450,10 @@ class LinearizedOperator:
         through A = eps |D^-1| |M| (`_majorant`; |D^-1| made symmetric), as
         |T|^k <= W A^k W^-1: rows W A^k W^-1 1, columns W^-1 (A^T)^k W 1, for
         wg the weights (ones off the lattice).  K is the first k <= _MAX_TERMS
-        with ||T^k|| <= 1/2 (else 0, and the bound is inf).  _UPPER_MARGIN
+        with ||T^k|| <= 1/2 (else 0, and every bound is inf).  _UPPER_MARGIN
         covers the rounding of these nonnegative sums (an underflow drops at
         most 2^-1074 w_i from row i); D^-1 is taken as `factorize` rounded it.
+        A has M's block-diagonal support, so the sums on a block b bound ||B_b||.
         """
         mask, tiny = self.lattice.mask, np.finfo(float).tiny
         stacked = np.abs(self.stack[self._fold])
@@ -476,105 +477,38 @@ class LinearizedOperator:
             row_t, col = a(row_t), self.eps * self._majorant(col_p, cells, True)
             s = np.sqrt((wg * row_t).max() * (col / wg).max())
             if s <= 0.5:
-                upper = np.sqrt((wg * sum_rows).max() * (sum_cols / wg).max()) / (1.0 - s)
-                return min(np.inf, upper * _UPPER_MARGIN), k  # inf for a NaN
+                r, c = (wg * sum_rows)[mask], (sum_cols / wg)[mask]  # zero off the lattice
+                ends = [r[b].max() * c[b].max() for b in blocks]
+                upper = np.sqrt([r.max() * c.max(), *ends]) / (1.0 - s) * _UPPER_MARGIN
+                return min(np.inf, upper[0]), k, np.fmin(np.inf, upper[1:])  # inf for a NaN
             row_p = a(row_p)
-        return np.inf, 0
+        return np.inf, 0, np.full(len(blocks), np.inf)
 
-    def inverse_norm(self, params: NormParams, *, start: np.ndarray | None = None) -> float:
-        """The norm of B = W Lop^-1 W^-1 on the weighted (sigma, s, r) metric, bracketed.
+    def _krylov(self, idx: np.ndarray, start: np.ndarray, wg: np.ndarray):
+        """Golub-Kahan (Lanczos) estimate of ||B_b|| on the block idx (`_cells`) from grid start.
 
-        W = diag(w), w the lattice weights exp(`WLattice.log_weights`) over
-        their geometric midpoint; when half their log range passes
-        log(1 / tiny), ResonantSolveError names sigma L.  At eps = 0, Lop = D
-        is diagonal and the weights cancel: the norm is 1 / min |D|, exact,
-        and `upper` holds it too.  Otherwise `upper` and `upper_terms` hold
-        `_upper_end`, and the returned lower end is a Golub-Kahan (Lanczos)
-        estimate: Krylov step k solves for y_k = B q_k, where q_k+1 is
-        B^T y_k orthogonalized twice against q_1..q_k (classical
-        Gram-Schmidt), and returns sigma_max(y_1..y_k) from their k x k Gram
-        matrix.  By Lop^T = Mw Lop Mw^-1 (`_apply`), B^T = (Mw / W) Lop^-1
-        (W / Mw) is a forward solve too.  As ||B Q|| <= ||B|| ||Q|| = ||B||,
-        the estimate is a lower bound up to the rounding of its solves, and
-        it never decreases in k.  It stops once it changes by at most 1e-14
-        relative (tested before the solve for B^T y_k) or after
-        min(_MAX_KRYLOV_STEPS, unknowns) steps, counted in `power_steps`.  A
-        singular or non-finite operator raises ResonantSolveError.
-
-        q_1 is the normalized start plus _WARM_UNIFORM times the uniform
-        vector, normalized.  `start` is a grid of shape (L' + 1, J + 1) for
-        some L' <= L, padded with zero rows: a previous stage's `top_vector`
-        cuts the steps.  Without one it is the top right singular vector of
-        the per-l blocks of W D^-1 W^-1 (B at eps = 0), which halves the
-        steps on m = 0.  A given start also selects a block:
-        r_k = ||(B q_1)|_k|| / ||q_1|_k|| <= ||B_k|| on each block where q_1
-        is nonzero, and steps 2 onwards run from q_1|_k in the block of the
-        largest r_k (`_cells`), still a lower bound, ||B_k Q|| <= ||B_k|| <=
-        ||B||, and never below step 1, as max r_k >= ||B q_1||.  Without a
-        start step 1 can rank the blocks wrongly (it does from the uniform
-        vector on m = 1), so the steps keep the whole lattice.  `krylov_block`
-        holds the unknowns they ran on, and `top_vector` the top right
-        singular vector of B (unit norm, on the (L + 1, J + 1) grid): c Q for
-        c the top eigenvector of the Krylov Gram matrix, or the unit vector
-        at the smallest |D|.
+        Step k solves for y_k = B q_k, q_1 the normalized start on the block
+        and q_k+1 B^T y_k orthogonalized twice against q_1..q_k (classical
+        Gram-Schmidt), and estimates sigma_max(y_1..y_k) from their Gram
+        matrix; B^T = (Mw / W) Lop^-1 (W / Mw) by Lop^T = Mw Lop Mw^-1
+        (`_apply`).  As ||B Q|| <= ||B_b||, it is a lower bound up to the
+        rounding of the solves, never decreasing in k.  It stops at a change
+        of at most 1e-14 relative or after min(_MAX_KRYLOV_STEPS, unknowns)
+        steps, added to `power_steps`.  Returns it and c Q on the grid, c the
+        top eigenvector of the Gram matrix.
         """
-        self.factorize()
-        lat = self.lattice
-        # B is unchanged by a scalar on W: weights centred in log space, and
-        # their reciprocals, stay normal doubles while sigma L is below about 1400
-        logw = lat.log_weights(params)
-        half = 0.5 * float(logw.max() - logw.min())
-        if not half < -np.log(np.finfo(float).tiny):
-            raise ResonantSolveError(f"inverse norm at L_n={self.L}: sigma L = "
-                                     f"{params.sigma * self.L:.1f} puts the weights beyond the "
-                                     f"double range (e^+-{half:.0f} about their midpoint)")
-        n, shape = lat.size, lat.mask.shape
-        wg = np.ones(shape)
-        wg[lat.ells, lat.js] = np.exp(logw - 0.5 * (logw.max() + logw.min()))
-        self.power_steps = self.krylov_block = self.upper_terms = 0
-        self.top_vector = np.zeros(shape)
-        if self.eps == 0.0:
-            d = np.abs(self.symbol_diagonal())
-            k = int(np.argmin(d))
-            top = float(1.0 / d[k])
-            if not max(float(d.max()), 1.0) * top <= 1e300:  # also catches a NaN
-                raise ResonantSolveError(_SINGULAR)
-            self.upper, self.upper_terms = top, 1
-            self.top_vector[lat.ells[k], lat.js[k]] = 1.0
-            return top
-        self.upper, self.upper_terms = self._upper_end(wg)
-        wm = wg / np.where(np.arange(self.L + 1) == 0, 1.0, 2.0)[:, None]  # w / Mw
-        select = start is not None
-        if not select:  # the top right singular vector of W D^-1 W^-1, which is B at eps = 0
-            dw = wg[:, :, None] * self._inverse / wg[:, None, :]
-            dw[~(lat.mask[:, :, None] & lat.mask[:, None, :] & np.isfinite(dw))] = 0.0
-            lam, vec = np.linalg.eigh(dw.transpose(0, 2, 1) @ dw)
-            row, start = int(np.argmax(lam[:, -1])), np.zeros(shape)
-            start[row] = vec[row, :, -1]
-        q = np.where(lat.mask, _WARM_UNIFORM / np.sqrt(n), 0.0)
-        q[: len(start)] += np.where(lat.mask[: len(start)], start, 0.0) / np.linalg.norm(start)
-        q /= np.linalg.norm(q)
-        q = q.reshape(1, -1)             # rows q_i
-        y = np.empty((0, q.shape[1]))    # rows B q_i
-        est, last, cells, sub = 0.0, min(_MAX_KRYLOV_STEPS, n), None, np.s_[:, :]
-        self.krylov_block = n
+        cells = self._cells(idx)
+        sub, shape = np.ix_(cells.rows, cells.cols[cells.cols <= self.J]), cells.mask.shape
+        wg = np.where(cells.mask, wg[sub], 1.0)
+        wm = wg / np.where(cells.rows == 0, 1.0, 2.0)[:, None]  # w / Mw
+        q = np.where(cells.mask, start[sub], 0.0).reshape(1, -1)
+        q, y = q / np.linalg.norm(q), np.empty((0, q.size))  # rows q_i and B q_i
+        est, last = 0.0, min(_MAX_KRYLOV_STEPS, len(idx))
         for step in range(1, last + 1):
             image = wg * self._neumann(q[-1].reshape(shape) / wg, cells)
             if not np.all(np.isfinite(image)):
                 raise ResonantSolveError(f"inverse norm at L_n={self.L}: non-finite image "
                                          f"at Krylov step {step}")
-            if step == 1 and select and len(blocks := self._partition()) > 1:
-                # r_k = ||(B q_1)|_k|| / ||q_1|_k|| <= ||B_k||, and max r_k >= ||B q_1||
-                q1 = q[0].reshape(shape)
-                norms = [[np.linalg.norm(a[lat.ells[b], lat.js[b]]) for a in (image, q1)]
-                         for b in blocks]
-                k = int(np.argmax([a / r if r else 0.0 for a, r in norms]))
-                cells, self.krylov_block = self._cells(blocks[k]), len(blocks[k])
-                sub, shape = np.ix_(cells.rows, cells.cols[cells.cols <= self.J]), cells.mask.shape
-                q, image = (np.where(cells.mask, a[sub] / norms[k][1], 0.0) for a in (q1, image))
-                wg, wm = (np.where(cells.mask, a[sub], 1.0) for a in (wg, wm))
-                q, y = q.reshape(1, -1), np.empty((0, q.size))
-                last = min(_MAX_KRYLOV_STEPS, self.krylov_block)
             y = np.vstack([y, image.ravel()])
             prev, est = est, float(np.sqrt(np.linalg.eigvalsh(y @ y.T)[-1]))
             if est - prev <= _POWER_RTOL * est or step == last:
@@ -586,8 +520,72 @@ class LinearizedOperator:
             if nz == 0.0:
                 break
             q = np.vstack([q, z / nz])
-        self.power_steps = step
-        self.top_vector[sub] = (np.linalg.eigh(y @ y.T)[1][:, -1] @ q).reshape(shape)
+        self.power_steps += step
+        top = np.zeros(self.lattice.mask.shape)
+        top[sub] = (np.linalg.eigh(y @ y.T)[1][:, -1] @ q).reshape(shape)
+        return est, top
+
+    def inverse_norm(self, params: NormParams, *, start: np.ndarray | None = None) -> float:
+        """The norm of B = W Lop^-1 W^-1 on the weighted (sigma, s, r) metric, bracketed.
+
+        W = diag(w), w the lattice weights exp(`WLattice.log_weights`) over
+        their geometric midpoint; when half their log range passes
+        log(1 / tiny), ResonantSolveError names sigma L.  At eps = 0, Lop = D
+        is diagonal and the weights cancel: the norm is 1 / min |D|, exact,
+        and `upper` holds it too.  Otherwise `upper` and `upper_terms` hold
+        `_upper_end`, and the lower end returned is the largest `_krylov`
+        estimate over the blocks of `_partition`, taken in descending order
+        of their upper ends until the next is at most the estimate: a block
+        left out has ||B_b|| <= its upper end <= the estimate.  Each block
+        starts from its part of the normalized start plus _WARM_UNIFORM times
+        the uniform vector.  `start` is a grid of shape (L' + 1, J + 1), L' <=
+        L, padded with zero rows: a previous stage's `top_vector` cuts the
+        steps.  Without one it is the top right singular vector of the per-l
+        blocks of W D^-1 W^-1 (B at eps = 0), which halves the steps on m = 0.
+        `top_vector` is that of the estimate's block (unit norm, on the
+        (L + 1, J + 1) grid), or the unit vector at the smallest |D|.  A
+        singular or non-finite operator raises ResonantSolveError.
+        """
+        self.factorize()
+        lat = self.lattice
+        # B is unchanged by a scalar on W: weights centred in log space, and
+        # their reciprocals, stay normal doubles while sigma L is below about 1400
+        logw = lat.log_weights(params)
+        half = 0.5 * float(logw.max() - logw.min())
+        if not half < -np.log(np.finfo(float).tiny):
+            raise ResonantSolveError(f"inverse norm at L_n={self.L}: sigma L = "
+                                     f"{params.sigma * self.L:.1f} puts the weights beyond the "
+                                     f"double range (e^+-{half:.0f} about their midpoint)")
+        wg = np.ones(lat.mask.shape)
+        wg[lat.ells, lat.js] = np.exp(logw - 0.5 * (logw.max() + logw.min()))
+        self.power_steps = self.krylov_block = self.upper_terms = 0
+        self.top_vector = np.zeros_like(wg)
+        if self.eps == 0.0:
+            d = np.abs(self.symbol_diagonal())
+            k = int(np.argmin(d))
+            top = float(1.0 / d[k])
+            if not max(float(d.max()), 1.0) * top <= 1e300:  # also catches a NaN
+                raise ResonantSolveError(_SINGULAR)
+            self.upper, self.upper_terms = top, 1
+            self.top_vector[lat.ells[k], lat.js[k]] = 1.0
+            return top
+        blocks = self._partition()
+        self.upper, self.upper_terms, ends = self._upper_end(wg, blocks)
+        if start is None:  # the top right singular vector of W D^-1 W^-1, which is B at eps = 0
+            dw = wg[:, :, None] * self._inverse / wg[:, None, :]
+            dw[~(lat.mask[:, :, None] & lat.mask[:, None, :] & np.isfinite(dw))] = 0.0
+            lam, vec = np.linalg.eigh(dw.transpose(0, 2, 1) @ dw)
+            row, start = int(np.argmax(lam[:, -1])), np.zeros_like(wg)
+            start[row] = vec[row, :, -1]
+        q = np.where(lat.mask, _WARM_UNIFORM / np.sqrt(lat.size), 0.0)
+        q[: len(start)] += np.where(lat.mask[: len(start)], start, 0.0) / np.linalg.norm(start)
+        est = 0.0
+        for k in np.argsort(-ends, kind="stable"):
+            if ends[k] <= est:
+                break
+            value, top = self._krylov(blocks[k], q, wg)
+            if value > est:
+                est, self.krylov_block, self.top_vector = value, len(blocks[k]), top
         return est
 
 

@@ -123,6 +123,13 @@ def centred_weights(op, params: NormParams) -> np.ndarray:
     return np.exp(logw - 0.5 * (logw.max() + logw.min()))
 
 
+def weight_grid(op, params: NormParams) -> np.ndarray:
+    """`centred_weights` on the (L + 1, J + 1) grid, ones off the lattice (`inverse_norm`'s)."""
+    wg = np.ones(op.lattice.mask.shape)
+    wg[op.lattice.ells, op.lattice.js] = centred_weights(op, params)
+    return wg
+
+
 def exact_inverse_norm(op, params: NormParams, blocks=None) -> float:
     """The exact norm that `inverse_norm` brackets, over `_partition`'s blocks (or `blocks`)."""
     w = centred_weights(op, params)

@@ -185,9 +185,9 @@ def test_solve_verbose_logs_one_line_per_stage(tmp_path, capsys):
             assert key in line
         # one Neumann term bounds the inverse norm of m = 0 from above
         assert " upper_terms=1 " in line
-    # stage 1 runs its Krylov steps on the whole lattice, from the top vector
-    # of W D^-1 W^-1 (7 steps from the uniform vector), stage 2 in one block
-    assert " unknowns=48 " in lines[0] and " power_steps=4 krylov_block=48 " in lines[0]
+    # stage 1 runs its Krylov steps in one block, from the top vector of
+    # W D^-1 W^-1, and stage 2 in one block too
+    assert " unknowns=48 " in lines[0] and " power_steps=4 krylov_block=9 " in lines[0]
     assert " unknowns=96 " in lines[1] and " krylov_block=17 " in lines[1]
     # the timings go to stderr only: the trace is the same bytes
     assert (tmp_path / "loud" / "trace.jsonl").read_bytes() == \
@@ -195,8 +195,8 @@ def test_solve_verbose_logs_one_line_per_stage(tmp_path, capsys):
 
 
 def test_solve_verbose_reports_krylov_stage(tmp_path, capsys):
-    # every stage's inverse norm is a Krylov estimate: on the whole lattice at
-    # stage 1, warm and in one block of the lattice after it
+    # every stage's inverse norm is a Krylov estimate in blocks of the
+    # lattice, warm after stage 1
     args = ["solve", "--eps", "2e-3", "--m", "1", "--stages", "4",
             "--out", str(tmp_path / "m1"), "--verbose"]
     assert main(args) == 0
@@ -229,9 +229,9 @@ def test_solve_manifest_records_every_stage(tmp_path, capsys):
         assert all(stage[key] >= 0.0 for key in seconds)
         assert stage["picard_sweeps"] > 0 and stage["norm_sweeps"] >= 0
     assert all(s["power_steps"] > 0 for s in stages)
-    # stage 1 runs on all 307 unknowns, the warm stages in one block of each
-    # lattice; two Neumann terms bound every stage's norm from above
-    assert [s["krylov_block"] for s in stages] == [307, 90, 170, 330]
+    # the block of the estimate holds a part of each lattice, stage 1's too;
+    # two Neumann terms bound every stage's norm from above
+    assert [s["krylov_block"] for s in stages] == [50, 90, 170, 330]
     assert [s["upper_terms"] for s in stages] == [2] * 4
     # the process high-water mark: positive and never lower at a later stage
     peaks = [s["peak_rss_mb"] for s in stages]
@@ -444,3 +444,31 @@ def test_corrupt_artifacts_exit_66(tmp_path, capsys):
             assert main(command) == 66
             err = capsys.readouterr().err
             assert name in err and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["kernel.json", "range_part.field"])
+def test_non_finite_run_artifacts_exit_66(tmp_path, capsys, name):
+    # JSON and the field format both hold NaN and inf, and JSON integers past
+    # the double range: divisors and spectrum refuse them as corrupt, naming
+    # the file, before any numpy warning
+    from resonant_kg import save_field
+    out = tmp_path / "run"
+    assert main(solve_args(out, stages="1")) == 0
+    path, good = out / name, (out / name).read_bytes()
+    capsys.readouterr()
+    for bad in (np.nan, np.inf) + ((10 ** 400,) if name == "kernel.json" else ()):
+        if name == "kernel.json":
+            kernel = json.loads(good)
+            kernel["coefficients"][1] = bad
+            path.write_text(json.dumps(kernel))
+        else:
+            w = load_field(path)
+            w.u[2, 1] = bad
+            save_field(w, path)
+        for command in (["divisors", "--run", str(out)],
+                        ["spectrum", "--run", str(out), "--ell-max", "2"]):
+            assert main(command) == 66
+            err = capsys.readouterr().err
+            assert str(path) in err and "Traceback" not in err
+        path.write_bytes(good)

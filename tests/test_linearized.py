@@ -21,7 +21,7 @@ from oracles import (apply_operator, bands, block_inverse_norm, block_matrix, de
                      gather, matrix_element, pairwise_divisor_constant, potential_parts,
                      preconditioned_split_check, refined_eigenvalues, small_divisors,
                      sobolev_embedding_constant, split_diagonal, to_field,
-                     weighted_inverse_norm)
+                     weight_grid, weighted_inverse_norm)
 
 P = NormParams(0.4, 1.0, 2.0)
 
@@ -470,9 +470,10 @@ def test_warm_started_krylov_estimate_matches_exact_at_both_krylov_stages(monkey
         assert exact * (1 - 1e-12) <= estimate <= exact * (1 + 1e-15)
 
 
-def test_warm_start_inside_one_block_still_finds_the_norm(monkeypatch):
+def test_warm_start_inside_one_block_still_finds_the_norm():
     # m = 2 at stage 1: block 1 holds the norm 113.0, block 0 only 22.27.  A
-    # start inside block 0 reaches block 1 through its uniform part alone
+    # start inside block 0 still finds the norm: block 1 has the largest upper
+    # end, so it runs first, from its uniform part alone
     from resonant_kg.nash_moser import SolverConfig
     cfg = SolverConfig(eps=2e-3, m=2)
     op = _stage0_operator(2, cfg.L(1))
@@ -484,82 +485,123 @@ def test_warm_start_inside_one_block_still_finds_the_norm(monkeypatch):
     start = np.zeros(op.lattice.mask.shape)
     start[op.lattice.ells[blocks[0]], op.lattice.js[blocks[0]]] = 1.0
     value = op.inverse_norm(params, start=start)
-    assert abs(value - exact) <= 1e-12 * exact
-    # negative control: without the uniform part the estimate stays in block 0
-    monkeypatch.setattr(linearized, "_WARM_UNIFORM", 0.0)
-    trapped = op.inverse_norm(params, start=start)
+    assert abs(value - exact) <= 1e-12 * exact and op.krylov_block == len(blocks[1])
+    # negative control: without the order of the upper ends, a loop that ran
+    # the block of the start and stopped there would stay in block 0
+    trapped = op._krylov(blocks[0], start, weight_grid(op, params))[0]
     assert abs(trapped - first) <= 1e-12 * first
 
 
 def _krylov_against_exact(monkeypatch, config, runner_up=False):
     """Krylov inverse norm against the exact all-block norm (`exact_inverse_norm`) per stage.
 
-    Returns (relative error, unknowns of the Krylov block, lattice size) for
-    every stage of run(config).  With runner_up, the steps after the first
-    run in the block of the second largest exact norm instead of the one
-    that step 1 selects.
+    Returns (relative error, unknowns of the Krylov block, lattice size,
+    upper ends of the blocks that did not run over the estimate) for every
+    stage of run(config).  With runner_up, the block of the largest exact
+    norm contributes nothing, so the estimate is at most the second largest.
     """
     from resonant_kg.nash_moser import run
     operator = linearized.LinearizedOperator
-    real, real_cells, seen = operator.inverse_norm, operator._cells, []
+    real, real_krylov, seen = operator.inverse_norm, operator._krylov, []
 
     def inverse_norm(op, params, **kwargs):
-        seen.append((op, params))
+        seen.append((op, params, []))
         return real(op, params, **kwargs)
 
-    def runner_up_cells(op, idx):
-        blocks = op._partition()
-        norms = [exact_inverse_norm(op, seen[-1][1], [b]) for b in blocks]
-        return real_cells(op, blocks[np.argsort(norms)[-2]])
+    def krylov(op, idx, start, wg):
+        seen[-1][2].append(idx)
+        if runner_up:
+            blocks = op._partition()
+            norms = [exact_inverse_norm(op, seen[-1][1], [b]) for b in blocks]
+            if np.array_equal(idx, blocks[int(np.argmax(norms))]):
+                return 0.0, np.zeros(op.lattice.mask.shape)
+        return real_krylov(op, idx, start, wg)
     monkeypatch.setattr(operator, "inverse_norm", inverse_norm)
-    if runner_up:
-        monkeypatch.setattr(operator, "_cells", runner_up_cells)
+    monkeypatch.setattr(operator, "_krylov", krylov)
     result = run(config)
-    exact = [exact_inverse_norm(op, params) for op, params in seen]
-    return [(rec.inverse_norm / norm - 1.0, stats["krylov_block"], stats["unknowns"])
-            for rec, stats, norm in zip(result.trace.records[1:], result.stages, exact)]
+    out = []
+    for rec, stats, (op, params, ran) in zip(result.trace.records[1:], result.stages, seen):
+        blocks = op._partition()
+        ends = op._upper_end(weight_grid(op, params), blocks)[2]
+        idle = [end / rec.inverse_norm for b, end in zip(blocks, ends)
+                if not any(np.array_equal(b, r) for r in ran)]
+        out.append((rec.inverse_norm / exact_inverse_norm(op, params) - 1.0,
+                    stats["krylov_block"], stats["unknowns"], idle))
+    return out
 
 
 @pytest.mark.parametrize("m, eps, stages", [(0, 1e-3, 6), (1, 2e-3, 5), (2, 2e-3, 4),
                                             (3, 2e-3, 3)])
 def test_block_krylov_matches_the_exact_norm_at_every_stage(monkeypatch, m, eps, stages):
-    # stage 1 runs on the whole lattice, the later stages in the block that
-    # step 1 selects
+    # every stage, stage 1 included, runs its steps in blocks of the lattice,
+    # and every block that does not run has an upper end at or below the estimate
     from resonant_kg.nash_moser import SolverConfig
     config = SolverConfig(eps=eps, m=m, n_max=stages)
     errors = _krylov_against_exact(monkeypatch, config)
-    assert [n for _, block, n in errors if block == n] == [errors[0][2]]
-    assert all(0 < block < n for _, block, n in errors[1:])
-    assert all(abs(rel) <= 1e-14 for rel, _, _ in errors)
+    assert all(0 < block < n for _, block, n, _ in errors)
+    assert all(abs(rel) <= 1e-14 for rel, _, _, _ in errors)
+    assert all(idle and max(idle) <= 1.0 for _, _, _, idle in errors)
     if m == 2:  # negative control: the runner-up block understates the norm
         monkeypatch.undo()
         forced = _krylov_against_exact(monkeypatch, config, runner_up=True)
-        assert all(rel < -0.1 for rel, _, _ in forced[1:])
+        assert all(rel < -0.1 for rel, _, _, _ in forced)
 
 
-def test_uniform_start_keeps_the_whole_lattice():
-    # m = 1 at stage 1 (L = 16): without a start the steps keep the whole
-    # lattice, as from the uniform vector step 1 ranks the blocks wrongly
+def test_stage_one_runs_in_the_blocks_of_largest_upper_end(monkeypatch):
+    # m = 1 at stage 1 (L = 16), without a start: the steps run in the block of
+    # the largest upper end (50 unknowns), then in the next (41 unknowns), whose
+    # upper end is still above the estimate, and stop.  The uniform vector as
+    # a start gives the same norm
     from resonant_kg.nash_moser import SolverConfig
     cfg = SolverConfig(eps=2e-3, m=1)
     op = _stage0_operator(1, cfg.L(1))
     params = NormParams(cfg.sigmas()[1], cfg.s)
     exact = exact_inverse_norm(op, params)
     value = op.inverse_norm(params)
-    assert op.krylov_block == op.lattice.size
+    assert (op.krylov_block, op.lattice.size) == (50, 307)
     assert abs(value - exact) <= 1e-14 * exact
-    # negative control: the uniform vector passed as a start selects a block
-    # and understates the norm by 17%
-    wrong = op.inverse_norm(params, start=np.where(op.lattice.mask, 1.0, 0.0))
-    assert op.krylov_block < op.lattice.size and wrong < 0.9 * exact
+    uniform = np.where(op.lattice.mask, 1.0, 0.0)
+    assert abs(op.inverse_norm(params, start=uniform) - exact) <= 1e-14 * exact
+    # negative control: ranked by one Krylov step from the uniform vector,
+    # ||B_k q_k|| / ||q_k||, instead of by the upper ends, and stopped after
+    # the first block, the steps run in the 41-unknown block and understate
+    # the norm by 17%
+    blocks, wg = op._partition(), weight_grid(op, params)
+    monkeypatch.setattr(linearized, "_MAX_KRYLOV_STEPS", 1)
+    ratio = [op._krylov(b, uniform, wg)[0] for b in blocks]
+    monkeypatch.undo()
+    first = blocks[int(np.argmax(ratio))]
+    wrong = op._krylov(first, uniform, wg)[0]
+    assert len(first) == 41 and wrong < 0.9 * exact
+
+
+def test_blocks_run_in_descending_order_of_their_upper_ends():
+    # m = 2 at stage 1: 8 blocks, and one runs.  Run in reverse order and
+    # without the stop, the blocks give the same norm; stopped after the
+    # block of the smallest upper end, the loop would understate it
+    from resonant_kg.nash_moser import SolverConfig
+    cfg = SolverConfig(eps=2e-3, m=2)
+    op = _stage0_operator(2, cfg.L(1))
+    params = NormParams(cfg.sigmas()[1], cfg.s)
+    exact = exact_inverse_norm(op, params)
+    value = op.inverse_norm(params)
+    blocks, wg = op._partition(), weight_grid(op, params)
+    ends = op._upper_end(wg, blocks)[2]
+    order = np.argsort(ends)
+    assert len(blocks) == 8 and op.krylov_block == len(blocks[order[-1]])
+    assert abs(value - exact) <= 1e-14 * exact and ends[order[-2]] <= value
+    q = np.where(op.lattice.mask, 1.0, 0.0)
+    reverse = [op._krylov(blocks[k], q, wg)[0] for k in order]
+    assert abs(max(reverse) - exact) <= 1e-14 * exact
+    assert reverse[0] < 0.9 * exact
 
 
 @pytest.mark.parametrize("state", ["m2", "m3", "static", "dv"])
-def test_krylov_steps_inside_each_block_give_its_norm(monkeypatch, state):
-    # a start on one block alone, without the uniform part, keeps the steps
-    # in that block: the restricted apply and Neumann solves give its norm,
-    # on classes mod step (m = 2, 3), on each l alone when only S_0 is live
-    # (static) and on cells that M2 joins (dv)
+def test_krylov_steps_inside_each_block_give_its_norm(state):
+    # the one-block Krylov loop from a start on its block: the restricted
+    # apply and Neumann solves give its norm, on classes mod step (m = 2, 3),
+    # on each l alone when only S_0 is live (static) and on cells that M2
+    # joins (dv)
     if state == "static":
         u = np.zeros((1, 5))
         u[0, [0, 2]] = 0.3, 0.1
@@ -571,18 +613,20 @@ def test_krylov_steps_inside_each_block_give_its_norm(monkeypatch, state):
         op = dataclasses.replace(op, dv_matrix=dv)
     else:
         op = _stage0_operator(int(state[1]), 16)
-    monkeypatch.setattr(linearized, "_WARM_UNIFORM", 0.0)
+    op.factorize()
+    wg = weight_grid(op, P)
     for idx in op._partition():
         block = exact_inverse_norm(op, P, [idx])
         start = np.zeros(op.lattice.mask.shape)
         start[op.lattice.ells[idx], op.lattice.js[idx]] = 1.0
-        value = op.inverse_norm(P, start=start)
-        assert op.krylov_block == len(idx) and abs(value - block) <= 1e-14 * block
-        assert np.all(op.top_vector[~start.astype(bool)] == 0.0)
+        op.power_steps = 0
+        value, top = op._krylov(idx, start, wg)
+        assert 1 <= op.power_steps <= len(idx) and abs(value - block) <= 1e-14 * block
+        assert np.all(top[~start.astype(bool)] == 0.0)
 
 
 @pytest.mark.parametrize("L", [3, 6])
-def test_block_krylov_on_a_coarse_partition(monkeypatch, L):
+def test_block_krylov_on_a_coarse_partition(L):
     # m = 2 at J = 4 on the kernel alone: `_partition` joins two one-by-one
     # components into one block (8 blocks against 9), which B leaves
     # invariant all the same
@@ -596,12 +640,11 @@ def test_block_krylov_on_a_coarse_partition(monkeypatch, L):
     op.inverse_norm(P)
     value = op.inverse_norm(P, start=op.top_vector)
     assert abs(value - exact) <= 1e-15 * exact
-    # the steps run inside the coarse block when the start holds only it
+    # the one-block loop inside the coarse block gives its norm
     start = np.zeros(op.lattice.mask.shape)
     start[op.lattice.ells[coarse[0]], op.lattice.js[coarse[0]]] = 1.0
-    monkeypatch.setattr(linearized, "_WARM_UNIFORM", 0.0)
-    value = op.inverse_norm(P, start=start)
-    assert op.krylov_block == 2 and abs(value - inside) <= 1e-15 * inside
+    value = op._krylov(coarse[0], start, weight_grid(op, P))[0]
+    assert abs(value - inside) <= 1e-15 * inside
 
 
 def test_assembly_forms_square_and_stack_once(rng, monkeypatch):
@@ -898,14 +941,19 @@ def test_majorant_apply_and_its_transpose_match_the_dense_majorant(rng, state):
 @pytest.mark.parametrize("state", _MAJORANT_STATES)
 def test_upper_end_matches_its_dense_form(rng, state):
     # the Schur bound of the first K Neumann terms with s_K <= 1/2, formed
-    # densely from the same majorant, and it bounds the exact norm
+    # densely from the same majorant, and it bounds the exact norm; so does
+    # each block's, from the row and column sums restricted to the block
     op = _majorant_operator(rng, state)
+    blocks = op._partition()
     for params in (P, NormParams(0.7, 1.0)):
         op.inverse_norm(params)
         upper, terms, _ = dense_upper_end(op, params)
         assert op.upper_terms == terms >= 1
         assert abs(op.upper - upper * linearized._UPPER_MARGIN) <= 1e-12 * upper
         assert exact_inverse_norm(op, params) <= op.upper
+        ends = op._upper_end(weight_grid(op, params), blocks)[2]
+        assert len(ends) == len(blocks) and ends.max() <= op.upper
+        assert all(exact_inverse_norm(op, params, [b]) <= end for b, end in zip(blocks, ends))
 
 
 def test_upper_end_is_infinite_when_no_term_count_qualifies(monkeypatch):
@@ -918,7 +966,12 @@ def test_upper_end_is_infinite_when_no_term_count_qualifies(monkeypatch):
     assert op.upper_terms == 3 and np.isfinite(op.upper)
     monkeypatch.setattr(linearized, "_MAX_TERMS", 2)
     value = op.inverse_norm(params)
-    assert op.upper_terms == 0 and op.upper == np.inf and np.isfinite(value)
+    assert op.upper_terms == 0 and op.upper == np.inf
+    # no block's upper end rules it out, so every block runs
+    blocks = op._partition()
+    assert np.all(op._upper_end(weight_grid(op, params), blocks)[2] == np.inf)
+    exact = exact_inverse_norm(op, params)
+    assert abs(value - exact) <= 1e-14 * exact
 
 
 def test_inverse_norm_names_sigma_L_beyond_the_double_range():
