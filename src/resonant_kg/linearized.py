@@ -13,16 +13,19 @@ mean b0 and the oscillating part gives the diagonal family
     D_l = omega^2 l^2 - A - eps pi_l (b0 .) pi_l
 
 and Lop = D - eps M.  The operator is never formed: its apply reads the
-product by b from the S_d stack of b (one GEMM per chunk of d) and the
-kernel correction from the thin dv_matrix, and `solve` runs the Neumann
-iteration x <- x + D^-1 (b - Lop x) on the per-l blocks of D (only D^-1
-is kept), which contracts by about 3e-3 per sweep on the solution branches
+product by b from the S_d stack of b (one GEMM per chunk of d, in buffers
+built once per solve) and the kernel correction from the thin dv_matrix.
+Lop is block diagonal under the decoupled blocks (6 to 10 on a branch),
+which the symmetry of the S_d support and of dv_matrix gives before any
+entry is gathered.  `solve` runs the Neumann iteration
+x <- x + D^-1 (b - Lop x) (only D^-1 of the per-l blocks of D is kept) on
+each block where b is nonzero, as the solution is exactly zero on the
+others; a Picard right-hand side fills one block, 6 to 17% of the unknowns.
+The iteration contracts by about 3e-3 per sweep on the solution branches
 and stops componentwise, so coefficients far below the largest keep their
-value.  The weighted inverse B = W Lop^-1 W^-1, W the field norm's weights
-(read in log space and centred, so finite at L = 1024), is block diagonal
-under the decoupled blocks (6 to 10 on a branch), which the symmetry of the
-S_d support and of dv_matrix gives before any entry is gathered.  Its norm
-is bracketed, at every size, by two ends (exact at eps = 0).  The upper end
+value.  The norm of the weighted inverse B = W Lop^-1 W^-1, W the field
+norm's weights (read in log space and centred, so finite at L = 1024), is
+bracketed, at every size, by two ends (exact at eps = 0).  The upper end
 is a Schur test on an entrywise majorant of the Neumann series of D^-1 M,
 applied by the same fold on |S_d|, |dv| and the |D_l^-1| blocks: an upper
 bound up to the rounding of D^-1 itself, on B and on each block.  The lower
@@ -53,6 +56,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -103,13 +107,12 @@ class ResonantSolveError(RuntimeError):
     """A block of D is singular, or the Neumann iteration does not settle."""
 
 
-# Where the apply and the Neumann solve run, the lattice or one decoupled block:
+# Where the fold runs, the lattice (`_whole`) or one decoupled block (`_cells`):
 # x on the grid rows x cols[:nx] (nx = x.shape[1], the modes <= J), and h on all
 # rows and the modes cols, whose product by b computes the rows first + stride k
 # of each of parts against `stacked`, the S_d on cols x cols; dv fills h at the
-# kernel slots (row, index into cols), and inverse is D^-1 on the x grid (None:
-# `factorize`'s).
-_Cells = namedtuple("_Cells", "rows parts cols slots dv symbol mask stacked inverse")
+# kernel slots (row, index into cols).
+_Cells = namedtuple("_Cells", "rows parts cols slots dv symbol mask stacked")
 
 
 @dataclass(frozen=True)
@@ -163,7 +166,8 @@ class LinearizedOperator:
     u = v(w) + w is the state, q = u^2, and stack the S_d matrices of the
     potential b = 3 q (mult_matrix_stack); dv_matrix maps lattice
     coefficients to the kernel derivative.  The counter `sweeps` holds the
-    Neumann sweeps run on this operator.  The last `inverse_norm` leaves
+    Neumann sweeps run on this operator, and `solved` marks the unknowns of
+    the blocks that `solve` ran on.  The last `inverse_norm` leaves
     the Krylov steps (forward solves) of its lower end, summed over the
     blocks that ran, in `power_steps` (0 at eps = 0) and the unknowns of the
     block of the estimate in `krylov_block`, its upper end in `upper` and
@@ -183,7 +187,8 @@ class LinearizedOperator:
         self.sweeps = 0
         self.power_steps = self.krylov_block = self.upper_terms = 0
         self.upper, self.top_vector = np.inf, None
-        self._inverse = None
+        self.solved = np.zeros(self.lattice.size, dtype=bool)
+        self._inverse, self._block_cells = None, {}
         L, J = self.L, self.J
         n_k, size = self.dv_matrix.shape[0], self.stack.shape[1]
         # the product by b is taken on rows l <= L and on the kernel slots
@@ -206,7 +211,7 @@ class LinearizedOperator:
         dv_grid = np.zeros((n_k, (L + 1) * (J + 1)))
         dv_grid[:, self.lattice.ells * (J + 1) + self.lattice.js] = self.dv_matrix
         self._whole = _Cells(slice(0, L + 1), ((0, 1),), np.arange(size), self._kernel_slots,
-                             dv_grid, self._symbol, self.lattice.mask, self._stacked, None)
+                             dv_grid, self._symbol, self.lattice.mask, self._stacked)
 
     @property
     def L(self) -> int:
@@ -260,8 +265,8 @@ class LinearizedOperator:
             self._inverse = inverse
         return self._inverse
 
-    def _product(self, h: np.ndarray, cells, centre: np.ndarray | None = None) -> np.ndarray:
-        """Product by b on stored coefficients h (rows l, columns cells.cols of the stack).
+    def _product(self, cells):
+        """The product by b on stored coefficients h (rows l, columns cells.cols of the stack).
 
         Stored row l' stands for the frequencies +l' and -l', so
         out[l] = sum_d S_d g_d[l] with g_0 = h (or `centre`) and
@@ -270,48 +275,55 @@ class LinearizedOperator:
         chunk of the live d are read through two strided views of hz, at
         l + d and through the mirror at |l - d|; each chunk is then one GEMM
         against the stacked S_d.  Only the rows first + stride k of each of
-        `cells.parts` are computed.
+        `cells.parts` are computed.  hz, the views, g and out are built here,
+        once per Neumann solve or `_upper_end`: the returned
+        product(h, centre=None) refills them, and the next call overwrites out.
         """
-        rows, size = h.shape
+        rows, size = self._rows, len(cells.cols)
         count = len(cells.stacked) // size
         step, chunk = self._step, max(1, _FOLD_CHUNK_BYTES // (8 * rows * size))
-        hz = np.zeros((2 * rows + step * count, size))
-        hz[: 2 * rows - 1] = h[np.abs(np.arange(1 - rows, rows))]
-        down, item = hz.strides
-        out = np.zeros_like(h)
+        hz, out = np.zeros((2 * rows + step * count, size)), np.zeros((rows, size))
+        mirror, (down, item) = np.abs(np.arange(1 - rows, rows)), hz.strides
+        operand, image, plan = np.empty(rows * min(chunk, count) * size), np.empty(out.size), []
         for first, stride in cells.parts:
             part = out[first::stride]  # a view: the GEMMs accumulate into out
             for i0 in range(0, count, chunk):
-                width = min(chunk, count - i0)
-                shape = (len(part), width, size)
-                g = np.add(as_strided(hz[rows - 1 - first + step * i0], shape,
-                                      (-stride * down, step * down, item), writeable=False),
-                           as_strided(hz[rows - 1 + first + step * i0], shape,
-                                      (stride * down, step * down, item), writeable=False),
-                           out=np.empty(shape))  # C order, so the reshape below is a view
-                if i0 == 0:
-                    g[:, 0] = (h if centre is None else centre)[first::stride]
-                part += g.reshape(len(part), width * size) @ \
-                    cells.stacked[i0 * size : (i0 + width) * size]
-        return out
+                shape = (len(part), min(chunk, count - i0), size)
+                g = operand[: np.prod(shape)].reshape(shape)  # C order, so g.reshape is a view
+                plan.append((part, *(as_strided(hz[rows - 1 + s * first + step * i0], shape,
+                                                (s * stride * down, step * down, item),
+                                                writeable=False) for s in (-1, 1)),
+                             g, g.reshape(len(part), -1), image[: part.size].reshape(part.shape),
+                             cells.stacked[i0 * size : (i0 + shape[1]) * size],
+                             np.s_[first::stride] if i0 == 0 else None))
 
-    def _apply(self, x: np.ndarray, cells=None) -> np.ndarray:
-        """Lop x for x on the lattice grid (or on `cells`): the one apply, for both orientations.
+        def product(h, centre=None):
+            np.take(h, mirror, axis=0, out=hz[: 2 * rows - 1], mode="clip")  # in range: no buffer
+            out.fill(0.0)
+            for part, low, high, g, flat, gemm, stacked, lead in plan:
+                np.add(low, high, out=g)
+                if lead is not None:
+                    g[:, 0] = (h if centre is None else centre)[lead]
+                part += np.matmul(flat, stacked, out=gemm)
+            return out
+        return product
+
+    def _apply(self, x: np.ndarray, cells, product) -> np.ndarray:
+        """Lop x for x on the grid of `cells` by its `_product`: the one apply, both orientations.
 
         Lop is the Hessian of the Lyapunov-Schmidt reduced action at (v(w), w),
         so it is symmetric in the L^2 pairing, which counts stored row l >= 1
         twice (it stands for +l and -l): Lop^T = Mw Lop Mw^-1 with
         Mw = diag(1, 2, 2, ...) on the rows, the kernel correction M2 included.
         """
-        c = cells or self._whole
-        h = np.zeros((self._rows, len(c.cols)))
-        h[c.rows, : x.shape[1]] = x
-        h[c.slots] = 0.5 * (c.dv @ x.ravel())
-        out = c.symbol * x - self.eps * self._product(h, c)[c.rows, : x.shape[1]]
-        out[~c.mask] = 0.0
+        h = np.zeros((self._rows, len(cells.cols)))
+        h[cells.rows, : x.shape[1]] = x
+        h[cells.slots] = 0.5 * (cells.dv @ x.ravel())
+        out = cells.symbol * x - self.eps * product(h)[cells.rows, : x.shape[1]]
+        out[~cells.mask] = 0.0
         return out
 
-    def _majorant(self, x: np.ndarray, cells, transpose: bool) -> np.ndarray:
+    def _majorant(self, x: np.ndarray, cells, transpose: bool, product) -> np.ndarray:
         """|M| x, or |M|^T x, for x >= 0 on the lattice grid, |M| an entrywise majorant of M.
 
         cells is `_whole` on |S_d| and |dv|.  Forward: the fold of x and of
@@ -326,40 +338,39 @@ class LinearizedOperator:
         if transpose:
             mw = np.where(np.arange(L + 1) == 0, 1.0, 2.0)[:, None]
             h[: L + 1, : J + 1] = x / mw
-            out = self._product(h, cells, centre)
+            out = product(h, centre)
             s0 = cells.stacked[: len(cells.cols)]  # the stacked S_d start at d = 0
             out[slots] += np.einsum("kj,jk->k", h[slots[0]], s0[:, slots[1]])
             out = mw * out[: L + 1, : J + 1] + (cells.dv.T @ out[slots]).reshape(L + 1, J + 1)
         else:
             centre[slots] = 0.5 * (cells.dv @ x.ravel())
             h[: L + 1, : J + 1] = x
-            out = self._product(h + centre, cells, centre)[: L + 1, : J + 1]
+            out = product(h + centre, centre)[: L + 1, : J + 1]
         out[~self.lattice.mask] = 0.0
         return out
 
-    def _neumann(self, b: np.ndarray, cells=None) -> np.ndarray:
-        """Solve Lop x = b on the lattice grid (or on `cells`) by x <- x + D^-1 (b - Lop x).
+    def _neumann(self, b: np.ndarray, cells) -> np.ndarray:
+        """Solve Lop x = b on the grid of the block `cells` by x <- x + D^-1 (b - Lop x).
 
         b is scaled by the power of two at its largest entry, which is
         exact.  The sweeps stop when every component moves by less than one
         ulp of itself, or when the largest componentwise-relative update
         stops decreasing at or below _STALL_LEVEL.  A zero b returns zero; a
-        non-finite b or iterate returns at once.  An update that grows above
+        non-finite iterate returns at once.  An update that grows above
         roundoff, or _MAX_SWEEPS sweeps, raise ResonantSolveError.  The
-        caller has run `factorize`.
+        caller has run `factorize`; D^-1 on the grid is its sub-block, as D_l
+        is block diagonal over the mode components.
         """
-        inverse = self._inverse if cells is None else cells.inverse
         peak = float(np.max(np.abs(b)))
         if peak == 0.0:
             return np.zeros_like(b)
-        if not np.isfinite(peak):
-            return np.full_like(b, np.nan)
+        xc = cells.cols[: b.shape[1]]
+        inverse = self._inverse[np.ix_(cells.rows, xc, xc)]
         scale = np.ldexp(1.0, np.frexp(peak)[1])
-        b = b / scale
-        x = np.zeros_like(b)
+        b, x, product = b / scale, np.zeros_like(b), self._product(cells)
         prev_rel = prev_top = np.inf
         for sweep in range(1, _MAX_SWEEPS + 1):
-            r = b - self._apply(x, cells) if sweep > 1 else b
+            r = b - self._apply(x, cells, product) if sweep > 1 else b
             dx = (inverse @ r[:, :, None])[:, :, 0]
             x = x + dx
             self.sweeps += 1
@@ -383,11 +394,33 @@ class LinearizedOperator:
                                  f"by sweep {_MAX_SWEEPS}")
 
     def solve(self, rhs: CoeffField) -> CoeffField:
-        """Lop^-1 rhs by the Neumann iteration of the splitting D - eps M."""
+        """Lop^-1 rhs by the Neumann iteration of the splitting D - eps M, block by block.
+
+        Lop is block diagonal under `_partition`, so `_neumann` runs only on
+        the blocks where rhs has a nonzero entry (marked in `solved`): on the
+        others the solution is zero, as `_neumann` returns for a zero rhs.  A
+        non-finite entry anywhere in rhs gives an all-NaN solution.
+        """
         if not self.lattice.in_lattice_support(rhs):
             raise ValueError("right-hand side has support outside the range truncation")
         self.factorize()
-        return CoeffField(self._neumann(self.lattice.to_grid(rhs)))
+        lat, b = self.lattice, self.lattice.to_grid(rhs)
+        if not np.all(np.isfinite(b)):
+            return CoeffField(np.full_like(b, np.nan))
+        x = np.zeros_like(b)
+        for idx in self._blocks:
+            if b[lat.ells[idx], lat.js[idx]].any():
+                cells = self._cells(idx)
+                sub = np.ix_(cells.rows, cells.cols[cells.cols <= self.J])
+                part = self._neumann(np.where(cells.mask, b[sub], 0.0), cells)
+                x[sub] = np.where(cells.mask, part, x[sub])
+                self.solved[idx] = True
+        return CoeffField(x)
+
+    @cached_property
+    def _blocks(self) -> list[np.ndarray]:
+        """`_partition`, once for the Picard solves and `inverse_norm`."""
+        return self._partition()
 
     def _partition(self) -> list[np.ndarray]:
         """Ascending index sets of decoupled blocks of Lop, found without forming it.
@@ -417,14 +450,15 @@ class LinearizedOperator:
         return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
 
     def _cells(self, idx: np.ndarray):
-        """`_Cells` of the decoupled block of lattice points idx (`_partition`).
+        """`_Cells` of the decoupled block of lattice points idx (`_partition`), built once.
 
         Its rows are those of its residues mod step: d runs over multiples of
         step, so a residue reads only itself and its mirror.  Its columns are
-        its modes and the kernel slots that dv_matrix fills from it.  D^-1 on
-        them is the sub-block of `factorize`'s, as D_l is block diagonal over
-        the mode components.
+        its modes and the kernel slots that dv_matrix fills from it.
         """
+        key = idx.tobytes()
+        if key in self._block_cells:
+            return self._block_cells[key]
         lat, step, size = self.lattice, self._step, self.stack.shape[1]
         ells, js = lat.ells[idx], lat.js[idx]
         residue = np.bincount(ells % step, minlength=step) > 0  # np.unique loads numpy.ma
@@ -436,10 +470,11 @@ class LinearizedOperator:
         mask[ells, js] = True
         dv = self._whole.dv[slots[:, None], (rows[:, None] * (self.J + 1) + xc).ravel()]
         stacked = self._stacked.reshape(-1, size, size)[:, cols[:, None], cols]
-        return _Cells(rows, tuple((int(r), step) for r in np.flatnonzero(residue)), cols,
-                      (slots + 1, np.searchsorted(cols, slots)), dv,
-                      self._symbol[np.ix_(rows, xc)], mask[np.ix_(rows, xc)],
-                      stacked.reshape(-1, len(cols)), self._inverse[np.ix_(rows, xc, xc)])
+        cells = self._block_cells[key] = _Cells(
+            rows, tuple((int(r), step) for r in np.flatnonzero(residue)), cols,
+            (slots + 1, np.searchsorted(cols, slots)), dv, self._symbol[np.ix_(rows, xc)],
+            mask[np.ix_(rows, xc)], stacked.reshape(-1, len(cols)))
+        return cells
 
     def _upper_end(self, wg: np.ndarray, blocks: list[np.ndarray]):
         """Upper bounds on ||B|| and each block's from the paper's splitting, and their K.
@@ -460,21 +495,21 @@ class LinearizedOperator:
         stacked[(stacked > 0.0) & (stacked < tiny)] = tiny  # which `_stacked` flushes to 0
         cells = self._whole._replace(stacked=stacked.reshape(-1, stacked.shape[-1]),
                                      dv=np.abs(self._whole.dv))
-        dinv = np.abs(self._inverse)
+        dinv, product = np.abs(self._inverse), self._product(cells)
         dinv = np.maximum(dinv, dinv.transpose(0, 2, 1))
 
         def d(v):
             return (dinv @ v[:, :, None])[:, :, 0]
 
         def a(v):
-            return self.eps * d(self._majorant(v, cells, False))
+            return self.eps * d(self._majorant(v, cells, False, product))
         row_t = np.where(mask, 1.0 / wg, 0.0)                # A^k W^-1 1
         row_p, col = d(row_t), np.where(mask, wg, 0.0)       # A^k |D^-1| W^-1 1, (A^T)^k W 1
         sum_rows = sum_cols = 0.0
         for k in range(1, _MAX_TERMS + 1):
             col_p = d(col)
             sum_rows, sum_cols = sum_rows + row_p, sum_cols + col_p
-            row_t, col = a(row_t), self.eps * self._majorant(col_p, cells, True)
+            row_t, col = a(row_t), self.eps * self._majorant(col_p, cells, True, product)
             s = np.sqrt((wg * row_t).max() * (col / wg).max())
             if s <= 0.5:
                 r, c = (wg * sum_rows)[mask], (sum_cols / wg)[mask]  # zero off the lattice
@@ -569,7 +604,7 @@ class LinearizedOperator:
             self.upper, self.upper_terms = top, 1
             self.top_vector[lat.ells[k], lat.js[k]] = 1.0
             return top
-        blocks = self._partition()
+        blocks = self._blocks
         self.upper, self.upper_terms, ends = self._upper_end(wg, blocks)
         if start is None:  # the top right singular vector of W D^-1 W^-1, which is B at eps = 0
             dw = wg[:, :, None] * self._inverse / wg[:, None, :]

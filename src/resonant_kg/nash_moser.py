@@ -381,16 +381,16 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig,
         div_margin = float(np.min(table.alpha / table.floor))
     t_table = time.perf_counter() - t_table
     stats = dict(stage=n + 1, L_n=L_next, unknowns=op.lattice.size,
-                 picard_iters=facts["picard_iters"], picard_sweeps=picard_sweeps,
-                 norm_sweeps=op.sweeps - picard_sweeps, power_steps=op.power_steps,
-                 krylov_block=op.krylov_block, upper_terms=op.upper_terms,
-                 assembly_s=t_assembled - t_start, picard_s=t_picard,
+                 picard_iters=facts["picard_iters"], picard_unknowns=int(op.solved.sum()),
+                 picard_sweeps=picard_sweeps, norm_sweeps=op.sweeps - picard_sweeps,
+                 power_steps=op.power_steps, krylov_block=op.krylov_block,
+                 upper_terms=op.upper_terms, assembly_s=t_assembled - t_start, picard_s=t_picard,
                  inverse_norm_s=t_norm, divisor_table_s=t_table,
                  peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
     log.info("stage %(stage)d L_n=%(L_n)d unknowns=%(unknowns)d picard_iters=%(picard_iters)d "
-             "neumann_sweeps=%(picard_sweeps)d+%(norm_sweeps)d power_steps=%(power_steps)d "
-             "krylov_block=%(krylov_block)d upper_terms=%(upper_terms)d "
-             "assembly_s=%(assembly_s).3f picard_s=%(picard_s).3f "
+             "picard_unknowns=%(picard_unknowns)d neumann_sweeps=%(picard_sweeps)d+%(norm_sweeps)d "
+             "power_steps=%(power_steps)d krylov_block=%(krylov_block)d "
+             "upper_terms=%(upper_terms)d assembly_s=%(assembly_s).3f picard_s=%(picard_s).3f "
              "inverse_norm_s=%(inverse_norm_s).3f divisor_table_s=%(divisor_table_s).3f "
              "peak_rss_mb=%(peak_rss_mb).1f", stats)
 

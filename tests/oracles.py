@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import as_strided
 
 from resonant_kg import linearized
 from resonant_kg.bifurcation import (KernelField, _check_in_range, _kernel_jacobian,
@@ -53,6 +54,38 @@ def gather(op, idx: np.ndarray) -> np.ndarray:
 def dense_matrix(op) -> np.ndarray:
     """The dense n x n matrix of Lop on the lattice: the block gather over the whole lattice."""
     return gather(op, np.arange(op.lattice.size))
+
+
+def fold_product(op, h: np.ndarray, cells, centre: np.ndarray | None = None) -> np.ndarray:
+    """The product by b of `LinearizedOperator._product`, with every operand allocated per call.
+
+    out[l] = sum_d S_d g_d[l], g_0 = h (or `centre`) and
+    g_d[l] = h[|l - d|] + h[l + d], by the same chunks of d, strided views of
+    the mirrored copy hz and GEMMs, in the same order: the fold that
+    `_product`'s buffers, built once per solve, replace.
+    """
+    rows, size = h.shape
+    count = len(cells.stacked) // size
+    step, chunk = op._step, max(1, linearized._FOLD_CHUNK_BYTES // (8 * rows * size))
+    hz = np.zeros((2 * rows + step * count, size))
+    hz[: 2 * rows - 1] = h[np.abs(np.arange(1 - rows, rows))]
+    down, item = hz.strides
+    out = np.zeros_like(h)
+    for first, stride in cells.parts:
+        part = out[first::stride]
+        for i0 in range(0, count, chunk):
+            width = min(chunk, count - i0)
+            shape = (len(part), width, size)
+            g = np.add(as_strided(hz[rows - 1 - first + step * i0], shape,
+                                  (-stride * down, step * down, item), writeable=False),
+                       as_strided(hz[rows - 1 + first + step * i0], shape,
+                                  (stride * down, step * down, item), writeable=False),
+                       out=np.empty(shape))
+            if i0 == 0:
+                g[:, 0] = (h if centre is None else centre)[first::stride]
+            part += g.reshape(len(part), width * size) @ \
+                cells.stacked[i0 * size : (i0 + width) * size]
+    return out
 
 
 def weighted_inverse_norm(a: np.ndarray, w: np.ndarray) -> float:
@@ -434,7 +467,7 @@ def to_field(lattice, vec: np.ndarray) -> CoeffField:
 
 def apply_operator(op, f: CoeffField) -> CoeffField:
     """Lop f on the lattice through the operator's one apply; entries of f off it are ignored."""
-    return CoeffField(op._apply(op.lattice.to_grid(f)))
+    return CoeffField(op._apply(op.lattice.to_grid(f), op._whole, op._product(op._whole)))
 
 
 def trace_from_jsonl(path) -> SolveTrace:

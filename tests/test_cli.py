@@ -180,8 +180,9 @@ def test_solve_verbose_logs_one_line_per_stage(tmp_path, capsys):
     assert [line.split(" L_n=")[0] for line in lines] == ["stage 1", "stage 2"]
     for line, L_n in zip(lines, (16, 32)):
         assert f"L_n={L_n} unknowns=" in line
-        for key in ("picard_iters=", "neumann_sweeps=", "power_steps=", "krylov_block=",
-                    "assembly_s=", "picard_s=", "inverse_norm_s=", "divisor_table_s="):
+        for key in ("picard_iters=", "picard_unknowns=", "neumann_sweeps=", "power_steps=",
+                    "krylov_block=", "assembly_s=", "picard_s=", "inverse_norm_s=",
+                    "divisor_table_s="):
             assert key in line
         # one Neumann term bounds the inverse norm of m = 0 from above
         assert " upper_terms=1 " in line
@@ -216,8 +217,8 @@ def test_solve_manifest_records_every_stage(tmp_path, capsys):
     assert main(args + ["--out", str(tmp_path / "loud"), "--verbose"]) == 0
     lines = capsys.readouterr().err.splitlines()
     stages = json.loads((tmp_path / "quiet" / "manifest.json").read_text())["stages"]
-    counts = ("L_n", "unknowns", "picard_iters", "power_steps", "krylov_block",
-              "upper_terms")
+    counts = ("L_n", "unknowns", "picard_iters", "picard_unknowns", "power_steps",
+              "krylov_block", "upper_terms")
     seconds = ("assembly_s", "picard_s", "inverse_norm_s", "divisor_table_s")
     assert [s["stage"] for s in stages] == [1, 2, 3, 4]
     for stage, line in zip(stages, lines):
@@ -232,6 +233,8 @@ def test_solve_manifest_records_every_stage(tmp_path, capsys):
     # the block of the estimate holds a part of each lattice, stage 1's too;
     # two Neumann terms bound every stage's norm from above
     assert [s["krylov_block"] for s in stages] == [50, 90, 170, 330]
+    # the Picard solves run on the one block of their right-hand side
+    assert [s["picard_unknowns"] for s in stages] == [32, 67, 139, 283]
     assert [s["upper_terms"] for s in stages] == [2] * 4
     # the process high-water mark: positive and never lower at a later stage
     peaks = [s["peak_rss_mb"] for s in stages]
@@ -239,6 +242,7 @@ def test_solve_manifest_records_every_stage(tmp_path, capsys):
     assert all(" peak_rss_mb=" in line for line in lines[:4])
     assert (tmp_path / "loud" / "trace.jsonl").read_bytes() == \
         (tmp_path / "quiet" / "trace.jsonl").read_bytes()
+    assert "picard_unknowns" not in (tmp_path / "quiet" / "trace.jsonl").read_text()
 
 
 def test_measure_command(tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from resonant_kg.spherical_basis import mean_integral
 from conftest import evaluate_profile, from_mode, profile_norm, random_field
 from oracles import (apply_operator, bands, block_inverse_norm, block_matrix, dense_block,
                      dense_matrix, dense_upper_end, diagonal_blocks, exact_inverse_norm,
-                     gather, matrix_element, pairwise_divisor_constant, potential_parts,
-                     preconditioned_split_check, refined_eigenvalues, small_divisors,
-                     sobolev_embedding_constant, split_diagonal, to_field,
+                     fold_product, gather, matrix_element, pairwise_divisor_constant,
+                     potential_parts, preconditioned_split_check, refined_eigenvalues,
+                     small_divisors, sobolev_embedding_constant, split_diagonal, to_field,
                      weight_grid, weighted_inverse_norm)
 
 P = NormParams(0.4, 1.0, 2.0)
@@ -869,6 +870,62 @@ def test_neumann_solve_edge_cases(rng, monkeypatch):
         op.solve(rhs)
 
 
+def test_non_finite_rhs_gives_nan_on_every_block(rng):
+    # the multi-block form of the NaN case of test_neumann_solve_edge_cases:
+    # a NaN or inf in one block of the right-hand side leaves no block of the
+    # solution finite, and no block runs a sweep
+    op = _stage0_operator(1, 16)
+    lat, blocks = op.lattice, op._partition()
+    assert len(blocks) == 6
+    for value in (np.nan, np.inf):
+        b = rng.standard_normal(lat.size)
+        b[blocks[0][0]] = value
+        sweeps = op.sweeps
+        assert np.all(np.isnan(op.solve(to_field(lat, b)).u))
+        assert op.sweeps == sweeps and not op.solved.any()
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_block_solve_matches_lu_and_skips_the_zero_blocks(rng, monkeypatch, m):
+    # stage 1 of each branch: a random right-hand side over every block and
+    # the stage's own Picard right-hand side, which fills one block, solve as
+    # with the dense LU; the blocks where the right-hand side is zero come
+    # back as exact zeros and add no sweep
+    from resonant_kg.nash_moser import SolverConfig, run
+    real, seen = linearized.LinearizedOperator.solve, []
+
+    def solve(op, rhs):
+        seen.append((op, rhs))
+        return real(op, rhs)
+    monkeypatch.setattr(linearized.LinearizedOperator, "solve", solve)
+    run(SolverConfig(eps=2e-3, m=m, n_max=1))
+    monkeypatch.undo()
+    op, picard = seen[0]
+    lat, blocks = op.lattice, op._partition()
+    # the Picard solves ran on the block of their right-hand side alone
+    ran = [idx for idx in blocks if lat.to_vector(picard)[idx].any()]
+    assert len(ran) == 1 and np.array_equal(np.flatnonzero(op.solved), ran[0])
+    lu = scipy.linalg.lu_factor(dense_matrix(op))
+    for rhs in (to_field(lat, rng.standard_normal(lat.size)), picard):
+        b = lat.to_vector(rhs)
+        filled = [idx for idx in blocks if b[idx].any()]
+        assert len(filled) == (1 if rhs is picard else len(blocks))
+        want, sweeps = scipy.linalg.lu_solve(lu, b), op.sweeps
+        got = op.solve(rhs)
+        assert (got - to_field(lat, want)).norm(P) <= 1e-14 * to_field(lat, want).norm(P)
+        used, got = op.sweeps - sweeps, lat.to_vector(got)
+        for idx in blocks:
+            if not b[idx].any():
+                assert np.all(got[idx] == 0.0)
+        # the sweeps are those of the filled blocks, each solved alone
+        alone = op.sweeps
+        for idx in filled:
+            part = np.zeros_like(b)
+            part[idx] = b[idx]
+            op.solve(to_field(lat, part))
+        assert used == op.sweeps - alone
+
+
 def test_run_inverts_only_the_blocks_of_d(monkeypatch):
     # the certificate forms no dense matrix: every array that a run passes to
     # np.linalg.inv is the stack of the J x J blocks D_l that `factorize` inverts
@@ -932,10 +989,62 @@ def test_majorant_apply_and_its_transpose_match_the_dense_majorant(rng, state):
     for transpose in (False, True):
         x = np.zeros(lat.mask.shape)
         x[lat.ells, lat.js] = rng.random(lat.size)
-        got = op._majorant(x, cells, transpose)
+        got = op._majorant(x, cells, transpose, op._product(cells))
         want = (mabs.T if transpose else mabs) @ x[lat.ells, lat.js]
         assert np.all(got[~lat.mask] == 0.0)
         assert np.abs(got[lat.ells, lat.js] - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("state", _MAJORANT_STATES)
+def test_fold_buffers_give_the_per_call_fold_bit_for_bit(rng, state):
+    # `_product` builds its buffers once per solve; each call refills them
+    # and gives the bits of the per-call fold, on the lattice, on every block,
+    # on the |S_d| cells of the upper end, with and without a centre
+    op = _majorant_operator(rng, state)
+    stacked = np.abs(op.stack[op._fold]).reshape(-1, op.stack.shape[1])
+    majorant = op._whole._replace(stacked=stacked, dv=np.abs(op._whole.dv))
+    for cells in (op._whole, majorant, *map(op._cells, op._partition())):
+        product = op._product(cells)
+        for _ in range(2):  # the second call overwrites what the first left
+            h = rng.standard_normal((op._rows, len(cells.cols)))
+            centre = rng.standard_normal(h.shape)
+            assert np.array_equal(product(h), fold_product(op, h, cells))
+            assert np.array_equal(product(h, centre), fold_product(op, h, cells, centre))
+
+
+def test_neumann_solve_builds_its_fold_buffers_once(monkeypatch):
+    # a solve stopped after 3 sweeps and one of over 20 on the same block
+    # build the same strided views and reach the same allocation peak: the
+    # fold allocates nothing per sweep
+    op = _stage0_operator(1, 64)
+    b = np.zeros(op.lattice.size)
+    b[op._partition()[0][0]] = 1.0
+    rhs = to_field(op.lattice, b)
+    op.solve(rhs)  # the factorization and the block's cells, built once
+    real, views = linearized.as_strided, []
+
+    def as_strided(*args, **kwargs):
+        views.append(args[1])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(linearized, "as_strided", as_strided)
+
+    def solve(max_sweeps):
+        monkeypatch.setattr(linearized, "_MAX_SWEEPS", max_sweeps)
+        views.clear()
+        sweeps = op.sweeps
+        tracemalloc.start()
+        try:
+            op.solve(rhs)
+        except ResonantSolveError:  # stopped after max_sweeps
+            pass
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        return op.sweeps - sweeps, len(views), peak
+    few, many = solve(3), solve(100)
+    assert few[0] == 3 and many[0] >= 20
+    assert few[1] == many[1] > 0
+    assert many[2] <= 1.05 * few[2]
 
 
 @pytest.mark.parametrize("state", _MAJORANT_STATES)
