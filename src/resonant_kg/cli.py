@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -232,17 +233,19 @@ def cmd_measure(args) -> int:
         "m": args.m,
         "solve_grid": list(map(float, grid)),
         "mean_values": list(map(float, mvals)),
-        "reports": [],
+        "reports": [replace(r, excluded_intervals=r.excluded_intervals[:0])._payload()
+                    for r in reports],
         "fitted_exponent": fit_excluded_exponent(reports) if len(reports) >= 2 else None,
         "elapsed_s": time.perf_counter() - t0,
     }
-    # json.dump(payload)'s text from the C encoder, one report's lists at a time
-    head, tail = json.dumps(payload, sort_keys=True).split('"reports": []')
+    # json.dump(payload)'s text from the C encoder, one interval column at a time
+    text = json.dumps(payload, sort_keys=True)
     with open(args.out, "w") as fh:
-        fh.write(head + '"reports": [')
-        for k, r in enumerate(reports):
-            fh.write((", " if k else "") + json.dumps(r._payload(), sort_keys=True))
-        fh.write("]" + tail)
+        for iv in (r.excluded_intervals for r in reports):
+            for name in sorted(iv.dtype.names):
+                head, text = text.split(f'"{name}": []', 1)
+                fh.writelines((f'{head}"{name}": ', json.dumps(iv[name].tolist())))
+        fh.write(text)
     fitted = payload["fitted_exponent"]
     print(f"admissible fractions: "
           + ", ".join(f"{r.eta:g}: {r.fraction_interval:.4f}" for r in reports)

@@ -160,10 +160,10 @@ class StageRecord:
     w_norm: float
     stage_residual: float
     picard_iters: int
-    contraction_ratio: float
+    contraction_ratio: float  # last Picard update / the one before; noise once both are roundoff
     kernel_iters: int
-    melnikov_ok: bool
-    melnikov_failures: int
+    melnikov_ok: bool  # always true: run raises MelnikovExcludedError before a failing record
+    melnikov_failures: int  # always 0, for the same reason
     inverse_norm: float
     # an upper bound on the norm that inverse_norm bounds from below
     inverse_norm_upper: float

@@ -13,17 +13,17 @@ time-averaged derivative of the nonlinearity along the solution branch.
 
 The measure scanner estimates how much of (0, eta] the conditions exclude,
 both by an exact union of per-pair excluded intervals and by Monte Carlo
-sampling of the same condition set.  Both scan only the pairs that can bind,
-omega_j - l = d <= floor((sqrt(1 + eta) - 1) l) + 1: threshold plus shift
-stay below 0.4, so a pair with larger d keeps |f| and |g| above 0.6 on
-(0, eta] (see _pair_arrays).  On binding pairs each f is strictly
-monotone in eps with slope >= l/4, so the interval ends are a closed form
-and a contracting fixed-point iteration (contraction (M + eps M')/(omega_j l),
-at most about 1/2).  The Monte Carlo searches each binding pair's
-near-integer window in the sorted samples and evaluates the conditions
-pointwise at the candidates.  It shares f and g (_condition_values) and the
-rule that a pair passes only when both clear the threshold (_fails) with the
-stage check, but no end point, iteration or merge with the union.
+sampling of the same condition set.  Both scan only the pairs that can bind
+(see _pair_arrays), in slices of _CHUNK_PAIRS pairs, so that the temporaries
+of their per-pair arithmetic stay small.  On binding pairs each f is
+strictly monotone in eps with slope >= l/4, so the interval ends are a
+closed form and a contracting fixed-point iteration (see _crossing); they
+are written into one table, which is sorted in place.  The Monte Carlo
+searches each binding pair's near-integer window in the sorted samples and
+evaluates the conditions pointwise at the candidates.  It shares f and g
+(_condition_values) and the rule that a pair passes only when both clear the
+threshold (_fails) with the stage check, but no end point, iteration or
+merge with the union.
 """
 
 from __future__ import annotations
@@ -147,6 +147,7 @@ def check_stage_conditions(eps: float, mean_value: float, params: ResonanceParam
 
 _INTERVAL_DTYPE = np.dtype([("lo", "f8"), ("hi", "f8"), ("ell", "i8"), ("j", "i8")])
 ELL_MAX_FACTOR = 64.0  # measure_scan enumerates the pairs l <= ELL_MAX_FACTOR / eta
+_CHUNK_PAIRS = 8192  # pairs per scan slice; 64 KiB float64 arrays stay below glibc's mmap threshold
 
 
 @dataclass
@@ -162,11 +163,9 @@ class MeasureReport:
     excluded_mass: float
     # structured array of _INTERVAL_DTYPE, ascending in (lo, hi, ell, j)
     excluded_intervals: np.ndarray
-    # gamma * eta^((tau+1)/2): the scale of the paper's upper bound on the
-    # excluded mass.  The sharp mass scales like gamma * eta^tau (each binding
-    # pair removes a width ~ gamma l^(-1-tau), with ~ eta l pairs per l >=
-    # 1/(3 eta)), so implied_constant = excluded_mass / paper_bound_scale
-    # shrinks as eta decreases instead of settling at a constant.
+    # gamma * eta^((tau+1)/2), the scale of the paper's bound on the excluded mass; the
+    # sharp mass scales like gamma * eta^tau (a width ~ gamma l^(-1-tau) per binding pair,
+    # ~ eta l pairs per l >= 1/(3 eta)), so implied_constant shrinks as eta decreases.
     paper_bound_scale: float
     implied_constant: float
     tail_mass_bound: float
@@ -208,8 +207,8 @@ def _crossing(level, ells, wjs, m_of_eps, shifted: bool):
     while the slope is >= l/4.  An iterate is settled when it repeats, or when
     it equals the one two steps back within 4 ulp of 1 + e: a contraction has
     no 2-cycle, so that one is roundoff, and the end that widens the excluded
-    interval (the lower at level < 0, the upper at level > 0) is kept.  A
-    pair not settled in 60 steps raises ValueError."""
+    interval (the lower at level < 0, the upper at level > 0) is kept.  No end
+    depends on the other pairs of the call.  A pair not settled in 60 steps raises ValueError."""
     e = ((wjs + level) / ells) ** 2 - 1.0
     if not shifted:
         return e
@@ -249,55 +248,55 @@ def _excluded_samples(e_samples, ells, wjs, thr, cut, m_of_eps):
     ((n - cut_l)^2 / l^2 - 1, (n + cut_l)^2 / l^2 - 1).  Each window, widened
     by far more than the rounding of either side (a few ulp of 1 + e), is
     found by binary search in the sorted samples; the per-element test then
-    runs on these candidates only.  Visiting the pairs in ascending window
-    start gives both searches (nearly) sorted keys; the mask is set by index.
+    runs on these candidates only.  Visiting the pairs _CHUNK_PAIRS at a time
+    in ascending window start gives both searches (nearly) sorted keys.
     """
     order = np.argsort(e_samples)
     e_sorted = e_samples[order]
     pad = 1e-12 * (1.0 + e_sorted[-1])
-    visit = np.argsort(((wjs - cut) / ells) ** 2)
-    ells, wjs, thr, cut = ells[visit], wjs[visit], thr[visit], cut[visit]
-    first = np.searchsorted(e_sorted, ((wjs - cut) / ells) ** 2 - 1.0 - pad, side="left")
-    stop = np.searchsorted(e_sorted, ((wjs + cut) / ells) ** 2 - 1.0 + pad, side="right")
-    pair, pos = _expand(first, stop - first)
-    e, ell = e_sorted[pos], ells[pair]
-    plain, shifted = _condition_values(e, ell, wjs[pair], np.asarray(m_of_eps(e)))
-    bad = _fails(plain, shifted, thr[pair], strict=False)
-    bad &= (np.abs(plain) < cut[pair]) & (ell >= 1.0 / (3.0 * e))
     excluded = np.zeros(len(e_samples), dtype=bool)
-    excluded[order[pos[bad]]] = True
+    visit = np.argsort(((wjs - cut) / ells) ** 2)
+    for start in range(0, len(visit), _CHUNK_PAIRS):
+        el, wj, t, c = (a[visit[start:start + _CHUNK_PAIRS]] for a in (ells, wjs, thr, cut))
+        first = np.searchsorted(e_sorted, ((wj - c) / el) ** 2 - 1.0 - pad, side="left")
+        stop = np.searchsorted(e_sorted, ((wj + c) / el) ** 2 - 1.0 + pad, side="right")
+        pair, pos = _expand(first, stop - first)
+        e, ell = e_sorted[pos], el[pair]
+        plain, shifted = _condition_values(e, ell, wj[pair], np.asarray(m_of_eps(e)))
+        bad = _fails(plain, shifted, t[pair], strict=False)
+        bad &= (np.abs(plain) < c[pair]) & (ell >= 1.0 / (3.0 * e))
+        excluded[order[pos[bad]]] = True
     return excluded
 
 
-def _family_intervals(eta, ells, wjs, thr, m_of_eps, shifted: bool):
-    """(left, right, ell, wj) of one family's nonempty excluded intervals: per
-    pair, where in [1/(3l), eta] the condition value lies in (-thr, thr)."""
+def _family_intervals(rows, eta, ells, wjs, thr, m_of_eps, shifted: bool) -> int:
+    """Write one family's nonempty excluded intervals (per pair, where in [1/(3l), eta]
+    the condition value lies in (-thr, thr)) to the first rows; return their count."""
     lo, hi = 1.0 / (3.0 * ells), np.full_like(ells, eta)
     flo, fhi = (_condition_values(e, ells, wjs, m_of_eps(e))[shifted] for e in (lo, hi))
     active = (flo < thr) & (fhi > -thr)
-    a_lo, a_hi, t = lo[active], hi[active], thr[active]
-    a_ells, a_wjs = ells[active], wjs[active]
+    a_lo, a_hi, t, a_ells, a_wjs = (a[active] for a in (lo, hi, thr, ells, wjs))
     left, right = a_lo.copy(), a_hi.copy()
     # only the ends inside [1/(3l), eta] are solved for; clip their roundoff
     for end, inside, level in ((left, flo[active] < -t, -t), (right, fhi[active] > t, t)):
         end[inside] = np.clip(_crossing(level[inside], a_ells[inside], a_wjs[inside],
                                         m_of_eps, shifted), a_lo[inside], a_hi[inside])
-    good = right > left
-    return left[good], right[good], a_ells[good], a_wjs[good]
+    rows = rows[:np.count_nonzero(good := right > left)]
+    for name, column in zip(_INTERVAL_DTYPE.names, (left, right, a_ells, a_wjs - 1.0)):
+        rows[name] = column[good]
+    return len(rows)
 
 
-def _interval_table(families):
-    """The families' intervals in one _INTERVAL_DTYPE array, ascending in (lo, hi, ell, j)."""
-    left, right, el, wj = (np.concatenate(c) for c in zip(*families))
+def _sorted_in_place(intervals):
+    """An _INTERVAL_DTYPE array, sorted in place ascending in (lo, hi, ell, j)."""
     # the union needs ascending lo; only runs of equal lo are re-sorted by (hi, ell, j)
-    order = np.argsort(left)
-    same = left[order][1:] == left[order][:-1]
+    order = np.argsort(intervals["lo"])
+    same = np.diff(intervals["lo"][order]) == 0.0
     tie = np.r_[same, False] | np.r_[False, same]
     run = order[tie]
-    order[tie] = run[np.lexsort((wj[run], el[run], right[run], left[run]))]
-    intervals = np.empty(len(order), dtype=_INTERVAL_DTYPE)
-    intervals["lo"], intervals["hi"] = left[order], right[order]
-    intervals["ell"], intervals["j"] = el[order], wj[order] - 1
+    order[tie] = run[np.lexsort(tuple(intervals[name][run] for name in ("j", "ell", "hi", "lo")))]
+    for name in _INTERVAL_DTYPE.names:  # one column-sized temporary at a time
+        intervals[name] = intervals[name][order]
     return intervals
 
 
@@ -310,8 +309,8 @@ def measure_scan(eta: float, samples: int, params: ResonanceParams, m_of_eps,
 
     (a) the exact union of per-pair excluded intervals (a structured array),
         whose ends are a closed form and a contracting fixed-point iteration
-        (see _crossing; premise slope >= l/4, else ValueError); each family's
-        pass keeps only its intervals, which die once joined into the table;
+        (see _crossing; premise slope >= l/4, else ValueError), written
+        slice by slice into one table of 2 n_pairs rows and sorted in place;
     (b) Monte Carlo over uniform samples of the same condition set, found
         by a window search (see _excluded_samples) and evaluated pointwise;
         it shares with (a) the pairs and the evaluator of f and g, but no end
@@ -332,25 +331,24 @@ def measure_scan(eta: float, samples: int, params: ResonanceParams, m_of_eps,
                          "no pair to scan")
     wjs = ells + ds
     thr = 2.0 * gamma / (ells + wjs) ** tau
-    # Only the integer nearest omega(eps) l can violate either condition: cut
-    # bounds threshold plus Melnikov shift, and while it stays far below 1/2
-    # farther integers are safe.
+    # cut bounds threshold plus Melnikov shift; while it stays far below 1/2 only
+    # the integer nearest omega(eps) l can violate either condition
     shift_cap = eta * float(np.max(np.abs(m_of_eps(np.linspace(0, eta, 64)))) + 1.0)
     cut = 2.0 * gamma / (2.0 * ells) ** tau + shift_cap / (2.0 * ells)
     if not cut.max() < 0.4:  # also catches a non-finite mean curve
         raise ValueError("threshold + shift too close to 1/2 or not finite: "
                          "nearest-integer reduction invalid at these parameters")
 
-    intervals = _interval_table(_family_intervals(eta, ells, wjs, thr, m_of_eps, shifted)
-                                for shifted in (True, False))
+    table, k = np.empty(2 * len(ells), dtype=_INTERVAL_DTYPE), 0  # <= 1 row per pair and family
+    for shifted in (True, False):
+        for s in range(0, len(ells), _CHUNK_PAIRS):
+            part = (a[s:s + _CHUNK_PAIRS] for a in (ells, wjs, thr))
+            k += _family_intervals(table[k:], eta, *part, m_of_eps, shifted)
+    intervals = _sorted_in_place(table[:k])
     total_mass = _union_length(intervals["lo"], intervals["hi"])
-    fraction_interval = 1.0 - total_mass / eta
 
     rng = np.random.default_rng(rng_seed)
-    excluded = _excluded_samples(rng.uniform(0.0, eta, size=samples), ells, wjs, thr, cut,
-                                 m_of_eps)
-    fraction_mc = 1.0 - float(np.mean(excluded))
-    mc_stderr = float(np.std(excluded) / np.sqrt(samples))
+    excluded = _excluded_samples(rng.uniform(0.0, eta, size=samples), ells, wjs, thr, cut, m_of_eps)
 
     # analytic tail bound beyond ell_max: both families; per pair the width is
     # at most 2 * (2 gamma / (2l)^tau) * (4/l), and only resonances with
@@ -359,11 +357,10 @@ def measure_scan(eta: float, samples: int, params: ResonanceParams, m_of_eps,
         0.5 * eta * ell_max ** (1.0 - tau) / (tau - 1.0)
         + 2.0 * ell_max ** (-tau) / tau)
     scale = gamma * eta ** ((tau + 1.0) / 2.0)
-    return MeasureReport(eta=eta, gamma=gamma, tau=tau,
-                         fraction_interval=fraction_interval,
-                         fraction_mc=fraction_mc, mc_stderr=mc_stderr,
-                         excluded_mass=total_mass,
-                         excluded_intervals=intervals,
+    return MeasureReport(eta=eta, gamma=gamma, tau=tau, fraction_interval=1.0 - total_mass / eta,
+                         fraction_mc=1.0 - float(np.mean(excluded)),
+                         mc_stderr=float(np.std(excluded) / np.sqrt(samples)),
+                         excluded_mass=total_mass, excluded_intervals=intervals,
                          paper_bound_scale=scale,
                          implied_constant=total_mass / scale if scale > 0 else np.inf,
                          tail_mass_bound=float(tail),

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -212,6 +213,52 @@ def test_measure_scan_memory_is_a_few_interval_tables():
     assert peak <= 5 * rep.excluded_intervals.nbytes
 
 
+def test_measure_scan_memory_is_three_interval_tables_at_eta_001():
+    # about 3.4 tables when the first family pass ran over every pair at once;
+    # the passes now run in slices and fill one table, sorted in place
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        rep = measure_scan(0.01, 20000, ResonanceParams(0.05, 1.5, eps0=0.05), _m_const())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * rep.excluded_intervals.nbytes
+
+
+def test_crossing_gets_at_most_one_slice_of_pairs(monkeypatch):
+    # one call took about 1e5 pairs at eta = 0.01 before the passes ran in slices
+    sizes, crossing = [], resonance._crossing
+
+    def counted(level, ells, *args):
+        sizes.append(len(ells))
+        return crossing(level, ells, *args)
+    monkeypatch.setattr(resonance, "_crossing", counted)
+    rep = measure_scan(0.01, 10, ResonanceParams(0.05, 1.5, eps0=0.04), _interpolated_m_of_eps())
+    assert max(sizes) <= resonance._CHUNK_PAIRS < sum(sizes) < 4 * rep.n_pairs
+
+
+def _report_bytes(rep):
+    """Every field of a report as text, the interval table as its bytes."""
+    return {name: value.tobytes() if name == "excluded_intervals" else repr(value)
+            for name, value in vars(rep).items()}
+
+
+def test_measure_scan_does_not_depend_on_the_slices(monkeypatch):
+    # each pair's ends and Monte Carlo tests are its own, so slices of 1, 7 or
+    # all pairs give the default slices' report bit for bit (1 only at 0.04:
+    # at 0.01 its 1e5 passes of a few numpy calls each take about 20 s)
+    params = ResonanceParams(0.05, 1.5, eps0=0.04)
+    m_of_eps = _interpolated_m_of_eps()
+    for eta, chunks in ((0.04, (1, 7)), (0.01, (7,))):
+        want = measure_scan(eta, 20000, params, m_of_eps, rng_seed=5)
+        for chunk in chunks + (want.n_pairs + 1,):
+            with monkeypatch.context() as mp:
+                mp.setattr(resonance, "_CHUNK_PAIRS", chunk)
+                got = measure_scan(eta, 20000, params, m_of_eps, rng_seed=5)
+            assert _report_bytes(got) == _report_bytes(want), (eta, chunk)
+
+
 def test_measure_scan_slope_bound():
     # the shifted condition function has slope >= l/4 on every excluded
     # interval: the premise under which the fixed-point iteration contracts
@@ -257,6 +304,21 @@ def test_measure_scan_fails_closed_on_unsettled_end():
     with pytest.raises(ValueError, match=r"pair \(l, j\) = \(\d+, \d+\) unsettled after 60 steps"
                                          r" \(last update -?\d\.\d{3}e[-+]\d+\)"):
         measure_scan(0.04, 10, params, flicker)
+
+
+def test_unsettled_end_is_named_alike_in_slices_of_7(monkeypatch):
+    # the first slice holding an unsettled end raises, on the pair the
+    # default slices name
+    def named_pair():
+        calls = itertools.count()
+        flicker = lambda e: np.full_like(np.asarray(e, dtype=float),
+                                         2.0 + 0.01 * (next(calls) % 2))
+        with pytest.raises(ValueError, match="unsettled after 60 steps") as err:
+            measure_scan(0.04, 10, ResonanceParams(0.05, 1.5, eps0=0.05), flicker)
+        return re.search(r"pair \(l, j\) = \(\d+, \d+\)", str(err.value)).group()
+    want = named_pair()
+    monkeypatch.setattr(resonance, "_CHUNK_PAIRS", 7)
+    assert named_pair() == want
 
 
 def test_measure_gamma_to_zero():
