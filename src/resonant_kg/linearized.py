@@ -17,7 +17,8 @@ product by b from the S_d stack of b (one GEMM per chunk of d, in buffers
 built once per solve) and the kernel correction from the thin dv_matrix.
 Lop is block diagonal under the decoupled blocks (6 to 10 on a branch),
 which the symmetry of the S_d support and of dv_matrix gives before any
-entry is gathered.  `solve` runs the Neumann iteration
+entry is gathered; every fold runs on the cell (rows, modes, S_d and dv)
+of one block or of the lattice.  `solve` runs the Neumann iteration
 x <- x + D^-1 (b - Lop x) (only D^-1 of the per-l blocks of D is kept) on
 each block where b is nonzero, as the solution is exactly zero on the
 others; a Picard right-hand side fills one block, 6 to 17% of the unknowns.
@@ -107,11 +108,11 @@ class ResonantSolveError(RuntimeError):
     """A block of D is singular, or the Neumann iteration does not settle."""
 
 
-# Where the fold runs, the lattice (`_whole`) or one decoupled block (`_cells`):
-# x on the grid rows x cols[:nx] (nx = x.shape[1], the modes <= J), and h on all
-# rows and the modes cols, whose product by b computes the rows first + stride k
-# of each of parts against `stacked`, the S_d on cols x cols; dv fills h at the
-# kernel slots (row, index into cols).
+# Where the fold runs, a set of decoupled blocks (`_cells`; the lattice is all of
+# them): x on the grid rows x cols[:nx] (nx = x.shape[1], the modes <= J), and h
+# on all rows and the modes cols, whose product by b computes the rows first +
+# stride k of each of parts against `stacked`, the S_d on cols x cols; dv fills h
+# at the kernel slots (row, index into cols).
 _Cells = namedtuple("_Cells", "rows parts cols slots dv symbol mask stacked")
 
 
@@ -188,14 +189,13 @@ class LinearizedOperator:
         self.power_steps = self.krylov_block = self.upper_terms = 0
         self.upper, self.top_vector = np.inf, None
         self.solved = np.zeros(self.lattice.size, dtype=bool)
-        self._inverse, self._block_cells = None, {}
-        L, J = self.L, self.J
+        self._inverse, self._cell_cache = None, {}
         n_k, size = self.dv_matrix.shape[0], self.stack.shape[1]
         # the product by b is taken on rows l <= L and on the kernel slots
         # (j'' + 1, j'').  S_d vanishes beyond the time truncation of q and,
         # on a branch whose state holds only odd multiples of omega_m, off the
         # multiples of 2 omega_m: the fold reads S_d at d = 0, step, 2 step, ...
-        self._rows = max(L, n_k) + 1
+        self._rows = max(self.L, n_k) + 1
         live = np.flatnonzero(np.abs(self.stack[: 2 * self._rows - 1]).max(axis=(1, 2)))
         self._step = int(np.gcd.reduce(live)) or 1
         top = int(live[-1]) if len(live) else 0
@@ -207,11 +207,7 @@ class LinearizedOperator:
         # twenty times slower on x86
         self._stacked[np.abs(self._stacked) < np.finfo(float).tiny] = 0.0
         self._kernel_slots = (np.arange(n_k) + 1, np.arange(n_k))
-        self._symbol = wave_symbol(self.omega, L, J)
-        dv_grid = np.zeros((n_k, (L + 1) * (J + 1)))
-        dv_grid[:, self.lattice.ells * (J + 1) + self.lattice.js] = self.dv_matrix
-        self._whole = _Cells(slice(0, L + 1), ((0, 1),), np.arange(size), self._kernel_slots,
-                             dv_grid, self._symbol, self.lattice.mask, self._stacked)
+        self._symbol = wave_symbol(self.omega, self.L, self.J)
 
     @property
     def L(self) -> int:
@@ -324,29 +320,29 @@ class LinearizedOperator:
         return out
 
     def _majorant(self, x: np.ndarray, cells, transpose: bool, product) -> np.ndarray:
-        """|M| x, or |M|^T x, for x >= 0 on the lattice grid, |M| an entrywise majorant of M.
+        """|M| x, or |M|^T x, for x >= 0 on the grid of `cells`, |M| an entrywise majorant of M.
 
-        cells is `_whole` on |S_d| and |dv|.  Forward: the fold of x and of
-        the kernel slots 0.5 |dv| x, its d = 0 term on the slots only (on x
-        it is part of D).  Transposed, as the fold F over all stored rows has
+        cells holds |S_d| and |dv|.  Forward: the fold of x and of the kernel
+        slots 0.5 |dv| x, its d = 0 term on the slots only (on x it is part
+        of D).  Transposed, as the fold F over all stored rows has
         F^T = Mw F Mw^-1: Mw times the fold of x / Mw without its d = 0 term,
         plus |dv|^T times the whole fold at the slots (0.5 Mw = 1 there).
         """
-        L, J, slots = self.L, self.J, self._kernel_slots
+        rows, slots, nx = cells.rows, cells.slots, x.shape[1]
         h = np.zeros((self._rows, len(cells.cols)))
         centre = np.zeros_like(h)
         if transpose:
-            mw = np.where(np.arange(L + 1) == 0, 1.0, 2.0)[:, None]
-            h[: L + 1, : J + 1] = x / mw
+            mw = np.where(rows == 0, 1.0, 2.0)[:, None]
+            h[rows, :nx] = x / mw
             out = product(h, centre)
             s0 = cells.stacked[: len(cells.cols)]  # the stacked S_d start at d = 0
             out[slots] += np.einsum("kj,jk->k", h[slots[0]], s0[:, slots[1]])
-            out = mw * out[: L + 1, : J + 1] + (cells.dv.T @ out[slots]).reshape(L + 1, J + 1)
+            out = mw * out[rows, :nx] + (cells.dv.T @ out[slots]).reshape(x.shape)
         else:
             centre[slots] = 0.5 * (cells.dv @ x.ravel())
-            h[: L + 1, : J + 1] = x
-            out = product(h + centre, centre)[: L + 1, : J + 1]
-        out[~self.lattice.mask] = 0.0
+            h[rows, :nx] = x
+            out = product(h + centre, centre)[rows, :nx]
+        out[~cells.mask] = 0.0
         return out
 
     def _neumann(self, b: np.ndarray, cells) -> np.ndarray:
@@ -408,7 +404,7 @@ class LinearizedOperator:
         if not np.all(np.isfinite(b)):
             return CoeffField(np.full_like(b, np.nan))
         x = np.zeros_like(b)
-        for idx in self._blocks:
+        for idx in self._partition:
             if b[lat.ells[idx], lat.js[idx]].any():
                 cells = self._cells(idx)
                 sub = np.ix_(cells.rows, cells.cols[cells.cols <= self.J])
@@ -418,12 +414,8 @@ class LinearizedOperator:
         return CoeffField(x)
 
     @cached_property
-    def _blocks(self) -> list[np.ndarray]:
-        """`_partition`, once for the Picard solves and `inverse_norm`."""
-        return self._partition()
-
     def _partition(self) -> list[np.ndarray]:
-        """Ascending index sets of decoupled blocks of Lop, found without forming it.
+        """Ascending index sets of decoupled blocks of Lop, found without forming it, once.
 
         The product by b couples (l, j) to (l', j') through S_|l-l'| and
         S_l+l' at [j, j'], so only within one class {+-l mod step} of the
@@ -450,30 +442,35 @@ class LinearizedOperator:
         return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
 
     def _cells(self, idx: np.ndarray):
-        """`_Cells` of the decoupled block of lattice points idx (`_partition`), built once.
+        """`_Cells` of the lattice points idx, a block of `_partition` or all of them, built once.
 
         Its rows are those of its residues mod step: d runs over multiples of
         step, so a residue reads only itself and its mirror.  Its columns are
-        its modes and the kernel slots that dv_matrix fills from it.
+        its modes and the kernel slots that dv_matrix fills from it, whose
+        rows dv holds at the points' places on its grid.
         """
         key = idx.tobytes()
-        if key in self._block_cells:
-            return self._block_cells[key]
+        if key in self._cell_cache:
+            return self._cell_cache[key]
         lat, step, size = self.lattice, self._step, self.stack.shape[1]
         ells, js = lat.ells[idx], lat.js[idx]
         residue = np.bincount(ells % step, minlength=step) > 0  # np.unique loads numpy.ma
         rows = np.flatnonzero(residue[np.arange(self.L + 1) % step])
-        slots = np.flatnonzero((self.dv_matrix[:, idx] != 0.0).any(axis=1))
+        if len(rows) > self.L:  # a cell on every row folds them as one part
+            step, residue = 1, residue[:1]
+        slots = np.flatnonzero((self.dv_matrix != 0.0).take(idx, axis=1).any(axis=1))
         cols = np.flatnonzero(np.bincount(np.append(js, slots), minlength=size))
         xc = cols[cols <= self.J]
-        mask = np.zeros_like(lat.mask)
-        mask[ells, js] = True
-        dv = self._whole.dv[slots[:, None], (rows[:, None] * (self.J + 1) + xc).ravel()]
-        stacked = self._stacked.reshape(-1, size, size)[:, cols[:, None], cols]
-        cells = self._block_cells[key] = _Cells(
+        at = np.searchsorted(rows, ells) * len(xc) + np.searchsorted(xc, js)  # on the grid
+        dv = np.zeros((len(slots), len(rows) * len(xc)))
+        dv[:, at] = self.dv_matrix[np.ix_(slots, idx)]
+        stacked = (self._stacked if len(cols) == size  # on every column: no copy
+                   else self._stacked.reshape(-1, size, size)[:, cols[:, None], cols])
+        cells = self._cell_cache[key] = _Cells(
             rows, tuple((int(r), step) for r in np.flatnonzero(residue)), cols,
             (slots + 1, np.searchsorted(cols, slots)), dv, self._symbol[np.ix_(rows, xc)],
-            mask[np.ix_(rows, xc)], stacked.reshape(-1, len(cols)))
+            (np.bincount(at, minlength=dv.shape[1]) > 0).reshape(len(rows), -1),
+            stacked.reshape(-1, len(cols)))
         return cells
 
     def _upper_end(self, wg: np.ndarray, blocks: list[np.ndarray]):
@@ -482,19 +479,20 @@ class LinearizedOperator:
         With T = eps W D^-1 M W^-1, B = sum_{k<K} T^k W D^-1 W^-1 + T^K B, so
         ||B|| <= ||sum_{k<K} T^k W D^-1 W^-1|| / (1 - ||T^K||).  Both norms
         are bounded by the Schur test sqrt(||X||_1 ||X||_inf) on majorants
-        through A = eps |D^-1| |M| (`_majorant`; |D^-1| made symmetric), as
-        |T|^k <= W A^k W^-1: rows W A^k W^-1 1, columns W^-1 (A^T)^k W 1, for
-        wg the weights (ones off the lattice).  K is the first k <= _MAX_TERMS
-        with ||T^k|| <= 1/2 (else 0, and every bound is inf).  _UPPER_MARGIN
-        covers the rounding of these nonnegative sums (an underflow drops at
-        most 2^-1074 w_i from row i); D^-1 is taken as `factorize` rounded it.
-        A has M's block-diagonal support, so the sums on a block b bound ||B_b||.
+        through A = eps |D^-1| |M| (`_majorant` on the lattice's `_cells`;
+        |D^-1| made symmetric), as |T|^k <= W A^k W^-1: rows W A^k W^-1 1,
+        columns W^-1 (A^T)^k W 1, for wg the weights (ones off the lattice).
+        K is the first k <= _MAX_TERMS with ||T^k|| <= 1/2 (else 0, and every
+        bound is inf).  _UPPER_MARGIN covers the rounding of these nonnegative
+        sums (an underflow drops at most 2^-1074 w_i from row i); D^-1 is
+        taken as `factorize` rounded it.  A has M's block-diagonal support, so
+        the sums on a block b bound ||B_b||.
         """
-        mask, tiny = self.lattice.mask, np.finfo(float).tiny
-        stacked = np.abs(self.stack[self._fold])
+        cells = self._cells(np.arange(self.lattice.size))
+        mask, cols, tiny = cells.mask, cells.cols, np.finfo(float).tiny
+        stacked = np.abs(self.stack[self._fold][:, cols[:, None], cols]).reshape(-1, len(cols))
         stacked[(stacked > 0.0) & (stacked < tiny)] = tiny  # which `_stacked` flushes to 0
-        cells = self._whole._replace(stacked=stacked.reshape(-1, stacked.shape[-1]),
-                                     dv=np.abs(self._whole.dv))
+        cells = cells._replace(stacked=stacked, dv=np.abs(cells.dv))
         dinv, product = np.abs(self._inverse), self._product(cells)
         dinv = np.maximum(dinv, dinv.transpose(0, 2, 1))
 
@@ -604,7 +602,7 @@ class LinearizedOperator:
             self.upper, self.upper_terms = top, 1
             self.top_vector[lat.ells[k], lat.js[k]] = 1.0
             return top
-        blocks = self._blocks
+        blocks = self._partition
         self.upper, self.upper_terms, ends = self._upper_end(wg, blocks)
         if start is None:  # the top right singular vector of W D^-1 W^-1, which is B at eps = 0
             dw = wg[:, :, None] * self._inverse / wg[:, None, :]

@@ -167,7 +167,7 @@ def exact_inverse_norm(op, params: NormParams, blocks=None) -> float:
     """The exact norm that `inverse_norm` brackets, over `_partition`'s blocks (or `blocks`)."""
     w = centred_weights(op, params)
     return block_inverse_norm((gather(op, idx), w[idx])
-                              for idx in (op._partition() if blocks is None else blocks))
+                              for idx in (op._partition if blocks is None else blocks))
 
 
 def dense_upper_end(op, params: NormParams, max_terms: int = 8):
@@ -466,8 +466,9 @@ def to_field(lattice, vec: np.ndarray) -> CoeffField:
 
 
 def apply_operator(op, f: CoeffField) -> CoeffField:
-    """Lop f on the lattice through the operator's one apply; entries of f off it are ignored."""
-    return CoeffField(op._apply(op.lattice.to_grid(f), op._whole, op._product(op._whole)))
+    """Lop f by the one apply on the lattice's cell; entries of f off the lattice are ignored."""
+    cells = op._cells(np.arange(op.lattice.size))
+    return CoeffField(op._apply(op.lattice.to_grid(f), cells, op._product(cells)))
 
 
 def trace_from_jsonl(path) -> SolveTrace:

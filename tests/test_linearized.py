@@ -480,7 +480,7 @@ def test_warm_start_inside_one_block_still_finds_the_norm():
     op = _stage0_operator(2, cfg.L(1))
     params = NormParams(cfg.sigmas()[1], cfg.s)
     exact = exact_inverse_norm(op, params)
-    blocks = op._partition()
+    blocks = op._partition
     first = exact_inverse_norm(op, params, blocks[:1])
     assert 110.0 < exact and 22.0 < first < 23.0
     start = np.zeros(op.lattice.mask.shape)
@@ -512,7 +512,7 @@ def _krylov_against_exact(monkeypatch, config, runner_up=False):
     def krylov(op, idx, start, wg):
         seen[-1][2].append(idx)
         if runner_up:
-            blocks = op._partition()
+            blocks = op._partition
             norms = [exact_inverse_norm(op, seen[-1][1], [b]) for b in blocks]
             if np.array_equal(idx, blocks[int(np.argmax(norms))]):
                 return 0.0, np.zeros(op.lattice.mask.shape)
@@ -522,7 +522,7 @@ def _krylov_against_exact(monkeypatch, config, runner_up=False):
     result = run(config)
     out = []
     for rec, stats, (op, params, ran) in zip(result.trace.records[1:], result.stages, seen):
-        blocks = op._partition()
+        blocks = op._partition
         ends = op._upper_end(weight_grid(op, params), blocks)[2]
         idle = [end / rec.inverse_norm for b, end in zip(blocks, ends)
                 if not any(np.array_equal(b, r) for r in ran)]
@@ -567,7 +567,7 @@ def test_stage_one_runs_in_the_blocks_of_largest_upper_end(monkeypatch):
     # ||B_k q_k|| / ||q_k||, instead of by the upper ends, and stopped after
     # the first block, the steps run in the 41-unknown block and understate
     # the norm by 17%
-    blocks, wg = op._partition(), weight_grid(op, params)
+    blocks, wg = op._partition, weight_grid(op, params)
     monkeypatch.setattr(linearized, "_MAX_KRYLOV_STEPS", 1)
     ratio = [op._krylov(b, uniform, wg)[0] for b in blocks]
     monkeypatch.undo()
@@ -586,7 +586,7 @@ def test_blocks_run_in_descending_order_of_their_upper_ends():
     params = NormParams(cfg.sigmas()[1], cfg.s)
     exact = exact_inverse_norm(op, params)
     value = op.inverse_norm(params)
-    blocks, wg = op._partition(), weight_grid(op, params)
+    blocks, wg = op._partition, weight_grid(op, params)
     ends = op._upper_end(wg, blocks)[2]
     order = np.argsort(ends)
     assert len(blocks) == 8 and op.krylov_block == len(blocks[order[-1]])
@@ -616,7 +616,7 @@ def test_krylov_steps_inside_each_block_give_its_norm(state):
         op = _stage0_operator(int(state[1]), 16)
     op.factorize()
     wg = weight_grid(op, P)
-    for idx in op._partition():
+    for idx in op._partition:
         block = exact_inverse_norm(op, P, [idx])
         start = np.zeros(op.lattice.mask.shape)
         start[op.lattice.ells[idx], op.lattice.js[idx]] = 1.0
@@ -633,7 +633,7 @@ def test_block_krylov_on_a_coarse_partition(L):
     # invariant all the same
     w = CoeffField.zeros(4, 4)
     op = assemble_linearized(2e-3, w, solve_kernel(w, 2, J_V=4).kernel, L, 4)
-    blocks, comps = op._partition(), _components(dense_matrix(op))
+    blocks, comps = op._partition, _components(dense_matrix(op))
     assert (len(blocks), len(comps)) == (8, 9)
     coarse = [b for b in blocks if not any(np.array_equal(b, c) for c in comps)]
     assert len(coarse) == 1 and len(coarse[0]) == 2
@@ -875,7 +875,7 @@ def test_non_finite_rhs_gives_nan_on_every_block(rng):
     # a NaN or inf in one block of the right-hand side leaves no block of the
     # solution finite, and no block runs a sweep
     op = _stage0_operator(1, 16)
-    lat, blocks = op.lattice, op._partition()
+    lat, blocks = op.lattice, op._partition
     assert len(blocks) == 6
     for value in (np.nan, np.inf):
         b = rng.standard_normal(lat.size)
@@ -901,7 +901,7 @@ def test_block_solve_matches_lu_and_skips_the_zero_blocks(rng, monkeypatch, m):
     run(SolverConfig(eps=2e-3, m=m, n_max=1))
     monkeypatch.undo()
     op, picard = seen[0]
-    lat, blocks = op.lattice, op._partition()
+    lat, blocks = op.lattice, op._partition
     # the Picard solves ran on the block of their right-hand side alone
     ran = [idx for idx in blocks if lat.to_vector(picard)[idx].any()]
     assert len(ran) == 1 and np.array_equal(np.flatnonzero(op.solved), ran[0])
@@ -974,18 +974,24 @@ def _majorant_operator(rng, state):
     return _stage0_operator(int(state[1]), 16)
 
 
+def _majorant_cells(op, cells):
+    """cells on |S_d| and |dv|, as `_upper_end` builds them for the lattice (subnormals kept)."""
+    stacked = np.abs(op.stack[op._fold][:, cells.cols[:, None], cells.cols])
+    return cells._replace(stacked=stacked.reshape(-1, len(cells.cols)), dv=np.abs(cells.dv))
+
+
 @pytest.mark.parametrize("state", _MAJORANT_STATES)
 def test_majorant_apply_and_its_transpose_match_the_dense_majorant(rng, state):
     # the matrix-free |M| of the upper end, both ways, against the dense
-    # majorant that dominates M = (D - Lop) / eps entry by entry
+    # majorant that dominates M = (D - Lop) / eps entry by entry: on the
+    # lattice's cell, and summed over the blocks' cells, each on its own grid
     op = _majorant_operator(rng, state)
     mabs = dense_upper_end(op, P)[2]
     _, M1, M2 = split_diagonal(op)
     # M1 = mult - S_0 and |M| = |mult| - |S_0| hold roundings of S_0 on the same-l entries
     assert np.all(np.abs(M1 + M2) <= mabs * (1 + 1e-14) + 1e-15 * np.abs(op.stack[0]).max())
-    stacked = np.abs(op.stack[op._fold]).reshape(-1, op.stack.shape[1])
-    cells = op._whole._replace(stacked=stacked, dv=np.abs(op._whole.dv))
     lat = op.lattice
+    cells = _majorant_cells(op, op._cells(np.arange(lat.size)))
     for transpose in (False, True):
         x = np.zeros(lat.mask.shape)
         x[lat.ells, lat.js] = rng.random(lat.size)
@@ -993,6 +999,13 @@ def test_majorant_apply_and_its_transpose_match_the_dense_majorant(rng, state):
         want = (mabs.T if transpose else mabs) @ x[lat.ells, lat.js]
         assert np.all(got[~lat.mask] == 0.0)
         assert np.abs(got[lat.ells, lat.js] - want).max() <= 1e-14 * np.abs(want).max()
+        summed = np.zeros_like(x)
+        for block in map(op._cells, op._partition):
+            block = _majorant_cells(op, block)
+            sub = np.ix_(block.rows, block.cols[block.cols <= op.J])
+            x_b = np.where(block.mask, x[sub], 0.0)
+            summed[sub] += op._majorant(x_b, block, transpose, op._product(block))
+        assert np.abs(summed[lat.ells, lat.js] - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("state", _MAJORANT_STATES)
@@ -1001,9 +1014,8 @@ def test_fold_buffers_give_the_per_call_fold_bit_for_bit(rng, state):
     # and gives the bits of the per-call fold, on the lattice, on every block,
     # on the |S_d| cells of the upper end, with and without a centre
     op = _majorant_operator(rng, state)
-    stacked = np.abs(op.stack[op._fold]).reshape(-1, op.stack.shape[1])
-    majorant = op._whole._replace(stacked=stacked, dv=np.abs(op._whole.dv))
-    for cells in (op._whole, majorant, *map(op._cells, op._partition())):
+    lattice = op._cells(np.arange(op.lattice.size))
+    for cells in (lattice, _majorant_cells(op, lattice), *map(op._cells, op._partition)):
         product = op._product(cells)
         for _ in range(2):  # the second call overwrites what the first left
             h = rng.standard_normal((op._rows, len(cells.cols)))
@@ -1012,13 +1024,38 @@ def test_fold_buffers_give_the_per_call_fold_bit_for_bit(rng, state):
             assert np.array_equal(product(h, centre), fold_product(op, h, cells, centre))
 
 
+def test_cells_are_built_lazily_and_the_lattice_cell_is_the_lattice():
+    # assembly builds no cell, a solve builds those of the blocks it ran on
+    # and no lattice-wide dv array, and the upper end of `inverse_norm` runs
+    # on `_cells` of every point: the lattice's grid and mask, its dv_matrix
+    # and one stride-1 part
+    op = _stage0_operator(1, 32)
+    lat, grid = op.lattice, (op.L + 1) * (op.J + 1)
+    assert op._step > 1 and not op._cell_cache
+    b = np.zeros(lat.size)
+    b[op._partition[2]] = 1.0
+    op.solve(to_field(lat, b))
+    assert list(op._cell_cache) == [op._partition[2].tobytes()]
+    assert np.array_equal(op.solved, b == 1.0)
+    arrays = [a for a in vars(op).values() if isinstance(a, np.ndarray)]
+    arrays += [cells.dv for cells in op._cell_cache.values()]
+    assert all(grid not in a.shape for a in arrays)
+    op.inverse_norm(P)
+    cells = op._cell_cache[np.arange(lat.size).tobytes()]
+    assert cells.parts == ((0, 1),) and np.array_equal(cells.rows, np.arange(op.L + 1))
+    assert np.array_equal(cells.mask, lat.mask) and np.array_equal(cells.cols, np.arange(op.J + 1))
+    dv = np.zeros((op.dv_matrix.shape[0], grid))
+    dv[:, lat.ells * (op.J + 1) + lat.js] = op.dv_matrix
+    assert np.array_equal(cells.dv, dv[cells.slots[0] - 1])
+
+
 def test_neumann_solve_builds_its_fold_buffers_once(monkeypatch):
     # a solve stopped after 3 sweeps and one of over 20 on the same block
     # build the same strided views and reach the same allocation peak: the
     # fold allocates nothing per sweep
     op = _stage0_operator(1, 64)
     b = np.zeros(op.lattice.size)
-    b[op._partition()[0][0]] = 1.0
+    b[op._partition[0][0]] = 1.0
     rhs = to_field(op.lattice, b)
     op.solve(rhs)  # the factorization and the block's cells, built once
     real, views = linearized.as_strided, []
@@ -1053,7 +1090,7 @@ def test_upper_end_matches_its_dense_form(rng, state):
     # densely from the same majorant, and it bounds the exact norm; so does
     # each block's, from the row and column sums restricted to the block
     op = _majorant_operator(rng, state)
-    blocks = op._partition()
+    blocks = op._partition
     for params in (P, NormParams(0.7, 1.0)):
         op.inverse_norm(params)
         upper, terms, _ = dense_upper_end(op, params)
@@ -1077,7 +1114,7 @@ def test_upper_end_is_infinite_when_no_term_count_qualifies(monkeypatch):
     value = op.inverse_norm(params)
     assert op.upper_terms == 0 and op.upper == np.inf
     # no block's upper end rules it out, so every block runs
-    blocks = op._partition()
+    blocks = op._partition
     assert np.all(op._upper_end(weight_grid(op, params), blocks)[2] == np.inf)
     exact = exact_inverse_norm(op, params)
     assert abs(value - exact) <= 1e-14 * exact
@@ -1138,7 +1175,7 @@ def test_components_partition_the_dense_oracle(rng, state, blocks):
         op = _stage0_operator(*state)
     n = op.lattice.size
     dense = dense_matrix(op)
-    part = op._partition()
+    part = op._partition
     assert len(part) == blocks
     assert sorted(map(tuple, part)) == sorted(map(tuple, _components(dense)))
     assert np.array_equal(np.sort(np.concatenate(part)), np.arange(n))
@@ -1193,7 +1230,7 @@ def test_inverse_norm_at_L_1024():
     logw = op.lattice.log_weights(params)
     assert logw.max() > 782
     oracle = 0.0
-    for idx in op._partition():
+    for idx in op._partition:
         inv = np.linalg.inv(gather(op, idx))
         with np.errstate(divide="ignore"):  # log 0 = -inf gives the entry 0
             b = np.sign(inv) * np.exp(np.log(np.abs(inv)) + logw[idx, None] - logw[idx])
