@@ -188,7 +188,7 @@ def _mean_curve(eps_grid, m):
 def cmd_measure(args) -> int:
     import numpy as np
     from .nash_moser import SolverConfig, stage0_contracts
-    from .resonance import ResonanceParams, measure_scan, fit_excluded_exponent
+    from .resonance import _CHUNK_PAIRS, ResonanceParams, measure_scan, fit_excluded_exponent
 
     if args.solve_grid < 2:
         print("solve grid must contain at least 2 amplitudes for interpolation",
@@ -238,17 +238,24 @@ def cmd_measure(args) -> int:
         "fitted_exponent": fit_excluded_exponent(reports) if len(reports) >= 2 else None,
         "elapsed_s": time.perf_counter() - t0,
     }
-    # json.dump(payload)'s text from the C encoder, one interval column at a time
+    # json.dump(payload)'s text from the C encoder, one interval column at a
+    # time in slices of rows (their texts joined by ", " are the column's), and
+    # each report's table released once its columns are out
     text = json.dumps(payload, sort_keys=True)
     with open(args.out, "w") as fh:
-        for iv in (r.excluded_intervals for r in reports):
+        while reports:
+            iv = reports.pop(0).excluded_intervals
             for name in sorted(iv.dtype.names):
                 head, text = text.split(f'"{name}": []', 1)
-                fh.writelines((f'{head}"{name}": ', json.dumps(iv[name].tolist())))
+                fh.write(f'{head}"{name}": [')
+                for s in range(0, len(iv), _CHUNK_PAIRS):
+                    rows = json.dumps(iv[name][s:s + _CHUNK_PAIRS].tolist())[1:-1]
+                    fh.write(f", {rows}" if s else rows)
+                fh.write("]")
         fh.write(text)
     fitted = payload["fitted_exponent"]
     print(f"admissible fractions: "
-          + ", ".join(f"{r.eta:g}: {r.fraction_interval:.4f}" for r in reports)
+          + ", ".join(f"{r['eta']:g}: {r['fraction_interval']:.4f}" for r in payload["reports"])
           + (f"; fitted exponent {fitted:.3f}" if fitted is not None else ""))
     return EXIT_OK
 

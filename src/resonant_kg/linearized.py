@@ -22,15 +22,17 @@ of one block or of the lattice.  `solve` runs the Neumann iteration
 x <- x + D^-1 (b - Lop x) (only D^-1 of the per-l blocks of D is kept) on
 each block where b is nonzero, as the solution is exactly zero on the
 others; a Picard right-hand side fills one block, 6 to 17% of the unknowns.
-The iteration contracts by about 3e-3 per sweep on the solution branches
-and stops componentwise, so coefficients far below the largest keep their
-value.  The norm of the weighted inverse B = W Lop^-1 W^-1, W the field
-norm's weights (read in log space and centred, so finite at L = 1024), is
-bracketed, at every size, by two ends (exact at eps = 0).  The upper end
-is a Schur test on an entrywise majorant of the Neumann series of D^-1 M,
-applied by the same fold on |S_d|, |dv| and the |D_l^-1| blocks: an upper
-bound up to the rounding of D^-1 itself, on B and on each block.  The lower
-end, a Golub-Kahan estimate through the same solves, runs block by block in
+The iteration contracts by about 3e-3 per sweep on the solution branches.
+The Picard solves stop componentwise, so coefficients far below the
+largest keep their value; the certificate's Krylov solves may stop
+earlier, at the normwise accuracy its estimate reads (`_krylov`).  The
+norm of the weighted inverse B = W Lop^-1 W^-1, W the field norm's weights
+(read in log space and centred, so finite at L = 1024), is bracketed, at
+every size, by two ends (exact at eps = 0).  The upper end is a Schur test
+on an entrywise majorant of the Neumann series of D^-1 M, applied by the
+same fold on |S_d|, |dv| and the |D_l^-1| blocks: an upper bound up to the
+rounding of D^-1 itself, on B and on each block.  The lower end, a
+Golub-Kahan estimate through the same solves, runs block by block in
 descending order of the upper ends until the next is at most the estimate.
 Lop is the Hessian of the reduced action, so Lop^T = Mw Lop Mw^-1 for the
 time multiplicities Mw = diag(1, 2, 2, ...) of the stored rows: B^T is a
@@ -55,6 +57,7 @@ eigensolves and the preconditioner diagnostics are test oracles
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -91,8 +94,14 @@ _SETTLED = 2.0 ** -40
 # and the most Krylov steps it takes.
 _POWER_RTOL = 1e-14
 _MAX_KRYLOV_STEPS = 40
-# Weight of the uniform vector in a warm Krylov start.
-_WARM_UNIFORM = 1e-4
+# Weight of the uniform vector in a warm Krylov start: a direction error d
+# moves the Ritz value by O(d^2), so sqrt(_POWER_RTOL) is below what it resolves.
+_WARM_UNIFORM = np.sqrt(_POWER_RTOL)
+# The accuracy a Krylov solve needs (`_krylov`): the unit roundoff u, which
+# the forward solves' images reach, and sqrt(u) for the adjoint solves'
+# directions.
+_UNIT_ROUNDOFF = 2.0 ** -52
+_DIRECTION_RTOL = np.sqrt(_UNIT_ROUNDOFF)
 # The most Neumann terms K of the upper end of inverse_norm, and its relative
 # margin: its values are chains of K sums of nonnegative terms, each of which
 # rounds by at most as many ulps as it has terms, far below 2^-30 on any lattice
@@ -190,6 +199,7 @@ class LinearizedOperator:
         self.upper, self.top_vector = np.inf, None
         self.solved = np.zeros(self.lattice.size, dtype=bool)
         self._inverse, self._cell_cache = None, {}
+        self._series = (None, np.inf)  # `_upper_end`'s weights and its bound F on them
         n_k, size = self.dv_matrix.shape[0], self.stack.shape[1]
         # the product by b is taken on rows l <= L and on the kernel slots
         # (j'' + 1, j'').  S_d vanishes beyond the time truncation of q and,
@@ -345,17 +355,23 @@ class LinearizedOperator:
         out[~cells.mask] = 0.0
         return out
 
-    def _neumann(self, b: np.ndarray, cells) -> np.ndarray:
+    def _neumann(self, b: np.ndarray, cells, weight: np.ndarray | None = None,
+                 gain: float = 0.0) -> np.ndarray:
         """Solve Lop x = b on the grid of the block `cells` by x <- x + D^-1 (b - Lop x).
 
         b is scaled by the power of two at its largest entry, which is
         exact.  The sweeps stop when every component moves by less than one
         ulp of itself, or when the largest componentwise-relative update
-        stops decreasing at or below _STALL_LEVEL.  A zero b returns zero; a
-        non-finite iterate returns at once.  An update that grows above
-        roundoff, or _MAX_SWEEPS sweeps, raise ResonantSolveError.  The
-        caller has run `factorize`; D^-1 on the grid is its sub-block, as D_l
-        is block diagonal over the mode components.
+        stops decreasing at or below _STALL_LEVEL.  Given weights v on the
+        grid, they also stop at the first sweep with gain ||v dx|| <= ||v x||
+        in the 2-norm, for a caller that reads v x to that accuracy only
+        (`_krylov`); so no solve runs past the componentwise stop.  v |x| is
+        formed at the scale of the returned x, where its squares stay normal:
+        at the scale of b the weights e^+-391 of L = 1024 make them underflow.
+        A zero b returns zero; a non-finite iterate returns at once.  An
+        update that grows above roundoff, or _MAX_SWEEPS sweeps, raise
+        ResonantSolveError.  The caller has run `factorize`; D^-1 on the grid
+        is its sub-block, as D_l is block diagonal over the mode components.
         """
         peak = float(np.max(np.abs(b)))
         if peak == 0.0:
@@ -363,25 +379,34 @@ class LinearizedOperator:
         xc = cells.cols[: b.shape[1]]
         inverse = self._inverse[np.ix_(cells.rows, xc, xc)]
         scale = np.ldexp(1.0, np.frexp(peak)[1])
-        b, x, product = b / scale, np.zeros_like(b), self._product(cells)
+        b, product, tiny = b / scale, self._product(cells), np.finfo(float).tiny
+        # the update and the iterate side by side: one abs and one max serve both
+        state, mag = np.zeros((2, *b.shape)), np.empty((2, *b.shape))
+        (dx, x), (moved, size) = state, mag
+        weighted = None if weight is None else np.empty_like(mag)
         prev_rel = prev_top = np.inf
         for sweep in range(1, _MAX_SWEEPS + 1):
             r = b - self._apply(x, cells, product) if sweep > 1 else b
-            dx = (inverse @ r[:, :, None])[:, :, 0]
-            x = x + dx
+            np.matmul(inverse, r[:, :, None], out=dx[:, :, None])
+            x += dx
             self.sweeps += 1
-            if not np.all(np.isfinite(x)):
+            np.abs(state, out=mag)
+            top, largest = mag.max(axis=(1, 2))  # NaN or inf when x is not finite
+            if not math.isfinite(largest):
                 return x
-            moved = np.abs(dx)
-            size = np.abs(x)
             if np.all(moved < np.spacing(size)):
                 return x * scale
-            top = float(moved.max())
-            if top > prev_top and top > _SETTLED * float(size.max()):
+            if top > prev_top and top > _SETTLED * largest:
                 raise ResonantSolveError(f"Neumann update grows at L_n={self.L}, "
                                          f"sweep {sweep} ({prev_top:.3e} -> {top:.3e})")
+            if weighted is not None:
+                np.multiply(mag, scale, out=weighted)
+                weighted *= weight
+                moved_sq, size_sq = np.einsum("kij,kij->k", weighted, weighted)
+                if gain * gain * moved_sq <= size_sq:
+                    return x * scale
             # subnormal components carry no relative accuracy
-            normal = size >= np.finfo(float).tiny
+            normal = size >= tiny
             rel = float(np.divide(moved, size, out=np.zeros_like(size), where=normal).max())
             if prev_rel <= rel <= _STALL_LEVEL:
                 return x * scale
@@ -434,12 +459,17 @@ class LinearizedOperator:
         mode = comp[np.append(lat.js, self._kernel_slots[1])]
         cell = np.minimum(ell % step, -ell % step) * size + mode
         label = np.arange(self._rows * size)
-        for row, s in zip(self.dv_matrix != 0.0, cell[n:]):
+        for row, s in zip(self._dv_support, cell[n:]):
             joined = label[np.append(cell[:n][row], s)]
             label[np.isin(label, joined)] = joined.min()
         root = label[cell[:n]]
         order = np.argsort(root, kind="stable")
         return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
+
+    @cached_property
+    def _dv_support(self) -> np.ndarray:
+        """Where dv_matrix is nonzero: it joins `_partition`'s cells, and gives `_cells` slots."""
+        return self.dv_matrix != 0.0
 
     def _cells(self, idx: np.ndarray):
         """`_Cells` of the lattice points idx, a block of `_partition` or all of them, built once.
@@ -458,14 +488,16 @@ class LinearizedOperator:
         rows = np.flatnonzero(residue[np.arange(self.L + 1) % step])
         if len(rows) > self.L:  # a cell on every row folds them as one part
             step, residue = 1, residue[:1]
-        slots = np.flatnonzero((self.dv_matrix != 0.0).take(idx, axis=1).any(axis=1))
+        slots = np.flatnonzero(self._dv_support[:, idx].any(axis=1))
         cols = np.flatnonzero(np.bincount(np.append(js, slots), minlength=size))
         xc = cols[cols <= self.J]
         at = np.searchsorted(rows, ells) * len(xc) + np.searchsorted(xc, js)  # on the grid
         dv = np.zeros((len(slots), len(rows) * len(xc)))
-        dv[:, at] = self.dv_matrix[np.ix_(slots, idx)]
+        for row, slot in zip(dv, slots):  # one row at a time: no gathered copy of the block
+            row[at] = self.dv_matrix[slot, idx]
         stacked = (self._stacked if len(cols) == size  # on every column: no copy
-                   else self._stacked.reshape(-1, size, size)[:, cols[:, None], cols])
+                   else self._stacked.reshape(-1, size * size).take(
+                       (cols[:, None] * size + cols).ravel(), axis=1))  # in C order
         cells = self._cell_cache[key] = _Cells(
             rows, tuple((int(r), step) for r in np.flatnonzero(residue)), cols,
             (slots + 1, np.searchsorted(cols, slots)), dv, self._symbol[np.ix_(rows, xc)],
@@ -486,7 +518,11 @@ class LinearizedOperator:
         bound is inf).  _UPPER_MARGIN covers the rounding of these nonnegative
         sums (an underflow drops at most 2^-1074 w_i from row i); D^-1 is
         taken as `factorize` rounded it.  A has M's block-diagonal support, so
-        the sums on a block b bound ||B_b||.
+        the sums on a block b bound ||B_b||.  With s_k the Schur value at k,
+        every power T^(jK + i), i = 1..K, has norm at most s_K^j s_i, so
+        sum_{k>=1} ||T^k|| <= F = (s_1 + ... + s_K) / (1 - s_K): after a
+        Neumann sweep on any block, the rest of the series is at most F ||W dx||.
+        `_series` keeps wg and F (inf when no K qualifies) for `_krylov`.
         """
         cells = self._cells(np.arange(self.lattice.size))
         mask, cols, tiny = cells.mask, cells.cols, np.finfo(float).tiny
@@ -503,18 +539,21 @@ class LinearizedOperator:
             return self.eps * d(self._majorant(v, cells, False, product))
         row_t = np.where(mask, 1.0 / wg, 0.0)                # A^k W^-1 1
         row_p, col = d(row_t), np.where(mask, wg, 0.0)       # A^k |D^-1| W^-1 1, (A^T)^k W 1
-        sum_rows = sum_cols = 0.0
+        sum_rows = sum_cols = tail = 0.0
         for k in range(1, _MAX_TERMS + 1):
             col_p = d(col)
             sum_rows, sum_cols = sum_rows + row_p, sum_cols + col_p
             row_t, col = a(row_t), self.eps * self._majorant(col_p, cells, True, product)
             s = np.sqrt((wg * row_t).max() * (col / wg).max())
+            tail += s
             if s <= 0.5:
+                self._series = (wg, float(tail / (1.0 - s)))
                 r, c = (wg * sum_rows)[mask], (sum_cols / wg)[mask]  # zero off the lattice
                 ends = [r[b].max() * c[b].max() for b in blocks]
                 upper = np.sqrt([r.max() * c.max(), *ends]) / (1.0 - s) * _UPPER_MARGIN
                 return min(np.inf, upper[0]), k, np.fmin(np.inf, upper[1:])  # inf for a NaN
             row_p = a(row_p)
+        self._series = (wg, np.inf)
         return np.inf, 0, np.full(len(blocks), np.inf)
 
     def _krylov(self, idx: np.ndarray, start: np.ndarray, wg: np.ndarray):
@@ -529,16 +568,32 @@ class LinearizedOperator:
         of at most 1e-14 relative or after min(_MAX_KRYLOV_STEPS, unknowns)
         steps, added to `power_steps`.  Returns it and c Q on the grid, c the
         top eigenvector of the Gram matrix.
+
+        Each solve stops at the accuracy its role needs, or at the
+        componentwise stop if that comes first (`_neumann`).  A forward solve
+        stops at F ||W dx|| <= u ||W x||, u = 2^-52 and F `_upper_end`'s
+        bound on the rest of the Neumann series for these weights (inf, and
+        no such stop, when it has not run on them): each y_k is then within u
+        ||y_k|| of B q_k, so sigma_max(Y) moves by O(u) ||Y|| (Weyl).  An
+        adjoint solve only picks the next direction, and stops at sqrt(u)
+        relative in its own weights Mw / W: Gram-Schmidt, twice, keeps Q
+        orthonormal whatever the direction's error d, so the estimate stays a
+        lower bound, and d moves the next Ritz value by O(d^2) = O(u)
+        (Parlett, The Symmetric Eigenvalue Problem, ch. 11).
         """
         cells = self._cells(idx)
+        weights, tail = self._series
+        tail = tail if weights is wg else np.inf  # F holds on the weights it was formed on
         sub, shape = np.ix_(cells.rows, cells.cols[cells.cols <= self.J]), cells.mask.shape
         wg = np.where(cells.mask, wg[sub], 1.0)
         wm = wg / np.where(cells.rows == 0, 1.0, 2.0)[:, None]  # w / Mw
+        forward = (wg, tail / _UNIT_ROUNDOFF) if tail < np.inf else ()
+        adjoint = (1.0 / wm, 1.0 / _DIRECTION_RTOL)
         q = np.where(cells.mask, start[sub], 0.0).reshape(1, -1)
         q, y = q / np.linalg.norm(q), np.empty((0, q.size))  # rows q_i and B q_i
         est, last = 0.0, min(_MAX_KRYLOV_STEPS, len(idx))
         for step in range(1, last + 1):
-            image = wg * self._neumann(q[-1].reshape(shape) / wg, cells)
+            image = wg * self._neumann(q[-1].reshape(shape) / wg, cells, *forward)
             if not np.all(np.isfinite(image)):
                 raise ResonantSolveError(f"inverse norm at L_n={self.L}: non-finite image "
                                          f"at Krylov step {step}")
@@ -546,7 +601,7 @@ class LinearizedOperator:
             prev, est = est, float(np.sqrt(np.linalg.eigvalsh(y @ y.T)[-1]))
             if est - prev <= _POWER_RTOL * est or step == last:
                 break
-            z = (self._neumann(wm * image, cells) / wm).ravel()  # B^T y_k
+            z = (self._neumann(wm * image, cells, *adjoint) / wm).ravel()  # B^T y_k
             for _ in range(2):  # classical Gram-Schmidt, twice
                 z -= q.T @ (q @ z)
             nz = float(np.linalg.norm(z))
@@ -569,10 +624,12 @@ class LinearizedOperator:
         `_upper_end`, and the lower end returned is the largest `_krylov`
         estimate over the blocks of `_partition`, taken in descending order
         of their upper ends until the next is at most the estimate: a block
-        left out has ||B_b|| <= its upper end <= the estimate.  Each block
-        starts from its part of the normalized start plus _WARM_UNIFORM times
-        the uniform vector.  `start` is a grid of shape (L' + 1, J + 1), L' <=
-        L, padded with zero rows: a previous stage's `top_vector` cuts the
+        left out has ||B_b|| <= its upper end <= the estimate, and the Krylov
+        solves stop at the accuracy the estimate reads (`_krylov`).  Each
+        block starts from its part of the normalized start plus _WARM_UNIFORM
+        = 1e-7 times the uniform vector, a direction error whose effect on
+        the estimate is O(1e-14).  `start` is a grid of shape (L' + 1, J + 1),
+        L' <= L, padded with zero rows: a previous stage's `top_vector` cuts the
         steps.  Without one it is the top right singular vector of the per-l
         blocks of W D^-1 W^-1 (B at eps = 0), which halves the steps on m = 0.
         `top_vector` is that of the estimate's block (unit norm, on the

@@ -229,15 +229,23 @@ def _union_length(lo, hi) -> float:
     """Length of the union of the intervals [lo_i, hi_i], lo sorted ascending.
 
     An interval joins the current run when it starts at or before the run's
-    reach (the running maximum of hi).  The run lengths are added left to
-    right, as a sequential merge would add them.
+    reach (the running maximum of hi).  The rows are read _CHUNK_PAIRS at a
+    time, each slice headed by the run still open (its start, its reach), so
+    the running maximum carries across slices.  The run lengths are added left
+    to right in one sequential sum, as a sequential merge would add them.
     """
     if len(lo) == 0:
         return 0.0
-    reach = np.maximum.accumulate(hi)
-    starts = np.flatnonzero(np.r_[True, lo[1:] > reach[:-1]])
-    ends = np.r_[starts[1:], len(lo)] - 1
-    return float(np.cumsum(reach[ends] - lo[starts])[-1])
+    total, open_lo, open_reach = 0.0, lo[:0], hi[:0]
+    for s in range(0, len(lo), _CHUNK_PAIRS):
+        left = np.r_[open_lo, lo[s:s + _CHUNK_PAIRS]]
+        reach = np.maximum.accumulate(np.r_[open_reach, hi[s:s + _CHUNK_PAIRS]])
+        starts = np.flatnonzero(np.r_[True, left[1:] > reach[:-1]])
+        ends = np.r_[starts[1:], len(left)] - 1
+        runs = reach[ends] - left[starts]  # the last run is still open
+        total = np.cumsum(np.r_[total, runs[:-1]])[-1]
+        open_lo, open_reach = left[starts[-1:]], reach[-1:]
+    return float(total + runs[-1])
 
 
 def _excluded_samples(e_samples, ells, wjs, thr, cut, m_of_eps):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -188,7 +189,7 @@ def test_solve_verbose_logs_one_line_per_stage(tmp_path, capsys):
         assert " upper_terms=1 " in line
     # stage 1 runs its Krylov steps in one block, from the top vector of
     # W D^-1 W^-1, and stage 2 in one block too
-    assert " unknowns=48 " in lines[0] and " power_steps=4 krylov_block=9 " in lines[0]
+    assert " unknowns=48 " in lines[0] and " power_steps=3 krylov_block=9 " in lines[0]
     assert " unknowns=96 " in lines[1] and " krylov_block=17 " in lines[1]
     # the timings go to stderr only: the trace is the same bytes
     assert (tmp_path / "loud" / "trace.jsonl").read_bytes() == \
@@ -273,6 +274,22 @@ def test_measure_json_is_the_one_shot_encoding(tmp_path):
     text = out.read_text()
     assert text == json.dumps(json.loads(text), sort_keys=True)
     assert len(json.loads(text)["reports"]) == 2
+
+
+def test_measure_json_does_not_depend_on_the_slice_length(tmp_path, monkeypatch):
+    # the scans, the union of their intervals and the writer all run in slices
+    # of _CHUNK_PAIRS rows: slices of 64 write the same file, elapsed_s aside
+    from resonant_kg import resonance
+    args = ["measure", "--eta", "0.04", "--eta", "0.02", "--samples", "500",
+            "--solve-grid", "2", "--out"]
+    assert main(args + [str(tmp_path / "whole.json")]) == 0
+    monkeypatch.setattr(resonance, "_CHUNK_PAIRS", 64)
+    assert main(args + [str(tmp_path / "sliced.json")]) == 0
+    whole, sliced = ((tmp_path / name).read_text() for name in ("whole.json", "sliced.json"))
+    assert len(json.loads(whole)["reports"][1]["excluded_intervals"]["lo"]) > 3 * 64
+    elapsed = re.compile(r'"elapsed_s": [^,]*')
+    same = elapsed.sub("", whole) == elapsed.sub("", sliced)  # no diff of 0.2 MB texts
+    assert same
 
 
 def test_measure_checks_its_output_before_the_solves(tmp_path, capsys, monkeypatch):

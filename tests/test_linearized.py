@@ -1363,3 +1363,41 @@ def test_import_loads_no_sparse_module(tmp_path):
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)], env=env, check=True,
                    timeout=300)
+
+
+def _inverse_norm_with_sweeps(op, params):
+    """inverse_norm(params), the Neumann sweeps it ran and its Krylov steps."""
+    sweeps = op.sweeps
+    value = op.inverse_norm(params)
+    return value, op.sweeps - sweeps, op.power_steps
+
+
+@pytest.mark.parametrize("case", ["m0", "m1", "m2", "m3", "L1024"])
+def test_krylov_exits_cut_sweeps_and_keep_the_estimate(monkeypatch, case):
+    # the forward solves stop at F ||W dx|| <= u ||W x|| and the adjoint ones
+    # at sqrt(u) relative; against both exits off (F = inf, the adjoint
+    # tolerance at u) they cut sweeps, add no Krylov steps, and move the
+    # estimate by at most 4u.  At L = 1024 the weights reach e^+-391, where squares of
+    # v |x| taken at the scale of b would underflow and stop every solve at
+    # its first sweep
+    if case == "L1024":
+        from resonant_kg.nash_moser import SolverConfig, run
+        result = run(SolverConfig(eps=1e-3, m=0, n_max=2))
+        op = assemble_linearized(1e-3, result.w, result.kernel, 1024, result.config.J_space)
+        params = NormParams(0.764, 1.0)
+    else:
+        op = _stage0_operator(int(case[1]), 64)
+        params = P
+    value, sweeps, steps = _inverse_norm_with_sweeps(op, params)
+    assert op._series[1] < np.inf
+    real = linearized.LinearizedOperator._upper_end
+
+    def upper_end(self, wg, blocks):
+        ends = real(self, wg, blocks)
+        self._series = (wg, np.inf)
+        return ends
+    monkeypatch.setattr(linearized.LinearizedOperator, "_upper_end", upper_end)
+    monkeypatch.setattr(linearized, "_DIRECTION_RTOL", linearized._UNIT_ROUNDOFF)
+    ref, ref_sweeps, ref_steps = _inverse_norm_with_sweeps(op, params)
+    assert sweeps < ref_sweeps and steps <= ref_steps
+    assert abs(value - ref) <= 4 * 2.0 ** -52 * ref
