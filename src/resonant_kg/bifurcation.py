@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import spherical_basis as sb
 from .field_algebra import (CoeffField, NormParams, field_multiply, fold_entries,
-                            log_time_weights, mult_matrix_stack, project_kernel)
+                            log_time_weights, project_kernel)
 
 __all__ = [
     "KernelField",
@@ -124,8 +125,8 @@ def _kernel_block(stack: np.ndarray, n: int, factor: float) -> np.ndarray:
 
 
 def _kernel_jacobian(q: CoeffField, n: int) -> np.ndarray:
-    """Dense matrix of h -> A h - 3 Pi_V(q h) on n kernel modes, for q = (v + w)^2."""
-    return _kernel_block(mult_matrix_stack(q, n, 2 * n), n, 3.0)
+    """Dense matrix of h -> A h - 3 Pi_V(q h) on n kernel modes from q = (v + w)^2's rows <= 2 n."""
+    return _kernel_block(sb.multiplication_matrix(q.u[: 2 * n + 1], n), n, 3.0)
 
 
 @dataclass
@@ -193,10 +194,10 @@ def kernel_derivative_matrix(stack: np.ndarray, n: int,
                              ells: np.ndarray, js: np.ndarray) -> np.ndarray:
     """Matrix of h -> d_w v(w)[h] from stored range coefficients to kernel coefficients.
 
-    stack holds the S_d matrices of b = 3 (v + w)^2 up to d = max(2 n,
-    n + max(ells)); n is the number of kernel modes.  Columns are indexed by
-    the lattice points (ells[c], js[c]) of the range truncation; row j'' is
-    the kernel coefficient of mode j'' (twice its stored entry, hence the 2).
+    stack holds S_d of b = 3 (v + w)^2 for its time rows (`fold_entries`); n
+    is the number of kernel modes.  Columns are indexed by the lattice points
+    (ells[c], js[c]) of the range truncation; row j'' is the kernel
+    coefficient of mode j'' (twice its stored entry, hence the 2).
     """
     wj = np.arange(n) + 1  # kernel time frequencies
     rhs = 2.0 * fold_entries(stack, wj[:, None], np.arange(n)[:, None],

@@ -39,7 +39,6 @@ __all__ = [
     "CoeffField",
     "log_time_weights",
     "field_multiply",
-    "mult_matrix_stack",
     "fold_entries",
     "project_kernel",
     "project_range",
@@ -221,33 +220,23 @@ def field_multiply(a: CoeffField, b: CoeffField) -> CoeffField:
     return CoeffField(out)
 
 
-def mult_matrix_stack(q: CoeffField, size: int, dmax: int) -> np.ndarray:
-    """Spatial multiplication matrices S_d of the time rows of q, d = 0..dmax.
-
-    Rows beyond q's truncation are zero.  fold_entries reads the product by q
-    on stored coefficients from this stack.
-    """
-    stack = np.zeros((dmax + 1, size, size))
-    top = min(dmax, q.L)
-    stack[: top + 1] = sb.multiplication_matrix(q.u[: top + 1], size)
-    return stack
-
-
 def fold_entries(stack: np.ndarray, l_out, j_out, l_in, j_in) -> np.ndarray:
     """Entries of the product by q on stored coefficients, gathered from its S_d stack.
 
     Stored row l stands for the exponential frequencies +l and -l, so the
     coefficient of (l_in, j_in) reaches (l_out, j_out) through
     S_|l_out - l_in| and, for l_in >= 1, through the folded frequency
-    S_{l_out + l_in}.  This is the one place the cos-halfline fold is written;
-    every dense operator of the product (kernel linearization, kernel
-    derivative, range assembly) is this gather of multiplication_matrix
-    entries, so its entries are the exact sums of the product rule.  The index
-    arguments broadcast against each other; the stack must hold S_d up to
-    the largest l_out + l_in.
+    S_{l_out + l_in}.  This is the fold's dense form, which every dense
+    product operator (kernel linearization, kernel derivative, the range
+    oracles) gathers, so its entries are the exact sums of the product rule;
+    LinearizedOperator._product applies the fold matrix-free.  The index
+    arguments broadcast against each other.  S_d past the stack's end (q's
+    time rows) reads as an exact zero, with no padded copy.
     """
-    folded = np.where(l_in >= 1, stack[l_out + l_in, j_out, j_in], 0.0)
-    return stack[np.abs(l_out - l_in), j_out, j_in] + folded
+    last = len(stack) - 1
+    near, far = (np.where(d <= last, stack[np.minimum(d, last), j_out, j_in], 0.0)
+                 for d in (np.abs(l_out - l_in), l_out + l_in))
+    return near + np.where(l_in >= 1, far, 0.0)
 
 
 # -- Lyapunov-Schmidt projectors ---------------------------------------------

@@ -31,8 +31,8 @@ norm of the weighted inverse B = W Lop^-1 W^-1, W the field norm's weights
 every size, by two ends (exact at eps = 0).  The upper end is a Schur test
 on an entrywise majorant of the Neumann series of D^-1 M, applied by the
 same fold on |S_d|, |dv| and the |D_l^-1| blocks: an upper bound up to the
-rounding of D^-1 itself, on B and on each block.  The lower end, a
-Golub-Kahan estimate through the same solves, runs block by block in
+rounding of D^-1 itself on each block, whose largest bounds B.  The lower
+end, a Golub-Kahan estimate through the same solves, runs block by block in
 descending order of the upper ends until the next is at most the estimate.
 Lop is the Hessian of the reduced action, so Lop^T = Mw Lop Mw^-1 for the
 time multiplicities Mw = diag(1, 2, 2, ...) of the stored rows: B^T is a
@@ -68,7 +68,7 @@ from numpy.lib.stride_tricks import as_strided
 from . import spherical_basis as sb
 from .bifurcation import KernelField, kernel_derivative_matrix, total_field
 from .field_algebra import (CoeffField, NormParams, field_multiply, kernel_mask, log_time_weights,
-                            mult_matrix_stack, wave_symbol, write_csv)
+                            wave_symbol, write_csv)
 
 __all__ = [
     "WLattice",
@@ -118,11 +118,11 @@ class ResonantSolveError(RuntimeError):
 
 
 # Where the fold runs, a set of decoupled blocks (`_cells`; the lattice is all of
-# them): x on the grid rows x cols[:nx] (nx = x.shape[1], the modes <= J), and h
-# on all rows and the modes cols, whose product by b computes the rows first +
-# stride k of each of parts against `stacked`, the S_d on cols x cols; dv fills h
-# at the kernel slots (row, index into cols).
-_Cells = namedtuple("_Cells", "rows parts cols slots dv symbol mask stacked")
+# them): x on the grid rows x modes (cols <= J, a prefix of cols), and h on all
+# rows and the modes cols, whose product by b computes the rows first + stride k
+# of each of parts against `stacked`, the S_d on cols x cols; dv fills h at the
+# kernel slots (row, index into cols).
+_Cells = namedtuple("_Cells", "rows parts cols modes slots dv symbol mask stacked")
 
 
 @dataclass(frozen=True)
@@ -174,19 +174,19 @@ class LinearizedOperator:
     """The linearized operator, applied matrix-free, with the stage state it linearizes at.
 
     u = v(w) + w is the state, q = u^2, and stack the S_d matrices of the
-    potential b = 3 q (mult_matrix_stack); dv_matrix maps lattice
-    coefficients to the kernel derivative.  The counter `sweeps` holds the
-    Neumann sweeps run on this operator, and `solved` marks the unknowns of
-    the blocks that `solve` ran on.  The last `inverse_norm` leaves
-    the Krylov steps (forward solves) of its lower end, summed over the
-    blocks that ran, in `power_steps` (0 at eps = 0) and the unknowns of the
-    block of the estimate in `krylov_block`, its upper end in `upper` and
-    that end's Neumann terms K in `upper_terms`, and its top right singular
-    vector in `top_vector` (None before the first call).
+    potential b = 3 q for q's time rows, d <= q.L (S_d past them is zero);
+    dv_matrix maps lattice coefficients to the kernel derivative.  The
+    counter `sweeps` holds the Neumann sweeps run on this operator, and
+    `solved` marks the unknowns of the blocks that `solve` ran on.  The last
+    `inverse_norm` leaves the Krylov steps (forward solves) of its lower
+    end, summed over the blocks that ran, in `power_steps` (0 at eps = 0)
+    and the unknowns of the block of the estimate in `krylov_block`, its
+    upper end, the largest block end, in `upper` and that end's Neumann
+    terms K in `upper_terms`, and its top right singular vector in
+    `top_vector` (None before the first call).
     """
 
     eps: float
-    omega: float
     lattice: WLattice
     u: CoeffField
     q: CoeffField
@@ -199,7 +199,6 @@ class LinearizedOperator:
         self.upper, self.top_vector = np.inf, None
         self.solved = np.zeros(self.lattice.size, dtype=bool)
         self._inverse, self._cell_cache = None, {}
-        self._series = (None, np.inf)  # `_upper_end`'s weights and its bound F on them
         n_k, size = self.dv_matrix.shape[0], self.stack.shape[1]
         # the product by b is taken on rows l <= L and on the kernel slots
         # (j'' + 1, j'').  S_d vanishes beyond the time truncation of q and,
@@ -218,6 +217,10 @@ class LinearizedOperator:
         self._stacked[np.abs(self._stacked) < np.finfo(float).tiny] = 0.0
         self._kernel_slots = (np.arange(n_k) + 1, np.arange(n_k))
         self._symbol = wave_symbol(self.omega, self.L, self.J)
+
+    @property
+    def omega(self) -> float:
+        return float(np.sqrt(1.0 + self.eps))
 
     @property
     def L(self) -> int:
@@ -376,8 +379,7 @@ class LinearizedOperator:
         peak = float(np.max(np.abs(b)))
         if peak == 0.0:
             return np.zeros_like(b)
-        xc = cells.cols[: b.shape[1]]
-        inverse = self._inverse[np.ix_(cells.rows, xc, xc)]
+        inverse = self._inverse[np.ix_(cells.rows, cells.modes, cells.modes)]
         scale = np.ldexp(1.0, np.frexp(peak)[1])
         b, product, tiny = b / scale, self._product(cells), np.finfo(float).tiny
         # the update and the iterate side by side: one abs and one max serve both
@@ -432,7 +434,7 @@ class LinearizedOperator:
         for idx in self._partition:
             if b[lat.ells[idx], lat.js[idx]].any():
                 cells = self._cells(idx)
-                sub = np.ix_(cells.rows, cells.cols[cells.cols <= self.J])
+                sub = np.ix_(cells.rows, cells.modes)
                 part = self._neumann(np.where(cells.mask, b[sub], 0.0), cells)
                 x[sub] = np.where(cells.mask, part, x[sub])
                 self.solved[idx] = True
@@ -499,14 +501,14 @@ class LinearizedOperator:
                    else self._stacked.reshape(-1, size * size).take(
                        (cols[:, None] * size + cols).ravel(), axis=1))  # in C order
         cells = self._cell_cache[key] = _Cells(
-            rows, tuple((int(r), step) for r in np.flatnonzero(residue)), cols,
+            rows, tuple((int(r), step) for r in np.flatnonzero(residue)), cols, xc,
             (slots + 1, np.searchsorted(cols, slots)), dv, self._symbol[np.ix_(rows, xc)],
             (np.bincount(at, minlength=dv.shape[1]) > 0).reshape(len(rows), -1),
             stacked.reshape(-1, len(cols)))
         return cells
 
     def _upper_end(self, wg: np.ndarray, blocks: list[np.ndarray]):
-        """Upper bounds on ||B|| and each block's from the paper's splitting, and their K.
+        """Upper bounds on each block's ||B_b|| from the paper's splitting, their K and F.
 
         With T = eps W D^-1 M W^-1, B = sum_{k<K} T^k W D^-1 W^-1 + T^K B, so
         ||B|| <= ||sum_{k<K} T^k W D^-1 W^-1|| / (1 - ||T^K||).  Both norms
@@ -518,11 +520,11 @@ class LinearizedOperator:
         bound is inf).  _UPPER_MARGIN covers the rounding of these nonnegative
         sums (an underflow drops at most 2^-1074 w_i from row i); D^-1 is
         taken as `factorize` rounded it.  A has M's block-diagonal support, so
-        the sums on a block b bound ||B_b||.  With s_k the Schur value at k,
-        every power T^(jK + i), i = 1..K, has norm at most s_K^j s_i, so
-        sum_{k>=1} ||T^k|| <= F = (s_1 + ... + s_K) / (1 - s_K): after a
-        Neumann sweep on any block, the rest of the series is at most F ||W dx||.
-        `_series` keeps wg and F (inf when no K qualifies) for `_krylov`.
+        the sums on a block b bound ||B_b|| (inf for a NaN), and their largest
+        ||B||.  With s_k the Schur value at k, every power T^(jK + i), i = 1..K,
+        has norm at most s_K^j s_i, so sum_{k>=1} ||T^k|| <= F = (s_1 + ... +
+        s_K) / (1 - s_K): after a Neumann sweep on any block, the rest of the
+        series is at most F ||W dx|| (F = inf when no K qualifies).
         """
         cells = self._cells(np.arange(self.lattice.size))
         mask, cols, tiny = cells.mask, cells.cols, np.finfo(float).tiny
@@ -547,16 +549,13 @@ class LinearizedOperator:
             s = np.sqrt((wg * row_t).max() * (col / wg).max())
             tail += s
             if s <= 0.5:
-                self._series = (wg, float(tail / (1.0 - s)))
                 r, c = (wg * sum_rows)[mask], (sum_cols / wg)[mask]  # zero off the lattice
-                ends = [r[b].max() * c[b].max() for b in blocks]
-                upper = np.sqrt([r.max() * c.max(), *ends]) / (1.0 - s) * _UPPER_MARGIN
-                return min(np.inf, upper[0]), k, np.fmin(np.inf, upper[1:])  # inf for a NaN
+                ends = np.sqrt([r[b].max() * c[b].max() for b in blocks]) / (1.0 - s)
+                return np.fmin(np.inf, ends * _UPPER_MARGIN), k, float(tail / (1.0 - s))
             row_p = a(row_p)
-        self._series = (wg, np.inf)
-        return np.inf, 0, np.full(len(blocks), np.inf)
+        return np.full(len(blocks), np.inf), 0, np.inf
 
-    def _krylov(self, idx: np.ndarray, start: np.ndarray, wg: np.ndarray):
+    def _krylov(self, idx: np.ndarray, start: np.ndarray, wg: np.ndarray, tail: float):
         """Golub-Kahan (Lanczos) estimate of ||B_b|| on the block idx (`_cells`) from grid start.
 
         Step k solves for y_k = B q_k, q_1 the normalized start on the block
@@ -571,20 +570,18 @@ class LinearizedOperator:
 
         Each solve stops at the accuracy its role needs, or at the
         componentwise stop if that comes first (`_neumann`).  A forward solve
-        stops at F ||W dx|| <= u ||W x||, u = 2^-52 and F `_upper_end`'s
-        bound on the rest of the Neumann series for these weights (inf, and
-        no such stop, when it has not run on them): each y_k is then within u
-        ||y_k|| of B q_k, so sigma_max(Y) moves by O(u) ||Y|| (Weyl).  An
-        adjoint solve only picks the next direction, and stops at sqrt(u)
-        relative in its own weights Mw / W: Gram-Schmidt, twice, keeps Q
-        orthonormal whatever the direction's error d, so the estimate stays a
-        lower bound, and d moves the next Ritz value by O(d^2) = O(u)
-        (Parlett, The Symmetric Eigenvalue Problem, ch. 11).
+        stops at F ||W dx|| <= u ||W x||, u = 2^-52 and F = tail, `_upper_end`'s
+        bound on the rest of the Neumann series for the weights wg (inf: no
+        such stop): each y_k is then within u ||y_k|| of B q_k, so
+        sigma_max(Y) moves by O(u) ||Y|| (Weyl).  An adjoint solve only picks
+        the next direction, and stops at sqrt(u) relative in its own weights
+        Mw / W: Gram-Schmidt, twice, keeps Q orthonormal whatever the
+        direction's error d, so the estimate stays a lower bound, and d moves
+        the next Ritz value by O(d^2) = O(u) (Parlett, The Symmetric
+        Eigenvalue Problem, ch. 11).
         """
         cells = self._cells(idx)
-        weights, tail = self._series
-        tail = tail if weights is wg else np.inf  # F holds on the weights it was formed on
-        sub, shape = np.ix_(cells.rows, cells.cols[cells.cols <= self.J]), cells.mask.shape
+        sub, shape = np.ix_(cells.rows, cells.modes), cells.mask.shape
         wg = np.where(cells.mask, wg[sub], 1.0)
         wm = wg / np.where(cells.rows == 0, 1.0, 2.0)[:, None]  # w / Mw
         forward = (wg, tail / _UNIT_ROUNDOFF) if tail < np.inf else ()
@@ -620,12 +617,12 @@ class LinearizedOperator:
         their geometric midpoint; when half their log range passes
         log(1 / tiny), ResonantSolveError names sigma L.  At eps = 0, Lop = D
         is diagonal and the weights cancel: the norm is 1 / min |D|, exact,
-        and `upper` holds it too.  Otherwise `upper` and `upper_terms` hold
-        `_upper_end`, and the lower end returned is the largest `_krylov`
-        estimate over the blocks of `_partition`, taken in descending order
-        of their upper ends until the next is at most the estimate: a block
-        left out has ||B_b|| <= its upper end <= the estimate, and the Krylov
-        solves stop at the accuracy the estimate reads (`_krylov`).  Each
+        and `upper` holds it too.  Otherwise `upper` holds the largest block
+        end of `_upper_end` and `upper_terms` its K, and the lower end returned
+        is the largest `_krylov` estimate over the blocks of `_partition`,
+        taken in descending order of their ends until the next is at most the
+        estimate: a block left out has ||B_b|| <= its end <= the estimate, and
+        the Krylov solves, given F, stop at the accuracy the estimate reads.  Each
         block starts from its part of the normalized start plus _WARM_UNIFORM
         = 1e-7 times the uniform vector, a direction error whose effect on
         the estimate is O(1e-14).  `start` is a grid of shape (L' + 1, J + 1),
@@ -660,7 +657,8 @@ class LinearizedOperator:
             self.top_vector[lat.ells[k], lat.js[k]] = 1.0
             return top
         blocks = self._partition
-        self.upper, self.upper_terms, ends = self._upper_end(wg, blocks)
+        ends, self.upper_terms, tail = self._upper_end(wg, blocks)
+        self.upper = float(ends.max())
         if start is None:  # the top right singular vector of W D^-1 W^-1, which is B at eps = 0
             dw = wg[:, :, None] * self._inverse / wg[:, None, :]
             dw[~(lat.mask[:, :, None] & lat.mask[:, None, :] & np.isfinite(dw))] = 0.0
@@ -673,7 +671,7 @@ class LinearizedOperator:
         for k in np.argsort(-ends, kind="stable"):
             if ends[k] <= est:
                 break
-            value, top = self._krylov(blocks[k], q, wg)
+            value, top = self._krylov(blocks[k], q, wg, tail)
             if value > est:
                 est, self.krylov_block, self.top_vector = value, len(blocks[k]), top
         return est
@@ -684,19 +682,16 @@ def assemble_linearized(eps: float, w: CoeffField, kernel: KernelField, L_n: int
     """Build the linearized operator at the state v + w on the (L_n, J_max) lattice.
 
     The caller solves the kernel v = v(w) on its own branch.  q = (v + w)^2
-    is formed once, and one S_d stack of b = 3 q serves the product by b and
-    the kernel derivative dv.
+    is formed once, and one S_d stack of b = 3 q, one S_d per time row of q,
+    serves the product by b and the kernel derivative dv.
     """
-    omega = float(np.sqrt(1.0 + eps))
     lattice = WLattice(L_n, J_max)
     u = total_field(kernel, w)
     q = field_multiply(u, u)
     n_k = kernel.J + 1
-    stack = mult_matrix_stack(3.0 * q, max(J_max + 1, n_k),
-                              max(2 * L_n, L_n + n_k, 2 * n_k))
+    stack = sb.multiplication_matrix(3.0 * q.u, max(J_max + 1, n_k))
     dv = kernel_derivative_matrix(stack, n_k, lattice.ells, lattice.js)
-    return LinearizedOperator(eps=eps, omega=omega, lattice=lattice,
-                              u=u, q=q, stack=stack, dv_matrix=dv)
+    return LinearizedOperator(eps=eps, lattice=lattice, u=u, q=q, stack=stack, dv_matrix=dv)
 
 
 @dataclass

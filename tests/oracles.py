@@ -170,15 +170,18 @@ def exact_inverse_norm(op, params: NormParams, blocks=None) -> float:
                               for idx in (op._partition if blocks is None else blocks))
 
 
-def dense_upper_end(op, params: NormParams, max_terms: int = 8):
+def dense_upper_end(op, params: NormParams, max_terms: int = 8, lattice_wide: bool = False):
     """The upper end of `inverse_norm`, without its rounding margin, and its K, formed densely.
 
     |M| is the fold of |S_d| (its d = 0 same-l term left to D) plus that of
     the kernel slots times 0.5 |dv|, |D^-1| the symmetrized `factorize`
     blocks.  With X_T = W eps |D^-1| |M| W^-1, X_D = W |D^-1| W^-1 and
     Schur(X) = sqrt(||X||_1 ||X||_inf): for the first K with
-    s_K = Schur(X_T^K) <= 1/2, Schur(sum_{k<K} X_T^k X_D) / (1 - s_K);
-    (inf, 0) when no K <= max_terms qualifies.  Returns (value, K, |M|).
+    s_K = Schur(X_T^K) <= 1/2, the largest over the blocks of `_partition`
+    of Schur(X_b) / (1 - s_K), X_b the block of X = sum_{k<K} X_T^k X_D;
+    with `lattice_wide`, Schur(X) / (1 - s_K), the bound on the whole
+    lattice that the block ends replace.  (inf, 0) when no K <= max_terms
+    qualifies.  Returns (value, K, |M|).
     """
     lat, n = op.lattice, op.lattice.size
     mult, m2 = potential_parts(op, np.arange(n), absolute=True)
@@ -195,7 +198,9 @@ def dense_upper_end(op, params: NormParams, max_terms: int = 8):
     partial, power = xd, xt
     for terms in range(1, max_terms + 1):
         if schur(power) <= 0.5:
-            return schur(partial) / (1.0 - schur(power)), terms, mabs
+            ends = [schur(partial)] if lattice_wide else [
+                schur(partial[np.ix_(b, b)]) for b in op._partition]
+            return max(ends) / (1.0 - schur(power)), terms, mabs
         partial, power = xd + xt @ partial, xt @ power
     return np.inf, 0, mabs
 

@@ -4,7 +4,8 @@ import pytest
 from resonant_kg import CoeffField, NormParams
 from resonant_kg.bifurcation import (KernelField, KernelSolveError, kernel_derivative_matrix,
                                      one_mode_solution, solve_kernel, total_field)
-from resonant_kg.field_algebra import field_multiply, mult_matrix_stack
+from resonant_kg.field_algebra import field_multiply
+from resonant_kg.spherical_basis import multiplication_matrix
 
 from conftest import from_mode, random_field
 from oracles import (bif_block, block_determinant, kernel_derivative, kernel_residual,
@@ -177,7 +178,7 @@ def test_derivative_matrix_columns_match_kernel_derivative(rng):
     v = solve_kernel(w, m, J_V=J).kernel
     lattice = WLattice(L, J)
     u = total_field(v, w)
-    stack = mult_matrix_stack(3.0 * field_multiply(u, u), J + 1, 2 * (J + 1) + L)
+    stack = multiplication_matrix(3.0 * field_multiply(u, u).u, J + 1)
     mat = kernel_derivative_matrix(stack, J + 1, lattice.ells, lattice.js)
     assert mat.shape == (J + 1, lattice.size)
     for c, (ell, j) in enumerate(zip(lattice.ells, lattice.js)):

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 
 from resonant_kg import (CoeffField, NormParams, field_multiply, load_field,
                          project_kernel, project_range, save_field, time_cutoff)
-from resonant_kg.field_algebra import field_to_csv
+from resonant_kg.field_algebra import field_to_csv, fold_entries
+from resonant_kg.spherical_basis import multiplication_matrix
 
 from conftest import evaluate_field, from_mode, profile_product, random_field
 from oracles import smoothing_bound_check, sobolev_trade_check, trade_bound_constant
@@ -173,6 +174,23 @@ def test_multiply_grid_oracle(rng):
     lhs = evaluate_field(p, t, x)
     rhs = evaluate_field(a, t, x) * evaluate_field(b, t, x)
     assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.abs(rhs).max())
+
+
+def test_fold_entries_read_past_the_stack_as_exact_zeros(rng):
+    # the stack holds S_d for q's time rows only: a gather at d past its end
+    # equals, bit for bit, the gather from the same stack padded with zero
+    # slices, and the last slice (a NaN in it) does not leak past the end
+    q = random_field(rng, 3, 4, scale=0.7, decay=0.1)
+    stack = multiplication_matrix(q.u, 6)
+    stack[-1, 0, 0] = np.nan
+    padded = np.concatenate([stack, np.zeros((12, 6, 6))])
+    l_out, l_in = np.arange(8)[:, None], np.arange(8)[None, :]
+    j_out, j_in = rng.integers(0, 6, (8, 1)), rng.integers(0, 6, (1, 8))
+    got = fold_entries(stack, l_out, j_out, l_in, j_in)
+    want = fold_entries(padded, l_out, j_out, l_in, j_in)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    beyond = (np.abs(l_out - l_in) > q.L) & (l_out + l_in > q.L)
+    assert beyond.sum() == 20 and np.all(got[beyond] == 0.0)
 
 
 def test_operations_commute_with_evaluation(rng):

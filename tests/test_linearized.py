@@ -489,7 +489,7 @@ def test_warm_start_inside_one_block_still_finds_the_norm():
     assert abs(value - exact) <= 1e-12 * exact and op.krylov_block == len(blocks[1])
     # negative control: without the order of the upper ends, a loop that ran
     # the block of the start and stopped there would stay in block 0
-    trapped = op._krylov(blocks[0], start, weight_grid(op, params))[0]
+    trapped = op._krylov(blocks[0], start, weight_grid(op, params), np.inf)[0]
     assert abs(trapped - first) <= 1e-12 * first
 
 
@@ -509,21 +509,21 @@ def _krylov_against_exact(monkeypatch, config, runner_up=False):
         seen.append((op, params, []))
         return real(op, params, **kwargs)
 
-    def krylov(op, idx, start, wg):
+    def krylov(op, idx, start, wg, tail):
         seen[-1][2].append(idx)
         if runner_up:
             blocks = op._partition
             norms = [exact_inverse_norm(op, seen[-1][1], [b]) for b in blocks]
             if np.array_equal(idx, blocks[int(np.argmax(norms))]):
                 return 0.0, np.zeros(op.lattice.mask.shape)
-        return real_krylov(op, idx, start, wg)
+        return real_krylov(op, idx, start, wg, tail)
     monkeypatch.setattr(operator, "inverse_norm", inverse_norm)
     monkeypatch.setattr(operator, "_krylov", krylov)
     result = run(config)
     out = []
     for rec, stats, (op, params, ran) in zip(result.trace.records[1:], result.stages, seen):
         blocks = op._partition
-        ends = op._upper_end(weight_grid(op, params), blocks)[2]
+        ends = op._upper_end(weight_grid(op, params), blocks)[0]
         idle = [end / rec.inverse_norm for b, end in zip(blocks, ends)
                 if not any(np.array_equal(b, r) for r in ran)]
         out.append((rec.inverse_norm / exact_inverse_norm(op, params) - 1.0,
@@ -569,10 +569,10 @@ def test_stage_one_runs_in_the_blocks_of_largest_upper_end(monkeypatch):
     # the norm by 17%
     blocks, wg = op._partition, weight_grid(op, params)
     monkeypatch.setattr(linearized, "_MAX_KRYLOV_STEPS", 1)
-    ratio = [op._krylov(b, uniform, wg)[0] for b in blocks]
+    ratio = [op._krylov(b, uniform, wg, np.inf)[0] for b in blocks]
     monkeypatch.undo()
     first = blocks[int(np.argmax(ratio))]
-    wrong = op._krylov(first, uniform, wg)[0]
+    wrong = op._krylov(first, uniform, wg, np.inf)[0]
     assert len(first) == 41 and wrong < 0.9 * exact
 
 
@@ -587,12 +587,12 @@ def test_blocks_run_in_descending_order_of_their_upper_ends():
     exact = exact_inverse_norm(op, params)
     value = op.inverse_norm(params)
     blocks, wg = op._partition, weight_grid(op, params)
-    ends = op._upper_end(wg, blocks)[2]
+    ends = op._upper_end(wg, blocks)[0]
     order = np.argsort(ends)
     assert len(blocks) == 8 and op.krylov_block == len(blocks[order[-1]])
     assert abs(value - exact) <= 1e-14 * exact and ends[order[-2]] <= value
     q = np.where(op.lattice.mask, 1.0, 0.0)
-    reverse = [op._krylov(blocks[k], q, wg)[0] for k in order]
+    reverse = [op._krylov(blocks[k], q, wg, np.inf)[0] for k in order]
     assert abs(max(reverse) - exact) <= 1e-14 * exact
     assert reverse[0] < 0.9 * exact
 
@@ -621,7 +621,7 @@ def test_krylov_steps_inside_each_block_give_its_norm(state):
         start = np.zeros(op.lattice.mask.shape)
         start[op.lattice.ells[idx], op.lattice.js[idx]] = 1.0
         op.power_steps = 0
-        value, top = op._krylov(idx, start, wg)
+        value, top = op._krylov(idx, start, wg, np.inf)
         assert 1 <= op.power_steps <= len(idx) and abs(value - block) <= 1e-14 * block
         assert np.all(top[~start.astype(bool)] == 0.0)
 
@@ -644,19 +644,19 @@ def test_block_krylov_on_a_coarse_partition(L):
     # the one-block loop inside the coarse block gives its norm
     start = np.zeros(op.lattice.mask.shape)
     start[op.lattice.ells[coarse[0]], op.lattice.js[coarse[0]]] = 1.0
-    value = op._krylov(coarse[0], start, weight_grid(op, P))[0]
+    value = op._krylov(coarse[0], start, weight_grid(op, P), np.inf)[0]
     assert abs(value - inside) <= 1e-15 * inside
 
 
 def test_assembly_forms_square_and_stack_once(rng, monkeypatch):
     # q = (v + w)^2 and the S_d stack of b = 3 q serve the whole assembly
     import sys
-    from resonant_kg import field_algebra
+    from resonant_kg import field_algebra, spherical_basis
     w = random_field(rng, 4, 5, scale=0.05, decay=0.3)
     kernel = solve_kernel(w, 1, J_V=5).kernel
-    calls = {"field_multiply": 0, "mult_matrix_stack": 0}
-    for name in calls:
-        real = getattr(field_algebra, name)
+    calls = {"field_multiply": 0, "multiplication_matrix": 0}
+    for name, home in zip(calls, (field_algebra, spherical_basis)):
+        real = getattr(home, name)
 
         def counted(*args, _real=real, _name=name):
             calls[_name] += 1
@@ -666,7 +666,15 @@ def test_assembly_forms_square_and_stack_once(rng, monkeypatch):
                     and getattr(mod, name, None) is real):
                 monkeypatch.setattr(mod, name, counted)
     assemble_linearized(2e-3, w, kernel, 8, 5)
-    assert calls == {"field_multiply": 1, "mult_matrix_stack": 1}
+    assert calls == {"field_multiply": 1, "multiplication_matrix": 1}
+
+
+def test_assembly_stack_holds_one_slice_per_row_of_q(rng):
+    # S_d for d <= q.L only: the fold and the kernel derivative read S_d past
+    # q's last row as an exact zero, so no slice of zeros is stored
+    w = random_field(rng, 4, 5, scale=0.05, decay=0.3)
+    op = assemble_linearized(2e-3, w, solve_kernel(w, 1, J_V=5).kernel, 8, 5)
+    assert op.stack.shape == (op.q.L + 1, 6, 6) and op.q.L == 12 < 2 * op.L
 
 
 def _assert_matches_oracle(tab, rep, eps, b0, J_max, oracle_rtol=1e-10):
@@ -1086,9 +1094,10 @@ def test_neumann_solve_builds_its_fold_buffers_once(monkeypatch):
 
 @pytest.mark.parametrize("state", _MAJORANT_STATES)
 def test_upper_end_matches_its_dense_form(rng, state):
-    # the Schur bound of the first K Neumann terms with s_K <= 1/2, formed
-    # densely from the same majorant, and it bounds the exact norm; so does
-    # each block's, from the row and column sums restricted to the block
+    # the largest block Schur bound of the first K Neumann terms with
+    # s_K <= 1/2, formed densely from the same majorant, and it bounds the
+    # exact norm; so does each block's, from the row and column sums
+    # restricted to the block
     op = _majorant_operator(rng, state)
     blocks = op._partition
     for params in (P, NormParams(0.7, 1.0)):
@@ -1097,9 +1106,26 @@ def test_upper_end_matches_its_dense_form(rng, state):
         assert op.upper_terms == terms >= 1
         assert abs(op.upper - upper * linearized._UPPER_MARGIN) <= 1e-12 * upper
         assert exact_inverse_norm(op, params) <= op.upper
-        ends = op._upper_end(weight_grid(op, params), blocks)[2]
+        ends = op._upper_end(weight_grid(op, params), blocks)[0]
         assert len(ends) == len(blocks) and ends.max() <= op.upper
         assert all(exact_inverse_norm(op, params, [b]) <= end for b, end in zip(blocks, ends))
+
+
+@pytest.mark.parametrize("state", _MAJORANT_STATES)
+def test_upper_end_is_the_largest_block_end(rng, state):
+    # B is block diagonal under `_partition`, so ||B|| = max_b ||B_b|| and the
+    # largest block end bounds it; it is never above the lattice-wide Schur
+    # bound with the same K, and at stage 1 of m = 1 (L = 16) strictly below it
+    from resonant_kg.nash_moser import SolverConfig
+    cfg = SolverConfig(eps=2e-3, m=1)
+    op = _majorant_operator(rng, state)
+    for params in (P, NormParams(cfg.sigmas()[1], cfg.s)):
+        op.inverse_norm(params)
+        ends = op._upper_end(weight_grid(op, params), op._partition)[0]
+        whole = dense_upper_end(op, params, lattice_wide=True)[0] * linearized._UPPER_MARGIN
+        assert op.upper == ends.max() and op.upper <= whole * (1 + 1e-12)
+    if state == "m1":
+        assert op.upper < 0.99 * whole
 
 
 def test_upper_end_is_infinite_when_no_term_count_qualifies(monkeypatch):
@@ -1115,7 +1141,7 @@ def test_upper_end_is_infinite_when_no_term_count_qualifies(monkeypatch):
     assert op.upper_terms == 0 and op.upper == np.inf
     # no block's upper end rules it out, so every block runs
     blocks = op._partition
-    assert np.all(op._upper_end(weight_grid(op, params), blocks)[2] == np.inf)
+    assert np.all(op._upper_end(weight_grid(op, params), blocks)[0] == np.inf)
     exact = exact_inverse_norm(op, params)
     assert abs(value - exact) <= 1e-14 * exact
 
@@ -1389,13 +1415,11 @@ def test_krylov_exits_cut_sweeps_and_keep_the_estimate(monkeypatch, case):
         op = _stage0_operator(int(case[1]), 64)
         params = P
     value, sweeps, steps = _inverse_norm_with_sweeps(op, params)
-    assert op._series[1] < np.inf
     real = linearized.LinearizedOperator._upper_end
+    assert real(op, weight_grid(op, params), op._partition)[2] < np.inf
 
     def upper_end(self, wg, blocks):
-        ends = real(self, wg, blocks)
-        self._series = (wg, np.inf)
-        return ends
+        return (*real(self, wg, blocks)[:2], np.inf)
     monkeypatch.setattr(linearized.LinearizedOperator, "_upper_end", upper_end)
     monkeypatch.setattr(linearized, "_DIRECTION_RTOL", linearized._UNIT_ROUNDOFF)
     ref, ref_sweeps, ref_steps = _inverse_norm_with_sweeps(op, params)
