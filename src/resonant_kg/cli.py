@@ -117,6 +117,14 @@ def _numeric_failure(exc: Exception) -> int:
     return EXIT_NUMERIC
 
 
+def _check_stage0(eps: float, L0: int, name: str) -> None:
+    """Raise the usage error (ValueError) of an amplitude beyond stage 0's bound."""
+    from .nash_moser import stage0_contracts
+    if not stage0_contracts(eps, L0):
+        raise ValueError(f"{name} {eps:g} violates stage 0's bound "
+                         f"eps L0 / (omega + 1) <= 1/2 at L0 = {L0}")
+
+
 def cmd_solve(args) -> int:
     from . import field_algebra, nash_moser
     from .resonance import records_to_csv
@@ -128,6 +136,7 @@ def cmd_solve(args) -> int:
             eps=args.eps, m=args.m, gamma=args.gamma, tau=args.tau,
             sigma_bar=args.sigma_bar, s=args.s, theta=args.theta, L0=args.L0,
             n_max=args.stages, J_space=args.j_space)
+        _check_stage0(config.eps, config.L0, "eps")
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -187,7 +196,7 @@ def _mean_curve(eps_grid, m):
 
 def cmd_measure(args) -> int:
     import numpy as np
-    from .nash_moser import SolverConfig, stage0_contracts
+    from .nash_moser import SolverConfig
     from .resonance import _CHUNK_PAIRS, ResonanceParams, measure_scan, fit_excluded_exponent
 
     if args.solve_grid < 2:
@@ -197,21 +206,17 @@ def cmd_measure(args) -> int:
     if not all(math.isfinite(eta) and eta > 0.0 for eta in args.eta):
         print("invalid parameters: eta must be positive and finite", file=sys.stderr)
         return EXIT_USAGE
-    # the branch mean is solved at amplitudes up to max(eta), from stage 0
-    L0 = SolverConfig.L0
-    if not stage0_contracts(max(args.eta), L0):
-        print(f"invalid parameters: eta {max(args.eta):g} violates stage 0's bound "
-              f"eps L0 / (omega + 1) <= 1/2 at L0 = {L0}", file=sys.stderr)
-        return EXIT_USAGE
-    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-    t0 = time.perf_counter()
     etas = sorted(set(args.eta), reverse=True)
     try:
         params = ResonanceParams(args.gamma, args.tau, eps0=max(etas))
+        # the branch mean is solved at amplitudes up to max(eta), from stage 0
+        _check_stage0(max(etas), SolverConfig.L0, "eta")
         SolverConfig(eps=max(etas), m=args.m)  # the mean-curve solves' parameters
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
+    t0 = time.perf_counter()
     # an unwritable --out exits 66 here, before the solves, and leaves no file
     created = not os.path.exists(args.out)
     open(args.out, "a").close()
@@ -236,7 +241,6 @@ def cmd_measure(args) -> int:
         "reports": [replace(r, excluded_intervals=r.excluded_intervals[:0])._payload()
                     for r in reports],
         "fitted_exponent": fit_excluded_exponent(reports) if len(reports) >= 2 else None,
-        "elapsed_s": time.perf_counter() - t0,
     }
     # json.dump(payload)'s text from the C encoder, one interval column at a
     # time in slices of rows (their texts joined by ", " are the column's), and
@@ -256,7 +260,8 @@ def cmd_measure(args) -> int:
     fitted = payload["fitted_exponent"]
     print(f"admissible fractions: "
           + ", ".join(f"{r['eta']:g}: {r['fraction_interval']:.4f}" for r in payload["reports"])
-          + (f"; fitted exponent {fitted:.3f}" if fitted is not None else ""))
+          + (f"; fitted exponent {fitted:.3f}" if fitted is not None else "")
+          + f"; {time.perf_counter() - t0:.2f} s")
     return EXIT_OK
 
 

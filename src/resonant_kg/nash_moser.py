@@ -115,8 +115,8 @@ class SolverConfig:
             raise ValueError("s must exceed 1/2")
         if self.sigma_bar <= 0:
             raise ValueError("sigma_bar must be positive")
-        if math.pi ** 2 * self.theta / 6.0 >= self.sigma_bar / 2.0:
-            raise ValueError("need pi^2 theta / 6 < sigma_bar / 2")
+        if not 0.0 < math.pi ** 2 * self.theta / 6.0 < self.sigma_bar / 2.0:  # strips shrink
+            raise ValueError("need 0 < pi^2 theta / 6 < sigma_bar / 2")
         if self.L0 < 1 or self.n_max < 0:
             raise ValueError("L0 >= 1 and n_max >= 0 required")
         if self.m < 0:
@@ -151,7 +151,7 @@ class SolverConfig:
 
 @dataclass
 class StageRecord:
-    """Per-stage diagnostics; serialized as one JSON line in the trace."""
+    """Per-stage certificate; serialized as one JSON line in the trace."""
 
     n: int
     L_n: int
@@ -160,10 +160,8 @@ class StageRecord:
     w_norm: float
     stage_residual: float
     picard_iters: int
-    contraction_ratio: float  # last Picard update / the one before; noise once both are roundoff
     kernel_iters: int
-    melnikov_ok: bool  # always true: run raises MelnikovExcludedError before a failing record
-    melnikov_failures: int  # always 0, for the same reason
+    melnikov_ok: bool  # always true (a failing stage raises); the benchmark's gate reads it
     inverse_norm: float
     # an upper bound on the norm that inverse_norm bounds from below
     inverse_norm_upper: float
@@ -201,7 +199,7 @@ def _range_rhs(f: CoeffField, L: int, J: int, params: NormParams):
 
 
 def _contract(step, x: CoeffField, params: NormParams, label: str):
-    """Iterate x <- step(x) to its fixed point; return (x, iterations, last ratio).
+    """Iterate x <- step(x) to its fixed point; return (x, iterations).
 
     Stops once an update is below PICARD_TOL max(1, ||x||).  Raises
     ContractionError, naming `label`, on a non-finite update, on an update
@@ -209,7 +207,6 @@ def _contract(step, x: CoeffField, params: NormParams, label: str):
     iterations.
     """
     prev_delta = None
-    ratio = 0.0
     for iters in range(1, PICARD_MAX + 1):
         x_new = step(x)
         delta = (x_new - x).norm(params)
@@ -224,7 +221,7 @@ def _contract(step, x: CoeffField, params: NormParams, label: str):
         prev_delta = delta
         x = x_new
         if delta < PICARD_TOL * max(1.0, x_new_norm):
-            return x, iters, ratio
+            return x, iters
     raise ContractionError(f"{label} loop did not converge in {PICARD_MAX} iterations")
 
 
@@ -280,15 +277,14 @@ def solve_stage0(config: SolverConfig):
         return project_range(CoeffField(np.where(
             symbol != 0.0, eps * rhs.u / np.where(symbol == 0, 1, symbol), 0.0)))
 
-    w, iters, ratio = CoeffField.zeros(L0, J), 0, 0.0
+    w, iters = CoeffField.zeros(L0, J), 0
     if eps != 0.0:
-        w, iters, ratio = _contract(step, w, params, "stage-0")
+        w, iters = _contract(step, w, params, "stage-0")
     v = resolve_kernel(w)
     w_norm = w.norm(params)
     rec = StageRecord(n=0, L_n=L0, sigma_n=config.sigma_bar, h_norm=w_norm, w_norm=w_norm,
                       stage_residual=_stage_residual(w, v, L0, eps, params),
-                      picard_iters=iters, contraction_ratio=ratio,
-                      kernel_iters=kernel.iterations, melnikov_ok=True, melnikov_failures=0,
+                      picard_iters=iters, kernel_iters=kernel.iterations, melnikov_ok=True,
                       inverse_norm=1.0 / sym_min, inverse_norm_upper=1.0 / sym_min,
                       inverse_bound=2.0, r_norm=0.0,
                       r_smoothing_bound=0.0, divisor_ok=True,
@@ -334,14 +330,13 @@ def _stage_solve(n: int, w_n: CoeffField, kernel_n, op, config: SolverConfig):
         return eps * op.solve(r_n + R)
 
     t_picard = time.perf_counter()
-    h, iters, ratio = _contract(step, CoeffField.zeros(L_next, J), params_next,
-                                f"stage {n + 1} Picard")
+    h, iters = _contract(step, CoeffField.zeros(L_next, J), params_next, f"stage {n + 1} Picard")
     t_picard = time.perf_counter() - t_picard
 
     w_next = w_n.padded(L_next, J) + h
     kernel_next = solve_kernel(w_next, config.m, J_V=J, params=params_next, start=kernel_n.kernel)
-    facts = dict(picard_iters=iters, contraction_ratio=ratio, discarded_norm=discarded,
-                 r_norm=r_norm, r_smoothing_bound=r_smooth_bound)
+    facts = dict(picard_iters=iters, discarded_norm=discarded, r_norm=r_norm,
+                 r_smoothing_bound=r_smooth_bound)
     return w_next, kernel_next, h, t_picard, facts
 
 
@@ -362,9 +357,8 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig,
     t_start = time.perf_counter()
     op = assemble_linearized(eps, w_n, kernel_n.kernel, L_next, config.J_space)
     t_assembled = time.perf_counter()
-    ok, failures = check_stage_conditions(eps, melnikov_mean(op.q),
-                                          config.resonance_params(), L_next)
-    if not ok:
+    failures = check_stage_conditions(eps, melnikov_mean(op.q), config.resonance_params(), L_next)
+    if failures:
         raise MelnikovExcludedError(n + 1, failures)
 
     w_next, kernel_next, h, t_picard, facts = _stage_solve(n, w_n, kernel_n, op, config)
@@ -397,8 +391,7 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig,
     rec = StageRecord(n=n + 1, L_n=L_next, sigma_n=params_next.sigma,
                       h_norm=h.norm(params_next), w_norm=w_next.norm(params_next),
                       stage_residual=stage_residual, kernel_iters=kernel_next.iterations,
-                      melnikov_ok=ok, melnikov_failures=len(failures),
-                      inverse_norm=inv_norm, inverse_norm_upper=op.upper,
+                      melnikov_ok=True, inverse_norm=inv_norm, inverse_norm_upper=op.upper,
                       inverse_bound=(648.0 / config.gamma) * L_next ** (config.tau - 1.0),
                       divisor_ok=table.all_ok, divisor_min_margin=div_margin, **facts)
     return w_next, kernel_next, rec, stats, op.top_vector

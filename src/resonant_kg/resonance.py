@@ -68,14 +68,13 @@ class ResonanceParams:
 
 @dataclass(frozen=True)
 class ConditionRecord:
-    """One (l, j) pair with both Melnikov left-hand sides and the threshold."""
+    """An (l, j) pair failing a stage condition: both Melnikov sides and the threshold."""
 
     ell: int
     j: int
     lhs_shifted: float
     lhs_plain: float
     threshold: float
-    ok: bool
 
 
 def melnikov_mean(q: CoeffField) -> float:
@@ -112,18 +111,18 @@ def _fails(plain, shifted, thr, strict: bool):
 
 
 def check_stage_conditions(eps: float, mean_value: float, params: ResonanceParams,
-                           L_n: int):
+                           L_n: int) -> list[ConditionRecord]:
     """Stage admissibility: thresholds gamma/(l+omega_j)^tau over l <= L_n, omega_j <= 2 L_n.
 
-    mean_value is the Melnikov mean M.  Returns (ok, failures), the pairs
-    with l >= 1/(3 eps) that violate the conditions; vacuously true when
+    mean_value is the Melnikov mean M.  Returns the failures, a ConditionRecord
+    per pair with l >= 1/(3 eps) that violates the conditions: none when
     1/(3 eps) > L_n.  Only omega_j within cut_l = gamma / (l + 1)^tau +
     eps |M| / 2 of omega l can fail (omega_j >= 1 caps threshold and shift),
     and the window is widened by far more than the rounding of omega l.
     fmax and fmin drop a NaN cut: a NaN M fails all.
     """
     if eps <= 0.0 or 1.0 / (3.0 * eps) > L_n:
-        return True, []
+        return []
     gamma, tau = params.gamma, params.tau
     ell_grid = np.arange(int(np.ceil(1.0 / (3.0 * eps))), L_n + 1, dtype=float)
     x = np.sqrt(1.0 + eps) * ell_grid
@@ -136,10 +135,9 @@ def check_stage_conditions(eps: float, mean_value: float, params: ResonanceParam
     plain, shifted = _condition_values(eps, ells, wjs, mean_value)
     thr = gamma / (ells + wjs) ** tau
     bad = _fails(plain, shifted, thr, strict=True) & (ells != wjs)  # l = omega_j is no condition
-    failures = [ConditionRecord(int(ell), int(wj) - 1, float(f), float(g), float(t), ok=False)
-                for ell, wj, f, g, t in zip(ells[bad], wjs[bad], np.abs(shifted[bad]),
-                                            np.abs(plain[bad]), thr[bad])]
-    return len(failures) == 0, failures
+    return [ConditionRecord(int(ell), int(wj) - 1, float(f), float(g), float(t))
+            for ell, wj, f, g, t in zip(ells[bad], wjs[bad], np.abs(shifted[bad]),
+                                        np.abs(plain[bad]), thr[bad])]
 
 
 # -- measure of the excluded amplitude set ------------------------------------
@@ -388,6 +386,6 @@ def fit_excluded_exponent(reports: list[MeasureReport]) -> float:
 
 
 def records_to_csv(records: list[ConditionRecord], path) -> None:
-    write_csv(path, ["ell", "j", "lhs_shifted", "lhs_plain", "threshold", "ok"],
-              ([r.ell, r.j, repr(r.lhs_shifted), repr(r.lhs_plain), repr(r.threshold), int(r.ok)]
+    write_csv(path, ["ell", "j", "lhs_shifted", "lhs_plain", "threshold"],
+              ([r.ell, r.j, repr(r.lhs_shifted), repr(r.lhs_plain), repr(r.threshold)]
                for r in sorted(records, key=lambda r: (r.ell, r.j))))

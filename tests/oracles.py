@@ -456,7 +456,7 @@ def grid_condition_failures(eps: float, mean_value: float, gamma: float, tau: fl
     bad &= E != W
     return [ConditionRecord(ell=int(ells[i]), j=int(wjs[k]) - 1,
                             lhs_shifted=float(lhs_shift[i, k]), lhs_plain=float(lhs_plain[i, k]),
-                            threshold=float(thr[i, k]), ok=False)
+                            threshold=float(thr[i, k]))
             for i, k in zip(*np.nonzero(bad))]
 
 

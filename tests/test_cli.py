@@ -1,6 +1,5 @@
 import json
 import os
-import re
 
 import numpy as np
 import pytest
@@ -65,7 +64,7 @@ def test_solve_excluded_amplitude_exits_2(tmp_path):
     code = main(solve_args(out, eps=repr(eps), stages="4"))
     assert code == 2
     rows = (out / "melnikov_failures.csv").read_text().strip().splitlines()
-    assert rows[0].startswith("ell,")
+    assert rows[0] == "ell,j,lhs_shifted,lhs_plain,threshold"
     assert any(row.startswith("100,100,") for row in rows[1:])
 
 
@@ -110,6 +109,26 @@ def test_usage_errors_exit_64(tmp_path, capsys):
         assert main(args + ["--out", str(tmp_path / "neg")]) == 64
         err = capsys.readouterr().err
         assert "invalid parameters: m must be >= 0" in err and "Traceback" not in err
+
+
+def test_stage0_bound_and_theta_are_usage_errors(tmp_path, capsys):
+    # solve and measure refuse an amplitude beyond stage 0's bound alike, and
+    # before any solve; verify takes a residual at any amplitude
+    out = tmp_path / "big"
+    assert main(solve_args(out, eps="0.2")) == 64
+    assert main(["measure", "--eta", "0.2", "--out", str(tmp_path / "m.json")]) == 64
+    err = capsys.readouterr().err
+    for name in ("eps", "eta"):
+        assert (f"invalid parameters: {name} 0.2 violates stage 0's bound "
+                "eps L0 / (omega + 1) <= 1/2 at L0 = 8") in err
+    assert "numeric failure" not in err and not any(out.iterdir())
+    assert main(solve_args(tmp_path / "run", stages="0")) == 0
+    assert main(["verify", "--field", str(tmp_path / "run" / "solution.field"),
+                 "--eps", "0.2"]) == 0
+    # theta <= 0 would keep the analyticity strips from shrinking
+    for theta in ("0", "-1"):
+        assert main(solve_args(tmp_path / "t", extra=("--theta", theta))) == 64
+        assert "0 < pi^2 theta / 6 < sigma_bar / 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error", [np.linalg.LinAlgError("Singular matrix"), MemoryError()])
@@ -279,7 +298,7 @@ def test_measure_json_is_the_one_shot_encoding(tmp_path):
 
 def test_measure_json_does_not_depend_on_the_slice_length(tmp_path, monkeypatch):
     # the scans, the union of their intervals and the writer all run in slices
-    # of _CHUNK_PAIRS rows: slices of 64 write the same file, elapsed_s aside
+    # of _CHUNK_PAIRS rows: slices of 64 write the same file
     from resonant_kg import resonance
     args = ["measure", "--eta", "0.04", "--eta", "0.02", "--samples", "500",
             "--solve-grid", "2", "--out"]
@@ -288,9 +307,22 @@ def test_measure_json_does_not_depend_on_the_slice_length(tmp_path, monkeypatch)
     assert main(args + [str(tmp_path / "sliced.json")]) == 0
     whole, sliced = ((tmp_path / name).read_text() for name in ("whole.json", "sliced.json"))
     assert len(json.loads(whole)["reports"][1]["excluded_intervals"]["lo"]) > 3 * 64
-    elapsed = re.compile(r'"elapsed_s": [^,]*')
-    same = elapsed.sub("", whole) == elapsed.sub("", sliced)  # no diff of 0.2 MB texts
+    same = whole == sliced  # no diff of 0.2 MB texts
     assert same
+
+
+def test_measure_json_is_byte_stable(tmp_path, capsys):
+    # the Monte Carlo seed is fixed and no timing goes into the file: two runs
+    # with the same flags write the same bytes, and the seconds go to stdout
+    args = ["measure", "--eta", "0.04", "--eta", "0.02", "--samples", "500",
+            "--solve-grid", "2", "--out"]
+    for name in ("a.json", "b.json"):
+        assert main(args + [str(tmp_path / name)]) == 0
+    first, second = ((tmp_path / name).read_bytes() for name in ("a.json", "b.json"))
+    same = first == second  # no diff of 0.2 MB texts
+    assert same
+    assert "elapsed_s" not in json.loads(first)
+    assert capsys.readouterr().out.splitlines()[-1].endswith(" s")
 
 
 def test_measure_checks_its_output_before_the_solves(tmp_path, capsys, monkeypatch):

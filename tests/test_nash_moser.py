@@ -6,9 +6,10 @@ import pytest
 from resonant_kg import (CoeffField, NormParams, field_multiply, project_kernel,
                          project_range)
 from resonant_kg.bifurcation import one_mode_solution, total_field
-from resonant_kg.nash_moser import (PICARD_MAX, ContractionError, MelnikovExcludedError,
-                                    SolverConfig, _contract, continue_branch, run,
-                                    solve_stage, solve_stage0, verify_solution)
+from resonant_kg.nash_moser import (PICARD_MAX, PICARD_TOL, ContractionError,
+                                    MelnikovExcludedError, SolverConfig, _contract,
+                                    continue_branch, run, solve_stage, solve_stage0,
+                                    verify_solution)
 
 from oracles import trace_from_jsonl
 
@@ -30,6 +31,9 @@ def test_config_validation():
         SolverConfig(eps=1e-3, s=0.4)
     with pytest.raises(ValueError):
         SolverConfig(eps=1e-3, theta=0.5)  # pi^2 theta/6 >= sigma_bar/2
+    for theta in (0.0, -1.0):  # strips that would stay put or grow
+        with pytest.raises(ValueError, match="0 < pi"):
+            SolverConfig(eps=1e-3, theta=theta)
     with pytest.raises(ValueError):
         SolverConfig(eps=1e-3, m=3, J_space=1)
     cfg = SolverConfig(eps=1e-3)
@@ -61,7 +65,26 @@ def test_stage0_properties():
     # fixed-point residual below the reported certificate
     assert rec.stage_residual < 1e-12
     assert rec.inverse_norm <= 2.0  # initialization symbol bound
-    assert rec.contraction_ratio < 0.5
+
+
+def test_stage0_updates_contract(monkeypatch):
+    # each Picard update of stage 0 is below half the one before, for as long
+    # as both lie above ten times the loop's stopping level
+    from resonant_kg import nash_moser
+    contract, updates = nash_moser._contract, []
+
+    def recording(step, x, params, label):
+        def traced(x):
+            x_new = step(x)
+            updates.append(((x_new - x).norm(params),
+                            10 * PICARD_TOL * max(1.0, x_new.norm(params))))
+            return x_new
+        return contract(traced, x, params, label)
+    monkeypatch.setattr(nash_moser, "_contract", recording)
+    solve_stage0(small_config())
+    pairs = [(a, b) for (a, fa), (b, fb) in zip(updates, updates[1:]) if a > fa and b > fb]
+    assert len(pairs) >= 2
+    assert all(b < 0.5 * a for a, b in pairs), updates
 
 
 def test_stage0_precondition():

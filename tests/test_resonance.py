@@ -46,8 +46,8 @@ def test_mean_potential_lipschitz(rng):
 def test_stage_conditions_vacuous_for_tiny_eps():
     v = one_mode_solution(0)
     w = CoeffField.zeros(1, 0)
-    ok, failures = check_stage_conditions(1e-6, mean_potential(w, v), PARAMS, L_n=16)
-    assert ok and failures == []  # 1/(3 eps) >> L_n: empty index range
+    failures = check_stage_conditions(1e-6, mean_potential(w, v), PARAMS, L_n=16)
+    assert failures == []  # 1/(3 eps) >> L_n: empty index range
 
 
 def test_stage_condition_record_example():
@@ -60,8 +60,8 @@ def test_stage_condition_record_example():
     params = ResonanceParams(gamma, tau, 0.1)
     v = one_mode_solution(0)
     w = CoeffField.zeros(1, 0)
-    ok, failures = check_stage_conditions(eps, mean_potential(w, v), params, L_n=32)
-    assert ok, [r for r in failures][:3]
+    failures = check_stage_conditions(eps, mean_potential(w, v), params, L_n=32)
+    assert not failures, failures[:3]
 
 
 def _resonant_eps(ell, d=1):
@@ -73,14 +73,14 @@ def test_manufactured_resonance_detected():
     v = one_mode_solution(0)
     w = CoeffField.zeros(1, 0)
     eps = _resonant_eps(100)  # omega * 100 = 101 exactly
-    ok, failures = check_stage_conditions(eps, mean_potential(w, v), PARAMS, L_n=128)
-    assert not ok
+    failures = check_stage_conditions(eps, mean_potential(w, v), PARAMS, L_n=128)
+    assert failures
     assert any(r.ell == 100 and r.j == 100 for r in failures)
     # perturbing eps by half the threshold-equivalent width keeps it failing
     thr = 2 * PARAMS.gamma / (100 + 101) ** PARAMS.tau
     eps2 = eps + thr / 100.0
-    ok2, failures2 = check_stage_conditions(eps2, mean_potential(w, v), PARAMS, L_n=128)
-    assert not ok2
+    failures2 = check_stage_conditions(eps2, mean_potential(w, v), PARAMS, L_n=128)
+    assert failures2
 
 
 def test_gamma_two_gamma_flip():
@@ -94,7 +94,7 @@ def test_gamma_two_gamma_flip():
     # |omega(eps) l - wj| ~ (l / (2 omega)) * d(eps): move by 1.5 thresholds
     d_eps = 1.5 * thr * 2 * np.sqrt(1 + eps0) / ell
     eps = eps0 + d_eps
-    ok_g, _ = check_stage_conditions(eps, mean_potential(w, v), PARAMS, L_n=128)
+    ok_g = not check_stage_conditions(eps, mean_potential(w, v), PARAMS, L_n=128)
     ok_2g = not grid_condition_failures(eps, mean_potential(w, v), gamma, tau, 128, 2.0, False)
     assert ok_g and not ok_2g
 
@@ -107,8 +107,7 @@ def test_limit_implies_stage():
         mean = mean_potential(w, v)
         if not grid_condition_failures(eps, mean, PARAMS.gamma, PARAMS.tau, 256, 2.0, False):
             for L in (8, 16, 64, 256):
-                ok, _ = check_stage_conditions(eps, mean, PARAMS, L_n=L)
-                assert ok
+                assert not check_stage_conditions(eps, mean, PARAMS, L_n=L)
 
 
 def test_stage_sets_nested():
@@ -116,8 +115,8 @@ def test_stage_sets_nested():
     v = one_mode_solution(0)
     w = CoeffField.zeros(1, 0)
     eps = _resonant_eps(100)
-    f_small = check_stage_conditions(eps, mean_potential(w, v), PARAMS, L_n=64)[1]
-    f_large = check_stage_conditions(eps, mean_potential(w, v), PARAMS, L_n=128)[1]
+    f_small = check_stage_conditions(eps, mean_potential(w, v), PARAMS, L_n=64)
+    f_large = check_stage_conditions(eps, mean_potential(w, v), PARAMS, L_n=128)
     small = {(r.ell, r.j) for r in f_small}
     large = {(r.ell, r.j) for r in f_large}
     assert small <= large
@@ -126,8 +125,8 @@ def test_stage_sets_nested():
 def test_nan_mean_fails_closed():
     # 1/(3 eps) < 9 <= L: the checks are not vacuous, and a NaN mean passes no pair
     eps = 0.04
-    ok, failures = check_stage_conditions(eps, float("nan"), PARAMS, 32)
-    assert not ok and failures
+    failures = check_stage_conditions(eps, float("nan"), PARAMS, 32)
+    assert failures
     assert grid_condition_failures(eps, float("nan"), PARAMS.gamma, PARAMS.tau, 32, 2.0, False)
 
 
@@ -162,10 +161,9 @@ def test_condition_windows_match_grid_oracle(rng):
     for _ in range(2000):
         eps, mean, gamma, tau, L = _condition_case(rng)
         params = ResonanceParams(gamma, tau)
-        ok, got = check_stage_conditions(eps, mean, params, L)
+        got = check_stage_conditions(eps, mean, params, L)
         want = grid_condition_failures(eps, mean, gamma, tau, L, 1.0, True)
         assert [repr(r) for r in got] == [repr(r) for r in want], (eps, mean, L)
-        assert ok == (not want)
         nonempty += bool(want)
     assert nonempty > 300
 
@@ -340,8 +338,8 @@ def test_exponent_fit_runs():
 
 
 def test_records_csv(tmp_path):
-    recs = [ConditionRecord(5, 4, 0.1, 0.2, 0.05, False),
-            ConditionRecord(3, 2, 0.3, 0.4, 0.01, True)]
+    recs = [ConditionRecord(5, 4, 0.1, 0.2, 0.05),
+            ConditionRecord(3, 2, 0.3, 0.4, 0.01)]
     path = tmp_path / "records.csv"
     records_to_csv(recs, path)
     lines = path.read_text().strip().splitlines()
