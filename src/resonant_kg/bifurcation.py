@@ -103,13 +103,13 @@ def total_field(v: KernelField, w: CoeffField) -> CoeffField:
     return v.embed(L=max(w.L, v.J + 1), J=max(w.J, v.J)) + w
 
 
-def _square_and_residual(v: KernelField, w: CoeffField) -> tuple[CoeffField, KernelField]:
-    """(u^2, A v - Pi_V u^3) at the state u = v + w, from one square of u."""
+def _square_and_residual(v: KernelField, w: CoeffField):
+    """(u^2, u^3, A v - Pi_V u^3) at the state u = v + w, from two products of u."""
     u = total_field(v, w)
     q = field_multiply(u, u)
-    res = (np.arange(v.J + 1, dtype=float) + 1.0) ** 2 * v.v
-    res -= extract_kernel(field_multiply(q, u), v.J).v
-    return q, KernelField(res)
+    cube = field_multiply(q, u)
+    res = (np.arange(v.J + 1, dtype=float) + 1.0) ** 2 * v.v - extract_kernel(cube, v.J).v
+    return q, cube, KernelField(res)
 
 
 def _kernel_block(stack: np.ndarray, n: int, factor: float) -> np.ndarray:
@@ -131,9 +131,10 @@ def _kernel_jacobian(q: CoeffField, n: int) -> np.ndarray:
 
 @dataclass
 class KernelSolveResult:
-    """Converged kernel solution with the empirical Newton record."""
+    """Converged kernel, the cube u^3 of its state u = kernel + w, and the Newton record."""
 
     kernel: KernelField
+    cube: CoeffField
     residual_norms: list = field(default_factory=list)
     iterations: int = 0
 
@@ -161,7 +162,7 @@ def solve_kernel(w: CoeffField, m: int, J_V: int | None = None,
     v = start if start is not None else one_mode_solution(m, J_V=J_V)
     v = KernelField(np.pad(v.v, (0, max(J_V - v.J, 0))))  # a copy, padded to J_V
     wj2 = (np.arange(v.J + 1, dtype=float) + 1.0) ** 2
-    q, res = _square_and_residual(v, w)
+    q, cube, res = _square_and_residual(v, w)
     rnorm = res.norm(params)
     history = [rnorm]
     while rnorm > 1e-13 * max(1.0, KernelField(wj2 * v.v).norm(params)):
@@ -177,7 +178,7 @@ def solve_kernel(w: CoeffField, m: int, J_V: int | None = None,
         step = 1.0
         for _ in range(8):
             cand = KernelField(v.v + step * delta)
-            cq, cres = _square_and_residual(cand, w)
+            cq, ccube, cres = _square_and_residual(cand, w)
             cnorm = cres.norm(params)
             if cnorm < rnorm:
                 break
@@ -185,9 +186,9 @@ def solve_kernel(w: CoeffField, m: int, J_V: int | None = None,
         else:
             raise KernelSolveError(
                 f"kernel Newton stalled at residual {rnorm:.3e} (w outside the empirical basin)")
-        v, q, res, rnorm = cand, cq, cres, cnorm
+        v, q, cube, res, rnorm = cand, cq, ccube, cres, cnorm
         history.append(rnorm)
-    return KernelSolveResult(v, history, len(history) - 1)
+    return KernelSolveResult(v, cube, history, len(history) - 1)
 
 
 def kernel_derivative_matrix(stack: np.ndarray, n: int,

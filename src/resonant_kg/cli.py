@@ -129,7 +129,6 @@ def cmd_solve(args) -> int:
     from . import field_algebra, nash_moser
     from .resonance import records_to_csv
 
-    os.makedirs(args.out, exist_ok=True)
     t0 = time.perf_counter()
     try:
         config = nash_moser.SolverConfig(
@@ -140,6 +139,7 @@ def cmd_solve(args) -> int:
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    os.makedirs(args.out, exist_ok=True)  # a usage error leaves no directory
     log = logging.getLogger("resonant_kg")
     handler = logging.StreamHandler(sys.stderr)
     level = log.level
@@ -212,6 +212,8 @@ def cmd_measure(args) -> int:
         # the branch mean is solved at amplitudes up to max(eta), from stage 0
         _check_stage0(max(etas), SolverConfig.L0, "eta")
         SolverConfig(eps=max(etas), m=args.m)  # the mean-curve solves' parameters
+        if args.samples < 1:  # measure_scan's own rule, checked before the solves
+            raise ValueError("samples must be at least 1")
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -270,10 +272,11 @@ def _load_run(run_dir):
 
     OSError naming the path for a missing or unreadable artifact, ValueError
     naming the file for a corrupt one, such as non-finite coefficients or a
-    config without finite eps, gamma, tau.
+    config whose eps, gamma, tau are not finite numbers that `SolverConfig` accepts.
     """
     from .bifurcation import KernelField, total_field
     from .field_algebra import field_multiply, load_field
+    from .nash_moser import SolverConfig
     w = load_field(path := os.path.join(run_dir, "range_part.field"))
     if not (abs(w.u) < math.inf).all():  # also false for a NaN
         raise ValueError(f"{path}: coefficients are not finite")
@@ -293,10 +296,13 @@ def _load_run(run_dir):
     if not (isinstance(coefficients, list) and all(map(number, coefficients))):
         raise ValueError(f"{os.path.join(run_dir, 'kernel.json')}: coefficients not finite numbers")
     config = manifest.get("config") if isinstance(manifest, dict) else None
-    if not (isinstance(config, dict) and all(number(config.get(k))
-                                             for k in ("eps", "gamma", "tau"))):
-        raise ValueError(f"{os.path.join(run_dir, 'manifest.json')}: config lacks finite "
-                         "eps, gamma or tau")
+    try:
+        if not (isinstance(config, dict) and all(number(config.get(k))
+                                                 for k in ("eps", "gamma", "tau"))):
+            raise ValueError("config lacks finite eps, gamma or tau")
+        SolverConfig(eps=config["eps"], gamma=config["gamma"], tau=config["tau"])
+    except ValueError as exc:
+        raise ValueError(f"{os.path.join(run_dir, 'manifest.json')}: {exc}") from exc
     u = total_field(KernelField(coefficients), w)
     return w, 3.0 * field_multiply(u, u).u[0], config
 

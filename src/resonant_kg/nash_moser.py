@@ -25,8 +25,9 @@ Stage 0 and the later stages run one fixed-point loop, `_contract`, each
 passing it its own step.  One function, `_residual`, forms the residual of
 the equation, for the certificate of every stage and for `verify_solution`.
 
-The stage state u = v(w_n) + w_n and q = u^2 are formed once, by the
-operator assembly; the Melnikov mean comes from q and Gamma(u) = u^3 is q u.
+The kernel solve forms the cube u^3 of each state u = v(w) + w it settles:
+stage 0's step, every stage residual and the next stage's Gamma(u) read it.
+The assembly squares the stage state again, for its q = u^2 and the Melnikov mean.
 With h' = h + dv[h] the Picard step's total correction, the remainder is
 formed directly as
 
@@ -188,11 +189,6 @@ class SolveTrace:
         return text
 
 
-def _gamma_field(v: KernelField, w: CoeffField) -> CoeffField:
-    u = total_field(v, w)
-    return field_multiply(field_multiply(u, u), u)
-
-
 def _range_rhs(f: CoeffField, L: int, J: int, params: NormParams):
     """P_L Pi_W with spatial truncation to J; returns (field, discarded norm)."""
     return project_range(time_cutoff(f.padded(L, f.J), L)).truncate(L, J, params)
@@ -225,16 +221,15 @@ def _contract(step, x: CoeffField, params: NormParams, label: str):
     raise ContractionError(f"{label} loop did not converge in {PICARD_MAX} iterations")
 
 
-def _residual(u: CoeffField, eps: float) -> CoeffField:
-    """(-omega^2 d_tt - A) u - eps u^3, with the cube from two exact products."""
-    cube = field_multiply(field_multiply(u, u), u)
+def _residual(u: CoeffField, cube: CoeffField, eps: float) -> CoeffField:
+    """(-omega^2 d_tt - A) u - eps u^3, given the cube u^3 (on u's lattice or larger)."""
     return u.padded(cube.L, cube.J).apply_wave_symbol(math.sqrt(1.0 + eps)) - eps * cube
 
 
-def _stage_residual(w: CoeffField, v: KernelField, L: int, eps: float,
-                    params: NormParams) -> float:
-    """Norm of P_L Pi_W of the residual at v + w (no spatial truncation): w's range equation."""
-    return project_range(time_cutoff(_residual(total_field(v, w), eps), L)).norm(params)
+def _stage_residual(w: CoeffField, kernel, L: int, eps: float, params: NormParams) -> float:
+    """Norm of P_L Pi_W of the residual (no J truncation) at kernel's state v + w and cube u^3."""
+    u = total_field(kernel.kernel, w)
+    return project_range(time_cutoff(_residual(u, kernel.cube, eps), L)).norm(params)
 
 
 def stage0_contracts(eps: float, L0: int) -> bool:
@@ -268,11 +263,11 @@ def solve_stage0(config: SolverConfig):
         nonlocal kernel
         kernel = solve_kernel(w, config.m, J_V=J, params=params,
                               start=None if kernel is None else kernel.kernel)
-        return kernel.kernel
+        return kernel.cube
 
     def step(w):
         nonlocal discarded
-        rhs, disc = _range_rhs(_gamma_field(resolve_kernel(w), w), L0, J, params)
+        rhs, disc = _range_rhs(resolve_kernel(w), L0, J, params)
         discarded = max(discarded, disc)
         return project_range(CoeffField(np.where(
             symbol != 0.0, eps * rhs.u / np.where(symbol == 0, 1, symbol), 0.0)))
@@ -280,10 +275,10 @@ def solve_stage0(config: SolverConfig):
     w, iters = CoeffField.zeros(L0, J), 0
     if eps != 0.0:
         w, iters = _contract(step, w, params, "stage-0")
-    v = resolve_kernel(w)
+    resolve_kernel(w)
     w_norm = w.norm(params)
     rec = StageRecord(n=0, L_n=L0, sigma_n=config.sigma_bar, h_norm=w_norm, w_norm=w_norm,
-                      stage_residual=_stage_residual(w, v, L0, eps, params),
+                      stage_residual=_stage_residual(w, kernel, L0, eps, params),
                       picard_iters=iters, kernel_iters=kernel.iterations, melnikov_ok=True,
                       inverse_norm=1.0 / sym_min, inverse_norm_upper=1.0 / sym_min,
                       inverse_bound=2.0, r_norm=0.0,
@@ -301,7 +296,7 @@ def _stage_solve(n: int, w_n: CoeffField, kernel_n, op, config: SolverConfig):
     L_cur, L_next, J = config.L(n), config.L(n + 1), config.J_space
     params_next = NormParams(sigmas[n + 1], config.s)
 
-    rhs_full, discarded = _range_rhs(field_multiply(op.q, op.u), L_next, J, params_next)
+    rhs_full, discarded = _range_rhs(kernel_n.cube, L_next, J, params_next)
     r_n = rhs_full.copy()
     r_n.u[: L_cur + 1, :] = 0.0
     r_norm = r_n.norm(params_next)
@@ -363,7 +358,7 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig,
 
     w_next, kernel_next, h, t_picard, facts = _stage_solve(n, w_n, kernel_n, op, config)
     picard_sweeps = op.sweeps
-    stage_residual = _stage_residual(w_next, kernel_next.kernel, L_next, eps, params_next)
+    stage_residual = _stage_residual(w_next, kernel_next, L_next, eps, params_next)
 
     t_norm = time.perf_counter()
     inv_norm = op.inverse_norm(params_next, start=start)
@@ -440,7 +435,7 @@ def verify_solution(u: CoeffField, config: SolverConfig) -> ResidualReport:
     """
     eps, s = config.eps, config.s
     sigma_values = (0.0, config.sigma_bar / 2.0, round(config.sigma_inf, 6))
-    resid = _residual(u, eps)
+    resid = _residual(u, field_multiply(field_multiply(u, u), u), eps)
     norms = {}
     for sig in sigma_values:
         p = NormParams(sig, s)

@@ -520,7 +520,7 @@ def sobolev_embedding_constant(delta: float, terms: int = 20000) -> float:
 def kernel_residual(v: KernelField, w: CoeffField) -> KernelField:
     """A v - Pi_V (v + w)^3, exactly in coefficient space."""
     _check_in_range(w)
-    return _square_and_residual(v, w)[1]
+    return _square_and_residual(v, w)[-1]
 
 
 def linearize_kernel(v: KernelField, w: CoeffField) -> np.ndarray:

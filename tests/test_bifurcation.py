@@ -135,6 +135,15 @@ def test_solve_kernel_squares_each_iterate_once(rng, monkeypatch):
     assert len(calls) == 2 + 2 * res.iterations  # no step was halved
 
 
+@pytest.mark.parametrize("m, J", [(0, 2), (1, 5)])
+def test_solve_kernel_returns_the_cube_of_its_state(rng, m, J):
+    # the cube the range equation reads is u^2 u at the converged kernel, bit for bit
+    w = random_field(rng, 6, J, scale=0.1, decay=0.3)
+    res = solve_kernel(w, m, J_V=J)
+    u = total_field(res.kernel, w)
+    assert np.array_equal(res.cube.u, field_multiply(field_multiply(u, u), u).u)
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_kernel_newton_stops_at_the_relative_floor(m):
     # Newton from the previous stage's kernel converges quadratically, so a

@@ -121,7 +121,7 @@ def test_stage0_bound_and_theta_are_usage_errors(tmp_path, capsys):
     for name in ("eps", "eta"):
         assert (f"invalid parameters: {name} 0.2 violates stage 0's bound "
                 "eps L0 / (omega + 1) <= 1/2 at L0 = 8") in err
-    assert "numeric failure" not in err and not any(out.iterdir())
+    assert "numeric failure" not in err and not out.exists()
     assert main(solve_args(tmp_path / "run", stages="0")) == 0
     assert main(["verify", "--field", str(tmp_path / "run" / "solution.field"),
                  "--eps", "0.2"]) == 0
@@ -129,6 +129,7 @@ def test_stage0_bound_and_theta_are_usage_errors(tmp_path, capsys):
     for theta in ("0", "-1"):
         assert main(solve_args(tmp_path / "t", extra=("--theta", theta))) == 64
         assert "0 < pi^2 theta / 6 < sigma_bar / 2" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
 
 
 @pytest.mark.parametrize("error", [np.linalg.LinAlgError("Singular matrix"), MemoryError()])
@@ -363,6 +364,18 @@ def test_measure_bad_window_or_samples_exit_64(tmp_path, capsys):
                  "--out", str(out)]) == 0
 
 
+def test_measure_refuses_zero_samples_before_the_solves(tmp_path, capsys, monkeypatch):
+    from resonant_kg import nash_moser
+
+    def fail(config):
+        raise AssertionError("a mean-curve solve ran")
+    monkeypatch.setattr(nash_moser, "continue_branch", fail)
+    out = tmp_path / "sub" / "m.json"
+    assert main(["measure", "--eta", "0.04", "--samples", "0", "--out", str(out)]) == 64
+    assert "invalid parameters: samples must be at least 1" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 def test_divisors_and_spectrum(tmp_path):
     out = tmp_path / "run"
     assert main(solve_args(out)) == 0
@@ -485,12 +498,17 @@ def test_corrupt_artifacts_exit_66(tmp_path, capsys):
     # JSON that parses but does not hold what the commands read
     kernel, manifest = json.dumps({"coefficients": [1.0, 0.0]}), (out / "manifest.json").read_text()
     no_config = json.dumps({k: v for k, v in json.loads(manifest).items() if k != "config"})
-    string_eps = json.loads(manifest)
+    string_eps, bad_floor, negative_eps = (json.loads(manifest) for _ in range(3))
     string_eps["config"]["eps"] = "1e-3"
+    # finite values that SolverConfig refuses: no admissibility floor, a negative amplitude
+    bad_floor["config"].update(gamma=0, tau=-3)
+    negative_eps["config"]["eps"] = -5
     for name, kernel_text, manifest_text in (
             ("manifest.json", kernel, no_config),
             ("kernel.json", json.dumps([1.0, 0.0]), manifest),
-            ("manifest.json", kernel, json.dumps(string_eps))):
+            ("manifest.json", kernel, json.dumps(string_eps)),
+            ("manifest.json", kernel, json.dumps(bad_floor)),
+            ("manifest.json", kernel, json.dumps(negative_eps))):
         (out / "kernel.json").write_text(kernel_text)
         (out / "manifest.json").write_text(manifest_text)
         for command in (["divisors", "--run", str(out)],

@@ -310,16 +310,33 @@ def test_nonfinite_picard_update_fails_fast():
 def test_stage0_nonfinite_update_fails_fast(monkeypatch):
     import resonant_kg.nash_moser as nm
 
-    real = nm._gamma_field
+    real = nm.solve_kernel
 
-    def poisoned(v, w):
-        g = real(v, w)
-        g.u[2, 0] = np.inf
-        return g
+    def poisoned(*args, **kwargs):
+        result = real(*args, **kwargs)
+        result.cube.u[2, 0] = np.inf
+        return result
 
-    monkeypatch.setattr(nm, "_gamma_field", poisoned)
+    monkeypatch.setattr(nm, "solve_kernel", poisoned)
     with pytest.raises(ContractionError, match="stage-0 iteration 1: non-finite"):
         solve_stage0(small_config())
+
+
+def test_run_reads_each_state_cube_from_its_kernel_solve(monkeypatch):
+    # stage 0's step, the stage residuals and the next stage's Gamma read the
+    # kernel solve's cube; beside the Newton products, only the assembly's
+    # square, the Picard remainders and verify_solution multiply
+    from resonant_kg import bifurcation, linearized
+    import resonant_kg.nash_moser as nm
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return field_multiply(a, b)
+    for module in (bifurcation, linearized, nm):
+        monkeypatch.setattr(module, "field_multiply", counted)
+    run(SolverConfig(eps=1e-3, m=0, n_max=2))
+    assert len(calls) == 30
 
 
 def test_solve_stage_reads_its_state_from_the_operator(monkeypatch):
