@@ -14,7 +14,7 @@ from .field_algebra import (CoeffField, NormParams, field_multiply, load_field,
 from .bifurcation import KernelField, one_mode_solution, solve_kernel
 from .linearized import assemble_linearized, block_spectrum, divisor_table
 from .resonance import (ConditionRecord, ResonanceParams, check_stage_conditions,
-                        fit_excluded_exponent, mean_potential, measure_scan)
+                        fit_excluded_exponent, measure_scan)
 from .nash_moser import (ContractionError, MelnikovExcludedError, RunResult,
                          SolverConfig, SolveTrace, continue_branch, run, solve_stage,
                          solve_stage0, verify_solution)
@@ -26,8 +26,7 @@ __all__ = [
     "project_range", "time_cutoff", "save_field", "load_field",
     "KernelField", "one_mode_solution", "solve_kernel",
     "assemble_linearized", "block_spectrum", "divisor_table",
-    "ResonanceParams", "ConditionRecord", "mean_potential",
-    "check_stage_conditions",
+    "ResonanceParams", "ConditionRecord", "check_stage_conditions",
     "measure_scan", "fit_excluded_exponent",
     "SolverConfig", "SolveTrace", "RunResult", "run", "solve_stage0",
     "solve_stage", "continue_branch", "verify_solution", "MelnikovExcludedError",

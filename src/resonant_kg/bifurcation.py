@@ -104,12 +104,12 @@ def total_field(v: KernelField, w: CoeffField) -> CoeffField:
 
 
 def _square_and_residual(v: KernelField, w: CoeffField):
-    """(u^2, u^3, A v - Pi_V u^3) at the state u = v + w, from two products of u."""
+    """(u, u^2, u^3, A v - Pi_V u^3) at the state u = v + w, from two products of u."""
     u = total_field(v, w)
     q = field_multiply(u, u)
     cube = field_multiply(q, u)
     res = (np.arange(v.J + 1, dtype=float) + 1.0) ** 2 * v.v - extract_kernel(cube, v.J).v
-    return q, cube, KernelField(res)
+    return u, q, cube, KernelField(res)
 
 
 def _kernel_block(stack: np.ndarray, n: int, factor: float) -> np.ndarray:
@@ -131,9 +131,11 @@ def _kernel_jacobian(q: CoeffField, n: int) -> np.ndarray:
 
 @dataclass
 class KernelSolveResult:
-    """Converged kernel, the cube u^3 of its state u = kernel + w, and the Newton record."""
+    """The stage state: converged kernel v(w), u = v + w, q = u^2, u^3 and the Newton record."""
 
     kernel: KernelField
+    u: CoeffField
+    q: CoeffField
     cube: CoeffField
     residual_norms: list = field(default_factory=list)
     iterations: int = 0
@@ -141,6 +143,11 @@ class KernelSolveResult:
     @property
     def v(self) -> np.ndarray:
         return self.kernel.v
+
+    @property
+    def b0(self) -> np.ndarray:
+        """Time mean of the potential b = 3 q."""
+        return 3.0 * self.q.u[0]
 
 
 def solve_kernel(w: CoeffField, m: int, J_V: int | None = None,
@@ -162,7 +169,7 @@ def solve_kernel(w: CoeffField, m: int, J_V: int | None = None,
     v = start if start is not None else one_mode_solution(m, J_V=J_V)
     v = KernelField(np.pad(v.v, (0, max(J_V - v.J, 0))))  # a copy, padded to J_V
     wj2 = (np.arange(v.J + 1, dtype=float) + 1.0) ** 2
-    q, cube, res = _square_and_residual(v, w)
+    u, q, cube, res = _square_and_residual(v, w)
     rnorm = res.norm(params)
     history = [rnorm]
     while rnorm > 1e-13 * max(1.0, KernelField(wj2 * v.v).norm(params)):
@@ -178,7 +185,7 @@ def solve_kernel(w: CoeffField, m: int, J_V: int | None = None,
         step = 1.0
         for _ in range(8):
             cand = KernelField(v.v + step * delta)
-            cq, ccube, cres = _square_and_residual(cand, w)
+            cu, cq, ccube, cres = _square_and_residual(cand, w)
             cnorm = cres.norm(params)
             if cnorm < rnorm:
                 break
@@ -186,9 +193,9 @@ def solve_kernel(w: CoeffField, m: int, J_V: int | None = None,
         else:
             raise KernelSolveError(
                 f"kernel Newton stalled at residual {rnorm:.3e} (w outside the empirical basin)")
-        v, q, cube, res, rnorm = cand, cq, ccube, cres, cnorm
+        v, u, q, cube, res, rnorm = cand, cu, cq, ccube, cres, cnorm
         history.append(rnorm)
-    return KernelSolveResult(v, cube, history, len(history) - 1)
+    return KernelSolveResult(v, u, q, cube, history, len(history) - 1)
 
 
 def kernel_derivative_matrix(stack: np.ndarray, n: int,

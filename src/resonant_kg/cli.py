@@ -188,9 +188,9 @@ def _mean_curve(eps_grid, m):
     """Branch mean M(w(eps)) at a grid of amplitudes, by uncertified continuations."""
     import numpy as np
     from .nash_moser import SolverConfig, continue_branch
-    from .resonance import mean_potential
+    from .resonance import melnikov_mean
 
-    return np.array([mean_potential(*continue_branch(SolverConfig(eps=float(e), m=m, n_max=2)))
+    return np.array([melnikov_mean(continue_branch(SolverConfig(eps=float(e), m=m, n_max=2))[1].q)
                      for e in eps_grid])
 
 
@@ -267,6 +267,15 @@ def cmd_measure(args) -> int:
     return EXIT_OK
 
 
+def _load_finite_field(path):
+    """load_field, with a ValueError naming the file for non-finite coefficients."""
+    from .field_algebra import load_field
+    f = load_field(path)
+    if not (abs(f.u) < math.inf).all():  # also false for a NaN
+        raise ValueError(f"{path}: coefficients are not finite")
+    return f
+
+
 def _load_run(run_dir):
     """(range part, time-mean potential b0, config) of a run directory.
 
@@ -275,11 +284,9 @@ def _load_run(run_dir):
     config whose eps, gamma, tau are not finite numbers that `SolverConfig` accepts.
     """
     from .bifurcation import KernelField, total_field
-    from .field_algebra import field_multiply, load_field
+    from .field_algebra import field_multiply
     from .nash_moser import SolverConfig
-    w = load_field(path := os.path.join(run_dir, "range_part.field"))
-    if not (abs(w.u) < math.inf).all():  # also false for a NaN
-        raise ValueError(f"{path}: coefficients are not finite")
+    w = _load_finite_field(os.path.join(run_dir, "range_part.field"))
     documents = []
     for name in ("kernel.json", "manifest.json"):
         path = os.path.join(run_dir, name)
@@ -348,7 +355,6 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .field_algebra import load_field
     from .nash_moser import SolverConfig, verify_solution
 
     try:
@@ -357,7 +363,7 @@ def cmd_verify(args) -> int:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        u = load_field(args.field)
+        u = _load_finite_field(args.field)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_MISSING

@@ -66,9 +66,9 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import spherical_basis as sb
-from .bifurcation import KernelField, kernel_derivative_matrix, total_field
-from .field_algebra import (CoeffField, NormParams, field_multiply, kernel_mask, log_time_weights,
-                            wave_symbol, write_csv)
+from .bifurcation import KernelSolveResult, kernel_derivative_matrix
+from .field_algebra import (CoeffField, NormParams, kernel_mask, log_time_weights, wave_symbol,
+                            write_csv)
 
 __all__ = [
     "WLattice",
@@ -171,25 +171,23 @@ class WLattice:
 
 @dataclass
 class LinearizedOperator:
-    """The linearized operator, applied matrix-free, with the stage state it linearizes at.
+    """The linearized operator at a stage state u = v(w) + w, applied matrix-free.
 
-    u = v(w) + w is the state, q = u^2, and stack the S_d matrices of the
-    potential b = 3 q for q's time rows, d <= q.L (S_d past them is zero);
-    dv_matrix maps lattice coefficients to the kernel derivative.  The
-    counter `sweeps` holds the Neumann sweeps run on this operator, and
-    `solved` marks the unknowns of the blocks that `solve` ran on.  The last
-    `inverse_norm` leaves the Krylov steps (forward solves) of its lower
-    end, summed over the blocks that ran, in `power_steps` (0 at eps = 0)
-    and the unknowns of the block of the estimate in `krylov_block`, its
-    upper end, the largest block end, in `upper` and that end's Neumann
+    It keeps only what its apply, factorization and norm read: stack holds
+    the S_d matrices of the potential b = 3 q, q = u^2, for q's time rows
+    (S_d past them is zero); dv_matrix maps lattice coefficients to the kernel
+    derivative.  The counter `sweeps` holds the Neumann sweeps run on this
+    operator, and `solved` marks the unknowns of the blocks that `solve` ran
+    on.  The last `inverse_norm` leaves the Krylov steps (forward solves) of
+    its lower end, summed over the blocks that ran, in `power_steps` (0 at
+    eps = 0) and the unknowns of the block of the estimate in `krylov_block`,
+    its upper end, the largest block end, in `upper` and that end's Neumann
     terms K in `upper_terms`, and its top right singular vector in
     `top_vector` (None before the first call).
     """
 
     eps: float
     lattice: WLattice
-    u: CoeffField
-    q: CoeffField
     stack: np.ndarray
     dv_matrix: np.ndarray
 
@@ -229,11 +227,6 @@ class LinearizedOperator:
     @property
     def J(self) -> int:
         return self.lattice.J
-
-    @property
-    def b0(self) -> np.ndarray:
-        """Time mean of the potential b = 3 q."""
-        return 3.0 * self.q.u[0]
 
     def symbol_diagonal(self) -> np.ndarray:
         return self._symbol[self.lattice.mask]
@@ -677,21 +670,19 @@ class LinearizedOperator:
         return est
 
 
-def assemble_linearized(eps: float, w: CoeffField, kernel: KernelField, L_n: int,
+def assemble_linearized(eps: float, state: KernelSolveResult, L_n: int,
                         J_max: int) -> LinearizedOperator:
-    """Build the linearized operator at the state v + w on the (L_n, J_max) lattice.
+    """Build the linearized operator at a stage state on the (L_n, J_max) lattice.
 
-    The caller solves the kernel v = v(w) on its own branch.  q = (v + w)^2
-    is formed once, and one S_d stack of b = 3 q, one S_d per time row of q,
-    serves the product by b and the kernel derivative dv.
+    The state is the kernel solve's result, which holds q = u^2; one S_d stack
+    of b = 3 q, one S_d per time row of q, serves the product by b and the
+    kernel derivative dv.
     """
     lattice = WLattice(L_n, J_max)
-    u = total_field(kernel, w)
-    q = field_multiply(u, u)
-    n_k = kernel.J + 1
-    stack = sb.multiplication_matrix(3.0 * q.u, max(J_max + 1, n_k))
+    n_k = state.kernel.J + 1
+    stack = sb.multiplication_matrix(3.0 * state.q.u, max(J_max + 1, n_k))
     dv = kernel_derivative_matrix(stack, n_k, lattice.ells, lattice.js)
-    return LinearizedOperator(eps=eps, lattice=lattice, u=u, q=q, stack=stack, dv_matrix=dv)
+    return LinearizedOperator(eps=eps, lattice=lattice, stack=stack, dv_matrix=dv)
 
 
 @dataclass

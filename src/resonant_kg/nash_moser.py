@@ -25,9 +25,9 @@ Stage 0 and the later stages run one fixed-point loop, `_contract`, each
 passing it its own step.  One function, `_residual`, forms the residual of
 the equation, for the certificate of every stage and for `verify_solution`.
 
-The kernel solve forms the cube u^3 of each state u = v(w) + w it settles:
-stage 0's step, every stage residual and the next stage's Gamma(u) read it.
-The assembly squares the stage state again, for its q = u^2 and the Melnikov mean.
+The kernel solve's result is the stage state u = v(w) + w, q = u^2 and u^3: stage 0's
+step, every stage residual and the next stage's Gamma(u) read its cube, and the
+assembly, the Melnikov mean, the divisor table and the Picard remainder u and q.
 With h' = h + dv[h] the Picard step's total correction, the remainder is
 formed directly as
 
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .bifurcation import KernelField, solve_kernel, total_field
+from .bifurcation import KernelField, solve_kernel
 from .field_algebra import (CoeffField, NormParams, field_multiply, kernel_mask,
                             project_range, time_cutoff, wave_symbol)
 from .linearized import assemble_linearized, divisor_table
@@ -226,10 +226,9 @@ def _residual(u: CoeffField, cube: CoeffField, eps: float) -> CoeffField:
     return u.padded(cube.L, cube.J).apply_wave_symbol(math.sqrt(1.0 + eps)) - eps * cube
 
 
-def _stage_residual(w: CoeffField, kernel, L: int, eps: float, params: NormParams) -> float:
-    """Norm of P_L Pi_W of the residual (no J truncation) at kernel's state v + w and cube u^3."""
-    u = total_field(kernel.kernel, w)
-    return project_range(time_cutoff(_residual(u, kernel.cube, eps), L)).norm(params)
+def _stage_residual(state, L: int, eps: float, params: NormParams) -> float:
+    """Norm of P_L Pi_W of the residual (no J truncation) at a kernel solve's state u and cube."""
+    return project_range(time_cutoff(_residual(state.u, state.cube, eps), L)).norm(params)
 
 
 def stage0_contracts(eps: float, L0: int) -> bool:
@@ -278,7 +277,7 @@ def solve_stage0(config: SolverConfig):
     resolve_kernel(w)
     w_norm = w.norm(params)
     rec = StageRecord(n=0, L_n=L0, sigma_n=config.sigma_bar, h_norm=w_norm, w_norm=w_norm,
-                      stage_residual=_stage_residual(w, kernel, L0, eps, params),
+                      stage_residual=_stage_residual(kernel, L0, eps, params),
                       picard_iters=iters, kernel_iters=kernel.iterations, melnikov_ok=True,
                       inverse_norm=1.0 / sym_min, inverse_norm_upper=1.0 / sym_min,
                       inverse_bound=2.0, r_norm=0.0,
@@ -319,7 +318,7 @@ def _stage_solve(n: int, w_n: CoeffField, kernel_n, op, config: SolverConfig):
     def step(h):
         nonlocal discarded
         h_tot = h + KernelField(op.dv_matrix @ op.lattice.to_vector(h)).embed(L=L_next, J=J)
-        taylor_rem = field_multiply(field_multiply(h_tot, h_tot), 3.0 * op.u + h_tot)
+        taylor_rem = field_multiply(field_multiply(h_tot, h_tot), 3.0 * kernel_n.u + h_tot)
         R, disc = _range_rhs(taylor_rem, L_next, J, params_next)
         discarded = max(discarded, disc)
         return eps * op.solve(r_n + R)
@@ -350,22 +349,23 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig,
     params_next = NormParams(config.sigmas()[n + 1], config.s)
 
     t_start = time.perf_counter()
-    op = assemble_linearized(eps, w_n, kernel_n.kernel, L_next, config.J_space)
+    op = assemble_linearized(eps, kernel_n, L_next, config.J_space)
     t_assembled = time.perf_counter()
-    failures = check_stage_conditions(eps, melnikov_mean(op.q), config.resonance_params(), L_next)
+    failures = check_stage_conditions(eps, melnikov_mean(kernel_n.q), config.resonance_params(),
+                                      L_next)
     if failures:
         raise MelnikovExcludedError(n + 1, failures)
 
     w_next, kernel_next, h, t_picard, facts = _stage_solve(n, w_n, kernel_n, op, config)
     picard_sweeps = op.sweeps
-    stage_residual = _stage_residual(w_next, kernel_next, L_next, eps, params_next)
+    stage_residual = _stage_residual(kernel_next, L_next, eps, params_next)
 
     t_norm = time.perf_counter()
     inv_norm = op.inverse_norm(params_next, start=start)
     t_norm = time.perf_counter() - t_norm
 
     t_table = time.perf_counter()
-    table = divisor_table(eps, op.b0, L_next, 2 * L_next, config.gamma, config.tau)
+    table = divisor_table(eps, kernel_n.b0, L_next, 2 * L_next, config.gamma, config.tau)
     with np.errstate(divide="ignore"):
         div_margin = float(np.min(table.alpha / table.floor))
     t_table = time.perf_counter() - t_table
@@ -393,16 +393,16 @@ def solve_stage(n: int, w_n: CoeffField, kernel_n, config: SolverConfig,
 
 
 def continue_branch(config: SolverConfig):
-    """`run`'s w and kernel v, bit for bit, from its solves alone: returns (w, v).
+    """`run`'s w and last stage state, bit for bit, from its solves alone: returns (w, state).
 
     No Melnikov check, inverse norm or divisor table runs, so an amplitude
     that `run` excludes is continued too.
     """
     w, kernel, _ = solve_stage0(config)
     for n in range(config.n_max):
-        op = assemble_linearized(config.eps, w, kernel.kernel, config.L(n + 1), config.J_space)
+        op = assemble_linearized(config.eps, kernel, config.L(n + 1), config.J_space)
         w, kernel, *_ = _stage_solve(n, w, kernel, op, config)
-    return w, kernel.kernel
+    return w, kernel
 
 
 @dataclass
@@ -484,6 +484,5 @@ def run(config: SolverConfig) -> RunResult:
         w, kernel, rec, stats, top = solve_stage(n, w, kernel, config, top)
         trace.records.append(rec)
         stages.append(stats)
-    u = total_field(kernel.kernel, w)
-    return RunResult(config=config, w=w, kernel=kernel.kernel, u=u, trace=trace,
-                     residual=verify_solution(u, config), stages=stages)
+    return RunResult(config=config, w=w, kernel=kernel.kernel, u=kernel.u, trace=trace,
+                     residual=verify_solution(kernel.u, config), stages=stages)

@@ -32,14 +32,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bifurcation import KernelField, total_field
-from .field_algebra import CoeffField, field_multiply, write_csv
+from .field_algebra import CoeffField, write_csv
 from .spherical_basis import mean_integral
 
 __all__ = [
     "ResonanceParams",
     "ConditionRecord",
-    "mean_potential",
     "melnikov_mean",
     "check_stage_conditions",
     "MeasureReport",
@@ -84,12 +82,6 @@ def melnikov_mean(q: CoeffField) -> float:
     small-divisor analysis.
     """
     return float(3.0 * mean_integral(q.u[0]))
-
-
-def mean_potential(w: CoeffField, v: KernelField) -> float:
-    """melnikov_mean of the state u = v + w."""
-    u = total_field(v, w)
-    return melnikov_mean(field_multiply(u, u))
 
 
 def _expand(first, counts):

@@ -20,13 +20,14 @@ import scipy.linalg
 from numpy.lib.stride_tricks import as_strided
 
 from resonant_kg import linearized
-from resonant_kg.bifurcation import (KernelField, _check_in_range, _kernel_jacobian,
-                                     _square_and_residual, extract_kernel, total_field)
+from resonant_kg.bifurcation import (KernelField, KernelSolveResult, _check_in_range,
+                                     _kernel_jacobian, _square_and_residual, extract_kernel,
+                                     total_field)
 from resonant_kg.field_algebra import (CoeffField, NormParams, field_multiply, fold_entries,
                                        wave_symbol)
 from resonant_kg.linearized import ResonantSolveError
 from resonant_kg.nash_moser import SolveTrace, StageRecord
-from resonant_kg.resonance import ConditionRecord
+from resonant_kg.resonance import ConditionRecord, melnikov_mean
 from resonant_kg.spherical_basis import diagonal_sums, multiplication_matrix
 
 
@@ -521,6 +522,21 @@ def kernel_residual(v: KernelField, w: CoeffField) -> KernelField:
     """A v - Pi_V (v + w)^3, exactly in coefficient space."""
     _check_in_range(w)
     return _square_and_residual(v, w)[-1]
+
+
+def state_at(v: KernelField, w: CoeffField) -> KernelSolveResult:
+    """The stage state u = v + w, q = u^2 and u^3 that `solve_kernel` returns, at any v.
+
+    v need not solve the kernel equation at w (a zero kernel, say), so the
+    operator can be assembled at states that are not on a branch.
+    """
+    return KernelSolveResult(v, *_square_and_residual(v, w)[:3])
+
+
+def mean_potential(w: CoeffField, v: KernelField) -> float:
+    """Melnikov mean of the state u = v + w, from its own square u^2."""
+    u = total_field(v, w)
+    return melnikov_mean(field_multiply(u, u))
 
 
 def linearize_kernel(v: KernelField, w: CoeffField) -> np.ndarray:

@@ -172,8 +172,7 @@ def test_criterion_3_linearized_inverse_bound(default_run):
         ok &= rec.inverse_norm <= rec.inverse_norm_upper <= rec.inverse_bound
     # Neumann-series inverse against the dense inverse on the converged state
     w32 = result.w.truncate(32, cfg.J_space, NormParams(0.5, 1.0))[0]
-    op = assemble_linearized(cfg.eps, w32, solve_kernel(w32, cfg.m, J_V=cfg.J_space).kernel,
-                             32, cfg.J_space)
+    op = assemble_linearized(cfg.eps, solve_kernel(w32, cfg.m, J_V=cfg.J_space), 32, cfg.J_space)
     rep = preconditioned_split_check(op, NormParams(0.5, cfg.s), GAMMA, TAU)
     ok &= rep.neumann_converged and rep.neumann_vs_dense <= 1e-8
     assert report("3 (linearized inverse bound)", ok,

@@ -137,11 +137,15 @@ def test_solve_kernel_squares_each_iterate_once(rng, monkeypatch):
 
 @pytest.mark.parametrize("m, J", [(0, 2), (1, 5)])
 def test_solve_kernel_returns_the_cube_of_its_state(rng, m, J):
-    # the cube the range equation reads is u^2 u at the converged kernel, bit for bit
+    # the state u = v + w, q = u^2 and the cube u^2 u that the range equation
+    # reads are those of the converged kernel, bit for bit
     w = random_field(rng, 6, J, scale=0.1, decay=0.3)
     res = solve_kernel(w, m, J_V=J)
     u = total_field(res.kernel, w)
-    assert np.array_equal(res.cube.u, field_multiply(field_multiply(u, u), u).u)
+    q = field_multiply(u, u)
+    assert np.array_equal(res.u.u, u.u) and np.array_equal(res.q.u, q.u)
+    assert np.array_equal(res.cube.u, field_multiply(q, u).u)
+    assert np.array_equal(res.b0, 3.0 * q.u[0])
 
 
 @pytest.mark.parametrize("m", [2, 3])

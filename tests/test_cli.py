@@ -544,3 +544,24 @@ def test_non_finite_run_artifacts_exit_66(tmp_path, capsys, name):
             err = capsys.readouterr().err
             assert str(path) in err and "Traceback" not in err
         path.write_bytes(good)
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_refuses_non_finite_coefficients(tmp_path, capsys, monkeypatch):
+    # the field format round-trips NaN and inf: verify refuses them as corrupt,
+    # naming the file, before any product runs, and writes no report
+    from resonant_kg import CoeffField, nash_moser, save_field
+
+    def refuse(*args):
+        raise AssertionError("verify took a residual of a non-finite field")
+    monkeypatch.setattr(nash_moser, "verify_solution", refuse)
+    path, report = tmp_path / "bad.field", tmp_path / "verify.json"
+    for bad in (np.nan, np.inf, -np.inf):
+        u = CoeffField.zeros(4, 2)
+        u.u[1, 0], u.u[2, 1] = 0.5, bad
+        save_field(u, path)
+        assert main(["verify", "--field", str(path), "--eps", "1e-3",
+                     "--out", str(report)]) == 66
+        err = capsys.readouterr().err
+        assert str(path) in err and "not finite" in err and "Traceback" not in err
+        assert not report.exists()

@@ -21,8 +21,8 @@ from oracles import (apply_operator, bands, block_inverse_norm, block_matrix, de
                      dense_matrix, dense_upper_end, diagonal_blocks, exact_inverse_norm,
                      fold_product, gather, matrix_element, pairwise_divisor_constant,
                      potential_parts, preconditioned_split_check, refined_eigenvalues,
-                     small_divisors, sobolev_embedding_constant, split_diagonal, to_field,
-                     weight_grid, weighted_inverse_norm)
+                     small_divisors, sobolev_embedding_constant, split_diagonal, state_at,
+                     to_field, weight_grid, weighted_inverse_norm)
 
 P = NormParams(0.4, 1.0, 2.0)
 
@@ -32,7 +32,7 @@ def zero_kernel(J):
 
 
 def test_unperturbed_operator_is_diagonal_symbol():
-    op = assemble_linearized(0.0, CoeffField.zeros(4, 3), zero_kernel(3), 4, 3)
+    op = assemble_linearized(0.0, state_at(zero_kernel(3), CoeffField.zeros(4, 3)), 4, 3)
     lat = op.lattice
     sym = lat.ells.astype(float) ** 2 - (lat.js + 1.0) ** 2
     assert np.allclose(dense_matrix(op), np.diag(sym))
@@ -49,17 +49,17 @@ def test_time_mean_potential_of_one_mode_branch():
     from resonant_kg.spherical_basis import eigen_product
     for m in (0, 1, 2):
         v = one_mode_solution(m)
-        op = assemble_linearized(1e-3, CoeffField.zeros(1, v.J), v, 4, 2 * m + 2)
+        b0 = state_at(v, CoeffField.zeros(1, v.J)).b0
         expect = 2.0 * (m + 1) * eigen_product(m, m)
-        assert np.allclose(op.b0[: len(expect)], expect, atol=1e-12)
-        assert np.abs(op.b0[len(expect):]).max(initial=0.0) < 1e-12
+        assert np.allclose(b0[: len(expect)], expect, atol=1e-12)
+        assert np.abs(b0[len(expect):]).max(initial=0.0) < 1e-12
 
 
 def test_symmetry_in_weighted_time_basis(rng):
     # D - eps M1 is self-adjoint for the (1, 2, 2, ...) time weights
     w = random_field(rng, 6, 5, scale=0.05, decay=0.3)
     ks = solve_kernel(w, 1, J_V=5)
-    op = assemble_linearized(1e-2, w, ks.kernel, 6, 5)
+    op = assemble_linearized(1e-2, ks, 6, 5)
     D, M1, _ = split_diagonal(op)
     sym_part = D - op.eps * M1
     mult = np.where(op.lattice.ells == 0, 1.0, 2.0)
@@ -70,7 +70,7 @@ def test_symmetry_in_weighted_time_basis(rng):
 def test_split_reassembles_exactly(rng):
     w = random_field(rng, 5, 4, scale=0.08, decay=0.2)
     ks = solve_kernel(w, 0, J_V=4)
-    op = assemble_linearized(2e-2, w, ks.kernel, 5, 4)
+    op = assemble_linearized(2e-2, ks, 5, 4)
     D, M1, M2 = split_diagonal(op)
     dense = dense_matrix(op)
     assert np.abs(D - op.eps * M1 - op.eps * M2 - dense).max() < 1e-13 * np.abs(dense).max()
@@ -83,7 +83,7 @@ def test_time_constant_potential_has_no_offdiagonal():
     # so the zero-mean part M1 vanishes identically
     w = CoeffField.zeros(3, 2)
     w.u[0, 1] = 0.4
-    op = assemble_linearized(1e-2, w, zero_kernel(2), 3, 2)
+    op = assemble_linearized(1e-2, state_at(zero_kernel(2), w), 3, 2)
     _, M1, _ = split_diagonal(op)
     assert np.abs(M1).max() == 0.0
 
@@ -93,7 +93,7 @@ def test_operator_matches_directional_derivative(rng):
     eps, m, Ln, J = 1e-2, 0, 6, 4
     w = random_field(rng, Ln, J, scale=0.02, decay=0.3)
     ks = solve_kernel(w, m, J_V=J)
-    op = assemble_linearized(eps, w, ks.kernel, Ln, J)
+    op = assemble_linearized(eps, ks, Ln, J)
     h = random_field(rng, Ln, J, decay=0.1)
     omega = np.sqrt(1 + eps)
 
@@ -241,12 +241,9 @@ def test_block_spectrum_deletes_the_resonant_label(ell, deleted):
 def test_block_spectrum_is_certified_on_branch_potentials(m, monkeypatch):
     # the time-mean b0 of each branch's first state: m = 3's reaches mode 98
     # and takes windows wider than the first 9 modes
-    from resonant_kg.bifurcation import total_field
     from resonant_kg.nash_moser import SolverConfig, solve_stage0
     cfg = SolverConfig(eps=2e-3, m=m)
-    w, kernel, _ = solve_stage0(cfg)
-    u = total_field(kernel.kernel, w)
-    b0 = 3.0 * field_multiply(u, u).u[0]
+    b0 = solve_stage0(cfg)[1].b0
     sizes, real = [], linearized._window
 
     def recorded(*args):
@@ -293,7 +290,7 @@ def test_inverse_roundtrip_and_norm_bound(rng):
     eps, m, Ln, J = 1e-3, 0, 8, 3
     w = random_field(rng, Ln, J, scale=0.02, decay=0.4)
     ks = solve_kernel(w, m, J_V=J)
-    op = assemble_linearized(eps, w, ks.kernel, Ln, J)
+    op = assemble_linearized(eps, ks, Ln, J)
     rhs = random_field(rng, Ln, J, decay=0.1)
     sol = op.solve(rhs)
     err = (apply_operator(op, sol) - rhs).norm(P) / rhs.norm(P)
@@ -303,7 +300,7 @@ def test_inverse_roundtrip_and_norm_bound(rng):
 
 
 def test_solve_rejects_offlattice_support(rng):
-    op = assemble_linearized(1e-3, CoeffField.zeros(4, 2), zero_kernel(2), 4, 2)
+    op = assemble_linearized(1e-3, state_at(zero_kernel(2), CoeffField.zeros(4, 2)), 4, 2)
     bad = from_mode(6, 1, 1.0)  # beyond the time truncation
     with pytest.raises(ValueError):
         op.solve(bad)
@@ -312,13 +309,13 @@ def test_solve_rejects_offlattice_support(rng):
 def test_singular_factorization_raises():
     # at eps = 3 and b = 0, omega^2 l^2 = omega_j^2 at the kept point (l, j) = (1, 1):
     # the l = 1 block of D is exactly singular
-    op = assemble_linearized(3.0, CoeffField.zeros(3, 2), zero_kernel(2), 3, 2)
+    op = assemble_linearized(3.0, state_at(zero_kernel(2), CoeffField.zeros(3, 2)), 3, 2)
     with pytest.raises(ResonantSolveError, match="block l=1"):
         op.factorize()
 
 
 def test_preconditioned_split_unperturbed():
-    op = assemble_linearized(0.0, CoeffField.zeros(4, 3), zero_kernel(3), 4, 3)
+    op = assemble_linearized(0.0, state_at(zero_kernel(3), CoeffField.zeros(4, 3)), 4, 3)
     rep = preconditioned_split_check(op, P, gamma=0.05, tau=1.5)
     assert rep.u_ok and rep.r1_norm == 0.0 and rep.r2_norm == 0.0
     assert rep.factorization_error < 1e-12
@@ -329,7 +326,7 @@ def test_preconditioned_split_perturbed(rng, monkeypatch):
     eps, m, Ln, J = 1e-3, 0, 8, 3
     w = random_field(rng, Ln, J, scale=0.02, decay=0.4)
     ks = solve_kernel(w, m, J_V=J)
-    op = assemble_linearized(eps, w, ks.kernel, Ln, J)
+    op = assemble_linearized(eps, ks, Ln, J)
     rep = preconditioned_split_check(op, NormParams(0.4, 1.0), gamma=0.05, tau=1.5)
     assert rep.u_ok                      # ||U|| <= 4
     assert rep.dhalf_ok                  # ||D^-1/2|| <= 9/sqrt(gamma) with the s-shift
@@ -339,7 +336,7 @@ def test_preconditioned_split_perturbed(rng, monkeypatch):
     assert np.isfinite(rep.r1_constant) and np.isfinite(rep.r2_constant)
     # a production solve that does not settle is reported, not raised
     monkeypatch.setattr(linearized, "_MAX_SWEEPS", 1)
-    op = assemble_linearized(eps, w, ks.kernel, Ln, J)
+    op = assemble_linearized(eps, ks, Ln, J)
     rep = preconditioned_split_check(op, NormParams(0.4, 1.0), gamma=0.05, tau=1.5)
     assert not rep.neumann_converged and rep.neumann_vs_dense == np.inf
     assert rep.u_ok and rep.factorization_error < 1e-10
@@ -381,7 +378,7 @@ def test_inverse_norm_power_iteration_agrees(rng, monkeypatch):
     eps, m, Ln, J = 1e-3, 0, 8, 3
     w = random_field(rng, Ln, J, scale=0.02, decay=0.4)
     ks = solve_kernel(w, m, J_V=J)
-    op = assemble_linearized(eps, w, ks.kernel, Ln, J)
+    op = assemble_linearized(eps, ks, Ln, J)
     exact = exact_inverse_norm(op, P)
     monkeypatch.setattr(linearized, "_MAX_KRYLOV_STEPS", 60)
     powered = op.inverse_norm(P)
@@ -397,7 +394,7 @@ def test_inverse_norm_power_iteration_agrees(rng, monkeypatch):
 def test_krylov_estimate_is_monotone_lower_bound(rng, monkeypatch):
     eps, m, Ln, J = 1e-3, 0, 8, 3
     w = random_field(rng, Ln, J, scale=0.02, decay=0.4)
-    op = assemble_linearized(eps, w, solve_kernel(w, m, J_V=J).kernel, Ln, J)
+    op = assemble_linearized(eps, solve_kernel(w, m, J_V=J), Ln, J)
     exact = exact_inverse_norm(op, P)
     estimates = []
     for k in range(1, 9):
@@ -606,7 +603,7 @@ def test_krylov_steps_inside_each_block_give_its_norm(state):
     if state == "static":
         u = np.zeros((1, 5))
         u[0, [0, 2]] = 0.3, 0.1
-        op = assemble_linearized(1e-3, CoeffField(u), zero_kernel(4), 16, 4)
+        op = assemble_linearized(1e-3, state_at(zero_kernel(4), CoeffField(u)), 16, 4)
     elif state == "dv":
         op = _stage0_operator(0, 64)
         dv = op.dv_matrix.copy()
@@ -632,7 +629,7 @@ def test_block_krylov_on_a_coarse_partition(L):
     # components into one block (8 blocks against 9), which B leaves
     # invariant all the same
     w = CoeffField.zeros(4, 4)
-    op = assemble_linearized(2e-3, w, solve_kernel(w, 2, J_V=4).kernel, L, 4)
+    op = assemble_linearized(2e-3, solve_kernel(w, 2, J_V=4), L, 4)
     blocks, comps = op._partition, _components(dense_matrix(op))
     assert (len(blocks), len(comps)) == (8, 9)
     coarse = [b for b in blocks if not any(np.array_equal(b, c) for c in comps)]
@@ -648,12 +645,13 @@ def test_block_krylov_on_a_coarse_partition(L):
     assert abs(value - inside) <= 1e-15 * inside
 
 
-def test_assembly_forms_square_and_stack_once(rng, monkeypatch):
-    # q = (v + w)^2 and the S_d stack of b = 3 q serve the whole assembly
+def test_assembly_forms_one_stack_and_no_square(rng, monkeypatch):
+    # the S_d stack of b = 3 q serves the whole assembly, which reads q = (v + w)^2
+    # from the kernel solve's state
     import sys
     from resonant_kg import field_algebra, spherical_basis
     w = random_field(rng, 4, 5, scale=0.05, decay=0.3)
-    kernel = solve_kernel(w, 1, J_V=5).kernel
+    state = solve_kernel(w, 1, J_V=5)
     calls = {"field_multiply": 0, "multiplication_matrix": 0}
     for name, home in zip(calls, (field_algebra, spherical_basis)):
         real = getattr(home, name)
@@ -665,16 +663,17 @@ def test_assembly_forms_square_and_stack_once(rng, monkeypatch):
             if (getattr(mod, "__name__", "").startswith("resonant_kg")
                     and getattr(mod, name, None) is real):
                 monkeypatch.setattr(mod, name, counted)
-    assemble_linearized(2e-3, w, kernel, 8, 5)
-    assert calls == {"field_multiply": 1, "multiplication_matrix": 1}
+    assemble_linearized(2e-3, state, 8, 5)
+    assert calls == {"field_multiply": 0, "multiplication_matrix": 1}
 
 
 def test_assembly_stack_holds_one_slice_per_row_of_q(rng):
     # S_d for d <= q.L only: the fold and the kernel derivative read S_d past
     # q's last row as an exact zero, so no slice of zeros is stored
     w = random_field(rng, 4, 5, scale=0.05, decay=0.3)
-    op = assemble_linearized(2e-3, w, solve_kernel(w, 1, J_V=5).kernel, 8, 5)
-    assert op.stack.shape == (op.q.L + 1, 6, 6) and op.q.L == 12 < 2 * op.L
+    state = solve_kernel(w, 1, J_V=5)
+    op = assemble_linearized(2e-3, state, 8, 5)
+    assert op.stack.shape == (state.q.L + 1, 6, 6) and state.q.L == 12 < 2 * op.L
 
 
 def _assert_matches_oracle(tab, rep, eps, b0, J_max, oracle_rtol=1e-10):
@@ -765,17 +764,17 @@ def test_divisor_table_secular_path_on_assembled_b0():
     cfg = SolverConfig(eps=2e-3, m=1, n_max=2)
     w, kernel, _ = solve_stage0(cfg)
     w, kernel, *_ = solve_stage(0, w, kernel, cfg)
-    op = assemble_linearized(cfg.eps, w, kernel.kernel, 64, cfg.J_space)
-    tab = divisor_table(cfg.eps, op.b0, 64, 128, gamma=0.05, tau=1.5)
-    rep = small_divisors(cfg.eps, op.b0, range(65), 128)
-    _assert_matches_oracle(tab, rep, cfg.eps, op.b0, 128)
+    b0 = kernel.b0
+    tab = divisor_table(cfg.eps, b0, 64, 128, gamma=0.05, tau=1.5)
+    rep = small_divisors(cfg.eps, b0, range(65), 128)
+    _assert_matches_oracle(tab, rep, cfg.eps, b0, 128)
     # L_n = 1024 with J_max = 2048, against the per-block oracle at 20 l
-    tab = divisor_table(cfg.eps, op.b0, 1024, 2048, gamma=0.05, tau=1.5)
+    tab = divisor_table(cfg.eps, b0, 1024, 2048, gamma=0.05, tau=1.5)
     ells = np.unique(np.r_[0, 1, 2, np.linspace(3, 1024, 17).astype(int)])
-    rep = small_divisors(cfg.eps, op.b0, ells, 2048)
+    rep = small_divisors(cfg.eps, b0, ells, 2048)
     sampled = linearized._divisor_report(cfg.eps, 0.05, 1.5, ells, tab.alpha[ells],
                                          tab.j_min[ells])
-    _assert_matches_oracle(sampled, rep, cfg.eps, op.b0, 2048, oracle_rtol=None)
+    _assert_matches_oracle(sampled, rep, cfg.eps, b0, 2048, oracle_rtol=None)
 
 
 @pytest.mark.parametrize("m, Ln, J", [(0, 16, 4), (1, 12, 18), (1, 8, 30)])
@@ -783,7 +782,7 @@ def test_inverse_norm_matches_svd_oracle(rng, m, Ln, J):
     eps = 2e-3
     w = random_field(rng, 4, J, scale=0.02, decay=0.4)
     ks = solve_kernel(w, m, J_V=J)
-    op = assemble_linearized(eps, w, ks.kernel, Ln, J)
+    op = assemble_linearized(eps, ks, Ln, J)
     assert op.lattice.size <= 300
     for params in (P, NormParams(1.0, 1.5, 2.0)):
         weights = np.exp(op.lattice.log_weights(params))
@@ -793,7 +792,7 @@ def test_inverse_norm_matches_svd_oracle(rng, m, Ln, J):
 
 def _branch_operator(rng, m, Ln, J, eps=2e-3):
     w = random_field(rng, 6, J, scale=0.02, decay=0.4)
-    return assemble_linearized(eps, w, solve_kernel(w, m, J_V=J).kernel, Ln, J)
+    return assemble_linearized(eps, solve_kernel(w, m, J_V=J), Ln, J)
 
 
 def _stage0_operator(m, Ln):
@@ -802,7 +801,7 @@ def _stage0_operator(m, Ln):
     from resonant_kg.nash_moser import SolverConfig, solve_stage0
     cfg = SolverConfig(eps=2e-3, m=m)
     w, kernel, _ = solve_stage0(cfg)
-    return assemble_linearized(cfg.eps, w, kernel.kernel, Ln, cfg.J_space)
+    return assemble_linearized(cfg.eps, kernel, Ln, cfg.J_space)
 
 
 @pytest.mark.parametrize("m, Ln, J, state", [(0, 64, 4, "random"), (1, 24, 18, "random"),
@@ -1189,7 +1188,7 @@ def test_components_partition_the_dense_oracle(rng, state, blocks):
     if state == "static":  # b = 3 w^2 has S_0 alone: each l is its own time class
         u = np.zeros((1, 5))
         u[0, [0, 2]] = 0.3, 0.1
-        op = assemble_linearized(1e-3, CoeffField(u), zero_kernel(4), 16, 4)
+        op = assemble_linearized(1e-3, state_at(zero_kernel(4), CoeffField(u)), 16, 4)
     elif state == "dv":  # M2 joins the cell of kernel slot (1, 0) to that of (4, 1)
         op = _stage0_operator(0, 64)
         dv = op.dv_matrix.copy()
@@ -1249,7 +1248,8 @@ def test_inverse_norm_at_L_1024():
     # entry w_i a_ij / w_j of B in log space, on each decoupled block
     from resonant_kg.nash_moser import SolverConfig, run
     result = run(SolverConfig(eps=1e-3, m=0, n_max=2))
-    op = assemble_linearized(1e-3, result.w, result.kernel, 1024, result.config.J_space)
+    op = assemble_linearized(1e-3, state_at(result.kernel, result.w), 1024,
+                             result.config.J_space)
     params = NormParams(0.764, 1.0)
     value = op.inverse_norm(params)
     assert op.lattice.size == 3072 and op.power_steps > 0 and np.isfinite(value)
@@ -1331,7 +1331,7 @@ def test_block_norm_drops_entries_below_its_resolution(monkeypatch):
 
 def test_singleton_blocks_take_no_factorization(monkeypatch):
     # at eps = 0 every unknown is its own block and the norm is max 1 / |symbol|
-    op = assemble_linearized(0.0, CoeffField.zeros(4, 2), zero_kernel(2), 512, 2)
+    op = assemble_linearized(0.0, state_at(zero_kernel(2), CoeffField.zeros(4, 2)), 512, 2)
     orders = _record_block_inversions(monkeypatch)
     value = op.inverse_norm(P)
     assert op.lattice.size == 1536 and op.power_steps == 0
@@ -1409,7 +1409,8 @@ def test_krylov_exits_cut_sweeps_and_keep_the_estimate(monkeypatch, case):
     if case == "L1024":
         from resonant_kg.nash_moser import SolverConfig, run
         result = run(SolverConfig(eps=1e-3, m=0, n_max=2))
-        op = assemble_linearized(1e-3, result.w, result.kernel, 1024, result.config.J_space)
+        op = assemble_linearized(1e-3, state_at(result.kernel, result.w), 1024,
+                             result.config.J_space)
         params = NormParams(0.764, 1.0)
     else:
         op = _stage0_operator(int(case[1]), 64)

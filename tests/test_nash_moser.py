@@ -5,13 +5,13 @@ import pytest
 
 from resonant_kg import (CoeffField, NormParams, field_multiply, project_kernel,
                          project_range)
-from resonant_kg.bifurcation import one_mode_solution, total_field
+from resonant_kg.bifurcation import one_mode_solution
 from resonant_kg.nash_moser import (PICARD_MAX, PICARD_TOL, ContractionError,
                                     MelnikovExcludedError, SolverConfig, _contract,
                                     continue_branch, run, solve_stage, solve_stage0,
                                     verify_solution)
 
-from oracles import trace_from_jsonl
+from oracles import state_at, trace_from_jsonl
 
 
 def small_config(**kw):
@@ -165,15 +165,14 @@ def test_branch_keeps_the_kernel_mode_symmetry(m):
     # (omega_m, m): u lives on l = omega_m (mod 2 omega_m), j = m (mod 2) and
     # q = u^2 on l = 0 (mod 2 omega_m), j even; the speed of field_multiply's
     # strides and of the operator's live S_d rests on these exact zeros
-    from resonant_kg.linearized import assemble_linearized
     cfg = SolverConfig(eps=2e-3, m=m, n_max=2)
     res = run(cfg)
     wm = m + 1
-    op = assemble_linearized(cfg.eps, res.w, res.kernel, cfg.L(cfg.n_max), cfg.J_space)
-    assert np.count_nonzero(res.u.u) > 0 and np.count_nonzero(op.q.u) > 0
+    state = state_at(res.kernel, res.w)
+    assert np.count_nonzero(res.u.u) > 0 and np.count_nonzero(state.q.u) > 0
     assert not _off_pattern(res.u, 2 * wm, wm, m % 2).any()
-    assert not _off_pattern(op.u, 2 * wm, wm, m % 2).any()
-    assert not _off_pattern(op.q, 2 * wm, 0, 0).any()
+    assert not _off_pattern(state.u, 2 * wm, wm, m % 2).any()
+    assert not _off_pattern(state.q, 2 * wm, 0, 0).any()
 
 
 def test_melnikov_exclusion_raised():
@@ -191,8 +190,8 @@ def test_melnikov_exclusion_raised():
     # still proceeds: the resonant space mode j = 100 lies outside the m = 0
     # spatial truncation, and the true divisor is shifted off zero by the
     # potential mean
-    w, v = continue_branch(cfg)
-    assert verify_solution(total_field(v, w), cfg).relative < 1e-10
+    w, state = continue_branch(cfg)
+    assert verify_solution(state.u, cfg).relative < 1e-10
 
 
 @pytest.mark.parametrize("m", [0, 1])
@@ -208,9 +207,10 @@ def test_continue_branch_is_run_without_its_certificate(m, monkeypatch):
     monkeypatch.setattr(linearized.LinearizedOperator, "inverse_norm", refuse)
     monkeypatch.setattr(nash_moser, "divisor_table", refuse)
     monkeypatch.setattr(nash_moser, "check_stage_conditions", refuse)
-    w, v = continue_branch(cfg)
+    w, state = continue_branch(cfg)
     assert (w.u.shape, w.u.tobytes()) == (res.w.u.shape, res.w.u.tobytes())
-    assert v.v.tobytes() == res.kernel.v.tobytes()
+    assert state.v.tobytes() == res.kernel.v.tobytes()
+    assert (state.u.u.shape, state.u.u.tobytes()) == (res.u.u.shape, res.u.u.tobytes())
 
 
 def test_verify_solution_identities():
@@ -302,9 +302,9 @@ def test_contract_failure_paths(slope, iterations, match):
 def test_nonfinite_picard_update_fails_fast():
     cfg = small_config(eps=2e-3, m=1, n_max=1)
     w, kernel, _ = solve_stage0(cfg)
-    w.u[3, 2] = np.nan
+    w.u[3, 2] = np.nan  # the stage linearizes at the state, so it holds the NaN too
     with pytest.raises(ContractionError, match="stage 1 Picard iteration 1: non-finite"):
-        solve_stage(0, w, kernel, cfg)
+        solve_stage(0, w, state_at(kernel.kernel, w), cfg)
 
 
 def test_stage0_nonfinite_update_fails_fast(monkeypatch):
@@ -324,8 +324,8 @@ def test_stage0_nonfinite_update_fails_fast(monkeypatch):
 
 def test_run_reads_each_state_cube_from_its_kernel_solve(monkeypatch):
     # stage 0's step, the stage residuals and the next stage's Gamma read the
-    # kernel solve's cube; beside the Newton products, only the assembly's
-    # square, the Picard remainders and verify_solution multiply
+    # kernel solve's cube, and the assembly its square; beside the Newton
+    # products, only the Picard remainders and verify_solution multiply
     from resonant_kg import bifurcation, linearized
     import resonant_kg.nash_moser as nm
     calls = []
@@ -334,25 +334,27 @@ def test_run_reads_each_state_cube_from_its_kernel_solve(monkeypatch):
         calls.append(1)
         return field_multiply(a, b)
     for module in (bifurcation, linearized, nm):
-        monkeypatch.setattr(module, "field_multiply", counted)
+        monkeypatch.setattr(module, "field_multiply", counted, raising=False)
     run(SolverConfig(eps=1e-3, m=0, n_max=2))
-    assert len(calls) == 30
+    assert len(calls) == 28
 
 
-def test_solve_stage_reads_its_state_from_the_operator(monkeypatch):
-    # the Melnikov mean is read from the assembled q, not recomputed from (w, v)
-    from resonant_kg import resonance
-    cfg = small_config(eps=2e-3, m=1, n_max=1)
-    w, kernel, _ = solve_stage0(cfg)
+def test_solve_stage_reads_its_state_from_the_kernel_solve(monkeypatch):
+    # the assembly, the Melnikov mean and the mean curve read u and q from the
+    # kernel solve's state: neither the operator nor the resonance layer multiplies
+    from resonant_kg import linearized, resonance
+    from resonant_kg.cli import _mean_curve
 
-    def refuse(w, v):
-        raise AssertionError("mean_potential recomputes q")
-    monkeypatch.setattr(resonance, "mean_potential", refuse)
-    _, _, rec, *_ = solve_stage(0, w, kernel, cfg)
+    def refuse(a, b):
+        raise AssertionError("the stage state is squared again")
+    for module in (linearized, resonance):
+        monkeypatch.setattr(module, "field_multiply", refuse, raising=False)
+    rec = run(small_config(eps=2e-3, m=1, n_max=1)).trace.records[-1]
     assert rec.melnikov_ok
     # the stage-1 correction is O(1e-2) on m = 1, so a wrong quadratic
     # remainder h'^2 (3u + h') leaves a residual far above 3.5e-13
     assert rec.stage_residual < 2e-12
+    assert np.isfinite(_mean_curve(np.linspace(1e-6, 0.04, 2), 1)).all()
 
 
 def test_nonfinite_field_has_nonfinite_norm():

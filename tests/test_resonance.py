@@ -7,11 +7,10 @@ import pytest
 from resonant_kg import CoeffField, resonance
 from resonant_kg.bifurcation import KernelField, one_mode_solution, solve_kernel
 from resonant_kg.resonance import (ConditionRecord, ResonanceParams, check_stage_conditions,
-                                   fit_excluded_exponent, mean_potential, measure_scan,
-                                   records_to_csv)
+                                   fit_excluded_exponent, measure_scan, records_to_csv)
 
 from conftest import random_field
-from oracles import grid_condition_failures
+from oracles import grid_condition_failures, mean_potential
 
 PARAMS = ResonanceParams(gamma=0.1, tau=1.5, eps0=0.1)
 
@@ -24,6 +23,20 @@ def test_mean_potential_examples():
         assert abs(mean_potential(w, v) - 2.0 * (m + 1) ** 2) < 1e-12
     zero = KernelField(np.zeros(2))
     assert mean_potential(CoeffField.zeros(1, 1), zero) == 0.0
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_mean_curve_is_the_mean_potential_of_each_continuation(m):
+    # the mean curve reads q from each continuation's last state, bit for bit
+    # the oracle's own square of that state's u = v + w
+    from resonant_kg.cli import _mean_curve
+    from resonant_kg.nash_moser import SolverConfig, continue_branch
+    grid = np.linspace(1e-6, 0.04, 4)
+    expect = []
+    for eps in grid:
+        w, state = continue_branch(SolverConfig(eps=float(eps), m=m, n_max=2))
+        expect.append(mean_potential(w, state.kernel))
+    assert _mean_curve(grid, m).tobytes() == np.array(expect).tobytes()
 
 
 def test_mean_potential_lipschitz(rng):
